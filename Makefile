@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race bench bench-json chaos fuzz proc-smoke verify
+.PHONY: build test vet staticcheck race bench bench-json chaos fuzz proc-smoke budget verify
 
 build:
 	$(GO) build ./...
@@ -49,8 +49,21 @@ proc-smoke:
 	$(GO) build -o bin/qcstore ./cmd/qcstore
 	$(GO) run ./cmd/qchaos -proc -bin bin/qcstore
 
+# The ROADMAP aim-2 ratchet: internal/cluster may not grow back. Fails when
+# the package exports more With* options, or holds more non-test code lines
+# (blank and comment-only lines not counted), than the last PR that shrank
+# it landed at. A PR that shrinks either lowers the ceiling with it.
+CLUSTER_MAX_OPTIONS = 34
+CLUSTER_MAX_LINES = 5793
+budget:
+	@opts=$$(grep -c '^func With' internal/cluster/options.go); \
+	lines=$$(ls internal/cluster/*.go | grep -v '_test\.go$$' | xargs cat | grep -v '^[[:space:]]*$$' | grep -v '^[[:space:]]*//' | wc -l); \
+	echo "budget: internal/cluster has $$opts options (ceiling $(CLUSTER_MAX_OPTIONS)) and $$lines code lines (ceiling $(CLUSTER_MAX_LINES))"; \
+	[ $$opts -le $(CLUSTER_MAX_OPTIONS) ] && [ $$lines -le $(CLUSTER_MAX_LINES) ]
+
 # CI entry point: everything tier-1 checks plus vet, staticcheck (when
-# installed — the toolchain image may not carry it), an explicit race pass
+# installed — the toolchain image may not carry it), the internal/cluster
+# size budget, an explicit race pass
 # over the chaos campaigns (they stress every cross-goroutine path the
 # self-healing machinery added), the race pass, short fuzz smokes (quorum
 # invariants, WAL records, TCP wire envelope), the qcstore durable-mode
@@ -78,7 +91,7 @@ proc-smoke:
 # replicas, zero wedged items (the proc smoke covers the same path against
 # real processes: a bit flipped on a real disk, the restarted process
 # rebuilding from its peers over TCP).
-verify: build vet staticcheck test race
+verify: build vet staticcheck budget test race
 	$(GO) test -race ./internal/chaos/...
 	$(GO) test ./internal/quorum/ -fuzz FuzzConfig -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	qcbench -exp all
-//	qcbench -exp figures|model|messages|availability|latency|nesting|faults|reconfig-ablation
+//	qcbench -exp figures|model|messages|availability|latency|nesting|faults|read-repair
 //	qcbench -exp messages -txns 200
 package main
 
@@ -78,12 +78,6 @@ func run(exp string, txns, seeds int) error {
 	if all || exp == "read-repair" {
 		section("E9 read repair")
 		if err := experiments.ReadRepair(w, 40); err != nil {
-			return err
-		}
-	}
-	if all || exp == "reconfig-ablation" {
-		section("A1 reconfiguration write rule ablation")
-		if err := experiments.ReconfigAblation(w, 10); err != nil {
 			return err
 		}
 	}

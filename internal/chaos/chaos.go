@@ -1122,26 +1122,27 @@ func (s *scheduler) advance(round int, injected map[Fault]int) {
 			}
 			item := fmt.Sprintf("x%d", i)
 			target := fmt.Sprintf("g%d", tg)
-			var mopts cluster.MigrateOptions
+			// The coordinator is killed before the commit decision (mode 2) or
+			// partway through the commit broadcast (mode 3); modes 0 and 1
+			// migrate cleanly.
+			var cut cluster.CommitCrashOptions
 			switch mode {
 			case 2:
-				mopts.Crash = cluster.MigrateCrashBeforeCommit
+				cut.Stage = cluster.CommitCrashBeforeDecide
 			case 3:
-				mopts.Crash = cluster.MigrateCrashMidCommit
-				mopts.CrashDeliver = deliver
+				cut = cluster.CommitCrashOptions{Stage: cluster.CommitCrashMidLearn, Deliver: deliver}
 			}
-			merr := s.store.MigrateItemOpts(context.Background(), item, target, mopts)
+			merr := s.store.MigrateItem(context.Background(), item, target, cut)
 			switch {
 			case merr == nil:
-				if mopts.Crash == cluster.MigrateCrashNone {
-					s.migrations++
-					s.home[i] = tg
-				}
-			case errors.Is(merr, cluster.ErrMigrationAbandoned):
-				// The injected coordinator kill. The item's fate — old group
-				// at the old generation, or new group at gen+1 — now rests
-				// with the lease reaper; the final writability probe and the
-				// checker hold it to exactly one of those.
+				s.migrations++
+				s.home[i] = tg
+			case errors.Is(merr, cluster.ErrCommitAbandoned), errors.Is(merr, cluster.ErrTxnInDoubt):
+				// The injected coordinator kill, or a decide phase a concurrent
+				// fault left in doubt. The item's fate — old group at the old
+				// generation, or new group at gen+1 — now rests with the lease
+				// reaper and acceptor recovery; the final writability probe and
+				// the checker hold it to exactly one of those.
 				s.abandoned++
 			case expectedUnderFaults(merr):
 				// Adopt/copy/fence lost to a concurrent fault before the

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checker"
 	"repro/internal/quorum"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func testCluster(t *testing.T, nDMs int, cfg func([]string) quorum.Config, netCfg sim.Config) (*Store, *sim.Network, []string) {
@@ -376,30 +378,6 @@ func TestLossyNetworkStillCommits(t *testing.T) {
 	}
 }
 
-func TestGiffordAblationWritesConfigToBothQuorums(t *testing.T) {
-	dms := []string{"a", "b", "c"}
-	net := sim.NewNetwork(fastNet(13))
-	store, err := Open(net, []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
-		WithCallTimeout(25*time.Millisecond),
-		WithWriteConfigToBothQuorums(true),
-		WithSeed(13),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		store.Close()
-		net.Close()
-	}()
-	ctx := context.Background()
-	if err := store.Reconfigure(ctx, "x", quorum.ReadOneWriteAll(dms)); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 3) }); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTxnIDAncestry(t *testing.T) {
 	cases := []struct {
 		a, b TxnID
@@ -425,5 +403,59 @@ func TestTxnIDAncestry(t *testing.T) {
 	}
 	if top := TxnID("t9/4/2").Top(); top != "t9" {
 		t.Errorf("Top = %v", top)
+	}
+}
+
+// TestLogicalOpsBookkeptOnce: every public form of a logical read or write
+// goes through the one operation path, so each counts, times, traces and
+// records its operation exactly once.
+func TestLogicalOpsBookkeptOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		write bool
+		op    func(tx *Txn) error
+	}{
+		{"Read", false, func(tx *Txn) error { _, err := tx.Read(ctx, "x"); return err }},
+		{"ReadVersioned", false, func(tx *Txn) error { _, _, err := tx.ReadVersioned(ctx, "x"); return err }},
+		{"ReadForUpdate", false, func(tx *Txn) error { _, err := tx.ReadForUpdate(ctx, "x"); return err }},
+		{"Write", true, func(tx *Txn) error { return tx.Write(ctx, "x", 1) }},
+		{"WriteVersioned", true, func(tx *Txn) error { _, err := tx.WriteVersioned(ctx, "x", 1); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dms := []string{"dm0", "dm1", "dm2"}
+			net := sim.NewNetwork(fastNet(71))
+			log, rec := trace.NewLog(), checker.NewRecorder()
+			store, err := Open(net, []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
+				WithSeed(71), WithTrace(log), WithHistory(rec))
+			if err != nil {
+				net.Close()
+				t.Fatal(err)
+			}
+			defer func() { store.Close(); net.Close() }()
+			if err := store.Run(ctx, tc.op); err != nil {
+				t.Fatal(err)
+			}
+			st := &store.Stats
+			got := map[string]int{
+				"Reads": int(st.Reads.Value()), "ReadLatency": st.ReadLatency.Count(), "read events": len(log.Filter("read")),
+				"Writes": int(st.Writes.Value()), "WriteLatency": st.WriteLatency.Count(), "write events": len(log.Filter("write")),
+			}
+			want := map[string]int{"Reads": 1, "ReadLatency": 1, "read events": 1, "Writes": 0, "WriteLatency": 0, "write events": 0}
+			kind := checker.OpRead
+			if tc.write {
+				want = map[string]int{"Reads": 0, "ReadLatency": 0, "read events": 0, "Writes": 1, "WriteLatency": 1, "write events": 1}
+				kind = checker.OpWrite
+			}
+			for k, w := range want {
+				if got[k] != w {
+					t.Errorf("%s = %d, want %d", k, got[k], w)
+				}
+			}
+			txns := rec.History().Txns
+			if len(txns) != 1 || len(txns[0].Ops) != 1 || txns[0].Ops[0].Kind != kind {
+				t.Errorf("history recorded %+v, want one transaction with one op of kind %v", txns, kind)
+			}
+		})
 	}
 }

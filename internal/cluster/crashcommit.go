@@ -3,21 +3,19 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/checker"
-	"repro/internal/commit"
 )
 
-// ErrCommitAbandoned reports that a CrashCommit coordinator stopped at its
-// injected crash stage: the transaction was neither committed nor aborted
-// by the coordinator, so its locks, intentions, and (under PaxosCommit)
-// acceptor votes dangle exactly as a kill -9 would leave them. Chaos
-// campaigns inject these crashes around the commit point and then verify
-// the cluster converges on exactly one outcome — and, under PaxosCommit,
-// that it converges without waiting out a lease TTL.
+// ErrCommitAbandoned reports that a commit coordinator (CrashCommit's, or a
+// MigrateItem's) stopped at its injected crash stage: the transaction was
+// neither committed nor aborted by the coordinator, so its locks,
+// intentions, and (under PaxosCommit) acceptor votes dangle exactly as a
+// kill -9 would leave them. Chaos campaigns inject these crashes around the
+// commit point and then verify the cluster converges on exactly one outcome
+// — and, under PaxosCommit, that it converges without waiting out a lease
+// TTL.
 var ErrCommitAbandoned = errors.New("cluster: commit coordinator crashed")
 
 // CommitCrashStage selects where a chaos-injected coordinator crash cuts a
@@ -55,8 +53,8 @@ const (
 	CommitCrashMidLearn
 )
 
-// CommitCrashOptions tunes a CrashCommit run; the zero value commits
-// cleanly.
+// CommitCrashOptions is the cut a coordinator crash makes through the
+// commit tail; the zero value commits cleanly.
 type CommitCrashOptions struct {
 	// Stage selects the injected coordinator crash point.
 	Stage CommitCrashStage
@@ -106,181 +104,18 @@ type CrashReport struct {
 	Start, End time.Time
 }
 
-// CrashCommit runs one write transaction (item := val) up to its commit
-// point and then simulates a coordinator kill -9 at the requested stage:
+// CrashCommit runs one write transaction (item := val) through the common
+// commit tail with a coordinator kill -9 injected at the requested stage:
 // no abort, no further sends, locks and votes left dangling for the
-// cluster to resolve. Returns ErrCommitAbandoned (with the report) when
-// the injected crash fired, nil when Stage is CommitCrashNone and the
-// commit completed. Test/chaos harness use only.
-//
-// The transaction is assembled by hand rather than via Run for the same
-// reason MigrateItemOpts's is: the crash must cut at exact instants
-// (between the decide and learn fan-outs, mid-broadcast) that Run's loop
-// never exposes, and the abandoned coordinator must leave its state
-// dangling instead of aborting on the way out.
+// cluster to resolve. Returns ErrCommitAbandoned (with the report) when the
+// coordinator stopped unresolved — the injected crash fired, or the decide
+// phase genuinely ended in doubt, which is rarer but leaves the same shape
+// — and nil when Stage is CommitCrashNone and the commit completed.
+// Test/chaos harness use only.
 func (s *Store) CrashCommit(ctx context.Context, item string, val any, opts CommitCrashOptions) (CrashReport, error) {
-	rep := CrashReport{Start: time.Now()}
-	t := &Txn{
-		store:      s,
-		id:         TxnID(fmt.Sprintf("%s.x%d", s.clientID, s.txnSeq.Add(1))),
-		touched:    map[string]touchLevel{},
-		leaseStamp: s.now(),
+	rep, err := s.commitAttempt(ctx, func(t *Txn) error { return t.Write(ctx, item, val) }, opts)
+	if errors.Is(err, ErrTxnInDoubt) {
+		err = ErrCommitAbandoned
 	}
-	rep.Txn = t.id
-	s.trackTxn(t)
-	var cohort []string
-	fail := func(err error) (CrashReport, error) {
-		t.abort(ctx)
-		s.untrackTxn(t)
-		return rep, err
-	}
-	abandon := func() (CrashReport, error) {
-		// The injected crash: untrack without abort. The locks dangle.
-		s.untrackTxn(t)
-		written, granted, _ := t.controlSets()
-		seen := map[string]bool{}
-		for _, set := range [][]string{written, granted, cohort} {
-			for _, dm := range set {
-				if !seen[dm] {
-					seen[dm] = true
-					rep.DMs = append(rep.DMs, dm)
-				}
-			}
-		}
-		sort.Strings(rep.DMs)
-		rep.End = time.Now()
-		t.mu.Lock()
-		rep.Ops = append([]checker.Op(nil), t.ops...)
-		t.mu.Unlock()
-		s.traceEvent(string(t.id), "crashcommit",
-			"%s: coordinator crashed (stage %d, decided %v, accepts %d/%d, learned %d)",
-			item, opts.Stage, rep.Decided, rep.Accepts, rep.Cohort, rep.Learned)
-		return rep, ErrCommitAbandoned
-	}
-
-	if err := t.Write(ctx, item, val); err != nil {
-		// A clean pre-commit failure (conflict, no quorum): nothing is in
-		// doubt, the ordinary abort applies.
-		return fail(err)
-	}
-	if err := t.ensureLease(ctx); err != nil {
-		s.Stats.LeaseExpiries.Inc()
-		return fail(err)
-	}
-	if err := t.fenceHints(ctx); err != nil {
-		return fail(err)
-	}
-
-	paxos := s.opts.protocol == commit.PaxosCommit
-	if paxos {
-		cohort = t.paxosCohort()
-	}
-	stage := opts.Stage
-	if !paxos && (stage == CommitCrashMidDecide || stage == CommitCrashBeforeLearn) {
-		// TwoPhase has no decide phase: everything before the first
-		// CommitTopReq send is one window.
-		stage = CommitCrashBeforeDecide
-	}
-	if stage == CommitCrashBeforeDecide {
-		return abandon()
-	}
-
-	written, granted, tentative := t.controlSets()
-	learn := CommitTopReq{Txn: t.id, Subs: t.committedSubs(), Final: t.finalVNs()}
-
-	if paxos {
-		rep.Cohort = len(cohort)
-		if stage == CommitCrashMidDecide {
-			// Deliver ballot-0 accepts to a prefix of the cohort, then die.
-			// Sequential raw calls, like MigrateCrashMidCommit's partial
-			// broadcast: the count of durable acceptances is exact.
-			n := opts.Deliver
-			if n > len(cohort) {
-				n = len(cohort)
-			}
-			req := PaxosAcceptReq{
-				Txn: t.id, Ballot: 0, Commit: true,
-				Subs: t.committedSubs(), Final: t.finalVNs(), Cohort: cohort,
-			}
-			for _, dm := range cohort[:n] {
-				budget, derr := s.callBudget(ctx)
-				if derr != nil {
-					break
-				}
-				rep.Sends++
-				cctx, cancel := context.WithTimeout(ctx, budget)
-				raw, err := s.client.Call(cctx, dm, req)
-				cancel()
-				if err == nil {
-					if ans, ok := raw.(PaxosAcceptResp); ok && ans.OK {
-						rep.Accepts++
-					}
-				}
-			}
-			rep.Decided = rep.Accepts >= commit.Quorum(len(cohort))
-			return abandon()
-		}
-		// BeforeLearn and MidLearn both run the full decide phase first.
-		rep.Sends += len(cohort)
-		inDoubt, err := t.paxosDecide(ctx, cohort)
-		if err != nil {
-			if inDoubt {
-				// Genuinely undecided — rarer than an injected crash but the
-				// same shape; the report says so and the cluster resolves it.
-				return abandon()
-			}
-			return fail(err)
-		}
-		rep.Decided = true
-		rep.Accepts = len(cohort) // a full decide acked everywhere it could; majority guaranteed
-		if stage == CommitCrashBeforeLearn {
-			return abandon()
-		}
-	}
-
-	// MidLearn: deliver CommitTopReq to a prefix of the written DMs, die.
-	n := opts.Deliver
-	if n > len(written) {
-		n = len(written)
-	}
-	for _, dm := range written[:n] {
-		budget, derr := s.callBudget(ctx)
-		if derr != nil {
-			break
-		}
-		rep.Sends++
-		cctx, cancel := context.WithTimeout(ctx, budget)
-		raw, err := s.client.Call(cctx, dm, learn)
-		cancel()
-		if err == nil {
-			if ack, ok := raw.(Ack); ok && ack.OK {
-				rep.Learned++
-			}
-		}
-	}
-	if !paxos {
-		// Under TwoPhase the first applied CommitTopReq decides commit.
-		rep.Decided = rep.Learned >= 1
-	}
-	if stage == CommitCrashMidLearn {
-		return abandon()
-	}
-
-	// CommitCrashNone: finish the broadcast like Run would.
-	missing := t.control(ctx, written, granted, tentative, learn)
-	t.primeHintTargets(missing)
-	t.done = true
-	s.untrackTxn(t)
-	s.Stats.Commits.Inc()
-	rep.Decided = true
-	rep.End = time.Now()
-	t.mu.Lock()
-	rep.Ops = append([]checker.Op(nil), t.ops...)
-	t.mu.Unlock()
-	if s.opts.history != nil {
-		s.opts.history.RecordTxn(checker.TxnRecord{
-			ID: string(t.id), Start: rep.Start, End: rep.End, Ops: rep.Ops,
-		})
-	}
-	return rep, nil
+	return rep, err
 }

@@ -3,11 +3,13 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/quorum"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // TestCollectorStateMachine drives the pure fan-out collector through the
@@ -404,5 +406,82 @@ func TestConflictErrorDetail(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tapTransport decorates a transport so a test can watch every request a
+// client sends and pick requests that land at their DM while the caller
+// hears transport.ErrLost — the lost-reply fate a real network deals out.
+type tapTransport struct {
+	transport.Transport
+	// onCall sees each outgoing request before it is sent; returning true
+	// loses the reply after the request was served.
+	onCall func(to string, req any) (loseReply bool)
+}
+
+func (tt tapTransport) Client(id string) (transport.Client, error) {
+	c, err := tt.Transport.Client(id)
+	return tapClient{Client: c, onCall: tt.onCall}, err
+}
+
+type tapClient struct {
+	transport.Client
+	onCall func(to string, req any) bool
+}
+
+func (c tapClient) Call(ctx context.Context, to string, req any) (any, error) {
+	lose := c.onCall(to, req)
+	resp, err := c.Client.Call(ctx, to, req)
+	if err == nil && lose {
+		return nil, transport.ErrLost
+	}
+	return resp, err
+}
+
+// TestSequentialPhaseSweepsLostGrant: a ReadReq lands at its DM and grants,
+// but the reply is lost, so the one-quorum-at-a-time plan fails and the
+// transaction aborts. The DM the client never heard from may hold a lock:
+// it must stay on the transaction's control list so the abort reaches it.
+func TestSequentialPhaseSweepsLostGrant(t *testing.T) {
+	dms := []string{"dm0", "dm1", "dm2"}
+	net := sim.NewNetwork(sim.Config{MinLatency: 50 * time.Microsecond, MaxLatency: 500 * time.Microsecond, Seed: 61})
+	var lost atomic.Int32
+	tap := tapTransport{Transport: net, onCall: func(to string, req any) bool {
+		_, isRead := req.(ReadReq)
+		return isRead && to == "dm0" && lost.Add(1) == 1
+	}}
+	// Read-all: the only read quorum needs dm0, whose grant goes unheard.
+	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.ReadAllWriteOne(dms)}}
+	store, err := Open(tap, items, WithSeed(61), WithSequentialPhases(true), WithHedgeDelay(0),
+		WithSynchronousCleanup(true), WithLockRetries(0), WithTxnRetries(0), WithCallTimeout(25*time.Millisecond))
+	if err != nil {
+		net.Close()
+		t.Fatal(err)
+	}
+	defer func() { store.Close(); net.Close() }()
+	ctx := context.Background()
+
+	var id TxnID
+	err = store.Run(ctx, func(tx *Txn) error {
+		id = tx.ID()
+		_, rerr := tx.Read(ctx, "x")
+		return rerr
+	})
+	if !errors.Is(err, ErrUnavailable) || lost.Load() == 0 {
+		t.Fatalf("read with dm0's grant unheard: %v (lost %d replies), want ErrUnavailable", err, lost.Load())
+	}
+	net.Quiesce()
+	for _, dm := range dms {
+		probe, perr := store.ResolutionProbe(ctx, dm, id)
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		insp, ierr := store.Inspect(ctx, dm, "x")
+		if ierr != nil {
+			t.Fatal(ierr)
+		}
+		if probe.Holds || insp.Locks != 0 {
+			t.Errorf("%s still holds a lock of aborted %s (probe %+v, %d locks)", dm, id, probe, insp.Locks)
+		}
 	}
 }

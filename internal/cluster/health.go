@@ -174,7 +174,7 @@ func (b *healthBoard) plan(targets []string, quorums []quorum.Set) (send []strin
 }
 
 // orderQuorums stable-sorts quorums by how many suspect members each
-// contains, fewest first — the sequential path's steering: try the quorums
+// contains, fewest first — the steering of one-quorum-at-a-time plans: try the quorums
 // most likely to answer before the ones that need a suspect.
 func (b *healthBoard) orderQuorums(qs []quorum.Set) []quorum.Set {
 	b.mu.Lock()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -327,14 +328,10 @@ func (t *Txn) tryHintRead(ctx context.Context, item string) (readResult, bool) {
 	}
 	s.Stats.HintReads.Inc()
 	seq := t.nextSeq()
-	budget, derr := s.callBudget(ctx)
-	if derr != nil {
+	raw, err := s.callDM(ctx, dm, HintReadReq{Txn: t.id, Item: item, Seq: seq, Gen: believed.gen})
+	if errors.Is(err, errNoBudget) {
 		return readResult{}, false
 	}
-	callStart := time.Now()
-	cctx, cancel := context.WithTimeout(ctx, budget)
-	raw, err := s.client.Call(cctx, dm, HintReadReq{Txn: t.id, Item: item, Seq: seq, Gen: believed.gen})
-	cancel()
 	if err != nil {
 		// The request may have granted before the reply was lost: tombstone
 		// the phase (late copies must not re-grant) and keep the DM on the
@@ -342,14 +339,10 @@ func (t *Txn) tryHintRead(ctx context.Context, item string) (readResult, bool) {
 		// fan-out copy.
 		t.touchTentative(dm)
 		s.client.Notify(dm, ReleaseReq{Txn: t.id, Item: item, Seq: seq})
-		if ctx.Err() == nil {
-			s.observeDM(dm, false, 0)
-		}
 		s.hintCache.drop(item)
 		s.Stats.HintMisses.Inc()
 		return readResult{}, false
 	}
-	s.observeDM(dm, true, time.Since(callStart))
 	switch resp := raw.(type) {
 	case ReadResp:
 		if resp.OK {
@@ -550,31 +543,19 @@ func (t *Txn) fenceHints(ctx context.Context) error {
 		go func(i int, tgt target) {
 			defer wg.Done()
 			for attempt := 0; attempt <= fenceRetries; attempt++ {
-				if ctx.Err() != nil {
-					unreached[i] = true
-					return
-				}
-				budget, derr := s.callBudget(ctx)
-				if derr != nil {
-					unreached[i] = true
-					return
-				}
-				cctx, cancel := context.WithTimeout(ctx, budget)
-				raw, err := s.client.Call(cctx, tgt.dm, HintFenceReq{Txn: t.id, Item: tgt.item})
-				cancel()
+				raw, err := s.callDM(ctx, tgt.dm, HintFenceReq{Txn: t.id, Item: tgt.item})
+				unreached[i] = err != nil
 				if err != nil {
-					unreached[i] = true
-					// A transport failure is not retried here: the replica is
-					// down or partitioned, and the TTL wait below is the only
-					// sound revocation for it.
+					// A transport failure (or a dead caller) is not retried
+					// here: the replica is down or partitioned, and the TTL
+					// wait below is the only sound revocation for it.
 					return
 				}
-				unreached[i] = false
-				if ack, ok := raw.(Ack); ok && ack.OK {
-					refused[i] = false
+				ack, ok := raw.(Ack)
+				refused[i] = !ok || !ack.OK
+				if !refused[i] {
 					return
 				}
-				refused[i] = true
 				s.backoff(ctx, attempt)
 			}
 		}(i, tgt)

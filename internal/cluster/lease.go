@@ -350,9 +350,7 @@ func (t *Txn) renewLeases(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int, dm string) {
 			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, t.store.opts.callTimeout)
-			defer cancel()
-			raw, err := t.store.client.Call(cctx, dm, RenewLeaseReq{Txn: t.id})
+			raw, err := t.store.callDM(ctx, dm, RenewLeaseReq{Txn: t.id})
 			if err != nil {
 				errs[i] = err
 				return
@@ -465,11 +463,9 @@ func (s *Store) openTxnList() []*Txn {
 // returns that id. The locks wedge the item until the lease reaper
 // presumes the orphan aborted. Test/chaos harness use only.
 func (s *Store) PlantOrphan(ctx context.Context, item string) (TxnID, error) {
-	it, ok := s.itemSpec(item)
-	if !ok {
+	if _, ok := s.itemSpec(item); !ok {
 		return "", fmt.Errorf("cluster: unknown item %q", item)
 	}
-	_ = it
 	cfg := s.config(item).cfg
 	if len(cfg.W) == 0 {
 		return "", fmt.Errorf("cluster: item %q has no write quorums", item)
@@ -478,14 +474,9 @@ func (s *Store) PlantOrphan(ctx context.Context, item string) (TxnID, error) {
 	id := TxnID(fmt.Sprintf("%s.orphan%d", s.clientID, n))
 	planted := 0
 	for _, dm := range cfg.W[0].Names() {
-		cctx, cancel := context.WithTimeout(ctx, s.opts.callTimeout)
-		raw, err := s.client.Call(cctx, dm, WriteReq{
+		raw, _ := s.callDM(ctx, dm, WriteReq{
 			Txn: id, Item: item, VN: 1_000_000 + int(n), Val: "orphan",
 		})
-		cancel()
-		if err != nil {
-			continue
-		}
 		if resp, ok := raw.(WriteResp); ok && resp.OK {
 			planted++
 		}

@@ -2,66 +2,28 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/quorum"
 	"repro/internal/shard"
 )
 
-// ErrMigrationAbandoned reports that a migration coordinator stopped at an
-// injected crash stage: its transaction was neither committed nor aborted,
-// so whatever locks and intentions it planted dangle until the lease
-// reaper resolves them. Chaos campaigns inject these crashes and then
-// verify the item is never wedged and never double-owned.
-var ErrMigrationAbandoned = errors.New("cluster: migration coordinator crashed")
-
-// MigrateCrashStage selects where a chaos-injected coordinator crash cuts
-// a migration short. The stages bracket the commit point — the one moment
-// whose outcome a crash can leave genuinely ambiguous.
-type MigrateCrashStage int
-
-const (
-	// MigrateCrashNone runs the migration to completion.
-	MigrateCrashNone MigrateCrashStage = iota
-	// MigrateCrashBeforeCommit dies after the copy and config-record
-	// phases buffered intentions everywhere but before any CommitTopReq
-	// was sent. No DM can apply; once the coordinator's lease lapses the
-	// reaper presumes abort, the intentions evaporate, and the item stays
-	// wholly owned by the old group at the old generation.
-	MigrateCrashBeforeCommit
-	// MigrateCrashMidCommit dies partway through the commit broadcast:
-	// CrashDeliver of the written DMs hear CommitTopReq, the rest never
-	// do. Delivering even one copy decides the outcome (the commit-point
-	// rule); the lease reaper's peer inquiry completes the broadcast at
-	// the stragglers. Delivering zero leaves a presumed abort.
-	MigrateCrashMidCommit
-)
-
-// MigrateOptions tunes a migration run; the zero value migrates cleanly.
-type MigrateOptions struct {
-	// Crash selects an injected coordinator crash stage.
-	Crash MigrateCrashStage
-	// CrashDeliver is, for MigrateCrashMidCommit, how many of the
-	// written DMs (in sorted order) receive CommitTopReq before the
-	// coordinator dies. Values past the written set mean everyone heard.
-	CrashDeliver int
-}
-
-// MigrateItem moves item to the replica group named toGroup: copy, then
-// cutover, under the same fences every write takes (DESIGN.md §10).
+// MigrateItem moves item to the replica group named toGroup: a
+// reconfigure-TM whose new configuration is a majority over a disjoint
+// replica set, committed by the common tail under the same fences every
+// write takes (DESIGN.md §10).
 //
-// The schedule is Section 4's reconfiguration chase aimed at a disjoint
-// replica set. New-group DMs first adopt a placeholder replica (idempotent
-// hard state). Then one coordinator transaction write-locks the item at a
-// read-quorum of the old configuration — the fence: in-flight writers
-// either commit before the migration's lock lands or conflict and retry
-// after cutover — copies the fenced (vn, val) to a write-quorum of the new
-// configuration, and buffers the config record (gen+1, newCfg) at write
-// quorums of BOTH old and new configurations. Old-quorum copies are what
-// redirect stale clients: their next read intersects one, sees Gen > its
-// belief, and chases to the new placement. Commit applies everything
+// New-group DMs first adopt a placeholder replica (idempotent hard state).
+// Then one coordinator transaction runs Section 4's body: it write-locks
+// the item at a read-quorum of the old configuration — the fence: in-flight
+// writers either commit before the migration's lock lands or conflict and
+// retry after cutover — copies the fenced (vn, val) to a write-quorum of
+// the new configuration, and buffers the config record (gen+1, newCfg) at
+// write quorums of BOTH old and new configurations. Old-quorum copies are
+// what redirect stale clients: their next read intersects one, sees Gen >
+// its belief, and chases to the new placement. Commit applies everything
 // atomically per DM; until then every read still assembles at the old
 // group, so reads never block during the copy.
 //
@@ -70,12 +32,13 @@ type MigrateOptions struct {
 // requests with a WrongShardResp redirect. A failed retire is safe — the
 // replica then still holds the gen+1 config record and redirects via the
 // ordinary generation chase.
-func (s *Store) MigrateItem(ctx context.Context, item, toGroup string) error {
-	return s.MigrateItemOpts(ctx, item, toGroup, MigrateOptions{})
-}
-
-// MigrateItemOpts is MigrateItem with chaos-injection controls exposed.
-func (s *Store) MigrateItemOpts(ctx context.Context, item, toGroup string, opts MigrateOptions) error {
+//
+// cut injects a coordinator crash into the commit tail (chaos harness use;
+// the zero value migrates cleanly): the migration returns
+// ErrCommitAbandoned with its transaction neither committed nor aborted,
+// and the cluster must converge on the item wholly at the old group or
+// wholly at the new one.
+func (s *Store) MigrateItem(ctx context.Context, item, toGroup string, cut CommitCrashOptions) error {
 	ring := s.Ring()
 	if ring == nil {
 		return fmt.Errorf("cluster: migrate %q: store is not sharded", item)
@@ -100,184 +63,45 @@ func (s *Store) MigrateItemOpts(ctx context.Context, item, toGroup string, opts 
 
 	// Adopt round: every new-group DM must host a (zero-version)
 	// placeholder before the copy phase can buffer intentions there.
-	// Adoption is idempotent hard state; a DM that cannot be reached now
-	// fails the migration before any lock was taken.
+	// Adoption is idempotent hard state, so retries are free; a DM that
+	// cannot be reached now fails the migration before any lock was taken.
 	for _, dm := range newDMs {
-		if err := s.adoptAt(ctx, dm, item, it.Initial); err != nil {
-			return fmt.Errorf("cluster: migrate %q: adopt at %s: %w", item, dm, err)
+		if !s.callAcked(ctx, dm, AdoptItemReq{Item: item, Initial: it.Initial}, s.opts.lockRetries) {
+			return fmt.Errorf("cluster: migrate %q: %w: adopt not acknowledged by %s", item, ErrUnavailable, dm)
 		}
 	}
 
-	// The coordinator transaction is assembled by hand rather than via
-	// Run: crash stages must cut it at exact points (between fences,
-	// mid-broadcast) that Run's loop never exposes, and an abandoned
-	// coordinator must leave its locks dangling for the reaper instead of
-	// aborting on the way out.
-	t := &Txn{
-		store:      s,
-		id:         TxnID(fmt.Sprintf("%s.m%d", s.clientID, s.txnSeq.Add(1))),
-		touched:    map[string]touchLevel{},
-		leaseStamp: s.now(),
-	}
-	s.trackTxn(t)
-	fail := func(err error) error {
-		t.abort(ctx)
-		s.untrackTxn(t)
+	var res readResult
+	rep, err := s.commitAttempt(ctx, func(t *Txn) (err error) {
+		res, err = t.reconfigureTo(ctx, item, newCfg, true)
+		return err
+	}, cut)
+	if err != nil {
 		return err
 	}
-
-	res, err := t.readPhase(ctx, item, LockWrite)
-	if err != nil {
-		return fail(err)
-	}
-	if err := t.writeQuorum(ctx, item, "migrate", newCfg, func(seq int) any {
-		return WriteReq{Txn: t.id, Item: item, VN: res.vn, Val: res.val, Seq: seq}
-	}); err != nil {
-		return fail(err)
-	}
-	mkCfg := func(seq int) any {
-		return ConfigWriteReq{Txn: t.id, Item: item, Gen: res.gen + 1, Cfg: newCfg, Seq: seq}
-	}
-	// Both quorums unconditionally (Gifford's original rule): the old
-	// quorum's record redirects stale clients, the new quorum's record is
-	// the one the item lives under afterwards.
-	if err := t.writeQuorum(ctx, item, "migrate", res.cfg, mkCfg); err != nil {
-		return fail(err)
-	}
-	if err := t.writeQuorum(ctx, item, "migrate", newCfg, mkCfg); err != nil {
-		return fail(err)
-	}
-
-	if opts.Crash == MigrateCrashBeforeCommit {
-		// Simulated coordinator death: no abort, no commit. Locks and
-		// intentions dangle until the lease reaper presumes abort.
-		s.untrackTxn(t)
-		s.traceEvent(string(t.id), "migrate", "%s: coordinator crashed before commit", item)
-		return ErrMigrationAbandoned
-	}
-
-	if err := t.ensureLease(ctx); err != nil {
-		s.Stats.LeaseExpiries.Inc()
-		return fail(err)
-	}
-	if err := t.fenceHints(ctx); err != nil {
-		return fail(err)
-	}
-
-	written, granted, tentative := t.controlSets()
-	commit := CommitTopReq{Txn: t.id, Subs: t.committedSubs(), Final: t.finalVNs()}
-	if opts.Crash == MigrateCrashMidCommit {
-		// Deliver the commit to a prefix of the written DMs, then die.
-		// One delivery decides commit (the first send is the commit
-		// point); zero deliveries leave a presumed abort. Both outcomes
-		// are legal — what chaos checks is that the cluster converges on
-		// exactly one of them.
-		n := opts.CrashDeliver
-		if n > len(written) {
-			n = len(written)
-		}
-		for _, dm := range written[:n] {
-			budget, derr := s.callBudget(ctx)
-			if derr != nil {
-				break
-			}
-			cctx, cancel := context.WithTimeout(ctx, budget)
-			_, _ = s.client.Call(cctx, dm, commit)
-			cancel()
-		}
-		s.untrackTxn(t)
-		s.traceEvent(string(t.id), "migrate",
-			"%s: coordinator crashed mid-commit (%d/%d delivered)", item, n, len(written))
-		return ErrMigrationAbandoned
-	}
-
-	missing := t.control(ctx, written, granted, tentative, commit)
-	if len(missing) > 0 {
-		s.traceEvent(string(t.id), "migrate", "%s: commit stragglers %v", item, missing)
-	}
-	t.primeHintTargets(missing)
-	t.done = true
-	s.untrackTxn(t)
-	s.Stats.Commits.Inc()
 
 	// Cutover is decided; fold it into this client's own placement state,
 	// retire the old group's surplus replicas, and gossip the new ring.
 	s.relocateItem(item, newDMs, res.gen+1, newCfg, toGroup, 0)
-	newSet := map[string]bool{}
-	for _, dm := range newDMs {
-		newSet[dm] = true
-	}
 	ringAfter := s.Ring()
 	retire := RetireItemReq{
 		Item: item, Epoch: ringAfter.Epoch, Group: toGroup,
 		DMs: newDMs, Gen: res.gen + 1, Cfg: newCfg,
 	}
 	for _, dm := range it.DMs {
-		if !newSet[dm] {
-			s.retireAt(ctx, dm, retire)
+		// Best-effort with a short retry: the DM refuses while any
+		// transaction still holds locks there (our own commit stragglers),
+		// and a refusal is safe — the replica keeps the gen+1 config record
+		// and redirects via the ordinary generation chase instead.
+		if !slices.Contains(newDMs, dm) && !s.callAcked(ctx, dm, retire, tentativeControlRetries) {
+			s.traceEvent("store", "migrate", "retire of %q at %s not acknowledged (safe: gen chase covers it)", item, dm)
 		}
 	}
 	s.gossipRing(ringAfter)
 	s.Stats.Migrations.Inc()
-	s.traceEvent(string(t.id), "migrate",
+	s.traceEvent(string(rep.Txn), "migrate",
 		"%s -> group %q (gen %d -> %d, epoch %d)", item, toGroup, res.gen, res.gen+1, ringAfter.Epoch)
 	return nil
-}
-
-// adoptAt installs the placeholder replica for item at one DM, retrying
-// transient failures. Adoption is idempotent, so retries are free.
-func (s *Store) adoptAt(ctx context.Context, dm, item string, initial any) error {
-	req := AdoptItemReq{Item: item, Initial: initial}
-	var lastErr error
-	for attempt := 0; attempt <= s.opts.lockRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		budget, derr := s.callBudget(ctx)
-		if derr != nil {
-			return derr
-		}
-		cctx, cancel := context.WithTimeout(ctx, budget)
-		raw, err := s.client.Call(cctx, dm, req)
-		cancel()
-		if err == nil {
-			if ack, ok := raw.(Ack); ok && ack.OK {
-				return nil
-			}
-			lastErr = fmt.Errorf("%w: adopt refused by %s", ErrUnavailable, dm)
-		} else {
-			lastErr = fmt.Errorf("%w: %v", ErrUnavailable, err)
-		}
-		s.backoff(ctx, attempt)
-	}
-	return lastErr
-}
-
-// retireAt asks one old-group DM to drop its replica and keep a durable
-// redirect marker. Best-effort with a short retry: the DM refuses while
-// any transaction still holds locks there (our own commit stragglers), and
-// a refusal is safe — the replica keeps the gen+1 config record and
-// redirects via the ordinary generation chase instead.
-func (s *Store) retireAt(ctx context.Context, dm string, req RetireItemReq) {
-	for attempt := 0; attempt <= tentativeControlRetries; attempt++ {
-		if ctx.Err() != nil {
-			return
-		}
-		budget, derr := s.callBudget(ctx)
-		if derr != nil {
-			return
-		}
-		cctx, cancel := context.WithTimeout(ctx, budget)
-		raw, err := s.client.Call(cctx, dm, req)
-		cancel()
-		if err == nil {
-			if ack, ok := raw.(Ack); ok && ack.OK {
-				return
-			}
-		}
-		s.backoff(ctx, attempt)
-	}
-	s.traceEvent("store", "migrate", "retire of %q at %s not acknowledged (safe: gen chase covers it)", req.Item, dm)
 }
 
 // gossipRing pushes the client's ring (with its fresh override and epoch)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/commit"
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
@@ -76,7 +77,7 @@ func TestMigrateItemMovesValue(t *testing.T) {
 	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 7) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.MigrateItem(ctx, key, "g1"); err != nil {
+	if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
 	net.Quiesce()
@@ -96,6 +97,18 @@ func TestMigrateItemMovesValue(t *testing.T) {
 				t.Fatalf("spec of %q still names old replica %s: %v", key, dm, it.DMs)
 			}
 		}
+	}
+	// The both-quorums record rule: with disjoint replica sets the new
+	// configuration's own write quorum must carry the (gen+1, newCfg) record
+	// too — the old group's copies only redirect.
+	recorded := 0
+	for _, dm := range []string{"b0", "b1", "b2"} {
+		if insp, err := store.Inspect(ctx, dm, key); err == nil && insp.Gen == 1 && len(insp.Cfg.W) > 0 {
+			recorded++
+		}
+	}
+	if recorded < 2 {
+		t.Fatalf("%d new-group replicas hold the config record, want a write quorum", recorded)
 	}
 	// Value survived the cutover, and the item is fully writable after.
 	if err := store.Run(ctx, func(tx *Txn) error {
@@ -120,7 +133,7 @@ func TestMigrateItemMovesValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Migrating an item already on the target group is a no-op.
-	if err := store.MigrateItem(ctx, key, "g1"); err != nil {
+	if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
 		t.Fatalf("idempotent migrate: %v", err)
 	}
 	if got := store.Stats.Migrations.Value(); got != 1 {
@@ -160,7 +173,7 @@ func TestMigrateStaleClientRedirect(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.MigrateItem(ctx, key, "g1"); err != nil {
+	if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
 	net.Quiesce()
@@ -200,123 +213,147 @@ func TestMigrateStaleClientRedirect(t *testing.T) {
 	}
 }
 
-// TestMigrateCrashBeforeCommitRecovers: a coordinator that dies before any
-// CommitTopReq leaves only leased locks behind. Once the lease lapses the
-// reaper presumes abort, the item is untouched on the old group, and a
-// retried migration completes.
-func TestMigrateCrashBeforeCommitRecovers(t *testing.T) {
-	ttl := 50 * time.Millisecond
-	keys := shard.Keys("k", 12)
-	store, net, clk, ring := shardedCluster(t, 503, ttl, keys,
-		WithLockRetries(5), WithTxnRetries(5))
-	ctx := context.Background()
-	key := keyOn(t, ring, keys, "g0")
-
-	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 5) }); err != nil {
-		t.Fatal(err)
-	}
-	err := store.MigrateItemOpts(ctx, key, "g1", MigrateOptions{Crash: MigrateCrashBeforeCommit})
-	if !errors.Is(err, ErrMigrationAbandoned) {
-		t.Fatalf("crash-before-commit returned %v, want ErrMigrationAbandoned", err)
-	}
-	net.Quiesce()
-	if got := store.Stats.Migrations.Value(); got != 0 {
-		t.Fatalf("abandoned migration counted as completed (%d)", got)
-	}
-	if g := store.Ring().Lookup(key); g != "g0" {
-		t.Fatalf("abandoned migration moved the ring placement to %q", g)
-	}
-	clk.Advance(ttl + time.Millisecond)
-
-	// The item is not wedged: a conflicting writer triggers the inquiry,
-	// every peer answers unknown, and the orphaned coordinator reaps away.
-	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 6) }); err != nil {
-		t.Fatalf("write after abandoned migration: %v", err)
-	}
-	net.Quiesce()
-	if store.Stats.OrphanReapsAborted.Value() == 0 {
-		t.Fatal("abandoned coordinator was never reaped")
-	}
-	// And the migration itself can be retried to completion.
-	clk.Advance(ttl + time.Millisecond)
-	if err := store.MigrateItem(ctx, key, "g1"); err != nil {
-		t.Fatalf("retried migration: %v", err)
-	}
-	if err := store.Run(ctx, func(tx *Txn) error {
-		v, err := tx.Read(ctx, key)
-		if err == nil && v != 6 {
-			t.Errorf("read %v after retried migration, want 6", v)
-		}
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMigrateCrashMidCommitConverges covers both sides of the commit
-// point. Delivering one CommitTopReq decides commit: the reaper's peer
-// inquiry finds the record and completes the cutover. Delivering zero
-// leaves a presumed abort: the item stays wholly on the old group. Either
-// way no item wedges and no value is lost.
-func TestMigrateCrashMidCommitConverges(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		deliver int
+// TestMigrateCoordinatorCrash cuts the migration's commit tail at every
+// stage that matters, under both commit protocols, and holds the cluster to
+// exactly one outcome: the item wholly at the old group (abort) or wholly at
+// the new one (commit), never wedged, never a lost value.
+//
+// Under TwoPhase a coordinator that dies before any CommitTopReq leaves only
+// leased locks: once the lease lapses the reaper presumes abort. Delivering
+// one CommitTopReq decides commit, and the reaper's peer inquiry finds the
+// record and completes the cutover at the stragglers. Under PaxosCommit the
+// migration decides before it learns like every other commit: a coordinator
+// that dies between the two leaves a decided cutover no replica applied,
+// which acceptor recovery — not TTL presumption — must finish.
+func TestMigrateCoordinatorCrash(t *testing.T) {
+	for i, tc := range []struct {
+		name       string
+		protocol   commit.Protocol
+		cut        CommitCrashOptions
+		wantCommit bool
 	}{
-		{"deliver0-abort", 0},
-		{"deliver1-commit", 1},
+		{"2pc/before-decide", commit.TwoPhase, CommitCrashOptions{Stage: CommitCrashBeforeDecide}, false},
+		{"2pc/mid-learn-0", commit.TwoPhase, CommitCrashOptions{Stage: CommitCrashMidLearn}, false},
+		{"2pc/mid-learn-1", commit.TwoPhase, CommitCrashOptions{Stage: CommitCrashMidLearn, Deliver: 1}, true},
+		{"paxos/clean", commit.PaxosCommit, CommitCrashOptions{}, true},
+		{"paxos/before-decide", commit.PaxosCommit, CommitCrashOptions{Stage: CommitCrashBeforeDecide}, false},
+		{"paxos/before-learn", commit.PaxosCommit, CommitCrashOptions{Stage: CommitCrashBeforeLearn}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ttl := 50 * time.Millisecond
 			keys := shard.Keys("k", 12)
-			store, net, clk, ring := shardedCluster(t, 504+int64(tc.deliver), ttl, keys,
-				WithLockRetries(8), WithTxnRetries(8))
+			store, net, clk, ring := shardedCluster(t, 503+int64(i), ttl, keys,
+				WithLockRetries(8), WithTxnRetries(8), WithCommitProtocol(tc.protocol))
 			ctx := context.Background()
 			key := keyOn(t, ring, keys, "g0")
+			paxos := tc.protocol == commit.PaxosCommit
+			// holding counts the group's replicas whose committed state is
+			// (gen, val) with nothing pending.
+			holding := func(group byte, gen int, val any) int {
+				n := 0
+				for _, dm := range []string{"0", "1", "2"} {
+					insp, err := store.Inspect(ctx, string(group)+dm, key)
+					if err == nil && insp.Gen == gen && insp.Val == val && insp.Locks == 0 && insp.Intents == 0 {
+						n++
+					}
+				}
+				return n
+			}
 
 			if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 9) }); err != nil {
 				t.Fatal(err)
 			}
-			err := store.MigrateItemOpts(ctx, key, "g1",
-				MigrateOptions{Crash: MigrateCrashMidCommit, CrashDeliver: tc.deliver})
-			if !errors.Is(err, ErrMigrationAbandoned) {
-				t.Fatalf("mid-commit crash returned %v, want ErrMigrationAbandoned", err)
-			}
+			decided := store.Stats.PaxosCommits.Value()
+			err := store.MigrateItem(ctx, key, "g1", tc.cut)
 			net.Quiesce()
-			clk.Advance(ttl + time.Millisecond)
-
-			// The value must be readable and writable regardless of which
-			// way the crash resolved; the copy preserved the value, so both
-			// outcomes serve 9.
-			if err := store.Run(ctx, func(tx *Txn) error {
-				v, rerr := tx.Read(ctx, key)
-				if rerr != nil {
-					return rerr
+			if paxos && tc.wantCommit {
+				if got := store.Stats.PaxosCommits.Value() - decided; got != 1 {
+					t.Fatalf("migration decided %d Paxos commits, want 1: it must decide before it learns", got)
 				}
-				if v != 9 {
-					t.Errorf("read %v after mid-commit crash, want 9", v)
+			}
+			if tc.cut.Stage == CommitCrashNone {
+				if err != nil {
+					t.Fatalf("clean migration: %v", err)
 				}
-				return nil
-			}); err != nil {
-				t.Fatalf("read after mid-commit crash: %v", err)
-			}
-			if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 10) }); err != nil {
-				t.Fatalf("write after mid-commit crash: %v", err)
-			}
-			net.Quiesce()
-			if tc.deliver == 0 {
-				if store.Stats.OrphanReapsAborted.Value() == 0 {
-					t.Fatal("zero-delivery crash: coordinator never reaped as presumed abort")
+				if store.Stats.Migrations.Value() != 1 || store.Ring().Lookup(key) != "g1" {
+					t.Fatal("clean migration did not cut over")
 				}
 			} else {
-				if store.Stats.OrphanReapsCommitted.Value() == 0 {
-					t.Fatal("one-delivery crash: stragglers never applied the peer commit record")
+				if !errors.Is(err, ErrCommitAbandoned) {
+					t.Fatalf("crashed migration returned %v, want ErrCommitAbandoned", err)
 				}
+				if got := store.Stats.Migrations.Value(); got != 0 {
+					t.Fatalf("abandoned migration counted as completed (%d)", got)
+				}
+				if g := store.Ring().Lookup(key); g != "g0" {
+					t.Fatalf("abandoned migration moved the ring placement to %q", g)
+				}
+				if tc.cut.Stage == CommitCrashBeforeLearn && holding('b', 1, 9) != 0 {
+					t.Fatal("a replica applied the cutover before any learn")
+				}
+			}
+			clk.Advance(ttl + time.Millisecond)
+
+			// The item is not wedged: the first conflicting operation finds the
+			// orphan's lapsed lease and triggers its resolution. The copy
+			// preserved the value, so both outcomes serve 9.
+			if err := store.Run(ctx, func(tx *Txn) error {
+				v, rerr := tx.Read(ctx, key)
+				if rerr == nil && v != 9 {
+					t.Errorf("read %v after the crash, want 9", v)
+				}
+				return rerr
+			}); err != nil {
+				t.Fatalf("read after the crash: %v", err)
+			}
+			if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 10) }); err != nil {
+				t.Fatalf("write after the crash: %v", err)
+			}
+			net.Quiesce()
+
+			st := &store.Stats
+			reapedAbort, reapedCommit := st.OrphanReapsAborted.Value(), st.OrphanReapsCommitted.Value()
+			switch {
+			case tc.cut.Stage == CommitCrashNone:
+			case !tc.wantCommit && reapedAbort == 0:
+				t.Error("coordinator never reaped as a presumed abort")
+			case tc.wantCommit && !paxos && reapedCommit == 0:
+				t.Error("stragglers never applied the peer's commit record")
+			case tc.wantCommit && paxos && (st.AcceptorResolvesCommitted.Value() == 0 || reapedAbort+reapedCommit != 0):
+				t.Errorf("decided cutover resolved by %d acceptor recoveries and %d lease reaps, want acceptor recovery alone",
+					st.AcceptorResolvesCommitted.Value(), reapedAbort+reapedCommit)
+			}
+			if tc.wantCommit {
+				// Wholly at the new group: the write landed at a new-config write
+				// quorum and nowhere else, and an old-config write quorum still
+				// carries the record that redirects stale clients — unless the
+				// live coordinator already retired them to moved-markers.
+				if n := holding('b', 1, 10); n < 2 {
+					t.Errorf("%d new-group replicas hold the post-cutover write, want a write quorum", n)
+				}
+				if tc.cut.Stage != CommitCrashNone && holding('a', 1, 9) < 2 {
+					t.Error("no old-config write quorum holds the redirecting config record")
+				}
+				return
+			}
+			// Wholly at the old group: the placeholders stayed placeholders.
+			// Nobody conflicts with the orphan's locks over there, so it takes
+			// a sweep — which an inspection doubles as — to reap them.
+			holding('b', 0, 0)
+			net.Quiesce()
+			if holding('a', 0, 10) < 2 || holding('b', 0, 0) != 3 {
+				t.Errorf("aborted cutover left the item split: old group %d at gen 0, new group %d untouched",
+					holding('a', 0, 10), holding('b', 0, 0))
+			}
+			// And the migration itself can be retried to completion.
+			clk.Advance(ttl + time.Millisecond)
+			if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
+				t.Fatalf("retried migration: %v", err)
 			}
 			if err := store.Run(ctx, func(tx *Txn) error {
 				v, rerr := tx.Read(ctx, key)
 				if rerr == nil && v != 10 {
-					t.Errorf("read %v, want 10", v)
+					t.Errorf("read %v after retried migration, want 10", v)
 				}
 				return rerr
 			}); err != nil {
@@ -346,7 +383,7 @@ func TestMigrateInvalidatesHints(t *testing.T) {
 		t.Fatalf("hint prime: target %q ok=%v, want an a-replica", dm, ok)
 	}
 
-	if err := store.MigrateItem(ctx, key, "g1"); err != nil {
+	if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
 	net.Quiesce()

@@ -21,7 +21,8 @@ const (
 // phase that issued the request (monotonic per transaction); hedged
 // duplicates of one phase share a Seq, and a ReleaseReq carrying the same
 // Seq tombstones the phase so late copies cannot re-grant. Seq 0 means
-// "no phase tracking" (the sequential ablation path).
+// "no phase tracking" (requests sent outside a quorum phase, such as
+// PlantOrphan's).
 type ReadReq struct {
 	Txn  TxnID
 	Item string

@@ -22,7 +22,6 @@ type settings struct {
 	retryBackoff time.Duration
 	txnRetries   int
 	readRepair   bool
-	bothQuorums  bool
 	sequential   bool
 	seed         int64
 	trace        *trace.Log
@@ -141,17 +140,13 @@ func WithReadRepair(on bool) Option {
 	return func(s *settings) { s.readRepair = on }
 }
 
-// WithWriteConfigToBothQuorums makes Reconfigure write the new
-// configuration to a write quorum of the new configuration as well as the
-// old one (Section 4's belt-and-suspenders variant). Default off: the old
-// write quorum alone is sufficient.
-func WithWriteConfigToBothQuorums(on bool) Option {
-	return func(s *settings) { s.bothQuorums = on }
-}
-
-// WithSequentialPhases restores the seed's quorum assembly: pick one
-// shuffled quorum set per attempt and query only it, instead of the
-// first-to-quorum fan-out. Kept as an ablation baseline for benchmarks.
+// WithSequentialPhases makes every quorum phase offer its quorums to the
+// fan-out one at a time, in seeded shuffled order, instead of all at once:
+// each plan waits for every member of one quorum, so no grant is surplus
+// and no copy is abandoned on the clean path. A replay lever, not a
+// production setting — the deterministic chaos harness needs it (with
+// WithSynchronousCleanup and WithFixedTimeouts) for exact seeded replay
+// until the virtual-time simulator lands; E10 measures what it costs.
 func WithSequentialPhases(on bool) Option {
 	return func(s *settings) { s.sequential = on }
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -54,13 +55,56 @@ func (s *Store) callBudget(ctx context.Context) (time.Duration, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		rem := time.Until(dl) - s.opts.hopAllowance
 		if rem <= 0 {
-			return 0, context.DeadlineExceeded
+			return 0, errNoBudget
 		}
 		if rem < d {
 			d = rem
 		}
 	}
 	return d, nil
+}
+
+// errNoBudget is callBudget's refusal: the call was never sent.
+var errNoBudget = fmt.Errorf("cluster: caller's deadline cannot cover another hop: %w", context.DeadlineExceeded)
+
+// callDM is the one way the coordinator talks to a single replica outside
+// a quorum fan-out: one request, bounded by callBudget, its outcome fed to
+// the failure detector. A cancelled caller proves nothing about the other
+// end, so only a genuine non-answer blames the replica.
+func (s *Store) callDM(ctx context.Context, dm string, req any) (any, error) {
+	budget, err := s.callBudget(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cctx, cancel := context.WithTimeout(ctx, budget)
+	defer cancel()
+	start := time.Now()
+	raw, err := s.client.Call(cctx, dm, req)
+	if err == nil {
+		s.observeDM(dm, true, time.Since(start))
+	} else if ctx.Err() == nil {
+		s.observeDM(dm, false, 0)
+	}
+	return raw, err
+}
+
+// callAcked sends req to dm until it answers Ack{OK: true}, backing off
+// between tries, and reports whether it did. A dead context or an exhausted
+// deadline budget ends the round at once: every further try would fail
+// without being sent, so grinding through the retries would only burn
+// backoffs.
+func (s *Store) callAcked(ctx context.Context, dm string, req any, retries int) bool {
+	for attempt := 0; attempt <= retries && ctx.Err() == nil; attempt++ {
+		raw, err := s.callDM(ctx, dm, req)
+		if ack, ok := raw.(Ack); err == nil && ok && ack.OK {
+			return true
+		}
+		if errors.Is(err, errNoBudget) {
+			return false
+		}
+		s.backoff(ctx, attempt)
+	}
+	return false
 }
 
 // retryBudget is the SRE-style token bucket that bounds retry traffic to a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,6 +212,53 @@ func TestHedgeClampToCallerDeadline(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if after := net.Stats().Sent; after != sent {
 		t.Errorf("%d sends issued after the operation returned", after-sent)
+	}
+}
+
+// TestLeaseFenceHonorsCallerDeadline extends the deadline rule to the commit
+// tail: a Run whose context cannot cover the hop allowance must fail the
+// lease fence before a single renewal is sent — a renewal that cannot finish
+// in time is dropped at the client, not forwarded to die in a replica queue.
+func TestLeaseFenceHonorsCallerDeadline(t *testing.T) {
+	dms := []string{"dm0", "dm1", "dm2"}
+	net := sim.NewNetwork(sim.Config{Seed: 13})
+	defer net.Close()
+	var renewals atomic.Int32
+	tap := tapTransport{Transport: net, onCall: func(_ string, req any) bool {
+		if _, ok := req.(RenewLeaseReq); ok {
+			renewals.Add(1)
+		}
+		return false
+	}}
+	ttl := 50 * time.Millisecond
+	clk := sim.NewManualClock(time.Unix(0, 0))
+	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
+	store, err := Open(tap, items, WithSeed(13), WithLeaseTTL(ttl), WithClock(clk),
+		WithHopAllowance(time.Hour), WithSynchronousCleanup(true), WithTxnRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+
+	bg := context.Background()
+	ctx, cancel := context.WithTimeout(bg, time.Minute) // never fits an hour's allowance
+	defer cancel()
+	err = store.Run(ctx, func(tx *Txn) error {
+		// The body spends its own budget; the tail runs on Run's.
+		if err := tx.Write(bg, "x", 1); err != nil {
+			return err
+		}
+		clk.Advance(ttl) // the grants' lease stamps are stale: the fence must renew
+		return nil
+	})
+	if !errors.Is(err, ErrLeaseExpired) {
+		t.Fatalf("Run = %v, want the lease fence to fail", err)
+	}
+	if n := renewals.Load(); n != 0 {
+		t.Errorf("%d renewals sent on a spent deadline", n)
+	}
+	if got := store.Stats.LeaseExpiries.Value(); got != 1 {
+		t.Errorf("LeaseExpiries = %d, want 1", got)
 	}
 }
 

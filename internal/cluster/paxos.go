@@ -366,9 +366,11 @@ func (t *Txn) paxosCohort() []string {
 }
 
 // paxosDecide is the coordinator's commit decision under PaxosCommit: fan
-// out Phase-2a accepts at ballot 0 to the whole cohort and wait for ALL
-// answers (not first-to-majority — every ack is a durable log write we
-// paid for; stragglers only cost latency already spent). Outcomes:
+// out Phase-2a accepts at ballot 0 to the cohort and wait for ALL answers
+// (not first-to-majority — every ack is a durable log write we paid for;
+// stragglers only cost latency already spent). deliver < len(cohort) is an
+// injected coordinator crash mid-fan-out: only that prefix of the cohort
+// hears the proposal. acked counts the durable acceptances. Outcomes:
 //
 //   - a majority of OKs, or a Decided-commit answer (recovery resolved
 //     the instance first): nil error — proceed to the learn fan-out.
@@ -379,7 +381,7 @@ func (t *Txn) paxosCohort() []string {
 //   - no majority, but at least one accept may have landed: inDoubt —
 //     the caller must NOT abort (an acceptor majority may yet assemble
 //     around the commit); acceptor recovery owns the outcome.
-func (t *Txn) paxosDecide(ctx context.Context, cohort []string) (inDoubt bool, err error) {
+func (t *Txn) paxosDecide(ctx context.Context, cohort []string, deliver int) (acked int, inDoubt bool, err error) {
 	s := t.store
 	req := PaxosAcceptReq{
 		Txn: t.id, Ballot: 0, Commit: true,
@@ -392,66 +394,42 @@ func (t *Txn) paxosDecide(ctx context.Context, cohort []string) (inDoubt bool, e
 		decided bool
 		decCom  bool
 	}
-	votes := make([]vote, len(cohort))
+	votes := make([]vote, deliver)
 	var wg sync.WaitGroup
-	for i, dm := range cohort {
+	for i, dm := range cohort[:deliver] {
 		wg.Add(1)
 		go func(i int, dm string) {
 			defer wg.Done()
-			for attempt := 0; attempt <= s.opts.lockRetries; attempt++ {
-				if ctx.Err() != nil {
+			for attempt := 0; attempt <= s.opts.lockRetries && ctx.Err() == nil; attempt++ {
+				raw, cerr := s.callDM(ctx, dm, req)
+				if errors.Is(cerr, errNoBudget) {
 					return
 				}
-				budget, derr := s.callBudget(ctx)
-				if derr != nil {
-					return
-				}
-				callStart := time.Now()
-				cctx, cancel := context.WithTimeout(ctx, budget)
-				raw, cerr := s.client.Call(cctx, dm, req)
-				cancel()
-				if cerr != nil {
-					// The call may still have been delivered and logged — only
-					// the answer is missing. That possibility is what makes
-					// the no-majority case in-doubt rather than abortable.
-					votes[i].reached = true
-					if ctx.Err() == nil {
-						s.observeDM(dm, false, 0)
-					}
-					s.backoff(ctx, attempt)
-					continue
-				}
-				s.observeDM(dm, true, time.Since(callStart))
+				// A failed call may still have been delivered and logged — only
+				// the answer is missing. That possibility is what makes the
+				// no-majority case in-doubt rather than abortable.
 				votes[i].reached = true
-				switch ans := raw.(type) {
-				case PaxosAcceptResp:
-					if ans.Decided {
-						votes[i].decided, votes[i].decCom = true, ans.DecCommit
-						return
-					}
-					if ans.OK {
-						votes[i].acked = true
-						return
-					}
-					// A recovery proposer promised a higher ballot here. Our
-					// ballot-0 instance lost; recovery owns the outcome.
+				if ans, ok := raw.(PaxosAcceptResp); cerr == nil && ok {
+					// Neither OK nor Decided: a recovery proposer promised a
+					// higher ballot here. Our ballot-0 instance lost; recovery
+					// owns the outcome.
+					votes[i].acked, votes[i].decided, votes[i].decCom = ans.OK, ans.Decided, ans.DecCommit
 					return
-				default:
-					s.backoff(ctx, attempt)
 				}
+				s.backoff(ctx, attempt)
 			}
 		}(i, dm)
 	}
 	wg.Wait()
-	acked, reached := 0, 0
+	reached := 0
 	for _, v := range votes {
 		if v.decided {
 			// Recovery decided while we were deciding: adopt — the learn
 			// fan-out (commit) or conflict restart (abort) follows it.
 			if v.decCom {
-				return false, nil
+				return acked, false, nil
 			}
-			return false, &ConflictError{Txn: t.id, Phase: "decide", Attempts: 1}
+			return acked, false, &ConflictError{Txn: t.id, Phase: "decide", Attempts: 1}
 		}
 		if v.acked {
 			acked++
@@ -463,23 +441,21 @@ func (t *Txn) paxosDecide(ctx context.Context, cohort []string) (inDoubt bool, e
 	s.Stats.PaxosAccepts.Add(int64(acked))
 	if acked >= commit.Quorum(len(cohort)) {
 		s.Stats.PaxosCommits.Inc()
-		return false, nil
+		return acked, false, nil
 	}
 	if reached == 0 {
 		// Every send was refused before it left this process: no acceptor
 		// can have logged ballot 0, so the ordinary abort path is safe.
-		return false, &UnavailableError{Txn: t.id, Phase: "decide", Attempts: 1, Missing: cohort}
+		return acked, false, &UnavailableError{Txn: t.id, Phase: "decide", Attempts: 1, Missing: cohort}
 	}
-	return true, &InDoubtError{Txn: t.id, Acked: acked, Cohort: len(cohort)}
+	return acked, true, &InDoubtError{Txn: t.id, Acked: acked, Cohort: len(cohort)}
 }
 
 // ResolutionProbe asks one DM how a transaction stands there: resolution
 // record, surviving locks/intentions, raw acceptor state. Diagnostics and
 // chaos gating only.
 func (s *Store) ResolutionProbe(ctx context.Context, dm string, txn TxnID) (ResolutionProbeResp, error) {
-	cctx, cancel := context.WithTimeout(ctx, s.opts.callTimeout)
-	defer cancel()
-	raw, err := s.client.Call(cctx, dm, ResolutionProbeReq{Txn: txn})
+	raw, err := s.callDM(ctx, dm, ResolutionProbeReq{Txn: txn})
 	if err != nil {
 		return ResolutionProbeResp{}, err
 	}

@@ -436,7 +436,7 @@ type DMHealth struct {
 // each answer: Ack{OK: true} is healthy, the typed refusal is quarantined
 // (with its cause), and anything else — a timeout, a refused connection, a
 // wrong answer — is unreachable. Works from pure client stores; each probe
-// is bounded by the store's call timeout.
+// is bounded by the store's call budget.
 func (s *Store) ProbeHealth(ctx context.Context) []DMHealth {
 	seen := map[string]bool{}
 	var dms []string
@@ -452,9 +452,7 @@ func (s *Store) ProbeHealth(ctx context.Context) []DMHealth {
 	out := make([]DMHealth, 0, len(dms))
 	for _, dm := range dms {
 		h := DMHealth{DM: dm}
-		cctx, cancel := context.WithTimeout(ctx, s.opts.callTimeout)
-		raw, err := s.client.Call(cctx, dm, PingReq{})
-		cancel()
+		raw, err := s.callDM(ctx, dm, PingReq{})
 		switch r := raw.(type) {
 		case QuarantinedResp:
 			h.Status, h.Detail = "quarantined", r.Reason

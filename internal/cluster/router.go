@@ -216,7 +216,7 @@ func (r *Router) RunCrossShard(ctx context.Context, ops []Op) (map[string]any, e
 // independently atomic, so a partial batch is a valid placement.
 func (r *Router) MigrateShard(ctx context.Context, toGroup string, keys ...string) error {
 	for i, key := range keys {
-		if err := r.s.MigrateItem(ctx, key, toGroup); err != nil {
+		if err := r.s.MigrateItem(ctx, key, toGroup, CommitCrashOptions{}); err != nil {
 			r.syncRing()
 			return fmt.Errorf("cluster: migrate batch to %q: key %q (%d/%d done): %w",
 				toGroup, key, i, len(keys), err)
@@ -236,13 +236,10 @@ func (r *Router) Refresh(ctx context.Context) (int, error) {
 	dms := append([]string(nil), r.ring.DMs()...)
 	r.mu.Unlock()
 	for _, dm := range dms {
-		budget, derr := r.s.callBudget(ctx)
-		if derr != nil {
-			return r.Epoch(), derr
+		raw, err := r.s.callDM(ctx, dm, RingReq{})
+		if errors.Is(err, errNoBudget) {
+			return r.Epoch(), err
 		}
-		cctx, cancel := context.WithTimeout(ctx, budget)
-		raw, err := r.s.client.Call(cctx, dm, RingReq{})
-		cancel()
 		if err != nil {
 			continue
 		}

@@ -108,7 +108,7 @@ func TestRouterStaleCacheRetriesOnce(t *testing.T) {
 	if err := r.Write(ctx, key, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.MigrateItem(ctx, key, "g1"); err != nil {
+	if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
 	net.Quiesce()
@@ -195,7 +195,7 @@ func TestShardStatsConcurrent(t *testing.T) {
 			_ = store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, i) })
 		}
 	}()
-	if err := store.MigrateItem(ctx, key, "g1"); err != nil {
+	if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
 		// A migration racing live writers may lose the lock race within
 		// its retry budget; only a wedge (error after quiescence) matters.
 		t.Logf("migration under contention: %v", err)

@@ -786,21 +786,37 @@ func (s *Store) observeConfig(item string, gen int, cfg quorum.Config) {
 	}
 }
 
-// shuffledQuorums returns the quorums in a random order, smallest first
-// among equal random keys so cheap quorums are preferred. Used by the
-// sequential ablation path.
-func (s *Store) shuffledQuorums(qs []quorum.Set) []quorum.Set {
-	out := append([]quorum.Set(nil), qs...)
-	s.mu.Lock()
-	s.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	s.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return len(out[i]) < len(out[j]) })
-	if s.health != nil {
-		// Steer: quorums with the fewest suspect members first, keeping the
-		// shuffled small-first order among equals.
-		out = s.health.orderQuorums(out)
+// phasePlans lists, in order, the quorum sets one attempt of a phase offers
+// runPhase. By default that is one plan offering every quorum at once:
+// first to quorum wins. WithSequentialPhases offers one quorum per plan
+// instead — a single-quorum plan waits for every member and never has a
+// surplus grant to release, so the message stream is a function of the seed
+// alone, which exact chaos replay needs. Small enough to inline, so the
+// one-plan slice stays on the caller's stack.
+func (s *Store) phasePlans(qs []quorum.Set) [][]quorum.Set {
+	if s.opts.sequential {
+		return s.sequentialPlans(qs)
 	}
-	return out
+	return [][]quorum.Set{qs}
+}
+
+// sequentialPlans orders the quorums randomly, smallest first among equal
+// random keys so cheap quorums are preferred and — with the failure
+// detector on — fewest suspect members first, and offers them one by one.
+func (s *Store) sequentialPlans(qs []quorum.Set) [][]quorum.Set {
+	order := append([]quorum.Set(nil), qs...)
+	s.mu.Lock()
+	s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	s.mu.Unlock()
+	sort.SliceStable(order, func(i, j int) bool { return len(order[i]) < len(order[j]) })
+	if s.health != nil {
+		order = s.health.orderQuorums(order)
+	}
+	plans := make([][]quorum.Set, len(order))
+	for i := range order {
+		plans[i] = order[i : i+1]
+	}
+	return plans
 }
 
 // backoff sleeps for the attempt-scaled, jittered backoff or until ctx
@@ -1003,12 +1019,97 @@ type readResult struct {
 	cfg quorum.Config
 }
 
+// phaseTally accumulates what a phase's attempts saw, for the typed error
+// the phase returns if none of them assembles a quorum.
+type phaseTally struct {
+	attempts     int
+	sawBusy      bool
+	budgetDenied bool
+	col          *collector // the last plan's outcome
+	targets      []string   // and the replicas it asked
+}
+
+// admit opens one attempt of a phase. The first deposits into the retry
+// budget; every later one must withdraw from it — when the budget is dry,
+// retry traffic already runs at its allowed fraction of first-attempt
+// traffic, and piling on more would amplify the very overload causing the
+// retries.
+func (p *phaseTally) admit(s *Store, attempt int) bool {
+	if attempt == 0 {
+		s.budget.deposit()
+		return true
+	}
+	if s.budget.allow() {
+		return true
+	}
+	s.Stats.RetryBudgetDenied.Inc()
+	p.budgetDenied = true
+	return false
+}
+
+// fail is the phase's error epilogue: the caller's own cancellation first,
+// then a lock conflict, then load shedding, then plain unavailability.
+func (p *phaseTally) fail(ctx context.Context, t *Txn, item, phase string) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	col := p.col
+	if col == nil {
+		col = newCollector(nil)
+	}
+	if p.sawBusy {
+		return &ConflictError{
+			Item: item, Txn: t.id, Phase: phase,
+			Attempts: p.attempts, Responded: col.respondedDMs(),
+		}
+	}
+	if col.sawShed() {
+		return &OverloadedError{
+			Item: item, Txn: t.id, Phase: phase,
+			Attempts: p.attempts, Shed: col.shedDMs(),
+			Expired: col.expired, BudgetDenied: p.budgetDenied,
+		}
+	}
+	return &UnavailableError{
+		Item: item, Txn: t.id, Phase: phase,
+		Attempts: p.attempts, Responded: col.respondedDMs(),
+		Missing: col.missingDMs(p.targets),
+	}
+}
+
+// runPlan fans one plan of a phase out, times it, squares its grants with
+// the DMs and notes the outcome in the tally.
+func (t *Txn) runPlan(ctx context.Context, tally *phaseTally, spec phaseSpec, lat *metrics.Histogram) *collector {
+	tally.attempts++
+	start := time.Now()
+	col := t.runPhase(ctx, spec)
+	lat.ObserveSince(start)
+	t.settlePhase(spec, col)
+	tally.col, tally.targets = col, spec.targets
+	if col.sawBusy() {
+		tally.sawBusy = true
+	}
+	return col
+}
+
+// redirected adopts a migration redirect into the client's placement view
+// and reports whether that taught it anything. err is the typed error for a
+// caller that cannot carry on under the new placement: a read whose
+// redirect taught it nothing, a write always.
+func (t *Txn) redirected(item, phase string, w WrongShardResp) (adopted bool, err error) {
+	t.store.Stats.WrongShardRedirects.Inc()
+	return t.store.adoptRedirect(w), &WrongShardError{
+		Item: item, Txn: t.id, Phase: phase,
+		Group: w.Group, Epoch: w.Epoch, DMs: append([]string(nil), w.DMs...),
+	}
+}
+
 // readPhase assembles a read-quorum of the item's current configuration,
 // chasing generation numbers upward as newer configurations are discovered
 // (Section 4's read rule), and returns the highest-version value seen.
 //
-// The fan-out path broadcasts to every replica any read-quorum mentions
-// and completes on the first covered quorum; versions are folded over the
+// Each plan is broadcast to every replica its read-quorums mention and
+// completes on the first covered quorum; versions are folded over the
 // winning quorum only, because grants beyond it are released (folding a
 // released replica's value would use state no lock protects, breaking
 // two-phase locking). Quorum intersection makes the winner sufficient:
@@ -1018,281 +1119,99 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 	if !ok {
 		return readResult{}, fmt.Errorf("cluster: unknown item %q", item)
 	}
-	// The fast lane sits ahead of both assembly strategies (fan-out and the
-	// sequential ablation): one hinted replica first, any miss falls
-	// through to the quorum path below without surfacing an error. Only
-	// plain read locks qualify — update locking (LockWrite) is a write's
-	// first phase and must assemble the quorum that serializes writers.
+	// The fast lane sits ahead of quorum assembly: one hinted replica first,
+	// any miss falls through to the quorum path below without surfacing an
+	// error. Only plain read locks qualify — update locking (LockWrite) is a
+	// write's first phase and must assemble the quorum that serializes
+	// writers.
 	if t.store.opts.readLease && mode == LockRead {
 		if res, ok := t.tryHintRead(ctx, item); ok {
 			return res, nil
 		}
 	}
-	if t.store.opts.sequential {
-		return t.readPhaseSequential(ctx, item, mode)
-	}
 	believed := t.store.config(item)
 	res := readResult{val: it.Initial, gen: believed.gen, cfg: believed.cfg}
-	sawBusy := false
-	budgetDenied := false
-	attempts := 0
-	var lastCol *collector
-	var lastTargets []string
+	var tally phaseTally
 	for attempt := 0; attempt <= t.store.opts.lockRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return readResult{}, err
 		}
-		if attempt == 0 {
-			t.store.budget.deposit()
-		} else if !t.store.budget.allow() {
-			// The retry budget is dry: retry traffic already runs at its
-			// allowed fraction of first-attempt traffic, so piling on more
-			// would amplify the very overload causing the retries.
-			t.store.Stats.RetryBudgetDenied.Inc()
-			budgetDenied = true
+		if !tally.admit(t.store, attempt) {
 			break
 		}
-		attempts++
-		start := time.Now()
-		seq := t.nextSeq()
-		spec := phaseSpec{
-			item:    item,
-			targets: union(believed.cfg.R),
-			quorums: believed.cfg.R,
-			req:     ReadReq{Txn: t.id, Item: item, Lock: mode, Seq: seq},
-			seq:     seq,
-		}
-		col := t.runPhase(ctx, spec)
-		t.store.Stats.ReadPhaseLatency.ObserveSince(start)
-		t.settlePhase(spec, col)
-		lastCol, lastTargets = col, spec.targets
-		if col.sawBusy() {
-			sawBusy = true
-		}
-		// Generation discovery may use every grant, winner or not: a newer
-		// generation only redirects the next attempt, which assembles a
-		// proper quorum of the newer configuration on its own.
-		for _, m := range col.grantedResps() {
-			if m.resp.Gen > res.gen {
-				res.gen, res.cfg = m.resp.Gen, m.resp.Cfg
-				t.store.observeConfig(item, m.resp.Gen, m.resp.Cfg)
-			}
-		}
-		win, won := col.winner()
-		if won && res.gen <= believed.gen {
-			winner := col.winnerResps(win)
-			for _, m := range winner {
-				if m.resp.VN > res.vn {
-					res.vn, res.val = m.resp.VN, m.resp.Val
-				}
-				if m.resp.VN == res.vn && m.resp.Val != nil {
-					res.val = m.resp.Val
-				}
-			}
-			// Hinted piggyback: a winner member advertising a live hint at the
-			// quorum-maximum version becomes the next read's fast-lane target.
-			for _, m := range winner {
-				if m.resp.Hinted && m.resp.VN == res.vn {
-					t.store.noteHintTarget(item, m.dm, res.gen)
-					break
-				}
-			}
-			if t.store.opts.readRepair {
-				t.store.repairStale(item, res, col.grantedResps())
-			}
-			return res, nil
-		}
-		if res.gen > believed.gen {
-			// A newer configuration was installed: re-read under it
-			// immediately — that is progress, not a conflict.
-			believed = genCfg{gen: res.gen, cfg: res.cfg}
-			continue
-		}
-		if w, ok := col.sawWrongShard(); ok {
-			// The replicas we asked retired this item after a migration. The
-			// redirect carries the new placement; adopting it and re-reading
-			// is progress exactly like the generation chase above. A redirect
-			// that teaches us nothing new (we already believe that placement)
-			// means the marker is circular — surface it instead of looping.
-			t.store.Stats.WrongShardRedirects.Inc()
-			if t.store.adoptRedirect(w) {
-				believed = t.store.config(item)
-				if believed.gen > res.gen {
-					res.gen, res.cfg = believed.gen, believed.cfg
-				}
-				continue
-			}
-			return readResult{}, &WrongShardError{
-				Item: item, Txn: t.id, Phase: "read",
-				Group: w.Group, Epoch: w.Epoch, DMs: append([]string(nil), w.DMs...),
-			}
-		}
-		t.store.backoff(ctx, attempt)
-	}
-	if err := ctx.Err(); err != nil {
-		return readResult{}, err
-	}
-	if sawBusy {
-		return readResult{}, &ConflictError{
-			Item: item, Txn: t.id, Phase: "read",
-			Attempts: attempts, Responded: lastCol.respondedDMs(),
-		}
-	}
-	if lastCol.sawShed() {
-		return readResult{}, &OverloadedError{
-			Item: item, Txn: t.id, Phase: "read",
-			Attempts: attempts, Shed: lastCol.shedDMs(),
-			Expired: lastCol.expired, BudgetDenied: budgetDenied,
-		}
-	}
-	return readResult{}, &UnavailableError{
-		Item: item, Txn: t.id, Phase: "read",
-		Attempts: attempts, Responded: lastCol.respondedDMs(),
-		Missing: lastCol.missingDMs(lastTargets),
-	}
-}
-
-// readPhaseSequential is the seed's quorum assembly — pick one shuffled
-// quorum set per attempt and query only it — kept as the ablation baseline
-// (WithSequentialPhases) that the fan-out benchmarks compare against.
-func (t *Txn) readPhaseSequential(ctx context.Context, item string, mode LockMode) (readResult, error) {
-	it, _ := t.store.itemSpec(item)
-	believed := t.store.config(item)
-	res := readResult{val: it.Initial, gen: believed.gen, cfg: believed.cfg}
-	sawBusy := false
-	attempts := 0
-	for attempt := 0; attempt <= t.store.opts.lockRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return readResult{}, err
-		}
 		progressed := false
-		for _, q := range t.store.shuffledQuorums(believed.cfg.R) {
-			attempts++
-			start := time.Now()
-			resps, wrong, busy, ok := t.queryQuorum(ctx, item, mode, q)
-			t.store.Stats.ReadPhaseLatency.ObserveSince(start)
-			if busy {
-				sawBusy = true
+		for _, quorums := range t.store.phasePlans(believed.cfg.R) {
+			seq := t.nextSeq()
+			col := t.runPlan(ctx, &tally, phaseSpec{
+				item:    item,
+				targets: union(quorums),
+				quorums: quorums,
+				req:     ReadReq{Txn: t.id, Item: item, Lock: mode, Seq: seq},
+				seq:     seq,
+			}, &t.store.Stats.ReadPhaseLatency)
+			// Generation discovery may use every grant, winner or not: a newer
+			// generation only redirects the next attempt, which assembles a
+			// proper quorum of the newer configuration on its own.
+			for _, m := range col.grantedResps() {
+				if m.resp.Gen > res.gen {
+					res.gen, res.cfg = m.resp.Gen, m.resp.Cfg
+					t.store.observeConfig(item, m.resp.Gen, m.resp.Cfg)
+				}
 			}
-			if wrong != nil {
-				t.store.Stats.WrongShardRedirects.Inc()
-				if t.store.adoptRedirect(*wrong) {
-					believed = t.store.config(item)
-					if believed.gen > res.gen {
-						res.gen, res.cfg = believed.gen, believed.cfg
+			win, won := col.winner()
+			if won && res.gen <= believed.gen {
+				winner := col.winnerResps(win)
+				for _, m := range winner {
+					if m.resp.VN > res.vn {
+						res.vn, res.val = m.resp.VN, m.resp.Val
 					}
-					progressed = true
-					break
+					if m.resp.VN == res.vn && m.resp.Val != nil {
+						res.val = m.resp.Val
+					}
 				}
-				return readResult{}, &WrongShardError{
-					Item: item, Txn: t.id, Phase: "read",
-					Group: wrong.Group, Epoch: wrong.Epoch, DMs: append([]string(nil), wrong.DMs...),
+				// Hinted piggyback: a winner member advertising a live hint at the
+				// quorum-maximum version becomes the next read's fast-lane target.
+				for _, m := range winner {
+					if m.resp.Hinted && m.resp.VN == res.vn {
+						t.store.noteHintTarget(item, m.dm, res.gen)
+						break
+					}
 				}
-			}
-			for _, m := range resps {
-				r := m.resp
-				if r.Gen > res.gen {
-					res.gen, res.cfg = r.Gen, r.Cfg
-					t.store.observeConfig(item, r.Gen, r.Cfg)
+				if t.store.opts.readRepair {
+					t.store.repairStale(item, res, col.grantedResps())
 				}
-				if r.VN > res.vn {
-					res.vn, res.val = r.VN, r.Val
-				}
-				if r.VN == res.vn && r.Val != nil {
-					res.val = r.Val
-				}
-			}
-			if !ok {
-				continue
+				return res, nil
 			}
 			if res.gen > believed.gen {
-				// A newer configuration was installed: re-read under it.
+				// A newer configuration was installed: re-read under it
+				// immediately — that is progress, not a conflict.
 				believed = genCfg{gen: res.gen, cfg: res.cfg}
 				progressed = true
 				break
 			}
-			for _, m := range resps {
-				if m.resp.Hinted && m.resp.VN == res.vn {
-					t.store.noteHintTarget(item, m.dm, res.gen)
-					break
+			if w, ok := col.sawWrongShard(); ok {
+				// The replicas we asked retired this item after a migration. The
+				// redirect carries the new placement; adopting it and re-reading
+				// is progress exactly like the generation chase above. A redirect
+				// that teaches us nothing new (we already believe that placement)
+				// means the marker is circular — surface it instead of looping.
+				adopted, err := t.redirected(item, "read", w)
+				if !adopted {
+					return readResult{}, err
 				}
+				believed = t.store.config(item)
+				if believed.gen > res.gen {
+					res.gen, res.cfg = believed.gen, believed.cfg
+				}
+				progressed = true
+				break
 			}
-			if t.store.opts.readRepair {
-				t.store.repairStale(item, res, resps)
-			}
-			return res, nil
 		}
 		if !progressed {
 			t.store.backoff(ctx, attempt)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return readResult{}, err
-	}
-	if sawBusy {
-		return readResult{}, &ConflictError{Item: item, Txn: t.id, Phase: "read", Attempts: attempts}
-	}
-	return readResult{}, &UnavailableError{Item: item, Txn: t.id, Phase: "read", Attempts: attempts}
-}
-
-// queryQuorum issues ReadReqs to every member of q concurrently and
-// reports whether all granted and whether any refused for a lock conflict.
-// Members that grant are recorded as touched (they now hold locks for the
-// transaction) even if the quorum as a whole fails. Sequential-path only.
-func (t *Txn) queryQuorum(ctx context.Context, item string, mode LockMode, q quorum.Set) (granted []memberResp, wrong *WrongShardResp, sawBusy, allOK bool) {
-	members := q.Names()
-	resps := make([]ReadResp, len(members))
-	oks := make([]bool, len(members))
-	wrongs := make([]*WrongShardResp, len(members))
-	var wg sync.WaitGroup
-	for i, dm := range members {
-		wg.Add(1)
-		go func(i int, dm string) {
-			defer wg.Done()
-			callStart := time.Now()
-			budget, derr := t.store.callBudget(ctx)
-			if derr != nil {
-				return
-			}
-			cctx, cancel := context.WithTimeout(ctx, budget)
-			defer cancel()
-			raw, err := t.store.client.Call(cctx, dm, ReadReq{Txn: t.id, Item: item, Lock: mode})
-			if err != nil {
-				if ctx.Err() == nil {
-					t.store.observeDM(dm, false, 0)
-				}
-				return
-			}
-			t.store.observeDM(dm, true, time.Since(callStart))
-			switch resp := raw.(type) {
-			case ReadResp:
-				resps[i] = resp
-				oks[i] = resp.OK
-				if resp.Busy {
-					t.store.Stats.BusyRetries.Inc()
-				}
-			case WrongShardResp:
-				wrongs[i] = &resp
-			}
-		}(i, dm)
-	}
-	wg.Wait()
-	allOK = true
-	for i := range members {
-		if oks[i] {
-			t.touch(members[i])
-			granted = append(granted, memberResp{dm: members[i], resp: resps[i]})
-		} else {
-			allOK = false
-			if resps[i].Busy {
-				sawBusy = true
-			}
-			if wrongs[i] != nil && wrong == nil {
-				wrong = wrongs[i]
-			}
-		}
-	}
-	return granted, wrong, sawBusy, allOK
+	return readResult{}, tally.fail(ctx, t, item, "read")
 }
 
 // repairStale fire-and-forgets the quorum read's winning (version, value)
@@ -1311,13 +1230,7 @@ func (s *Store) repairStale(item string, res readResult, resps []memberResp) {
 
 // Inspect returns a DM's committed replica state for tests and tooling.
 func (s *Store) Inspect(ctx context.Context, dm, item string) (InspectResp, error) {
-	budget, err := s.callBudget(ctx)
-	if err != nil {
-		return InspectResp{}, err
-	}
-	cctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	raw, err := s.client.Call(cctx, dm, InspectReq{Item: item})
+	raw, err := s.callDM(ctx, dm, InspectReq{Item: item})
 	if err != nil {
 		return InspectResp{}, err
 	}
@@ -1328,210 +1241,60 @@ func (s *Store) Inspect(ctx context.Context, dm, item string) (InspectResp, erro
 	return resp, nil
 }
 
-// writeQuorum fans the request built by mk out to every replica any
-// write-quorum of cfg mentions and completes on the first covered
-// write-quorum, retrying with backoff on conflicts. Replicas beyond the
-// winning quorum that granted keep their intentions — extra copies of a
-// committed write only help availability — so no locks are released.
+// writeQuorum offers the request built by mk to the write-quorums of cfg
+// and completes on the first covered one, retrying with backoff on
+// conflicts. Replicas beyond the winning quorum that granted keep their
+// intentions — extra copies of a committed write only help availability —
+// so no locks are released.
 func (t *Txn) writeQuorum(ctx context.Context, item, phase string, cfg quorum.Config, mk func(seq int) any) error {
-	if t.store.opts.sequential {
-		return t.writeQuorumSequential(ctx, item, phase, cfg, mk)
-	}
-	sawBusy := false
-	budgetDenied := false
-	attempts := 0
-	var lastCol *collector
-	targets := union(cfg.W)
+	var tally phaseTally
 	for attempt := 0; attempt <= t.store.opts.lockRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if attempt == 0 {
-			t.store.budget.deposit()
-		} else if !t.store.budget.allow() {
-			t.store.Stats.RetryBudgetDenied.Inc()
-			budgetDenied = true
+		if !tally.admit(t.store, attempt) {
 			break
 		}
-		attempts++
-		start := time.Now()
-		seq := t.nextSeq()
-		spec := phaseSpec{
-			item:    item,
-			targets: targets,
-			quorums: cfg.W,
-			req:     mk(seq),
-			seq:     seq,
-			isWrite: true,
-		}
-		col := t.runPhase(ctx, spec)
-		t.store.Stats.WritePhaseLatency.ObserveSince(start)
-		t.settlePhase(spec, col)
-		lastCol = col
-		if col.sawBusy() {
-			sawBusy = true
-		}
-		if col.done() {
-			t.noteWrittenItem(item)
-			return nil
-		}
-		if w, ok := col.sawWrongShard(); ok {
-			// A write cannot chase a redirect mid-phase: its version number
-			// was derived from a read under the old placement. Adopt the new
-			// placement and fail conflict-style so the whole transaction
-			// restarts against it.
-			t.store.Stats.WrongShardRedirects.Inc()
-			t.store.adoptRedirect(w)
-			return &WrongShardError{
-				Item: item, Txn: t.id, Phase: phase,
-				Group: w.Group, Epoch: w.Epoch, DMs: append([]string(nil), w.DMs...),
-			}
-		}
-		t.store.backoff(ctx, attempt)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if sawBusy {
-		return &ConflictError{
-			Item: item, Txn: t.id, Phase: phase,
-			Attempts: attempts, Responded: lastCol.respondedDMs(),
-		}
-	}
-	if lastCol.sawShed() {
-		return &OverloadedError{
-			Item: item, Txn: t.id, Phase: phase,
-			Attempts: attempts, Shed: lastCol.shedDMs(),
-			Expired: lastCol.expired, BudgetDenied: budgetDenied,
-		}
-	}
-	return &UnavailableError{
-		Item: item, Txn: t.id, Phase: phase,
-		Attempts: attempts, Responded: lastCol.respondedDMs(),
-		Missing: lastCol.missingDMs(targets),
-	}
-}
-
-// writeQuorumSequential is the seed's write path (one shuffled quorum set
-// at a time), kept as the ablation baseline.
-func (t *Txn) writeQuorumSequential(ctx context.Context, item, phase string, cfg quorum.Config, mk func(seq int) any) error {
-	sawBusy := false
-	attempts := 0
-	for attempt := 0; attempt <= t.store.opts.lockRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, q := range t.store.shuffledQuorums(cfg.W) {
-			attempts++
-			start := time.Now()
-			members := q.Names()
-			oks := make([]bool, len(members))
-			busy := make([]bool, len(members))
-			wrongs := make([]*WrongShardResp, len(members))
-			var wg sync.WaitGroup
-			for i, dm := range members {
-				wg.Add(1)
-				go func(i int, dm string) {
-					defer wg.Done()
-					callStart := time.Now()
-					budget, derr := t.store.callBudget(ctx)
-					if derr != nil {
-						return
-					}
-					cctx, cancel := context.WithTimeout(ctx, budget)
-					defer cancel()
-					raw, err := t.store.client.Call(cctx, dm, mk(0))
-					if err != nil {
-						if ctx.Err() == nil {
-							t.store.observeDM(dm, false, 0)
-						}
-						return
-					}
-					t.store.observeDM(dm, true, time.Since(callStart))
-					switch resp := raw.(type) {
-					case WriteResp:
-						oks[i] = resp.OK
-						busy[i] = resp.Busy
-					case WrongShardResp:
-						wrongs[i] = &resp
-					}
-				}(i, dm)
-			}
-			wg.Wait()
-			t.store.Stats.WritePhaseLatency.ObserveSince(start)
-			all := true
-			var wrong *WrongShardResp
-			for i := range members {
-				if oks[i] {
-					t.touchWrite(members[i])
-				} else {
-					all = false
-					if busy[i] {
-						sawBusy = true
-						t.store.Stats.BusyRetries.Inc()
-					}
-					if wrongs[i] != nil && wrong == nil {
-						wrong = wrongs[i]
-					}
-				}
-			}
-			if all {
+		for _, quorums := range t.store.phasePlans(cfg.W) {
+			seq := t.nextSeq()
+			col := t.runPlan(ctx, &tally, phaseSpec{
+				item:    item,
+				targets: union(quorums),
+				quorums: quorums,
+				req:     mk(seq),
+				seq:     seq,
+				isWrite: true,
+			}, &t.store.Stats.WritePhaseLatency)
+			if col.done() {
 				t.noteWrittenItem(item)
 				return nil
 			}
-			if wrong != nil {
-				t.store.Stats.WrongShardRedirects.Inc()
-				t.store.adoptRedirect(*wrong)
-				return &WrongShardError{
-					Item: item, Txn: t.id, Phase: phase,
-					Group: wrong.Group, Epoch: wrong.Epoch, DMs: append([]string(nil), wrong.DMs...),
-				}
+			if w, ok := col.sawWrongShard(); ok {
+				// A write cannot chase a redirect mid-phase: its version number
+				// was derived from a read under the old placement. Adopt the new
+				// placement and fail conflict-style so the whole transaction
+				// restarts against it.
+				_, err := t.redirected(item, phase, w)
+				return err
 			}
 		}
 		t.store.backoff(ctx, attempt)
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if sawBusy {
-		return &ConflictError{Item: item, Txn: t.id, Phase: phase, Attempts: attempts}
-	}
-	return &UnavailableError{Item: item, Txn: t.id, Phase: phase, Attempts: attempts}
+	return tally.fail(ctx, t, item, phase)
 }
 
 // Read performs a logical read: quorum-read the item and return the value
 // with the highest version number.
 func (t *Txn) Read(ctx context.Context, item string) (any, error) {
-	if t.done {
-		return nil, ErrTxnDone
-	}
-	start := time.Now()
-	res, err := t.readPhase(ctx, item, LockRead)
-	if err != nil {
-		return nil, err
-	}
-	t.store.Stats.Reads.Inc()
-	t.store.Stats.ReadLatency.ObserveSince(start)
-	t.record(checker.OpRead, item, res.val, res.vn, start)
-	t.store.traceEvent(string(t.id), "read", "%s = %v (vn %d)", item, res.val, res.vn)
-	return res.val, nil
+	val, _, err := t.read(ctx, item, LockRead)
+	return val, err
 }
 
 // ReadVersioned is Read exposing the version number that accompanied the
 // returned value — the linearization witness quorum consensus maintains.
 // Intended for verification tooling (internal/checker) and diagnostics.
 func (t *Txn) ReadVersioned(ctx context.Context, item string) (any, int, error) {
-	if t.done {
-		return nil, 0, ErrTxnDone
-	}
-	start := time.Now()
-	res, err := t.readPhase(ctx, item, LockRead)
-	if err != nil {
-		return nil, 0, err
-	}
-	t.store.Stats.Reads.Inc()
-	t.record(checker.OpRead, item, res.val, res.vn, start)
-	return res.val, res.vn, nil
+	return t.read(ctx, item, LockRead)
 }
 
 // ReadForUpdate performs a logical read that takes write locks, for
@@ -1539,66 +1302,45 @@ func (t *Txn) ReadVersioned(ctx context.Context, item string) (any, int, error) 
 // avoids the read-to-write lock upgrade that deadlocks concurrent
 // updaters.
 func (t *Txn) ReadForUpdate(ctx context.Context, item string) (any, error) {
+	val, _, err := t.read(ctx, item, LockWrite)
+	return val, err
+}
+
+// read is the one logical-read path: a read phase under the given lock
+// mode plus the operation's bookkeeping. A LockWrite read is a write-locking
+// operation, so it passes the brownout gate and reports its outcome to it.
+func (t *Txn) read(ctx context.Context, item string, mode LockMode) (any, int, error) {
 	if t.done {
-		return nil, ErrTxnDone
+		return nil, 0, ErrTxnDone
 	}
-	if err := t.store.writeGate("read-for-update", item); err != nil {
-		return nil, err
+	if mode == LockWrite {
+		if err := t.store.writeGate("read-for-update", item); err != nil {
+			return nil, 0, err
+		}
 	}
 	start := time.Now()
-	res, err := t.readPhase(ctx, item, LockWrite)
-	if err != nil {
+	res, err := t.readPhase(ctx, item, mode)
+	if mode == LockWrite {
 		t.store.noteWriteOutcome(err)
-		return nil, err
 	}
-	t.store.noteWriteOutcome(nil)
+	if err != nil {
+		return nil, 0, err
+	}
 	t.store.Stats.Reads.Inc()
 	t.store.Stats.ReadLatency.ObserveSince(start)
 	t.record(checker.OpRead, item, res.val, res.vn, start)
-	return res.val, nil
+	if t.store.opts.trace != nil { // guarded: boxing the arguments allocates
+		t.store.traceEvent(string(t.id), "read", "%s = %v (vn %d)", item, res.val, res.vn)
+	}
+	return res.val, res.vn, nil
 }
 
 // Write performs a logical write: discover the current version number from
 // a read-quorum (under write locks — update locking), then write
 // (vn+1, val) to a write-quorum.
 func (t *Txn) Write(ctx context.Context, item string, val any) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	if err := t.store.writeGate("write", item); err != nil {
-		return err
-	}
-	start := time.Now()
-	res, err := t.readPhase(ctx, item, LockWrite)
-	if err != nil {
-		t.store.noteWriteOutcome(err)
-		return err
-	}
-	vn := t.nextWriteVN(item, res.vn)
-	err = t.writeQuorum(ctx, item, "write", res.cfg, func(seq int) any {
-		return WriteReq{Txn: t.id, Item: item, VN: vn, Val: val, Seq: seq}
-	})
-	t.store.noteWriteOutcome(err)
-	if err != nil {
-		return err
-	}
-	t.noteWrittenVN(item, vn)
-	t.store.Stats.Writes.Inc()
-	t.store.Stats.WriteLatency.ObserveSince(start)
-	t.record(checker.OpWrite, item, val, vn, start)
-	t.store.traceEvent(string(t.id), "write", "%s := %v (vn %d)", item, val, vn)
-	return nil
-}
-
-// nextWriteVN computes the version a logical write installs: one past the
-// read-quorum maximum, routed through the test-only mutation hook when one
-// is planted.
-func (t *Txn) nextWriteVN(item string, readVN int) int {
-	vn := readVN + 1
-	if mut := t.store.Hooks.MutateWriteVN; mut != nil {
-		vn = mut(item, vn)
-	}
-	return vn
+	_, err := t.WriteVersioned(ctx, item, val)
+	return err
 }
 
 // WriteVersioned is Write exposing the version number the write installed
@@ -1616,7 +1358,12 @@ func (t *Txn) WriteVersioned(ctx context.Context, item string, val any) (int, er
 		t.store.noteWriteOutcome(err)
 		return 0, err
 	}
-	vn := t.nextWriteVN(item, res.vn)
+	// One past the read-quorum maximum, routed through the test-only
+	// mutation hook when one is planted.
+	vn := res.vn + 1
+	if mut := t.store.Hooks.MutateWriteVN; mut != nil {
+		vn = mut(item, vn)
+	}
 	err = t.writeQuorum(ctx, item, "write", res.cfg, func(seq int) any {
 		return WriteReq{Txn: t.id, Item: item, VN: vn, Val: val, Seq: seq}
 	})
@@ -1626,7 +1373,11 @@ func (t *Txn) WriteVersioned(ctx context.Context, item string, val any) (int, er
 	}
 	t.noteWrittenVN(item, vn)
 	t.store.Stats.Writes.Inc()
+	t.store.Stats.WriteLatency.ObserveSince(start)
 	t.record(checker.OpWrite, item, val, vn, start)
+	if t.store.opts.trace != nil { // guarded: boxing the arguments allocates
+		t.store.traceEvent(string(t.id), "write", "%s := %v (vn %d)", item, val, vn)
+	}
 	return vn, nil
 }
 
@@ -1649,54 +1400,20 @@ func (t *Txn) control(ctx context.Context, required, cleanup, tentative []string
 	if len(required) == 0 && len(cleanup) == 0 && len(tentative) == 0 {
 		return nil
 	}
+	s := t.store
 	start := time.Now()
 	acked := make([]bool, len(required))
-	send := func(ctx context.Context, dm string, retries int) bool {
-		for attempt := 0; attempt <= retries; attempt++ {
-			// A dead context must end the round promptly: every Call below
-			// inherits it and fails instantly, so without this check a
-			// cancelled caller would still grind through the whole retry
-			// budget of doomed calls and backoffs.
-			if ctx.Err() != nil {
-				return false
-			}
-			callStart := time.Now()
-			budget, derr := t.store.callBudget(ctx)
-			if derr != nil {
-				return false
-			}
-			cctx, cancel := context.WithTimeout(ctx, budget)
-			raw, err := t.store.client.Call(cctx, dm, req)
-			cancel()
-			if err == nil {
-				t.store.observeDM(dm, true, time.Since(callStart))
-			} else if ctx.Err() == nil {
-				// Only a genuine non-answer blames the replica; a cancelled
-				// caller proves nothing about the other end.
-				t.store.observeDM(dm, false, 0)
-			}
-			if err == nil {
-				if ack, ok := raw.(Ack); ok && ack.OK {
-					return true
-				}
-			}
-			t.store.backoff(ctx, attempt)
-		}
-		return false
-	}
 	var wg sync.WaitGroup
 	for i, dm := range required {
 		wg.Add(1)
 		go func(i int, dm string) {
 			defer wg.Done()
-			acked[i] = send(ctx, dm, t.store.opts.lockRetries)
+			acked[i] = s.callAcked(ctx, dm, req, s.opts.lockRetries)
 		}(i, dm)
 	}
 	// Cleanup and tentative rounds run detached: the operation's outcome
 	// does not depend on them, and waiting would let a slow or dead
-	// replica the transaction never used stall every commit. Under
-	// WithSynchronousCleanup they are awaited instead, so no goroutine
-	// outlives the operation — a replay requirement.
+	// replica the transaction never used stall every commit.
 	//
 	// Detached sends deliberately drop the operation's context: the
 	// outcome is already decided, and a caller that cancels its context
@@ -1706,35 +1423,28 @@ func (t *Txn) control(ctx context.Context, required, cleanup, tentative []string
 	// wedges the item for every later writer. The sends stay bounded by
 	// their per-call timeouts and retry budgets, and Close waits them out.
 	detached := func(dm string, retries int) {
-		if t.store.opts.syncCleanup {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				send(ctx, dm, retries)
-			}()
+		if !s.opts.syncCleanup && s.goDetached(func() { s.callAcked(context.Background(), dm, req, retries) }) {
 			return
 		}
-		if t.store.goDetached(func() { send(context.Background(), dm, retries) }) {
-			return
-		}
-		// The store is closing: the transport is about to quiesce, so a
-		// detached sweep could not outlive this operation anyway. Run it
-		// awaited on the caller's context instead — bounded, and never
-		// racing the close drain.
+		// Awaited on the caller's context instead, either because
+		// WithSynchronousCleanup forbids goroutines that outlive the
+		// operation (a replay requirement) or because the store is closing:
+		// the transport is about to quiesce, so a detached sweep could not
+		// outlive this operation anyway and must not race the close drain.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			send(ctx, dm, retries)
+			s.callAcked(ctx, dm, req, retries)
 		}()
 	}
 	for _, dm := range cleanup {
-		detached(dm, t.store.opts.lockRetries)
+		detached(dm, s.opts.lockRetries)
 	}
 	for _, dm := range tentative {
 		detached(dm, tentativeControlRetries)
 	}
 	wg.Wait()
-	t.store.Stats.ControlLatency.ObserveSince(start)
+	s.Stats.ControlLatency.ObserveSince(start)
 	for i, ok := range acked {
 		if !ok {
 			missing = append(missing, required[i])
@@ -1863,121 +1573,24 @@ func (s *Store) Run(ctx context.Context, fn func(*Txn) error) error {
 	start := time.Now()
 	var err error
 	for attempt := 0; attempt <= s.opts.txnRetries; attempt++ {
-		attemptStart := time.Now()
-		t := &Txn{
-			store:      s,
-			id:         TxnID(fmt.Sprintf("%s.t%d", s.clientID, s.txnSeq.Add(1))),
-			touched:    map[string]touchLevel{},
-			leaseStamp: s.now(),
-		}
-		s.trackTxn(t)
-		err = fn(t)
-		if err == nil {
-			// The lease fence: renew at every touched DM before the commit
-			// point. A refusal means some DM already resolved the
-			// transaction — most likely the lease reaper presumed it aborted
-			// — so committing would diverge; abort this attempt and restart
-			// under a fresh id (LeaseExpiredError unwraps to ErrConflict).
-			if ferr := t.ensureLease(ctx); ferr != nil {
-				s.Stats.LeaseExpiries.Inc()
-				err = ferr
-			}
-		}
-		if err == nil {
-			// The hint fence rides the same pre-commit slot as the lease
-			// fence: revoke freshness hints at every replica of every written
-			// item before the commit point, so no replica can serve a
-			// single-replica read of the version this commit supersedes. A
-			// refusal (a hinted reader's lock still live there) is a lock
-			// conflict — abort and restart.
-			if ferr := t.fenceHints(ctx); ferr != nil {
-				err = ferr
-			}
-		}
-		var inDoubt bool
-		if err == nil && s.opts.protocol == commit.PaxosCommit {
-			// The decide phase (DESIGN.md §11): the outcome is durably
-			// accepted at a majority of the cohort BEFORE any DM hears a
-			// commit, so a coordinator crash anywhere past this line leaves
-			// an outcome any conflicting party reconstructs from the
-			// acceptors in one round-trip. Read-only transactions (empty
-			// cohort) skip consensus — they have no outcome to decide.
-			if cohort := t.paxosCohort(); len(cohort) > 0 {
-				inDoubt, err = t.paxosDecide(ctx, cohort)
-			}
-		}
-		if err == nil {
-			written, granted, tentative := t.controlSets()
-			// The first CommitTopReq send is the commit point: every
-			// written DM buffered the intention at a full write quorum, so
-			// any delivered copy publishes the write to readers. Reporting
-			// failure (or worse, aborting) after that would misreport a
-			// visible commit — the unknown-outcome window chaos checking
-			// trips over. A straggler that never hears the commit keeps
-			// its locks, so no quorum it belongs to can read a stale
-			// version or re-issue the version number: readers and writers
-			// route around it through quorums whose intersection members
-			// did apply.
-			if hook := s.Hooks.BeforeCommitTop; hook != nil {
-				hook(t.id)
-			}
-			learnCtx := ctx
-			if s.opts.protocol == commit.PaxosCommit {
-				// Under Paxos Commit the outcome is already decided at the
-				// acceptors: a caller cancelling its context now must not
-				// abandon the learn fan-out (the detached-cleanup rule
-				// applied to commits). The sends stay bounded by per-call
-				// timeouts and retry budgets, and stragglers are resolved by
-				// acceptor recovery regardless.
-				learnCtx = context.WithoutCancel(ctx)
-			}
-			missing := t.control(learnCtx, written, granted, tentative,
-				CommitTopReq{Txn: t.id, Subs: t.committedSubs(), Final: t.finalVNs()})
-			if len(missing) > 0 {
-				s.traceEvent(string(t.id), "commit", "stragglers %v", missing)
-			}
-			t.primeHintTargets(missing)
-			t.done = true
-			s.untrackTxn(t)
-			s.noteTxnOutcome(nil)
-			s.Stats.Commits.Inc()
+		if _, err = s.commitAttempt(ctx, fn, CommitCrashOptions{}); err == nil {
 			s.Stats.TxnLatency.ObserveSince(start)
-			if s.opts.history != nil {
-				s.opts.history.RecordTxn(checker.TxnRecord{
-					ID: string(t.id), Start: attemptStart, End: time.Now(), Ops: t.ops,
-				})
-			}
-			s.traceEvent(string(t.id), "commit", "applied at %v", t.touchedDMs())
-			return nil
+			break
 		}
-		if inDoubt {
-			// The decide phase reached acceptors but no majority answered:
-			// the outcome is whatever the cohort eventually decides, so both
-			// aborting and retrying here could contradict it. The locks stand
-			// until acceptor recovery resolves them — one conflict-triggered
-			// round-trip, not a lease TTL.
-			t.done = true
-			s.untrackTxn(t)
-			s.noteTxnOutcome(err)
-			return err
-		}
-		t.abort(ctx)
-		s.untrackTxn(t)
+		// Only conflicts restart. An in-doubt outcome may yet be commit;
+		// overload and unavailability deliberately do not retry here —
+		// re-running a transaction the replicas just refused would amplify
+		// the overload, so the AIMD limiter hears the signal instead and
+		// shrinks the in-flight ceiling.
 		if !errors.Is(err, ErrConflict) || ctx.Err() != nil {
-			// Overload and unavailability deliberately do NOT restart here:
-			// retrying a transaction the replicas just refused would amplify
-			// the overload. The AIMD limiter hears the signal instead and
-			// shrinks the in-flight ceiling.
-			s.noteTxnOutcome(err)
-			return err
+			break
 		}
 		if !s.budget.allow() {
 			// Conflict restarts draw from the same retry budget as phase
 			// retries: under overload-driven conflict storms the budget is
 			// what stops goodput from collapsing into retry traffic.
 			s.Stats.RetryBudgetDenied.Inc()
-			s.noteTxnOutcome(err)
-			return err
+			break
 		}
 		s.Stats.Restarts.Inc()
 		s.backoff(ctx, attempt)
@@ -1986,12 +1599,198 @@ func (s *Store) Run(ctx context.Context, fn func(*Txn) error) error {
 	return err
 }
 
+// commitAttempt is the one top-level commit path: it runs body in a fresh
+// transaction and, if body succeeds, carries the transaction through the
+// common tail — lease fence, hint fence, Paxos decide (when the protocol
+// and a non-empty cohort call for it), the CommitTopReq learn round, then
+// hint priming, counters and history. A failure before the commit point
+// aborts the attempt; an in-doubt decide leaves its locks to acceptor
+// recovery instead, because aborting or retrying could contradict whatever
+// the cohort decides.
+//
+// cut, when its Stage is set, kills the coordinator at that instant: no
+// abort, no further sends, locks and votes left dangling exactly as a
+// kill -9 would leave them, and ErrCommitAbandoned returned with a report of
+// how far the commit got. The zero cut commits cleanly.
+func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut CommitCrashOptions) (rep CrashReport, err error) {
+	rep.Start = time.Now()
+	t := &Txn{
+		store:      s,
+		id:         TxnID(fmt.Sprintf("%s.t%d", s.clientID, s.txnSeq.Add(1))),
+		touched:    map[string]touchLevel{},
+		leaseStamp: s.now(),
+	}
+	rep.Txn = t.id
+	s.trackTxn(t)
+	defer s.untrackTxn(t)
+	err = body(t)
+	if err == nil {
+		// The lease fence: renew at every touched DM before the commit
+		// point. A refusal means some DM already resolved the transaction —
+		// most likely the lease reaper presumed it aborted — so committing
+		// would diverge; abort this attempt and restart under a fresh id
+		// (LeaseExpiredError unwraps to ErrConflict).
+		if err = t.ensureLease(ctx); err != nil {
+			s.Stats.LeaseExpiries.Inc()
+		}
+	}
+	if err == nil {
+		// The hint fence rides the same pre-commit slot: revoke freshness
+		// hints at every replica of every written item before the commit
+		// point, so no replica can serve a single-replica read of the
+		// version this commit supersedes. A refusal (a hinted reader's lock
+		// still live there) is a lock conflict — abort and restart.
+		err = t.fenceHints(ctx)
+	}
+	if err != nil {
+		t.abort(ctx)
+		return rep, err
+	}
+	var cohort []string
+	if s.opts.protocol == commit.PaxosCommit {
+		// Read-only transactions (empty cohort) skip consensus — they have
+		// no outcome to decide.
+		cohort = t.paxosCohort()
+	}
+	stage := cut.Stage
+	if len(cohort) == 0 && (stage == CommitCrashMidDecide || stage == CommitCrashBeforeLearn) {
+		// Without a decide phase everything before the first CommitTopReq
+		// send is one window.
+		stage = CommitCrashBeforeDecide
+	}
+	if stage == CommitCrashBeforeDecide {
+		return t.dangle(rep, cohort), ErrCommitAbandoned
+	}
+	if len(cohort) > 0 {
+		// The decide phase (DESIGN.md §11): the outcome is durably accepted
+		// at a majority of the cohort BEFORE any DM hears a commit, so a
+		// coordinator crash anywhere past this line leaves an outcome any
+		// conflicting party reconstructs from the acceptors in one
+		// round-trip.
+		deliver := len(cohort)
+		if stage == CommitCrashMidDecide {
+			deliver = min(cut.Deliver, deliver)
+		}
+		var inDoubt bool
+		rep.Cohort, rep.Sends = len(cohort), deliver
+		rep.Accepts, inDoubt, err = t.paxosDecide(ctx, cohort, deliver)
+		rep.Decided = err == nil
+		if stage == CommitCrashMidDecide || (stage == CommitCrashBeforeLearn && err == nil) {
+			return t.dangle(rep, cohort), ErrCommitAbandoned
+		}
+		if inDoubt {
+			// Acceptors were reached but no majority answered. The locks
+			// stand until acceptor recovery resolves them — one
+			// conflict-triggered round-trip, not a lease TTL.
+			return t.dangle(rep, cohort), err
+		}
+		if err != nil {
+			t.abort(ctx)
+			return rep, err
+		}
+	}
+
+	// The first CommitTopReq send is the commit point: every written DM
+	// buffered the intention at a full write quorum, so any delivered copy
+	// publishes the write to readers. Reporting failure (or worse,
+	// aborting) after that would misreport a visible commit — the
+	// unknown-outcome window chaos checking trips over. A straggler that
+	// never hears the commit keeps its locks, so no quorum it belongs to
+	// can read a stale version or re-issue the version number: readers and
+	// writers route around it through quorums whose intersection members
+	// did apply.
+	written, granted, tentative := t.controlSets()
+	if stage == CommitCrashMidLearn {
+		// The broadcast reaches a prefix of the written DMs, then dies.
+		written, granted, tentative = written[:min(cut.Deliver, len(written))], nil, nil
+	}
+	if hook := s.Hooks.BeforeCommitTop; hook != nil {
+		hook(t.id)
+	}
+	learnCtx := ctx
+	if len(cohort) > 0 {
+		// The outcome is already decided at the acceptors: a caller
+		// cancelling its context now must not abandon the learn fan-out
+		// (the detached-cleanup rule applied to commits). The sends stay
+		// bounded by per-call timeouts and retry budgets, and stragglers
+		// are resolved by acceptor recovery regardless.
+		learnCtx = context.WithoutCancel(ctx)
+	}
+	missing := t.control(learnCtx, written, granted, tentative,
+		CommitTopReq{Txn: t.id, Subs: t.committedSubs(), Final: t.finalVNs()})
+	rep.Sends += len(written)
+	rep.Learned = len(written) - len(missing)
+	if len(cohort) == 0 {
+		// Under TwoPhase the first applied CommitTopReq decides commit.
+		rep.Decided = rep.Learned > 0
+	}
+	if stage == CommitCrashMidLearn {
+		return t.dangle(rep, cohort), ErrCommitAbandoned
+	}
+	if len(missing) > 0 {
+		s.traceEvent(string(t.id), "commit", "stragglers %v", missing)
+	}
+	t.primeHintTargets(missing)
+	t.done = true
+	s.Stats.Commits.Inc()
+	rep.Decided = true
+	rep.End, rep.Ops = time.Now(), t.ops
+	if s.opts.history != nil {
+		s.opts.history.RecordTxn(checker.TxnRecord{
+			ID: string(t.id), Start: rep.Start, End: rep.End, Ops: t.ops,
+		})
+	}
+	s.traceEvent(string(t.id), "commit", "applied at %v", t.touchedDMs())
+	return rep, nil
+}
+
+// dangle closes the books on a coordinator that stops without resolving
+// its transaction — an injected crash or an in-doubt decide. The report
+// names every replica that may hold state for it (written and lock-granting
+// DMs plus the acceptor cohort): the set a harness must probe to observe
+// the cluster's eventual resolution.
+func (t *Txn) dangle(rep CrashReport, cohort []string) CrashReport {
+	t.done = true
+	written, granted, _ := t.controlSets()
+	rep.DMs = quorum.NewSet(append(append(written, granted...), cohort...)...).Names()
+	rep.End, rep.Ops = time.Now(), t.ops
+	t.store.traceEvent(string(t.id), "commit", "coordinator stopped unresolved (decided %v, accepts %d/%d, learned %d)",
+		rep.Decided, rep.Accepts, rep.Cohort, rep.Learned)
+	return rep
+}
+
+// reconfigureTo is the body of Section 4's reconfigure-TM: read
+// (v, t, c, g) from a read-quorum of the current configuration under write
+// locks, write (v, t) to a write-quorum of the new configuration, and write
+// (c', g+1) to a write-quorum of the old one — the paper's footnote-6 rule,
+// sufficient whenever old and new quorums intersect. both writes the record
+// to a write-quorum of the new configuration as well (Gifford's original
+// rule), which a move to a disjoint replica set needs: the old quorum's
+// record redirects stale clients, the new quorum's is the one the item
+// lives under afterwards.
+func (t *Txn) reconfigureTo(ctx context.Context, item string, newCfg quorum.Config, both bool) (readResult, error) {
+	res, err := t.readPhase(ctx, item, LockWrite)
+	if err != nil {
+		return res, err
+	}
+	err = t.writeQuorum(ctx, item, "reconfigure", newCfg, func(seq int) any {
+		return WriteReq{Txn: t.id, Item: item, VN: res.vn, Val: res.val, Seq: seq}
+	})
+	if err != nil {
+		return res, err
+	}
+	mkCfg := func(seq int) any {
+		return ConfigWriteReq{Txn: t.id, Item: item, Gen: res.gen + 1, Cfg: newCfg, Seq: seq}
+	}
+	err = t.writeQuorum(ctx, item, "reconfigure", res.cfg, mkCfg)
+	if err == nil && both {
+		err = t.writeQuorum(ctx, item, "reconfigure", newCfg, mkCfg)
+	}
+	return res, err
+}
+
 // Reconfigure installs a new configuration for item as its own top-level
-// transaction, following Section 4: read (v, t, c, g) from a read-quorum of
-// the current configuration, write (v, t) to a write-quorum of the new
-// configuration, and write (c', g+1) to a write-quorum of the old one (and
-// also of the new one when WithWriteConfigToBothQuorums is set, Gifford's
-// original rule).
+// reconfigure-TM (Section 4).
 func (s *Store) Reconfigure(ctx context.Context, item string, newCfg quorum.Config) error {
 	it, ok := s.itemSpec(item)
 	if !ok {
@@ -2004,26 +1803,9 @@ func (s *Store) Reconfigure(ctx context.Context, item string, newCfg quorum.Conf
 		return err
 	}
 	return s.Run(ctx, func(t *Txn) error {
-		res, err := t.readPhase(ctx, item, LockWrite)
+		res, err := t.reconfigureTo(ctx, item, newCfg, false)
 		if err != nil {
 			return err
-		}
-		err = t.writeQuorum(ctx, item, "reconfigure", newCfg, func(seq int) any {
-			return WriteReq{Txn: t.id, Item: item, VN: res.vn, Val: res.val, Seq: seq}
-		})
-		if err != nil {
-			return err
-		}
-		mkCfg := func(seq int) any {
-			return ConfigWriteReq{Txn: t.id, Item: item, Gen: res.gen + 1, Cfg: newCfg, Seq: seq}
-		}
-		if err := t.writeQuorum(ctx, item, "reconfigure", res.cfg, mkCfg); err != nil {
-			return err
-		}
-		if s.opts.bothQuorums {
-			if err := t.writeQuorum(ctx, item, "reconfigure", newCfg, mkCfg); err != nil {
-				return err
-			}
 		}
 		s.observeConfig(item, res.gen+1, newCfg)
 		s.traceEvent(string(t.id), "reconfig", "%s gen %d -> %d", item, res.gen, res.gen+1)

@@ -418,39 +418,3 @@ func Faults(w io.Writer, txns int) error {
 	}
 	return nil
 }
-
-// ReconfigAblation (A1) compares message cost of a reconfiguration writing
-// the new configuration to an old write-quorum only (the paper's
-// optimization) against Gifford's original both-quorums rule.
-func ReconfigAblation(w io.Writer, rounds int) error {
-	fmt.Fprintf(w, "%-28s  %16s\n", "rule", "msgs/reconfig")
-	for _, both := range []bool{false, true} {
-		store, net, err := newCluster(5, KindMajority, 7, 200*time.Microsecond,
-			cluster.WithWriteConfigToBothQuorums(both))
-		if err != nil {
-			return err
-		}
-		dms := dmNames(5)
-		before := net.Stats().Sent
-		for i := 0; i < rounds; i++ {
-			cfg := quorum.Majority(dms)
-			if i%2 == 1 {
-				cfg = quorum.ReadOneWriteAll(dms)
-			}
-			if err := store.Reconfigure(context.Background(), "x", cfg); err != nil {
-				store.Close()
-				net.Close()
-				return err
-			}
-		}
-		per := float64(net.Stats().Sent-before) / float64(rounds)
-		label := "old write-quorum only"
-		if both {
-			label = "both quorums (Gifford)"
-		}
-		fmt.Fprintf(w, "%-28s  %16.1f\n", label, per)
-		store.Close()
-		net.Close()
-	}
-	return nil
-}

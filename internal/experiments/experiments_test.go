@@ -90,20 +90,6 @@ func TestFaultsSmoke(t *testing.T) {
 	}
 }
 
-func TestReconfigAblationSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster experiment")
-	}
-	var buf bytes.Buffer
-	if err := ReconfigAblation(&buf, 4); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "old write-quorum only") || !strings.Contains(out, "Gifford") {
-		t.Errorf("ablation table malformed:\n%s", out)
-	}
-}
-
 func TestLatencySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster experiment")

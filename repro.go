@@ -206,8 +206,8 @@ var (
 	WithTxnRetries = cluster.WithTxnRetries
 	// WithReadRepair enables background repair of stale replicas.
 	WithReadRepair = cluster.WithReadRepair
-	// WithSequentialPhases restores the seed's one-quorum-at-a-time
-	// assembly (ablation baseline).
+	// WithSequentialPhases offers each phase's quorums one at a time in
+	// seeded order — a replay lever for deterministic harnesses.
 	WithSequentialPhases = cluster.WithSequentialPhases
 	// WithSeed seeds quorum shuffling and backoff jitter.
 	WithSeed = cluster.WithSeed
