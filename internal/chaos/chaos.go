@@ -1061,9 +1061,10 @@ func (s *scheduler) advance(round int, injected map[Fault]int) {
 		case FaultOverload:
 			// A seeded burst at one replica's admission queue: always larger
 			// than the queue, with a pre-expired prefix. Injection bypasses
-			// the network behind a held service loop, and the scheduler only
-			// runs with the network quiesced, so the queue is empty and the
-			// verdict counts depend on nothing but the burst shape.
+			// the network behind a held service loop, the scheduler only
+			// runs with the network quiesced, and Burst first drains what
+			// the replica has yet to admit or serve, so the queue is empty
+			// and the verdict counts depend on nothing but the burst shape.
 			g := s.rng.Intn(len(s.groups))
 			dm := s.groups[g][s.rng.Intn(len(s.groups[g]))]
 			k := overloadAdmitCap + 2 + s.rng.Intn(8)

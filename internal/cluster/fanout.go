@@ -344,8 +344,10 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 		issue(dm)
 	}
 
+	// A sequential plan asks one quorum and moves on to the next when a
+	// member stays silent; re-asking within the plan is fan-out's remedy.
 	var hedgeC <-chan time.Time
-	if st.hedgeDelay > 0 && st.hedgeMax > 1 {
+	if st.hedgeDelay > 0 && st.hedgeMax > 1 && !st.sequential {
 		tick := time.NewTicker(st.hedgeDelay)
 		defer tick.Stop()
 		hedgeC = tick.C

@@ -73,7 +73,7 @@ func (s *Store) MigrateItem(ctx context.Context, item, toGroup string, cut Commi
 
 	var res readResult
 	rep, err := s.commitAttempt(ctx, func(t *Txn) (err error) {
-		res, err = t.reconfigureTo(ctx, item, newCfg, true)
+		res, err = t.reconfigureTo(ctx, item, "migrate", newCfg, true)
 		return err
 	}, cut)
 	if err != nil {

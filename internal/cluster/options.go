@@ -142,8 +142,9 @@ func WithReadRepair(on bool) Option {
 
 // WithSequentialPhases makes every quorum phase offer its quorums to the
 // fan-out one at a time, in seeded shuffled order, instead of all at once:
-// each plan waits for every member of one quorum, so no grant is surplus
-// and no copy is abandoned on the clean path. A replay lever, not a
+// each plan waits for every member of one quorum and never hedges, so no
+// grant is surplus and a copy is abandoned only when its replica stays
+// silent (it is then swept like any abandoned copy). A replay lever, not a
 // production setting — the deterministic chaos harness needs it (with
 // WithSynchronousCleanup and WithFixedTimeouts) for exact seeded replay
 // until the virtual-time simulator lands; E10 measures what it costs.

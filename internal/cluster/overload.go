@@ -464,9 +464,11 @@ func (s *Store) Burst(dm string, total, preExpired int) BurstReport {
 	if oh == nil {
 		return BurstReport{}
 	}
-	if preExpired > total {
-		preExpired = total
-	}
+	preExpired = min(preExpired, total)
+	// Start from an empty queue: a request the transport delivered but the
+	// replica has not yet admitted or served (a duplicated copy whose caller
+	// moved on) would occupy a slot and shift the verdict counts.
+	oh.WaitServiceIdle()
 	before := oh.Overload()
 	oh.HoldService()
 	expired := s.now().Add(-time.Nanosecond)

@@ -75,6 +75,7 @@ func TestAcceptorStateSurvivesAmnesia(t *testing.T) {
 		deliver     int
 		wantDecided bool
 	}{
+		{"negative-clamps-to-none", -1, false},
 		{"no-accepts", 0, false},
 		{"minority-accepted", 1, false},
 		{"majority-accepted", 2, true},
@@ -92,8 +93,9 @@ func TestAcceptorStateSurvivesAmnesia(t *testing.T) {
 			if !errors.Is(err, ErrCommitAbandoned) {
 				t.Fatalf("CrashCommit: %v, want ErrCommitAbandoned", err)
 			}
-			if rep.Accepts != tc.deliver {
-				t.Fatalf("%d accepts delivered, want %d", rep.Accepts, tc.deliver)
+			want := max(0, tc.deliver)
+			if rep.Accepts != want {
+				t.Fatalf("%d accepts delivered, want %d", rep.Accepts, want)
 			}
 			if rep.Decided != tc.wantDecided {
 				t.Fatalf("decided=%v, want %v", rep.Decided, tc.wantDecided)
@@ -111,8 +113,8 @@ func TestAcceptorStateSurvivesAmnesia(t *testing.T) {
 					t.Errorf("%s has acceptor state %+v without a delivered 2a", dm, p)
 				}
 			}
-			if accepted != tc.deliver {
-				t.Fatalf("%d acceptors hold the value, want %d", accepted, tc.deliver)
+			if accepted != want {
+				t.Fatalf("%d acceptors hold the value, want %d", accepted, want)
 			}
 
 			for _, dm := range dms {

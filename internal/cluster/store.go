@@ -789,10 +789,11 @@ func (s *Store) observeConfig(item string, gen int, cfg quorum.Config) {
 // phasePlans lists, in order, the quorum sets one attempt of a phase offers
 // runPhase. By default that is one plan offering every quorum at once:
 // first to quorum wins. WithSequentialPhases offers one quorum per plan
-// instead — a single-quorum plan waits for every member and never has a
-// surplus grant to release, so the message stream is a function of the seed
-// alone, which exact chaos replay needs. Small enough to inline, so the
-// one-plan slice stays on the caller's stack.
+// instead — a single-quorum plan waits for every member, is never hedged
+// (runPhase) and never has a surplus grant to release, so which replicas a
+// phase asks does not depend on which of them answers first, which exact
+// chaos replay needs. Small enough to inline, so the one-plan slice stays on
+// the caller's stack.
 func (s *Store) phasePlans(qs []quorum.Set) [][]quorum.Set {
 	if s.opts.sequential {
 		return s.sequentialPlans(qs)
@@ -987,11 +988,6 @@ func (t *Txn) nextSeq() int {
 	return s
 }
 
-// writeSet records one successful write phase: the item, the quorum sets
-// the phase was judged against, and the DMs that granted (and so buffer
-// an intention). The top-level commit is decided against these: it
-// succeeds when every write phase has a complete quorum among the DMs
-// that acknowledged the commit.
 // adoptSubs records a committed child (and its own committed subs) on the
 // parent, so the top-level CommitTopReq can name every committed
 // subtransaction in the tree.
@@ -1092,13 +1088,11 @@ func (t *Txn) runPlan(ctx context.Context, tally *phaseTally, spec phaseSpec, la
 	return col
 }
 
-// redirected adopts a migration redirect into the client's placement view
-// and reports whether that taught it anything. err is the typed error for a
-// caller that cannot carry on under the new placement: a read whose
-// redirect taught it nothing, a write always.
-func (t *Txn) redirected(item, phase string, w WrongShardResp) (adopted bool, err error) {
-	t.store.Stats.WrongShardRedirects.Inc()
-	return t.store.adoptRedirect(w), &WrongShardError{
+// wrongShardErr is the typed error for a phase that cannot carry on past a
+// migration redirect: a read whose redirect taught it nothing, a write
+// always.
+func (t *Txn) wrongShardErr(item, phase string, w WrongShardResp) error {
+	return &WrongShardError{
 		Item: item, Txn: t.id, Phase: phase,
 		Group: w.Group, Epoch: w.Epoch, DMs: append([]string(nil), w.DMs...),
 	}
@@ -1195,9 +1189,9 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 				// is progress exactly like the generation chase above. A redirect
 				// that teaches us nothing new (we already believe that placement)
 				// means the marker is circular — surface it instead of looping.
-				adopted, err := t.redirected(item, "read", w)
-				if !adopted {
-					return readResult{}, err
+				t.store.Stats.WrongShardRedirects.Inc()
+				if !t.store.adoptRedirect(w) {
+					return readResult{}, t.wrongShardErr(item, "read", w)
 				}
 				believed = t.store.config(item)
 				if believed.gen > res.gen {
@@ -1274,8 +1268,9 @@ func (t *Txn) writeQuorum(ctx context.Context, item, phase string, cfg quorum.Co
 				// was derived from a read under the old placement. Adopt the new
 				// placement and fail conflict-style so the whole transaction
 				// restarts against it.
-				_, err := t.redirected(item, phase, w)
-				return err
+				t.store.Stats.WrongShardRedirects.Inc()
+				t.store.adoptRedirect(w)
+				return t.wrongShardErr(item, phase, w)
 			}
 		}
 		t.store.backoff(ctx, attempt)
@@ -1652,7 +1647,7 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 		// no outcome to decide.
 		cohort = t.paxosCohort()
 	}
-	stage := cut.Stage
+	stage, prefix := cut.Stage, max(0, cut.Deliver)
 	if len(cohort) == 0 && (stage == CommitCrashMidDecide || stage == CommitCrashBeforeLearn) {
 		// Without a decide phase everything before the first CommitTopReq
 		// send is one window.
@@ -1669,7 +1664,7 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 		// round-trip.
 		deliver := len(cohort)
 		if stage == CommitCrashMidDecide {
-			deliver = min(cut.Deliver, deliver)
+			deliver = min(prefix, deliver)
 		}
 		var inDoubt bool
 		rep.Cohort, rep.Sends = len(cohort), deliver
@@ -1702,7 +1697,7 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 	written, granted, tentative := t.controlSets()
 	if stage == CommitCrashMidLearn {
 		// The broadcast reaches a prefix of the written DMs, then dies.
-		written, granted, tentative = written[:min(cut.Deliver, len(written))], nil, nil
+		written, granted, tentative = written[:min(prefix, len(written))], nil, nil
 	}
 	if hook := s.Hooks.BeforeCommitTop; hook != nil {
 		hook(t.id)
@@ -1767,13 +1762,13 @@ func (t *Txn) dangle(rep CrashReport, cohort []string) CrashReport {
 // to a write-quorum of the new configuration as well (Gifford's original
 // rule), which a move to a disjoint replica set needs: the old quorum's
 // record redirects stale clients, the new quorum's is the one the item
-// lives under afterwards.
-func (t *Txn) reconfigureTo(ctx context.Context, item string, newCfg quorum.Config, both bool) (readResult, error) {
+// lives under afterwards. phase labels the write phases in typed errors.
+func (t *Txn) reconfigureTo(ctx context.Context, item, phase string, newCfg quorum.Config, both bool) (readResult, error) {
 	res, err := t.readPhase(ctx, item, LockWrite)
 	if err != nil {
 		return res, err
 	}
-	err = t.writeQuorum(ctx, item, "reconfigure", newCfg, func(seq int) any {
+	err = t.writeQuorum(ctx, item, phase, newCfg, func(seq int) any {
 		return WriteReq{Txn: t.id, Item: item, VN: res.vn, Val: res.val, Seq: seq}
 	})
 	if err != nil {
@@ -1782,9 +1777,9 @@ func (t *Txn) reconfigureTo(ctx context.Context, item string, newCfg quorum.Conf
 	mkCfg := func(seq int) any {
 		return ConfigWriteReq{Txn: t.id, Item: item, Gen: res.gen + 1, Cfg: newCfg, Seq: seq}
 	}
-	err = t.writeQuorum(ctx, item, "reconfigure", res.cfg, mkCfg)
+	err = t.writeQuorum(ctx, item, phase, res.cfg, mkCfg)
 	if err == nil && both {
-		err = t.writeQuorum(ctx, item, "reconfigure", newCfg, mkCfg)
+		err = t.writeQuorum(ctx, item, phase, newCfg, mkCfg)
 	}
 	return res, err
 }
@@ -1803,7 +1798,7 @@ func (s *Store) Reconfigure(ctx context.Context, item string, newCfg quorum.Conf
 		return err
 	}
 	return s.Run(ctx, func(t *Txn) error {
-		res, err := t.reconfigureTo(ctx, item, newCfg, false)
+		res, err := t.reconfigureTo(ctx, item, "reconfigure", newCfg, false)
 		if err != nil {
 			return err
 		}

@@ -58,13 +58,25 @@ func (n *Node) ResumeService() {
 	}
 }
 
-// WaitServiceIdle blocks until the admission queue is empty and no request
-// is being served. Callers must not hold the service (ResumeService
-// first). No-op without admission.
+// WaitServiceIdle blocks until every request the network has delivered to
+// the node so far was admitted (or shed), the admission queue is empty and
+// no request is being served. The first part matters after a
+// Network.Quiesce, which only promises delivery into the inbox: a request
+// the loop has not offered yet (a duplicated copy nobody waits for, say)
+// would otherwise take its queue slot at some later, unseeded moment.
+// Callers must not hold the service (ResumeService first). No-op without
+// admission.
 func (n *Node) WaitServiceIdle() {
-	if n.adm != nil {
-		n.adm.WaitIdle()
+	if n.adm == nil {
+		return
 	}
+	ack := make(chan struct{})
+	select {
+	case n.drain <- ack:
+		<-ack
+	case <-n.done: // stopped: Shutdown drained the inbox itself
+	}
+	n.adm.WaitIdle()
 }
 
 // Inject offers a request straight to the node's admission queue, as if it

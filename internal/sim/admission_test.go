@@ -74,6 +74,30 @@ func TestAdmissionCapacityShedsExplicitly(t *testing.T) {
 	}
 }
 
+// TestWaitServiceIdleCoversTheInbox: Quiesce promises delivery into the
+// inbox only, so the barrier a seeded burst starts from must also cover
+// requests the loop has not offered to the queue yet.
+func TestWaitServiceIdleCoversTheInbox(t *testing.T) {
+	net := NewNetwork(Config{Seed: 9})
+	defer net.Close()
+	srv := &echoServer{}
+	node := NewNode(net, "s", srv.handle, WithAdmission(AdmissionConfig{Capacity: 64, Classify: classifyTag}))
+	defer node.Shutdown()
+	client := NewNode(net, "c", nil)
+	defer client.Shutdown()
+
+	for round := 0; round < 50; round++ {
+		for i := 0; i < 8; i++ {
+			client.Notify("s", fmt.Sprintf("r%d", i))
+		}
+		net.Quiesce()
+		node.WaitServiceIdle()
+		if got, want := len(srv.order()), 8*(round+1); got != want {
+			t.Fatalf("round %d: %d requests served after the barrier, want %d", round, got, want)
+		}
+	}
+}
+
 func TestAdmissionRejectRepliesToCalls(t *testing.T) {
 	net := NewNetwork(Config{Seed: 2})
 	defer net.Close()

@@ -8,18 +8,21 @@
 // Replayability: every random choice the network makes (drop, duplicate,
 // reorder, latency jitter) is drawn from a per-link generator seeded
 // deterministically from Config.Seed and the order in which links first
-// carry traffic — never from a generator shared across links. Concurrent
-// sends on different links therefore cannot perturb each other's fate
-// streams, which is what lets the chaos harness (internal/chaos) replay a
-// whole campaign from a single seed. Messages on one directed link are
-// delivered in FIFO order (like a TCP connection); reordering is modeled
-// by holding a message back for a bounded extra delay so that traffic on
-// other links overtakes it.
+// carry traffic — never from a generator shared across links — and, within
+// a link, from one generator per kind of message. Concurrent sends on
+// different links, and racing sends of different kinds on one link,
+// therefore cannot perturb each other's fate streams, which is what lets
+// the chaos harness (internal/chaos) replay a whole campaign from a single
+// seed. Messages on one directed link are delivered in FIFO order (like a
+// TCP connection); reordering is modeled by holding a message back for a
+// bounded extra delay so that traffic on other links overtakes it.
 package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"sync"
 	"time"
 )
@@ -88,12 +91,42 @@ type laneMsg struct {
 }
 
 // lane is one directed link's transit queue. Messages enter in Send order
-// and a dedicated goroutine delivers them FIFO at their stamped times; the
-// lane's private rng decides fates so concurrent traffic on other lanes
-// cannot shift its stream.
+// and a dedicated goroutine delivers them FIFO at their stamped times. Fates
+// come from generators private to the lane, one per kind of message, so
+// neither concurrent traffic on other lanes nor a different kind of message
+// on this one can shift a stream: when a node's loop and a reply flush (or
+// two protocol rounds) race to send on the same link, which of them goes
+// first does not decide which of them is lost or duplicated.
 type lane struct {
-	rng *rand.Rand
-	ch  chan laneMsg
+	seed  int64
+	fates map[fateKind]*rand.Rand
+	ch    chan laneMsg
+}
+
+// fateKind names one fate stream of a lane: the payload's type and, for the
+// RPC layer's wrappers, the type of the request or response inside.
+type fateKind struct{ outer, inner reflect.Type }
+
+// fate returns the generator that decides payload's fate on the lane,
+// creating it on first use. Its seed derives from the lane's seed and the
+// kind's type names, not from creation order, so the stream is the same
+// whichever kind happens to travel first.
+func (l *lane) fate(payload any) *rand.Rand {
+	k := fateKind{outer: reflect.TypeOf(payload)}
+	switch p := payload.(type) {
+	case envelope:
+		k.inner = reflect.TypeOf(p.Req)
+	case reply:
+		k.inner = reflect.TypeOf(p.Resp)
+	}
+	if rng, ok := l.fates[k]; ok {
+		return rng
+	}
+	h := fnv.New64a()
+	fmt.Fprint(h, k.outer, "/", k.inner)
+	rng := rand.New(rand.NewSource(mix64(l.seed, int64(h.Sum64()))))
+	l.fates[k] = rng
+	return rng
 }
 
 // Network connects nodes. All methods are safe for concurrent use.
@@ -194,8 +227,9 @@ func (n *Network) lane(from, to string) *lane {
 		return l
 	}
 	l := &lane{
-		rng: rand.New(rand.NewSource(mix64(n.cfg.Seed, int64(len(n.lanes))))),
-		ch:  make(chan laneMsg, n.cfg.InboxSize),
+		seed:  mix64(n.cfg.Seed, int64(len(n.lanes))),
+		fates: map[fateKind]*rand.Rand{},
+		ch:    make(chan laneMsg, n.cfg.InboxSize),
 	}
 	n.lanes[key] = l
 	go n.laneLoop(l)
@@ -284,7 +318,11 @@ func (n *Network) Send(from, to string, payload any) {
 		return
 	}
 	l := n.lane(from, to)
-	if n.dropProb > 0 && l.rng.Float64() < n.dropProb {
+	var rng *rand.Rand
+	if n.dropProb > 0 || n.dupProb > 0 || n.reorderProb > 0 || n.cfg.MaxLatency > n.cfg.MinLatency || len(n.nodeLat) > 0 {
+		rng = l.fate(payload) // a network that samples nothing never builds one
+	}
+	if n.dropProb > 0 && rng.Float64() < n.dropProb {
 		n.dropped++
 		n.mu.Unlock()
 		if n.cfg.FateFeedback {
@@ -293,7 +331,7 @@ func (n *Network) Send(from, to string, payload any) {
 		return
 	}
 	copies := 1
-	if n.dupProb > 0 && l.rng.Float64() < n.dupProb {
+	if n.dupProb > 0 && rng.Float64() < n.dupProb {
 		copies = 2
 		n.duplicated++
 	}
@@ -308,9 +346,9 @@ func (n *Network) Send(from, to string, payload any) {
 	}
 	delay := lo
 	if span := hi - lo; span > 0 {
-		delay += time.Duration(l.rng.Int63n(int64(span)))
+		delay += time.Duration(rng.Int63n(int64(span)))
 	}
-	if n.reorderProb > 0 && l.rng.Float64() < n.reorderProb {
+	if n.reorderProb > 0 && rng.Float64() < n.reorderProb {
 		delay += n.reorderDel
 		n.reordered++
 	}

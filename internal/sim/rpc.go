@@ -80,6 +80,10 @@ type Node struct {
 	admCfg *AdmissionConfig
 	adm    *transport.Queue
 
+	// drain carries WaitServiceIdle's barrier to the loop: the loop empties
+	// the inbox into the admission queue, then closes the channel it got.
+	drain chan chan struct{}
+
 	stop chan struct{}
 	done chan struct{}
 }
@@ -130,6 +134,7 @@ func (n *Node) start(opts []NodeOption) {
 	for _, o := range opts {
 		o(n)
 	}
+	n.drain = make(chan chan struct{})
 	inbox := n.net.Register(n.id)
 	n.net.watchDrops(n.id, n.onDrop) // no-op unless Config.FateFeedback
 	if n.admCfg != nil {
@@ -212,6 +217,11 @@ func (n *Node) loop(inbox <-chan Message) {
 					return
 				}
 			}
+		case ack := <-n.drain:
+			for len(inbox) > 0 {
+				n.dispatch(<-inbox)
+			}
+			close(ack)
 		case m := <-inbox:
 			n.dispatch(m)
 		}

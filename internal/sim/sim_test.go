@@ -374,6 +374,54 @@ func TestFateStreamsAreDeterministic(t *testing.T) {
 	}
 }
 
+func TestFateStreamsIgnoreOtherKindsOnTheLane(t *testing.T) {
+	// Two kinds of message share one link. Whether they interleave or one
+	// kind goes first — the order two racing senders on a node happen to
+	// reach the link in — each kind must meet the same fates, or the chaos
+	// harness's dueling lease inquiries (a DM's own query and its answer to
+	// a peer's, both bound for that peer) fork an exact replay.
+	run := func(interleave bool) (ints, strs int) {
+		net := NewNetwork(Config{DropProb: 0.3, DupProb: 0.3, Seed: 78})
+		defer net.Close()
+		inbox := net.Register("b")
+		const n = 100
+		if interleave {
+			for i := 0; i < n; i++ {
+				net.Send("a", "b", i)
+				net.Send("a", "b", "s")
+			}
+		} else {
+			for i := 0; i < n; i++ {
+				net.Send("a", "b", "s")
+			}
+			for i := 0; i < n; i++ {
+				net.Send("a", "b", i)
+			}
+		}
+		net.Quiesce()
+		for {
+			select {
+			case m := <-inbox:
+				if _, ok := m.Payload.(int); ok {
+					ints++
+				} else {
+					strs++
+				}
+			default:
+				return ints, strs
+			}
+		}
+	}
+	i1, s1 := run(true)
+	i2, s2 := run(false)
+	if i1 != i2 || s1 != s2 {
+		t.Errorf("send order changed per-kind fates: interleaved %d/%d, batched %d/%d", i1, s1, i2, s2)
+	}
+	if i1 == 0 || i1 == 100 || s1 == 0 || s1 == 100 || i1 == s1 {
+		t.Errorf("fates not exercised or not independent per kind: %d ints, %d strings", i1, s1)
+	}
+}
+
 func TestNotifyFireAndForget(t *testing.T) {
 	net := NewNetwork(Config{Seed: 10})
 	defer net.Close()
