@@ -32,14 +32,16 @@ chaos:
 # Coverage-guided fuzz passes: quorum construction invariants, WAL record
 # framing, multi-record WAL segments recovered through the fault-injecting
 # filesystem (recovery must replay, truncate a torn tail, or fail with a
-# typed corruption error — never panic, never serve damage), and the TCP
+# typed corruption error — never panic, never serve damage), the TCP
 # transport's wire envelope (malformed frames must fail with a typed decode
-# error, never a panic).
+# error, never a panic), and the payload codec under it (decode or a typed
+# error; a decoded message re-encodes to a fixed point).
 fuzz:
 	$(GO) test ./internal/quorum/ -fuzz FuzzConfig -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzSegment -fuzztime 30s
 	$(GO) test ./internal/transport/tcp/ -fuzz FuzzEnvelope -fuzztime 30s
+	$(GO) test ./internal/transport/wire/ -fuzz FuzzWireDecode -fuzztime 30s
 
 # Multi-process smoke: a real 3-replica qcstore cluster as separate OS
 # processes over TCP — nested transaction committed through quorums, one
@@ -54,7 +56,7 @@ proc-smoke:
 # (blank and comment-only lines not counted), than the last PR that shrank
 # it landed at. A PR that shrinks either lowers the ceiling with it.
 CLUSTER_MAX_OPTIONS = 34
-CLUSTER_MAX_LINES = 5792
+CLUSTER_MAX_LINES = 5801
 budget:
 	@opts=$$(grep -c '^func With' internal/cluster/options.go); \
 	lines=$$(ls internal/cluster/*.go | grep -v '_test\.go$$' | xargs cat | grep -v '^[[:space:]]*$$' | grep -v '^[[:space:]]*//' | wc -l); \
@@ -66,7 +68,7 @@ budget:
 # size budget, an explicit race pass
 # over the chaos campaigns (they stress every cross-goroutine path the
 # self-healing machinery added), the race pass, short fuzz smokes (quorum
-# invariants, WAL records, TCP wire envelope), the qcstore durable-mode
+# invariants, WAL records, TCP wire envelope and payload codec), the qcstore durable-mode
 # end-to-end demo (open, write, close, reopen from the WALs, read back),
 # the multi-process kill -9 recovery smoke (real qcstore server processes
 # over TCP), the overload smoke (the three-arm goodput gate — protections
@@ -97,6 +99,7 @@ verify: build vet staticcheck budget test race
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzSegment -fuzztime 5s
 	$(GO) test ./internal/transport/tcp/ -fuzz FuzzEnvelope -fuzztime 5s
+	$(GO) test ./internal/transport/wire/ -fuzz FuzzWireDecode -fuzztime 5s
 	d=$$(mktemp -d) && $(GO) run ./cmd/qcstore -dir $$d >/dev/null && rm -rf $$d
 	$(GO) build -o bin/qcstore ./cmd/qcstore
 	$(GO) run ./cmd/qchaos -proc -bin bin/qcstore

@@ -5,25 +5,52 @@ import (
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/commit"
 	"repro/internal/quorum"
+	"repro/internal/shard"
+	"repro/internal/transport/tcp"
 )
 
-// TestWireRoundTrip gob round-trips every registered protocol type through
-// an interface field — the exact shape the WAL's walRecord and the TCP
-// transport's frames use. A type that encodes in-process over the sim
-// backend but is missing from RegisterWireTypes fails here, not on the
-// first real socket or log replay. Values use non-zero fields throughout so
-// a silently dropped field cannot hide behind its zero value.
+// gobOnlyVal is a user value type the wire codec has no native kind for: it
+// travels as a gob blob inside the frame, so it is gob-registered, as a
+// user's own type must be.
+type gobOnlyVal struct {
+	Name  string
+	Score float64
+}
+
+func init() { gob.Register(gobOnlyVal{}) }
+
+// TestWireRoundTrip round-trips every registered protocol type through both
+// codecs that carry it in an interface field: gob, the exact shape the
+// WAL's walRecord uses, and tcp.EncodeFrame/DecodeFrame, the TCP
+// transport's frames. A type that encodes in-process over the sim backend
+// but is missing from the wireTypes table fails here, not on the first
+// real socket or log replay. Values use non-zero fields throughout so a
+// silently dropped field cannot hide behind its zero value.
 func TestWireRoundTrip(t *testing.T) {
 	cfg := quorum.Config{
 		R: []quorum.Set{quorum.NewSet("dm0", "dm1")},
 		W: []quorum.Set{quorum.NewSet("dm1", "dm2")},
 	}
+	ring, err := shard.New(7, 4, []shard.Group{{Name: "g0", DMs: []string{"dm0", "dm1"}}, {Name: "g1", DMs: []string{"dm2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring.MoveKey("x", "g1")
+	ring.Lookup("x") // builds the unexported derived points, which must not travel
+	bare := *ring.Clone()
+	acc := commit.Acceptor{
+		Promised: 1, AccBal: 1,
+		AccVal: commit.Decision{Commit: true, Subs: []string{"t2/0"}, Final: map[string]int{"x": 5}},
+		Cohort: []string{"dm0", "dm1"},
+	}
 	msgs := []any{
-		// Requests, in RegisterWireTypes order.
+		// Requests, in wireTypes order.
 		ReadReq{Txn: "t1/0", Item: "x", Lock: LockWrite, Seq: 3},
 		WriteReq{Txn: "t1", Item: "x", VN: 7, Val: 42, Seq: 4},
 		ConfigWriteReq{Txn: "t2", Item: "y", Gen: 2, Cfg: cfg, Seq: 1},
@@ -41,6 +68,22 @@ func TestWireRoundTrip(t *testing.T) {
 		HintGrantReq{Item: "x", VN: 3, Gen: 1},
 		HintFenceReq{Txn: "t8", Item: "x"},
 		ReapReq{Txn: "t9", Commit: true, Subs: []TxnID{"t9/0"}},
+		AdoptItemReq{Item: "x", Initial: "seed"},
+		RetireItemReq{Item: "x", Epoch: 2, Group: "g1", DMs: []string{"dm3", "dm4"}, Gen: 3, Cfg: cfg},
+		RingReq{},
+		RingUpdateReq{Ring: *ring},
+		PaxosAcceptReq{Txn: "t10", Ballot: 1, Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2, "y": 3}, Cohort: []string{"dm0", "dm1"}},
+		PaxosPrepareReq{Txn: "t10", Ballot: 2, Cohort: []string{"dm0", "dm1"}},
+		PaxosDecisionReq{Txn: "t10", Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2}},
+		PaxosRecoverQuery{Txn: "t10", Ballot: 2, Cohort: []string{"dm0", "dm1"}, From: "dm1"},
+		PaxosRecoverPromise{
+			Txn: "t10", Ballot: 2, From: "dm0", OK: true, Promised: 2,
+			AccBal: 1, AccCommit: true, AccSubs: []TxnID{"t10/0"}, AccFinal: map[string]int{"x": 2},
+			Decided: true, DecCommit: true, DecSubs: []TxnID{"t10/1"}, DecFinal: map[string]int{"y": 3},
+		},
+		PaxosRecoverAccept{Txn: "t10", Ballot: 2, Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2}, Cohort: []string{"dm0"}, From: "dm1"},
+		PaxosRecoverAccepted{Txn: "t10", Ballot: 2, From: "dm0", OK: true},
+		ResolutionProbeReq{Txn: "t11"},
 		RebuildPullReq{For: "dm1", Items: []string{"x", "y"}},
 		// Responses.
 		ReadResp{OK: true, VN: 6, Val: 13, Gen: 1, Cfg: cfg, Hinted: true},
@@ -49,33 +92,145 @@ func TestWireRoundTrip(t *testing.T) {
 		OverloadedResp{DM: "dm2", Expired: true},
 		InspectResp{OK: true, VN: 4, Val: 8, Gen: 1, Cfg: cfg, Locks: 2, Intents: 1},
 		HintMissResp{DM: "dm0", Reason: "expired"},
+		WrongShardResp{DM: "dm0", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm3"}, Gen: 3, Cfg: cfg},
+		RingResp{OK: true, Ring: *ring},
+		PaxosAcceptResp{OK: true, Promised: 3, Decided: true, DecCommit: true},
+		ResolutionProbeResp{Known: true, Committed: true, Holds: true, Promised: -2, AccBal: -1, AccCommit: true},
 		QuarantinedResp{DM: "dm1", Reason: "wal: segment corrupt"},
 		RebuildPullResp{
 			OK: true, From: "dm0",
-			Items:    []RebuildItemState{{Item: "x", Has: true, VN: 5, Val: 9, Gen: 1, Cfg: cfg}},
-			Moved:    map[string]WrongShardResp{"y": {DM: "dm0", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm3"}, Gen: 3, Cfg: cfg}},
-			Resolved: map[TxnID]RebuildResolution{"t1": {Committed: true, Subs: []TxnID{"t1/0"}}},
-			Acceptors: map[TxnID]commit.Acceptor{"t2": {
-				Promised: 1, AccBal: 1,
-				AccVal: commit.Decision{Commit: true, Subs: []string{"t2/0"}, Final: map[string]int{"x": 5}},
-				Cohort: []string{"dm0", "dm1"},
-			}},
+			Items:     []RebuildItemState{{Item: "x", Has: true, VN: 5, Val: 9, Gen: 1, Cfg: cfg}},
+			Moved:     map[string]WrongShardResp{"y": {DM: "dm0", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm3"}, Gen: 3, Cfg: cfg}},
+			Resolved:  map[TxnID]RebuildResolution{"t1": {Committed: true, Subs: []TxnID{"t1/0"}}},
+			Acceptors: map[TxnID]commit.Acceptor{"t2": acc, "t1": {Promised: 0, AccBal: -1}},
 		},
 	}
-	type envelope struct{ Msg any }
+	// A stored value of every kind the wire carries natively, one that rides
+	// as a gob blob, and none at all.
+	for _, val := range []any{nil, true, -42, int64(1) << 40, uint64(1) << 63, 2.5, "sixteen bytes ok", []byte{0, 1, 2}, gobOnlyVal{Name: "n", Score: 0.5}} {
+		msgs = append(msgs, WriteReq{Txn: "t1", Item: "x", VN: 7, Val: val, Seq: 4})
+	}
+	// Every registered type must be in msgs: a new message cannot join the
+	// table without a round trip here.
+	sampled := map[reflect.Type]bool{}
 	for _, m := range msgs {
-		t.Run(fmt.Sprintf("%T", m), func(t *testing.T) {
+		sampled[reflect.TypeOf(m)] = true
+	}
+	for _, wt := range wireTypes {
+		if !sampled[reflect.TypeOf(wt.proto)] {
+			t.Errorf("registered type %T (tag %d) has no sample in this test", wt.proto, wt.tag)
+		}
+	}
+	// want is what must come back: the message itself, except that a ring's
+	// unexported derived points do not travel (both codecs skip them).
+	want := func(m any) any {
+		switch v := m.(type) {
+		case RingUpdateReq:
+			v.Ring = bare
+			return v
+		case RingResp:
+			v.Ring = bare
+			return v
+		}
+		return m
+	}
+	type envelope struct{ Msg any }
+	for i, m := range msgs {
+		t.Run(fmt.Sprintf("%d-%T", i, m), func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := gob.NewEncoder(&buf).Encode(envelope{Msg: m}); err != nil {
-				t.Fatalf("encode: %v", err)
+				t.Fatalf("gob encode: %v", err)
 			}
 			var out envelope
 			if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-				t.Fatalf("decode: %v", err)
+				t.Fatalf("gob decode: %v", err)
 			}
-			if !reflect.DeepEqual(out.Msg, m) {
-				t.Fatalf("round trip changed the value:\n sent %#v\n got  %#v", m, out.Msg)
+			if !reflect.DeepEqual(out.Msg, want(m)) {
+				t.Fatalf("gob round trip changed the value:\n sent %#v\n got  %#v", m, out.Msg)
+			}
+			if got := frameRoundTrip(t, m); !reflect.DeepEqual(got, want(m)) {
+				t.Fatalf("frame round trip changed the value:\n sent %#v\n got  %#v", m, got)
 			}
 		})
+	}
+	// Empty slices and maps arrive nil, under the frame codec as under gob.
+	empty := CommitTopReq{Txn: "t1", Subs: []TxnID{}, Final: map[string]int{}}
+	if got := frameRoundTrip(t, empty); !reflect.DeepEqual(got, CommitTopReq{Txn: "t1"}) {
+		t.Fatalf("empty slice and map decoded as %#v, want nil fields", got)
+	}
+	emptySets := ReadResp{OK: true, Cfg: quorum.Config{R: []quorum.Set{{}}, W: []quorum.Set{}}}
+	if got := frameRoundTrip(t, emptySets); !reflect.DeepEqual(got, ReadResp{OK: true, Cfg: quorum.Config{R: []quorum.Set{nil}}}) {
+		t.Fatalf("empty sets decoded as %#v", got)
+	}
+}
+
+// Frame kinds, as internal/transport/tcp numbers them.
+const (
+	frameCall  = 1
+	frameReply = 3
+)
+
+// frameRoundTrip sends m through the TCP frame codec both ways it can
+// travel — the request of a call, the response of a reply — and returns
+// what arrived (the two must agree).
+func frameRoundTrip(t *testing.T, m any) any {
+	t.Helper()
+	call := tcp.Frame{Kind: frameCall, ID: 7, From: "c", Req: m, Deadline: time.Unix(1700000000, 5)}
+	reply := tcp.Frame{Kind: frameReply, ID: 7, Resp: m}
+	var got [2]any
+	for i, f := range []tcp.Frame{call, reply} {
+		body, err := tcp.EncodeFrame(f)
+		if err != nil {
+			t.Fatalf("EncodeFrame: %v", err)
+		}
+		back, err := tcp.DecodeFrame(body)
+		if err != nil {
+			t.Fatalf("DecodeFrame: %v", err)
+		}
+		if back.Kind != f.Kind || back.ID != f.ID || back.From != f.From || !back.Deadline.Equal(f.Deadline) {
+			t.Fatalf("frame header changed: sent %+v, got %+v", f, back)
+		}
+		got[i] = back.Req
+		if f.Kind == frameReply {
+			got[i] = back.Resp
+		}
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("a call carried %#v, a reply %#v", got[0], got[1])
+	}
+	return got[0]
+}
+
+// TestFrameAllocBudget holds the four frames the benchmark's codec probe
+// times (bench/probes.go builds the same shapes) to 16 allocations per
+// encode+decode round trip; the per-frame gob codec took 237–302.
+func TestFrameAllocBudget(t *testing.T) {
+	txn := TxnID("c1.t123456/1")
+	filler := strings.Repeat("v", 1024)
+	deadline := time.Unix(1700000000, 0)
+	frames := map[string]tcp.Frame{
+		"readreq": {Kind: frameCall, ID: 7, From: "client-c1-1", Deadline: deadline,
+			Req: ReadReq{Txn: txn, Item: "k512", Lock: LockRead, Seq: 3}},
+		"readresp": {Kind: frameReply, ID: 7,
+			Resp: ReadResp{OK: true, VN: 41, Val: filler[:16], Gen: 0}},
+		"writereq1k": {Kind: frameCall, ID: 8, From: "client-c1-1", Deadline: deadline,
+			Req: WriteReq{Txn: txn, Item: "k512", VN: 42, Val: filler, Seq: 4}},
+		"committop": {Kind: frameCall, ID: 9, From: "client-c1-1", Deadline: deadline,
+			Req: CommitTopReq{Txn: txn.Top(), Subs: []TxnID{txn, txn.Top() + "/2"}, Final: map[string]int{"k512": 42, "k77": 9}}},
+	}
+	for name, f := range frames {
+		allocs := testing.AllocsPerRun(200, func() {
+			body, err := tcp.EncodeFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tcp.DecodeFrame(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs per round trip", name, allocs)
+		if allocs > 16 {
+			t.Errorf("%s: %.0f allocs per encode+decode, budget 16", name, allocs)
+		}
 	}
 }

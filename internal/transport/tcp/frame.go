@@ -1,23 +1,42 @@
 package tcp
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 	"time"
+
+	"repro/internal/transport/wire"
 )
 
-// The wire format is deliberately dumb: every message is one frame, a
-// 4-byte big-endian body length followed by a gob-encoded Frame. A fresh
-// encoder per frame costs a re-sent type descriptor but makes frames
-// self-contained — a reader can join, drop, or replay a stream at any frame
-// boundary, and a corrupted frame poisons nothing beyond itself. Concrete
-// request/response types carried through the interface fields must be
-// gob-registered by the protocol layer (internal/cluster does this in
-// wire.go, once, for the WAL and the wire together).
+// The wire format: every message is one frame, a 4-byte big-endian body
+// length followed by the body —
+//
+//	version   1 byte, wireVersion
+//	kind      1 byte: call, notify or reply
+//	ID        uvarint, 0 on a notify
+//	From      uvarint length + bytes
+//	Deadline  uvarint unix nanoseconds, 0 = none
+//	Req       package wire's type tag and positional fields; tag 0 = nil
+//	Resp      the same
+//
+// and nothing after it. Frames are self-contained: a reader can join, drop
+// or replay a stream at any frame boundary, and a corrupted frame poisons
+// nothing beyond itself. Nothing in a frame describes its own layout — the
+// version byte and the type tag are the whole negotiation — so every
+// process of a cluster runs one build, and a payload type must have been
+// registered with package wire by the protocol layer (internal/cluster does
+// this in wire.go, from the table that also gob-registers it for the WAL).
+
+// wireVersion is the first byte of every frame body. A change to the
+// header, to package wire's encodings, or to the meaning of a registered
+// tag bumps it; a peer speaking another version is refused, frame by frame.
+const wireVersion = 1
 
 // Frame kinds.
 const (
@@ -34,8 +53,8 @@ const (
 // malformed (or malicious) and fails decoding before any allocation.
 const MaxFrame = 8 << 20
 
-// Frame is one wire message. Zero-valued fields are omitted by gob, so a
-// reply costs no From/Req/Deadline bytes and a notify no Resp.
+// Frame is one wire message. A call or notify carries Req, a reply Resp;
+// the field a kind does not use is nil and costs one byte.
 type Frame struct {
 	Kind     int
 	ID       uint64
@@ -46,9 +65,10 @@ type Frame struct {
 }
 
 // DecodeError is the typed failure for any malformed inbound frame: a
-// corrupt length prefix, an over-limit announcement, a truncated body, or a
-// gob stream that does not decode. It is a decoding verdict, never a panic
-// — the fuzz harness holds the codec to that.
+// corrupt length prefix, an over-limit announcement, a truncated body, an
+// unknown version, kind or type tag, a count the body cannot hold, or bytes
+// after the payload. It is a decoding verdict, never a panic — the fuzz
+// harness holds the codec to that.
 type DecodeError struct {
 	Reason string
 	Err    error // underlying cause, when one exists
@@ -63,70 +83,185 @@ func (e *DecodeError) Error() string {
 
 func (e *DecodeError) Unwrap() error { return e.Err }
 
-// EncodeFrame serializes one frame body (no length prefix). It fails only
-// on unencodable payloads — a concrete type nobody gob-registered — which
-// is a programming error surfaced to the caller, not hidden in transit.
-func EncodeFrame(f Frame) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("tcp: encode frame: %w", err)
+// appendFrame appends f's body to dst.
+func appendFrame(dst []byte, f Frame) ([]byte, error) {
+	start := len(dst)
+	switch f.Kind {
+	case kindCall, kindNotify, kindReply:
+	default:
+		return dst, fmt.Errorf("tcp: encode frame: unknown frame kind %d", f.Kind)
 	}
-	if buf.Len() > MaxFrame {
-		return nil, fmt.Errorf("tcp: encode frame: body %d exceeds MaxFrame", buf.Len())
+	dst = append(dst, wireVersion, byte(f.Kind))
+	dst = binary.AppendUvarint(dst, f.ID)
+	dst = binary.AppendUvarint(dst, uint64(len(f.From)))
+	dst = append(dst, f.From...)
+	var deadline uint64
+	if !f.Deadline.IsZero() {
+		deadline = uint64(f.Deadline.UnixNano())
 	}
-	return buf.Bytes(), nil
+	dst = binary.AppendUvarint(dst, deadline)
+	dst, err := wire.Append(dst, f.Req)
+	if err == nil {
+		dst, err = wire.Append(dst, f.Resp)
+	}
+	if err != nil {
+		return dst[:start], fmt.Errorf("tcp: encode frame: %w", err)
+	}
+	if len(dst)-start > MaxFrame {
+		return dst[:start], fmt.Errorf("tcp: encode frame: body %d exceeds MaxFrame", len(dst)-start)
+	}
+	return dst, nil
 }
 
-// DecodeFrame reverses EncodeFrame. Every failure is a *DecodeError.
+// EncodeFrame serializes one frame body (no length prefix). It fails only
+// on unencodable payloads — a concrete type nobody registered — which is a
+// programming error surfaced to the caller, not hidden in transit.
+func EncodeFrame(f Frame) ([]byte, error) {
+	bp := getBuf()
+	defer putBuf(bp)
+	buf, err := appendFrame((*bp)[:0], f)
+	*bp = buf
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(buf), nil
+}
+
+// DecodeFrame reverses EncodeFrame. Every failure is a *DecodeError. The
+// frame shares no memory with b.
 func DecodeFrame(b []byte) (Frame, error) {
 	if len(b) > MaxFrame {
 		return Frame{}, &DecodeError{Reason: fmt.Sprintf("body %d exceeds MaxFrame", len(b))}
 	}
-	var f Frame
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f); err != nil {
-		return Frame{}, &DecodeError{Reason: "gob decode", Err: err}
+	if len(b) < 2 {
+		return Frame{}, &DecodeError{Reason: "short header"}
 	}
+	if b[0] != wireVersion {
+		return Frame{}, &DecodeError{Reason: fmt.Sprintf("wire version %d, this build speaks %d", b[0], wireVersion)}
+	}
+	f := Frame{Kind: int(b[1])}
 	switch f.Kind {
 	case kindCall, kindNotify, kindReply:
 	default:
 		return Frame{}, &DecodeError{Reason: fmt.Sprintf("unknown frame kind %d", f.Kind)}
 	}
+	b = b[2:]
+	uvarint := func() (uint64, bool) {
+		x, n := binary.Uvarint(b)
+		if n <= 0 {
+			return 0, false
+		}
+		b = b[n:]
+		return x, true
+	}
+	id, ok1 := uvarint()
+	fromLen, ok2 := uvarint()
+	if !ok1 || !ok2 || fromLen > uint64(len(b)) {
+		return Frame{}, &DecodeError{Reason: "short header"}
+	}
+	f.ID, f.From = id, string(b[:fromLen])
+	b = b[fromLen:]
+	deadline, ok := uvarint()
+	if !ok {
+		return Frame{}, &DecodeError{Reason: "short header"}
+	}
+	if deadline != 0 {
+		f.Deadline = time.Unix(0, int64(deadline))
+	}
+	var err error
+	if f.Req, b, err = wire.Decode(b); err == nil {
+		f.Resp, b, err = wire.Decode(b)
+	}
+	if err != nil {
+		return Frame{}, &DecodeError{Reason: "payload", Err: err}
+	}
+	if len(b) != 0 {
+		return Frame{}, &DecodeError{Reason: fmt.Sprintf("%d bytes after the payloads", len(b))}
+	}
 	return f, nil
 }
 
-// writeFrame writes one length-prefixed frame to w.
-func writeFrame(w io.Writer, f Frame) error {
-	body, err := EncodeFrame(f)
+// errUnencodable marks a writeFrame failure that happened before any byte
+// was written: the frame, not the connection, is at fault.
+var errUnencodable = errors.New("tcp: unencodable frame")
+
+// frameBufs recycles encode buffers between frames. Buffers that grew past
+// keepBuf for one large frame are not kept.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const keepBuf = 64 << 10
+
+func getBuf() *[]byte { return frameBufs.Get().(*[]byte) }
+
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= keepBuf {
+		frameBufs.Put(bp)
+	}
+}
+
+// frameWriter serializes whole frames onto one connection.
+type frameWriter struct {
+	mu sync.Mutex // serializes frame writes
+	w  io.Writer
+}
+
+// writeFrame encodes f and writes it, length prefix and body, in one Write.
+// An error wrapping errUnencodable means nothing was written; any other is
+// the connection's.
+func (fw *frameWriter) writeFrame(f Frame) error {
+	bp := getBuf()
+	defer putBuf(bp)
+	buf, err := appendFrame(append((*bp)[:0], 0, 0, 0, 0), f)
+	*bp = buf
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errUnencodable, err)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	fw.mu.Lock()
+	_, err = fw.w.Write(buf)
+	fw.mu.Unlock()
 	return err
 }
 
-// readFrame reads one length-prefixed frame from r. io.EOF at a frame
-// boundary is returned as-is (a clean connection close); everything else
-// malformed is a *DecodeError.
-func readFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
+// frameReader reads frames off one connection through a buffered reader,
+// so a run of small frames costs one read, into a body buffer it reuses.
+type frameReader struct {
+	br   *bufio.Reader
+	body []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReader(r)}
+}
+
+// readFrame reads one length-prefixed frame. io.EOF at a frame boundary is
+// returned as-is (a clean connection close); everything else malformed is
+// a *DecodeError.
+func (fr *frameReader) readFrame() (Frame, error) {
+	hdr, err := fr.br.Peek(4)
+	if err != nil {
+		if len(hdr) == 0 && errors.Is(err, io.EOF) {
 			return Frame{}, io.EOF
 		}
 		return Frame{}, &DecodeError{Reason: "short header", Err: err}
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrame {
 		return Frame{}, &DecodeError{Reason: fmt.Sprintf("announced body %d exceeds MaxFrame", n)}
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Frame{}, &DecodeError{Reason: "short body", Err: err}
+	fr.br.Discard(4) // cannot fail: Peek just buffered them
+	// The announced length is only a claim: the buffer grows as bytes
+	// actually arrive, a chunk at a time.
+	body := fr.body[:0]
+	for len(body) < n {
+		chunk := min(n-len(body), keepBuf)
+		body = slices.Grow(body, chunk)[:len(body)+chunk]
+		if _, err := io.ReadFull(fr.br, body[len(body)-chunk:]); err != nil {
+			return Frame{}, &DecodeError{Reason: "short body", Err: err}
+		}
+	}
+	if cap(body) <= keepBuf {
+		fr.body = body
 	}
 	return DecodeFrame(body)
 }

@@ -1,6 +1,6 @@
 // Package tcp implements the transport seam over real sockets: every served
-// name is a TCP listener, every Call one length-prefixed gob frame and its
-// reply on a pooled connection. It is the backend that turns a quorum
+// name is a TCP listener, every Call one length-prefixed binary frame
+// (frame.go; payloads by package wire) and its reply on a pooled connection. It is the backend that turns a quorum
 // cluster into N ordinary OS processes — same protocol code, same envelope
 // semantics as the deterministic sim network:
 //
@@ -19,6 +19,7 @@ package tcp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -254,18 +255,12 @@ func newCaller(t *Transport, id string) *caller {
 
 // clientConn is one pooled outbound connection and the calls pending on it.
 type clientConn struct {
-	c   net.Conn
-	wmu sync.Mutex // serializes frame writes
+	c  net.Conn
+	fw frameWriter
 
 	mu      sync.Mutex
 	pending map[uint64]chan any
 	dead    bool
-}
-
-func (cc *clientConn) write(f Frame) error {
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	return writeFrame(cc.c, f)
 }
 
 func (cc *clientConn) addPending(id uint64, ch chan any) {
@@ -322,7 +317,7 @@ func (c *caller) get(to string) (*clientConn, error) {
 		// A refused or unreachable dial is a dead peer: the lost fate.
 		return nil, transport.ErrLost
 	}
-	cc := &clientConn{c: conn, pending: map[uint64]chan any{}}
+	cc := &clientConn{c: conn, fw: frameWriter{w: conn}, pending: map[uint64]chan any{}}
 
 	c.mu.Lock()
 	if c.closed {
@@ -355,8 +350,9 @@ func (c *caller) evict(to string, cc *clientConn) {
 // readLoop delivers replies arriving on one connection and turns any read
 // failure into the lost fate for every call pending on it.
 func (c *caller) readLoop(to string, cc *clientConn) {
+	fr := newFrameReader(cc.c)
 	for {
-		f, err := readFrame(cc.c)
+		f, err := fr.readFrame()
 		if err != nil {
 			c.evict(to, cc)
 			cc.fail()
@@ -407,19 +403,13 @@ func (c *caller) call(ctx context.Context, to string, req any) (any, error) {
 // keeping encode failures (unregistered payload types — a programming
 // error) distinct and loud.
 func (c *caller) send(to string, cc *clientConn, f Frame) error {
-	body, err := EncodeFrame(f)
-	if err != nil {
-		return err
-	}
-	cc.wmu.Lock()
-	werr := writeBody(cc.c, body)
-	cc.wmu.Unlock()
-	if werr != nil {
+	err := cc.fw.writeFrame(f)
+	if err != nil && !errors.Is(err, errUnencodable) {
 		c.evict(to, cc)
 		cc.fail()
 		return transport.ErrLost
 	}
-	return nil
+	return err
 }
 
 // notify sends one fire-and-forget frame, best-effort.
@@ -476,34 +466,20 @@ type routeKey struct {
 	id   uint64
 }
 
-// srvConn wraps one accepted connection with a write lock, so synchronous
-// and late (async-handler) replies can interleave safely.
+// srvConn is the write side of one accepted connection; its frame writer's
+// lock lets synchronous and late (async-handler) replies interleave safely.
 type srvConn struct {
-	c   net.Conn
-	wmu sync.Mutex
+	fw      frameWriter
+	dropped *atomic.Uint64 // the server's DroppedReplies counter
 }
 
+// write sends a reply, best-effort: a broken connection retires through its
+// reader, and a reply the codec refuses is counted — its caller gets no
+// answer and runs into its own timeout.
 func (sc *srvConn) write(f Frame) {
-	body, err := EncodeFrame(f)
-	if err != nil {
-		return // unencodable reply: the caller will time out, loudly
+	if err := sc.fw.writeFrame(f); errors.Is(err, errUnencodable) {
+		sc.dropped.Add(1)
 	}
-	sc.wmu.Lock()
-	writeBody(sc.c, body)
-	sc.wmu.Unlock()
-}
-
-func writeBody(c net.Conn, body []byte) error {
-	var hdr [4]byte
-	hdr[0] = byte(len(body) >> 24)
-	hdr[1] = byte(len(body) >> 16)
-	hdr[2] = byte(len(body) >> 8)
-	hdr[3] = byte(len(body))
-	if _, err := c.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := c.Write(body)
-	return err
 }
 
 // serverReq is one delivered request on its way to the dispatch loop.
@@ -533,10 +509,17 @@ type Server struct {
 	readers   sync.WaitGroup
 	closeOnce sync.Once
 	done      chan struct{}
+
+	dropped atomic.Uint64
 }
 
 // ID returns the served name.
 func (s *Server) ID() string { return s.id }
+
+// DroppedReplies counts replies the handler produced that could not be
+// encoded (a payload type nobody registered with package wire) and were
+// therefore never sent.
+func (s *Server) DroppedReplies() uint64 { return s.dropped.Load() }
 
 // Notify sends a fire-and-forget message under this server's name.
 func (s *Server) Notify(to string, req any) { s.out.notify(to, req) }
@@ -566,9 +549,10 @@ func (s *Server) acceptLoop() {
 // with it, exactly like a crashed peer.
 func (s *Server) readLoop(conn net.Conn) {
 	defer s.readers.Done()
-	sc := &srvConn{c: conn}
+	sc := &srvConn{fw: frameWriter{w: conn}, dropped: &s.dropped}
+	fr := newFrameReader(conn)
 	for {
-		f, err := readFrame(conn)
+		f, err := fr.readFrame()
 		if err != nil {
 			s.retire(conn, sc)
 			return

@@ -2,21 +2,26 @@ package tcp
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/transport/wire"
 )
 
 type echoReq struct{ N int }
 type echoResp struct{ N int }
 
+// unregistered is a payload type package wire has never heard of.
+type unregistered struct{ N int }
+
+// Test tags sit far above the protocol's (internal/cluster counts up from 1).
 func init() {
-	gob.Register(echoReq{})
-	gob.Register(echoResp{})
+	wire.Register(60001, echoReq{})
+	wire.Register(60002, echoResp{})
+	wire.Register(60003, shapedMsg{})
 }
 
 func echo(from string, req any, reply func(any)) {
@@ -327,5 +332,48 @@ func TestDuplicateServeRejected(t *testing.T) {
 	}
 	if _, err := tr.Serve("s", echo); err == nil {
 		t.Fatal("duplicate serve of a live name succeeded")
+	}
+}
+
+// TestUnencodablePayloads: a request the codec refuses fails its Call at
+// once, with the encode error and not the lost fate, and leaves the
+// connection usable; a reply the codec refuses is counted at the server
+// (its caller can only time out — nothing can be sent in its place that
+// the caller's protocol layer would understand).
+func TestUnencodablePayloads(t *testing.T) {
+	tr := New()
+	defer tr.Close()
+	srv, err := tr.Serve("s", func(from string, req any, reply func(any)) {
+		if req.(echoReq).N < 0 {
+			reply(unregistered{N: 1})
+			return
+		}
+		echo(from, req, reply)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := tr.Client("c")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	_, err = c.Call(ctx, "s", unregistered{N: 1})
+	if err == nil || errors.Is(err, transport.ErrLost) || errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("unencodable request gave %v, want the encode error", err)
+	}
+	if _, err := c.Call(ctx, "s", echoReq{N: 1}); err != nil {
+		t.Fatalf("connection unusable after a refused request: %v", err)
+	}
+
+	short, cancelShort := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancelShort()
+	if _, err := c.Call(short, "s", echoReq{N: -1}); !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("call answered by an unencodable reply gave %v, want ErrTimeout", err)
+	}
+	if got := srv.(*Server).DroppedReplies(); got != 1 {
+		t.Fatalf("DroppedReplies = %d, want 1", got)
+	}
+	if _, err := c.Call(ctx, "s", echoReq{N: 2}); err != nil {
+		t.Fatalf("connection unusable after a dropped reply: %v", err)
 	}
 }

@@ -1,0 +1,618 @@
+// Package wire is the binary codec of the TCP transport: a positional,
+// length-prefixed encoding of registered message structs.
+//
+// Nothing on the wire describes itself. A message is a type tag followed by
+// its exported fields in declaration order, so both ends must have
+// registered the same struct under the same tag — every process of a
+// cluster runs one build (DESIGN.md §13 gives the format byte by byte).
+// What the format buys over gob is that a type's encoder and decoder are
+// compiled once, at registration, and each message then costs a walk over
+// that plan instead of a fresh gob engine.
+//
+// Encodings, by Go kind:
+//
+//	bool                  one byte, 0 or 1
+//	int, int8 … int64     zig-zag varint
+//	uint, uint8 … uint64  uvarint
+//	string kinds          uvarint length, bytes
+//	[]byte                uvarint length, bytes
+//	other slices          uvarint count, elements
+//	maps                  uvarint count, key/element pairs sorted by key
+//	structs               exported fields in declaration order
+//	any                   a value-kind byte, then the value (see value kinds)
+//
+// Zero-length slices and maps decode as nil, as gob decodes them. Maps are
+// written in key order so one value has one encoding. Decoded strings and
+// byte slices are copies: the input buffer may be reused at once.
+//
+// Decoding never trusts a number it read: every length and count is checked
+// against the bytes that remain before anything is allocated, and every
+// failure is a *Error, never a panic.
+package wire
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"encoding/gob"
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
+
+// Value kinds: the byte that precedes the value of an `any` field. Scalars
+// of the listed Go types travel natively; every other concrete type is a
+// gob blob (uvarint length, then a gob stream of the interface value), so
+// it must be gob-registered by whoever stores it, exactly as before.
+const (
+	valNil = iota
+	valBool
+	valInt
+	valInt64
+	valUint64
+	valFloat64
+	valString
+	valBytes
+	valGob
+)
+
+// maxDepth bounds how deeply a registered type may nest containers and
+// structs. Plans are trees (recursive types are refused), so this is a
+// bound on decode recursion fixed at registration, whatever the input.
+const maxDepth = 16
+
+// Error is the typed failure of Decode: the input is truncated, announces
+// more than it holds, names an unknown tag or value kind, or carries a
+// value its field cannot hold.
+type Error struct {
+	Reason string
+	Err    error // underlying cause (a gob blob's), when one exists
+}
+
+func (e *Error) Error() string {
+	if e.Err != nil {
+		return fmt.Sprintf("wire: %s: %v", e.Reason, e.Err)
+	}
+	return "wire: " + e.Reason
+}
+
+func (e *Error) Unwrap() error { return e.Err }
+
+// node is one step of a type's plan.
+type node struct {
+	kind   reflect.Kind
+	typ    reflect.Type
+	elem   *node   // slice and map element
+	key    *node   // map key
+	fields []field // struct
+	min    int     // fewest bytes one value of this type occupies on the wire
+	// canon is the unnamed map[string]int, map[string]bool or
+	// map[string]string type a map of that shape converts to, so it can be
+	// walked without reflection; nil for every other type.
+	canon reflect.Type
+}
+
+type field struct {
+	index int
+	node  *node
+}
+
+type plan struct {
+	tag  uint64
+	root *node
+}
+
+// registry is immutable once published; Register swaps in a copy.
+type registry struct {
+	byType map[reflect.Type]*plan
+	byTag  map[uint64]*plan
+}
+
+var (
+	regMu sync.Mutex
+	reg   atomic.Pointer[registry]
+)
+
+var (
+	anyType    = reflect.TypeOf((*any)(nil)).Elem()
+	canonMaps  = []reflect.Type{reflect.TypeOf(map[string]int(nil)), reflect.TypeOf(map[string]bool(nil)), reflect.TypeOf(map[string]string(nil))}
+	emptyPlans = &registry{byType: map[reflect.Type]*plan{}, byTag: map[uint64]*plan{}}
+)
+
+// Register binds tag to the struct type of proto and compiles its plan. Tags
+// are the wire identity of a type: assign them once, never reuse one, only
+// append. Tag 0 is the nil message. Registering the same pair again is a
+// no-op; a tag or type bound differently, a non-struct, or a field the
+// format cannot carry (pointers, channels, functions, arrays, floats,
+// non-empty interfaces, recursive types) panics — registration runs at
+// start-up, where a bad table is a bug to fix, not an input to survive.
+func Register(tag uint16, proto any) {
+	t := reflect.TypeOf(proto)
+	if tag == 0 || t == nil || t.Kind() != reflect.Struct {
+		panic(fmt.Sprintf("wire: Register(%d, %T): need a non-zero tag and a struct value", tag, proto))
+	}
+	regMu.Lock()
+	defer regMu.Unlock()
+	old := reg.Load()
+	if old == nil {
+		old = emptyPlans
+	}
+	byTag, byType := old.byTag[uint64(tag)], old.byType[t]
+	if byTag != nil && byTag == byType {
+		return
+	}
+	if byTag != nil || byType != nil {
+		panic(fmt.Sprintf("wire: Register(%d, %v): tag or type already registered differently", tag, t))
+	}
+	p := &plan{tag: uint64(tag), root: compile(t, nil)}
+	next := &registry{byType: make(map[reflect.Type]*plan, len(old.byType)+1), byTag: make(map[uint64]*plan, len(old.byTag)+1)}
+	for k, v := range old.byType {
+		next.byType[k] = v
+	}
+	for k, v := range old.byTag {
+		next.byTag[k] = v
+	}
+	next.byType[t], next.byTag[p.tag] = p, p
+	reg.Store(next)
+}
+
+// compile builds the plan of t. path is the chain of types being compiled
+// around it: a type that contains itself has no finite plan.
+func compile(t reflect.Type, path []reflect.Type) *node {
+	if slices.Contains(path, t) || len(path) >= maxDepth {
+		panic(fmt.Sprintf("wire: %v is recursive or nests deeper than %d", t, maxDepth))
+	}
+	path = append(path, t)
+	n := &node{kind: t.Kind(), typ: t, min: 1}
+	switch t.Kind() {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+	case reflect.Interface:
+		if t != anyType {
+			panic(fmt.Sprintf("wire: %v: only the empty interface can be carried", t))
+		}
+	case reflect.Slice:
+		n.elem = compile(t.Elem(), path)
+		if n.elem.min == 0 {
+			panic(fmt.Sprintf("wire: %v: elements occupy no bytes, a count could not be checked", t))
+		}
+	case reflect.Map:
+		n.key, n.elem = compile(t.Key(), path), compile(t.Elem(), path)
+		switch n.key.kind {
+		case reflect.String, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			panic(fmt.Sprintf("wire: %v: map keys must be strings or integers", t))
+		}
+		for _, c := range canonMaps {
+			if t.ConvertibleTo(c) {
+				n.canon = c
+			}
+		}
+	case reflect.Struct:
+		n.min = 0
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				fn := compile(f.Type, path)
+				n.fields = append(n.fields, field{index: i, node: fn})
+				n.min += fn.min
+			}
+		}
+	default:
+		panic(fmt.Sprintf("wire: %v: kind %v cannot be carried", t, t.Kind()))
+	}
+	return n
+}
+
+// Append appends the encoding of msg — its tag, then its fields — to dst.
+// A nil msg is the single byte 0. It fails on a type nobody registered and
+// on an `any` field holding a value gob cannot encode; dst is then returned
+// unchanged.
+func Append(dst []byte, msg any) ([]byte, error) {
+	if msg == nil {
+		return append(dst, 0), nil
+	}
+	v := reflect.ValueOf(msg)
+	p := reg.Load().lookup(v.Type())
+	if p == nil {
+		return dst, fmt.Errorf("wire: type %T is not registered", msg)
+	}
+	e := encoder{buf: binary.AppendUvarint(dst, p.tag)}
+	e.encode(p.root, v)
+	if e.err != nil {
+		return dst, e.err
+	}
+	return e.buf, nil
+}
+
+func (r *registry) lookup(t reflect.Type) *plan {
+	if r == nil {
+		return nil
+	}
+	return r.byType[t]
+}
+
+type encoder struct {
+	buf []byte
+	err error
+}
+
+func (e *encoder) uvarint(x uint64) { e.buf = binary.AppendUvarint(e.buf, x) }
+
+func (e *encoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	e.buf = append(e.buf, s...)
+}
+
+func (e *encoder) bool(b bool) {
+	if b {
+		e.buf = append(e.buf, 1)
+	} else {
+		e.buf = append(e.buf, 0)
+	}
+}
+
+func (e *encoder) encode(n *node, v reflect.Value) {
+	switch n.kind {
+	case reflect.Bool:
+		e.bool(v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		e.buf = binary.AppendVarint(e.buf, v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		e.uvarint(v.Uint())
+	case reflect.String:
+		e.str(v.String())
+	case reflect.Interface:
+		e.value(v.Interface())
+	case reflect.Slice:
+		l := v.Len()
+		e.uvarint(uint64(l))
+		if n.elem.kind == reflect.Uint8 {
+			e.buf = append(e.buf, v.Bytes()...)
+			return
+		}
+		for i := 0; i < l; i++ {
+			e.encode(n.elem, v.Index(i))
+		}
+	case reflect.Map:
+		e.encodeMap(n, v)
+	case reflect.Struct:
+		for _, f := range n.fields {
+			e.encode(f.node, v.Field(f.index))
+		}
+	}
+}
+
+// encodeMap writes a map's pairs in key order. Maps of the three shapes the
+// protocol sends on every read and commit (quorum sets, final-version maps)
+// are walked natively; the rest go through reflection.
+func (e *encoder) encodeMap(n *node, v reflect.Value) {
+	e.uvarint(uint64(v.Len()))
+	if v.Len() == 0 {
+		return
+	}
+	if n.canon != nil {
+		if v.Type() != n.canon {
+			v = v.Convert(n.canon)
+		}
+		switch m := v.Interface().(type) {
+		case map[string]int:
+			appendSorted(e, m, func(e *encoder, x int) { e.buf = binary.AppendVarint(e.buf, int64(x)) })
+		case map[string]bool:
+			appendSorted(e, m, (*encoder).bool)
+		case map[string]string:
+			appendSorted(e, m, (*encoder).str)
+		}
+		return
+	}
+	keys := v.MapKeys()
+	slices.SortFunc(keys, func(a, b reflect.Value) int {
+		switch n.key.kind {
+		case reflect.String:
+			return cmp.Compare(a.String(), b.String())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			return cmp.Compare(a.Int(), b.Int())
+		}
+		return cmp.Compare(a.Uint(), b.Uint())
+	})
+	for _, k := range keys {
+		e.encode(n.key, k)
+		e.encode(n.elem, v.MapIndex(k))
+	}
+}
+
+func appendSorted[V any](e *encoder, m map[string]V, put func(*encoder, V)) {
+	var few [8]string // the usual map is a quorum of two or three names
+	keys := few[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		e.str(k)
+		put(e, m[k])
+	}
+}
+
+// value writes the content of an `any` field.
+func (e *encoder) value(x any) {
+	switch x := x.(type) {
+	case nil:
+		e.buf = append(e.buf, valNil)
+	case bool:
+		e.buf = append(e.buf, valBool)
+		e.bool(x)
+	case int:
+		e.buf = binary.AppendVarint(append(e.buf, valInt), int64(x))
+	case int64:
+		e.buf = binary.AppendVarint(append(e.buf, valInt64), x)
+	case uint64:
+		e.buf = binary.AppendUvarint(append(e.buf, valUint64), x)
+	case float64:
+		e.buf = binary.LittleEndian.AppendUint64(append(e.buf, valFloat64), math.Float64bits(x))
+	case string:
+		e.buf = append(e.buf, valString)
+		e.str(x)
+	case []byte:
+		e.buf = append(e.buf, valBytes)
+		e.uvarint(uint64(len(x)))
+		e.buf = append(e.buf, x...)
+	default:
+		var blob bytes.Buffer
+		// A pointer to the interface, so gob sends the concrete type's name
+		// with the value and the far side gets the same type back.
+		if err := gob.NewEncoder(&blob).Encode(&x); err != nil {
+			if e.err == nil {
+				e.err = fmt.Errorf("wire: value of type %T: %w", x, err)
+			}
+			return
+		}
+		e.buf = append(e.buf, valGob)
+		e.uvarint(uint64(blob.Len()))
+		e.buf = append(e.buf, blob.Bytes()...)
+	}
+}
+
+// Decode reads one message from the front of b and returns it with the
+// bytes that follow it. The message is a value of the registered struct
+// type (nil for tag 0). Every failure is a *Error.
+func Decode(b []byte) (msg any, rest []byte, err error) {
+	d := decoder{b: b}
+	tag := d.uvarint()
+	if d.err != nil {
+		return nil, nil, d.err
+	}
+	if tag == 0 {
+		return nil, d.b, nil
+	}
+	r := reg.Load()
+	if r == nil || r.byTag[tag] == nil {
+		return nil, nil, &Error{Reason: fmt.Sprintf("unknown type tag %d", tag)}
+	}
+	p := r.byTag[tag]
+	v := reflect.New(p.root.typ).Elem()
+	d.decode(p.root, v)
+	if d.err != nil {
+		return nil, nil, d.err
+	}
+	return v.Interface(), d.b, nil
+}
+
+// decoder consumes b from the front. The first failure sticks: after it
+// every read returns zero and consumes nothing, so loops end on d.err.
+type decoder struct {
+	b   []byte
+	err *Error
+}
+
+func (d *decoder) fail(reason string) {
+	if d.err == nil {
+		d.err = &Error{Reason: reason}
+	}
+	d.b = nil
+}
+
+func (d *decoder) uvarint() uint64 {
+	x, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail("truncated or overlong uvarint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return x
+}
+
+func (d *decoder) varint() int64 {
+	x, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail("truncated or overlong varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return x
+}
+
+func (d *decoder) byte() byte {
+	if len(d.b) == 0 {
+		d.fail("truncated")
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *decoder) bool() bool {
+	c := d.byte()
+	if c > 1 {
+		d.fail(fmt.Sprintf("bool byte %d", c))
+	}
+	return c == 1
+}
+
+// count reads a length or element count and refuses one the remaining
+// input cannot hold at min bytes apiece — before the caller allocates.
+func (d *decoder) count(min int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/min) {
+		d.fail(fmt.Sprintf("count %d exceeds the %d bytes left", n, len(d.b)))
+		return 0
+	}
+	return int(n)
+}
+
+// take returns the next n bytes, still inside the input buffer.
+func (d *decoder) take() []byte {
+	n := d.count(1)
+	p := d.b[:n]
+	d.b = d.b[n:]
+	return p
+}
+
+func (d *decoder) str() string { return string(d.take()) }
+
+func (d *decoder) decode(n *node, v reflect.Value) {
+	switch n.kind {
+	case reflect.Bool:
+		v.SetBool(d.bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		x := d.varint()
+		if v.OverflowInt(x) {
+			d.fail(fmt.Sprintf("%d overflows %v", x, n.typ))
+			return
+		}
+		v.SetInt(x)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		x := d.uvarint()
+		if v.OverflowUint(x) {
+			d.fail(fmt.Sprintf("%d overflows %v", x, n.typ))
+			return
+		}
+		v.SetUint(x)
+	case reflect.String:
+		v.SetString(d.str())
+	case reflect.Interface:
+		if x := d.value(); x != nil {
+			v.Set(reflect.ValueOf(x))
+		}
+	case reflect.Slice:
+		if n.elem.kind == reflect.Uint8 {
+			if p := d.take(); len(p) > 0 {
+				v.SetBytes(bytes.Clone(p))
+			}
+			return
+		}
+		l := d.count(n.elem.min)
+		if l == 0 {
+			return
+		}
+		v.Grow(l)
+		v.SetLen(l)
+		for i := 0; i < l && d.err == nil; i++ {
+			d.decode(n.elem, v.Index(i))
+		}
+	case reflect.Map:
+		d.decodeMap(n, v)
+	case reflect.Struct:
+		for _, f := range n.fields {
+			d.decode(f.node, v.Field(f.index))
+		}
+	}
+}
+
+func (d *decoder) decodeMap(n *node, v reflect.Value) {
+	l := d.count(n.key.min + n.elem.min)
+	if l == 0 {
+		return
+	}
+	m := reflect.MakeMapWithSize(n.typ, l)
+	if n.canon != nil {
+		native := m
+		if n.typ != n.canon {
+			native = m.Convert(n.canon)
+		}
+		switch native := native.Interface().(type) {
+		case map[string]int:
+			for i := 0; i < l && d.err == nil; i++ {
+				k := d.str()
+				x := d.varint()
+				if int64(int(x)) != x {
+					d.fail(fmt.Sprintf("%d overflows int", x))
+				}
+				native[k] = int(x)
+			}
+		case map[string]bool:
+			for i := 0; i < l && d.err == nil; i++ {
+				k := d.str()
+				native[k] = d.bool()
+			}
+		case map[string]string:
+			for i := 0; i < l && d.err == nil; i++ {
+				k := d.str()
+				native[k] = d.str()
+			}
+		}
+		v.Set(m)
+		return
+	}
+	k, x := reflect.New(n.key.typ).Elem(), reflect.New(n.elem.typ).Elem()
+	for i := 0; i < l && d.err == nil; i++ {
+		k.SetZero()
+		x.SetZero()
+		d.decode(n.key, k)
+		d.decode(n.elem, x)
+		m.SetMapIndex(k, x)
+	}
+	v.Set(m)
+}
+
+// value reads the content of an `any` field.
+func (d *decoder) value() any {
+	switch kind := d.byte(); kind {
+	case valNil:
+		return nil
+	case valBool:
+		return d.bool()
+	case valInt:
+		x := d.varint()
+		if int64(int(x)) != x {
+			d.fail(fmt.Sprintf("%d overflows int", x))
+		}
+		return int(x)
+	case valInt64:
+		return d.varint()
+	case valUint64:
+		return d.uvarint()
+	case valFloat64:
+		if len(d.b) < 8 {
+			d.fail("truncated float64")
+			return nil
+		}
+		x := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+		d.b = d.b[8:]
+		return x
+	case valString:
+		return d.str()
+	case valBytes:
+		return bytes.Clone(d.take())
+	case valGob:
+		var x any
+		if err := gob.NewDecoder(bytes.NewReader(d.take())).Decode(&x); err != nil {
+			if d.err == nil {
+				d.err = &Error{Reason: "gob value", Err: err}
+			}
+			d.b = nil
+			return nil
+		}
+		return x
+	default:
+		if d.err == nil {
+			d.fail(fmt.Sprintf("unknown value kind %d", kind))
+		}
+		return nil
+	}
+}
