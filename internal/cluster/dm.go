@@ -58,6 +58,14 @@ type dmServer struct {
 	id       string
 	replicas map[string]*replica
 
+	// touched indexes the replicas by transaction: top-level id → the items
+	// on which its tree has (or had) a lock, phase record, release tombstone
+	// or intention here, so resolving a transaction visits the items it
+	// touched, not every item hosted. Derived state — never logged or
+	// snapshotted, rebuilt by reindex — and an entry lives exactly until its
+	// top-level transaction resolves.
+	touched map[TxnID]map[string]struct{}
+
 	// moved marks items this DM retired after a live migration, keyed by
 	// item name, each carrying the redirect to answer with. Hard state:
 	// installed through apply (WAL-logged, replayed), because a recovered
@@ -225,6 +233,83 @@ func NewDMServer(tr transport.Transport, id string, items []ItemSpec) (transport
 	}
 	srv.setSender(server.Notify)
 	return server, nil
+}
+
+// touch records that t's tree now has state on item's replica.
+func (s *dmServer) touch(t TxnID, item string) {
+	top := t.Top()
+	items := s.touched[top]
+	if items == nil {
+		if s.touched == nil {
+			s.touched = map[TxnID]map[string]struct{}{}
+		}
+		items = map[string]struct{}{}
+		s.touched[top] = items
+	}
+	items[item] = struct{}{}
+}
+
+// reindex rebuilds touched from the replicas (after a snapshot restore).
+func (s *dmServer) reindex() {
+	s.touched = nil
+	for item, r := range s.replicas {
+		for _, holders := range []map[TxnID]int{r.lockSeqs, r.lockBorn, r.released} {
+			for t := range holders {
+				s.touch(t, item)
+			}
+		}
+		for t := range r.locks {
+			s.touch(t, item)
+		}
+		for _, in := range r.intents {
+			s.touch(in.owner, item)
+		}
+	}
+}
+
+// eachTouched calls fn on every hosted replica t's tree has touched.
+func (s *dmServer) eachTouched(t TxnID, fn func(item string, r *replica)) {
+	for item := range s.touched[t.Top()] {
+		if r := s.replicas[item]; r != nil {
+			fn(item, r)
+		}
+	}
+}
+
+// commitTop resolves top as committed: its intentions, and those of the
+// committed subtransactions subs, fold into the committed state of every
+// replica it touched and its locks are released. The commit doubles as a
+// freshness proof ONLY for replicas whose post-apply version is the
+// transaction's final one for the item (final is nil when the caller
+// cannot know it: no hints then; and a replica the transaction never
+// touched cannot hold a version only it wrote, so visiting the touched
+// ones misses no grant). Merely having advanced is not enough: a
+// transaction that wrote the item twice through different write quorums
+// leaves its earlier version at replicas the later quorum never touched —
+// they advance, but to a version that is already superseded cluster-wide.
+func (s *dmServer) commitTop(top TxnID, subs []TxnID, final map[string]int) {
+	s.markResolved(top, true, subs)
+	committed := make(map[TxnID]bool, len(subs))
+	for _, sub := range subs {
+		committed[sub] = true
+	}
+	s.eachTouched(top, func(item string, r *replica) {
+		r.applyTop(top, committed)
+		if fin, ok := final[item]; ok && r.vn == fin {
+			s.grantHint(item, r, top)
+		}
+	})
+	delete(s.touched, top)
+}
+
+// abortTop resolves top as aborted and drops its whole subtree —
+// descendants a promote already folded into the parent fall with it, and
+// descendants still under their own ids are covered by drop's ancestor
+// sweep.
+func (s *dmServer) abortTop(top TxnID) {
+	s.markResolved(top, false, nil)
+	s.eachTouched(top, func(_ string, r *replica) { r.drop(top) })
+	delete(s.touched, top)
 }
 
 // canLock applies Moss's rule: a conflicting lock may be held only by
@@ -521,6 +606,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		_, held := r.locks[q.Txn]
 		r.grant(q.Txn, q.Lock)
 		r.noteGrant(q.Txn, q.Seq, held)
+		s.touch(q.Txn, q.Item)
 		s.stampLease(q.Txn)
 		vn, val, gen, cfg := r.view(q.Txn)
 		// A granted read mutates the lock table: the grant is a promise
@@ -546,6 +632,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		_, held := r.locks[q.Txn]
 		r.grant(q.Txn, LockWrite)
 		r.noteGrant(q.Txn, q.Seq, held)
+		s.touch(q.Txn, q.Item)
 		s.stampLease(q.Txn)
 		// A write lock revokes the freshness hint here and stamps the fence:
 		// the write-quorum members' fence rides the grant itself, only the
@@ -573,6 +660,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		_, held := r.locks[q.Txn]
 		r.grant(q.Txn, LockWrite)
 		r.noteGrant(q.Txn, q.Seq, held)
+		s.touch(q.Txn, q.Item)
 		s.stampLease(q.Txn)
 		s.fenceHintLocal(q.Item, q.Txn)
 		if !r.hasIntentCopy(q.Txn, true, 0, q.Gen) {
@@ -581,12 +669,15 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		return WriteResp{OK: true, Held: held}, true
 	case ReleaseReq:
 		r := s.replicas[q.Item]
-		if r == nil || q.Seq == 0 {
+		if r == nil || q.Seq == 0 || s.txnResolved(q.Txn) {
+			// A resolved transaction is refused every grant already; a
+			// tombstone for it would only outlive the resolution's sweep.
 			return Ack{OK: true}, false
 		}
 		// Even a refused release installs the phase tombstone, which must
 		// survive a restart or late request copies could re-grant.
 		r.release(q.Txn, q.Seq)
+		s.touch(q.Txn, q.Item)
 		return Ack{OK: true}, true
 	case RepairReq:
 		r := s.replicas[q.Item]
@@ -630,16 +721,13 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 			Locks: len(r.locks), Intents: len(r.intents),
 		}, false
 	case CommitSubReq:
-		for _, r := range s.replicas {
-			r.promote(q.Txn)
-		}
+		s.eachTouched(q.Txn, func(_ string, r *replica) { r.promote(q.Txn) })
 		return Ack{OK: true}, true
 	case AbortReq:
 		if q.Txn.Top() == q.Txn {
-			s.markResolved(q.Txn, false, nil)
-		}
-		for _, r := range s.replicas {
-			r.drop(q.Txn)
+			s.abortTop(q.Txn)
+		} else {
+			s.eachTouched(q.Txn, func(_ string, r *replica) { r.drop(q.Txn) })
 		}
 		return Ack{OK: true}, true
 	case CommitTopReq:
@@ -650,24 +738,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 			// bypass from silently diverging.
 			return Ack{OK: res.committed}, false
 		}
-		s.markResolved(q.Txn, true, q.Subs)
-		committed := make(map[TxnID]bool, len(q.Subs))
-		for _, sub := range q.Subs {
-			committed[sub] = true
-		}
-		for name, r := range s.replicas {
-			r.applyTop(q.Txn, committed)
-			// The commit doubles as a freshness proof ONLY for replicas
-			// whose post-apply version is the transaction's final one for
-			// the item. Merely having advanced is not enough: a transaction
-			// that wrote the item twice through different write quorums
-			// leaves its earlier version at replicas the later quorum never
-			// touched — they advance, but to a version that is already
-			// superseded cluster-wide.
-			if fin, ok := q.Final[name]; ok && r.vn == fin {
-				s.grantHint(name, r, q.Txn)
-			}
-		}
+		s.commitTop(q.Txn, q.Subs, q.Final)
 		return Ack{OK: true}, true
 	case AdoptItemReq:
 		if _, hosts := s.replicas[q.Item]; hosts {
@@ -714,29 +785,16 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		}
 		if q.Commit {
 			// A peer produced the commit record: apply the transaction here
-			// exactly as a late CommitTopReq would, Subs and all.
-			s.markResolved(top, true, q.Subs)
-			committed := make(map[TxnID]bool, len(q.Subs))
-			for _, sub := range q.Subs {
-				committed[sub] = true
-			}
-			for _, r := range s.replicas {
-				// No freshness grant here: a reaped commit carries no final
-				// version map (the reaper reconstructs the verdict, not the
-				// write set), so this replica cannot prove its applied state
-				// is the cluster maximum. The sweeper re-proves it.
-				r.applyTop(top, committed)
-			}
+			// exactly as a late CommitTopReq would, Subs and all. No
+			// freshness grant: a reaped commit carries no final version map
+			// (the reaper reconstructs the verdict, not the write set), so
+			// this replica cannot prove its applied state is the cluster
+			// maximum. The sweeper re-proves it.
+			s.commitTop(top, q.Subs, nil)
 		} else {
 			// Presumed abort: no replica anywhere holds a commit record and
-			// the lease lapsed, so the commit point was never passed. Drop
-			// the whole subtree — descendants a promote already folded into
-			// the parent fall with it, and descendants still under their own
-			// ids are covered by drop's ancestor sweep.
-			s.markResolved(top, false, nil)
-			for _, r := range s.replicas {
-				r.drop(top)
-			}
+			// the lease lapsed, so the commit point was never passed.
+			s.abortTop(top)
 		}
 		return Ack{OK: true}, true
 	case PaxosAcceptReq:
@@ -792,25 +850,11 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 			return Ack{OK: true}, false
 		}
 		if q.Commit {
-			s.markResolved(top, true, q.Subs)
-			committed := make(map[TxnID]bool, len(q.Subs))
-			for _, sub := range q.Subs {
-				committed[sub] = true
-			}
-			for name, r := range s.replicas {
-				r.applyTop(top, committed)
-				// Same freshness rule as CommitTopReq: the decision carries
-				// the final version map, so a replica landing on the final
-				// version may self-grant a hint.
-				if fin, ok := q.Final[name]; ok && r.vn == fin {
-					s.grantHint(name, r, top)
-				}
-			}
+			// Same freshness rule as CommitTopReq: the decision carries the
+			// final version map.
+			s.commitTop(top, q.Subs, q.Final)
 		} else {
-			s.markResolved(top, false, nil)
-			for _, r := range s.replicas {
-				r.drop(top)
-			}
+			s.abortTop(top)
 		}
 		return Ack{OK: true}, true
 	default:

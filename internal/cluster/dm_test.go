@@ -176,13 +176,13 @@ func TestCommitTopIdempotent(t *testing.T) {
 		resolved: map[TxnID]*resolution{},
 	}
 	r := s.replicas["x"]
-	r.intents = append(r.intents, intent{owner: "c1.t1", vn: 1, val: "v"})
+	s.handle("c", WriteReq{Txn: "c1.t1", Item: "x", VN: 1, Val: "v"})
 	s.handle("c", CommitTopReq{Txn: "c1.t1"})
 	if r.vn != 1 {
 		t.Fatal("commit not applied")
 	}
 	// A second, retried commit must not disturb later state.
-	r.intents = append(r.intents, intent{owner: "c1.t2", vn: 2, val: "w"})
+	s.handle("c", WriteReq{Txn: "c1.t2", Item: "x", VN: 2, Val: "w"})
 	s.handle("c", CommitTopReq{Txn: "c1.t1"})
 	if len(r.intents) != 1 || r.vn != 1 {
 		t.Errorf("idempotence violated: vn=%d intents=%v", r.vn, r.intents)

@@ -182,6 +182,7 @@ func restoreSnapshot(s *dmServer, b []byte) error {
 		}
 		s.replicas[rs.Item] = r
 	}
+	s.reindex()
 	return nil
 }
 

@@ -1,0 +1,325 @@
+package cluster
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/quorum"
+	"repro/internal/transport"
+)
+
+// fullScanApply is the replica's resolution logic as it was before the
+// touched index: every CommitSubReq, AbortReq, CommitTopReq, ReapReq and
+// PaxosDecisionReq visits every hosted replica. Kept as the reference the
+// indexed server is compared against; every other request goes through the
+// shared apply.
+func fullScanApply(s *dmServer, req any) (any, bool) {
+	commitTop := func(top TxnID, subs []TxnID, final map[string]int) {
+		s.markResolved(top, true, subs)
+		committed := map[TxnID]bool{}
+		for _, sub := range subs {
+			committed[sub] = true
+		}
+		for name, r := range s.replicas {
+			r.applyTop(top, committed)
+			if fin, ok := final[name]; ok && r.vn == fin {
+				s.grantHint(name, r, top)
+			}
+		}
+	}
+	abortTop := func(top TxnID) {
+		s.markResolved(top, false, nil)
+		for _, r := range s.replicas {
+			r.drop(top)
+		}
+	}
+	switch q := req.(type) {
+	case CommitSubReq:
+		for _, r := range s.replicas {
+			r.promote(q.Txn)
+		}
+		return Ack{OK: true}, true
+	case AbortReq:
+		if q.Txn.Top() == q.Txn {
+			abortTop(q.Txn)
+		} else {
+			for _, r := range s.replicas {
+				r.drop(q.Txn)
+			}
+		}
+		return Ack{OK: true}, true
+	case CommitTopReq:
+		if res := s.resolved[q.Txn]; res != nil {
+			return Ack{OK: res.committed}, false
+		}
+		commitTop(q.Txn, q.Subs, q.Final)
+		return Ack{OK: true}, true
+	case ReapReq, PaxosDecisionReq:
+		var txn TxnID
+		var commit bool
+		var subs []TxnID
+		var final map[string]int
+		switch q := q.(type) {
+		case ReapReq:
+			txn, commit, subs = q.Txn, q.Commit, q.Subs
+		case PaxosDecisionReq:
+			txn, commit, subs, final = q.Txn, q.Commit, q.Subs, q.Final
+		}
+		if s.resolved[txn.Top()] != nil {
+			return Ack{OK: true}, false
+		}
+		if commit {
+			commitTop(txn.Top(), subs, final)
+		} else {
+			abortTop(txn.Top())
+		}
+		return Ack{OK: true}, true
+	}
+	return s.apply(req)
+}
+
+// replicaState is everything a replica holds, with empty maps and slices
+// normalised to nil so lazily allocated tables compare equal.
+type replicaState struct {
+	VN, Gen                   int
+	Val                       any
+	Cfg                       string
+	Locks                     map[TxnID]LockMode
+	LockSeqs, LockBorn, Freed map[TxnID]int
+	Intents                   []intent
+	Hint                      itemHint
+	HintFence                 hintFence
+}
+
+func snapshotState(s *dmServer) (map[string]replicaState, map[TxnID]resolution) {
+	intMap := func(m map[TxnID]int) map[TxnID]int {
+		if len(m) == 0 {
+			return nil
+		}
+		return m
+	}
+	reps := map[string]replicaState{}
+	for name, r := range s.replicas {
+		st := replicaState{
+			VN: r.vn, Gen: r.gen, Val: r.val, Cfg: r.cfg.String(),
+			LockSeqs: intMap(r.lockSeqs), LockBorn: intMap(r.lockBorn), Freed: intMap(r.released),
+			Hint: s.hints[name], HintFence: s.hintFences[name],
+		}
+		if len(r.locks) > 0 {
+			st.Locks = r.locks
+		}
+		if len(r.intents) > 0 {
+			st.Intents = r.intents
+		}
+		reps[name] = st
+	}
+	res := map[TxnID]resolution{}
+	for t, r := range s.resolved {
+		res[t] = *r
+	}
+	return reps, res
+}
+
+// checkIndex asserts the index's two invariants: every transaction with
+// state on a replica has that item under its top-level id, and no resolved
+// transaction has an entry.
+func checkIndex(t *testing.T, s *dmServer) {
+	t.Helper()
+	for item, r := range s.replicas {
+		holders := map[TxnID]bool{}
+		for h := range r.locks {
+			holders[h] = true
+		}
+		for _, m := range []map[TxnID]int{r.lockSeqs, r.lockBorn, r.released} {
+			for h := range m {
+				holders[h] = true
+			}
+		}
+		for _, in := range r.intents {
+			holders[in.owner] = true
+		}
+		for h := range holders {
+			if _, ok := s.touched[h.Top()][item]; !ok {
+				t.Fatalf("%s holds state on %s but the index does not list it", h, item)
+			}
+		}
+	}
+	for top := range s.touched {
+		if s.resolved[top] != nil {
+			t.Fatalf("resolved transaction %s still has an index entry", top)
+		}
+	}
+}
+
+// TestIndexedResolutionMatchesFullScan drives an indexed server and the
+// full-scan reference with the same seeded request sequences — nested
+// subtransactions, tolerated sub-aborts, early releases, late and duplicate
+// copies, reaps and Paxos decisions, snapshot round trips — and requires
+// identical answers and identical replica state after every request.
+func TestIndexedResolutionMatchesFullScan(t *testing.T) {
+	const items, tops, steps = 12, 10, 1500
+	for seed := int64(1); seed <= 8; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := quorum.Majority([]string{"dm0", "dm1", "dm2"})
+			var specs []ItemSpec
+			for i := 0; i < items; i++ {
+				specs = append(specs, ItemSpec{Name: fmt.Sprintf("k%d", i), Initial: 0, Config: cfg})
+			}
+			clock := transport.NewManualClock(time.Unix(1700000000, 0))
+			build := func() *dmServer {
+				s := newDMState("dm0", specs)
+				s.clock = clock
+				s.configureHints(time.Hour)
+				return s
+			}
+			indexed, reference := build(), build()
+
+			// A transaction id somewhere in top's tree, up to two Subs deep.
+			node := func(top TxnID) TxnID {
+				id := top
+				for d := rng.Intn(3); d > 0; d-- {
+					id += TxnID(fmt.Sprintf("/%d", rng.Intn(2)))
+				}
+				return id
+			}
+			item := func() string { return fmt.Sprintf("k%d", rng.Intn(items)) }
+			subsOf := func(top TxnID) []TxnID {
+				var subs []TxnID
+				for _, s := range []TxnID{"/0", "/1", "/0/0", "/0/1", "/1/0", "/1/1"} {
+					if rng.Intn(2) == 0 {
+						subs = append(subs, top+s)
+					}
+				}
+				return subs
+			}
+			// finals is what a client knows at commit: per top-level
+			// transaction, the last version it wrote to each item. Version
+			// numbers are unique per write, as a write-TM's are.
+			finals := map[TxnID]map[string]int{}
+			generation := 0
+			for step := 0; step < steps; step++ {
+				// Resolved ids are retired now and then, so fresh
+				// transactions keep arriving while late copies for the old
+				// ones still do.
+				if step%300 == 299 {
+					generation++
+				}
+				top := TxnID(fmt.Sprintf("c1.t%d", generation*tops/2+rng.Intn(tops)))
+				var req any
+				switch p := rng.Intn(100); {
+				case p < 30:
+					req = ReadReq{Txn: node(top), Item: item(), Lock: LockMode(1 + rng.Intn(2)), Seq: rng.Intn(4)}
+				case p < 55:
+					w := WriteReq{Txn: node(top), Item: item(), VN: step + 1, Val: step, Seq: rng.Intn(4)}
+					if finals[top] == nil {
+						finals[top] = map[string]int{}
+					}
+					finals[top][w.Item] = w.VN
+					req = w
+				case p < 58:
+					req = ConfigWriteReq{Txn: node(top), Item: item(), Gen: 1 + rng.Intn(5), Cfg: cfg, Seq: rng.Intn(4)}
+				case p < 68:
+					req = ReleaseReq{Txn: node(top), Item: item(), Seq: rng.Intn(4)}
+				case p < 80:
+					req = CommitSubReq{Txn: node(top)}
+				case p < 88:
+					req = AbortReq{Txn: node(top)}
+				case p < 94:
+					req = CommitTopReq{Txn: top, Subs: subsOf(top), Final: finals[top]}
+				case p < 97:
+					req = ReapReq{Txn: node(top), Commit: rng.Intn(2) == 0, Subs: subsOf(top)}
+				default:
+					req = PaxosDecisionReq{Txn: top, Commit: rng.Intn(2) == 0, Subs: subsOf(top), Final: finals[top]}
+				}
+				gotResp, gotMut := indexed.apply(req)
+				wantResp, wantMut := fullScanApply(reference, req)
+				if !reflect.DeepEqual(gotResp, wantResp) || gotMut != wantMut {
+					t.Fatalf("step %d %#v: indexed answered (%#v, %v), full scan (%#v, %v)", step, req, gotResp, gotMut, wantResp, wantMut)
+				}
+				if step%97 == 0 {
+					// The index is derived state: a server restored from a
+					// snapshot must rebuild it from the replicas alone.
+					snap, err := encodeSnapshot(indexed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					restored := build()
+					if err := restoreSnapshot(restored, snap); err != nil {
+						t.Fatal(err)
+					}
+					restored.hints, restored.hintFences = indexed.hints, indexed.hintFences // soft state, not snapshotted
+					indexed = restored
+				}
+				gotReps, gotRes := snapshotState(indexed)
+				wantReps, wantRes := snapshotState(reference)
+				if !reflect.DeepEqual(gotReps, wantReps) {
+					for name := range wantReps {
+						if !reflect.DeepEqual(gotReps[name], wantReps[name]) {
+							t.Fatalf("step %d %#v: replica %s diverged:\n indexed   %+v\n full scan %+v", step, req, name, gotReps[name], wantReps[name])
+						}
+					}
+				}
+				if !reflect.DeepEqual(gotRes, wantRes) {
+					t.Fatalf("step %d %#v: resolution records diverged:\n indexed   %+v\n full scan %+v", step, req, gotRes, wantRes)
+				}
+				checkIndex(t, indexed)
+			}
+			// Resolve whatever is left: the index must drain with it.
+			for top := range indexed.touched {
+				indexed.apply(AbortReq{Txn: top})
+			}
+			if len(indexed.touched) != 0 {
+				t.Fatalf("index holds %d entries after every transaction resolved", len(indexed.touched))
+			}
+		})
+	}
+}
+
+// TestResolutionCostIndependentOfHostedItems: committing a transaction that
+// touched one item costs the same on a replica server hosting 8192 items
+// as on one hosting 64 (it was ~100× dearer when every resolution visited
+// every replica). The bound of 3× leaves room for cache effects of the
+// larger replica map.
+func TestResolutionCostIndependentOfHostedItems(t *testing.T) {
+	cfg := quorum.Majority([]string{"dm0", "dm1", "dm2"})
+	mean := func(hosted int) time.Duration {
+		var specs []ItemSpec
+		for i := 0; i < hosted; i++ {
+			specs = append(specs, ItemSpec{Name: fmt.Sprintf("k%d", i), Initial: 0, Config: cfg})
+		}
+		s := newDMState("dm0", specs)
+		const txns = 2000
+		best := time.Duration(1 << 62)
+		for round := 0; round < 5; round++ { // the quietest round: other tenants share the cores
+			var spent time.Duration
+			for i := 0; i < txns; i++ {
+				txn := TxnID(fmt.Sprintf("c1.t%d-%d", round, i))
+				item := fmt.Sprintf("k%d", i%hosted)
+				if resp, _ := s.apply(WriteReq{Txn: txn, Item: item, VN: round*txns + i + 1, Val: i, Seq: 1}); !resp.(WriteResp).OK {
+					t.Fatalf("write refused: %+v", resp)
+				}
+				commit := CommitTopReq{Txn: txn, Final: map[string]int{item: round*txns + i + 1}}
+				t0 := time.Now()
+				resp := s.handle("c", commit)
+				spent += time.Since(t0)
+				if !resp.(Ack).OK {
+					t.Fatal("commit refused")
+				}
+			}
+			if spent < best {
+				best = spent
+			}
+		}
+		return best / txns
+	}
+	small, large := mean(64), mean(8192)
+	t.Logf("one-item CommitTopReq: %v hosting 64 items, %v hosting 8192", small, large)
+	if large > 3*small {
+		t.Fatalf("CommitTopReq costs %v on a server hosting 8192 items, %v on one hosting 64: more than 3×", large, small)
+	}
+}

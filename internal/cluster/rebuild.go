@@ -333,6 +333,7 @@ func rebuildReplica(ctx context.Context, env rebuildEnv) (*dmHandle, RebuildStat
 	if err != nil {
 		return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: fresh log: %w", env.id, err)
 	}
+	srv.reindex() // the replicas were replaced wholesale above
 	state, err := encodeSnapshot(srv)
 	if err != nil {
 		log.Close()
