@@ -238,15 +238,13 @@ func NewDMServer(tr transport.Transport, id string, items []ItemSpec) (transport
 // touch records that t's tree now has state on item's replica.
 func (s *dmServer) touch(t TxnID, item string) {
 	top := t.Top()
-	items := s.touched[top]
-	if items == nil {
+	if s.touched[top] == nil {
 		if s.touched == nil {
 			s.touched = map[TxnID]map[string]struct{}{}
 		}
-		items = map[string]struct{}{}
-		s.touched[top] = items
+		s.touched[top] = map[string]struct{}{}
 	}
-	items[item] = struct{}{}
+	s.touched[top][item] = struct{}{}
 }
 
 // reindex rebuilds touched from the replicas (after a snapshot restore).

@@ -1,8 +1,9 @@
 // Package tcp implements the transport seam over real sockets: every served
 // name is a TCP listener, every Call one length-prefixed binary frame
-// (frame.go; payloads by package wire) and its reply on a pooled connection. It is the backend that turns a quorum
-// cluster into N ordinary OS processes — same protocol code, same envelope
-// semantics as the deterministic sim network:
+// (frame.go; payloads by package wire) and its reply on a pooled
+// connection. It is the backend that turns a quorum cluster into N ordinary
+// OS processes — same protocol code, same envelope semantics as the
+// deterministic sim network:
 //
 //   - Deadlines propagate on the wire (Frame.Deadline), so an
 //     overload-protected replica discards requests whose caller gave up.
@@ -143,7 +144,7 @@ func (t *Transport) Serve(id string, h transport.Handler, opts ...transport.Serv
 		handler: h,
 		reqs:    make(chan serverReq, serverBacklog),
 		conns:   map[net.Conn]struct{}{},
-		routes:  map[routeKey]*srvConn{},
+		routes:  map[routeKey]*frameWriter{},
 		done:    make(chan struct{}),
 		out:     newCaller(t, id),
 	}
@@ -466,26 +467,12 @@ type routeKey struct {
 	id   uint64
 }
 
-// srvConn is the write side of one accepted connection; its frame writer's
-// lock lets synchronous and late (async-handler) replies interleave safely.
-type srvConn struct {
-	fw      frameWriter
-	dropped *atomic.Uint64 // the server's DroppedReplies counter
-}
-
-// write sends a reply, best-effort: a broken connection retires through its
-// reader, and a reply the codec refuses is counted — its caller gets no
-// answer and runs into its own timeout.
-func (sc *srvConn) write(f Frame) {
-	if err := sc.fw.writeFrame(f); errors.Is(err, errUnencodable) {
-		sc.dropped.Add(1)
-	}
-}
-
-// serverReq is one delivered request on its way to the dispatch loop.
+// serverReq is one delivered request on its way to the dispatch loop. sc is
+// the write side of the connection it arrived on; the frame writer's lock
+// lets synchronous and late (async-handler) replies interleave safely.
 type serverReq struct {
 	f  Frame
-	sc *srvConn
+	sc *frameWriter
 }
 
 // Server is one served name: a listener, its accepted connections, and a
@@ -502,7 +489,7 @@ type Server struct {
 	mu       sync.Mutex
 	idle     *sync.Cond
 	conns    map[net.Conn]struct{}
-	routes   map[routeKey]*srvConn
+	routes   map[routeKey]*frameWriter
 	inflight int // read-off-the-wire but not yet served (non-admission path)
 	closed   bool
 
@@ -549,7 +536,7 @@ func (s *Server) acceptLoop() {
 // with it, exactly like a crashed peer.
 func (s *Server) readLoop(conn net.Conn) {
 	defer s.readers.Done()
-	sc := &srvConn{fw: frameWriter{w: conn}, dropped: &s.dropped}
+	sc := &frameWriter{w: conn}
 	fr := newFrameReader(conn)
 	for {
 		f, err := fr.readFrame()
@@ -579,7 +566,7 @@ func (s *Server) readLoop(conn net.Conn) {
 	}
 }
 
-func (s *Server) retire(conn net.Conn, sc *srvConn) {
+func (s *Server) retire(conn net.Conn, sc *frameWriter) {
 	conn.Close()
 	s.mu.Lock()
 	delete(s.conns, conn)
@@ -591,13 +578,13 @@ func (s *Server) retire(conn net.Conn, sc *srvConn) {
 	s.mu.Unlock()
 }
 
-func (s *Server) addRoute(from string, id uint64, sc *srvConn) {
+func (s *Server) addRoute(from string, id uint64, sc *frameWriter) {
 	s.mu.Lock()
 	s.routes[routeKey{from, id}] = sc
 	s.mu.Unlock()
 }
 
-func (s *Server) takeRoute(from string, id uint64) *srvConn {
+func (s *Server) takeRoute(from string, id uint64) *frameWriter {
 	s.mu.Lock()
 	sc := s.routes[routeKey{from, id}]
 	delete(s.routes, routeKey{from, id})
@@ -608,11 +595,21 @@ func (s *Server) takeRoute(from string, id uint64) *srvConn {
 // replier builds the reply function for one request: it answers on the
 // connection the request arrived on, and is safe to call later from another
 // goroutine (async handlers). Fire-and-forget traffic gets a no-op.
-func (s *Server) replier(sc *srvConn, id uint64) func(any) {
+func (s *Server) replier(sc *frameWriter, id uint64) func(any) {
 	if id == 0 {
 		return func(any) {}
 	}
-	return func(resp any) { sc.write(Frame{Kind: kindReply, ID: id, Resp: resp}) }
+	return func(resp any) { s.sendReply(sc, id, resp) }
+}
+
+// sendReply answers call id on sc, best-effort: a broken connection retires
+// through its reader, and a reply the codec refuses is counted — its caller
+// gets no answer and runs into its own timeout.
+func (s *Server) sendReply(sc *frameWriter, id uint64, resp any) {
+	err := sc.writeFrame(Frame{Kind: kindReply, ID: id, Resp: resp})
+	if errors.Is(err, errUnencodable) {
+		s.dropped.Add(1)
+	}
 }
 
 // dispatchLoop is the non-admission single service goroutine. With
@@ -646,7 +643,7 @@ func (s *Server) serveQueued(q transport.Queued) {
 // sendRejection transmits an explicit admission rejection to the caller.
 func (s *Server) sendRejection(q transport.Queued, resp any) {
 	if sc := s.takeRoute(q.From, q.ID); sc != nil {
-		sc.write(Frame{Kind: kindReply, ID: q.ID, Resp: resp})
+		s.sendReply(sc, q.ID, resp)
 	}
 }
 

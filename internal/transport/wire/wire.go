@@ -36,6 +36,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -81,7 +82,8 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.Err }
 
-// node is one step of a type's plan.
+// node is one step of a type's plan. kind is the type's reflect.Kind with
+// the sized integers folded into Int and Uint.
 type node struct {
 	kind   reflect.Kind
 	typ    reflect.Type
@@ -117,10 +119,13 @@ var (
 )
 
 var (
-	anyType    = reflect.TypeOf((*any)(nil)).Elem()
-	canonMaps  = []reflect.Type{reflect.TypeOf(map[string]int(nil)), reflect.TypeOf(map[string]bool(nil)), reflect.TypeOf(map[string]string(nil))}
-	emptyPlans = &registry{byType: map[reflect.Type]*plan{}, byTag: map[uint64]*plan{}}
+	anyType   = reflect.TypeOf((*any)(nil)).Elem()
+	canonMaps = []reflect.Type{reflect.TypeOf(map[string]int(nil)), reflect.TypeOf(map[string]bool(nil)), reflect.TypeOf(map[string]string(nil))}
 )
+
+func init() {
+	reg.Store(&registry{byType: map[reflect.Type]*plan{}, byTag: map[uint64]*plan{}})
+}
 
 // Register binds tag to the struct type of proto and compiles its plan. Tags
 // are the wire identity of a type: assign them once, never reuse one, only
@@ -137,9 +142,6 @@ func Register(tag uint16, proto any) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	old := reg.Load()
-	if old == nil {
-		old = emptyPlans
-	}
 	byTag, byType := old.byTag[uint64(tag)], old.byType[t]
 	if byTag != nil && byTag == byType {
 		return
@@ -148,13 +150,7 @@ func Register(tag uint16, proto any) {
 		panic(fmt.Sprintf("wire: Register(%d, %v): tag or type already registered differently", tag, t))
 	}
 	p := &plan{tag: uint64(tag), root: compile(t, nil)}
-	next := &registry{byType: make(map[reflect.Type]*plan, len(old.byType)+1), byTag: make(map[uint64]*plan, len(old.byTag)+1)}
-	for k, v := range old.byType {
-		next.byType[k] = v
-	}
-	for k, v := range old.byTag {
-		next.byTag[k] = v
-	}
+	next := &registry{byType: maps.Clone(old.byType), byTag: maps.Clone(old.byTag)}
 	next.byType[t], next.byTag[p.tag] = p, p
 	reg.Store(next)
 }
@@ -168,9 +164,11 @@ func compile(t reflect.Type, path []reflect.Type) *node {
 	path = append(path, t)
 	n := &node{kind: t.Kind(), typ: t, min: 1}
 	switch t.Kind() {
-	case reflect.Bool, reflect.String,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+	case reflect.Bool, reflect.String:
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		n.kind = reflect.Int
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		n.kind = reflect.Uint
 	case reflect.Interface:
 		if t != anyType {
 			panic(fmt.Sprintf("wire: %v: only the empty interface can be carried", t))
@@ -182,10 +180,7 @@ func compile(t reflect.Type, path []reflect.Type) *node {
 		}
 	case reflect.Map:
 		n.key, n.elem = compile(t.Key(), path), compile(t.Elem(), path)
-		switch n.key.kind {
-		case reflect.String, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		default:
+		if k := n.key.kind; k != reflect.String && k != reflect.Int && k != reflect.Uint {
 			panic(fmt.Sprintf("wire: %v: map keys must be strings or integers", t))
 		}
 		for _, c := range canonMaps {
@@ -217,7 +212,7 @@ func Append(dst []byte, msg any) ([]byte, error) {
 		return append(dst, 0), nil
 	}
 	v := reflect.ValueOf(msg)
-	p := reg.Load().lookup(v.Type())
+	p := reg.Load().byType[v.Type()]
 	if p == nil {
 		return dst, fmt.Errorf("wire: type %T is not registered", msg)
 	}
@@ -227,13 +222,6 @@ func Append(dst []byte, msg any) ([]byte, error) {
 		return dst, e.err
 	}
 	return e.buf, nil
-}
-
-func (r *registry) lookup(t reflect.Type) *plan {
-	if r == nil {
-		return nil
-	}
-	return r.byType[t]
 }
 
 type encoder struct {
@@ -260,9 +248,9 @@ func (e *encoder) encode(n *node, v reflect.Value) {
 	switch n.kind {
 	case reflect.Bool:
 		e.bool(v.Bool())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+	case reflect.Int:
 		e.buf = binary.AppendVarint(e.buf, v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+	case reflect.Uint:
 		e.uvarint(v.Uint())
 	case reflect.String:
 		e.str(v.String())
@@ -271,7 +259,7 @@ func (e *encoder) encode(n *node, v reflect.Value) {
 	case reflect.Slice:
 		l := v.Len()
 		e.uvarint(uint64(l))
-		if n.elem.kind == reflect.Uint8 {
+		if n.elem.typ.Kind() == reflect.Uint8 {
 			e.buf = append(e.buf, v.Bytes()...)
 			return
 		}
@@ -314,7 +302,7 @@ func (e *encoder) encodeMap(n *node, v reflect.Value) {
 		switch n.key.kind {
 		case reflect.String:
 			return cmp.Compare(a.String(), b.String())
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		case reflect.Int:
 			return cmp.Compare(a.Int(), b.Int())
 		}
 		return cmp.Compare(a.Uint(), b.Uint())
@@ -389,11 +377,10 @@ func Decode(b []byte) (msg any, rest []byte, err error) {
 	if tag == 0 {
 		return nil, d.b, nil
 	}
-	r := reg.Load()
-	if r == nil || r.byTag[tag] == nil {
+	p := reg.Load().byTag[tag]
+	if p == nil {
 		return nil, nil, &Error{Reason: fmt.Sprintf("unknown type tag %d", tag)}
 	}
-	p := r.byTag[tag]
 	v := reflect.New(p.root.typ).Elem()
 	d.decode(p.root, v)
 	if d.err != nil {
@@ -434,6 +421,14 @@ func (d *decoder) varint() int64 {
 	}
 	d.b = d.b[n:]
 	return x
+}
+
+func (d *decoder) int() int {
+	x := d.varint()
+	if int64(int(x)) != x {
+		d.fail(fmt.Sprintf("%d overflows int", x))
+	}
+	return int(x)
 }
 
 func (d *decoder) byte() byte {
@@ -479,14 +474,14 @@ func (d *decoder) decode(n *node, v reflect.Value) {
 	switch n.kind {
 	case reflect.Bool:
 		v.SetBool(d.bool())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+	case reflect.Int:
 		x := d.varint()
 		if v.OverflowInt(x) {
 			d.fail(fmt.Sprintf("%d overflows %v", x, n.typ))
 			return
 		}
 		v.SetInt(x)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+	case reflect.Uint:
 		x := d.uvarint()
 		if v.OverflowUint(x) {
 			d.fail(fmt.Sprintf("%d overflows %v", x, n.typ))
@@ -500,7 +495,7 @@ func (d *decoder) decode(n *node, v reflect.Value) {
 			v.Set(reflect.ValueOf(x))
 		}
 	case reflect.Slice:
-		if n.elem.kind == reflect.Uint8 {
+		if n.elem.typ.Kind() == reflect.Uint8 {
 			if p := d.take(); len(p) > 0 {
 				v.SetBytes(bytes.Clone(p))
 			}
@@ -539,11 +534,7 @@ func (d *decoder) decodeMap(n *node, v reflect.Value) {
 		case map[string]int:
 			for i := 0; i < l && d.err == nil; i++ {
 				k := d.str()
-				x := d.varint()
-				if int64(int(x)) != x {
-					d.fail(fmt.Sprintf("%d overflows int", x))
-				}
-				native[k] = int(x)
+				native[k] = d.int()
 			}
 		case map[string]bool:
 			for i := 0; i < l && d.err == nil; i++ {
@@ -578,11 +569,7 @@ func (d *decoder) value() any {
 	case valBool:
 		return d.bool()
 	case valInt:
-		x := d.varint()
-		if int64(int(x)) != x {
-			d.fail(fmt.Sprintf("%d overflows int", x))
-		}
-		return int(x)
+		return d.int()
 	case valInt64:
 		return d.varint()
 	case valUint64:
