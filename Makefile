@@ -56,7 +56,7 @@ proc-smoke:
 # (blank and comment-only lines not counted), than the last PR that shrank
 # it landed at. A PR that shrinks either lowers the ceiling with it.
 CLUSTER_MAX_OPTIONS = 34
-CLUSTER_MAX_LINES = 5824
+CLUSTER_MAX_LINES = 5809
 budget:
 	@opts=$$(grep -c '^func With' internal/cluster/options.go); \
 	lines=$$(ls internal/cluster/*.go | grep -v '_test\.go$$' | xargs cat | grep -v '^[[:space:]]*$$' | grep -v '^[[:space:]]*//' | wc -l); \

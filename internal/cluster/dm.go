@@ -274,6 +274,20 @@ func (s *dmServer) eachTouched(t TxnID, fn func(item string, r *replica)) {
 	}
 }
 
+// holdsTxn reports whether top's tree still owns a lock or an intention at
+// any hosted replica (a touched replica may have shed them since).
+func (s *dmServer) holdsTxn(top TxnID) (holds bool) {
+	s.eachTouched(top, func(_ string, r *replica) {
+		for holder := range r.locks {
+			holds = holds || holder.Top() == top
+		}
+		for _, in := range r.intents {
+			holds = holds || in.owner.Top() == top
+		}
+	})
+	return holds
+}
+
 // commitTop resolves top as committed: its intentions, and those of the
 // committed subtransactions subs, fold into the committed state of every
 // replica it touched and its locks are released. The commit doubles as a

@@ -81,6 +81,25 @@ func fullScanApply(s *dmServer, req any) (any, bool) {
 	return s.apply(req)
 }
 
+// fullScanHolds is holdsTxn as knowsTxn and the ResolutionProbeReq handler
+// computed it before the index: does any hosted replica hold a lock or an
+// intention of top's tree.
+func fullScanHolds(s *dmServer, top TxnID) bool {
+	for _, r := range s.replicas {
+		for holder := range r.locks {
+			if holder.Top() == top {
+				return true
+			}
+		}
+		for _, in := range r.intents {
+			if in.owner.Top() == top {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // replicaState is everything a replica holds, with empty maps and slices
 // normalised to nil so lazily allocated tables compare equal.
 type replicaState struct {
@@ -268,6 +287,9 @@ func TestIndexedResolutionMatchesFullScan(t *testing.T) {
 					t.Fatalf("step %d %#v: resolution records diverged:\n indexed   %+v\n full scan %+v", step, req, gotRes, wantRes)
 				}
 				checkIndex(t, indexed)
+				if got, want := indexed.holdsTxn(top), fullScanHolds(reference, top); got != want {
+					t.Fatalf("step %d %#v: holdsTxn(%s) = %v by the index, %v by full scan", step, req, top, got, want)
+				}
 			}
 			// Resolve whatever is left: the index must drain with it.
 			for top := range indexed.touched {
@@ -276,6 +298,54 @@ func TestIndexedResolutionMatchesFullScan(t *testing.T) {
 			if len(indexed.touched) != 0 {
 				t.Fatalf("index holds %d entries after every transaction resolved", len(indexed.touched))
 			}
+		})
+	}
+}
+
+// TestLateReleaseAfterResolutionIsInert pins the one behaviour the index
+// changed: a ReleaseReq that arrives after its transaction resolved is
+// acknowledged but neither logged nor recorded (it used to install a
+// tombstone no sweep would remove), and late request copies stay refused —
+// by the resolution record, which survives a snapshot round trip.
+func TestLateReleaseAfterResolutionIsInert(t *testing.T) {
+	cfg := quorum.Majority([]string{"dm0", "dm1", "dm2"})
+	specs := []ItemSpec{{Name: "x", Initial: 0, Config: cfg}}
+	for name, resolve := range map[string]any{
+		"abort":     AbortReq{Txn: "c1.t1"},
+		"committop": CommitTopReq{Txn: "c1.t1", Subs: []TxnID{"c1.t1/0"}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := newDMState("dm0", specs)
+			if resp, _ := s.apply(ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockWrite, Seq: 1}); !resp.(ReadResp).OK {
+				t.Fatalf("first grant refused: %#v", resp)
+			}
+			s.apply(resolve)
+			resp, mutated := s.apply(ReleaseReq{Txn: "c1.t1/0", Item: "x", Seq: 1})
+			if resp != (Ack{OK: true}) || mutated {
+				t.Fatalf("late release answered (%#v, logged %v), want (Ack OK, not logged)", resp, mutated)
+			}
+			check := func(s *dmServer) {
+				t.Helper()
+				if len(s.touched) != 0 || len(s.replicas["x"].released) != 0 {
+					t.Fatalf("late release left state: touched %v, released %v", s.touched, s.replicas["x"].released)
+				}
+				if resp, mutated := s.apply(ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockWrite, Seq: 1}); resp.(ReadResp).OK || mutated {
+					t.Fatalf("late ReadReq copy was granted: %#v", resp)
+				}
+				if resp, mutated := s.apply(WriteReq{Txn: "c1.t1/0", Item: "x", VN: 9, Val: 9, Seq: 1}); resp.(WriteResp).OK || mutated {
+					t.Fatalf("late WriteReq copy was granted: %#v", resp)
+				}
+			}
+			check(s)
+			snap, err := encodeSnapshot(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := newDMState("dm0", specs)
+			if err := restoreSnapshot(restored, snap); err != nil {
+				t.Fatal(err)
+			}
+			check(restored)
 		})
 	}
 }

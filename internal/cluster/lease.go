@@ -376,22 +376,8 @@ func (t *Txn) renewLeases(ctx context.Context) error {
 // A rebuilt replica knows only committed state, so renewals for
 // transactions it never saw are refused (see coordinate).
 func (s *dmServer) knowsTxn(top TxnID) bool {
-	if _, ok := s.leases[top]; ok {
-		return true
-	}
-	for _, r := range s.replicas {
-		for holder := range r.locks {
-			if holder.Top() == top {
-				return true
-			}
-		}
-		for _, in := range r.intents {
-			if in.owner.Top() == top {
-				return true
-			}
-		}
-	}
-	return false
+	_, leased := s.leases[top]
+	return leased || s.holdsTxn(top)
 }
 
 // noteLeaseStamp records that the DMs just (re)stamped our leases.

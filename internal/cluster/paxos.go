@@ -283,19 +283,7 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 		if res := s.resolved[q.Txn]; res != nil {
 			ans.Known, ans.Committed = true, res.committed
 		}
-		top := q.Txn.Top()
-		for _, r := range s.replicas {
-			for holder := range r.locks {
-				if holder.Top() == top {
-					ans.Holds = true
-				}
-			}
-			for _, in := range r.intents {
-				if in.owner.Top() == top {
-					ans.Holds = true
-				}
-			}
-		}
+		ans.Holds = s.holdsTxn(q.Txn.Top())
 		if acc := s.acceptors[q.Txn]; acc != nil {
 			ans.Promised = acc.Promised
 			ans.AccBal = acc.AccBal

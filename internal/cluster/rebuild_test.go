@@ -319,7 +319,8 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 // — so a transaction whose locks died with a corrupted-and-rebuilt replica
 // aborts at its pre-commit fence instead of committing over the loss.
 func TestRenewLeaseRefusedForUnknownTxn(t *testing.T) {
-	srv := newDMState("dm0", []ItemSpec{{Name: "x", DMs: []string{"dm0"}, Config: quorum.Majority([]string{"dm0"})}})
+	cfg := quorum.Majority([]string{"dm0"})
+	srv := newDMState("dm0", []ItemSpec{{Name: "x", DMs: []string{"dm0"}, Config: cfg}, {Name: "y", DMs: []string{"dm0"}, Config: cfg}})
 	srv.configureLeases(time.Minute, nil, nil, nil)
 
 	if resp, handled := srv.coordinate(RenewLeaseReq{Txn: "c1.t1"}); !handled || resp.(Ack).OK {
@@ -332,8 +333,13 @@ func TestRenewLeaseRefusedForUnknownTxn(t *testing.T) {
 	if resp, _ := srv.coordinate(RenewLeaseReq{Txn: "c1.t2"}); !resp.(Ack).OK {
 		t.Fatalf("renewal for lock holder = %#v, want OK", resp)
 	}
-	// An intention alone (lock promoted away mid-tree) is a trace too.
-	srv.replicas["x"].intents = append(srv.replicas["x"].intents, intent{owner: "c1.t3/0", vn: 9, val: 1})
+	// An intention alone (lock promoted away mid-tree) is a trace too. It
+	// is planted through WriteReq so the touched index hears of it.
+	if resp, _ := srv.apply(WriteReq{Txn: "c1.t3/0", Item: "y", VN: 9, Val: 1, Seq: 1}); !resp.(WriteResp).OK {
+		t.Fatalf("write refused: %#v", resp)
+	}
+	delete(srv.replicas["y"].locks, "c1.t3/0")
+	delete(srv.leases, "c1.t3")
 	if resp, _ := srv.coordinate(RenewLeaseReq{Txn: "c1.t3"}); !resp.(Ack).OK {
 		t.Fatalf("renewal for intent owner = %#v, want OK", resp)
 	}

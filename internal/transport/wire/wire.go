@@ -91,10 +91,9 @@ type node struct {
 	key    *node   // map key
 	fields []field // struct
 	min    int     // fewest bytes one value of this type occupies on the wire
-	// canon is the unnamed map[string]int, map[string]bool or
-	// map[string]string type a map of that shape converts to, so it can be
-	// walked without reflection; nil for every other type.
-	canon reflect.Type
+	// strInt marks a map convertible to map[string]int (the final-version
+	// maps of a commit), which is walked without reflection.
+	strInt bool
 }
 
 type field struct {
@@ -119,8 +118,8 @@ var (
 )
 
 var (
-	anyType   = reflect.TypeOf((*any)(nil)).Elem()
-	canonMaps = []reflect.Type{reflect.TypeOf(map[string]int(nil)), reflect.TypeOf(map[string]bool(nil)), reflect.TypeOf(map[string]string(nil))}
+	anyType    = reflect.TypeOf((*any)(nil)).Elem()
+	strIntType = reflect.TypeOf(map[string]int(nil))
 )
 
 func init() {
@@ -183,11 +182,7 @@ func compile(t reflect.Type, path []reflect.Type) *node {
 		if k := n.key.kind; k != reflect.String && k != reflect.Int && k != reflect.Uint {
 			panic(fmt.Sprintf("wire: %v: map keys must be strings or integers", t))
 		}
-		for _, c := range canonMaps {
-			if t.ConvertibleTo(c) {
-				n.canon = c
-			}
-		}
+		n.strInt = t.ConvertibleTo(strIntType)
 	case reflect.Struct:
 		n.min = 0
 		for i := 0; i < t.NumField(); i++ {
@@ -275,25 +270,27 @@ func (e *encoder) encode(n *node, v reflect.Value) {
 	}
 }
 
-// encodeMap writes a map's pairs in key order. Maps of the three shapes the
-// protocol sends on every read and commit (quorum sets, final-version maps)
-// are walked natively; the rest go through reflection.
+// encodeMap writes a map's pairs in key order. A map[string]int — the
+// final-version map every CommitTopReq carries, the one map shape
+// TestFrameAllocBudget needs off the reflection path (20 allocations per
+// committop round trip without this arm, 13 with it) — is walked natively;
+// every other map goes through reflection.
 func (e *encoder) encodeMap(n *node, v reflect.Value) {
 	e.uvarint(uint64(v.Len()))
 	if v.Len() == 0 {
 		return
 	}
-	if n.canon != nil {
-		if v.Type() != n.canon {
-			v = v.Convert(n.canon)
+	if n.strInt {
+		m := v.Convert(strIntType).Interface().(map[string]int)
+		var few [8]string // the usual map names the one or two items a transaction wrote
+		keys := few[:0]
+		for k := range m {
+			keys = append(keys, k)
 		}
-		switch m := v.Interface().(type) {
-		case map[string]int:
-			appendSorted(e, m, func(e *encoder, x int) { e.buf = binary.AppendVarint(e.buf, int64(x)) })
-		case map[string]bool:
-			appendSorted(e, m, (*encoder).bool)
-		case map[string]string:
-			appendSorted(e, m, (*encoder).str)
+		slices.Sort(keys)
+		for _, k := range keys {
+			e.str(k)
+			e.buf = binary.AppendVarint(e.buf, int64(m[k]))
 		}
 		return
 	}
@@ -310,19 +307,6 @@ func (e *encoder) encodeMap(n *node, v reflect.Value) {
 	for _, k := range keys {
 		e.encode(n.key, k)
 		e.encode(n.elem, v.MapIndex(k))
-	}
-}
-
-func appendSorted[V any](e *encoder, m map[string]V, put func(*encoder, V)) {
-	var few [8]string // the usual map is a quorum of two or three names
-	keys := few[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		e.str(k)
-		put(e, m[k])
 	}
 }
 
@@ -525,27 +509,11 @@ func (d *decoder) decodeMap(n *node, v reflect.Value) {
 		return
 	}
 	m := reflect.MakeMapWithSize(n.typ, l)
-	if n.canon != nil {
-		native := m
-		if n.typ != n.canon {
-			native = m.Convert(n.canon)
-		}
-		switch native := native.Interface().(type) {
-		case map[string]int:
-			for i := 0; i < l && d.err == nil; i++ {
-				k := d.str()
-				native[k] = d.int()
-			}
-		case map[string]bool:
-			for i := 0; i < l && d.err == nil; i++ {
-				k := d.str()
-				native[k] = d.bool()
-			}
-		case map[string]string:
-			for i := 0; i < l && d.err == nil; i++ {
-				k := d.str()
-				native[k] = d.str()
-			}
+	if n.strInt {
+		native := m.Convert(strIntType).Interface().(map[string]int)
+		for i := 0; i < l && d.err == nil; i++ {
+			k := d.str()
+			native[k] = d.int()
 		}
 		v.Set(m)
 		return
