@@ -271,10 +271,9 @@ func (e *encoder) encode(n *node, v reflect.Value) {
 }
 
 // encodeMap writes a map's pairs in key order. A map[string]int — the
-// final-version map every CommitTopReq carries, the one map shape
-// TestFrameAllocBudget needs off the reflection path (20 allocations per
-// committop round trip without this arm, 13 with it) — is walked natively;
-// every other map goes through reflection.
+// final-version map every CommitTopReq carries, and the one shape
+// TestFrameAllocBudget (16 per round trip) needs off the reflection path —
+// is walked natively; every other map goes through reflection.
 func (e *encoder) encodeMap(n *node, v reflect.Value) {
 	e.uvarint(uint64(v.Len()))
 	if v.Len() == 0 {
