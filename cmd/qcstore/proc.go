@@ -157,11 +157,11 @@ func serveMain(args []string) int {
 		// rebuild restored the replica's state from the live peers.
 		fmt.Printf("qcstore: %s serving at %s (rebuilt items=%d resolved=%d acceptors=%d from %d peers)\n",
 			*id, tr.Addr(*id), host.Rebuilt.Items, host.Rebuilt.Resolved, host.Rebuilt.Acceptors, host.Rebuilt.Peers)
-	case host.Quarantined != nil:
+	case host.Quarantined() != nil:
 		// Corrupt log AND the rebuild failed (peers unreachable): the
 		// replica serves only the typed refusal until restarted against
 		// reachable peers.
-		fmt.Printf("qcstore: %s serving at %s (QUARANTINED: %v)\n", *id, tr.Addr(*id), host.Quarantined)
+		fmt.Printf("qcstore: %s serving at %s (QUARANTINED: %v)\n", *id, tr.Addr(*id), host.Quarantined())
 	default:
 		fmt.Printf("qcstore: %s serving at %s (snapshot=%v replayed=%d)\n",
 			*id, tr.Addr(*id), rec.FromSnapshot, rec.Replayed)

@@ -121,18 +121,13 @@ type dmServer struct {
 	acceptors  map[TxnID]*commit.Acceptor
 	recoveries map[TxnID]*paxosRecovery
 
-	// selfApply routes a reap decision into the state machine: the durable
-	// path logs it like any other mutation, the volatile path applies it
-	// directly. Nil (standalone servers) applies directly.
-	selfApply func(req any)
-
-	// persist logs one already-applied mutating request and calls done only
-	// once the record is durable (immediately on volatile DMs, where it is
-	// nil). The acceptor protocol needs the split: a promise or acceptance
-	// must never leave the machine before it is stable, but the answer is
-	// captured on the loop goroutine before the flush, so the flusher only
-	// sends — it never reads actor state.
-	persist func(req any, done func())
+	// logThen, set by a host that keeps a log, makes one already-applied
+	// mutating request durable and then runs done with the log's verdict
+	// (nil once the record is stable). Nil on a volatile host's state
+	// machine and on a bare one, which have nothing to log to. done is
+	// captured on the loop goroutine but runs on the log's flusher: it only
+	// sends, it never reads actor state.
+	logThen func(req any, done func(error))
 
 	// send delivers fire-and-forget protocol messages to peers. Guarded by
 	// sendMu because the node that carries the messages is wired up after
@@ -219,20 +214,6 @@ func (s *dmServer) notifyPeer(to string, req any) {
 	if fn != nil {
 		fn(to, req)
 	}
-}
-
-// NewDMServer starts a volatile DM server hosting the given items on the
-// given transport and returns its server handle. This is the standalone
-// entry point — no leases, no peers, no WAL — used by unit tests and as the
-// simplest possible replica.
-func NewDMServer(tr transport.Transport, id string, items []ItemSpec) (transport.Server, error) {
-	srv := newDMState(id, items)
-	server, err := tr.Serve(id, asyncify(srv.handle))
-	if err != nil {
-		return nil, err
-	}
-	srv.setSender(server.Notify)
-	return server, nil
 }
 
 // touch records that t's tree now has state on item's replica.
@@ -567,31 +548,24 @@ func (s *dmServer) markResolved(t TxnID, committed bool, subs []TxnID) {
 	}
 }
 
-// handle is the DM's RPC handler for the volatile (in-memory) path.
-func (s *dmServer) handle(_ string, req any) any {
-	// Hinted reads are validated OUTSIDE apply: a valid one is rewritten to
-	// the ordinary ReadReq it is equivalent to (and logged/replayed as such
-	// on durable DMs — replay never consults hint state), an invalid one is
-	// answered with an unlogged miss.
-	if q, ok := req.(HintReadReq); ok {
-		rr, miss := s.hintCheck(q)
-		if miss != nil {
-			return *miss
-		}
-		req = rr
+// applyLogged routes a decision this DM reached itself — a reap, a Paxos
+// outcome — through the same apply-then-log path as a client's request,
+// minus the reply: there is no caller to acknowledge. It runs on the loop
+// goroutine (coordinate calls it), so the log keeps its single writer. A
+// decision whose record is lost to a crash before the flush is simply
+// re-decided after recovery: the restored locks get fresh leases, lapse
+// again, and the inquiry re-runs.
+func (s *dmServer) applyLogged(req any) {
+	if _, mutated := s.apply(req); mutated && s.logThen != nil {
+		s.logThen(req, func(error) {})
 	}
-	if resp, handled := s.coordinate(req); handled {
-		return resp
-	}
-	resp, _ := s.apply(req)
-	return resp
 }
 
 // apply executes one request against the DM state machine and reports
 // whether it mutated state the replica is answerable for after a restart —
 // lock grants, intentions, tombstones, committed versions, resolutions.
-// The durable path logs exactly the requests apply reports as mutating, in
-// arrival order, and recovery replays them through this same function, so
+// The host logs exactly the requests apply reports as mutating, in arrival
+// order, and recovery replays them through this same function, so
 // apply must stay deterministic: same state + same request → same state and
 // response.
 func (s *dmServer) apply(req any) (resp any, mutated bool) {

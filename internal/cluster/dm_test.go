@@ -6,6 +6,13 @@ import (
 	"repro/internal/quorum"
 )
 
+// serve drives one request through the one request handler, on a volatile
+// host around the bare state machine s, and returns the answer.
+func serve(s *dmServer, req any) (resp any) {
+	(&DMHost{id: s.id, srv: s}).handle("c", req, func(r any) { resp = r })
+	return resp
+}
+
 func newReplica() *replica {
 	return &replica{
 		val:   "init",
@@ -155,16 +162,16 @@ func TestReplicaApplyTopAppliesOrphanCommittedSubs(t *testing.T) {
 
 func TestHandleUnknownItemAndMessage(t *testing.T) {
 	s := &dmServer{id: "d", replicas: map[string]*replica{}, resolved: map[TxnID]*resolution{}}
-	if resp := s.handle("x", ReadReq{Txn: "c1.t1", Item: "nope"}); resp.(ReadResp).OK {
+	if resp := serve(s, ReadReq{Txn: "c1.t1", Item: "nope"}); resp.(ReadResp).OK {
 		t.Error("unknown item must not grant")
 	}
-	if resp := s.handle("x", WriteReq{Txn: "c1.t1", Item: "nope"}); resp.(WriteResp).OK {
+	if resp := serve(s, WriteReq{Txn: "c1.t1", Item: "nope"}); resp.(WriteResp).OK {
 		t.Error("unknown item must not accept writes")
 	}
-	if resp := s.handle("x", InspectReq{Item: "nope"}); resp.(InspectResp).OK {
+	if resp := serve(s, InspectReq{Item: "nope"}); resp.(InspectResp).OK {
 		t.Error("unknown item must not inspect")
 	}
-	if resp := s.handle("x", "garbage"); resp.(Ack).OK {
+	if resp := serve(s, "garbage"); resp.(Ack).OK {
 		t.Error("unknown message must be refused")
 	}
 }
@@ -176,14 +183,14 @@ func TestCommitTopIdempotent(t *testing.T) {
 		resolved: map[TxnID]*resolution{},
 	}
 	r := s.replicas["x"]
-	s.handle("c", WriteReq{Txn: "c1.t1", Item: "x", VN: 1, Val: "v"})
-	s.handle("c", CommitTopReq{Txn: "c1.t1"})
+	serve(s, WriteReq{Txn: "c1.t1", Item: "x", VN: 1, Val: "v"})
+	serve(s, CommitTopReq{Txn: "c1.t1"})
 	if r.vn != 1 {
 		t.Fatal("commit not applied")
 	}
 	// A second, retried commit must not disturb later state.
-	s.handle("c", WriteReq{Txn: "c1.t2", Item: "x", VN: 2, Val: "w"})
-	s.handle("c", CommitTopReq{Txn: "c1.t1"})
+	serve(s, WriteReq{Txn: "c1.t2", Item: "x", VN: 2, Val: "w"})
+	serve(s, CommitTopReq{Txn: "c1.t1"})
 	if len(r.intents) != 1 || r.vn != 1 {
 		t.Errorf("idempotence violated: vn=%d intents=%v", r.vn, r.intents)
 	}
@@ -197,24 +204,24 @@ func TestRepairAppliesOnlyWhenNewerAndIdle(t *testing.T) {
 	}
 	r := s.replicas["x"]
 	r.vn = 2
-	s.handle("c", RepairReq{Item: "x", VN: 1, Val: "older"})
+	serve(s, RepairReq{Item: "x", VN: 1, Val: "older"})
 	if r.vn != 2 {
 		t.Error("older repair applied")
 	}
-	s.handle("c", RepairReq{Item: "x", VN: 5, Val: "newer"})
+	serve(s, RepairReq{Item: "x", VN: 5, Val: "newer"})
 	if r.vn != 5 || r.val != "newer" {
 		t.Error("newer repair not applied")
 	}
 	// Read locks do not block repairs (they only advance committed state
 	// to the quorum maximum) …
 	r.grant("c1.t1", LockRead)
-	s.handle("c", RepairReq{Item: "x", VN: 9, Val: "reader-held"})
+	serve(s, RepairReq{Item: "x", VN: 9, Val: "reader-held"})
 	if r.vn != 9 {
 		t.Error("repair must apply under read locks")
 	}
 	// … but write locks and pending intents do.
 	r.grant("c1.t2", LockWrite)
-	s.handle("c", RepairReq{Item: "x", VN: 12, Val: "busy"})
+	serve(s, RepairReq{Item: "x", VN: 12, Val: "busy"})
 	if r.vn != 12-3 {
 		t.Error("repair applied under a write lock")
 	}
@@ -275,24 +282,24 @@ func TestHandleRefusesTombstonedAndResolved(t *testing.T) {
 	}
 	// Release phase 3 before its (late, reordered) request arrives: the
 	// request must not grant.
-	s.handle("c", ReleaseReq{Txn: "c1.t1", Item: "x", Seq: 3})
-	resp := s.handle("c", ReadReq{Txn: "c1.t1", Item: "x", Lock: LockRead, Seq: 3}).(ReadResp)
+	serve(s, ReleaseReq{Txn: "c1.t1", Item: "x", Seq: 3})
+	resp := serve(s, ReadReq{Txn: "c1.t1", Item: "x", Lock: LockRead, Seq: 3}).(ReadResp)
 	if resp.OK || resp.Busy {
 		t.Errorf("tombstoned phase must be refused outright, got %+v", resp)
 	}
 	// A later phase of the same transaction still works.
-	resp = s.handle("c", ReadReq{Txn: "c1.t1", Item: "x", Lock: LockRead, Seq: 4}).(ReadResp)
+	resp = serve(s, ReadReq{Txn: "c1.t1", Item: "x", Lock: LockRead, Seq: 4}).(ReadResp)
 	if !resp.OK {
 		t.Error("later phase must still be granted")
 	}
 
 	// Once the top-level transaction resolves, no copy of any phase grants.
-	s.handle("c", CommitTopReq{Txn: "c1.t1"})
-	resp = s.handle("c", ReadReq{Txn: "c1.t1/2", Item: "x", Lock: LockRead, Seq: 9}).(ReadResp)
+	serve(s, CommitTopReq{Txn: "c1.t1"})
+	resp = serve(s, ReadReq{Txn: "c1.t1/2", Item: "x", Lock: LockRead, Seq: 9}).(ReadResp)
 	if resp.OK || resp.Busy {
 		t.Errorf("resolved txn must be refused outright, got %+v", resp)
 	}
-	w := s.handle("c", WriteReq{Txn: "c1.t1", Item: "x", VN: 1, Val: "v", Seq: 9}).(WriteResp)
+	w := serve(s, WriteReq{Txn: "c1.t1", Item: "x", VN: 1, Val: "v", Seq: 9}).(WriteResp)
 	if w.OK || w.Busy {
 		t.Errorf("resolved txn must not buffer writes, got %+v", w)
 	}
@@ -301,8 +308,8 @@ func TestHandleRefusesTombstonedAndResolved(t *testing.T) {
 	}
 
 	// Top-level abort resolves too.
-	s.handle("c", AbortReq{Txn: "c1.t9"})
-	resp = s.handle("c", ReadReq{Txn: "c1.t9", Item: "x", Lock: LockRead, Seq: 1}).(ReadResp)
+	serve(s, AbortReq{Txn: "c1.t9"})
+	resp = serve(s, ReadReq{Txn: "c1.t9", Item: "x", Lock: LockRead, Seq: 1}).(ReadResp)
 	if resp.OK {
 		t.Error("aborted top-level txn must be refused")
 	}
@@ -316,20 +323,20 @@ func TestHandleDedupesHedgedWriteIntents(t *testing.T) {
 	}
 	// Two hedged copies of the same phase's WriteReq must install one
 	// intention.
-	s.handle("c", WriteReq{Txn: "c1.t1", Item: "x", VN: 7, Val: "v", Seq: 2})
-	s.handle("c", WriteReq{Txn: "c1.t1", Item: "x", VN: 7, Val: "v", Seq: 2})
+	serve(s, WriteReq{Txn: "c1.t1", Item: "x", VN: 7, Val: "v", Seq: 2})
+	serve(s, WriteReq{Txn: "c1.t1", Item: "x", VN: 7, Val: "v", Seq: 2})
 	if got := len(s.replicas["x"].intents); got != 1 {
 		t.Errorf("duplicate WriteReq must dedupe, got %d intents", got)
 	}
 	// A genuinely new write (higher vn) still appends.
-	s.handle("c", WriteReq{Txn: "c1.t1", Item: "x", VN: 8, Val: "w", Seq: 3})
+	serve(s, WriteReq{Txn: "c1.t1", Item: "x", VN: 8, Val: "w", Seq: 3})
 	if got := len(s.replicas["x"].intents); got != 2 {
 		t.Errorf("new write must append, got %d intents", got)
 	}
 
 	cfg := quorum.Majority([]string{"a", "b"})
-	s.handle("c", ConfigWriteReq{Txn: "c1.t1", Item: "x", Gen: 1, Cfg: cfg, Seq: 4})
-	s.handle("c", ConfigWriteReq{Txn: "c1.t1", Item: "x", Gen: 1, Cfg: cfg, Seq: 4})
+	serve(s, ConfigWriteReq{Txn: "c1.t1", Item: "x", Gen: 1, Cfg: cfg, Seq: 4})
+	serve(s, ConfigWriteReq{Txn: "c1.t1", Item: "x", Gen: 1, Cfg: cfg, Seq: 4})
 	if got := len(s.replicas["x"].intents); got != 3 {
 		t.Errorf("duplicate ConfigWriteReq must dedupe, got %d intents", got)
 	}

@@ -5,11 +5,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/commit"
 	"repro/internal/quorum"
-	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
@@ -198,343 +196,77 @@ type RecoveryStats struct {
 	TruncatedBytes int64
 }
 
-// defaultSnapshotEvery is how many logged records a durable DM absorbs
-// before writing a compacting snapshot.
-const defaultSnapshotEvery = 1024
-
-// dmWAL couples one DM state machine to its write-ahead log. Its handle
-// method runs on the sim node's single loop goroutine (actor discipline);
-// only the deferred replies escape to the log's flusher goroutine.
-type dmWAL struct {
-	srv *dmServer
-	log *wal.Log
-
-	snapEvery int
-	sinceSnap int
-
-	// quarMu guards quarErr, the sticky quarantine verdict. Set on the
-	// first failed append (ENOSPC, I/O error — the log also poisons
-	// itself), read by the handler on the loop goroutine and by Store
-	// accessors on theirs. Once set, the DM answers QuarantinedResp to
-	// everything: the in-memory state may already be ahead of the durable
-	// log, so serving (or promising) anything would hand out state a
-	// restart cannot honor. Only a peer rebuild clears the condition — by
-	// replacing the whole handle.
-	quarMu  sync.Mutex
-	quarErr error
-}
-
-// quarantine records the fault that ends this incarnation's service,
-// counting the first occurrence. Callable from the log's flusher goroutine
-// (append callbacks) as well as the loop goroutine.
-func (d *dmWAL) quarantine(err error) {
-	d.quarMu.Lock()
-	first := d.quarErr == nil
-	d.quarErr = err
-	d.quarMu.Unlock()
-	if first && d.srv.stats != nil {
-		d.srv.stats.Quarantines.Inc()
+// recover opens (or creates) the write-ahead log under h.dir and rebuilds
+// the state machine from it: the snapshot, when there is one, then every
+// later record replayed through the same apply() that produced it. A log
+// corrupt beyond a torn tail sets the verdict instead (see start) and leaves
+// the state machine empty and the host without a log.
+func (h *DMHost) recover() error {
+	log, rec, err := wal.Open(h.dir, h.st.walOpts...)
+	if wal.IsCorruption(err) {
+		h.quarantine(fmt.Errorf("cluster: dm %s: %w", h.id, err))
+		return nil
 	}
-}
-
-// quarantined returns the sticky quarantine verdict, nil while healthy.
-func (d *dmWAL) quarantined() error {
-	d.quarMu.Lock()
-	defer d.quarMu.Unlock()
-	return d.quarErr
-}
-
-// handle applies a request and defers its reply until the corresponding log
-// record is durable — the persist-before-ack discipline. Requests that
-// mutate nothing (refusals, inspections, idempotent re-deliveries) reply
-// immediately: a restart loses nothing they promised. Because the log is
-// sequential, a record's durability implies every earlier record's, so an
-// acked request can never be contradicted by recovery.
-func (d *dmWAL) handle(_ string, req any, reply func(any)) {
-	// A quarantined replica serves nothing — not even reads or lease
-	// coordination. Its in-memory state may be ahead of the durable log
-	// (the apply that hit the failed append already ran), and its log is
-	// untrusted; every answer is the typed refusal until a peer rebuild
-	// replaces this incarnation.
-	if qerr := d.quarantined(); qerr != nil {
-		reply(QuarantinedResp{DM: d.srv.id, Reason: qerr.Error()})
-		return
-	}
-	// Hinted reads translate to plain ReadReqs before the apply/log path
-	// sees them (as in the volatile handler): the log carries only the
-	// equivalent ReadReq, so replay never consults hint state, and a miss
-	// is answered without logging anything.
-	if q, ok := req.(HintReadReq); ok {
-		rr, miss := d.srv.hintCheck(q)
-		if miss != nil {
-			reply(*miss)
-			return
-		}
-		req = rr
-	}
-	if resp, handled := d.srv.coordinate(req); handled {
-		// Lease coordination (renewals, resolution queries and answers) is
-		// soft state and never logged; the reap decisions it produces come
-		// back through selfApply, which does persist them.
-		reply(resp)
-		return
-	}
-	resp, mutated := d.srv.apply(req)
-	if !mutated {
-		reply(resp)
-		return
-	}
-	rec, err := encodeRecord(req)
 	if err != nil {
-		return // cannot persist ⇒ never acknowledge
+		return fmt.Errorf("cluster: dm %s: %w", h.id, err)
 	}
-	// Fail closed on write errors: an append the log refuses (or fails at
-	// flush — ENOSPC, a dying disk) quarantines the replica instead of
-	// silently dropping the ack. The caller learns immediately rather than
-	// burning its timeout, and no later request can be served from state
-	// the log no longer backs.
-	if aerr := d.log.AppendCallback(rec, func(ferr error) {
-		if ferr == nil {
-			reply(resp)
-			return
-		}
-		d.quarantine(ferr)
-		reply(QuarantinedResp{DM: d.srv.id, Reason: ferr.Error()})
-	}); aerr != nil {
-		d.quarantine(aerr)
-		reply(QuarantinedResp{DM: d.srv.id, Reason: aerr.Error()})
-		return
-	}
-	d.maybeSnapshot()
-}
-
-// selfApply routes a reap decision through the same apply+log path as
-// client requests, minus the reply — there is no caller to acknowledge.
-// It runs on the node's loop goroutine (coordinate calls it), so the
-// single-writer discipline of the log holds. A reap whose record is lost
-// to a crash before the flush is simply re-decided after recovery: the
-// restored locks get fresh leases, lapse again, and the inquiry re-runs.
-func (d *dmWAL) selfApply(req any) {
-	if d.quarantined() != nil {
-		return
-	}
-	_, mutated := d.srv.apply(req)
-	if !mutated {
-		return
-	}
-	rec, err := encodeRecord(req)
-	if err != nil {
-		return
-	}
-	if aerr := d.log.AppendCallback(rec, func(ferr error) {
-		if ferr != nil {
-			d.quarantine(ferr)
-		}
-	}); aerr != nil {
-		d.quarantine(aerr)
-		return
-	}
-	d.maybeSnapshot()
-}
-
-// persist logs one already-applied mutating request and runs done once the
-// record is durable — the deferred half of the persist-before-ack
-// discipline for acceptor answers that travel as peer notifications
-// instead of replies. done is captured on the loop goroutine and only
-// sends; it never reads actor state (it runs on the log's flusher).
-// A record lost to a crash before the flush never answered, so the
-// recovered acceptor never contradicts a promise it sent.
-func (d *dmWAL) persist(req any, done func()) {
-	if d.quarantined() != nil {
-		return
-	}
-	rec, err := encodeRecord(req)
-	if err != nil {
-		return // cannot persist ⇒ never answer
-	}
-	if aerr := d.log.AppendCallback(rec, func(ferr error) {
-		if ferr == nil {
-			done()
-			return
-		}
-		d.quarantine(ferr)
-	}); aerr != nil {
-		d.quarantine(aerr)
-		return
-	}
-	d.maybeSnapshot()
-}
-
-func (d *dmWAL) maybeSnapshot() {
-	d.sinceSnap++
-	if d.sinceSnap < d.snapEvery {
-		return
-	}
-	d.sinceSnap = 0
-	// The state already reflects every appended record (single-writer:
-	// this goroutine is the only appender), which is exactly what
-	// WriteSnapshot requires.
-	if state, err := encodeSnapshot(d.srv); err == nil {
-		d.log.WriteSnapshot(state)
-	}
-}
-
-// newDurableDM opens (or recovers) the write-ahead log in dir, rebuilds the
-// DM state machine from it, and starts its server endpoint. wire, when
-// non-nil, configures the recovered state machine (lease parameters, peer
-// transport) after replay and before the endpoint starts serving.
-//
-// A log that fails to open with a CorruptionError — damage beyond the
-// torn-tail truncation Open performs itself — does NOT fail the call:
-// acknowledged state may be missing or altered, so instead of serving from
-// an untrustworthy log (or crashing the whole store over one disk) the
-// replica comes up quarantined, answering QuarantinedResp to everything
-// until a peer rebuild (Store.RebuildReplica) replaces it. Callers detect
-// the condition via dmHandle.quarantineReason.
-func newDurableDM(tr transport.Transport, id string, items []ItemSpec, dir string, walOpts []wal.Option, snapEvery int, wire func(*dmServer), serveOpts ...transport.ServeOption) (*dmHandle, RecoveryStats, error) {
-	log, rec, err := wal.Open(dir, walOpts...)
-	if err != nil {
-		if wal.IsCorruption(err) {
-			h, qerr := quarantinedDM(tr, id, items, dir, fmt.Errorf("cluster: dm %s: %w", id, err), serveOpts...)
-			return h, RecoveryStats{}, qerr
-		}
-		return nil, RecoveryStats{}, fmt.Errorf("cluster: dm %s: %w", id, err)
-	}
-	srv := newDMState(id, items)
-	stats := RecoveryStats{TruncatedBytes: rec.TruncatedBytes}
+	h.recovery.TruncatedBytes = rec.TruncatedBytes
 	if rec.Snapshot != nil {
-		if err := restoreSnapshot(srv, rec.Snapshot); err != nil {
+		if err := restoreSnapshot(h.srv, rec.Snapshot); err != nil {
 			log.Close()
-			return nil, RecoveryStats{}, err
+			return err
 		}
-		stats.FromSnapshot = true
+		h.recovery.FromSnapshot = true
 	}
 	for _, raw := range rec.Records {
 		req, err := decodeRecord(raw)
 		if err != nil {
 			log.Close()
-			return nil, RecoveryStats{}, err
+			return err
 		}
-		srv.apply(req)
-		stats.Replayed++
+		h.srv.apply(req)
+		h.recovery.Replayed++
 	}
-	h, err := startDurableDM(tr, id, items, dir, log, srv, snapEvery, wire, serveOpts...)
-	if err != nil {
-		return nil, RecoveryStats{}, err
-	}
-	return h, stats, nil
+	h.log = log
+	return nil
 }
 
-// startDurableDM couples an already-recovered (or rebuilt) state machine to
-// its open log and starts the server endpoint — the shared tail of
-// newDurableDM and rebuildReplica.
-func startDurableDM(tr transport.Transport, id string, items []ItemSpec, dir string, log *wal.Log, srv *dmServer, snapEvery int, wire func(*dmServer), serveOpts ...transport.ServeOption) (*dmHandle, error) {
-	if snapEvery <= 0 {
-		snapEvery = defaultSnapshotEvery
-	}
-	d := &dmWAL{srv: srv, log: log, snapEvery: snapEvery}
-	if wire != nil {
-		wire(srv)
-	}
-	srv.selfApply = d.selfApply
-	srv.persist = d.persist
-	// Lease stamps from the previous incarnation are meaningless wall-clock
-	// values; give every recovered lock holder a fresh lease. Delayed
-	// reaping is always safe, invented expiry is not.
-	srv.refreshLeases()
-	h := &dmHandle{id: id, items: items, srv: srv, wal: d, walPath: dir}
-	server, err := tr.Serve(id, d.handle, serveOpts...)
-	if err != nil {
-		log.Close()
-		return nil, fmt.Errorf("cluster: dm %s: %w", id, err)
-	}
-	// The state machine's peer sender binds to the live endpoint only now;
-	// any lease poll that fired during the gap is re-sent on the next
-	// conflict, so the brief sender-less window is harmless.
-	srv.setSender(server.Notify)
-	h.server = server
-	return h, nil
-}
-
-// quarantinedDM serves a replica slot whose log cannot be trusted: every
-// request — reads, writes, leases, probes, Paxos — is answered with the
-// typed refusal. The handle keeps the items and log path so RebuildReplica
-// knows what to rebuild and where; srv is a fresh empty state machine so
-// accessors that reach through the handle keep working.
-func quarantinedDM(tr transport.Transport, id string, items []ItemSpec, dir string, cause error, serveOpts ...transport.ServeOption) (*dmHandle, error) {
-	h := &dmHandle{
-		id: id, items: items, srv: newDMState(id, items),
-		walPath: dir, quarantined: cause,
-	}
-	reason := cause.Error()
-	server, err := tr.Serve(id, func(_ string, _ any, reply func(any)) {
-		reply(QuarantinedResp{DM: id, Reason: reason})
-	}, serveOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dm %s: %w", id, err)
-	}
-	h.server = server
-	return h, nil
-}
-
-// RestartDM simulates recovery from an amnesia crash of one DM: the server
-// endpoint is torn down, its in-memory state discarded, and a fresh state
-// machine is rebuilt purely from the DM's write-ahead log. The endpoint
-// then rejoins the transport under the same id. Only valid on stores
-// opened with WithDurability.
+// RestartDM simulates recovery from an amnesia crash of one DM: its host is
+// closed, its in-memory state discarded, and a new host started in the slot
+// purely from the DM's write-ahead log. Only valid on stores opened with
+// WithDurability. A restart that finds a log it cannot trust does not fail:
+// the slot serves the typed refusal until RebuildReplica replaces it — the
+// caller decides when (and whether) to rebuild.
 func (s *Store) RestartDM(id string) (RecoveryStats, error) {
-	s.mu.Lock()
-	h := s.dms[id]
-	s.mu.Unlock()
+	h := s.host(id)
 	if h == nil {
 		return RecoveryStats{}, fmt.Errorf("cluster: unknown DM %q", id)
 	}
-	if h.walPath == "" {
+	if h.dir == "" {
 		return RecoveryStats{}, fmt.Errorf("cluster: DM %q is not durable", id)
 	}
-	h.server.Close()
-	if h.wal != nil {
-		if err := h.wal.log.Close(); err != nil && h.wal.quarantined() == nil {
-			// A quarantined incarnation's poisoned log reports its sticky
-			// error at close; that is old news, not a reason to refuse the
-			// restart (which will re-judge the log from disk).
-			return RecoveryStats{}, fmt.Errorf("cluster: dm %s: close wal: %w", id, err)
-		}
-	}
-	s.mu.Lock()
-	all := make([]string, 0, len(s.dms))
-	for dm := range s.dms {
-		all = append(all, dm)
-	}
-	s.mu.Unlock()
-	sort.Strings(all)
-	nh, stats, err := newDurableDM(s.tr, id, h.items, h.walPath, s.opts.walOpts, s.opts.snapEvery, s.leaseWiring(id, peersOf(id, all)), s.dmServeOpts(id)...)
+	h.Close()
+	nh, err := start(s.tr, id, h.items, h.peers, s.opts, &s.Stats)
 	if err != nil {
 		return RecoveryStats{}, err
 	}
 	s.mu.Lock()
 	s.dms[id] = nh
 	s.mu.Unlock()
-	if nh.quarantined != nil {
-		// The restart found a log it cannot trust. The slot serves the typed
-		// refusal until RebuildReplica replaces it; the restart itself did not
-		// fail — the caller decides when (and whether) to rebuild.
-		s.Stats.Quarantines.Inc()
+	if nh.Quarantined() != nil {
 		return RecoveryStats{}, nil
 	}
 	s.Stats.Recoveries.Inc()
-	s.Stats.ReplayedRecords.Add(int64(stats.Replayed))
-	return stats, nil
+	s.Stats.ReplayedRecords.Add(int64(nh.recovery.Replayed))
+	return nh.recovery, nil
 }
 
 // WALMetrics returns the write-ahead-log metrics of one durable DM, or nil
 // for volatile stores and unknown ids.
 func (s *Store) WALMetrics(id string) *wal.Metrics {
-	s.mu.Lock()
-	h := s.dms[id]
-	s.mu.Unlock()
-	if h == nil || h.wal == nil {
+	h := s.host(id)
+	if h == nil || h.log == nil {
 		return nil
 	}
-	return h.wal.log.Metrics()
+	return h.log.Metrics()
 }

@@ -18,9 +18,7 @@ import (
 // write-ahead log, proving recovery reads the disk and not the heap.
 func amnesia(t *testing.T, store *Store, dm string) RecoveryStats {
 	t.Helper()
-	store.mu.Lock()
-	h := store.dms[dm]
-	store.mu.Unlock()
+	h := store.host(dm)
 	if h == nil {
 		t.Fatalf("no DM %q", dm)
 	}

@@ -65,10 +65,7 @@ func settleHints(t *testing.T, store *Store, net *sim.Network, dms []string) {
 // dmHint peeks one replica's hint soft state. Callers must have settled
 // the cluster first (the DM actor loop must have drained its inbox).
 func dmHint(store *Store, dm, item string) (itemHint, bool) {
-	store.mu.Lock()
-	h := store.dms[dm]
-	store.mu.Unlock()
-	hint, ok := h.srv.hints[item]
+	hint, ok := store.host(dm).srv.hints[item]
 	return hint, ok
 }
 

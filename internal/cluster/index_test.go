@@ -173,22 +173,91 @@ func checkIndex(t *testing.T, s *dmServer) {
 	}
 }
 
+// resolutionSteps is the length of one seeded request stream.
+const resolutionSteps = 1500
+
+// resolutionStream is the seeded request generator the replica's
+// equivalence tests share: 12 items, transactions up to two Subs deep with
+// tolerated sub-aborts, early releases, late and duplicate copies, reaps
+// and Paxos decisions. It returns the item specs the replicas host and the
+// generator, which yields step's request and its top-level transaction.
+func resolutionStream(seed int64) ([]ItemSpec, func(step int) (any, TxnID)) {
+	const items, tops = 12, 10
+	rng := rand.New(rand.NewSource(seed))
+	cfg := quorum.Majority([]string{"dm0", "dm1", "dm2"})
+	var specs []ItemSpec
+	for i := 0; i < items; i++ {
+		specs = append(specs, ItemSpec{Name: fmt.Sprintf("k%d", i), Initial: 0, Config: cfg})
+	}
+	// A transaction id somewhere in top's tree, up to two Subs deep.
+	node := func(top TxnID) TxnID {
+		id := top
+		for d := rng.Intn(3); d > 0; d-- {
+			id += TxnID(fmt.Sprintf("/%d", rng.Intn(2)))
+		}
+		return id
+	}
+	item := func() string { return fmt.Sprintf("k%d", rng.Intn(items)) }
+	subsOf := func(top TxnID) []TxnID {
+		var subs []TxnID
+		for _, s := range []TxnID{"/0", "/1", "/0/0", "/0/1", "/1/0", "/1/1"} {
+			if rng.Intn(2) == 0 {
+				subs = append(subs, top+s)
+			}
+		}
+		return subs
+	}
+	// finals is what a client knows at commit: per top-level transaction,
+	// the last version it wrote to each item. Version numbers are unique
+	// per write, as a write-TM's are.
+	finals := map[TxnID]map[string]int{}
+	generation := 0
+	return specs, func(step int) (any, TxnID) {
+		// Resolved ids are retired now and then, so fresh transactions keep
+		// arriving while late copies for the old ones still do.
+		if step%300 == 299 {
+			generation++
+		}
+		top := TxnID(fmt.Sprintf("c1.t%d", generation*tops/2+rng.Intn(tops)))
+		var req any
+		switch p := rng.Intn(100); {
+		case p < 30:
+			req = ReadReq{Txn: node(top), Item: item(), Lock: LockMode(1 + rng.Intn(2)), Seq: rng.Intn(4)}
+		case p < 55:
+			w := WriteReq{Txn: node(top), Item: item(), VN: step + 1, Val: step, Seq: rng.Intn(4)}
+			if finals[top] == nil {
+				finals[top] = map[string]int{}
+			}
+			finals[top][w.Item] = w.VN
+			req = w
+		case p < 58:
+			req = ConfigWriteReq{Txn: node(top), Item: item(), Gen: 1 + rng.Intn(5), Cfg: cfg, Seq: rng.Intn(4)}
+		case p < 68:
+			req = ReleaseReq{Txn: node(top), Item: item(), Seq: rng.Intn(4)}
+		case p < 80:
+			req = CommitSubReq{Txn: node(top)}
+		case p < 88:
+			req = AbortReq{Txn: node(top)}
+		case p < 94:
+			req = CommitTopReq{Txn: top, Subs: subsOf(top), Final: finals[top]}
+		case p < 97:
+			req = ReapReq{Txn: node(top), Commit: rng.Intn(2) == 0, Subs: subsOf(top)}
+		default:
+			req = PaxosDecisionReq{Txn: top, Commit: rng.Intn(2) == 0, Subs: subsOf(top), Final: finals[top]}
+		}
+		return req, top
+	}
+}
+
 // TestIndexedResolutionMatchesFullScan drives an indexed server and the
-// full-scan reference with the same seeded request sequences — nested
-// subtransactions, tolerated sub-aborts, early releases, late and duplicate
-// copies, reaps and Paxos decisions, snapshot round trips — and requires
-// identical answers and identical replica state after every request.
+// full-scan reference with the same seeded request streams, snapshot round
+// trips included, and requires identical answers and identical replica
+// state after every request.
 func TestIndexedResolutionMatchesFullScan(t *testing.T) {
-	const items, tops, steps = 12, 10, 1500
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			cfg := quorum.Majority([]string{"dm0", "dm1", "dm2"})
-			var specs []ItemSpec
-			for i := 0; i < items; i++ {
-				specs = append(specs, ItemSpec{Name: fmt.Sprintf("k%d", i), Initial: 0, Config: cfg})
-			}
+			specs, next := resolutionStream(seed)
 			clock := transport.NewManualClock(time.Unix(1700000000, 0))
 			build := func() *dmServer {
 				s := newDMState("dm0", specs)
@@ -197,64 +266,8 @@ func TestIndexedResolutionMatchesFullScan(t *testing.T) {
 				return s
 			}
 			indexed, reference := build(), build()
-
-			// A transaction id somewhere in top's tree, up to two Subs deep.
-			node := func(top TxnID) TxnID {
-				id := top
-				for d := rng.Intn(3); d > 0; d-- {
-					id += TxnID(fmt.Sprintf("/%d", rng.Intn(2)))
-				}
-				return id
-			}
-			item := func() string { return fmt.Sprintf("k%d", rng.Intn(items)) }
-			subsOf := func(top TxnID) []TxnID {
-				var subs []TxnID
-				for _, s := range []TxnID{"/0", "/1", "/0/0", "/0/1", "/1/0", "/1/1"} {
-					if rng.Intn(2) == 0 {
-						subs = append(subs, top+s)
-					}
-				}
-				return subs
-			}
-			// finals is what a client knows at commit: per top-level
-			// transaction, the last version it wrote to each item. Version
-			// numbers are unique per write, as a write-TM's are.
-			finals := map[TxnID]map[string]int{}
-			generation := 0
-			for step := 0; step < steps; step++ {
-				// Resolved ids are retired now and then, so fresh
-				// transactions keep arriving while late copies for the old
-				// ones still do.
-				if step%300 == 299 {
-					generation++
-				}
-				top := TxnID(fmt.Sprintf("c1.t%d", generation*tops/2+rng.Intn(tops)))
-				var req any
-				switch p := rng.Intn(100); {
-				case p < 30:
-					req = ReadReq{Txn: node(top), Item: item(), Lock: LockMode(1 + rng.Intn(2)), Seq: rng.Intn(4)}
-				case p < 55:
-					w := WriteReq{Txn: node(top), Item: item(), VN: step + 1, Val: step, Seq: rng.Intn(4)}
-					if finals[top] == nil {
-						finals[top] = map[string]int{}
-					}
-					finals[top][w.Item] = w.VN
-					req = w
-				case p < 58:
-					req = ConfigWriteReq{Txn: node(top), Item: item(), Gen: 1 + rng.Intn(5), Cfg: cfg, Seq: rng.Intn(4)}
-				case p < 68:
-					req = ReleaseReq{Txn: node(top), Item: item(), Seq: rng.Intn(4)}
-				case p < 80:
-					req = CommitSubReq{Txn: node(top)}
-				case p < 88:
-					req = AbortReq{Txn: node(top)}
-				case p < 94:
-					req = CommitTopReq{Txn: top, Subs: subsOf(top), Final: finals[top]}
-				case p < 97:
-					req = ReapReq{Txn: node(top), Commit: rng.Intn(2) == 0, Subs: subsOf(top)}
-				default:
-					req = PaxosDecisionReq{Txn: top, Commit: rng.Intn(2) == 0, Subs: subsOf(top), Final: finals[top]}
-				}
+			for step := 0; step < resolutionSteps; step++ {
+				req, top := next(step)
 				gotResp, gotMut := indexed.apply(req)
 				wantResp, wantMut := fullScanApply(reference, req)
 				if !reflect.DeepEqual(gotResp, wantResp) || gotMut != wantMut {
@@ -375,7 +388,7 @@ func TestResolutionCostIndependentOfHostedItems(t *testing.T) {
 				}
 				commit := CommitTopReq{Txn: txn, Final: map[string]int{item: round*txns + i + 1}}
 				t0 := time.Now()
-				resp := s.handle("c", commit)
+				resp := serve(s, commit)
 				spent += time.Since(t0)
 				if !resp.(Ack).OK {
 					t.Fatal("commit refused")

@@ -168,8 +168,8 @@ func (s *dmServer) pollPeers(top TxnID, peers []string) {
 	}
 }
 
-// reap routes a reap decision into the state machine — through the WAL on
-// durable DMs, directly on volatile ones — and counts it. The counters
+// reap routes a reap decision into the state machine (and the host's log,
+// when it keeps one) and counts it. The counters
 // live here, at the decision site, so log replay of an old ReapReq does
 // not double-count.
 func (s *dmServer) reap(req ReapReq) {
@@ -180,11 +180,7 @@ func (s *dmServer) reap(req ReapReq) {
 			s.stats.OrphanReapsAborted.Inc()
 		}
 	}
-	if s.selfApply != nil {
-		s.selfApply(req)
-		return
-	}
-	s.apply(req)
+	s.applyLogged(req)
 }
 
 // coordinate handles the lease-coordination messages that never touch the
@@ -192,7 +188,7 @@ func (s *dmServer) reap(req ReapReq) {
 // resolution answers. It reports handled=false for everything else. Kept
 // out of apply so the WAL/replay path never sees clock reads or peer
 // sends — the reap decisions coordinate produces enter the state machine
-// as self-applied ReapReqs, which ARE logged and replayed.
+// through applyLogged as ReapReqs, which ARE logged and replayed.
 func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 	switch q := req.(type) {
 	case RenewLeaseReq:

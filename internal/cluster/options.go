@@ -29,7 +29,6 @@ type settings struct {
 	syncCleanup  bool
 	walDir       string
 	walOpts      []wal.Option
-	snapEvery    int
 	leaseTTL     time.Duration
 	health       bool
 	fixedTimeout bool
@@ -37,11 +36,6 @@ type settings struct {
 	clock        transport.Clock
 	readLease    bool
 	readLeaseTTL time.Duration
-
-	// resolvedRetention caps how many resolution records a DM keeps with
-	// their full committed-subs payload; older ones compact to outcome
-	// tombstones. <= 0 retains everything forever.
-	resolvedRetention int
 
 	clientTag string
 
@@ -72,8 +66,6 @@ func defaultSettings() settings {
 		clock:        transport.Wall,
 		hopAllowance: time.Millisecond,
 		readLeaseTTL: 50 * time.Millisecond,
-
-		resolvedRetention: defaultResolvedRetention,
 	}
 }
 
@@ -192,13 +184,6 @@ func WithWALOptions(opts ...wal.Option) Option {
 	return func(s *settings) { s.walOpts = opts }
 }
 
-// WithSnapshotEvery sets how many logged records a durable DM absorbs
-// before writing a compacting snapshot. Values below 1 keep the default
-// (1024).
-func WithSnapshotEvery(n int) Option {
-	return func(s *settings) { s.snapEvery = n }
-}
-
 // WithSynchronousCleanup makes commit/abort control rounds wait for the
 // best-effort cleanup of tentatively-touched DMs instead of detaching it.
 // The default (off) matches production behaviour — a dead replica the
@@ -274,25 +259,6 @@ func WithReadLeaseTTL(ttl time.Duration) Option {
 			s.readLeaseTTL = ttl
 		}
 	}
-}
-
-// defaultResolvedRetention is how many resolution records a DM keeps with
-// their full committed-subs payload before the oldest compact to outcome
-// tombstones (the verdict alone). The window only needs to outlive the
-// straggler horizon — a replica that missed a commit hears about it via the
-// lease reaper or anti-entropy long before 4096 later transactions resolve.
-const defaultResolvedRetention = 4096
-
-// WithResolvedRetention caps how many resolution records each DM retains
-// with their full committed-subs payload (DESIGN.md §12). Past the cap, the
-// oldest records are compacted to outcome tombstones: the committed/aborted
-// verdict is kept forever — late CommitTopReq retries, lease-resolution
-// inquiries and settle probes still get an authoritative answer — but the
-// subs list, the bulk of the record, is dropped. Values at or below zero
-// disable compaction (retain everything, the pre-§12 behavior). Default
-// 4096.
-func WithResolvedRetention(n int) Option {
-	return func(s *settings) { s.resolvedRetention = n }
 }
 
 // WithClock injects the clock lock leases expire against. Deterministic
@@ -440,17 +406,4 @@ func WithRing(r *shard.Ring) Option {
 // round over the cohort per commit.
 func WithCommitProtocol(p commit.Protocol) Option {
 	return func(s *settings) { s.protocol = p }
-}
-
-// WithShards is WithRing for callers that start from a group list: it
-// builds the deterministic ring (seed, vnodes, groups) inline. Invalid
-// group sets are surfaced at Open via the ring validation, not silently
-// ignored — the option stores a ring only when construction succeeds, and
-// Open fails on the unplaceable items otherwise.
-func WithShards(seed int64, vnodes int, groups ...shard.Group) Option {
-	return func(s *settings) {
-		if r, err := shard.New(seed, vnodes, groups); err == nil {
-			s.ring = r
-		}
-	}
 }

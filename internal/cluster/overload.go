@@ -32,15 +32,6 @@ func classifyRequest(req any) transport.Priority {
 	return transport.PrioRead
 }
 
-// harness returns the overload-harness view of one DM's server, or nil when
-// the backend does not support it (or the DM has no admission queue armed —
-// both sim and TCP servers expose the capability only through this optional
-// interface).
-func (h *dmHandle) harness() transport.OverloadHarness {
-	oh, _ := h.server.(transport.OverloadHarness)
-	return oh
-}
-
 // callBudget computes the timeout for one outbound call or fan-out phase:
 // the configured call timeout, clamped to the caller's remaining context
 // budget minus the per-hop allowance. When the remaining budget cannot
@@ -454,9 +445,7 @@ type BurstReport struct {
 // bit-for-bit replayable shed counters. Zero report when dm does not exist
 // or has no admission queue.
 func (s *Store) Burst(dm string, total, preExpired int) BurstReport {
-	s.mu.Lock()
-	h := s.dms[dm]
-	s.mu.Unlock()
+	h := s.host(dm)
 	if h == nil || total <= 0 {
 		return BurstReport{}
 	}
@@ -493,14 +482,8 @@ func (s *Store) Burst(dm string, total, preExpired int) BurstReport {
 // OverloadTotals sums the admission counters of every DM this store
 // spawned.
 func (s *Store) OverloadTotals() transport.OverloadStats {
-	s.mu.Lock()
-	handles := make([]*dmHandle, 0, len(s.dms))
-	for _, h := range s.dms {
-		handles = append(handles, h)
-	}
-	s.mu.Unlock()
 	var out transport.OverloadStats
-	for _, h := range handles {
+	for _, h := range s.hosts() {
 		oh := h.harness()
 		if oh == nil {
 			continue

@@ -362,7 +362,7 @@ func TestBurstReport(t *testing.T) {
 		t.Errorf("burst not deterministic: %+v vs %+v, %+v vs %+v", rep, rep2, totals, totals2)
 	}
 
-	if rep := (&Store{opts: settings{}, dms: map[string]*dmHandle{}}).Burst("nope", 5, 0); rep != (BurstReport{}) {
+	if rep := (&Store{opts: settings{}, dms: map[string]*DMHost{}}).Burst("nope", 5, 0); rep != (BurstReport{}) {
 		t.Errorf("burst at unknown DM = %+v, want zero", rep)
 	}
 }

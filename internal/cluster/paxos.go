@@ -29,7 +29,7 @@ import (
 // logged; every promise and acceptance they produce enters the state
 // machine as a logged request (PaxosPrepareReq, PaxosAcceptReq,
 // PaxosDecisionReq) and is made durable before the answer leaves the
-// machine, via the persist seam.
+// machine, via the host's logThen.
 
 // ErrTxnInDoubt means the coordinator could not learn its transaction's
 // outcome: the Phase-2a fan-out reached at least one acceptor but no
@@ -158,14 +158,18 @@ func (s *dmServer) startPaxosRecovery(top TxnID, cohort []string) {
 
 // persistThen makes an already-applied acceptor mutation durable before
 // running done (which only sends — it must not touch actor state, because
-// it runs on the log's flusher goroutine). Volatile DMs and unchanged
-// state run done immediately.
+// it runs on the log's flusher goroutine); a failed append never runs it.
+// Unchanged state and a machine without a log run done immediately.
 func (s *dmServer) persistThen(req any, mutated bool, done func()) {
-	if mutated && s.persist != nil {
-		s.persist(req, done)
+	if !mutated || s.logThen == nil {
+		done()
 		return
 	}
-	done()
+	s.logThen(req, func(err error) {
+		if err == nil {
+			done()
+		}
+	})
 }
 
 // coordinatePaxos serves the acceptor-recovery messages and the
@@ -295,7 +299,7 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 }
 
 // decidePaxos installs a decided outcome locally (logged, via the same
-// self-apply seam as reap decisions) and broadcasts the learn message to
+// applyLogged path as reap decisions) and broadcasts the learn message to
 // every peer — the whole cluster resolves in one message, which is what
 // keeps the post-crash in-doubt window at a single round-trip instead of
 // a lease TTL.
@@ -313,11 +317,7 @@ func (s *dmServer) decidePaxos(top TxnID, val commit.Decision) {
 	dec := PaxosDecisionReq{
 		Txn: top, Commit: val.Commit, Subs: stringsToTxns(val.Subs), Final: val.Final,
 	}
-	if s.selfApply != nil {
-		s.selfApply(dec)
-	} else {
-		s.apply(dec)
-	}
+	s.applyLogged(dec)
 	for _, p := range s.peers {
 		s.notifyPeer(p, dec)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/commit"
 	"repro/internal/transport"
@@ -104,26 +103,8 @@ func (s *dmServer) coordinateRebuild(req any) (resp any, handled bool) {
 	return out, true
 }
 
-// rebuildEnv carries everything rebuildReplica needs to pull, merge, and
-// restart one replica — Store.RebuildReplica and ServeDM's auto-rebuild
-// both assemble one.
-type rebuildEnv struct {
-	tr        transport.Transport
-	client    transport.Client
-	id        string
-	items     []ItemSpec
-	dir       string
-	walOpts   []wal.Option
-	snapEvery int
-	peers     []string
-	timeout   time.Duration
-	wire      func(*dmServer)
-	serveOpts []transport.ServeOption
-}
-
-// rebuildReplica pulls the quarantined replica's state from every peer,
-// merges it, moves the untrusted log directory aside, and restarts the
-// replica on a fresh log seeded with the merged state as one snapshot.
+// pullMerged pulls the replica's state from every peer and merges it into a
+// fresh state machine.
 //
 // The pull requires an answer from EVERY peer, not just a quorum. Values
 // only need a read quorum, but Paxos acceptor state does not shard along
@@ -134,38 +115,37 @@ type rebuildEnv struct {
 // the whole rebuild; the replica stays quarantined and the caller retries
 // later. That also serializes concurrent rebuilds: two quarantined
 // replicas refuse each other's pulls rather than trade unrebuilt state.
-func rebuildReplica(ctx context.Context, env rebuildEnv) (*dmHandle, RebuildStats, error) {
-	names := make([]string, 0, len(env.items))
-	for _, it := range env.items {
+func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmServer, RebuildStats, error) {
+	var rst RebuildStats
+	names := make([]string, 0, len(h.items))
+	for _, it := range h.items {
 		names = append(names, it.Name)
 	}
 	sort.Strings(names)
 
-	peers := append([]string(nil), env.peers...)
-	sort.Strings(peers)
+	peers := h.peers // sorted
 	answers := make(map[string]RebuildPullResp, len(peers))
 	for _, p := range peers {
-		cctx, cancel := context.WithTimeout(ctx, env.timeout)
-		raw, err := env.client.Call(cctx, p, RebuildPullReq{For: env.id, Items: names})
+		cctx, cancel := context.WithTimeout(ctx, h.st.callTimeout)
+		raw, err := client.Call(cctx, p, RebuildPullReq{For: h.id, Items: names})
 		cancel()
 		if err != nil {
-			return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: pull from %s: %w", env.id, p, err)
+			return nil, rst, fmt.Errorf("cluster: rebuild %s: pull from %s: %w", h.id, p, err)
 		}
 		switch r := raw.(type) {
 		case RebuildPullResp:
 			if !r.OK {
-				return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: %s refused the pull", env.id, p)
+				return nil, rst, fmt.Errorf("cluster: rebuild %s: %s refused the pull", h.id, p)
 			}
 			answers[p] = r
 		case QuarantinedResp:
-			return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: peer %s is itself quarantined (%s)", env.id, p, r.Reason)
+			return nil, rst, fmt.Errorf("cluster: rebuild %s: peer %s is itself quarantined (%s)", h.id, p, r.Reason)
 		default:
-			return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: unexpected answer %T from %s", env.id, r, p)
+			return nil, rst, fmt.Errorf("cluster: rebuild %s: unexpected answer %T from %s", h.id, r, p)
 		}
 	}
 
-	srv := newDMState(env.id, env.items)
-	var rst RebuildStats
+	srv := newDMState(h.id, h.items)
 	rst.Peers = len(peers)
 
 	// Per-item merge: a retirement marker anywhere wins (the item migrated
@@ -185,7 +165,7 @@ func rebuildReplica(ctx context.Context, env rebuildEnv) (*dmHandle, RebuildStat
 		}
 		if marker != nil {
 			m := *marker
-			m.DM = env.id // the redirect must name ITS server, not the peer's
+			m.DM = h.id // the redirect must name ITS server, not the peer's
 			m.DMs = append([]string(nil), marker.DMs...)
 			m.Cfg = marker.Cfg.Clone()
 			delete(srv.replicas, item)
@@ -208,10 +188,10 @@ func rebuildReplica(ctx context.Context, env rebuildEnv) (*dmHandle, RebuildStat
 			}
 		}
 		if best == nil {
-			return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: no peer holds a copy of %q (single-replica items cannot be rebuilt)", env.id, item)
+			return nil, rst, fmt.Errorf("cluster: rebuild %s: no peer holds a copy of %q (single-replica items cannot be rebuilt)", h.id, item)
 		}
 		if !best.Cfg.HasReadQuorum(have) {
-			return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: peers holding %q do not cover a read quorum of gen %d", env.id, item, best.Gen)
+			return nil, rst, fmt.Errorf("cluster: rebuild %s: peers holding %q do not cover a read quorum of gen %d", h.id, item, best.Gen)
 		}
 		maxVN, val := -1, any(nil)
 		for _, p := range peers {
@@ -241,7 +221,7 @@ func rebuildReplica(ctx context.Context, env rebuildEnv) (*dmHandle, RebuildStat
 				continue
 			}
 			if prev.committed != res.Committed {
-				return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: peers disagree on outcome of %s", env.id, t)
+				return nil, rst, fmt.Errorf("cluster: rebuild %s: peers disagree on outcome of %s", h.id, t)
 			}
 			if prev.subs == nil && res.Subs != nil {
 				prev.subs = res.Subs
@@ -287,124 +267,125 @@ func rebuildReplica(ctx context.Context, env rebuildEnv) (*dmHandle, RebuildStat
 	for t, m := range merged {
 		answered := 0
 		for _, member := range m.acc.Cohort {
-			if member == env.id {
+			if member == h.id {
 				continue
 			}
 			if _, ok := answers[member]; ok {
 				answered++
 			} else {
-				return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: cohort member %s of instance %s did not answer the pull", env.id, member, t)
+				return nil, rst, fmt.Errorf("cluster: rebuild %s: cohort member %s of instance %s did not answer the pull", h.id, member, t)
 			}
 		}
 		if answered+1 < commit.Quorum(len(m.acc.Cohort)) {
 			// Unreachable with a full cohort answering; kept as a guard
 			// against malformed cohorts.
-			return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: instance %s lacks a quorum of witnesses", env.id, t)
+			return nil, rst, fmt.Errorf("cluster: rebuild %s: instance %s lacks a quorum of witnesses", h.id, t)
 		}
 		a := m.acc
 		srv.acceptors[t] = &a
 	}
 	rst.Acceptors = len(merged)
 
-	// The untrusted log moves aside (kept for post-mortems, never deleted);
-	// the merged state seeds a fresh log as one synthetic snapshot. Only
-	// then does the replica rejoin the transport.
-	if _, err := os.Stat(env.dir); err == nil {
+	srv.reindex() // the replicas were replaced wholesale above
+	return srv, rst, nil
+}
+
+// seedLog moves the untrusted log directory aside (kept for post-mortems,
+// never deleted) and writes the merged state into a fresh log as its one
+// snapshot, so the next start recovers exactly that state.
+func (h *DMHost) seedLog(srv *dmServer) error {
+	if _, err := os.Stat(h.dir); err == nil {
 		moved := false
-		for n := 0; n < 1000; n++ {
-			aside := fmt.Sprintf("%s.corrupt-%d", env.dir, n)
+		for n := 0; n < 1000 && !moved; n++ {
+			aside := fmt.Sprintf("%s.corrupt-%d", h.dir, n)
 			if _, err := os.Stat(aside); err == nil {
 				continue
 			}
-			if err := os.Rename(env.dir, aside); err != nil {
-				return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: move corrupt log aside: %w", env.id, err)
+			if err := os.Rename(h.dir, aside); err != nil {
+				return fmt.Errorf("cluster: rebuild %s: move corrupt log aside: %w", h.id, err)
 			}
 			moved = true
-			break
 		}
 		if !moved {
-			return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: no free .corrupt-N slot beside %s", env.id, env.dir)
+			return fmt.Errorf("cluster: rebuild %s: no free .corrupt-N slot beside %s", h.id, h.dir)
 		}
 	}
-	if err := os.MkdirAll(env.dir, 0o755); err != nil {
-		return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: %w", env.id, err)
+	if err := os.MkdirAll(h.dir, 0o755); err != nil {
+		return fmt.Errorf("cluster: rebuild %s: %w", h.id, err)
 	}
-	log, _, err := wal.Open(env.dir, env.walOpts...)
-	if err != nil {
-		return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: fresh log: %w", env.id, err)
-	}
-	srv.reindex() // the replicas were replaced wholesale above
 	state, err := encodeSnapshot(srv)
 	if err != nil {
-		log.Close()
-		return nil, RebuildStats{}, err
+		return err
 	}
-	if err := log.WriteSnapshot(state); err != nil {
-		log.Close()
-		return nil, RebuildStats{}, fmt.Errorf("cluster: rebuild %s: seed snapshot: %w", env.id, err)
-	}
-	h, err := startDurableDM(env.tr, env.id, env.items, env.dir, log, srv, env.snapEvery, env.wire, env.serveOpts...)
+	log, _, err := wal.Open(h.dir, h.st.walOpts...)
 	if err != nil {
-		return nil, RebuildStats{}, err
+		return fmt.Errorf("cluster: rebuild %s: fresh log: %w", h.id, err)
 	}
-	return h, rst, nil
+	defer log.Close()
+	if err := log.WriteSnapshot(state); err != nil {
+		return fmt.Errorf("cluster: rebuild %s: seed snapshot: %w", h.id, err)
+	}
+	return nil
+}
+
+// rebuild replaces this host with one whose state comes from its peers:
+// Close, pull and merge, seed a fresh log with the merged state, start. The
+// returned host is the slot's new occupant either way. On success it is a
+// healthy host with Rebuilt set; on any failure it is this host's twin
+// serving the typed refusal — the verdict that was already set, or else the
+// failure itself — so the caller can retry once the peers are reachable.
+func (h *DMHost) rebuild(ctx context.Context, client transport.Client) (*DMHost, error) {
+	if h.dir == "" {
+		return h, fmt.Errorf("cluster: DM %q is not durable", h.id)
+	}
+	if len(h.peers) == 0 {
+		return h, fmt.Errorf("cluster: DM %q has no peers to rebuild from", h.id)
+	}
+	h.Close()
+	srv, rst, err := h.pullMerged(ctx, client)
+	if err == nil {
+		err = h.seedLog(srv)
+	}
+	if err == nil {
+		var nh *DMHost
+		if nh, err = start(h.tr, h.id, h.items, h.peers, h.st, h.Stats); err == nil {
+			nh.recovery = RecoveryStats{} // the seed snapshot is the rebuild's, not a recovery
+			nh.Rebuilt = &rst
+			h.Stats.Rebuilds.Inc()
+			h.Stats.RebuiltItems.Add(int64(rst.Items))
+			return nh, nil
+		}
+	}
+	cause := h.Quarantined()
+	if cause == nil {
+		cause = err
+	}
+	twin := newHost(h.tr, h.id, h.items, h.peers, h.st, h.Stats)
+	twin.verdict.Store(&cause) // not quarantine(): this quarantine was counted when it began
+	if twin.serve() != nil {
+		return h, err // the id cannot be served at all: the slot keeps the closed host
+	}
+	return twin, err
 }
 
 // RebuildReplica replaces a quarantined (or otherwise untrusted) durable
 // replica with state pulled from its peers — the recovery path for disk
 // corruption, where RestartDM's log replay has nothing trustworthy to
-// replay. The current incarnation is torn down first; on any failure the
-// slot is re-served quarantined (answering the typed refusal), so the
+// replay. On any failure the slot keeps serving the typed refusal, so the
 // caller can retry once the peers are reachable again.
 func (s *Store) RebuildReplica(ctx context.Context, id string) (RebuildStats, error) {
-	s.mu.Lock()
-	h := s.dms[id]
-	all := make([]string, 0, len(s.dms))
-	for dm := range s.dms {
-		all = append(all, dm)
-	}
-	s.mu.Unlock()
+	h := s.host(id)
 	if h == nil {
 		return RebuildStats{}, fmt.Errorf("cluster: unknown DM %q", id)
 	}
-	if h.walPath == "" {
-		return RebuildStats{}, fmt.Errorf("cluster: DM %q is not durable", id)
-	}
-	peers := peersOf(id, all)
-	if len(peers) == 0 {
-		return RebuildStats{}, fmt.Errorf("cluster: DM %q has no peers to rebuild from", id)
-	}
-	h.server.Close()
-	if h.wal != nil {
-		// A poisoned log may refuse a clean close; its contents are about to
-		// be moved aside regardless.
-		_ = h.wal.log.Close()
-	}
-	env := rebuildEnv{
-		tr: s.tr, client: s.client, id: id, items: h.items, dir: h.walPath,
-		walOpts: s.opts.walOpts, snapEvery: s.opts.snapEvery,
-		peers: peers, timeout: s.opts.callTimeout,
-		wire: s.leaseWiring(id, peers), serveOpts: s.dmServeOpts(id),
-	}
-	nh, rst, err := rebuildReplica(ctx, env)
-	if err != nil {
-		cause := h.quarantineReason()
-		if cause == nil {
-			cause = err
-		}
-		if qh, qerr := quarantinedDM(s.tr, id, h.items, h.walPath, cause, s.dmServeOpts(id)...); qerr == nil {
-			s.mu.Lock()
-			s.dms[id] = qh
-			s.mu.Unlock()
-		}
-		return RebuildStats{}, err
-	}
+	nh, err := h.rebuild(ctx, s.client)
 	s.mu.Lock()
 	s.dms[id] = nh
 	s.mu.Unlock()
-	s.Stats.Rebuilds.Inc()
-	s.Stats.RebuiltItems.Add(int64(rst.Items))
-	return rst, nil
+	if err != nil {
+		return RebuildStats{}, err
+	}
+	return *nh.Rebuilt, nil
 }
 
 // QuarantinedDMs lists the store's currently quarantined replicas, sorted.
@@ -414,10 +395,7 @@ func (s *Store) QuarantinedDMs() []string {
 	defer s.mu.Unlock()
 	var out []string
 	for id, h := range s.dms {
-		if h.stopped {
-			continue
-		}
-		if h.quarantineReason() != nil {
+		if h.Quarantined() != nil {
 			out = append(out, id)
 		}
 	}
@@ -439,17 +417,7 @@ type DMHealth struct {
 // wrong answer — is unreachable. Works from pure client stores; each probe
 // is bounded by the store's call budget.
 func (s *Store) ProbeHealth(ctx context.Context) []DMHealth {
-	seen := map[string]bool{}
-	var dms []string
-	for _, it := range s.items {
-		for _, dm := range it.DMs {
-			if !seen[dm] {
-				seen[dm] = true
-				dms = append(dms, dm)
-			}
-		}
-	}
-	sort.Strings(dms)
+	dms, _ := sitesOf(s.Items())
 	out := make([]DMHealth, 0, len(dms))
 	for _, dm := range dms {
 		h := DMHealth{DM: dm}

@@ -15,13 +15,11 @@ import (
 // walPathOf exposes one DM's log directory to the tests.
 func walPathOf(t *testing.T, store *Store, dm string) string {
 	t.Helper()
-	store.mu.Lock()
-	h := store.dms[dm]
-	store.mu.Unlock()
-	if h == nil || h.walPath == "" {
+	h := store.host(dm)
+	if h == nil || h.dir == "" {
 		t.Fatalf("no durable DM %q", dm)
 	}
-	return h.walPath
+	return h.dir
 }
 
 // TestCorruptLogQuarantineAndRebuild is the tentpole end-to-end: a replica
@@ -428,8 +426,8 @@ func TestServeDMAutoRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts["dm0"] = h
-	if h.Quarantined != nil {
-		t.Fatalf("auto-rebuild failed, host quarantined: %v", h.Quarantined)
+	if h.Quarantined() != nil {
+		t.Fatalf("auto-rebuild failed, host quarantined: %v", h.Quarantined())
 	}
 	if h.Rebuilt == nil || h.Rebuilt.Items != 1 {
 		t.Fatalf("Rebuilt = %+v, want 1 item restored", h.Rebuilt)

@@ -32,7 +32,7 @@ type Router struct {
 func NewRouter(s *Store) (*Router, error) {
 	ring := s.Ring()
 	if ring == nil {
-		return nil, errors.New("cluster: router requires a sharded store (WithShards/WithRing)")
+		return nil, errors.New("cluster: router requires a sharded store (WithRing)")
 	}
 	return &Router{s: s, ring: ring}, nil
 }

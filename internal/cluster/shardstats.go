@@ -33,7 +33,7 @@ func (s *Store) ShardStats() []ShardStat {
 		return nil
 	}
 	s.mu.Lock()
-	handles := make(map[string]*dmHandle, len(s.dms))
+	handles := make(map[string]*DMHost, len(s.dms))
 	for id, h := range s.dms {
 		handles[id] = h
 	}

@@ -154,7 +154,7 @@ type Store struct {
 	opts   settings
 
 	items map[string]ItemSpec
-	dms   map[string]*dmHandle
+	dms   map[string]*DMHost // the replicas this store spawned, by DM id
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -248,40 +248,6 @@ type Hooks struct {
 	SweepBarrier func()
 }
 
-// dmHandle tracks one DM server the store spawned: its serving endpoint,
-// state machine, hosted items, and (for durable stores) its write-ahead
-// log. stopped marks handles torn down early (StopDM) so Close skips them.
-type dmHandle struct {
-	id      string
-	items   []ItemSpec
-	server  transport.Server
-	srv     *dmServer
-	wal     *dmWAL // nil on volatile stores and quarantined handles
-	stopped bool
-
-	// walPath is the DM's log directory, "" on volatile stores. It outlives
-	// the log handle so RestartDM and RebuildReplica know where the durable
-	// state lives even while the slot is quarantined (wal == nil).
-	walPath string
-	// quarantined, when non-nil, records why this handle came up refusing
-	// service: its log failed to open with a CorruptionError. Runtime
-	// quarantines live in wal.quarErr instead; quarantineReason merges both.
-	quarantined error
-}
-
-// quarantineReason reports why this replica is quarantined, nil if healthy.
-// It covers both flavors: a handle born quarantined (corrupt log at open)
-// and a live handle whose log failed an append.
-func (h *dmHandle) quarantineReason() error {
-	if h.quarantined != nil {
-		return h.quarantined
-	}
-	if h.wal != nil {
-		return h.wal.quarantined()
-	}
-	return nil
-}
-
 type genCfg struct {
 	gen int
 	cfg quorum.Config
@@ -310,7 +276,7 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		tr:       tr,
 		opts:     st,
 		items:    map[string]ItemSpec{},
-		dms:      map[string]*dmHandle{},
+		dms:      map[string]*DMHost{},
 		rng:      rand.New(rand.NewSource(st.seed)),
 		jitter:   rand.New(rand.NewSource(st.seed ^ 0x5DEECE66D)),
 		believed: map[string]genCfg{},
@@ -329,17 +295,6 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		s.ring = st.ring.Clone()
 		s.hintCache.setEpoch(s.ring.Epoch)
 	}
-	// Validation first, then spawning: the lease reaper needs every DM to
-	// know its full peer set, which only exists once all items are walked.
-	// Items are grouped per DM — one replica hosts every item whose spec
-	// names it — so a sharded keyspace spawns one multi-item server per
-	// replica-group member rather than one server per (item, replica) pair.
-	type dmSite struct {
-		id    string
-		items []ItemSpec
-	}
-	var sites []dmSite
-	siteIdx := map[string]int{}
 	for _, it := range items {
 		if err := it.Config.Validate(it.DMs); err != nil {
 			return nil, fmt.Errorf("cluster: item %q: %w", it.Name, err)
@@ -349,68 +304,26 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		}
 		s.items[it.Name] = it
 		s.believed[it.Name] = genCfg{gen: 0, cfg: it.Config}
-		if !spawnServers {
-			continue
-		}
-		for _, dm := range it.DMs {
-			i, ok := siteIdx[dm]
-			if !ok {
-				i = len(sites)
-				siteIdx[dm] = i
-				sites = append(sites, dmSite{id: dm})
-			}
-			sites[i].items = append(sites[i].items, it)
-		}
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i].id < sites[j].id })
-	allDMs := make([]string, 0, len(sites))
-	for _, site := range sites {
-		allDMs = append(allDMs, site.id)
-	}
+	// From here on every failure must close the hosts already started, or
+	// their endpoints and open logs outlive the failed Open.
 	abandon := func() {
 		for _, h := range s.dms {
-			h.server.Close()
-			if h.wal != nil {
-				h.wal.log.Close()
-			}
+			h.Close()
 		}
 	}
-	for _, site := range sites {
-		wire := s.leaseWiring(site.id, peersOf(site.id, allDMs))
-		if st.walDir == "" {
-			srv := newDMState(site.id, site.items)
-			wire(srv)
-			server, err := tr.Serve(site.id, asyncify(srv.handle), s.dmServeOpts(site.id)...)
+	if spawnServers {
+		// One host per replica site: a DM hosts every item whose spec names
+		// it, and knows every other DM as a peer for resolution inquiries.
+		ids, hosted := sitesOf(items)
+		for _, id := range ids {
+			h, err := start(tr, id, hosted[id], peersOf(id, ids), st, &s.Stats)
 			if err != nil {
 				abandon()
-				return nil, fmt.Errorf("cluster: serve DM %s: %w", site.id, err)
+				return nil, err
 			}
-			// The peer-gossip sender binds after Serve: setSender is the
-			// documented late-binding hook, and an inquiry fired into the
-			// gap is re-sent once its poll goes stale.
-			srv.setSender(server.Notify)
-			s.dms[site.id] = &dmHandle{
-				id: site.id, items: site.items, srv: srv, server: server,
-			}
-			continue
-		}
-		h, stats, err := newDurableDM(tr, site.id, site.items, filepath.Join(st.walDir, site.id), st.walOpts, st.snapEvery, wire, s.dmServeOpts(site.id)...)
-		if err != nil {
-			abandon()
-			return nil, err
-		}
-		s.dms[site.id] = h
-		if h.quarantined != nil {
-			// The slot came up quarantined (corrupt log at open): it serves
-			// QuarantinedResp until RebuildReplica pulls fresh state from its
-			// peers. Opening the store still succeeds — one bad disk must not
-			// take down the cluster.
-			s.Stats.Quarantines.Inc()
-			continue
-		}
-		if stats.Replayed > 0 || stats.FromSnapshot {
-			s.Stats.Recoveries.Inc()
-			s.Stats.ReplayedRecords.Add(int64(stats.Replayed))
+			s.dms[id] = h
+			h.countRecovery()
 		}
 	}
 	s.clientID = fmt.Sprintf("c%d", clientSeq.Add(1))
@@ -422,6 +335,7 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		// Open, keeps transaction ids unique across the directory's lifetime.
 		epoch, err := bumpEpoch(st.walDir)
 		if err != nil {
+			abandon()
 			return nil, err
 		}
 		s.clientID = fmt.Sprintf("e%d%s", epoch, s.clientID)
@@ -451,60 +365,6 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 	return s, nil
 }
 
-// asyncify adapts a synchronous DM handler to the transport.Handler shape.
-// The reply function is invoked before asyncify returns, so the actor
-// discipline (one request at a time on the serving goroutine) holds.
-func asyncify(h func(from string, req any) any) transport.Handler {
-	return func(from string, req any, reply func(resp any)) {
-		reply(h(from, req))
-	}
-}
-
-// leaseWiring builds the pre-start configuration hook for one DM: lease
-// parameters and the peer set for resolution inquiries. The peer-gossip
-// sender itself is bound after Serve returns (srv.setSender(server.Notify))
-// — setSender is guarded for exactly this late binding.
-func (s *Store) leaseWiring(id string, peers []string) func(*dmServer) {
-	return func(srv *dmServer) {
-		srv.configureLeases(s.opts.leaseTTL, s.opts.clock, peers, &s.Stats)
-		srv.configureRetention(s.opts.resolvedRetention)
-		if s.opts.readLease {
-			// Configured here — after recovery replay on durable DMs — so a
-			// rebuilt replica starts with no hints and must re-prove freshness.
-			srv.configureHints(s.opts.readLeaseTTL)
-		}
-		if s.opts.ring != nil {
-			srv.configureRing(s.opts.ring)
-		}
-	}
-}
-
-// dmServeOpts builds the transport serve options for one DM the store
-// spawns: with WithAdmissionCapacity armed, the server gets a bounded
-// priority service queue that rejects shed and expired work with an
-// explicit OverloadedResp naming the DM. Empty otherwise.
-func (s *Store) dmServeOpts(dm string) []transport.ServeOption {
-	return serveOptsFor(s.opts, dm, &s.Stats)
-}
-
-// serveOptsFor is dmServeOpts for any host of a DM — the Store and the
-// standalone ServeDM share it, so a process-hosted replica sheds load
-// exactly as a store-spawned one would.
-func serveOptsFor(st settings, dm string, stats *Stats) []transport.ServeOption {
-	if st.admitCap <= 0 {
-		return nil
-	}
-	return []transport.ServeOption{transport.WithAdmission(transport.AdmissionConfig{
-		Capacity:     st.admitCap,
-		Classify:     classifyRequest,
-		Reject:       func(req any, expired bool) any { return OverloadedResp{DM: dm, Expired: expired} },
-		Clock:        st.clock,
-		ServiceDelay: st.serviceTime,
-		ServeExpired: st.admitServeExpired,
-		OnDepth:      func(d int) { stats.QueueDepth.Observe(int64(d)) },
-	})}
-}
-
 // goDetached runs fn as a detached background sweep registered with the
 // close drain, or reports false once Close began draining — racing a
 // WaitGroup.Add against its Wait is undefined, and the sweep's sends would
@@ -523,17 +383,6 @@ func (s *Store) goDetached(fn func()) bool {
 		fn()
 	}()
 	return true
-}
-
-// peersOf returns all of the cluster's DMs except id, sorted.
-func peersOf(id string, all []string) []string {
-	out := make([]string, 0, len(all))
-	for _, dm := range all {
-		if dm != id {
-			out = append(out, dm)
-		}
-	}
-	return out
 }
 
 // now reads the store's clock (wall by default, manual in deterministic
@@ -595,47 +444,42 @@ func (s *Store) doClose() {
 	s.detached.Wait()
 	s.tr.Quiesce()
 	s.client.Close()
-	s.mu.Lock()
-	handles := make([]*dmHandle, 0, len(s.dms))
-	for _, h := range s.dms {
-		if !h.stopped {
-			handles = append(handles, h)
-		}
-	}
-	s.mu.Unlock()
-	for _, h := range handles {
-		h.server.Close()
-		if h.wal != nil {
-			h.wal.log.Close()
-		}
+	for _, h := range s.hosts() {
+		h.Close()
 	}
 }
 
-// StopDM tears down one DM server the store spawned without any recovery:
-// its endpoint closes (orderly — requests already delivered are served)
-// and, for durable stores, its write-ahead log is flushed and closed. The
-// replica is gone until RestartDM (durable stores) brings it back; to the
-// rest of the cluster it is indistinguishable from a dead peer. Transport-
-// neutral harness device: sim tests also have net.Crash, which models the
-// messier amnesia fate.
-func (s *Store) StopDM(id string) error {
+// host returns the store's current host for DM id, nil if it spawned none.
+func (s *Store) host(id string) *DMHost {
 	s.mu.Lock()
-	h := s.dms[id]
-	if h != nil && h.stopped {
-		s.mu.Unlock()
-		return nil
+	defer s.mu.Unlock()
+	return s.dms[id]
+}
+
+// hosts snapshots the store's current hosts.
+func (s *Store) hosts() []*DMHost {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*DMHost, 0, len(s.dms))
+	for _, h := range s.dms {
+		out = append(out, h)
 	}
-	if h != nil {
-		h.stopped = true
-	}
-	s.mu.Unlock()
+	return out
+}
+
+// StopDM closes one DM's host without any recovery: its endpoint closes
+// (orderly — requests already delivered are served) and, for durable
+// stores, its write-ahead log is flushed and closed. The replica is gone
+// until RestartDM (durable stores) brings it back; to the rest of the
+// cluster it is indistinguishable from a dead peer. Transport-neutral
+// harness device: sim tests also have net.Crash, which models the messier
+// amnesia fate.
+func (s *Store) StopDM(id string) error {
+	h := s.host(id)
 	if h == nil {
 		return fmt.Errorf("cluster: unknown DM %q", id)
 	}
-	h.server.Close()
-	if h.wal != nil {
-		h.wal.log.Close()
-	}
+	h.Close()
 	return nil
 }
 
