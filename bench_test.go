@@ -632,7 +632,7 @@ func benchE15(b *testing.B, lease bool) {
 	}
 	opts := []cluster.Option{cluster.WithCallTimeout(50 * time.Millisecond), cluster.WithSeed(1)}
 	if lease {
-		opts = append(opts, cluster.WithReadLease(true), cluster.WithReadLeaseTTL(time.Second))
+		opts = append(opts, cluster.WithReadLease(time.Second))
 	}
 	store, err := cluster.Open(net, items, opts...)
 	if err != nil {

@@ -480,10 +480,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		// in the previous round to still be live (one boundary advance old),
 		// and the earliest heal is three boundary advances after any
 		// pre-partition hint was stamped, so expiry strictly precedes it.
-		opts = append(opts,
-			cluster.WithReadLease(true),
-			cluster.WithReadLeaseTTL(2*cfg.LeaseTTL),
-		)
+		opts = append(opts, cluster.WithReadLease(2*cfg.LeaseTTL))
 	}
 	if overloadOn {
 		// Overload needs something to overload: run every DM behind a
@@ -546,13 +543,13 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		opts = append(opts,
 			cluster.WithLeaseTTL(cfg.LeaseTTL),
 			cluster.WithClock(clk),
+			// Under the manual clock the health board pins every call to the
+			// full budget: adaptive timeouts derive from measured wall-clock
+			// latency EWMAs — the one health-board input the seed does not
+			// fix — and under load (think -race) a borderline call could
+			// time out in one run and retry, forking the message counters of
+			// an exact replay.
 			cluster.WithHealthProbes(true),
-			// Adaptive timeouts derive from measured wall-clock latency
-			// EWMAs — the one health-board input the seed does not fix.
-			// Under load (think -race) a borderline call could time out in
-			// one run and retry, forking the message counters of an exact
-			// replay; pin every call to the full budget instead.
-			cluster.WithFixedTimeouts(true),
 			// Reap-vs-retry margin: a conflict retry that raced the inquiry
 			// round trip it triggered would make the retry's outcome a
 			// scheduling race. 4ms of backoff dwarfs the in-process message

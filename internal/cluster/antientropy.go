@@ -83,7 +83,7 @@ func (s *Store) SweepOnce(ctx context.Context) (int, error) {
 		// show as a lock or intention at its write quorum). Respondent-only
 		// maxima are NOT enough: an unreachable replica may hold a newer
 		// commit, which is exactly why sweep repairs never grant.
-		if s.opts.readLease && len(got) == len(it.DMs) {
+		if s.opts.readLeaseTTL > 0 && len(got) == len(it.DMs) {
 			unanimous := true
 			for _, g := range got {
 				if g.resp.VN != maxVN || g.resp.Gen != maxGen || g.resp.Locks != 0 || g.resp.Intents != 0 {

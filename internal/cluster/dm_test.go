@@ -14,11 +14,14 @@ func serve(s *dmServer, req any) (resp any) {
 }
 
 func newReplica() *replica {
-	return &replica{
-		val:   "init",
-		cfg:   quorum.Majority([]string{"a", "b", "c"}),
-		locks: map[TxnID]LockMode{},
-	}
+	return &replica{Val: "init", Cfg: quorum.Majority([]string{"a", "b", "c"})}
+}
+
+// bareDM is a state machine "d" hosting one fresh replica, of item "x".
+func bareDM() *dmServer {
+	s := newDMState("d", nil)
+	s.Replicas["x"] = newReplica()
+	return s
 }
 
 func TestReplicaMossLockRules(t *testing.T) {
@@ -26,7 +29,7 @@ func TestReplicaMossLockRules(t *testing.T) {
 	if !r.canLock("c1.t1/1", LockRead) {
 		t.Fatal("first lock grantable")
 	}
-	r.grant("c1.t1/1", LockRead)
+	r.grant("c1.t1/1", LockRead, 0)
 	// Unrelated read is compatible; unrelated write is not.
 	if !r.canLock("c1.t2", LockRead) {
 		t.Error("read/read compatible")
@@ -43,23 +46,23 @@ func TestReplicaMossLockRules(t *testing.T) {
 	if !r.canLock("c1.t1/1", LockWrite) {
 		t.Error("self-upgrade must be allowed")
 	}
-	r.grant("c1.t1/1", LockWrite)
-	if r.locks["c1.t1/1"] != LockWrite {
+	r.grant("c1.t1/1", LockWrite, 0)
+	if r.Locks["c1.t1/1"].Mode != LockWrite {
 		t.Error("grant must upgrade")
 	}
-	r.grant("c1.t1/1", LockRead)
-	if r.locks["c1.t1/1"] != LockWrite {
+	r.grant("c1.t1/1", LockRead, 0)
+	if r.Locks["c1.t1/1"].Mode != LockWrite {
 		t.Error("grant must never downgrade")
 	}
 }
 
 func TestReplicaViewFoldsAncestorIntents(t *testing.T) {
 	r := newReplica()
-	r.vn, r.val = 1, "committed"
-	r.intents = append(r.intents,
-		intent{owner: "c1.t1", vn: 2, val: "parent-write"},
-		intent{owner: "c1.t2", vn: 5, val: "foreign-write"},
-		intent{owner: "c1.t1/3", vn: 3, val: "child-write"},
+	r.VN, r.Val = 1, "committed"
+	r.Intents = append(r.Intents,
+		intent{Owner: "c1.t1", VN: 2, Val: "parent-write"},
+		intent{Owner: "c1.t2", VN: 5, Val: "foreign-write"},
+		intent{Owner: "c1.t1/3", VN: 3, Val: "child-write"},
 	)
 	// A child of t1 sees t1's and its own writes, not t2's; later
 	// intentions in order win.
@@ -81,59 +84,59 @@ func TestReplicaViewFoldsAncestorIntents(t *testing.T) {
 
 func TestReplicaPromoteMovesLocksAndIntents(t *testing.T) {
 	r := newReplica()
-	r.grant("c1.t1/1", LockWrite)
-	r.intents = append(r.intents, intent{owner: "c1.t1/1", vn: 2, val: "x"})
+	r.grant("c1.t1/1", LockWrite, 0)
+	r.Intents = append(r.Intents, intent{Owner: "c1.t1/1", VN: 2, Val: "x"})
 	r.promote("c1.t1/1")
-	if _, held := r.locks["c1.t1/1"]; held {
+	if _, held := r.Locks["c1.t1/1"]; held {
 		t.Error("child lock must move")
 	}
-	if r.locks["c1.t1"] != LockWrite {
+	if r.Locks["c1.t1"].Mode != LockWrite {
 		t.Error("parent must inherit the write lock")
 	}
-	if r.intents[0].owner != "c1.t1" {
+	if r.Intents[0].Owner != "c1.t1" {
 		t.Error("intent ownership must move to the parent")
 	}
 }
 
 func TestReplicaDropRemovesSubtree(t *testing.T) {
 	r := newReplica()
-	r.grant("c1.t1/1", LockWrite)
-	r.grant("c1.t1/1/2", LockRead)
-	r.grant("c1.t2", LockRead)
-	r.intents = append(r.intents,
-		intent{owner: "c1.t1/1", vn: 2, val: "x"},
-		intent{owner: "c1.t2", vn: 3, val: "y"},
+	r.grant("c1.t1/1", LockWrite, 0)
+	r.grant("c1.t1/1/2", LockRead, 0)
+	r.grant("c1.t2", LockRead, 0)
+	r.Intents = append(r.Intents,
+		intent{Owner: "c1.t1/1", VN: 2, Val: "x"},
+		intent{Owner: "c1.t2", VN: 3, Val: "y"},
 	)
 	r.drop("c1.t1/1")
-	if len(r.locks) != 1 || r.locks["c1.t2"] != LockRead {
-		t.Errorf("locks after drop: %v", r.locks)
+	if len(r.Locks) != 1 || r.Locks["c1.t2"].Mode != LockRead {
+		t.Errorf("locks after drop: %v", r.Locks)
 	}
-	if len(r.intents) != 1 || r.intents[0].owner != "c1.t2" {
-		t.Errorf("intents after drop: %v", r.intents)
+	if len(r.Intents) != 1 || r.Intents[0].Owner != "c1.t2" {
+		t.Errorf("intents after drop: %v", r.Intents)
 	}
 }
 
 func TestReplicaApplyTopFoldsInOrder(t *testing.T) {
 	r := newReplica()
-	r.intents = append(r.intents,
-		intent{owner: "c1.t1", vn: 1, val: "first"},
-		intent{owner: "c1.t1", isConfig: true, gen: 1, cfg: quorum.ReadOneWriteAll([]string{"a", "b", "c"})},
-		intent{owner: "c1.t1", vn: 2, val: "second"},
-		intent{owner: "c1.t9", vn: 9, val: "unrelated"},
+	r.Intents = append(r.Intents,
+		intent{Owner: "c1.t1", VN: 1, Val: "first"},
+		intent{Owner: "c1.t1", IsConfig: true, Gen: 1, Cfg: quorum.ReadOneWriteAll([]string{"a", "b", "c"})},
+		intent{Owner: "c1.t1", VN: 2, Val: "second"},
+		intent{Owner: "c1.t9", VN: 9, Val: "unrelated"},
 	)
-	r.grant("c1.t1", LockWrite)
+	r.grant("c1.t1", LockWrite, 0)
 	r.applyTop("c1.t1", nil)
-	if r.vn != 2 || r.val != "second" {
-		t.Errorf("committed state = (%d, %v)", r.vn, r.val)
+	if r.VN != 2 || r.Val != "second" {
+		t.Errorf("committed state = (%d, %v)", r.VN, r.Val)
 	}
-	if r.gen != 1 {
-		t.Errorf("gen = %d", r.gen)
+	if r.Gen != 1 {
+		t.Errorf("gen = %d", r.Gen)
 	}
-	if len(r.intents) != 1 || r.intents[0].owner != "c1.t9" {
-		t.Errorf("foreign intents must survive: %v", r.intents)
+	if len(r.Intents) != 1 || r.Intents[0].Owner != "c1.t9" {
+		t.Errorf("foreign intents must survive: %v", r.Intents)
 	}
-	if len(r.locks) != 0 {
-		t.Errorf("locks must be released: %v", r.locks)
+	if len(r.Locks) != 0 {
+		t.Errorf("locks must be released: %v", r.Locks)
 	}
 }
 
@@ -142,26 +145,26 @@ func TestReplicaApplyTopFoldsInOrder(t *testing.T) {
 // write is committed state) while still discarding aborted children.
 func TestReplicaApplyTopAppliesOrphanCommittedSubs(t *testing.T) {
 	r := newReplica()
-	r.intents = append(r.intents,
-		intent{owner: "c1.t1/1", vn: 1, val: "committed-sub"},
-		intent{owner: "c1.t1/2", vn: 2, val: "aborted-sub"},
+	r.Intents = append(r.Intents,
+		intent{Owner: "c1.t1/1", VN: 1, Val: "committed-sub"},
+		intent{Owner: "c1.t1/2", VN: 2, Val: "aborted-sub"},
 	)
-	r.grant("c1.t1/1", LockWrite)
-	r.grant("c1.t1/2", LockWrite)
+	r.grant("c1.t1/1", LockWrite, 0)
+	r.grant("c1.t1/2", LockWrite, 0)
 	r.applyTop("c1.t1", map[TxnID]bool{"c1.t1/1": true})
-	if r.vn != 1 || r.val != "committed-sub" {
-		t.Errorf("committed state = (%d, %v), want (1, committed-sub)", r.vn, r.val)
+	if r.VN != 1 || r.Val != "committed-sub" {
+		t.Errorf("committed state = (%d, %v), want (1, committed-sub)", r.VN, r.Val)
 	}
-	if len(r.intents) != 0 {
-		t.Errorf("aborted child's intent must be discarded: %v", r.intents)
+	if len(r.Intents) != 0 {
+		t.Errorf("aborted child's intent must be discarded: %v", r.Intents)
 	}
-	if len(r.locks) != 0 {
-		t.Errorf("all descendants' locks must be released: %v", r.locks)
+	if len(r.Locks) != 0 {
+		t.Errorf("all descendants' locks must be released: %v", r.Locks)
 	}
 }
 
 func TestHandleUnknownItemAndMessage(t *testing.T) {
-	s := &dmServer{id: "d", replicas: map[string]*replica{}, resolved: map[TxnID]*resolution{}}
+	s := newDMState("d", nil)
 	if resp := serve(s, ReadReq{Txn: "c1.t1", Item: "nope"}); resp.(ReadResp).OK {
 		t.Error("unknown item must not grant")
 	}
@@ -177,108 +180,101 @@ func TestHandleUnknownItemAndMessage(t *testing.T) {
 }
 
 func TestCommitTopIdempotent(t *testing.T) {
-	s := &dmServer{
-		id:       "d",
-		replicas: map[string]*replica{"x": newReplica()},
-		resolved: map[TxnID]*resolution{},
-	}
-	r := s.replicas["x"]
+	s := bareDM()
+	r := s.Replicas["x"]
 	serve(s, WriteReq{Txn: "c1.t1", Item: "x", VN: 1, Val: "v"})
 	serve(s, CommitTopReq{Txn: "c1.t1"})
-	if r.vn != 1 {
+	if r.VN != 1 {
 		t.Fatal("commit not applied")
 	}
 	// A second, retried commit must not disturb later state.
 	serve(s, WriteReq{Txn: "c1.t2", Item: "x", VN: 2, Val: "w"})
 	serve(s, CommitTopReq{Txn: "c1.t1"})
-	if len(r.intents) != 1 || r.vn != 1 {
-		t.Errorf("idempotence violated: vn=%d intents=%v", r.vn, r.intents)
+	if len(r.Intents) != 1 || r.VN != 1 {
+		t.Errorf("idempotence violated: vn=%d intents=%v", r.VN, r.Intents)
 	}
 }
 
 func TestRepairAppliesOnlyWhenNewerAndIdle(t *testing.T) {
-	s := &dmServer{
-		id:       "d",
-		replicas: map[string]*replica{"x": newReplica()},
-		resolved: map[TxnID]*resolution{},
-	}
-	r := s.replicas["x"]
-	r.vn = 2
+	s := bareDM()
+	r := s.Replicas["x"]
+	r.VN = 2
 	serve(s, RepairReq{Item: "x", VN: 1, Val: "older"})
-	if r.vn != 2 {
+	if r.VN != 2 {
 		t.Error("older repair applied")
 	}
 	serve(s, RepairReq{Item: "x", VN: 5, Val: "newer"})
-	if r.vn != 5 || r.val != "newer" {
+	if r.VN != 5 || r.Val != "newer" {
 		t.Error("newer repair not applied")
 	}
 	// Read locks do not block repairs (they only advance committed state
 	// to the quorum maximum) …
-	r.grant("c1.t1", LockRead)
+	r.grant("c1.t1", LockRead, 0)
 	serve(s, RepairReq{Item: "x", VN: 9, Val: "reader-held"})
-	if r.vn != 9 {
+	if r.VN != 9 {
 		t.Error("repair must apply under read locks")
 	}
 	// … but write locks and pending intents do.
-	r.grant("c1.t2", LockWrite)
+	r.grant("c1.t2", LockWrite, 0)
 	serve(s, RepairReq{Item: "x", VN: 12, Val: "busy"})
-	if r.vn != 12-3 {
+	if r.VN != 12-3 {
 		t.Error("repair applied under a write lock")
 	}
 }
 
 func TestReplicaReleaseGuards(t *testing.T) {
 	r := newReplica()
+	// released retracts phase seq of txn and reports whether that freed the
+	// lock; tombstoned is the refusal acquire makes of a late copy.
+	released := func(txn TxnID, seq int) bool {
+		r.release(txn, seq)
+		_, held := r.Locks[txn]
+		return !held
+	}
+	tombstoned := func(txn TxnID, seq int) bool { return seq <= r.Released[txn] }
 
 	// Phase 1 creates the lock; releasing phase 1 frees it and tombstones
 	// the phase so a late duplicate of phase 1 cannot re-grant.
-	r.grant("c1.t1", LockRead)
-	r.noteGrant("c1.t1", 1, false)
-	if !r.release("c1.t1", 1) {
+	r.grant("c1.t1", LockRead, 1)
+	if !released("c1.t1", 1) {
 		t.Fatal("release of the creating phase must free the lock")
 	}
-	if !r.tombstoned("c1.t1", 1) {
+	if !tombstoned("c1.t1", 1) {
 		t.Error("released phase must be tombstoned")
 	}
-	if r.tombstoned("c1.t1", 2) {
+	if tombstoned("c1.t1", 2) {
 		t.Error("later phases must not be tombstoned")
 	}
 
 	// A lock created by phase 1 must not be freed by releasing phase 2
 	// (phase 2's grant reported Held, so the lock predates it).
-	r.grant("c1.t2", LockWrite)
-	r.noteGrant("c1.t2", 1, false)
-	r.noteGrant("c1.t2", 2, true)
-	if r.release("c1.t2", 2) {
+	r.grant("c1.t2", LockWrite, 1)
+	r.grant("c1.t2", LockWrite, 2)
+	if released("c1.t2", 2) {
 		t.Error("release must not free a lock an earlier phase created")
 	}
 	// Nor by releasing phase 1, since phase 2 re-granted it.
-	if r.release("c1.t2", 1) {
+	if released("c1.t2", 1) {
 		t.Error("release must not free a lock a later phase re-granted")
 	}
-	if _, held := r.locks["c1.t2"]; !held {
+	if _, held := r.Locks["c1.t2"]; !held {
 		t.Fatal("lock must survive both refused releases")
 	}
 
 	// A lock backing a buffered intention is never freed.
-	r.grant("c1.t3", LockWrite)
-	r.noteGrant("c1.t3", 1, false)
-	r.intents = append(r.intents, intent{owner: "c1.t3", vn: 1, val: "v"})
-	if r.release("c1.t3", 1) {
+	r.grant("c1.t3", LockWrite, 1)
+	r.Intents = append(r.Intents, intent{Owner: "c1.t3", VN: 1, Val: "v"})
+	if released("c1.t3", 1) {
 		t.Error("release must not free a lock that backs an intention")
-	}
-
-	// Seq 0 (sequential path) is a no-op.
-	if r.release("c1.t2", 0) {
-		t.Error("seq 0 release must be a no-op")
 	}
 }
 
 func TestHandleRefusesTombstonedAndResolved(t *testing.T) {
-	s := &dmServer{
-		id:       "d",
-		replicas: map[string]*replica{"x": newReplica()},
-		resolved: map[TxnID]*resolution{},
+	s := bareDM()
+	// A release that names no phase (Seq 0: a request sent outside a quorum
+	// phase) retracts nothing and is not logged.
+	if _, mutated := s.apply(ReleaseReq{Txn: "c1.t1", Item: "x"}); mutated || len(s.Replicas["x"].Released) != 0 {
+		t.Error("seq 0 release must be a no-op")
 	}
 	// Release phase 3 before its (late, reordered) request arrives: the
 	// request must not grant.
@@ -303,7 +299,7 @@ func TestHandleRefusesTombstonedAndResolved(t *testing.T) {
 	if w.OK || w.Busy {
 		t.Errorf("resolved txn must not buffer writes, got %+v", w)
 	}
-	if got := len(s.replicas["x"].intents); got != 0 {
+	if got := len(s.Replicas["x"].Intents); got != 0 {
 		t.Errorf("no intent may be installed after resolve, got %d", got)
 	}
 
@@ -316,45 +312,40 @@ func TestHandleRefusesTombstonedAndResolved(t *testing.T) {
 }
 
 func TestHandleDedupesHedgedWriteIntents(t *testing.T) {
-	s := &dmServer{
-		id:       "d",
-		replicas: map[string]*replica{"x": newReplica()},
-		resolved: map[TxnID]*resolution{},
-	}
+	s := bareDM()
 	// Two hedged copies of the same phase's WriteReq must install one
 	// intention.
 	serve(s, WriteReq{Txn: "c1.t1", Item: "x", VN: 7, Val: "v", Seq: 2})
 	serve(s, WriteReq{Txn: "c1.t1", Item: "x", VN: 7, Val: "v", Seq: 2})
-	if got := len(s.replicas["x"].intents); got != 1 {
+	if got := len(s.Replicas["x"].Intents); got != 1 {
 		t.Errorf("duplicate WriteReq must dedupe, got %d intents", got)
 	}
 	// A genuinely new write (higher vn) still appends.
 	serve(s, WriteReq{Txn: "c1.t1", Item: "x", VN: 8, Val: "w", Seq: 3})
-	if got := len(s.replicas["x"].intents); got != 2 {
+	if got := len(s.Replicas["x"].Intents); got != 2 {
 		t.Errorf("new write must append, got %d intents", got)
 	}
 
 	cfg := quorum.Majority([]string{"a", "b"})
 	serve(s, ConfigWriteReq{Txn: "c1.t1", Item: "x", Gen: 1, Cfg: cfg, Seq: 4})
 	serve(s, ConfigWriteReq{Txn: "c1.t1", Item: "x", Gen: 1, Cfg: cfg, Seq: 4})
-	if got := len(s.replicas["x"].intents); got != 3 {
+	if got := len(s.Replicas["x"].Intents); got != 3 {
 		t.Errorf("duplicate ConfigWriteReq must dedupe, got %d intents", got)
 	}
 }
 
 func TestReplicaPromoteKeepsTombstones(t *testing.T) {
 	r := newReplica()
-	r.grant("c1.t1/1", LockWrite)
-	r.noteGrant("c1.t1/1", 2, false)
+	r.grant("c1.t1/1", LockWrite, 2)
 	r.release("c1.t1/1", 1) // tombstone an earlier phase, lock survives
 	r.promote("c1.t1/1")
-	if r.locks["c1.t1"] != LockWrite {
+	if r.Locks["c1.t1"].Mode != LockWrite {
 		t.Fatal("parent must inherit the lock")
 	}
-	if _, ok := r.lockSeqs["c1.t1/1"]; ok {
-		t.Error("child phase records must be cleared on promote")
+	if l := r.Locks["c1.t1"]; l.Born != 0 || l.Last != 0 {
+		t.Errorf("the child's phase record must not follow the lock to the parent: %+v", l)
 	}
-	if !r.tombstoned("c1.t1/1", 1) {
+	if r.Released["c1.t1/1"] != 1 {
 		t.Error("tombstones must survive promotion")
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
 
-	"repro/internal/commit"
-	"repro/internal/quorum"
 	"repro/internal/wal"
 )
 
@@ -48,138 +45,29 @@ func decodeRecord(b []byte) (any, error) {
 	return rec.Req, nil
 }
 
-// intentSnap is the exported mirror of intent for snapshots.
-type intentSnap struct {
-	Owner    TxnID
-	IsConfig bool
-	VN       int
-	Val      any
-	Gen      int
-	Cfg      quorum.Config
-}
-
-// replicaSnap is the exported mirror of one replica's full state.
-type replicaSnap struct {
-	Item     string
-	VN       int
-	Val      any
-	Gen      int
-	Cfg      quorum.Config
-	Locks    map[TxnID]LockMode
-	Intents  []intentSnap
-	LockSeqs map[TxnID]int
-	LockBorn map[TxnID]int
-	Released map[TxnID]int
-}
-
-// resolutionSnap is the exported mirror of a resolution record.
-type resolutionSnap struct {
-	Committed bool
-	Subs      []TxnID
-}
-
-// dmSnap is a whole DM's state at one point in the log.
-type dmSnap struct {
-	Replicas []replicaSnap
-	Resolved map[TxnID]resolutionSnap
-	// Moved carries the migration retirement markers: hard state like the
-	// replicas themselves — a compacted log must still answer WrongShard
-	// redirects for items this DM retired.
-	Moved map[string]WrongShardResp
-	// Acceptors carries the Paxos Commit acceptor hard state (promise
-	// watermarks and accepted outcome values): a compacted log must still
-	// let a majority reconstruct an undecided instance's outcome. Absent
-	// from pre-Paxos snapshots, which gob decodes as nil.
-	Acceptors map[TxnID]commit.Acceptor
-}
-
-// encodeSnapshot serializes the DM's complete state. Replicas are listed in
-// item order so snapshots of identical state are structurally identical.
-// Leases, in-flight inquiries, and freshness hints are soft state and
-// deliberately absent: recovery re-stamps fresh leases (which only delays
-// reaping) and rebuilds an empty hint table (a recovered replica serves no
-// hinted reads until a commit or the sweeper re-proves its freshness).
+// encodeSnapshot serializes the DM's complete hard state: the gob of the
+// state machine's own dmState, with no mirror types between them. Leases,
+// in-flight inquiries, freshness hints and the touched index are soft or
+// derived state and deliberately absent: recovery re-stamps fresh leases
+// (which only delays reaping), rebuilds an empty hint table (a recovered
+// replica serves no hinted reads until a commit or the sweeper re-proves
+// its freshness) and re-derives the index.
 func encodeSnapshot(s *dmServer) ([]byte, error) {
-	snap := dmSnap{Resolved: map[TxnID]resolutionSnap{}}
-	for t, res := range s.resolved {
-		snap.Resolved[t] = resolutionSnap{Committed: res.committed, Subs: res.subs}
-	}
-	if len(s.moved) > 0 {
-		snap.Moved = map[string]WrongShardResp{}
-		for item, w := range s.moved {
-			snap.Moved[item] = w
-		}
-	}
-	if len(s.acceptors) > 0 {
-		snap.Acceptors = map[TxnID]commit.Acceptor{}
-		for t, acc := range s.acceptors {
-			snap.Acceptors[t] = *acc
-		}
-	}
-	names := make([]string, 0, len(s.replicas))
-	for name := range s.replicas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := s.replicas[name]
-		rs := replicaSnap{
-			Item: name, VN: r.vn, Val: r.val, Gen: r.gen, Cfg: r.cfg.Clone(),
-			Locks:    r.locks,
-			LockSeqs: r.lockSeqs, LockBorn: r.lockBorn, Released: r.released,
-		}
-		for _, in := range r.intents {
-			rs.Intents = append(rs.Intents, intentSnap{
-				Owner: in.owner, IsConfig: in.isConfig,
-				VN: in.vn, Val: in.val, Gen: in.gen, Cfg: in.cfg.Clone(),
-			})
-		}
-		snap.Replicas = append(snap.Replicas, rs)
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&s.dmState); err != nil {
 		return nil, fmt.Errorf("cluster: encode wal snapshot: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// restoreSnapshot overwrites the DM's state with a decoded snapshot.
+// restoreSnapshot overwrites the DM's hard state with a decoded snapshot
+// and re-derives the index from it.
 func restoreSnapshot(s *dmServer, b []byte) error {
-	var snap dmSnap
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&snap); err != nil {
+	st := emptyState() // gob leaves a table it was sent no entries for as it finds it
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
 		return fmt.Errorf("cluster: decode wal snapshot: %w", err)
 	}
-	s.resolved = map[TxnID]*resolution{}
-	for t, rs := range snap.Resolved {
-		s.resolved[t] = &resolution{committed: rs.Committed, subs: rs.Subs}
-	}
-	s.moved = map[string]WrongShardResp{}
-	for item, w := range snap.Moved {
-		s.moved[item] = w
-	}
-	s.acceptors = map[TxnID]*commit.Acceptor{}
-	for t, acc := range snap.Acceptors {
-		a := acc
-		s.acceptors[t] = &a
-	}
-	s.replicas = map[string]*replica{}
-	for _, rs := range snap.Replicas {
-		r := &replica{
-			vn: rs.VN, val: rs.Val, gen: rs.Gen, cfg: rs.Cfg,
-			locks:    rs.Locks,
-			lockSeqs: rs.LockSeqs, lockBorn: rs.LockBorn, released: rs.Released,
-		}
-		if r.locks == nil {
-			r.locks = map[TxnID]LockMode{}
-		}
-		for _, in := range rs.Intents {
-			r.intents = append(r.intents, intent{
-				owner: in.Owner, isConfig: in.IsConfig,
-				vn: in.VN, val: in.Val, gen: in.Gen, cfg: in.Cfg,
-			})
-		}
-		s.replicas[rs.Item] = r
-	}
+	s.dmState = st
 	s.reindex()
 	return nil
 }

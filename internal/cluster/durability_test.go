@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/checker"
-	"repro/internal/commit"
 	"repro/internal/quorum"
 	"repro/internal/sim"
 )
@@ -24,9 +23,7 @@ func amnesia(t *testing.T, store *Store, dm string) RecoveryStats {
 	}
 	// Zero the state machine before reopening: anything the recovered DM
 	// serves afterwards can only have come from the log.
-	h.srv.replicas = map[string]*replica{}
-	h.srv.resolved = map[TxnID]*resolution{}
-	h.srv.acceptors = map[TxnID]*commit.Acceptor{}
+	h.srv.dmState = emptyState()
 	stats, err := store.RestartDM(dm)
 	if err != nil {
 		t.Fatalf("restart %s: %v", dm, err)

@@ -306,7 +306,7 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 		}
 	}
 
-	results := make(chan phaseResp, len(spec.targets)*st.hedgeMax)
+	results := make(chan phaseResp, len(spec.targets)*hedgeMax)
 	inflight := 0
 	issue := func(dm string) {
 		col.issue(dm)
@@ -347,7 +347,7 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	// A sequential plan asks one quorum and moves on to the next when a
 	// member stays silent; re-asking within the plan is fan-out's remedy.
 	var hedgeC <-chan time.Time
-	if st.hedgeDelay > 0 && st.hedgeMax > 1 && !st.sequential {
+	if st.hedgeDelay > 0 && !st.sequential {
 		tick := time.NewTicker(st.hedgeDelay)
 		defer tick.Stop()
 		hedgeC = tick.C
@@ -387,7 +387,7 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 				return col
 			}
 		case <-hedgeC:
-			for _, dm := range col.hedgeTargets(targets, st.hedgeMax) {
+			for _, dm := range col.hedgeTargets(targets, hedgeMax) {
 				if probes[dm] {
 					continue // half-open probes get exactly one copy
 				}

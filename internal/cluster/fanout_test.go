@@ -199,7 +199,6 @@ func TestHedgingResendsToSilentReplica(t *testing.T) {
 		WithSeed(42),
 		WithCallTimeout(200*time.Millisecond),
 		WithHedgeDelay(time.Millisecond),
-		WithHedgeMax(3),
 	)
 	if err != nil {
 		net.Close()

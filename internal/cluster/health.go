@@ -28,8 +28,9 @@ type healthBoard struct {
 	// between half-open probe trials.
 	probeEvery int
 	// fixedTimeout suppresses latency-adaptive call timeouts (the one
-	// wall-clock-measured input to the board's behavior); deterministic
-	// harnesses set it so replays cannot fork on scheduler noise.
+	// wall-clock-measured input to the board's behavior); set when the store
+	// runs on a manual clock, so a deterministic harness's replays cannot
+	// fork on scheduler noise.
 	fixedTimeout bool
 	nodes        map[string]*nodeHealth
 

@@ -48,21 +48,6 @@ type hintFence struct {
 	at  time.Time
 }
 
-// configureHints arms the replica-side hint machinery; ttl <= 0 leaves it
-// off (every HintReadReq misses). Must be called before the server's node
-// starts, like configureLeases.
-func (s *dmServer) configureHints(ttl time.Duration) {
-	s.hintTTL = ttl
-	if ttl > 0 {
-		if s.hints == nil {
-			s.hints = map[string]itemHint{}
-		}
-		if s.hintFences == nil {
-			s.hintFences = map[string]hintFence{}
-		}
-	}
-}
-
 // grantHint installs a freshness hint for item at the replica's current
 // committed state — called at commit-apply, for each replica whose
 // committed (vn, gen) the commit advanced: such a replica holds the newest
@@ -79,10 +64,7 @@ func (s *dmServer) grantHint(item string, r *replica, by TxnID) {
 		return
 	}
 	delete(s.hintFences, item)
-	if s.hints == nil {
-		s.hints = map[string]itemHint{}
-	}
-	s.hints[item] = itemHint{vn: r.vn, gen: r.gen, expiry: now.Add(s.hintTTL)}
+	s.hints[item] = itemHint{vn: r.VN, gen: r.Gen, expiry: now.Add(s.hintTTL)}
 }
 
 // fenceHintLocal revokes item's hint and stamps the fence window for the
@@ -99,79 +81,52 @@ func (s *dmServer) fenceHintLocal(item string, by TxnID) {
 	s.hintFences[item] = hintFence{txn: by.Top(), at: s.clock.Now()}
 }
 
-// hintLive reports whether the replica currently holds a hint for item
-// that matches its committed state, is unexpired, and has no writer in
-// flight. Read locks are compatible — they cannot change the value.
-func (s *dmServer) hintLive(item string, r *replica) bool {
+// hintMiss is the one hint-validity walk: why the replica may not serve item
+// alone right now, or "" while its hint is live — armed, present, unexpired,
+// still matching the committed (vn, gen), and no writer in flight (read
+// locks are compatible: they cannot change the value). A hint found expired
+// or stale is dropped on the way. The reason is diagnostic only.
+func (s *dmServer) hintMiss(item string, r *replica) string {
 	if s.hintTTL <= 0 {
-		return false
+		return "disabled"
 	}
 	h, ok := s.hints[item]
-	if !ok {
-		return false
-	}
-	if s.clock.Now().After(h.expiry) {
+	switch {
+	case !ok:
+		return "none"
+	case s.clock.Now().After(h.expiry):
 		delete(s.hints, item)
-		return false
-	}
-	if h.vn != r.vn || h.gen != r.gen {
+		return "expired"
+	case h.vn != r.VN || h.gen != r.Gen:
 		delete(s.hints, item)
-		return false
+		return "stale"
+	case r.writerInFlight():
+		return "writer"
 	}
-	if len(r.intents) > 0 {
-		return false
-	}
-	for _, m := range r.locks {
-		if m == LockWrite {
-			return false
-		}
-	}
-	return true
+	return ""
 }
 
-// hintCheck validates a HintReadReq against the replica's hint. On success
-// it returns the equivalent ReadReq — the caller feeds it through the
-// ordinary apply path, so the fast lane grants a real read lock, stamps a
-// real lease, and logs a real WAL record; a replay never consults hint
-// state. On failure it returns the HintMissResp to answer with.
+// hintCheck validates a HintReadReq: the request's own two refusals — the
+// item moved away (or was never hosted), the client believes another
+// configuration generation — around the shared walk. On success it returns
+// the equivalent ReadReq — the caller feeds it through the ordinary apply
+// path, so the fast lane grants a real read lock, stamps a real lease, and
+// logs a real WAL record; a replay never consults hint state. On failure it
+// returns the HintMissResp to answer with.
 func (s *dmServer) hintCheck(q HintReadReq) (ReadReq, *HintMissResp) {
-	miss := func(reason string) (ReadReq, *HintMissResp) {
-		return ReadReq{}, &HintMissResp{DM: s.id, Reason: reason}
-	}
-	if _, ok := s.moved[q.Item]; ok {
+	var reason string
+	r := s.Replicas[q.Item]
+	if _, moved := s.Moved[q.Item]; moved {
 		// Retired after a migration: the quorum path the miss forces will
 		// hit the moved marker and absorb the WrongShard redirect.
-		return miss("moved")
+		reason = "moved"
+	} else if r == nil {
+		reason = "unknown-item"
+	} else if reason = s.hintMiss(q.Item, r); reason == "" && q.Gen != r.Gen {
+		reason = "gen"
 	}
-	r := s.replicas[q.Item]
-	if r == nil {
-		return miss("unknown-item")
-	}
-	if s.hintTTL <= 0 {
-		return miss("disabled")
-	}
-	h, ok := s.hints[q.Item]
-	if !ok {
-		return miss("none")
-	}
-	if s.clock.Now().After(h.expiry) {
-		delete(s.hints, q.Item)
-		return miss("expired")
-	}
-	if h.vn != r.vn || h.gen != r.gen {
-		delete(s.hints, q.Item)
-		return miss("stale")
-	}
-	if q.Gen != r.gen {
-		return miss("gen")
-	}
-	if len(r.intents) > 0 {
-		return miss("writer")
-	}
-	for _, m := range r.locks {
-		if m == LockWrite {
-			return miss("writer")
-		}
+	if reason != "" {
+		return ReadReq{}, &HintMissResp{DM: s.id, Reason: reason}
 	}
 	return ReadReq{Txn: q.Txn, Item: q.Item, Lock: LockRead, Seq: q.Seq}, nil
 }
@@ -183,7 +138,7 @@ func (s *dmServer) hintCheck(q HintReadReq) (ReadReq, *HintMissResp) {
 func (s *dmServer) coordinateHints(req any) (resp any, handled bool) {
 	switch q := req.(type) {
 	case HintGrantReq:
-		r := s.replicas[q.Item]
+		r := s.Replicas[q.Item]
 		if r == nil || s.hintTTL <= 0 {
 			return Ack{OK: false}, true
 		}
@@ -192,7 +147,7 @@ func (s *dmServer) coordinateHints(req any) (resp any, handled bool) {
 		// still this replica's state, no transaction holds any lock or
 		// intention here, and no write fence is fresh — any of those means a
 		// writer moved between inspection and delivery.
-		if q.VN != r.vn || q.Gen != r.gen || len(r.locks) > 0 || len(r.intents) > 0 {
+		if q.VN != r.VN || q.Gen != r.Gen || len(r.Locks) > 0 || len(r.Intents) > 0 {
 			return Ack{OK: false}, true
 		}
 		now := s.clock.Now()
@@ -202,17 +157,17 @@ func (s *dmServer) coordinateHints(req any) (resp any, handled bool) {
 			// seen, so the inspected unanimity is no longer evidence.
 			return Ack{OK: false}, true
 		}
-		s.hints[q.Item] = itemHint{vn: r.vn, gen: r.gen, expiry: now.Add(s.hintTTL)}
+		s.hints[q.Item] = itemHint{vn: r.VN, gen: r.Gen, expiry: now.Add(s.hintTTL)}
 		return Ack{OK: true}, true
 	case HintFenceReq:
-		r := s.replicas[q.Item]
+		r := s.Replicas[q.Item]
 		if r == nil || s.hintTTL <= 0 {
 			return Ack{OK: true}, true
 		}
 		// Revoke first, verdict second: even a refused fence stops new
 		// hinted reads immediately.
 		s.fenceHintLocal(q.Item, q.Txn)
-		for holder := range r.locks {
+		for holder := range r.Locks {
 			if holder.Top() != q.Txn.Top() {
 				// Another transaction — possibly a hinted reader that holds
 				// only this replica's lock — is still in flight on the item.
@@ -296,7 +251,7 @@ func (c *hintCache) drop(item string) {
 // noteHintTarget records a fast-lane target learned from a Hinted
 // quorum-read reply or a sweeper grant round.
 func (s *Store) noteHintTarget(item, dm string, gen int) {
-	if !s.opts.readLease {
+	if s.opts.readLeaseTTL <= 0 {
 		return
 	}
 	s.hintCache.note(item, dm, gen, s.now().Add(s.opts.readLeaseTTL))
@@ -397,7 +352,7 @@ func (t *Txn) noteWrittenItem(item string) {
 // correctness.
 func (t *Txn) primeHintTargets(missing []string) {
 	s := t.store
-	if !s.opts.readLease {
+	if s.opts.readLeaseTTL <= 0 {
 		return
 	}
 	skip := make(map[string]bool, len(missing))
@@ -515,7 +470,7 @@ func (t *Txn) writtenItems() []string {
 func (t *Txn) fenceHints(ctx context.Context) error {
 	s := t.store
 	st := s.opts
-	if !st.readLease {
+	if st.readLeaseTTL <= 0 {
 		return nil
 	}
 	items := t.writtenItems()

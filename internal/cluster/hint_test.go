@@ -27,8 +27,7 @@ func hintCluster(t *testing.T, seed int64, ttl time.Duration, extra ...Option) (
 	opts := append([]Option{
 		WithSeed(seed),
 		WithCallTimeout(25 * time.Millisecond),
-		WithReadLease(true),
-		WithReadLeaseTTL(ttl),
+		WithReadLease(ttl),
 		WithClock(clk),
 		WithRetryBackoff(2 * time.Millisecond),
 		WithSynchronousCleanup(true),
@@ -282,8 +281,7 @@ func TestHintRebuildAfterAmnesia(t *testing.T) {
 		[]ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
 		WithSeed(42),
 		WithCallTimeout(25*time.Millisecond),
-		WithReadLease(true),
-		WithReadLeaseTTL(time.Minute),
+		WithReadLease(time.Minute),
 		WithClock(clk),
 		WithSynchronousCleanup(true),
 		WithDurability(t.TempDir()),

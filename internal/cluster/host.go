@@ -114,14 +114,7 @@ func newHost(tr transport.Transport, id string, items []ItemSpec, peers []string
 // replays — and before the endpoint exists.
 func (h *DMHost) wire() {
 	srv := h.srv
-	srv.configureLeases(h.st.leaseTTL, h.st.clock, h.peers, h.Stats)
-	srv.configureRetention(defaultResolvedRetention)
-	if h.st.readLease {
-		srv.configureHints(h.st.readLeaseTTL)
-	}
-	if h.st.ring != nil {
-		srv.configureRing(h.st.ring)
-	}
+	srv.configure(h.st, h.peers, h.Stats)
 	if h.log != nil {
 		srv.logThen = h.logThen
 	}

@@ -36,8 +36,7 @@ func TestEveryStartPathWiresTheReplicaAlike(t *testing.T) {
 	clock := transport.NewManualClock(time.Unix(1700000000, 0))
 	opts := func(dir string) []Option {
 		return []Option{
-			WithLeaseTTL(3 * time.Second), WithClock(clock), WithReadLease(true),
-			WithReadLeaseTTL(70 * time.Millisecond), WithRing(ring), WithDurability(dir),
+			WithLeaseTTL(3 * time.Second), WithClock(clock), WithReadLease(70 * time.Millisecond), WithRing(ring), WithDurability(dir),
 			WithWALOptions(wal.WithFsync(false), wal.WithSegmentBytes(256)),
 		}
 	}
@@ -198,7 +197,7 @@ func TestOneHandlerVolatileAndDurableAgree(t *testing.T) {
 			clock := transport.NewManualClock(time.Unix(1700000000, 0))
 			net := sim.NewNetwork(sim.Config{Seed: seed})
 			defer net.Close()
-			st := resolve([]Option{WithClock(clock), WithReadLease(true), WithReadLeaseTTL(time.Hour), WithWALOptions(wal.WithFsync(false))})
+			st := resolve([]Option{WithClock(clock), WithReadLease(time.Hour), WithWALOptions(wal.WithFsync(false))})
 			volatile, err := start(net, "volatile", specs, nil, st, new(Stats))
 			if err != nil {
 				t.Fatal(err)
@@ -212,7 +211,7 @@ func TestOneHandlerVolatileAndDurableAgree(t *testing.T) {
 			defer func() { durable.Close() }()
 			reference := newDMState("reference", specs)
 			reference.clock = clock
-			reference.configureHints(time.Hour)
+			reference.hintTTL = time.Hour
 			client, err := net.Client("driver")
 			if err != nil {
 				t.Fatal(err)
@@ -284,7 +283,7 @@ func TestQuarantinedHostRefusesEveryMessage(t *testing.T) {
 			t.Errorf("%T answered %#v, want %#v", wt.proto, got, want)
 		}
 	}
-	if len(s.touched) != 0 || len(s.resolved) != 0 || len(s.replicas["x"].locks) != 0 {
+	if len(s.touched) != 0 || len(s.Resolved) != 0 || len(s.Replicas["x"].Locks) != 0 {
 		t.Error("a refused request reached the state machine")
 	}
 }

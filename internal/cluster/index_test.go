@@ -12,71 +12,52 @@ import (
 )
 
 // fullScanApply is the replica's resolution logic as it was before the
-// touched index: every CommitSubReq, AbortReq, CommitTopReq, ReapReq and
-// PaxosDecisionReq visits every hosted replica. Kept as the reference the
-// indexed server is compared against; every other request goes through the
-// shared apply.
+// touched index: every CommitSubReq, AbortReq, CommitTopReq and DecisionReq
+// visits every hosted replica. Kept as the reference the indexed server is
+// compared against; every other request goes through the shared apply.
 func fullScanApply(s *dmServer, req any) (any, bool) {
-	commitTop := func(top TxnID, subs []TxnID, final map[string]int) {
-		s.markResolved(top, true, subs)
+	resolve := func(top TxnID, commit bool, subs []TxnID, final map[string]int) (any, bool) {
+		if res := s.Resolved[top]; res != nil {
+			return Ack{OK: res.Committed == commit}, false
+		}
+		if !commit {
+			subs = nil
+		}
+		s.markResolved(top, commit, subs)
 		committed := map[TxnID]bool{}
 		for _, sub := range subs {
 			committed[sub] = true
 		}
-		for name, r := range s.replicas {
+		for name, r := range s.Replicas {
+			if !commit {
+				r.drop(top)
+				continue
+			}
 			r.applyTop(top, committed)
-			if fin, ok := final[name]; ok && r.vn == fin {
+			if fin, ok := final[name]; ok && r.VN == fin {
 				s.grantHint(name, r, top)
 			}
 		}
-	}
-	abortTop := func(top TxnID) {
-		s.markResolved(top, false, nil)
-		for _, r := range s.replicas {
-			r.drop(top)
-		}
+		return Ack{OK: true}, true
 	}
 	switch q := req.(type) {
 	case CommitSubReq:
-		for _, r := range s.replicas {
+		for _, r := range s.Replicas {
 			r.promote(q.Txn)
 		}
 		return Ack{OK: true}, true
 	case AbortReq:
 		if q.Txn.Top() == q.Txn {
-			abortTop(q.Txn)
-		} else {
-			for _, r := range s.replicas {
-				r.drop(q.Txn)
-			}
+			return resolve(q.Txn, false, nil, nil)
+		}
+		for _, r := range s.Replicas {
+			r.drop(q.Txn)
 		}
 		return Ack{OK: true}, true
 	case CommitTopReq:
-		if res := s.resolved[q.Txn]; res != nil {
-			return Ack{OK: res.committed}, false
-		}
-		commitTop(q.Txn, q.Subs, q.Final)
-		return Ack{OK: true}, true
-	case ReapReq, PaxosDecisionReq:
-		var txn TxnID
-		var commit bool
-		var subs []TxnID
-		var final map[string]int
-		switch q := q.(type) {
-		case ReapReq:
-			txn, commit, subs = q.Txn, q.Commit, q.Subs
-		case PaxosDecisionReq:
-			txn, commit, subs, final = q.Txn, q.Commit, q.Subs, q.Final
-		}
-		if s.resolved[txn.Top()] != nil {
-			return Ack{OK: true}, false
-		}
-		if commit {
-			commitTop(txn.Top(), subs, final)
-		} else {
-			abortTop(txn.Top())
-		}
-		return Ack{OK: true}, true
+		return resolve(q.Txn, true, q.Subs, q.Final)
+	case DecisionReq:
+		return resolve(q.Txn.Top(), q.Commit, q.Subs, q.Final)
 	}
 	return s.apply(req)
 }
@@ -85,14 +66,14 @@ func fullScanApply(s *dmServer, req any) (any, bool) {
 // computed it before the index: does any hosted replica hold a lock or an
 // intention of top's tree.
 func fullScanHolds(s *dmServer, top TxnID) bool {
-	for _, r := range s.replicas {
-		for holder := range r.locks {
+	for _, r := range s.Replicas {
+		for holder := range r.Locks {
 			if holder.Top() == top {
 				return true
 			}
 		}
-		for _, in := range r.intents {
-			if in.owner.Top() == top {
+		for _, in := range r.Intents {
+			if in.Owner.Top() == top {
 				return true
 			}
 		}
@@ -103,40 +84,36 @@ func fullScanHolds(s *dmServer, top TxnID) bool {
 // replicaState is everything a replica holds, with empty maps and slices
 // normalised to nil so lazily allocated tables compare equal.
 type replicaState struct {
-	VN, Gen                   int
-	Val                       any
-	Cfg                       string
-	Locks                     map[TxnID]LockMode
-	LockSeqs, LockBorn, Freed map[TxnID]int
-	Intents                   []intent
-	Hint                      itemHint
-	HintFence                 hintFence
+	VN, Gen   int
+	Val       any
+	Cfg       string
+	Locks     map[TxnID]lock
+	Freed     map[TxnID]int
+	Intents   []intent
+	Hint      itemHint
+	HintFence hintFence
 }
 
 func snapshotState(s *dmServer) (map[string]replicaState, map[TxnID]resolution) {
-	intMap := func(m map[TxnID]int) map[TxnID]int {
-		if len(m) == 0 {
-			return nil
-		}
-		return m
-	}
 	reps := map[string]replicaState{}
-	for name, r := range s.replicas {
+	for name, r := range s.Replicas {
 		st := replicaState{
-			VN: r.vn, Gen: r.gen, Val: r.val, Cfg: r.cfg.String(),
-			LockSeqs: intMap(r.lockSeqs), LockBorn: intMap(r.lockBorn), Freed: intMap(r.released),
+			VN: r.VN, Gen: r.Gen, Val: r.Val, Cfg: r.Cfg.String(),
 			Hint: s.hints[name], HintFence: s.hintFences[name],
 		}
-		if len(r.locks) > 0 {
-			st.Locks = r.locks
+		if len(r.Locks) > 0 {
+			st.Locks = r.Locks
 		}
-		if len(r.intents) > 0 {
-			st.Intents = r.intents
+		if len(r.Released) > 0 {
+			st.Freed = r.Released
+		}
+		if len(r.Intents) > 0 {
+			st.Intents = r.Intents
 		}
 		reps[name] = st
 	}
 	res := map[TxnID]resolution{}
-	for t, r := range s.resolved {
+	for t, r := range s.Resolved {
 		res[t] = *r
 	}
 	return reps, res
@@ -147,18 +124,16 @@ func snapshotState(s *dmServer) (map[string]replicaState, map[TxnID]resolution) 
 // transaction has an entry.
 func checkIndex(t *testing.T, s *dmServer) {
 	t.Helper()
-	for item, r := range s.replicas {
+	for item, r := range s.Replicas {
 		holders := map[TxnID]bool{}
-		for h := range r.locks {
+		for h := range r.Locks {
 			holders[h] = true
 		}
-		for _, m := range []map[TxnID]int{r.lockSeqs, r.lockBorn, r.released} {
-			for h := range m {
-				holders[h] = true
-			}
+		for h := range r.Released {
+			holders[h] = true
 		}
-		for _, in := range r.intents {
-			holders[in.owner] = true
+		for _, in := range r.Intents {
+			holders[in.Owner] = true
 		}
 		for h := range holders {
 			if _, ok := s.touched[h.Top()][item]; !ok {
@@ -167,7 +142,7 @@ func checkIndex(t *testing.T, s *dmServer) {
 		}
 	}
 	for top := range s.touched {
-		if s.resolved[top] != nil {
+		if s.Resolved[top] != nil {
 			t.Fatalf("resolved transaction %s still has an index entry", top)
 		}
 	}
@@ -240,10 +215,10 @@ func resolutionStream(seed int64) ([]ItemSpec, func(step int) (any, TxnID)) {
 			req = AbortReq{Txn: node(top)}
 		case p < 94:
 			req = CommitTopReq{Txn: top, Subs: subsOf(top), Final: finals[top]}
-		case p < 97:
-			req = ReapReq{Txn: node(top), Commit: rng.Intn(2) == 0, Subs: subsOf(top)}
-		default:
-			req = PaxosDecisionReq{Txn: top, Commit: rng.Intn(2) == 0, Subs: subsOf(top), Final: finals[top]}
+		case p < 97: // a reap: no final versions, and the reaper may name any node of the tree
+			req = DecisionReq{Txn: node(top), Commit: rng.Intn(2) == 0, Subs: subsOf(top)}
+		default: // a Paxos decision
+			req = DecisionReq{Txn: top, Commit: rng.Intn(2) == 0, Subs: subsOf(top), Final: finals[top]}
 		}
 		return req, top
 	}
@@ -262,7 +237,7 @@ func TestIndexedResolutionMatchesFullScan(t *testing.T) {
 			build := func() *dmServer {
 				s := newDMState("dm0", specs)
 				s.clock = clock
-				s.configureHints(time.Hour)
+				s.hintTTL = time.Hour
 				return s
 			}
 			indexed, reference := build(), build()
@@ -339,8 +314,8 @@ func TestLateReleaseAfterResolutionIsInert(t *testing.T) {
 			}
 			check := func(s *dmServer) {
 				t.Helper()
-				if len(s.touched) != 0 || len(s.replicas["x"].released) != 0 {
-					t.Fatalf("late release left state: touched %v, released %v", s.touched, s.replicas["x"].released)
+				if len(s.touched) != 0 || len(s.Replicas["x"].Released) != 0 {
+					t.Fatalf("late release left state: touched %v, released %v", s.touched, s.Replicas["x"].Released)
 				}
 				if resp, mutated := s.apply(ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockWrite, Seq: 1}); resp.(ReadResp).OK || mutated {
 					t.Fatalf("late ReadReq copy was granted: %#v", resp)

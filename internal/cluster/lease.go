@@ -39,9 +39,6 @@ func (s *dmServer) stampLease(t TxnID) {
 	if s.leaseTTL <= 0 {
 		return
 	}
-	if s.leases == nil {
-		s.leases = map[TxnID]time.Time{}
-	}
 	s.leases[t.Top()] = s.clock.Now().Add(s.leaseTTL)
 }
 
@@ -70,8 +67,8 @@ func (s *dmServer) refreshLeases() {
 	if s.leaseTTL <= 0 {
 		return
 	}
-	for _, r := range s.replicas {
-		for holder := range r.locks {
+	for _, r := range s.Replicas {
+		for holder := range r.Locks {
 			s.stampLease(holder)
 		}
 	}
@@ -80,33 +77,16 @@ func (s *dmServer) refreshLeases() {
 // noteConflict runs on every refused lock request: if any conflicting
 // holder's lease lapsed, its client may be gone — start (or refresh) a
 // resolution inquiry for it. Lazy detection keeps the reaper off the
-// clock: orphans are hunted exactly when they are in somebody's way (and
-// by the anti-entropy sweeper's inspections during idle ticks).
+// clock: orphans are hunted exactly when they are in somebody's way — and
+// by the anti-entropy sweeper's inspections during idle ticks, which pass
+// no requester and so sweep every holder on the inspected replica.
 func (s *dmServer) noteConflict(r *replica, requester TxnID) {
 	if s.leaseTTL <= 0 {
 		return
 	}
 	reqTop := requester.Top()
-	for holder := range r.locks {
-		if holder.Top() == reqTop {
-			continue
-		}
-		if s.leaseExpired(holder) {
-			s.maybeStartInquiry(holder.Top())
-		}
-	}
-}
-
-// noteInspect gives the anti-entropy sweeper's InspectReq the same
-// orphan-detection power a conflict has: expired-lease holders on the
-// inspected replica trigger inquiries even if no client is waiting on
-// them.
-func (s *dmServer) noteInspect(r *replica) {
-	if s.leaseTTL <= 0 {
-		return
-	}
-	for holder := range r.locks {
-		if s.leaseExpired(holder) {
+	for holder := range r.Locks {
+		if holder.Top() != reqTop && s.leaseExpired(holder) {
 			s.maybeStartInquiry(holder.Top())
 		}
 	}
@@ -117,10 +97,10 @@ func (s *dmServer) noteInspect(r *replica) {
 // clusters) nobody else could hold a commit record, so the presumed abort
 // is immediate.
 func (s *dmServer) maybeStartInquiry(top TxnID) {
-	if s.resolved[top] != nil {
+	if s.Resolved[top] != nil {
 		return
 	}
-	if acc := s.acceptors[top]; acc != nil {
+	if acc := s.Acceptors[top]; acc != nil {
 		// Acceptor state lives here: the outcome may already be decided at a
 		// majority of the cohort, so consult the acceptors (Paxos recovery)
 		// instead of polling for commit records — a poll's all-unknown
@@ -148,15 +128,12 @@ func (s *dmServer) maybeStartInquiry(top TxnID) {
 		s.stats.ResolutionQueries.Inc()
 	}
 	if len(s.peers) == 0 {
-		s.reap(ReapReq{Txn: top})
+		s.reap(top, false, nil)
 		return
 	}
 	inq := &inquiry{started: now, waiting: map[string]bool{}}
 	for _, p := range s.peers {
 		inq.waiting[p] = true
-	}
-	if s.inquiries == nil {
-		s.inquiries = map[TxnID]*inquiry{}
 	}
 	s.inquiries[top] = inq
 	s.pollPeers(top, s.peers)
@@ -168,19 +145,19 @@ func (s *dmServer) pollPeers(top TxnID, peers []string) {
 	}
 }
 
-// reap routes a reap decision into the state machine (and the host's log,
-// when it keeps one) and counts it. The counters
-// live here, at the decision site, so log replay of an old ReapReq does
-// not double-count.
-func (s *dmServer) reap(req ReapReq) {
+// reap routes the reaper's verdict on an orphan into the state machine (and
+// the host's log, when it keeps one) and counts it. The counters live here,
+// at the decision site, so log replay of an old decision does not
+// double-count.
+func (s *dmServer) reap(top TxnID, commit bool, subs []TxnID) {
 	if s.stats != nil {
-		if req.Commit {
+		if commit {
 			s.stats.OrphanReapsCommitted.Inc()
 		} else {
 			s.stats.OrphanReapsAborted.Inc()
 		}
 	}
-	s.applyLogged(req)
+	s.applyLogged(DecisionReq{Txn: top, Commit: commit, Subs: subs})
 }
 
 // coordinate handles the lease-coordination messages that never touch the
@@ -188,12 +165,12 @@ func (s *dmServer) reap(req ReapReq) {
 // resolution answers. It reports handled=false for everything else. Kept
 // out of apply so the WAL/replay path never sees clock reads or peer
 // sends — the reap decisions coordinate produces enter the state machine
-// through applyLogged as ReapReqs, which ARE logged and replayed.
+// through applyLogged as DecisionReqs, which ARE logged and replayed.
 func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 	switch q := req.(type) {
 	case RenewLeaseReq:
 		top := q.Txn.Top()
-		if s.resolved[top] != nil {
+		if s.Resolved[top] != nil {
 			return Ack{OK: false}, true
 		}
 		if s.leaseTTL > 0 && !s.knowsTxn(top) {
@@ -210,8 +187,8 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 		return Ack{OK: true}, true
 	case ResolutionQueryReq:
 		ans := ResolutionAnswer{Txn: q.Txn, From: s.id}
-		if res := s.resolved[q.Txn]; res != nil {
-			ans.Known, ans.Committed, ans.Subs = true, res.committed, res.subs
+		if res := s.Resolved[q.Txn]; res != nil {
+			ans.Known, ans.Committed, ans.Subs = true, res.Committed, res.Subs
 		} else {
 			if s.leaseTTL > 0 {
 				if deadline, ok := s.leases[q.Txn]; ok && s.clock.Now().Before(deadline) {
@@ -221,7 +198,7 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 					ans.Active = true
 				}
 			}
-			if acc := s.acceptors[q.Txn]; acc != nil {
+			if acc := s.Acceptors[q.Txn]; acc != nil {
 				// Paxos acceptor state here means the coordinator reached its
 				// Phase 2a: the outcome may already be decided, so the inquirer
 				// must run acceptor recovery over the cohort instead of
@@ -234,12 +211,12 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 		return Ack{OK: true}, true
 	case ResolutionAnswer:
 		inq := s.inquiries[q.Txn]
-		if inq == nil || s.resolved[q.Txn] != nil {
+		if inq == nil || s.Resolved[q.Txn] != nil {
 			return Ack{OK: true}, true
 		}
 		if q.Known {
 			delete(s.inquiries, q.Txn)
-			s.reap(ReapReq{Txn: q.Txn, Commit: q.Committed, Subs: q.Subs})
+			s.reap(q.Txn, q.Committed, q.Subs)
 			return Ack{OK: true}, true
 		}
 		if q.Active {
@@ -263,7 +240,7 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 		// Every peer answered "unknown". Re-check the lease: a renewal may
 		// have landed here mid-inquiry, proving the client alive.
 		if s.leaseExpired(q.Txn) {
-			s.reap(ReapReq{Txn: q.Txn})
+			s.reap(q.Txn, false, nil)
 		}
 		return Ack{OK: true}, true
 	}

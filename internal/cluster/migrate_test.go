@@ -370,7 +370,7 @@ func TestMigrateCoordinatorCrash(t *testing.T) {
 func TestMigrateInvalidatesHints(t *testing.T) {
 	keys := shard.Keys("k", 12)
 	store, net, _, ring := shardedCluster(t, 506, 50*time.Millisecond, keys,
-		WithReadLease(true))
+		WithReadLease(50*time.Millisecond))
 	ctx := context.Background()
 	key := keyOn(t, ring, keys, "g0")
 

@@ -287,20 +287,6 @@ type HintFenceReq struct {
 	Item string
 }
 
-// ReapReq resolves an orphaned transaction at the DM that decided its
-// fate. It is self-applied — synthesized by the lease reaper from the
-// inquiry outcome, never sent by clients — and routed through the same
-// apply/WAL path as every other mutation so recovery replays the reap
-// deterministically. Commit true means a peer produced a commit record
-// (the DM applies the intentions, Subs naming the committed subtree);
-// false is the presumed abort: no replica anywhere knew the transaction,
-// so its commit point was never reached.
-type ReapReq struct {
-	Txn    TxnID
-	Commit bool
-	Subs   []TxnID
-}
-
 // AdoptItemReq tells a DM to start hosting a replica of an item it did not
 // serve before — the first round of a live migration. The replica is
 // created empty at version 0 with Initial as its value; the copy phase
@@ -404,7 +390,7 @@ type PaxosAcceptResp struct {
 // PaxosPrepareReq is Phase-1a durability for recovery: it is self-applied
 // by the DM running acceptor recovery (synthesized from a
 // PaxosRecoverQuery, never sent by clients) so the promise watermark is
-// WAL-logged before the promise leaves the machine. Mirrors ReapReq's
+// WAL-logged before the promise leaves the machine. Mirrors DecisionReq's
 // self-apply pattern.
 type PaxosPrepareReq struct {
 	Txn    TxnID
@@ -412,14 +398,24 @@ type PaxosPrepareReq struct {
 	Cohort []string
 }
 
-// PaxosDecisionReq installs a decided outcome at a replica: the learn
-// message of Paxos Commit, sent by whichever recovery proposer completed
-// a round (and self-applied at the proposer). Commit true applies the
-// transaction's intentions exactly as CommitTopReq would; false discards
-// them as AbortReq would. Idempotent, WAL-logged, and it retires the
-// per-transaction acceptor state — after a decision, queries answer from
-// the resolution record.
-type PaxosDecisionReq struct {
+// DecisionReq installs a top-level transaction's outcome that a DM reached
+// itself rather than heard from the transaction's client: the lease
+// reaper's verdict on an orphan — Commit true when a peer produced the
+// commit record (Subs naming the committed subtree), false for the presumed
+// abort, when no replica anywhere knew the transaction and its commit point
+// was therefore never reached — or the outcome of Paxos acceptor recovery,
+// which the proposer that completed the round also sends to every peer as
+// the learn message. The deciding DM applies it to itself through the same
+// apply/WAL path as every other mutation, so recovery replays the decision
+// deterministically; clients never send it. Commit true applies the
+// transaction's intentions exactly as CommitTopReq would, false discards
+// them as AbortReq would, and an already-resolved transaction keeps its
+// first verdict. Final is as in CommitTopReq. A reaped commit carries none
+// — the reaper reconstructs the verdict, not the write set — so a replica
+// that applies one cannot prove its state is the cluster maximum and grants
+// itself no freshness hint (the sweeper re-proves it); a Paxos decision
+// carries the map the coordinator proposed.
+type DecisionReq struct {
 	Txn    TxnID
 	Commit bool
 	Subs   []TxnID
@@ -445,12 +441,12 @@ type PaxosRecoverQuery struct {
 // replica already knows the outcome (DecCommit/DecSubs/DecFinal), and the
 // proposer adopts it as decided — it never re-proposes over a decision.
 type PaxosRecoverPromise struct {
-	Txn      TxnID
-	Ballot   int
-	From     string
-	OK       bool
-	Promised int
-	AccBal   int
+	Txn       TxnID
+	Ballot    int
+	From      string
+	OK        bool
+	Promised  int
+	AccBal    int
 	AccCommit bool
 	AccSubs   []TxnID
 	AccFinal  map[string]int
@@ -479,7 +475,7 @@ type PaxosRecoverAccept struct {
 
 // PaxosRecoverAccepted is the fire-and-forget Phase-2b ack. A majority of
 // OK accepts at the proposer's ballot decides the value; the proposer then
-// broadcasts PaxosDecisionReq.
+// broadcasts the DecisionReq.
 type PaxosRecoverAccepted struct {
 	Txn    TxnID
 	Ballot int
@@ -534,40 +530,22 @@ type RebuildPullReq struct {
 	Items []string
 }
 
-// RebuildItemState is one replica's committed view of one item in a
-// RebuildPullResp. Has false means the replica does not host the item
-// (and VN/Val/Gen/Cfg are meaningless). Only committed state travels:
-// locks and intentions of in-flight transactions died with the corrupt
-// log, and the lease fence turns their loss into clean aborts instead of
-// broken promises.
-type RebuildItemState struct {
-	Item string
-	Has  bool
-	VN   int
-	Val  any
-	Gen  int
-	Cfg  quorum.Config
-}
-
-// RebuildResolution mirrors one resolution record in a RebuildPullResp.
-// Subs is nil for aborts and for commit records the retention cap already
-// compacted to outcome tombstones.
-type RebuildResolution struct {
-	Committed bool
-	Subs      []TxnID
-}
-
-// RebuildPullResp is one replica's complete answer to a RebuildPullReq.
-// Items answers the requested items in order; Moved carries the redirect
-// markers among them; Resolved and Acceptors carry the transaction
-// outcome state the rebuilding replica must re-adopt before it may serve
-// again. OK false (or a QuarantinedResp instead) means this replica
-// cannot contribute and the rebuild must not count it as a witness.
+// RebuildPullResp is one replica's complete answer to a RebuildPullReq, in
+// the state machine's own types. Replicas holds the requested items this
+// replica hosts, committed state only: locks, tombstones and intentions of
+// in-flight transactions died with the corrupt log, and the lease fence
+// turns their loss into clean aborts instead of broken promises. Moved
+// carries the redirect markers among the requested items; Resolved (Subs nil
+// for aborts and for commit records the retention cap already compacted to
+// outcome tombstones) and Acceptors carry the transaction outcome state the
+// rebuilding replica must re-adopt before it may serve again. OK false (or a
+// QuarantinedResp instead) means this replica cannot contribute and the
+// rebuild must not count it as a witness.
 type RebuildPullResp struct {
 	OK        bool
 	From      string
-	Items     []RebuildItemState
+	Replicas  map[string]replica
 	Moved     map[string]WrongShardResp
-	Resolved  map[TxnID]RebuildResolution
+	Resolved  map[TxnID]resolution
 	Acceptors map[TxnID]commit.Acceptor
 }

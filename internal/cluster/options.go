@@ -17,7 +17,6 @@ import (
 type settings struct {
 	callTimeout  time.Duration
 	hedgeDelay   time.Duration
-	hedgeMax     int
 	lockRetries  int
 	retryBackoff time.Duration
 	txnRetries   int
@@ -31,11 +30,9 @@ type settings struct {
 	walOpts      []wal.Option
 	leaseTTL     time.Duration
 	health       bool
-	fixedTimeout bool
 	antiEntropy  time.Duration
 	clock        transport.Clock
-	readLease    bool
-	readLeaseTTL time.Duration
+	readLeaseTTL time.Duration // freshness-hint lifetime; 0 = fast lane off
 
 	clientTag string
 
@@ -59,13 +56,11 @@ func defaultSettings() settings {
 	return settings{
 		callTimeout:  100 * time.Millisecond,
 		hedgeDelay:   5 * time.Millisecond,
-		hedgeMax:     3,
 		lockRetries:  12,
 		retryBackoff: time.Millisecond,
 		txnRetries:   8,
 		clock:        transport.Wall,
 		hopAllowance: time.Millisecond,
-		readLeaseTTL: 50 * time.Millisecond,
 	}
 }
 
@@ -90,21 +85,14 @@ func WithCallTimeout(d time.Duration) Option {
 
 // WithHedgeDelay sets how long a fan-out waits before re-issuing a phase's
 // request to replicas that have not answered. Zero disables hedging.
-// Default 5ms.
+// Default 5ms; a replica is sent at most three copies per phase.
 func WithHedgeDelay(d time.Duration) Option {
 	return func(s *settings) { s.hedgeDelay = d }
 }
 
-// WithHedgeMax caps the total request copies sent to one replica in one
-// phase (first send included). Values below 1 are treated as 1. Default 3.
-func WithHedgeMax(n int) Option {
-	return func(s *settings) {
-		if n < 1 {
-			n = 1
-		}
-		s.hedgeMax = n
-	}
-}
+// hedgeMax caps the total request copies sent to one replica in one phase
+// (first send included).
+const hedgeMax = 3
 
 // WithLockRetries sets how many times a phase retries after a lock
 // conflict before the transaction aborts with a ConflictError. Zero means
@@ -138,7 +126,7 @@ func WithReadRepair(on bool) Option {
 // grant is surplus and a copy is abandoned only when its replica stays
 // silent (it is then swept like any abandoned copy). A replay lever, not a
 // production setting — the deterministic chaos harness needs it (with
-// WithSynchronousCleanup and WithFixedTimeouts) for exact seeded replay
+// WithSynchronousCleanup and a manual WithClock) for exact seeded replay
 // until the virtual-time simulator lands; E10 measures what it costs.
 func WithSequentialPhases(on bool) Option {
 	return func(s *settings) { s.sequential = on }
@@ -212,19 +200,13 @@ func WithLeaseTTL(ttl time.Duration) Option {
 // WithHealthProbes enables the per-replica failure detector: call outcomes
 // feed a health scoreboard, fan-outs steer toward healthy replicas and
 // probe suspects with single half-open trials instead of hedging them, and
-// per-replica call timeouts adapt to observed latency EWMAs. Default off.
+// per-replica call timeouts adapt to observed latency EWMAs — under the wall
+// clock only: the EWMAs are *measured* wall-clock values, so under a manual
+// clock (WithClock; deterministic harnesses) scheduler noise could time out
+// a call in one run and not its replay, forking the seeded message stream,
+// and every call gets the full WithCallTimeout budget instead. Default off.
 func WithHealthProbes(on bool) Option {
 	return func(s *settings) { s.health = on }
-}
-
-// WithFixedTimeouts disables the failure detector's latency-adaptive
-// per-replica call timeouts, keeping the scoreboard and circuit breaker
-// but issuing every call with the full WithCallTimeout budget.
-// Deterministic harnesses need this: adaptive timeouts derive from
-// *measured* wall-clock EWMAs, so scheduler noise could time out a call
-// in one run and not its replay, forking the seeded message stream.
-func WithFixedTimeouts(on bool) Option {
-	return func(s *settings) { s.fixedTimeout = on }
 }
 
 // WithAntiEntropy starts a background sweeper that, every interval,
@@ -237,28 +219,18 @@ func WithAntiEntropy(interval time.Duration) Option {
 	return func(s *settings) { s.antiEntropy = interval }
 }
 
-// WithReadLease enables the freshness-hint read fast lane (DESIGN.md §9):
-// replicas grant themselves per-item freshness hints at commit-apply and
-// via the anti-entropy sweeper's unanimity proof, and clients try a single
-// hinted replica before assembling a read quorum, falling back
-// transparently on any miss. Writes pay for it: before its commit point a
-// writer fences the hint at EVERY replica of each written item (not just a
-// write quorum), and under the wall clock an unreachable replica makes the
-// writer wait out one hint TTL. Off by default.
-func WithReadLease(on bool) Option {
-	return func(s *settings) { s.readLease = on }
-}
-
-// WithReadLeaseTTL sets the freshness-hint lifetime — the staleness bound
-// an unreachable replica's hint can survive a fence by, and therefore the
-// longest a partitioned writer may stall waiting one out. Only meaningful
-// with WithReadLease. Values at or below zero keep the default (50ms).
-func WithReadLeaseTTL(ttl time.Duration) Option {
-	return func(s *settings) {
-		if ttl > 0 {
-			s.readLeaseTTL = ttl
-		}
-	}
+// WithReadLease enables the freshness-hint read fast lane (DESIGN.md §9)
+// with hints that live for ttl: replicas grant themselves per-item freshness
+// hints at commit-apply and via the anti-entropy sweeper's unanimity proof,
+// and clients try a single hinted replica before assembling a read quorum,
+// falling back transparently on any miss. Writes pay for it: before its
+// commit point a writer fences the hint at EVERY replica of each written
+// item (not just a write quorum), and under the wall clock an unreachable
+// replica makes the writer wait out one ttl — the staleness bound an
+// unreachable replica's hint can survive a fence by. Zero (the default)
+// leaves the fast lane off.
+func WithReadLease(ttl time.Duration) Option {
+	return func(s *settings) { s.readLeaseTTL = ttl }
 }
 
 // WithClock injects the clock lock leases expire against. Deterministic

@@ -34,12 +34,6 @@ func TestWithLockRetriesZeroMeansZero(t *testing.T) {
 	}
 }
 
-func TestWithHedgeMaxClampsToOne(t *testing.T) {
-	if st := resolve([]Option{WithHedgeMax(-5)}); st.hedgeMax != 1 {
-		t.Errorf("WithHedgeMax(-5) resolved to %d", st.hedgeMax)
-	}
-}
-
 // TestZeroLockRetriesFailsFirstConflict wires the regression through the
 // store: with WithLockRetries(0) a conflicted write fails on its first
 // attempt instead of burning 12 retries.

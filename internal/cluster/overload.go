@@ -10,28 +10,6 @@ import (
 	"repro/internal/transport"
 )
 
-// classifyRequest maps a wire request to its admission priority at a DM.
-// Control traffic — everything that finishes transactions and frees locks —
-// must always get through: an overloaded replica that sheds a commit or a
-// release strands locks the whole cluster waits on. Write-intent traffic
-// outranks fresh reads because writers usually hold locks elsewhere
-// already. Everything else (reads, pings, repairs, inspections) is the
-// bulk that admission exists to bound.
-func classifyRequest(req any) transport.Priority {
-	switch req.(type) {
-	case CommitTopReq, CommitSubReq, AbortReq, ReleaseReq,
-		RenewLeaseReq, ReapReq, ResolutionQueryReq, ResolutionAnswer,
-		HintFenceReq:
-		// HintFenceReq is control too: it stands between a writer and its
-		// commit point, and shedding it stalls the commit exactly like a
-		// shed renewal would.
-		return transport.PrioControl
-	case WriteReq, ConfigWriteReq:
-		return transport.PrioWrite
-	}
-	return transport.PrioRead
-}
-
 // callBudget computes the timeout for one outbound call or fan-out phase:
 // the configured call timeout, clamped to the caller's remaining context
 // budget minus the per-hop allowance. When the remaining budget cannot

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"repro/internal/quorum"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 func TestCallBudgetArithmetic(t *testing.T) {
@@ -175,7 +178,6 @@ func TestHedgeClampToCallerDeadline(t *testing.T) {
 		WithSeed(11),
 		WithCallTimeout(2*time.Second), // far beyond the caller's budget
 		WithHedgeDelay(5*time.Millisecond),
-		WithHedgeMax(3),
 		WithLockRetries(0),
 		WithTxnRetries(0),
 		// The abort sweep to tentatively-touched DMs normally runs detached
@@ -573,5 +575,100 @@ func TestInflightLimiterReactsToOverload(t *testing.T) {
 	}
 	if got := store.Stats.InflightLimit.Value(); got <= 1 {
 		t.Errorf("ceiling after sustained success = %d, want additive regrowth", got)
+	}
+}
+
+// TestResolutionTrafficIsAdmittedWhenBulkIsShed: a replica whose bulk queue
+// is full must still admit what stands between a lock holder and its
+// resolution — here a decision notification from a recovery proposer and a
+// coordinator's Phase-2a accept. Both were classified as bulk reads (and
+// shed) while classifyRequest was a hand-kept list that predated Paxos
+// Commit.
+func TestResolutionTrafficIsAdmittedWhenBulkIsShed(t *testing.T) {
+	dms := []string{"dm0", "dm1", "dm2"}
+	net := sim.NewNetwork(sim.Config{Seed: 14})
+	defer net.Close()
+	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
+	store, err := Open(net, items, WithSeed(14), WithAdmissionCapacity(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	orphan, err := store.PlantOrphan(ctx, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	oh := store.host("dm0").harness()
+	oh.WaitServiceIdle()
+	oh.HoldService()
+	filled := 0
+	for oh.Inject("burst", PingReq{Seq: filled}, time.Time{}) {
+		filled++
+	}
+	if filled != 4 {
+		t.Fatalf("the bulk queue took %d pings before shedding, want its capacity (4)", filled)
+	}
+	accept := PaxosAcceptReq{Txn: "c9.t1", Commit: true, Cohort: dms}
+	if !oh.Inject("c9", accept, time.Time{}) {
+		t.Error("a Phase-2a accept was shed by a full bulk queue")
+	}
+	if !oh.Inject("dm1", DecisionReq{Txn: orphan}, time.Time{}) {
+		t.Error("a decision notification was shed by a full bulk queue")
+	}
+	oh.ResumeService()
+	oh.WaitServiceIdle()
+
+	probe, err := store.ResolutionProbe(ctx, "dm0", orphan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !probe.Known || probe.Committed || probe.Holds {
+		t.Errorf("dm0 after the decision: %+v, want the orphan aborted and swept", probe)
+	}
+	if probe, err = store.ResolutionProbe(ctx, "dm0", accept.Txn); err != nil || probe.AccBal != 0 || !probe.AccCommit {
+		t.Errorf("dm0 after the accept: %+v (%v), want ballot 0 accepted", probe, err)
+	}
+}
+
+// TestEveryRequestHasAnAdmissionClass: the admission class is the third
+// column of wireTypes and nowhere else, so every request row carries one of
+// the three classes, every response row carries none, and classifyRequest
+// is a lookup of the column.
+func TestEveryRequestHasAnAdmissionClass(t *testing.T) {
+	for _, wt := range wireTypes {
+		name := reflect.TypeOf(wt.proto).Name()
+		if strings.HasSuffix(name, "Resp") || name == "Ack" {
+			if wt.prio != notRequest {
+				t.Errorf("response %s (tag %d) has admission class %d", name, wt.tag, wt.prio)
+			}
+			continue
+		}
+		if wt.prio < transport.PrioRead || wt.prio > transport.PrioControl {
+			t.Errorf("request %s (tag %d) has no admission class", name, wt.tag)
+		}
+		if got := classifyRequest(wt.proto); got != wt.prio {
+			t.Errorf("classifyRequest(%s) = %d, the table says %d", name, got, wt.prio)
+		}
+	}
+	for _, tc := range []struct {
+		req  any
+		want transport.Priority
+	}{
+		{ReadReq{}, transport.PrioRead}, {PingReq{}, transport.PrioRead}, {HintReadReq{}, transport.PrioRead},
+		{WriteReq{}, transport.PrioWrite}, {ConfigWriteReq{}, transport.PrioWrite},
+		{CommitTopReq{}, transport.PrioControl}, {CommitSubReq{}, transport.PrioControl}, {AbortReq{}, transport.PrioControl},
+		{ReleaseReq{}, transport.PrioControl}, {RenewLeaseReq{}, transport.PrioControl}, {HintFenceReq{}, transport.PrioControl},
+		{ResolutionQueryReq{}, transport.PrioControl}, {ResolutionAnswer{}, transport.PrioControl},
+		// Each stands between a lock holder and its resolution.
+		{PaxosAcceptReq{}, transport.PrioControl}, {PaxosPrepareReq{}, transport.PrioControl}, {DecisionReq{}, transport.PrioControl},
+		{PaxosRecoverQuery{}, transport.PrioControl}, {PaxosRecoverPromise{}, transport.PrioControl},
+		{PaxosRecoverAccept{}, transport.PrioControl}, {PaxosRecoverAccepted{}, transport.PrioControl},
+		{RebuildPullReq{}, transport.PrioControl},
+	} {
+		if got := classifyRequest(tc.req); got != tc.want {
+			t.Errorf("classifyRequest(%T) = %d, want %d", tc.req, got, tc.want)
+		}
 	}
 }

@@ -27,8 +27,8 @@ import (
 // The server half of this file is soft-state coordination in the style of
 // lease.go: recovery rounds live in dmServer.recoveries and are never
 // logged; every promise and acceptance they produce enters the state
-// machine as a logged request (PaxosPrepareReq, PaxosAcceptReq,
-// PaxosDecisionReq) and is made durable before the answer leaves the
+// machine as a logged request (PaxosPrepareReq, PaxosAcceptReq, DecisionReq)
+// and is made durable before the answer leaves the
 // machine, via the host's logThen.
 
 // ErrTxnInDoubt means the coordinator could not learn its transaction's
@@ -120,7 +120,7 @@ func (s *dmServer) proposerBallot(attempt int) int {
 // sweep found the orphan's locks — but acceptor state exists, locally or
 // at a peer, so the outcome must be reconstructed, never presumed.
 func (s *dmServer) startPaxosRecovery(top TxnID, cohort []string) {
-	if s.resolved[top] != nil || len(cohort) == 0 {
+	if s.Resolved[top] != nil || len(cohort) == 0 {
 		return
 	}
 	now := s.clock.Now()
@@ -144,9 +144,6 @@ func (s *dmServer) startPaxosRecovery(top TxnID, cohort []string) {
 		accepts:  map[string]bool{},
 	}
 	sort.Strings(rec.cohort)
-	if s.recoveries == nil {
-		s.recoveries = map[TxnID]*paxosRecovery{}
-	}
 	s.recoveries[top] = rec
 	for _, m := range rec.cohort {
 		// Self included: the query loops back through the transport so the
@@ -179,10 +176,10 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 	case PaxosRecoverQuery:
 		// Phase 1b. A resolved instance short-circuits the whole round: the
 		// proposer adopts the decision instead of counting promises.
-		if res := s.resolved[q.Txn]; res != nil {
+		if res := s.Resolved[q.Txn]; res != nil {
 			s.notifyPeer(q.From, PaxosRecoverPromise{
 				Txn: q.Txn, Ballot: q.Ballot, From: s.id,
-				Decided: true, DecCommit: res.committed, DecSubs: res.subs,
+				Decided: true, DecCommit: res.Committed, DecSubs: res.Subs,
 			})
 			return Ack{OK: true}, true
 		}
@@ -190,7 +187,7 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 		raw, mutated := s.apply(prep)
 		ack, _ := raw.(Ack)
 		ans := PaxosRecoverPromise{Txn: q.Txn, Ballot: q.Ballot, From: s.id, OK: ack.OK, AccBal: -1}
-		if acc := s.acceptors[q.Txn]; acc != nil {
+		if acc := s.Acceptors[q.Txn]; acc != nil {
 			ans.Promised = acc.Promised
 			ans.AccBal = acc.AccBal
 			if acc.AccBal >= 0 {
@@ -246,10 +243,10 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 		return Ack{OK: true}, true
 	case PaxosRecoverAccept:
 		// Phase 2a of a recovery round.
-		if res := s.resolved[q.Txn]; res != nil {
+		if res := s.Resolved[q.Txn]; res != nil {
 			s.notifyPeer(q.From, PaxosRecoverPromise{
 				Txn: q.Txn, Ballot: q.Ballot, From: s.id,
-				Decided: true, DecCommit: res.committed, DecSubs: res.subs,
+				Decided: true, DecCommit: res.Committed, DecSubs: res.Subs,
 			})
 			return Ack{OK: true}, true
 		}
@@ -284,11 +281,11 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 		return Ack{OK: true}, true
 	case ResolutionProbeReq:
 		ans := ResolutionProbeResp{Promised: -2, AccBal: -1}
-		if res := s.resolved[q.Txn]; res != nil {
-			ans.Known, ans.Committed = true, res.committed
+		if res := s.Resolved[q.Txn]; res != nil {
+			ans.Known, ans.Committed = true, res.Committed
 		}
 		ans.Holds = s.holdsTxn(q.Txn.Top())
-		if acc := s.acceptors[q.Txn]; acc != nil {
+		if acc := s.Acceptors[q.Txn]; acc != nil {
 			ans.Promised = acc.Promised
 			ans.AccBal = acc.AccBal
 			ans.AccCommit = acc.AccVal.Commit
@@ -304,7 +301,7 @@ func (s *dmServer) coordinatePaxos(req any) (resp any, handled bool) {
 // keeps the post-crash in-doubt window at a single round-trip instead of
 // a lease TTL.
 func (s *dmServer) decidePaxos(top TxnID, val commit.Decision) {
-	if s.resolved[top] != nil {
+	if s.Resolved[top] != nil {
 		return
 	}
 	if s.stats != nil {
@@ -314,9 +311,7 @@ func (s *dmServer) decidePaxos(top TxnID, val commit.Decision) {
 			s.stats.AcceptorResolvesAborted.Inc()
 		}
 	}
-	dec := PaxosDecisionReq{
-		Txn: top, Commit: val.Commit, Subs: stringsToTxns(val.Subs), Final: val.Final,
-	}
+	dec := DecisionReq{Txn: top, Commit: val.Commit, Subs: stringsToTxns(val.Subs), Final: val.Final}
 	s.applyLogged(dec)
 	for _, p := range s.peers {
 		s.notifyPeer(p, dec)

@@ -169,6 +169,15 @@ func TestRecoveryAdoptsDecidedOutcome(t *testing.T) {
 	if _, err := store.SweepOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// A durable acceptor answers a recovery round once its log flush is
+	// through, and the network's barrier cannot see a flush in progress:
+	// give the one round until a deadline, not one look.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		net.Quiesce()
+		if store.Stats.AcceptorResolvesCommitted.Value() > 0 || time.Now().After(deadline) {
+			break
+		}
+	}
 	net.Quiesce()
 
 	if got := store.Stats.AcceptorResolvesCommitted.Value(); got == 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/commit"
@@ -47,64 +48,46 @@ type RebuildStats struct {
 
 // coordinateRebuild answers a quarantined peer's state pull. Read-only —
 // nothing is logged — and served like the other coordination traffic, off
-// the replicated state machine. The answer carries, for the requested
-// items, this replica's committed value and configuration (or its
-// retirement marker), plus ALL resolution records and the acceptor state
-// of every Paxos instance whose cohort includes the rebuilding DM.
+// the replicated state machine. The answer is this replica's own state minus
+// what is in flight: for the requested items the committed value and
+// configuration (or the retirement marker), plus ALL resolution records and
+// the acceptor state of every Paxos instance whose cohort includes the
+// rebuilding DM — and no lock, tombstone or intention. Configurations, subs
+// lists, cohorts and accepted values are replaced, never mutated in place,
+// so the answer shares them with the live state.
 func (s *dmServer) coordinateRebuild(req any) (resp any, handled bool) {
 	q, ok := req.(RebuildPullReq)
 	if !ok {
 		return nil, false
 	}
-	out := RebuildPullResp{OK: true, From: s.id}
+	out := RebuildPullResp{
+		OK: true, From: s.id,
+		Replicas:  map[string]replica{},
+		Moved:     map[string]WrongShardResp{},
+		Resolved:  make(map[TxnID]resolution, len(s.Resolved)),
+		Acceptors: map[TxnID]commit.Acceptor{},
+	}
 	for _, item := range q.Items {
-		if w, moved := s.moved[item]; moved {
-			if out.Moved == nil {
-				out.Moved = map[string]WrongShardResp{}
-			}
+		if w, moved := s.Moved[item]; moved {
 			out.Moved[item] = w
-			continue
-		}
-		r := s.replicas[item]
-		if r == nil {
-			out.Items = append(out.Items, RebuildItemState{Item: item})
-			continue
-		}
-		out.Items = append(out.Items, RebuildItemState{
-			Item: item, Has: true, VN: r.vn, Val: r.val, Gen: r.gen, Cfg: r.cfg.Clone(),
-		})
-	}
-	if len(s.resolved) > 0 {
-		out.Resolved = make(map[TxnID]RebuildResolution, len(s.resolved))
-		for t, res := range s.resolved {
-			out.Resolved[t] = RebuildResolution{
-				Committed: res.committed, Subs: append([]TxnID(nil), res.subs...),
-			}
+		} else if r := s.Replicas[item]; r != nil {
+			out.Replicas[item] = replica{VN: r.VN, Val: r.Val, Gen: r.Gen, Cfg: r.Cfg}
 		}
 	}
-	for t, acc := range s.acceptors {
-		member := false
-		for _, m := range acc.Cohort {
-			if m == q.For {
-				member = true
-				break
-			}
+	for t, res := range s.Resolved {
+		out.Resolved[t] = *res
+	}
+	for t, acc := range s.Acceptors {
+		if slices.Contains(acc.Cohort, q.For) {
+			out.Acceptors[t] = *acc
 		}
-		if !member {
-			continue
-		}
-		if out.Acceptors == nil {
-			out.Acceptors = map[TxnID]commit.Acceptor{}
-		}
-		a := *acc
-		a.Cohort = append([]string(nil), acc.Cohort...)
-		out.Acceptors[t] = a
 	}
 	return out, true
 }
 
 // pullMerged pulls the replica's state from every peer and merges it into a
-// fresh state machine.
+// fresh state machine — one that only seedLog reads, to write it out as a
+// snapshot, so the merge adopts the answers' values without copying them.
 //
 // The pull requires an answer from EVERY peer, not just a quorum. Values
 // only need a read quorum, but Paxos acceptor state does not shard along
@@ -164,27 +147,29 @@ func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmSe
 			}
 		}
 		if marker != nil {
-			m := *marker
-			m.DM = h.id // the redirect must name ITS server, not the peer's
-			m.DMs = append([]string(nil), marker.DMs...)
-			m.Cfg = marker.Cfg.Clone()
-			delete(srv.replicas, item)
-			srv.moved[item] = m
+			marker.DM = h.id // the redirect must name ITS server, not the peer's
+			delete(srv.Replicas, item)
+			srv.Moved[item] = *marker
 			rst.Moved++
 			continue
 		}
-		var best *RebuildItemState
+		var best *replica
 		have := map[string]bool{}
 		for _, p := range peers {
-			for i := range answers[p].Items {
-				st := &answers[p].Items[i]
-				if st.Item != item || !st.Has {
-					continue
-				}
-				have[p] = true
-				if best == nil || st.Gen > best.Gen {
-					best = st
-				}
+			st, ok := answers[p].Replicas[item]
+			if !ok {
+				continue
+			}
+			have[p] = true
+			if best == nil {
+				best = &st
+				continue
+			}
+			if st.Gen > best.Gen {
+				best.Gen, best.Cfg = st.Gen, st.Cfg
+			}
+			if st.VN > best.VN {
+				best.VN, best.Val = st.VN, st.Val
 			}
 		}
 		if best == nil {
@@ -193,19 +178,7 @@ func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmSe
 		if !best.Cfg.HasReadQuorum(have) {
 			return nil, rst, fmt.Errorf("cluster: rebuild %s: peers holding %q do not cover a read quorum of gen %d", h.id, item, best.Gen)
 		}
-		maxVN, val := -1, any(nil)
-		for _, p := range peers {
-			for i := range answers[p].Items {
-				st := &answers[p].Items[i]
-				if st.Item == item && st.Has && st.VN > maxVN {
-					maxVN, val = st.VN, st.Val
-				}
-			}
-		}
-		srv.replicas[item] = &replica{
-			vn: maxVN, val: val, gen: best.Gen, cfg: best.Cfg.Clone(),
-			locks: map[TxnID]LockMode{},
-		}
+		srv.Replicas[item] = best
 		rst.Items++
 	}
 
@@ -215,20 +188,20 @@ func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmSe
 	// violation already in progress, and rebuilding over it would bury it.
 	for _, p := range peers {
 		for t, res := range answers[p].Resolved {
-			prev, ok := srv.resolved[t]
-			if !ok {
-				srv.resolved[t] = &resolution{committed: res.Committed, subs: res.Subs}
+			prev := srv.Resolved[t]
+			if prev == nil {
+				srv.Resolved[t] = &res
 				continue
 			}
-			if prev.committed != res.Committed {
+			if prev.Committed != res.Committed {
 				return nil, rst, fmt.Errorf("cluster: rebuild %s: peers disagree on outcome of %s", h.id, t)
 			}
-			if prev.subs == nil && res.Subs != nil {
-				prev.subs = res.Subs
+			if prev.Subs == nil {
+				prev.Subs = res.Subs
 			}
 		}
 	}
-	rst.Resolved = len(srv.resolved)
+	rst.Resolved = len(srv.Resolved)
 
 	// Acceptor hard state, for every undecided Paxos instance this DM is a
 	// cohort member of. Every cohort member except this DM must be among
@@ -238,35 +211,25 @@ func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmSe
 	// merge by maximum; the accepted value rides the highest accepted
 	// ballot. Instances some peer already resolved are dropped — the
 	// resolution record answers for them now.
-	type accMerge struct {
-		acc       commit.Acceptor
-		witnesses int
-	}
-	merged := map[TxnID]*accMerge{}
 	for _, p := range peers {
 		for t, acc := range answers[p].Acceptors {
-			if srv.resolved[t.Top()] != nil || srv.resolved[t] != nil {
+			if srv.Resolved[t.Top()] != nil {
 				continue
 			}
-			m := merged[t]
+			m := srv.Acceptors[t]
 			if m == nil {
-				m = &accMerge{acc: acc}
-				m.acc.Cohort = append([]string(nil), acc.Cohort...)
-				merged[t] = m
-			} else {
-				if acc.Promised > m.acc.Promised {
-					m.acc.Promised = acc.Promised
-				}
-				if acc.AccBal > m.acc.AccBal {
-					m.acc.AccBal, m.acc.AccVal = acc.AccBal, acc.AccVal
-				}
+				srv.Acceptors[t] = &acc
+				continue
 			}
-			m.witnesses++
+			m.Promised = max(m.Promised, acc.Promised)
+			if acc.AccBal > m.AccBal {
+				m.AccBal, m.AccVal = acc.AccBal, acc.AccVal
+			}
 		}
 	}
-	for t, m := range merged {
+	for t, m := range srv.Acceptors {
 		answered := 0
-		for _, member := range m.acc.Cohort {
+		for _, member := range m.Cohort {
 			if member == h.id {
 				continue
 			}
@@ -276,15 +239,13 @@ func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmSe
 				return nil, rst, fmt.Errorf("cluster: rebuild %s: cohort member %s of instance %s did not answer the pull", h.id, member, t)
 			}
 		}
-		if answered+1 < commit.Quorum(len(m.acc.Cohort)) {
+		if answered+1 < commit.Quorum(len(m.Cohort)) {
 			// Unreachable with a full cohort answering; kept as a guard
 			// against malformed cohorts.
 			return nil, rst, fmt.Errorf("cluster: rebuild %s: instance %s lacks a quorum of witnesses", h.id, t)
 		}
-		a := m.acc
-		srv.acceptors[t] = &a
 	}
-	rst.Acceptors = len(merged)
+	rst.Acceptors = len(srv.Acceptors)
 
 	srv.reindex() // the replicas were replaced wholesale above
 	return srv, rst, nil

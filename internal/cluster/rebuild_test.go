@@ -245,7 +245,7 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 	}
 	var resolvedTxn TxnID
 	store.mu.Lock()
-	for tid := range store.dms["dm1"].srv.resolved {
+	for tid := range store.dms["dm1"].srv.Resolved {
 		resolvedTxn = tid
 	}
 	store.mu.Unlock()
@@ -295,10 +295,10 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 
 	store.mu.Lock()
 	srv := store.dms["dm0"].srv
-	res := srv.resolved[resolvedTxn]
-	acc := srv.acceptors[orphan]
+	res := srv.Resolved[resolvedTxn]
+	acc := srv.Acceptors[orphan]
 	store.mu.Unlock()
-	if res == nil || !res.committed {
+	if res == nil || !res.Committed {
 		t.Fatalf("resolved record %s not restored: %+v", resolvedTxn, res)
 	}
 	if acc == nil {
@@ -319,7 +319,7 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 func TestRenewLeaseRefusedForUnknownTxn(t *testing.T) {
 	cfg := quorum.Majority([]string{"dm0"})
 	srv := newDMState("dm0", []ItemSpec{{Name: "x", DMs: []string{"dm0"}, Config: cfg}, {Name: "y", DMs: []string{"dm0"}, Config: cfg}})
-	srv.configureLeases(time.Minute, nil, nil, nil)
+	srv.leaseTTL = time.Minute
 
 	if resp, handled := srv.coordinate(RenewLeaseReq{Txn: "c1.t1"}); !handled || resp.(Ack).OK {
 		t.Fatalf("renewal for unknown txn = %#v, want refusal", resp)
@@ -336,7 +336,7 @@ func TestRenewLeaseRefusedForUnknownTxn(t *testing.T) {
 	if resp, _ := srv.apply(WriteReq{Txn: "c1.t3/0", Item: "y", VN: 9, Val: 1, Seq: 1}); !resp.(WriteResp).OK {
 		t.Fatalf("write refused: %#v", resp)
 	}
-	delete(srv.replicas["y"].locks, "c1.t3/0")
+	delete(srv.Replicas["y"].Locks, "c1.t3/0")
 	delete(srv.leases, "c1.t3")
 	if resp, _ := srv.coordinate(RenewLeaseReq{Txn: "c1.t3"}); !resp.(Ack).OK {
 		t.Fatalf("renewal for intent owner = %#v, want OK", resp)
@@ -350,23 +350,23 @@ func TestResolvedRetentionCompacts(t *testing.T) {
 	srv := newDMState("dm0", []ItemSpec{{Name: "x", DMs: []string{"dm0"}, Config: quorum.Majority([]string{"dm0"})}})
 	var stats Stats
 	srv.stats = &stats
-	srv.configureRetention(2)
+	srv.resolvedCap = 2
 
 	for i := 1; i <= 3; i++ {
 		tid := TxnID(fmt.Sprintf("c1.t%d", i))
-		srv.markResolved(tid, true, []TxnID{tid + "/0"})
+		srv.apply(CommitTopReq{Txn: tid, Subs: []TxnID{tid + "/0"}})
 	}
 	if stats.ResolvedEvictions.Value() != 1 {
 		t.Fatalf("ResolvedEvictions = %d, want 1", stats.ResolvedEvictions.Value())
 	}
-	oldest := srv.resolved["c1.t1"]
-	if oldest == nil || !oldest.committed {
+	oldest := srv.Resolved["c1.t1"]
+	if oldest == nil || !oldest.Committed {
 		t.Fatalf("verdict must outlive retention: %+v", oldest)
 	}
-	if oldest.subs != nil {
-		t.Fatalf("oldest record kept subs %v past the cap", oldest.subs)
+	if oldest.Subs != nil {
+		t.Fatalf("oldest record kept subs %v past the cap", oldest.Subs)
 	}
-	if srv.resolved["c1.t3"].subs == nil {
+	if srv.Resolved["c1.t3"].Subs == nil {
 		t.Fatal("newest record lost its subs inside the window")
 	}
 	// The tombstone still makes CommitTopReq idempotent...
@@ -378,7 +378,7 @@ func TestResolvedRetentionCompacts(t *testing.T) {
 		t.Fatalf("inquiry on tombstone: %#v", resp)
 	}
 	// Re-resolving an already-resolved id never re-enters the eviction log.
-	srv.markResolved("c1.t3", true, []TxnID{"c1.t3/0"})
+	srv.apply(CommitTopReq{Txn: "c1.t3", Subs: []TxnID{"c1.t3/0"}})
 	if n := len(srv.resolvedLog); n != 2 {
 		t.Fatalf("duplicate resolution re-logged: log has %d entries, want 2", n)
 	}
@@ -455,7 +455,7 @@ func TestServeDMAutoRebuild(t *testing.T) {
 // re-homes the marker under the rebuilding DM's id.
 func TestCoordinateRebuildServesMovedMarkers(t *testing.T) {
 	srv := newDMState("dm1", []ItemSpec{{Name: "x", DMs: []string{"dm1"}, Config: quorum.Majority([]string{"dm1"})}})
-	srv.moved["y"] = WrongShardResp{DM: "dm1", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm7"}, Gen: 3}
+	srv.Moved["y"] = WrongShardResp{DM: "dm1", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm7"}, Gen: 3}
 
 	raw, handled := srv.coordinateRebuild(RebuildPullReq{For: "dm0", Items: []string{"x", "y"}})
 	if !handled {
@@ -465,8 +465,8 @@ func TestCoordinateRebuildServesMovedMarkers(t *testing.T) {
 	if !resp.OK || resp.From != "dm1" {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if len(resp.Items) != 1 || resp.Items[0].Item != "x" || !resp.Items[0].Has {
-		t.Fatalf("items = %+v, want x only", resp.Items)
+	if _, ok := resp.Replicas["x"]; !ok || len(resp.Replicas) != 1 {
+		t.Fatalf("replicas = %+v, want x only", resp.Replicas)
 	}
 	if w, ok := resp.Moved["y"]; !ok || w.Gen != 3 {
 		t.Fatalf("moved = %+v, want y@gen3", resp.Moved)

@@ -418,7 +418,11 @@ func TestLeaseFenceStopsReapedCommit(t *testing.T) {
 			return err
 		}
 		// The client now "stalls": its lease lapses, and a second client's
-		// conflicting write gets the locks reaped out from under it.
+		// conflicting write gets the locks reaped out from under it. (The
+		// write returned on its first quorum; the copy still in flight to the
+		// third replica must land before the clock moves, or its grant stamps
+		// a lease the reaper's inquiry finds live.)
+		net.Quiesce()
 		clk.Advance(ttl + time.Millisecond)
 		if err := other.Run(ctx, func(tx2 *Txn) error { return tx2.Write(ctx, "x", 222) }); err != nil {
 			return fmt.Errorf("second client could not write past the expired lease: %w", err)

@@ -282,7 +282,7 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		believed: map[string]genCfg{},
 	}
 	if st.health {
-		s.health = newHealthBoard(&s.Stats, st.fixedTimeout)
+		s.health = newHealthBoard(&s.Stats, st.clock != transport.Wall)
 	}
 	s.budget = newRetryBudget(st.retryRatio)
 	s.limiter = newAIMDLimiter(st.inflightMax)
@@ -962,7 +962,7 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 	// error. Only plain read locks qualify — update locking (LockWrite) is a
 	// write's first phase and must assemble the quorum that serializes
 	// writers.
-	if t.store.opts.readLease && mode == LockRead {
+	if t.store.opts.readLeaseTTL > 0 && mode == LockRead {
 		if res, ok := t.tryHintRead(ctx, item); ok {
 			return res, nil
 		}

@@ -241,7 +241,7 @@ func TestTransportParityErrorTaxonomy(t *testing.T) {
 // same value, same counters, sim or TCP.
 func TestTransportParityHintedRead(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
-		store, _ := openTestStore(t, tr, WithReadLease(true), WithReadLeaseTTL(time.Minute))
+		store, _ := openTestStore(t, tr, WithReadLease(time.Minute))
 		ctx := context.Background()
 		if err := store.Run(ctx, func(tx *Txn) error {
 			return tx.Write(ctx, "x", 31)
@@ -281,7 +281,7 @@ func TestTransportParityHintedRead(t *testing.T) {
 // back to the quorum with the correct value.
 func TestTransportParityHintStaleFallback(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
-		store, dms := openTestStore(t, tr, WithReadLease(true), WithReadLeaseTTL(time.Minute))
+		store, dms := openTestStore(t, tr, WithReadLease(time.Minute))
 		ctx := context.Background()
 		if err := store.Run(ctx, func(tx *Txn) error {
 			return tx.Write(ctx, "x", 8)
@@ -334,7 +334,7 @@ func TestTransportParityHintStaleFallback(t *testing.T) {
 func TestTransportParityHintTargetKilled(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
 		store, _ := openTestStore(t, tr,
-			WithReadLease(true), WithReadLeaseTTL(time.Minute),
+			WithReadLease(time.Minute),
 			WithCallTimeout(150*time.Millisecond))
 		ctx := context.Background()
 		if err := store.Run(ctx, func(tx *Txn) error {

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/gob"
+	"reflect"
 
+	"repro/internal/transport"
 	"repro/internal/transport/wire"
 )
 
@@ -19,59 +21,91 @@ import (
 // The tag is the type's identity on the wire. Tags are append-only: a new
 // type takes the next free number, a retired type's number is never
 // reused, and a duplicate panics at start-up.
+//
+// The third column is a request's admission class at an overloaded DM, and
+// the only place one is written: the rows are positional, so a request
+// cannot be registered without one. Control traffic — everything that
+// finishes transactions and frees locks — must always get through: an
+// overloaded replica that sheds a commit, a release, a lease renewal or a
+// reaper's poll strands locks the whole cluster waits on. The hint fence,
+// the Paxos Commit rounds, a decision and a rebuild pull are control for
+// the same reason: each stands between a lock holder and its resolution,
+// and shedding one stalls it exactly like a shed renewal would.
+// Write-intent traffic outranks fresh reads because writers usually hold
+// locks elsewhere already. Everything else (reads, pings, repairs,
+// inspections, migration and ring upkeep) is the bulk that admission
+// exists to bound.
 var wireTypes = []struct {
 	tag   uint16
 	proto any
+	prio  transport.Priority
 }{
 	// Requests.
-	{1, ReadReq{}},
-	{2, WriteReq{}},
-	{3, ConfigWriteReq{}},
-	{4, ReleaseReq{}},
-	{5, CommitSubReq{}},
-	{6, AbortReq{}},
-	{7, CommitTopReq{}},
-	{8, RepairReq{}},
-	{9, PingReq{}},
-	{10, InspectReq{}},
-	{11, RenewLeaseReq{}},
-	{12, ResolutionQueryReq{}},
-	{13, ResolutionAnswer{}},
-	{14, HintReadReq{}},
-	{15, HintGrantReq{}},
-	{16, HintFenceReq{}},
-	{17, ReapReq{}},
-	{18, AdoptItemReq{}},
-	{19, RetireItemReq{}},
-	{20, RingReq{}},
-	{21, RingUpdateReq{}},
-	{22, PaxosAcceptReq{}},
-	{23, PaxosPrepareReq{}},
-	{24, PaxosDecisionReq{}},
-	{25, PaxosRecoverQuery{}},
-	{26, PaxosRecoverPromise{}},
-	{27, PaxosRecoverAccept{}},
-	{28, PaxosRecoverAccepted{}},
-	{29, ResolutionProbeReq{}},
-	{30, RebuildPullReq{}},
+	{1, ReadReq{}, transport.PrioRead},
+	{2, WriteReq{}, transport.PrioWrite},
+	{3, ConfigWriteReq{}, transport.PrioWrite},
+	{4, ReleaseReq{}, transport.PrioControl},
+	{5, CommitSubReq{}, transport.PrioControl},
+	{6, AbortReq{}, transport.PrioControl},
+	{7, CommitTopReq{}, transport.PrioControl},
+	{8, RepairReq{}, transport.PrioRead},
+	{9, PingReq{}, transport.PrioRead},
+	{10, InspectReq{}, transport.PrioRead},
+	{11, RenewLeaseReq{}, transport.PrioControl},
+	{12, ResolutionQueryReq{}, transport.PrioControl},
+	{13, ResolutionAnswer{}, transport.PrioControl},
+	{14, HintReadReq{}, transport.PrioRead},
+	{15, HintGrantReq{}, transport.PrioRead},
+	{16, HintFenceReq{}, transport.PrioControl},
+	// 17 is retired (it was ReapReq, which DecisionReq absorbed).
+	{18, AdoptItemReq{}, transport.PrioRead},
+	{19, RetireItemReq{}, transport.PrioRead},
+	{20, RingReq{}, transport.PrioRead},
+	{21, RingUpdateReq{}, transport.PrioRead},
+	{22, PaxosAcceptReq{}, transport.PrioControl},
+	{23, PaxosPrepareReq{}, transport.PrioControl},
+	{24, DecisionReq{}, transport.PrioControl},
+	{25, PaxosRecoverQuery{}, transport.PrioControl},
+	{26, PaxosRecoverPromise{}, transport.PrioControl},
+	{27, PaxosRecoverAccept{}, transport.PrioControl},
+	{28, PaxosRecoverAccepted{}, transport.PrioControl},
+	{29, ResolutionProbeReq{}, transport.PrioRead},
+	{30, RebuildPullReq{}, transport.PrioControl},
 	// Responses.
-	{31, ReadResp{}},
-	{32, WriteResp{}},
-	{33, Ack{}},
-	{34, OverloadedResp{}},
-	{35, InspectResp{}},
-	{36, HintMissResp{}},
-	{37, WrongShardResp{}},
-	{38, RingResp{}},
-	{39, PaxosAcceptResp{}},
-	{40, ResolutionProbeResp{}},
-	{41, QuarantinedResp{}},
-	{42, RebuildPullResp{}},
+	{31, ReadResp{}, notRequest},
+	{32, WriteResp{}, notRequest},
+	{33, Ack{}, notRequest},
+	{34, OverloadedResp{}, notRequest},
+	{35, InspectResp{}, notRequest},
+	{36, HintMissResp{}, notRequest},
+	{37, WrongShardResp{}, notRequest},
+	{38, RingResp{}, notRequest},
+	{39, PaxosAcceptResp{}, notRequest},
+	{40, ResolutionProbeResp{}, notRequest},
+	{41, QuarantinedResp{}, notRequest},
+	{42, RebuildPullResp{}, notRequest},
 }
+
+// notRequest fills the admission column of a response row: a DM never
+// queues one.
+const notRequest transport.Priority = -1
+
+// admitClass is the admission column of wireTypes, by request type.
+var admitClass = map[reflect.Type]transport.Priority{}
 
 func init() {
 	for _, t := range wireTypes {
 		gob.Register(t.proto)
 		wire.Register(t.tag, t.proto)
+		if t.prio != notRequest {
+			admitClass[reflect.TypeOf(t.proto)] = t.prio
+		}
 	}
+}
+
+// classifyRequest maps a wire request to its admission priority at a DM: a
+// lookup of the wireTypes table. (Anything else a harness injects queues as
+// bulk.)
+func classifyRequest(req any) transport.Priority {
+	return admitClass[reflect.TypeOf(req)]
 }

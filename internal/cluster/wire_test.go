@@ -67,14 +67,13 @@ func TestWireRoundTrip(t *testing.T) {
 		HintReadReq{Txn: "t7", Item: "x", Seq: 5, Gen: 1},
 		HintGrantReq{Item: "x", VN: 3, Gen: 1},
 		HintFenceReq{Txn: "t8", Item: "x"},
-		ReapReq{Txn: "t9", Commit: true, Subs: []TxnID{"t9/0"}},
 		AdoptItemReq{Item: "x", Initial: "seed"},
 		RetireItemReq{Item: "x", Epoch: 2, Group: "g1", DMs: []string{"dm3", "dm4"}, Gen: 3, Cfg: cfg},
 		RingReq{},
 		RingUpdateReq{Ring: *ring},
 		PaxosAcceptReq{Txn: "t10", Ballot: 1, Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2, "y": 3}, Cohort: []string{"dm0", "dm1"}},
 		PaxosPrepareReq{Txn: "t10", Ballot: 2, Cohort: []string{"dm0", "dm1"}},
-		PaxosDecisionReq{Txn: "t10", Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2}},
+		DecisionReq{Txn: "t10", Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2}},
 		PaxosRecoverQuery{Txn: "t10", Ballot: 2, Cohort: []string{"dm0", "dm1"}, From: "dm1"},
 		PaxosRecoverPromise{
 			Txn: "t10", Ballot: 2, From: "dm0", OK: true, Promised: 2,
@@ -99,9 +98,9 @@ func TestWireRoundTrip(t *testing.T) {
 		QuarantinedResp{DM: "dm1", Reason: "wal: segment corrupt"},
 		RebuildPullResp{
 			OK: true, From: "dm0",
-			Items:     []RebuildItemState{{Item: "x", Has: true, VN: 5, Val: 9, Gen: 1, Cfg: cfg}},
+			Replicas:  map[string]replica{"x": {VN: 5, Val: 9, Gen: 1, Cfg: cfg}},
 			Moved:     map[string]WrongShardResp{"y": {DM: "dm0", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm3"}, Gen: 3, Cfg: cfg}},
-			Resolved:  map[TxnID]RebuildResolution{"t1": {Committed: true, Subs: []TxnID{"t1/0"}}},
+			Resolved:  map[TxnID]resolution{"t1": {Committed: true, Subs: []TxnID{"t1/0"}}},
 			Acceptors: map[TxnID]commit.Acceptor{"t2": acc, "t1": {Promised: 0, AccBal: -1}},
 		},
 	}

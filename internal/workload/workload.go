@@ -40,13 +40,6 @@ type Profile struct {
 	// uniform, 0.99 is the YCSB default ("zipfian" with Theta 0 gets
 	// 0.99). Ignored for uniform.
 	Theta float64
-	// Hotspot, when in (0, 1], is the probability an operation targets
-	// Items[0] rather than a uniform choice.
-	//
-	// Deprecated: a two-point contention knob; use Distribution
-	// "zipfian" with Theta for realistic skew. Kept as an alias — it
-	// still works when Distribution is empty or "uniform".
-	Hotspot float64
 	// Seed drives the generator.
 	Seed int64
 }
@@ -78,13 +71,8 @@ func (p Profile) withDefaults() Profile {
 func (p Profile) picker() (func(rng *rand.Rand) string, error) {
 	switch p.Distribution {
 	case DistUniform:
-		hot := p.Hotspot
 		return func(rng *rand.Rand) string {
-			i := rng.Intn(len(p.Items))
-			if hot > 0 && rng.Float64() < hot {
-				i = 0
-			}
-			return p.Items[i]
+			return p.Items[rng.Intn(len(p.Items))]
 		}, nil
 	case DistZipfian:
 		z, err := newZipfian(len(p.Items), p.Theta)

@@ -182,50 +182,3 @@ func TestZipfianWorkloadRuns(t *testing.T) {
 		t.Errorf("committed = %d", res.Committed)
 	}
 }
-
-func TestHotspotSkewsTowardFirstItem(t *testing.T) {
-	// Pure generator-level test: with Hotspot = 1 every op hits Items[0].
-	dms := []string{"h0", "h1", "h2"}
-	net := sim.NewNetwork(sim.Config{MinLatency: 20 * time.Microsecond, MaxLatency: 200 * time.Microsecond, Seed: 8})
-	store, err := cluster.Open(net, []cluster.ItemSpec{
-		{Name: "hot", Initial: 0, DMs: dms, Config: quorum.Majority(dms)},
-		{Name: "cold", Initial: 0, DMs: []string{"c0"}, Config: quorum.ReadOneWriteAll([]string{"c0"})},
-	}, cluster.WithCallTimeout(25*time.Millisecond), cluster.WithSeed(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		store.Close()
-		net.Close()
-	}()
-	res, err := Run(context.Background(), store, Profile{
-		ReadFraction: 0, OpsPerTxn: 1, Hotspot: 1,
-		Items: []string{"hot", "cold"}, Seed: 8,
-	}, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Committed != 10 {
-		t.Fatalf("committed = %d", res.Committed)
-	}
-	// All writes went to "hot": its version number is 10, cold's stays 0.
-	if err := store.Run(context.Background(), func(tx *cluster.Txn) error {
-		_, vn, err := tx.ReadVersioned(context.Background(), "hot")
-		if err != nil {
-			return err
-		}
-		if vn != 10 {
-			t.Errorf("hot vn = %d, want 10", vn)
-		}
-		_, vn, err = tx.ReadVersioned(context.Background(), "cold")
-		if err != nil {
-			return err
-		}
-		if vn != 0 {
-			t.Errorf("cold vn = %d, want 0", vn)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}

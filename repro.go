@@ -192,10 +192,8 @@ var (
 	// WithCallTimeout bounds each quorum phase and control RPC.
 	WithCallTimeout = cluster.WithCallTimeout
 	// WithHedgeDelay sets the delay before re-issuing a phase's request to
-	// silent replicas; zero disables hedging.
+	// silent replicas (at most three copies each); zero disables hedging.
 	WithHedgeDelay = cluster.WithHedgeDelay
-	// WithHedgeMax caps request copies per replica per phase.
-	WithHedgeMax = cluster.WithHedgeMax
 	// WithLockRetries sets the per-phase lock-conflict retry budget;
 	// zero means fail on the first conflict.
 	WithLockRetries = cluster.WithLockRetries
@@ -222,12 +220,11 @@ var (
 	// WithAntiEntropy starts a background sweeper repairing stale
 	// replicas at the given interval.
 	WithAntiEntropy = cluster.WithAntiEntropy
-	// WithReadLease enables the freshness-hint read fast lane: a
-	// hinted item is read from one replica, no quorum, inside the TTL.
+	// WithReadLease enables the freshness-hint read fast lane with the
+	// given hint TTL: a hinted item is read from one replica, no quorum,
+	// inside the TTL — which is also the bound on how long an unreachable
+	// replica's hint outlives its revocation.
 	WithReadLease = cluster.WithReadLease
-	// WithReadLeaseTTL sets the freshness-hint TTL — the bound on how
-	// long an unreachable replica's hint outlives its revocation.
-	WithReadLeaseTTL = cluster.WithReadLeaseTTL
 	// WithCommitProtocol selects the top-level commit strategy: TwoPhase
 	// (default) or PaxosCommit (non-blocking commit — a coordinator crash
 	// around the commit point resolves from acceptor state in one inquiry
