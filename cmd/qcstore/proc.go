@@ -170,7 +170,8 @@ func serveMain(args []string) int {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	<-sigs
 	host.Close()
-	fmt.Printf("qcstore: %s shut down cleanly\n", *id)
+	st := tr.Stats()
+	fmt.Printf("qcstore: %s shut down cleanly (sent %d frames in %d writes, %d bytes)\n", *id, st.Frames, st.Writes, st.Bytes)
 	return 0
 }
 

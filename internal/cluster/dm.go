@@ -570,6 +570,9 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 			return refusal, false
 		}
 		vn, val, gen, cfg := r.view(q.Txn)
+		if gen <= q.Gen {
+			cfg = quorum.Config{} // no news to this reader
+		}
 		// A granted read mutates the lock table: the grant is a promise
 		// two-phase locking depends on, so a restarted replica must still
 		// remember it. Hinted is response-only soft state (a replay's

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/quorum"
 )
@@ -347,5 +349,52 @@ func TestReplicaPromoteKeepsTombstones(t *testing.T) {
 	}
 	if r.Released["c1.t1/1"] != 1 {
 		t.Error("tombstones must survive promotion")
+	}
+}
+
+// TestReadRespCarriesCfgOnlyWhenNews: Section 4's reader needs c only to move
+// to a newer g, so a read reply carries the configuration exactly when the
+// generation visible to the transaction is above the one its request names —
+// whether that generation is committed or still an ancestor's intention, and
+// whether the request came as a ReadReq or through the hinted fast lane.
+func TestReadRespCarriesCfgOnlyWhenNews(t *testing.T) {
+	next := quorum.ReadOneWriteAll([]string{"a", "b", "c"})
+	committed := func(s *dmServer) { s.Replicas["x"].Gen, s.Replicas["x"].Cfg = 1, next }
+	intended := func(s *dmServer) {
+		if w := serve(s, ConfigWriteReq{Txn: "c1.t1", Item: "x", Gen: 1, Cfg: next, Seq: 1}).(WriteResp); !w.OK {
+			t.Fatalf("config write refused: %+v", w)
+		}
+	}
+	hinted := func(s *dmServer) {
+		committed(s)
+		s.hintTTL = time.Minute
+		s.hints["x"] = itemHint{gen: 1, expiry: s.clock.Now().Add(time.Minute)}
+	}
+	cases := []struct {
+		name    string
+		prepare func(*dmServer)
+		req     any
+		gen     int
+		cfg     quorum.Config
+	}{
+		{"reader current, generation 0", func(*dmServer) {}, ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockRead, Seq: 2}, 0, quorum.Config{}},
+		{"reader current, generation 1", committed, ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockRead, Seq: 2, Gen: 1}, 1, quorum.Config{}},
+		{"reader ahead of the replica", committed, ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockRead, Seq: 2, Gen: 2}, 1, quorum.Config{}},
+		{"reader stale by one generation", committed, ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockRead, Seq: 2}, 1, next},
+		{"reader stale, new config an ancestor's intention", intended, ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockWrite, Seq: 2}, 1, next},
+		{"owner of the intention already holds it", intended, ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockWrite, Seq: 2, Gen: 1}, 1, quorum.Config{}},
+		{"hinted read at the matching generation", hinted, HintReadReq{Txn: "c1.t1/0", Item: "x", Seq: 2, Gen: 1}, 1, quorum.Config{}},
+	}
+	for _, c := range cases {
+		s := bareDM()
+		c.prepare(s)
+		resp, ok := serve(s, c.req).(ReadResp)
+		if !ok || !resp.OK {
+			t.Errorf("%s: not granted: %+v", c.name, resp)
+			continue
+		}
+		if resp.Gen != c.gen || !reflect.DeepEqual(resp.Cfg, c.cfg) {
+			t.Errorf("%s: reply carries gen %d cfg %v, want gen %d cfg %v", c.name, resp.Gen, resp.Cfg, c.gen, c.cfg)
+		}
 	}
 }

@@ -128,7 +128,7 @@ func (s *dmServer) hintCheck(q HintReadReq) (ReadReq, *HintMissResp) {
 	if reason != "" {
 		return ReadReq{}, &HintMissResp{DM: s.id, Reason: reason}
 	}
-	return ReadReq{Txn: q.Txn, Item: q.Item, Lock: LockRead, Seq: q.Seq}, nil
+	return ReadReq{Txn: q.Txn, Item: q.Item, Lock: LockRead, Seq: q.Seq, Gen: q.Gen}, nil
 }
 
 // coordinateHints handles the hint-maintenance messages that never touch
@@ -303,7 +303,8 @@ func (t *Txn) tryHintRead(ctx context.Context, item string) (readResult, bool) {
 		if resp.OK {
 			t.touch(dm)
 			s.Stats.HintHits.Inc()
-			return readResult{vn: resp.VN, val: resp.Val, gen: resp.Gen, cfg: resp.Cfg}, true
+			// The replica matched believed.gen, so it sent no configuration.
+			return readResult{vn: resp.VN, val: resp.Val, gen: believed.gen, cfg: believed.cfg}, true
 		}
 		// Busy (a conflicting writer) or refused (resolved/tombstoned):
 		// the quorum path owns conflict arbitration and backoff.

@@ -22,12 +22,14 @@ const (
 // duplicates of one phase share a Seq, and a ReleaseReq carrying the same
 // Seq tombstones the phase so late copies cannot re-grant. Seq 0 means
 // "no phase tracking" (requests sent outside a quorum phase, such as
-// PlantOrphan's).
+// PlantOrphan's). Gen is the newest configuration generation the reader
+// already holds: the reply carries a configuration only when it is newer.
 type ReadReq struct {
 	Txn  TxnID
 	Item string
 	Lock LockMode
 	Seq  int
+	Gen  int
 }
 
 // ReadResp carries the replica state visible to the transaction (committed
@@ -35,7 +37,10 @@ type ReadReq struct {
 // conflict; the caller backs off and retries, which doubles as the
 // cluster's deadlock resolution. Held reports that the transaction already
 // held a lock on the item before this request — such locks belong to an
-// earlier phase and must never be released by this one.
+// earlier phase and must never be released by this one. Cfg is the
+// configuration of generation Gen when Gen is news to the reader (above
+// ReadReq.Gen) and empty otherwise: Section 4's reader needs c only to
+// move to a newer g.
 type ReadResp struct {
 	OK   bool
 	Busy bool

@@ -984,7 +984,7 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 				item:    item,
 				targets: union(quorums),
 				quorums: quorums,
-				req:     ReadReq{Txn: t.id, Item: item, Lock: mode, Seq: seq},
+				req:     ReadReq{Txn: t.id, Item: item, Lock: mode, Seq: seq, Gen: res.gen},
 				seq:     seq,
 			}, &t.store.Stats.ReadPhaseLatency)
 			// Generation discovery may use every grant, winner or not: a newer

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -138,6 +139,37 @@ func TestTransportParityReconfigure(t *testing.T) {
 			return tx.Write(ctx, "x", 6)
 		}); err != nil {
 			t.Fatal(err)
+		}
+		// A second client still believes generation 0: its first read asks
+		// with Gen 0, so the replies carry the new configuration (a reader
+		// at generation 1 gets none), it adopts it and completes on the new
+		// quorums — read-one, then write-all.
+		stale, err := OpenClient(tr, []ItemSpec{
+			{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)},
+		}, WithCallTimeout(500*time.Millisecond), WithSeed(12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stale.Close()
+		if err := stale.Run(ctx, func(tx *Txn) error {
+			v, err := tx.Read(ctx, "x")
+			if err != nil {
+				return err
+			}
+			if v != 6 {
+				t.Errorf("stale client read = %v, want 6", v)
+			}
+			if got := stale.config("x"); got.gen != 1 || !reflect.DeepEqual(got.cfg, quorum.ReadOneWriteAll(dms)) {
+				t.Errorf("stale client believes gen %d cfg %v after one read, want gen 1 read-one/write-all", got.gen, got.cfg)
+			}
+			return tx.Write(ctx, "x", 7)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := stale.Stats.ReadPhaseLatency.Count(); got != 3 {
+			// Read under generation 0 (discovers 1), re-read under 1, and the
+			// write's update-locking read: the chase took one extra phase.
+			t.Errorf("stale client ran %d read phases, want 3", got)
 		}
 	})
 }

@@ -51,7 +51,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	msgs := []any{
 		// Requests, in wireTypes order.
-		ReadReq{Txn: "t1/0", Item: "x", Lock: LockWrite, Seq: 3},
+		ReadReq{Txn: "t1/0", Item: "x", Lock: LockWrite, Seq: 3, Gen: 2},
 		WriteReq{Txn: "t1", Item: "x", VN: 7, Val: 42, Seq: 4},
 		ConfigWriteReq{Txn: "t2", Item: "y", Gen: 2, Cfg: cfg, Seq: 1},
 		ReleaseReq{Txn: "t3", Item: "x", Seq: 2},

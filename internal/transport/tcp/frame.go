@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/transport/wire"
@@ -36,7 +38,7 @@ import (
 // wireVersion is the first byte of every frame body. A change to the
 // header, to package wire's encodings, or to the meaning of a registered
 // tag bumps it; a peer speaking another version is refused, frame by frame.
-const wireVersion = 1
+const wireVersion = 2
 
 // Frame kinds.
 const (
@@ -199,28 +201,139 @@ func putBuf(bp *[]byte) {
 	}
 }
 
-// frameWriter serializes whole frames onto one connection.
-type frameWriter struct {
-	mu sync.Mutex // serializes frame writes
-	w  io.Writer
+// linkBound is how many queued bytes make a link's buffer full: a sender that
+// finds it at or over the bound waits for the writer to take it, as it used
+// to wait inside Write, so a peer that stops reading still stops its senders
+// (TCP's back-pressure, one buffer further up). A frame is queued whole, so
+// the buffer can exceed the bound by one frame.
+const linkBound = 1 << 20
+
+// errLinkClosed fails a frame sent on a link that was closed in good order.
+var errLinkClosed = errors.New("tcp: link closed")
+
+// linkCounters count what the links of one transport handed to their
+// sockets: Frames/Writes is the coalescing ratio.
+type linkCounters struct {
+	frames, writes, bytes atomic.Uint64
 }
 
-// writeFrame encodes f and writes it, length prefix and body, in one Write.
-// An error wrapping errUnencodable means nothing was written; any other is
-// the connection's.
+// frameWriter is the write side of one connection, the only routine that
+// writes to it. A sender encodes its frame into the link's buffer and
+// returns; the link's goroutine hands everything queued to the connection
+// in one Write. "Sent" therefore means encoded and queued in order: what
+// happens to the bytes afterwards is the connection's fate, reported the
+// way a peer's death is — the first failed Write is sticky, closes the
+// connection (which the read side sees at once) and fails every later
+// writeFrame.
+type frameWriter struct {
+	c  io.WriteCloser
+	st *linkCounters
+
+	mu     sync.Mutex
+	work   sync.Cond // the writer waits here for a frame
+	room   sync.Cond // senders wait here while the buffer is full
+	buf    []byte    // whole frames, length prefixes included
+	frames int       // how many
+	spare  []byte    // the buffer the last Write used, for the next swap
+	err    error     // the first Write failure
+	closed bool
+	done   chan struct{} // closed when the writer goroutine has exited
+}
+
+// newFrameWriter starts the writer goroutine of one connection; close reaps
+// it.
+func newFrameWriter(c io.WriteCloser, st *linkCounters) *frameWriter {
+	fw := &frameWriter{c: c, st: st, done: make(chan struct{})}
+	fw.work.L, fw.room.L = &fw.mu, &fw.mu
+	go fw.run()
+	return fw
+}
+
+// writeFrame encodes f, length prefix and body, behind the frames already
+// queued. An error wrapping errUnencodable means the frame was refused and
+// the link is as it was; any other is the connection's.
 func (fw *frameWriter) writeFrame(f Frame) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	buf, err := appendFrame(append((*bp)[:0], 0, 0, 0, 0), f)
-	*bp = buf
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	for fw.err == nil && !fw.closed && len(fw.buf) >= linkBound {
+		fw.room.Wait()
+	}
+	if fw.err != nil {
+		return fw.err
+	}
+	if fw.closed {
+		return errLinkClosed
+	}
+	start := len(fw.buf)
+	buf, err := appendFrame(append(fw.buf, 0, 0, 0, 0), f)
 	if err != nil {
+		fw.buf = buf[:start]
 		return fmt.Errorf("%w: %w", errUnencodable, err)
 	}
-	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	fw.buf = buf
+	fw.frames++
+	if start == 0 {
+		fw.work.Signal()
+	}
+	return nil
+}
+
+// run is the writer goroutine. Woken by the first frame of an empty buffer,
+// it yields once, so that the goroutines runnable beside it — the other
+// callers of this scheduler turn, a handler about to queue the next reply —
+// get their frames in as well, then writes all of it at once, and again
+// while more arrived during the Write. There is no timer: an idle link
+// sends a lone frame as soon as the scheduler comes back to it.
+func (fw *frameWriter) run() {
+	defer close(fw.done)
 	fw.mu.Lock()
-	_, err = fw.w.Write(buf)
+	defer fw.mu.Unlock()
+	for {
+		for len(fw.buf) == 0 {
+			if fw.closed {
+				return
+			}
+			fw.work.Wait()
+		}
+		fw.mu.Unlock()
+		runtime.Gosched()
+		fw.mu.Lock()
+		for len(fw.buf) > 0 {
+			out, n := fw.buf, fw.frames
+			fw.buf, fw.frames, fw.spare = fw.spare[:0], 0, nil
+			fw.room.Broadcast()
+			fw.mu.Unlock()
+			_, err := fw.c.Write(out)
+			if err != nil {
+				fw.c.Close()
+				fw.mu.Lock()
+				fw.err, fw.buf, fw.frames = err, nil, 0
+				fw.room.Broadcast()
+				return
+			}
+			fw.mu.Lock()
+			fw.st.frames.Add(uint64(n))
+			fw.st.writes.Add(1)
+			fw.st.bytes.Add(uint64(len(out)))
+			if cap(out) <= keepBuf {
+				fw.spare = out
+			}
+		}
+	}
+}
+
+// close refuses further frames, lets the writer hand what is queued to the
+// connection, and returns when its goroutine has exited. It does not close
+// the connection: an owner that wants the queue dropped closes the
+// connection first, and one that wants it delivered closes it after.
+func (fw *frameWriter) close() {
+	fw.mu.Lock()
+	fw.closed = true
+	fw.work.Signal()
+	fw.room.Broadcast()
 	fw.mu.Unlock()
-	return err
+	<-fw.done
 }
 
 // frameReader reads frames off one connection through a buffered reader,

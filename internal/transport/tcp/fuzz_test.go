@@ -48,15 +48,17 @@ func hugeCountBody() []byte {
 	return append(b, make([]byte, 20-len(b))...)
 }
 
+// stream is what a link puts on its connection for frames.
 func stream(t testing.TB, frames ...Frame) []byte {
-	var buf bytes.Buffer
-	fw := frameWriter{w: &buf}
+	var w recordingWriter
+	fw := newFrameWriter(&w, new(linkCounters))
 	for _, fr := range frames {
 		if err := fw.writeFrame(fr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return buf.Bytes()
+	fw.close()
+	return w.Bytes()
 }
 
 // FuzzEnvelope holds the frame codec to its two contracts: a well-formed
@@ -80,6 +82,8 @@ func FuzzEnvelope(f *testing.F) {
 		// …and their length-prefixed stream forms.
 		f.Add(stream(f, fr))
 	}
+	// …and all of them back to back, as one coalesced Write carries them.
+	f.Add(stream(f, seedFrames...))
 	// A cluster-shaped frame cut at every byte offset.
 	shaped, err := EncodeFrame(shapedFrame())
 	if err != nil {
@@ -217,49 +221,5 @@ func TestAnnouncedLengthIsNotTrusted(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("reader allocated %d bytes for a 3-byte body announced as %d", grew, MaxFrame)
-	}
-}
-
-// countingWriter counts Write calls: one frame must be one write (one
-// syscall on a socket), whatever its size.
-type countingWriter struct {
-	bytes.Buffer
-	writes int
-}
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	return w.Buffer.Write(p)
-}
-
-func TestOneWritePerFrameAndLargeBodies(t *testing.T) {
-	big := shapedFrame()
-	m := big.Req.(shapedMsg)
-	m.Blob = bytes.Repeat([]byte{0xA5}, 3*keepBuf+17) // spans several read chunks
-	big.Req = m
-	frames := []Frame{shapedFrame(), big, {Kind: kindReply, ID: 1, Resp: echoResp{N: 1}}}
-	var w countingWriter
-	fw := frameWriter{w: &w}
-	for _, f := range frames {
-		if err := fw.writeFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.writes != len(frames) {
-		t.Fatalf("%d frames took %d writes", len(frames), w.writes)
-	}
-	fr := newFrameReader(&w.Buffer)
-	for i, want := range frames {
-		got, err := fr.readFrame()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		got.Deadline = want.Deadline
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d did not survive the stream", i)
-		}
-	}
-	if cap(fr.body) > keepBuf {
-		t.Fatalf("reader kept a %d-byte buffer after one large frame", cap(fr.body))
 	}
 }

@@ -16,6 +16,8 @@
 //   - Handlers keep the actor discipline: each server serves on a single
 //     goroutine (its dispatch loop, or its admission queue's service
 //     goroutine), whatever the connection fan-in.
+//   - Every connection has one writer (frameWriter, frame.go): frames queued
+//     on a link within one scheduler turn leave in one Write.
 package tcp
 
 import (
@@ -44,6 +46,7 @@ var (
 // needs no peer map at all — Serve on :0 and every Client finds it.
 type Transport struct {
 	dialTimeout time.Duration
+	links       linkCounters // summed over every link this transport writes
 
 	mu      sync.Mutex
 	peers   map[string]string // static name → host:port
@@ -143,7 +146,7 @@ func (t *Transport) Serve(id string, h transport.Handler, opts ...transport.Serv
 		ln:      ln,
 		handler: h,
 		reqs:    make(chan serverReq, serverBacklog),
-		conns:   map[net.Conn]struct{}{},
+		conns:   map[net.Conn]*frameWriter{},
 		routes:  map[routeKey]*frameWriter{},
 		done:    make(chan struct{}),
 		out:     newCaller(t, id),
@@ -174,18 +177,40 @@ func (t *Transport) Client(id string) (transport.Client, error) {
 	return c, nil
 }
 
-// Quiesce waits until every request this transport's servers have already
-// read off their connections has been served. Bytes still in flight on a
-// socket cannot be awaited — this is the honest TCP analogue of the sim
-// network's drain, and it is weaker: the caller must have stopped issuing
-// new work first (an orderly Store close has).
+// Stats is what a transport's links handed to their sockets so far: whole
+// frames, the Writes that carried them, and their bytes.
+type Stats struct {
+	Frames, Writes, Bytes uint64
+}
+
+// Stats sums the link counters of every connection this transport wrote to,
+// as a caller or as a server. Frames/Writes is the coalescing ratio.
+func (t *Transport) Stats() Stats {
+	return Stats{Frames: t.links.frames.Load(), Writes: t.links.writes.Load(), Bytes: t.links.bytes.Load()}
+}
+
+// Quiesce waits until everything this transport's endpoints have sent so
+// far has been read by its peer — every link is flushed and answered a
+// barrier (see caller.barrier) — and then until every request this transport's
+// servers have read off their connections has been served. Work a handler
+// starts while Quiesce waits is not chased, so this is still weaker than the
+// sim network's drain: the caller must have stopped issuing new work first
+// (an orderly Store close has).
 func (t *Transport) Quiesce() {
 	t.mu.Lock()
 	servers := make([]*Server, 0, len(t.servers))
+	callers := make([]*caller, 0, len(t.callers)+len(t.servers))
+	for c := range t.callers {
+		callers = append(callers, c.caller)
+	}
 	for _, s := range t.servers {
 		servers = append(servers, s)
+		callers = append(callers, s.out)
 	}
 	t.mu.Unlock()
+	for _, c := range callers {
+		c.barrier()
+	}
 	for _, s := range servers {
 		s.waitIdle()
 	}
@@ -254,10 +279,15 @@ func newCaller(t *Transport, id string) *caller {
 	return &caller{tr: t, id: id, conns: map[string]*clientConn{}}
 }
 
+// closeGrace bounds how long an endpoint that is closing or quiescing waits
+// on one link — for its queue to reach the kernel, for its barrier to come
+// back — so a peer that stopped reading cannot hold a Close hostage.
+const closeGrace = 2 * time.Second
+
 // clientConn is one pooled outbound connection and the calls pending on it.
 type clientConn struct {
 	c  net.Conn
-	fw frameWriter
+	fw *frameWriter
 
 	mu      sync.Mutex
 	pending map[uint64]chan any
@@ -291,6 +321,7 @@ func (cc *clientConn) fail() {
 	cc.pending = map[uint64]chan any{}
 	cc.mu.Unlock()
 	cc.c.Close()
+	cc.fw.close() // the connection is gone: this only reaps the writer
 	for _, ch := range pending {
 		ch <- lostMarker{}
 	}
@@ -318,8 +349,6 @@ func (c *caller) get(to string) (*clientConn, error) {
 		// A refused or unreachable dial is a dead peer: the lost fate.
 		return nil, transport.ErrLost
 	}
-	cc := &clientConn{c: conn, fw: frameWriter{w: conn}, pending: map[uint64]chan any{}}
-
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -332,10 +361,18 @@ func (c *caller) get(to string) (*clientConn, error) {
 		conn.Close()
 		return raced, nil
 	}
-	c.conns[to] = cc
+	cc := c.adopt(to, conn)
 	c.mu.Unlock()
-	go c.readLoop(to, cc)
 	return cc, nil
+}
+
+// adopt pools conn as the connection to `to` and starts its writer and its
+// reader. The caller holds c.mu.
+func (c *caller) adopt(to string, conn net.Conn) *clientConn {
+	cc := &clientConn{c: conn, fw: newFrameWriter(conn, &c.tr.links), pending: map[uint64]chan any{}}
+	c.conns[to] = cc
+	go c.readLoop(to, cc)
+	return cc
 }
 
 // evict removes a dead connection from the pool so the next call redials —
@@ -374,6 +411,11 @@ func (c *caller) call(ctx context.Context, to string, req any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	return c.callOn(ctx, to, cc, req)
+}
+
+// callOn sends one call frame on cc and waits for its reply.
+func (c *caller) callOn(ctx context.Context, to string, cc *clientConn, req any) (any, error) {
 	id := c.nextID.Add(1)
 	ch := make(chan any, 1)
 	cc.addPending(id, ch)
@@ -400,9 +442,10 @@ func (c *caller) call(ctx context.Context, to string, req any) (any, error) {
 	}
 }
 
-// send writes one frame, mapping transmission failure to the lost fate and
-// keeping encode failures (unregistered payload types — a programming
-// error) distinct and loud.
+// send queues one frame on the link, mapping a broken link to the lost fate
+// and keeping encode failures (unregistered payload types — a programming
+// error) distinct and loud. A link that breaks after send returned fails the
+// call through the read loop, like any other connection loss.
 func (c *caller) send(to string, cc *clientConn, f Frame) error {
 	err := cc.fw.writeFrame(f)
 	if err != nil && !errors.Is(err, errUnencodable) {
@@ -422,6 +465,28 @@ func (c *caller) notify(to string, req any) {
 	c.send(to, cc, Frame{Kind: kindNotify, From: c.id, Req: req})
 }
 
+// barrier flushes every pooled link and waits until its peer has read what was
+// sent on it: a call that carries no request is the transport's own barrier,
+// answered by the peer's reader once every frame before it on the connection
+// has been dispatched. A link that breaks or stays silent for closeGrace has
+// nothing left to wait for.
+func (c *caller) barrier() {
+	c.mu.Lock()
+	conns := make(map[string]*clientConn, len(c.conns))
+	for to, cc := range c.conns {
+		conns[to] = cc
+	}
+	c.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
+	defer cancel()
+	for to, cc := range conns {
+		c.callOn(ctx, to, cc, nil) // any failure ends the wait just as well
+	}
+}
+
+// close delivers what the links still hold — an orderly close loses no
+// fire-and-forget message it was handed — then closes them; calls still
+// pending fail with ErrLost.
 func (c *caller) close() {
 	c.mu.Lock()
 	if c.closed {
@@ -433,6 +498,8 @@ func (c *caller) close() {
 	c.conns = map[string]*clientConn{}
 	c.mu.Unlock()
 	for _, cc := range conns {
+		cc.c.SetWriteDeadline(time.Now().Add(closeGrace))
+		cc.fw.close()
 		cc.fail()
 	}
 }
@@ -468,8 +535,8 @@ type routeKey struct {
 }
 
 // serverReq is one delivered request on its way to the dispatch loop. sc is
-// the write side of the connection it arrived on; the frame writer's lock
-// lets synchronous and late (async-handler) replies interleave safely.
+// the write side of the connection it arrived on; synchronous and late
+// (async-handler) replies queue on it in any order.
 type serverReq struct {
 	f  Frame
 	sc *frameWriter
@@ -488,7 +555,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	idle     *sync.Cond
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]*frameWriter
 	routes   map[routeKey]*frameWriter
 	inflight int // read-off-the-wire but not yet served (non-admission path)
 	closed   bool
@@ -523,10 +590,11 @@ func (s *Server) acceptLoop() {
 			conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
+		sc := newFrameWriter(conn, &s.tr.links)
+		s.conns[conn] = sc
 		s.mu.Unlock()
 		s.readers.Add(1)
-		go s.readLoop(conn)
+		go s.readLoop(conn, sc)
 	}
 }
 
@@ -534,9 +602,8 @@ func (s *Server) acceptLoop() {
 // error — clean close, reset, or a malformed frame — retires the
 // connection; the protocol state it carried (pending reply routes) dies
 // with it, exactly like a crashed peer.
-func (s *Server) readLoop(conn net.Conn) {
+func (s *Server) readLoop(conn net.Conn, sc *frameWriter) {
 	defer s.readers.Done()
-	sc := &frameWriter{w: conn}
 	fr := newFrameReader(conn)
 	for {
 		f, err := fr.readFrame()
@@ -545,6 +612,14 @@ func (s *Server) readLoop(conn net.Conn) {
 			return
 		}
 		if f.Kind != kindCall && f.Kind != kindNotify {
+			continue
+		}
+		if f.Req == nil {
+			// The peer's barrier (caller.barrier): everything it sent before
+			// is dispatched by now.
+			if f.Kind == kindCall {
+				s.sendReply(sc, f.ID, nil)
+			}
 			continue
 		}
 		if s.adm != nil {
@@ -568,6 +643,7 @@ func (s *Server) readLoop(conn net.Conn) {
 
 func (s *Server) retire(conn net.Conn, sc *frameWriter) {
 	conn.Close()
+	sc.close() // the connection is gone: this only reaps the writer
 	s.mu.Lock()
 	delete(s.conns, conn)
 	for k, rc := range s.routes {
@@ -661,21 +737,24 @@ func (s *Server) waitIdle() {
 	s.mu.Unlock()
 }
 
-// Close stops serving: the listener closes, connections retire, and the
-// service goroutine drains every request already dispatched before exiting
-// — an orderly departure, not a crash, so a durable replica's log never
-// misses a request the transport had already delivered. Idempotent.
+// Close stops serving: the listener closes, connections retire once the
+// replies already queued on them are written, and the service goroutine
+// drains every request already dispatched before exiting — an orderly
+// departure, not a crash, so a durable replica's log never misses a request
+// the transport had already delivered. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
 		s.closed = true
-		conns := make([]net.Conn, 0, len(s.conns))
-		for c := range s.conns {
-			conns = append(conns, c)
+		conns := make(map[net.Conn]*frameWriter, len(s.conns))
+		for c, sc := range s.conns {
+			conns[c] = sc
 		}
 		s.mu.Unlock()
 		s.ln.Close()
-		for _, c := range conns {
+		for c, sc := range conns {
+			c.SetWriteDeadline(time.Now().Add(closeGrace))
+			sc.close()
 			c.Close()
 		}
 		s.readers.Wait() // no goroutine will send on reqs past this point

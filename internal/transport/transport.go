@@ -93,9 +93,10 @@ type Transport interface {
 	Client(id string) (Client, error)
 	// Quiesce blocks until traffic the transport has already accepted has
 	// settled, as far as the backend can know: the sim network drains its
-	// in-flight messages; TCP waits for delivered-but-unserved requests
-	// only, since bytes in flight on a socket cannot be tracked. An
-	// orderly Store close calls this before closing replica logs.
+	// in-flight messages; TCP flushes its links, waits until each peer has
+	// read what was sent, then until its own servers have served what they
+	// read — traffic a handler starts meanwhile is not chased. An orderly
+	// Store close calls this before closing replica logs.
 	Quiesce()
 }
 
