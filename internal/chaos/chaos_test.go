@@ -250,6 +250,32 @@ func TestLiveCampaignVerifies(t *testing.T) {
 	}
 }
 
+// TestNestedCampaign runs campaigns at the benchmark's nesting shape — two
+// operations per transaction, each two Subs deep, a fifth of the Subs
+// aborting and tolerated — under the full fault mix, seeded and live. A
+// committed child reaches the replicas only through the lists its tree's
+// later accesses carry and the top-level commit's Subs, so every history
+// here verifies that path under drops, duplicates, partitions, crashes and
+// amnesia.
+func TestNestedCampaign(t *testing.T) {
+	ctx := testCtx(t)
+	committed := 0
+	for i := 0; i < 3; i++ {
+		cfg := shortCfg(CampaignSeed(31, i))
+		cfg.OpsPerTxn, cfg.NestDepth, cfg.SubAbortProb = 2, 2, 0.2
+		cfg.Rounds = 3
+		cfg.Live = i == 2
+		res, err := Run(ctx, cfg)
+		if err != nil {
+			t.Fatalf("nested campaign %d (seed %d): %v", i, cfg.Seed, err)
+		}
+		committed += res.Committed
+	}
+	if committed == 0 {
+		t.Error("nested campaigns committed nothing")
+	}
+}
+
 // TestOverloadCampaign runs overload-focused campaigns: seeded bursts slam
 // replica admission queues between rounds, requests are shed and expired
 // deterministically, and the workload still commits — overload at one

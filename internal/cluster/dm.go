@@ -79,6 +79,15 @@ type dmState struct {
 	// from peers can be answered authoritatively.
 	Resolved map[TxnID]*resolution
 
+	// Aborted remembers, per unresolved top-level transaction, the
+	// subtransactions an AbortReq discarded here, so a late or duplicated
+	// copy of a dead subtree's access is refused instead of granted again —
+	// drop sweeps the subtree's tombstones with its locks, and Resolved holds
+	// top-level ids only. Logged with the AbortReq that names the id, left
+	// out of a rebuild pull as locks are, and dropped when the top level
+	// resolves.
+	Aborted map[TxnID][]TxnID
+
 	// Acceptors is the per-transaction Paxos Commit acceptor state
 	// (DESIGN.md §11): WAL-logged through PaxosAcceptReq/PaxosPrepareReq, so
 	// a majority of acceptors can reconstruct a commit decision after any
@@ -168,6 +177,7 @@ func emptyState() dmState {
 		Replicas:  map[string]*replica{},
 		Moved:     map[string]WrongShardResp{},
 		Resolved:  map[TxnID]*resolution{},
+		Aborted:   map[TxnID][]TxnID{},
 		Acceptors: map[TxnID]*commit.Acceptor{},
 	}
 }
@@ -287,8 +297,7 @@ func (s *dmServer) holdsTxn(top TxnID) (holds bool) {
 // A commit folds top's intentions, and those of the committed
 // subtransactions subs, into the committed state of every replica it
 // touched and releases its locks; an abort drops the whole subtree —
-// descendants a promote already folded into the parent fall with it, and
-// descendants still under their own ids are covered by drop's ancestor
+// every descendant holds its state under its own id, within drop's ancestor
 // sweep. The commit doubles as a freshness proof ONLY for replicas whose
 // post-apply version is the transaction's final one for the item (final is
 // nil when the sender cannot know it: no hints then; and a replica the
@@ -321,26 +330,45 @@ func (s *dmServer) resolve(top TxnID, commit bool, subs []TxnID, final map[strin
 		}
 	})
 	delete(s.touched, top)
+	delete(s.Aborted, top)
+	return Ack{OK: true}, true
+}
+
+// abortSub discards subtransaction t's subtree everywhere it touched and
+// remembers the id until the top level resolves. Once it has, there is
+// nothing left to discard or to refuse, and nothing to log.
+func (s *dmServer) abortSub(t TxnID) (Ack, bool) {
+	top := t.Top()
+	if s.Resolved[top] != nil {
+		return Ack{OK: true}, false
+	}
+	if !slices.Contains(s.Aborted[top], t) {
+		s.Aborted[top] = append(s.Aborted[top], t)
+	}
+	s.eachTouched(t, func(_ string, r *replica) { r.drop(t) })
 	return Ack{OK: true}, true
 }
 
 // acquire is the grant prelude every access shares: the moved marker, the
-// hosted replica, the resolved and tombstoned refusals (a resolved
-// transaction, or a phase already released here, is granted nothing), then
-// Moss's rule. On a grant it records the lock and its phase, indexes the
-// item under the transaction and stamps its lease, and returns the replica
-// with whether the transaction already held a lock there. Otherwise r is nil
-// and refusal is the answer: the redirect, or refuse(busy) — the caller's
-// reply type, Busy after a lock conflict.
-func (s *dmServer) acquire(t TxnID, item string, m LockMode, seq int, refuse func(busy bool) any) (r *replica, held bool, refusal any) {
+// hosted replica, the refusals (a resolved transaction, one with an aborted
+// ancestor, or a phase already released here, is granted nothing), then
+// Moss's rule with the requester's inherit list. On a grant it records the
+// lock and its phase, indexes the item under the transaction and stamps its
+// lease, and returns the replica with whether the transaction already held
+// a lock there. Otherwise r is nil and refusal is the answer: the redirect,
+// or refuse(busy) — the caller's reply type, Busy after a lock conflict.
+func (s *dmServer) acquire(t TxnID, inherit []TxnID, item string, m LockMode, seq int, refuse func(busy bool) any) (r *replica, held bool, refusal any) {
 	if w, ok := s.Moved[item]; ok {
 		return nil, false, w
 	}
-	r = s.Replicas[item]
-	if r == nil || s.Resolved[t.Top()] != nil || (seq != 0 && seq <= r.Released[t]) {
+	r, top := s.Replicas[item], t.Top()
+	// Only subtransactions are remembered: a top-level requester skips the
+	// lookup.
+	dead := t != top && slices.ContainsFunc(s.Aborted[top], func(a TxnID) bool { return a.IsAncestorOf(t) })
+	if r == nil || s.Resolved[top] != nil || dead || (seq != 0 && seq <= r.Released[t]) {
 		return nil, false, refuse(false)
 	}
-	if !r.canLock(t, m) {
+	if !r.canLock(t, inherit, m) {
 		s.noteConflict(r, t)
 		return nil, false, refuse(true)
 	}
@@ -356,8 +384,8 @@ func (s *dmServer) acquire(t TxnID, item string, m LockMode, seq int, refuse fun
 // freshness hint here and stamps the fence: the write-quorum members' fence
 // rides the grant itself, only the remaining replicas need an explicit
 // HintFenceReq.
-func (s *dmServer) write(item string, seq int, in intent) (any, bool) {
-	r, held, refusal := s.acquire(in.Owner, item, LockWrite, seq, func(busy bool) any { return WriteResp{Busy: busy} })
+func (s *dmServer) write(item string, seq int, inherit []TxnID, in intent) (any, bool) {
+	r, held, refusal := s.acquire(in.Owner, inherit, item, LockWrite, seq, func(busy bool) any { return WriteResp{Busy: busy} })
 	if r == nil {
 		return refusal, false
 	}
@@ -371,14 +399,22 @@ func (s *dmServer) write(item string, seq int, in intent) (any, bool) {
 	return WriteResp{OK: true, Held: held}, true
 }
 
+// inherits reports whether state owned by holder is t's to use under Moss's
+// inheritance rule: holder is an ancestor of t (or t itself), or one of the
+// committed descendants of t's ancestors the coordinator listed — whose
+// locks and versions an ancestor of t has inherited, a fact about the
+// transaction tree only the coordinator holds. Nothing here is re-owned:
+// the listed transaction keeps its state under its own id until the top
+// level resolves. A listed id of another top-level tree inherits nothing.
+func inherits(t TxnID, inherit []TxnID, holder TxnID) bool {
+	return holder.IsAncestorOf(t) || (slices.Contains(inherit, holder) && holder.Top() == t.Top())
+}
+
 // canLock applies Moss's rule: a conflicting lock may be held only by
-// ancestors of the requester.
-func (r *replica) canLock(t TxnID, m LockMode) bool {
+// transactions whose locks the requester's ancestors hold or inherited.
+func (r *replica) canLock(t TxnID, inherit []TxnID, m LockMode) bool {
 	for holder, l := range r.Locks {
-		if holder == t {
-			continue
-		}
-		if (m == LockWrite || l.Mode == LockWrite) && !holder.IsAncestorOf(t) {
+		if (m == LockWrite || l.Mode == LockWrite) && !inherits(t, inherit, holder) {
 			return false
 		}
 	}
@@ -431,12 +467,13 @@ func (r *replica) writerInFlight() bool {
 	return len(r.Intents) > 0
 }
 
-// view folds the intentions visible to t (those owned by t or its
-// ancestors) over the committed state, yielding the state t must read.
-func (r *replica) view(t TxnID) (vn int, val any, gen int, cfg quorum.Config) {
+// view folds the intentions visible to t (those owned by t, its ancestors,
+// or the committed descendants they inherited) over the committed state,
+// yielding the state t must read.
+func (r *replica) view(t TxnID, inherit []TxnID) (vn int, val any, gen int, cfg quorum.Config) {
 	vn, val, gen, cfg = r.VN, r.Val, r.Gen, r.Cfg
 	for _, in := range r.Intents {
-		if !in.Owner.IsAncestorOf(t) {
+		if !inherits(t, inherit, in.Owner) {
 			continue
 		}
 		if in.IsConfig {
@@ -446,28 +483,6 @@ func (r *replica) view(t TxnID) (vn int, val any, gen int, cfg quorum.Config) {
 		}
 	}
 	return vn, val, gen, cfg
-}
-
-// promote hands t's lock and intentions to its parent. The release
-// tombstones stay behind: t's phases are over, and late copies of them
-// must still be refused.
-func (r *replica) promote(t TxnID) {
-	parent, ok := t.Parent()
-	if l, held := r.Locks[t]; held {
-		delete(r.Locks, t)
-		if ok {
-			pl := r.Locks[parent]
-			pl.Mode = max(pl.Mode, l.Mode)
-			r.Locks[parent] = pl
-		}
-	}
-	if ok {
-		for i := range r.Intents {
-			if r.Intents[i].Owner == t {
-				r.Intents[i].Owner = parent
-			}
-		}
-	}
 }
 
 // drop removes every lock, tombstone and intention owned by t or its
@@ -482,10 +497,10 @@ func (r *replica) drop(t TxnID) {
 }
 
 // applyTop folds t's intentions into the committed state and releases its
-// locks. committed names the committed subtransactions of t's tree: an
-// intention still owned by one of them (its promote never arrived here)
-// is committed state too and is applied, not discarded. Intentions fold
-// in arrival order, which per item is write order: a later write is only
+// locks. committed names the committed subtransactions of t's tree: their
+// intentions, kept under their own ids, are committed state too and are
+// applied; any other descendant's are discarded. Intentions fold in
+// arrival order, which per item is write order: a later write is only
 // issued after the earlier one's quorum acked, and tombstones refuse
 // late duplicate copies.
 func (r *replica) applyTop(t TxnID, committed map[TxnID]bool) {
@@ -565,11 +580,11 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		// Inert by contract (see PingReq): no locks, no leases, no state.
 		return Ack{OK: true}, false
 	case ReadReq:
-		r, held, refusal := s.acquire(q.Txn, q.Item, q.Lock, q.Seq, func(busy bool) any { return ReadResp{Busy: busy} })
+		r, held, refusal := s.acquire(q.Txn, q.Inherit, q.Item, q.Lock, q.Seq, func(busy bool) any { return ReadResp{Busy: busy} })
 		if r == nil {
 			return refusal, false
 		}
-		vn, val, gen, cfg := r.view(q.Txn)
+		vn, val, gen, cfg := r.view(q.Txn, q.Inherit)
 		if gen <= q.Gen {
 			cfg = quorum.Config{} // no news to this reader
 		}
@@ -579,9 +594,9 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		// discarded responses may differ in it; the hard state never does).
 		return ReadResp{OK: true, Held: held, VN: vn, Val: val, Gen: gen, Cfg: cfg, Hinted: s.hintMiss(q.Item, r) == ""}, true
 	case WriteReq:
-		return s.write(q.Item, q.Seq, intent{Owner: q.Txn, VN: q.VN, Val: q.Val})
+		return s.write(q.Item, q.Seq, q.Inherit, intent{Owner: q.Txn, VN: q.VN, Val: q.Val})
 	case ConfigWriteReq:
-		return s.write(q.Item, q.Seq, intent{Owner: q.Txn, IsConfig: true, Gen: q.Gen, Cfg: q.Cfg.Clone()})
+		return s.write(q.Item, q.Seq, q.Inherit, intent{Owner: q.Txn, IsConfig: true, Gen: q.Gen, Cfg: q.Cfg.Clone()})
 	case ReleaseReq:
 		r := s.Replicas[q.Item]
 		if r == nil || q.Seq == 0 || s.Resolved[q.Txn.Top()] != nil {
@@ -632,15 +647,11 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 			OK: true, VN: r.VN, Val: r.Val, Gen: r.Gen, Cfg: r.Cfg.Clone(),
 			Locks: len(r.Locks), Intents: len(r.Intents),
 		}, false
-	case CommitSubReq:
-		s.eachTouched(q.Txn, func(_ string, r *replica) { r.promote(q.Txn) })
-		return Ack{OK: true}, true
 	case AbortReq:
 		if q.Txn.Top() == q.Txn {
 			return s.resolve(q.Txn, false, nil, nil)
 		}
-		s.eachTouched(q.Txn, func(_ string, r *replica) { r.drop(q.Txn) })
-		return Ack{OK: true}, true
+		return s.abortSub(q.Txn)
 	case CommitTopReq:
 		// A transaction the lease reaper already presumed aborted must not
 		// commit late — under the lease fence the client never reaches this

@@ -28,24 +28,24 @@ func bareDM() *dmServer {
 
 func TestReplicaMossLockRules(t *testing.T) {
 	r := newReplica()
-	if !r.canLock("c1.t1/1", LockRead) {
+	if !r.canLock("c1.t1/1", nil, LockRead) {
 		t.Fatal("first lock grantable")
 	}
 	r.grant("c1.t1/1", LockRead, 0)
 	// Unrelated read is compatible; unrelated write is not.
-	if !r.canLock("c1.t2", LockRead) {
+	if !r.canLock("c1.t2", nil, LockRead) {
 		t.Error("read/read compatible")
 	}
-	if r.canLock("c1.t2", LockWrite) {
+	if r.canLock("c1.t2", nil, LockWrite) {
 		t.Error("write over unrelated read must be refused")
 	}
 	// The holder's ancestor relationship is what matters: a descendant of
 	// the holder may lock.
-	if !r.canLock("c1.t1/1/3", LockWrite) {
+	if !r.canLock("c1.t1/1/3", nil, LockWrite) {
 		t.Error("descendant of holder must be able to write-lock")
 	}
 	// Upgrading one's own lock is always allowed.
-	if !r.canLock("c1.t1/1", LockWrite) {
+	if !r.canLock("c1.t1/1", nil, LockWrite) {
 		t.Error("self-upgrade must be allowed")
 	}
 	r.grant("c1.t1/1", LockWrite, 0)
@@ -68,35 +68,102 @@ func TestReplicaViewFoldsAncestorIntents(t *testing.T) {
 	)
 	// A child of t1 sees t1's and its own writes, not t2's; later
 	// intentions in order win.
-	vn, val, _, _ := r.view("c1.t1/3")
+	vn, val, _, _ := r.view("c1.t1/3", nil)
 	if vn != 3 || val != "child-write" {
 		t.Errorf("view(t1/3) = (%d, %v)", vn, val)
 	}
 	// t2 sees its own write only.
-	vn, val, _, _ = r.view("c1.t2")
+	vn, val, _, _ = r.view("c1.t2", nil)
 	if vn != 5 || val != "foreign-write" {
 		t.Errorf("view(t2) = (%d, %v)", vn, val)
 	}
 	// A stranger sees only committed state.
-	vn, val, _, _ = r.view("c1.t9")
+	vn, val, _, _ = r.view("c1.t9", nil)
 	if vn != 1 || val != "committed" {
 		t.Errorf("view(t9) = (%d, %v)", vn, val)
 	}
 }
 
-func TestReplicaPromoteMovesLocksAndIntents(t *testing.T) {
-	r := newReplica()
-	r.grant("c1.t1/1", LockWrite, 0)
-	r.Intents = append(r.Intents, intent{Owner: "c1.t1/1", VN: 2, Val: "x"})
-	r.promote("c1.t1/1")
-	if _, held := r.Locks["c1.t1/1"]; held {
-		t.Error("child lock must move")
+// Inheritance is stated by the requester, not performed by the replica: the
+// parent passes a committed child's write lock and reads its intention by
+// listing the child, and nothing is re-owned — lock and intention stay under
+// the child's id, the parent's grant is a lock of its own.
+func TestReplicaInheritLeavesLocksAndIntentsInPlace(t *testing.T) {
+	s := bareDM()
+	r := s.Replicas["x"]
+	serve(s, WriteReq{Txn: "c1.t1/1", Item: "x", VN: 2, Val: "child", Seq: 1})
+	if resp := serve(s, ReadReq{Txn: "c1.t1", Item: "x", Lock: LockWrite, Seq: 1}).(ReadResp); !resp.Busy {
+		t.Fatalf("the parent must wait for a child it does not list: %+v", resp)
 	}
-	if r.Locks["c1.t1"].Mode != LockWrite {
-		t.Error("parent must inherit the write lock")
+	resp := serve(s, ReadReq{Txn: "c1.t1", Item: "x", Lock: LockWrite, Seq: 2, Inherit: []TxnID{"c1.t1/1"}}).(ReadResp)
+	if !resp.OK || resp.Held || resp.VN != 2 || resp.Val != "child" {
+		t.Fatalf("the parent must inherit the listed child's lock and see its write: %+v", resp)
 	}
-	if r.Intents[0].Owner != "c1.t1" {
-		t.Error("intent ownership must move to the parent")
+	if r.Locks["c1.t1/1"].Mode != LockWrite {
+		t.Error("the child's lock must stay under the child's id")
+	}
+	if l := r.Locks["c1.t1"]; l.Mode != LockWrite || l.Born != 2 {
+		t.Errorf("the parent's grant must be a lock of its own, born in its own phase: %+v", l)
+	}
+	if len(r.Intents) != 1 || r.Intents[0].Owner != "c1.t1/1" {
+		t.Errorf("the intention must stay the child's: %+v", r.Intents)
+	}
+}
+
+// TestInheritListAtTheReplica is the inheritance rule on the bare state
+// machine: child c1.t1/1 wrote x and committed at the coordinator, which the
+// replica only learns from the lists later requests carry.
+func TestInheritListAtTheReplica(t *testing.T) {
+	child := []TxnID{"c1.t1/1"}
+	cases := []struct {
+		name    string
+		req     ReadReq
+		granted bool
+		vn      int
+	}{
+		{"sibling, child unlisted", ReadReq{Txn: "c1.t1/2", Lock: LockWrite}, false, 0},
+		{"sibling, child listed", ReadReq{Txn: "c1.t1/2", Lock: LockWrite, Inherit: child}, true, 1},
+		{"sibling read lock, child listed", ReadReq{Txn: "c1.t1/2", Lock: LockRead, Inherit: child}, true, 1},
+		{"nephew, child listed", ReadReq{Txn: "c1.t1/2/1", Lock: LockWrite, Inherit: child}, true, 1},
+		{"sibling lists only another child", ReadReq{Txn: "c1.t1/2", Lock: LockWrite, Inherit: []TxnID{"c1.t1/3"}}, false, 0},
+		{"another tree lists the child", ReadReq{Txn: "c1.t2", Lock: LockWrite, Inherit: child}, false, 0},
+		{"another tree's child lists the child", ReadReq{Txn: "c1.t2/1", Lock: LockRead, Inherit: child}, false, 0},
+	}
+	for _, c := range cases {
+		s := bareDM()
+		serve(s, WriteReq{Txn: "c1.t1/1", Item: "x", VN: 1, Val: "child", Seq: 1})
+		c.req.Item, c.req.Seq = "x", 1
+		resp := serve(s, c.req).(ReadResp)
+		if resp.OK != c.granted || resp.Busy == c.granted || resp.VN != c.vn {
+			t.Errorf("%s: answered %+v, want granted %v at vn %d", c.name, resp, c.granted, c.vn)
+		}
+	}
+
+	// view folds the listed child's intention and not an unlisted one's; a
+	// later write of the reader's own wins over both, in arrival order.
+	s := bareDM()
+	serve(s, WriteReq{Txn: "c1.t1/1", Item: "x", VN: 1, Val: "listed", Seq: 1})
+	r := s.Replicas["x"]
+	r.grant("c1.t1/3", LockWrite, 0)
+	r.Intents = append(r.Intents, intent{Owner: "c1.t1/3", VN: 2, Val: "unlisted"})
+	if vn, val, _, _ := r.view("c1.t1/2", child); vn != 1 || val != "listed" {
+		t.Errorf("view with the child listed = (%d, %v)", vn, val)
+	}
+	if vn, val, _, _ := r.view("c1.t1/2", nil); vn != 0 || val != "init" {
+		t.Errorf("view with nothing listed = (%d, %v)", vn, val)
+	}
+	if vn, val, _, _ := r.view("c1.t2", child); vn != 0 || val != "init" {
+		t.Errorf("another tree's view with the child listed = (%d, %v)", vn, val)
+	}
+	if w := serve(s, WriteReq{Txn: "c1.t1/2", Item: "x", VN: 3, Val: "sibling", Seq: 1, Inherit: child}).(WriteResp); w.OK {
+		t.Error("c1.t1/3's write lock is not inherited: the sibling's write must wait")
+	}
+	r.drop("c1.t1/3")
+	if w := serve(s, WriteReq{Txn: "c1.t1/2", Item: "x", VN: 3, Val: "sibling", Seq: 1, Inherit: child}).(WriteResp); !w.OK {
+		t.Fatalf("sibling overwrite refused: %+v", w)
+	}
+	if vn, val, _, _ := r.view("c1.t1/2", child); vn != 3 || val != "sibling" {
+		t.Errorf("view after the sibling's overwrite = (%d, %v)", vn, val)
 	}
 }
 
@@ -142,20 +209,22 @@ func TestReplicaApplyTopFoldsInOrder(t *testing.T) {
 	}
 }
 
-// A committed subtransaction whose CommitSubReq never arrived leaves its
-// intentions under its own id; the top-level commit must apply them (the
-// write is committed state) while still discarding aborted children.
-func TestReplicaApplyTopAppliesOrphanCommittedSubs(t *testing.T) {
+// A subtransaction's intentions stay under its own id; the top-level commit
+// applies those of the committed subtransactions it lists, in arrival order
+// (the write is committed state), and discards every other child's.
+func TestReplicaApplyTopAppliesCommittedSubs(t *testing.T) {
 	r := newReplica()
 	r.Intents = append(r.Intents,
 		intent{Owner: "c1.t1/1", VN: 1, Val: "committed-sub"},
 		intent{Owner: "c1.t1/2", VN: 2, Val: "aborted-sub"},
+		intent{Owner: "c1.t1/3/1", VN: 3, Val: "committed-grandchild"},
+		intent{Owner: "c1.t1/4", VN: 4, Val: "aborted-later"},
 	)
 	r.grant("c1.t1/1", LockWrite, 0)
 	r.grant("c1.t1/2", LockWrite, 0)
-	r.applyTop("c1.t1", map[TxnID]bool{"c1.t1/1": true})
-	if r.VN != 1 || r.Val != "committed-sub" {
-		t.Errorf("committed state = (%d, %v), want (1, committed-sub)", r.VN, r.Val)
+	r.applyTop("c1.t1", map[TxnID]bool{"c1.t1/1": true, "c1.t1/3": true, "c1.t1/3/1": true})
+	if r.VN != 3 || r.Val != "committed-grandchild" {
+		t.Errorf("committed state = (%d, %v), want (3, committed-grandchild)", r.VN, r.Val)
 	}
 	if len(r.Intents) != 0 {
 		t.Errorf("aborted child's intent must be discarded: %v", r.Intents)
@@ -336,19 +405,85 @@ func TestHandleDedupesHedgedWriteIntents(t *testing.T) {
 	}
 }
 
-func TestReplicaPromoteKeepsTombstones(t *testing.T) {
-	r := newReplica()
-	r.grant("c1.t1/1", LockWrite, 2)
-	r.release("c1.t1/1", 1) // tombstone an earlier phase, lock survives
-	r.promote("c1.t1/1")
-	if r.Locks["c1.t1"].Mode != LockWrite {
-		t.Fatal("parent must inherit the lock")
+// A committed child's phases are over: its tombstones keep refusing late
+// copies of them after the parent inherited its lock, and the parent's own
+// phases are tombstoned and released on their own record, not the child's.
+func TestReplicaInheritKeepsTombstones(t *testing.T) {
+	s := bareDM()
+	r := s.Replicas["x"]
+	serve(s, ReadReq{Txn: "c1.t1/1", Item: "x", Lock: LockWrite, Seq: 2})
+	serve(s, ReleaseReq{Txn: "c1.t1/1", Item: "x", Seq: 1}) // tombstone an earlier phase, lock survives
+	inherit := []TxnID{"c1.t1/1"}
+	if resp := serve(s, ReadReq{Txn: "c1.t1", Item: "x", Lock: LockWrite, Seq: 1, Inherit: inherit}).(ReadResp); !resp.OK {
+		t.Fatalf("parent must inherit the lock: %+v", resp)
 	}
-	if l := r.Locks["c1.t1"]; l.Born != 0 || l.Last != 0 {
-		t.Errorf("the child's phase record must not follow the lock to the parent: %+v", l)
+	if resp := serve(s, ReadReq{Txn: "c1.t1/1", Item: "x", Lock: LockWrite, Seq: 1}).(ReadResp); resp.OK || resp.Busy {
+		t.Errorf("a late copy of the child's released phase must be refused outright: %+v", resp)
 	}
-	if r.Released["c1.t1/1"] != 1 {
-		t.Error("tombstones must survive promotion")
+	// Releasing the parent's surplus grant frees the parent's lock alone.
+	serve(s, ReleaseReq{Txn: "c1.t1", Item: "x", Seq: 1})
+	if _, held := r.Locks["c1.t1"]; held {
+		t.Error("the parent's phase created its lock, so its release must free it")
+	}
+	if r.Locks["c1.t1/1"].Mode != LockWrite || r.Released["c1.t1/1"] != 1 {
+		t.Errorf("the child's lock and tombstone must be untouched: %+v %+v", r.Locks, r.Released)
+	}
+}
+
+// TestLateCopyOfAbortedSubIsRefused: a sub-abort is remembered until the top
+// level resolves, so a duplicated or reordered copy of the dead subtree's
+// access — which the abort's sweep of the subtree's tombstones would
+// otherwise let through — is refused, whether or not the replica held
+// anything when the abort arrived, and siblings and the parent go on.
+func TestLateCopyOfAbortedSubIsRefused(t *testing.T) {
+	write := func(txn TxnID) WriteReq { return WriteReq{Txn: txn, Item: "x", VN: 1, Val: "v", Seq: 1} }
+	for _, name := range []string{"copy granted before the abort", "abort before the first copy"} {
+		s := bareDM()
+		if name == "copy granted before the abort" {
+			if w := serve(s, write("c1.t1/1")).(WriteResp); !w.OK {
+				t.Fatalf("%s: first copy refused: %+v", name, w)
+			}
+		}
+		if resp, mutated := s.apply(AbortReq{Txn: "c1.t1/1"}); resp != (Ack{OK: true}) || !mutated {
+			t.Fatalf("%s: sub-abort answered (%+v, logged %v)", name, resp, mutated)
+		}
+		for _, late := range []TxnID{"c1.t1/1", "c1.t1/1/1"} {
+			if w := serve(s, write(late)).(WriteResp); w.OK || w.Busy {
+				t.Errorf("%s: late copy of %s answered %+v, want an outright refusal", name, late, w)
+			}
+		}
+		if r := s.Replicas["x"]; len(r.Locks) != 0 || len(r.Intents) != 0 {
+			t.Errorf("%s: the dead subtree is back: locks %v intents %v", name, r.Locks, r.Intents)
+		}
+		if w := serve(s, write("c1.t1/2")).(WriteResp); !w.OK {
+			t.Errorf("%s: the sibling was refused after the abort: %+v", name, w)
+		}
+		parent := write("c1.t1")
+		parent.Inherit = []TxnID{"c1.t1/2"}
+		if w := serve(s, parent).(WriteResp); !w.OK {
+			t.Errorf("%s: the parent was refused after the abort: %+v", name, w)
+		}
+		// The memory is hard state, and lives exactly as long as the tree.
+		snap, err := encodeSnapshot(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := newDMState("d", nil)
+		if err := restoreSnapshot(restored, snap); err != nil {
+			t.Fatal(err)
+		}
+		if w := serve(restored, write("c1.t1/1")).(WriteResp); w.OK || w.Busy {
+			t.Errorf("%s: late copy granted after a snapshot restore: %+v", name, w)
+		}
+		serve(s, AbortReq{Txn: "c1.t1"})
+		if len(s.Aborted) != 0 {
+			t.Errorf("%s: aborted ids outlive their top level: %v", name, s.Aborted)
+		}
+		// Nothing is left to discard once the top level resolved: a no-op a
+		// durable replica neither logs nor flushes.
+		if resp, mutated := s.apply(AbortReq{Txn: "c1.t1/1"}); resp != (Ack{OK: true}) || mutated {
+			t.Errorf("%s: sub-abort after resolution answered (%+v, logged %v)", name, resp, mutated)
+		}
 	}
 }
 

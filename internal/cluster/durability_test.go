@@ -514,3 +514,61 @@ func TestReconfigGenerationSurvivesAmnesia(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCommittedChildSurvivesAmnesiaBeforeTopCommit: a child's commit is
+// stated on its tree's later accesses, not performed at the replicas, so
+// nothing about it is logged on its own — the logged grants and intentions
+// under the child's id are the whole record. Every replica is restarted
+// from its log between the child's commit and the parent's next access: the
+// parent must still pass the child's recovered write lock and read its
+// value, the top-level commit must apply it, and it must be there after the
+// directory is closed and reopened.
+func TestCommittedChildSurvivesAmnesiaBeforeTopCommit(t *testing.T) {
+	dir := t.TempDir()
+	dms := []string{"dm0", "dm1", "dm2"}
+	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
+	ctx := context.Background()
+	open := func(seed int64) (*sim.Network, *Store) {
+		net := sim.NewNetwork(sim.Config{MinLatency: 50 * time.Microsecond, MaxLatency: 500 * time.Microsecond, Seed: seed})
+		store, err := Open(net, items, WithSeed(seed), WithDurability(dir))
+		if err != nil {
+			net.Close()
+			t.Fatal(err)
+		}
+		return net, store
+	}
+
+	net, store := open(81)
+	if err := store.Run(ctx, func(tx *Txn) error {
+		if err := tx.Sub(ctx, func(sub *Txn) error { return sub.Write(ctx, "x", 7) }); err != nil {
+			return err
+		}
+		net.Quiesce()
+		for _, dm := range dms {
+			if stats := amnesia(t, store, dm); stats.Replayed == 0 && !stats.FromSnapshot {
+				t.Errorf("%s recovered nothing: %+v", dm, stats)
+			}
+		}
+		v, vn, err := tx.ReadVersioned(ctx, "x")
+		if err == nil && (v != 7 || vn != 1) {
+			t.Errorf("parent read (%v, vn %d) through the recovered replicas, want (7, vn 1)", v, vn)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	net.Close()
+
+	net, store = open(82)
+	defer func() { store.Close(); net.Close() }()
+	if err := store.Run(ctx, func(tx *Txn) error {
+		v, vn, err := tx.ReadVersioned(ctx, "x")
+		if err == nil && (v != 7 || vn != 1) {
+			t.Errorf("read back (%v, vn %d) after reopen, want (7, vn 1)", v, vn)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -29,12 +29,6 @@ var (
 	// not half-done: no locks were taken by the shed calls, so a retry —
 	// if the retry budget allows one — is safe.
 	ErrOverloaded = errors.New("cluster: replica overloaded")
-	// ErrDegraded means the store is in brownout (read-only degraded) mode:
-	// write quorums were recently unreachable or shed, so write-locking
-	// operations fail fast instead of queueing more doomed work. Reads
-	// still assemble read quorums. The store exits brownout automatically
-	// when the failure detector sees the replicas recover.
-	ErrDegraded = errors.New("cluster: degraded read-only mode")
 )
 
 // LeaseExpiredError reports which replica refused (or failed) the
@@ -149,30 +143,6 @@ func (e *OverloadedError) Error() string {
 }
 
 func (e *OverloadedError) Unwrap() error { return ErrOverloaded }
-
-// DegradedError reports that a write-locking operation was refused because
-// the store is in brownout (read-only) mode. It wraps both ErrDegraded and
-// ErrUnavailable: the proximate cause of entering brownout is that write
-// quorums stopped being serviceable, so callers that only check
-// errors.Is(err, ErrUnavailable) keep doing the right thing.
-type DegradedError struct {
-	// Op is the refused operation ("write", "read-for-update",
-	// "reconfigure").
-	Op string
-	// Item is the data item the operation targeted.
-	Item string
-	// Since is how many consecutive write-phase failures triggered the
-	// brownout.
-	Since int
-}
-
-func (e *DegradedError) Error() string {
-	return fmt.Sprintf(
-		"cluster: %s on item %q refused — store is in read-only degraded mode after %d consecutive write-quorum failures; reads still work, writes resume automatically when replicas recover",
-		e.Op, e.Item, e.Since)
-}
-
-func (e *DegradedError) Unwrap() []error { return []error{ErrDegraded, ErrUnavailable} }
 
 // WrongShardError reports that an operation reached replicas that retired
 // the item after a live migration moved it to a different replica group.

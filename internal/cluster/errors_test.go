@@ -7,7 +7,7 @@ import (
 )
 
 // TestTypedErrors pins the error contract across the shed, expiry-at-
-// dequeue, brownout, conflict, unavailability and lease paths: every
+// dequeue, conflict, unavailability and lease paths: every
 // structured error matches its sentinel(s) through errors.Is, exposes its
 // detail through errors.As, and never matches sentinels from other
 // failure families.
@@ -20,7 +20,6 @@ func TestTypedErrors(t *testing.T) {
 		{"unavailable", ErrUnavailable},
 		{"lease", ErrLeaseExpired},
 		{"overloaded", ErrOverloaded},
-		{"degraded", ErrDegraded},
 	}
 	cases := []struct {
 		name    string
@@ -66,14 +65,6 @@ func TestTypedErrors(t *testing.T) {
 			is:      []error{ErrOverloaded},
 			mention: "retry budget",
 		},
-		{
-			name: "brownout",
-			err:  &DegradedError{Op: "write", Item: "x", Since: 3},
-			// Brownout exists because write quorums stopped being
-			// serviceable, so unavailability-aware callers must match too.
-			is:      []error{ErrDegraded, ErrUnavailable},
-			mention: "read-only degraded mode",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,18 +104,5 @@ func TestTypedErrorsAs(t *testing.T) {
 	}
 	if oe.Attempts != 4 || len(oe.Shed) != 2 || !oe.Expired || !oe.BudgetDenied {
 		t.Errorf("extracted detail = %+v", oe)
-	}
-
-	var derr error = &DegradedError{Op: "reconfigure", Item: "y", Since: 5}
-	var de *DegradedError
-	if !errors.As(derr, &de) {
-		t.Fatal("errors.As failed for DegradedError")
-	}
-	if de.Op != "reconfigure" || de.Since != 5 {
-		t.Errorf("extracted detail = %+v", de)
-	}
-	var ue *UnavailableError
-	if errors.As(derr, &ue) {
-		t.Error("DegradedError must not extract as *UnavailableError (it only shares the sentinel)")
 	}
 }

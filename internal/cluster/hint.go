@@ -389,9 +389,10 @@ func (t *Txn) primeHintTargets(missing []string) {
 // installed for item. Writes overwrite monotonically within one
 // transaction tree (each picks read-quorum max + 1 under the tree's write
 // locks), so the last note is the final version; max keeps the record
-// correct even so. Kept separately from wroteItems: wroteItems absorbs
+// correct even so. Kept separately from wroteItems: wroteItems takes in
 // aborted children too (over-fencing is harmless), while finalVNs must
-// reflect only writes that reach the commit, so it merges on promote.
+// reflect only writes that reach the commit, so it merges only when a
+// child commits (Txn.adopt).
 func (t *Txn) noteWrittenVN(item string, vn int) {
 	t.mu.Lock()
 	if t.wroteVNs == nil {
@@ -399,29 +400,6 @@ func (t *Txn) noteWrittenVN(item string, vn int) {
 	}
 	if vn > t.wroteVNs[item] {
 		t.wroteVNs[item] = vn
-	}
-	t.mu.Unlock()
-}
-
-// adoptWrites merges a promoted child's final-version map into the
-// parent. Called only on promote — an aborted child's writes are
-// discarded at commit-apply and must not inflate the final numbers (an
-// inflated Final matches no replica, silently costing hints).
-func (t *Txn) adoptWrites(child *Txn) {
-	child.mu.Lock()
-	vns := make(map[string]int, len(child.wroteVNs))
-	for item, vn := range child.wroteVNs {
-		vns[item] = vn
-	}
-	child.mu.Unlock()
-	t.mu.Lock()
-	if len(vns) > 0 && t.wroteVNs == nil {
-		t.wroteVNs = map[string]int{}
-	}
-	for item, vn := range vns {
-		if vn > t.wroteVNs[item] {
-			t.wroteVNs[item] = vn
-		}
 	}
 	t.mu.Unlock()
 }

@@ -445,3 +445,35 @@ func TestSweepErrorBudget(t *testing.T) {
 		t.Fatalf("AntiEntropySweepErrors = %d, want 1", n)
 	}
 }
+
+// TestTreeReadsItsOwnWriteBackPastTheHintLane: a transaction that wrote an
+// item reads its own write back, whatever the hint cache says. The cached
+// target may sit outside the write quorum, where it holds no lock or
+// intention of the writer: its hint stands and it would serve the version
+// the transaction overwrote. The writer's tree therefore keeps its reads of
+// that item off the fast lane — a subtransaction's reads included, through
+// its ancestors' written items.
+func TestTreeReadsItsOwnWriteBackPastTheHintLane(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 40; seed++ {
+		store, net, _, dms := hintCluster(t, seed, time.Hour, WithSequentialPhases(true), WithHedgeDelay(0))
+		writeX(t, store, 1)
+		settleHints(t, store, net, dms)
+		if err := store.Run(ctx, func(tx *Txn) error {
+			if err := tx.Write(ctx, "x", 2); err != nil {
+				return err
+			}
+			if v, err := tx.Read(ctx, "x"); err != nil || v != 2 {
+				t.Errorf("seed %d: the writer read back (%v, %v), want 2", seed, v, err)
+			}
+			return tx.Sub(ctx, func(sub *Txn) error {
+				if v, err := sub.Read(ctx, "x"); err != nil || v != 2 {
+					t.Errorf("seed %d: the writer's child read (%v, %v), want 2", seed, v, err)
+				}
+				return nil
+			})
+		}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}

@@ -176,13 +176,13 @@ func TestOpenClosesItsHostsWhenTheEpochBumpFails(t *testing.T) {
 
 // hardState is snapshotState without the hint soft state, which a replica
 // recovered from its log starts without.
-func hardState(s *dmServer) (map[string]replicaState, map[TxnID]resolution) {
-	reps, res := snapshotState(s)
+func hardState(s *dmServer) (map[string]replicaState, map[TxnID]resolution, map[TxnID][]TxnID) {
+	reps, res, aborted := snapshotState(s)
 	for name, st := range reps {
 		st.Hint, st.HintFence = itemHint{}, hintFence{}
 		reps[name] = st
 	}
-	return reps, res
+	return reps, res, aborted
 }
 
 // TestOneHandlerVolatileAndDurableAgree feeds the seeded request stream of
@@ -222,7 +222,7 @@ func TestOneHandlerVolatileAndDurableAgree(t *testing.T) {
 			for step := 0; step < resolutionSteps; step++ {
 				req, _ := next(step)
 				want, _ := fullScanApply(reference, req)
-				wantReps, wantRes := snapshotState(reference)
+				wantReps, wantRes, wantAborted := snapshotState(reference)
 				for _, h := range []*DMHost{volatile, durable} {
 					got, err := client.Call(ctx, h.id, req)
 					if err != nil {
@@ -233,8 +233,8 @@ func TestOneHandlerVolatileAndDurableAgree(t *testing.T) {
 					}
 					// The answer is out, so the serving goroutine is done
 					// writing; it may still be reading (a snapshot).
-					gotReps, gotRes := snapshotState(h.srv)
-					if !reflect.DeepEqual(gotReps, wantReps) || !reflect.DeepEqual(gotRes, wantRes) {
+					gotReps, gotRes, gotAborted := snapshotState(h.srv)
+					if !reflect.DeepEqual(gotReps, wantReps) || !reflect.DeepEqual(gotRes, wantRes) || !reflect.DeepEqual(gotAborted, wantAborted) {
 						t.Fatalf("step %d %#v: %s diverged from the reference", step, req, h.id)
 					}
 				}
@@ -250,8 +250,11 @@ func TestOneHandlerVolatileAndDurableAgree(t *testing.T) {
 			if rec := durable.Recovery(); rec.Replayed == 0 && !rec.FromSnapshot {
 				t.Fatalf("restart recovered nothing: %+v", rec)
 			}
-			gotReps, gotRes := hardState(durable.srv)
-			wantReps, wantRes := hardState(reference)
+			gotReps, gotRes, gotAborted := hardState(durable.srv)
+			wantReps, wantRes, wantAborted := hardState(reference)
+			if !reflect.DeepEqual(gotAborted, wantAborted) {
+				t.Fatalf("aborted subtransactions recovered from the log as %+v, the reference holds %+v", gotAborted, wantAborted)
+			}
 			if !reflect.DeepEqual(gotReps, wantReps) || !reflect.DeepEqual(gotRes, wantRes) {
 				for name := range wantReps {
 					if !reflect.DeepEqual(gotReps[name], wantReps[name]) {

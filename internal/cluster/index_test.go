@@ -12,9 +12,9 @@ import (
 )
 
 // fullScanApply is the replica's resolution logic as it was before the
-// touched index: every CommitSubReq, AbortReq, CommitTopReq and DecisionReq
-// visits every hosted replica. Kept as the reference the indexed server is
-// compared against; every other request goes through the shared apply.
+// touched index: every AbortReq, CommitTopReq and DecisionReq visits every
+// hosted replica. Kept as the reference the indexed server is compared
+// against; every other request goes through the shared apply.
 func fullScanApply(s *dmServer, req any) (any, bool) {
 	resolve := func(top TxnID, commit bool, subs []TxnID, final map[string]int) (any, bool) {
 		if res := s.Resolved[top]; res != nil {
@@ -38,17 +38,24 @@ func fullScanApply(s *dmServer, req any) (any, bool) {
 				s.grantHint(name, r, top)
 			}
 		}
+		delete(s.Aborted, top)
 		return Ack{OK: true}, true
 	}
 	switch q := req.(type) {
-	case CommitSubReq:
-		for _, r := range s.Replicas {
-			r.promote(q.Txn)
-		}
-		return Ack{OK: true}, true
 	case AbortReq:
-		if q.Txn.Top() == q.Txn {
+		top := q.Txn.Top()
+		if top == q.Txn {
 			return resolve(q.Txn, false, nil, nil)
+		}
+		if s.Resolved[top] != nil {
+			return Ack{OK: true}, false
+		}
+		known := false
+		for _, a := range s.Aborted[top] {
+			known = known || a == q.Txn
+		}
+		if !known {
+			s.Aborted[top] = append(s.Aborted[top], q.Txn)
 		}
 		for _, r := range s.Replicas {
 			r.drop(q.Txn)
@@ -94,7 +101,7 @@ type replicaState struct {
 	HintFence hintFence
 }
 
-func snapshotState(s *dmServer) (map[string]replicaState, map[TxnID]resolution) {
+func snapshotState(s *dmServer) (map[string]replicaState, map[TxnID]resolution, map[TxnID][]TxnID) {
 	reps := map[string]replicaState{}
 	for name, r := range s.Replicas {
 		st := replicaState{
@@ -116,12 +123,13 @@ func snapshotState(s *dmServer) (map[string]replicaState, map[TxnID]resolution) 
 	for t, r := range s.Resolved {
 		res[t] = *r
 	}
-	return reps, res
+	return reps, res, s.Aborted
 }
 
 // checkIndex asserts the index's two invariants: every transaction with
 // state on a replica has that item under its top-level id, and no resolved
-// transaction has an entry.
+// transaction has an entry — nor a remembered aborted subtransaction, which
+// is dropped where the index entry is.
 func checkIndex(t *testing.T, s *dmServer) {
 	t.Helper()
 	for item, r := range s.Replicas {
@@ -146,6 +154,11 @@ func checkIndex(t *testing.T, s *dmServer) {
 			t.Fatalf("resolved transaction %s still has an index entry", top)
 		}
 	}
+	for top := range s.Aborted {
+		if s.Resolved[top] != nil {
+			t.Fatalf("resolved transaction %s still has aborted subtransactions on record", top)
+		}
+	}
 }
 
 // resolutionSteps is the length of one seeded request stream.
@@ -153,7 +166,8 @@ const resolutionSteps = 1500
 
 // resolutionStream is the seeded request generator the replica's
 // equivalence tests share: 12 items, transactions up to two Subs deep with
-// tolerated sub-aborts, early releases, late and duplicate copies, reaps
+// tolerated sub-aborts, accesses that list committed subtransactions (some
+// of them aborted here), early releases, late and duplicate copies, reaps
 // and Paxos decisions. It returns the item specs the replicas host and the
 // generator, which yields step's request and its top-level transaction.
 func resolutionStream(seed int64) ([]ItemSpec, func(step int) (any, TxnID)) {
@@ -196,21 +210,19 @@ func resolutionStream(seed int64) ([]ItemSpec, func(step int) (any, TxnID)) {
 		top := TxnID(fmt.Sprintf("c1.t%d", generation*tops/2+rng.Intn(tops)))
 		var req any
 		switch p := rng.Intn(100); {
-		case p < 30:
-			req = ReadReq{Txn: node(top), Item: item(), Lock: LockMode(1 + rng.Intn(2)), Seq: rng.Intn(4)}
-		case p < 55:
-			w := WriteReq{Txn: node(top), Item: item(), VN: step + 1, Val: step, Seq: rng.Intn(4)}
+		case p < 35:
+			req = ReadReq{Txn: node(top), Item: item(), Lock: LockMode(1 + rng.Intn(2)), Seq: rng.Intn(4), Inherit: subsOf(top)}
+		case p < 63:
+			w := WriteReq{Txn: node(top), Item: item(), VN: step + 1, Val: step, Seq: rng.Intn(4), Inherit: subsOf(top)}
 			if finals[top] == nil {
 				finals[top] = map[string]int{}
 			}
 			finals[top][w.Item] = w.VN
 			req = w
-		case p < 58:
-			req = ConfigWriteReq{Txn: node(top), Item: item(), Gen: 1 + rng.Intn(5), Cfg: cfg, Seq: rng.Intn(4)}
-		case p < 68:
+		case p < 67:
+			req = ConfigWriteReq{Txn: node(top), Item: item(), Gen: 1 + rng.Intn(5), Cfg: cfg, Seq: rng.Intn(4), Inherit: subsOf(top)}
+		case p < 78:
 			req = ReleaseReq{Txn: node(top), Item: item(), Seq: rng.Intn(4)}
-		case p < 80:
-			req = CommitSubReq{Txn: node(top)}
 		case p < 88:
 			req = AbortReq{Txn: node(top)}
 		case p < 94:
@@ -262,8 +274,8 @@ func TestIndexedResolutionMatchesFullScan(t *testing.T) {
 					restored.hints, restored.hintFences = indexed.hints, indexed.hintFences // soft state, not snapshotted
 					indexed = restored
 				}
-				gotReps, gotRes := snapshotState(indexed)
-				wantReps, wantRes := snapshotState(reference)
+				gotReps, gotRes, gotAborted := snapshotState(indexed)
+				wantReps, wantRes, wantAborted := snapshotState(reference)
 				if !reflect.DeepEqual(gotReps, wantReps) {
 					for name := range wantReps {
 						if !reflect.DeepEqual(gotReps[name], wantReps[name]) {
@@ -273,6 +285,9 @@ func TestIndexedResolutionMatchesFullScan(t *testing.T) {
 				}
 				if !reflect.DeepEqual(gotRes, wantRes) {
 					t.Fatalf("step %d %#v: resolution records diverged:\n indexed   %+v\n full scan %+v", step, req, gotRes, wantRes)
+				}
+				if !reflect.DeepEqual(gotAborted, wantAborted) {
+					t.Fatalf("step %d %#v: aborted subtransactions diverged:\n indexed   %+v\n full scan %+v", step, req, gotAborted, wantAborted)
 				}
 				checkIndex(t, indexed)
 				if got, want := indexed.holdsTxn(top), fullScanHolds(reference, top); got != want {

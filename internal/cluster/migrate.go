@@ -51,9 +51,6 @@ func (s *Store) MigrateItem(ctx context.Context, item, toGroup string, cut Commi
 	if !ok {
 		return fmt.Errorf("cluster: unknown item %q", item)
 	}
-	if err := s.writeGate("migrate", item); err != nil {
-		return err
-	}
 	newDMs := append([]string(nil), g.DMs...)
 	sort.Strings(newDMs)
 	if sameStrings(it.DMs, newDMs) {

@@ -24,16 +24,27 @@ const (
 // "no phase tracking" (requests sent outside a quorum phase, such as
 // PlantOrphan's). Gen is the newest configuration generation the reader
 // already holds: the reply carries a configuration only when it is newer.
+//
+// Inherit states Moss's lock inheritance instead of having the replica
+// perform it: the committed subtransactions whose locks and versions Txn's
+// ancestors (Txn included) have inherited — a fact about the transaction
+// tree, which only the coordinator holds. A conflicting lock held by a
+// listed transaction does not refuse Txn, and Txn sees a listed
+// transaction's intentions; both stay under their owner's id until the top
+// level resolves. Empty for a flat transaction. WriteReq and ConfigWriteReq
+// carry the same list.
 type ReadReq struct {
-	Txn  TxnID
-	Item string
-	Lock LockMode
-	Seq  int
-	Gen  int
+	Txn     TxnID
+	Item    string
+	Lock    LockMode
+	Seq     int
+	Gen     int
+	Inherit []TxnID
 }
 
 // ReadResp carries the replica state visible to the transaction (committed
-// state plus the intentions of its ancestors). Busy reports a lock
+// state plus the intentions of its ancestors and of the committed
+// subtransactions they inherited). Busy reports a lock
 // conflict; the caller backs off and retries, which doubles as the
 // cluster's deadlock resolution. Held reports that the transaction already
 // held a lock on the item before this request — such locks belong to an
@@ -58,23 +69,25 @@ type ReadResp struct {
 
 // WriteReq buffers a versioned value write as an intention of the
 // transaction, acquiring a write lock first. Seq is the issuing phase, as
-// in ReadReq.
+// in ReadReq, and Inherit the same list.
 type WriteReq struct {
-	Txn  TxnID
-	Item string
-	VN   int
-	Val  any
-	Seq  int
+	Txn     TxnID
+	Item    string
+	VN      int
+	Val     any
+	Seq     int
+	Inherit []TxnID
 }
 
 // ConfigWriteReq buffers a configuration write (generation bump) as an
 // intention of the transaction, acquiring a write lock first.
 type ConfigWriteReq struct {
-	Txn  TxnID
-	Item string
-	Gen  int
-	Cfg  quorum.Config
-	Seq  int
+	Txn     TxnID
+	Item    string
+	Gen     int
+	Cfg     quorum.Config
+	Seq     int
+	Inherit []TxnID
 }
 
 // WriteResp acknowledges a write (or reports a lock conflict). Held is as
@@ -98,14 +111,10 @@ type ReleaseReq struct {
 	Seq  int
 }
 
-// CommitSubReq promotes a subtransaction's locks and intentions to its
-// parent (Moss lock inheritance).
-type CommitSubReq struct {
-	Txn TxnID
-}
-
 // AbortReq discards the locks and intentions of a transaction and all its
-// descendants.
+// descendants. A subtransaction's commit has no message: it is an event at
+// the coordinator, stated to the replicas by the Inherit list of later
+// accesses and by CommitTopReq.Subs.
 type AbortReq struct {
 	Txn TxnID
 }
@@ -113,11 +122,10 @@ type AbortReq struct {
 // CommitTopReq applies a top-level transaction's intentions to the
 // committed replica state and releases its locks. Idempotent.
 //
-// Subs lists every committed subtransaction in Txn's tree. A DM that
-// missed a CommitSubReq still holds that child's intentions under the
-// child's own id; the list lets it apply them at top-level commit
-// instead of discarding them, which would leave the write visible only
-// at the replicas the promote reached.
+// Subs lists every committed subtransaction in Txn's tree. A DM holds a
+// subtransaction's intentions under the subtransaction's own id; the list
+// is how it learns which of them are committed state to apply and which
+// belong to aborted children and are discarded.
 type CommitTopReq struct {
 	Txn  TxnID
 	Subs []TxnID

@@ -42,7 +42,6 @@ type settings struct {
 	admitServeExpired bool          // ablation: serve expired-on-arrival work anyway
 	retryRatio        float64       // retry budget deposit per first attempt; 0 = off
 	inflightMax       int           // AIMD in-flight top-level txn ceiling; 0 = off
-	brownoutAfter     int           // consecutive write-quorum failures before brownout; 0 = off
 	hopAllowance      time.Duration // deadline budget reserved per fan-out hop
 
 	// Sharded placement (see DESIGN.md §10). nil = unsharded.
@@ -317,22 +316,6 @@ func WithInflightLimit(n int) Option {
 			n = 0
 		}
 		s.inflightMax = n
-	}
-}
-
-// WithBrownoutThreshold arms graceful read-only degradation: after n
-// consecutive write-quorum phase failures caused by overload or
-// unavailability, the store enters brownout — write-locking operations
-// fail fast with a DegradedError while reads keep assembling read quorums
-// — and exits automatically when the failure detector sees replicas
-// recover (or a periodic probe write-phase succeeds). Zero (the default)
-// disables brownout.
-func WithBrownoutThreshold(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			n = 0
-		}
-		s.brownoutAfter = n
 	}
 }
 

@@ -249,145 +249,9 @@ func (l *aimdLimiter) ceiling() int {
 	return l.ceilLocked()
 }
 
-// brownoutProbeEvery is how many rejected writes pass between probe writes
-// while degraded: every Nth write that would be refused is admitted
-// instead, so a recovered cluster is rediscovered by the traffic itself.
-const brownoutProbeEvery = 4
-
-// brownout is the store's graceful-degradation state machine. Consecutive
-// write-quorum failures caused by overload or unavailability trip it into
-// degraded (read-only) mode: write-locking operations fail fast with a
-// DegradedError instead of queueing more doomed work against replicas that
-// cannot assemble a write quorum, while reads keep assembling read
-// quorums. It exits when a probe write-phase succeeds — either the
-// periodic every-Nth admitted probe, or any write once the failure
-// detector reports the replicas healthy again.
-type brownout struct {
-	mu        sync.Mutex
-	threshold int
-	fails     int // consecutive write-quorum overload/unavailable failures
-	degraded  bool
-	since     int // fails at the moment of entry, for error messages
-	rejects   int // writes refused while degraded, drives probe cadence
-}
-
-func newBrownout(threshold int) *brownout {
-	if threshold <= 0 {
-		return nil
-	}
-	return &brownout{threshold: threshold}
-}
-
-// noteFailure records one write-quorum overload/unavailable failure and
-// reports whether it tripped the store into degraded mode.
-func (b *brownout) noteFailure() (entered bool) {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.fails++
-	if !b.degraded && b.fails >= b.threshold {
-		b.degraded = true
-		b.since = b.fails
-		b.rejects = 0
-		return true
-	}
-	return false
-}
-
-// noteSuccess records a write-quorum phase that completed (or failed only
-// on a lock conflict — the replicas answered, which is liveness) and
-// reports whether it ended a brownout.
-func (b *brownout) noteSuccess() (exited bool) {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.fails = 0
-	if b.degraded {
-		b.degraded = false
-		return true
-	}
-	return false
-}
-
-// gate decides one write-locking operation's fate at entry. healthy is the
-// failure detector's opinion that no replica is suspect: when it says the
-// cluster recovered, every write becomes a probe so the first success ends
-// the brownout immediately instead of waiting out the probe cadence.
-func (b *brownout) gate(healthy bool) (reject bool, since int) {
-	if b == nil {
-		return false, 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.degraded {
-		return false, 0
-	}
-	if healthy {
-		return false, 0 // probe: detector says replicas recovered
-	}
-	b.rejects++
-	if b.rejects%brownoutProbeEvery == 0 {
-		return false, 0 // periodic probe
-	}
-	return true, b.since
-}
-
-// degradedNow reports whether the store is currently in read-only mode.
-func (b *brownout) degradedNow() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.degraded
-}
-
-// writeGate refuses a write-locking operation while the store is in
-// brownout (except probes). Callers pass the operation name for the error.
-func (s *Store) writeGate(op, item string) error {
-	if s.brown == nil {
-		return nil
-	}
-	healthy := s.health != nil && s.Stats.SuspectReplicas.Value() == 0
-	if reject, since := s.brown.gate(healthy); reject {
-		s.Stats.BrownoutWrites.Inc()
-		return &DegradedError{Op: op, Item: item, Since: since}
-	}
-	return nil
-}
-
-// noteWriteOutcome feeds one write-locking operation's result to the
-// brownout state machine. Conflicts count as liveness — a replica that
-// answers Busy is alive and serving — so only overload and unavailability
-// push toward degradation.
-func (s *Store) noteWriteOutcome(err error) {
-	if s.brown == nil {
-		return
-	}
-	switch {
-	case err == nil || errors.Is(err, ErrConflict):
-		s.brown.noteSuccess()
-	case errors.Is(err, ErrDegraded):
-		// A gate rejection says nothing new about the replicas.
-	case errors.Is(err, ErrOverloaded) || errors.Is(err, ErrUnavailable):
-		if s.brown.noteFailure() {
-			s.Stats.BrownoutEntries.Inc()
-		}
-	}
-}
-
-// Degraded reports whether the store is currently in brownout (read-only)
-// mode.
-func (s *Store) Degraded() bool { return s.brown.degradedNow() }
-
 // noteTxnOutcome feeds one top-level transaction's result to the AIMD
 // limiter: successes regrow the in-flight ceiling, overload and
-// unavailability signals halve it. Brownout gate rejections are excluded —
-// they are the store refusing work, not the replicas failing it.
+// unavailability signals halve it.
 func (s *Store) noteTxnOutcome(err error) {
 	if s.limiter == nil {
 		return
@@ -395,7 +259,6 @@ func (s *Store) noteTxnOutcome(err error) {
 	switch {
 	case err == nil:
 		s.limiter.onSuccess()
-	case errors.Is(err, ErrDegraded):
 	case errors.Is(err, ErrOverloaded) || errors.Is(err, ErrUnavailable):
 		s.limiter.onOverload()
 	}

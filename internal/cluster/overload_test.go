@@ -121,48 +121,6 @@ func TestAIMDLimiter(t *testing.T) {
 	}
 }
 
-func TestBrownoutStateMachine(t *testing.T) {
-	b := newBrownout(3)
-	if b.noteFailure() || b.noteFailure() {
-		t.Fatal("entered brownout below the threshold")
-	}
-	if !b.noteFailure() {
-		t.Fatal("third consecutive failure must enter brownout")
-	}
-	if !b.degradedNow() {
-		t.Fatal("not degraded after entry")
-	}
-	// Probe cadence: every brownoutProbeEvery'th gated write is admitted.
-	admitted := 0
-	for i := 0; i < 2*brownoutProbeEvery; i++ {
-		if reject, since := b.gate(false); !reject {
-			admitted++
-		} else if since != 3 {
-			t.Errorf("gate since = %d, want 3", since)
-		}
-	}
-	if admitted != 2 {
-		t.Errorf("probes admitted = %d of %d gated writes, want 2", admitted, 2*brownoutProbeEvery)
-	}
-	// A healthy failure detector turns every write into a probe.
-	if reject, _ := b.gate(true); reject {
-		t.Error("gate rejected despite healthy detector")
-	}
-	if !b.noteSuccess() {
-		t.Fatal("successful probe must exit brownout")
-	}
-	if b.degradedNow() {
-		t.Fatal("still degraded after exit")
-	}
-	// A lock conflict is liveness: it resets the failure streak.
-	b.noteFailure()
-	b.noteFailure()
-	b.noteSuccess()
-	if b.noteFailure() {
-		t.Fatal("entered brownout although a success reset the streak")
-	}
-}
-
 // TestHedgeClampToCallerDeadline pins the deadline arithmetic of runPhase:
 // with unresponsive replicas and a caller deadline far below the call
 // timeout, the phase (hedges included) must give up by the caller's
@@ -369,117 +327,6 @@ func TestBurstReport(t *testing.T) {
 	}
 }
 
-// TestBrownoutEntersAndExits drives the full degradation cycle: write
-// failures trip read-only mode, gated writes fail fast with a typed
-// DegradedError, reads keep working, and the probe ladder exits the
-// brownout once the replicas answer again.
-func TestBrownoutEntersAndExits(t *testing.T) {
-	dms := []string{"dm0", "dm1", "dm2"}
-	net := sim.NewNetwork(sim.Config{Seed: 14})
-	defer net.Close()
-	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
-	store, err := Open(net, items,
-		WithSeed(14),
-		WithCallTimeout(30*time.Millisecond),
-		WithHedgeDelay(0),
-		WithLockRetries(0),
-		WithTxnRetries(0),
-		WithBrownoutThreshold(2),
-		// The mid-test read must have released its locks before the probe
-		// writes start, or a probe hits a transient conflict instead of
-		// exercising the ladder.
-		WithSynchronousCleanup(true),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	ctx := context.Background()
-	write := func(v int) error {
-		return store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", v) })
-	}
-
-	if err := write(1); err != nil {
-		t.Fatal(err)
-	}
-	for _, dm := range dms {
-		net.Crash(dm)
-	}
-	for i := 0; i < 2; i++ {
-		if err := write(2); err == nil {
-			t.Fatal("write to a crashed cluster succeeded")
-		}
-	}
-	if !store.Degraded() {
-		t.Fatal("two consecutive write-quorum failures did not enter brownout")
-	}
-	// Gated write: fails fast with the typed error, no call timeout burned.
-	start := time.Now()
-	err = write(3)
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("gated write error = %v, want DegradedError", err)
-	}
-	var de *DegradedError
-	if !errors.As(err, &de) || de.Op != "write" {
-		t.Errorf("degraded detail = %+v", de)
-	}
-	if time.Since(start) > 20*time.Millisecond {
-		t.Errorf("gated write took %v, want fail-fast", time.Since(start))
-	}
-	if store.Stats.BrownoutEntries.Value() != 1 || store.Stats.BrownoutWrites.Value() == 0 {
-		t.Errorf("brownout counters: entries=%d writes=%d",
-			store.Stats.BrownoutEntries.Value(), store.Stats.BrownoutWrites.Value())
-	}
-
-	for _, dm := range dms {
-		net.Restart(dm)
-	}
-	// Reads never brown out: with the replicas back, a read completes while
-	// the store is still degraded for writes.
-	if rerr := store.Run(ctx, func(tx *Txn) error {
-		v, err := tx.Read(ctx, "x")
-		if err != nil {
-			return err
-		}
-		if v != 1 {
-			t.Errorf("read %v during brownout, want 1", v)
-		}
-		return nil
-	}); rerr != nil {
-		t.Fatalf("read during brownout failed: %v", rerr)
-	}
-	if !store.Degraded() {
-		t.Fatal("a read must not exit brownout")
-	}
-	// The probe ladder: within a handful of attempts, one gated write is
-	// admitted as a probe, succeeds against the recovered replicas, and
-	// ends the brownout.
-	recovered := false
-	for i := 0; i < 2*brownoutProbeEvery; i++ {
-		switch err := write(10 + i); {
-		case err == nil:
-			recovered = true
-		case errors.Is(err, ErrConflict):
-			// A probe that loses a lock race still proved the write quorum
-			// reachable — it exits the brownout too; the next write settles it.
-		case !errors.Is(err, ErrDegraded):
-			t.Fatalf("unexpected error while probing: %v", err)
-		}
-		if recovered {
-			break
-		}
-	}
-	if !recovered {
-		t.Fatal("no probe write succeeded after recovery")
-	}
-	if store.Degraded() {
-		t.Fatal("successful probe did not exit brownout")
-	}
-	if err := write(99); err != nil {
-		t.Fatalf("write after brownout exit failed: %v", err)
-	}
-}
-
 // TestRetryBudgetBoundsAttempts pins that a dry retry budget stops a
 // phase's conflict/unavailability retries long before WithLockRetries
 // would, so retry traffic cannot storm an unavailable cluster.
@@ -658,7 +505,7 @@ func TestEveryRequestHasAnAdmissionClass(t *testing.T) {
 	}{
 		{ReadReq{}, transport.PrioRead}, {PingReq{}, transport.PrioRead}, {HintReadReq{}, transport.PrioRead},
 		{WriteReq{}, transport.PrioWrite}, {ConfigWriteReq{}, transport.PrioWrite},
-		{CommitTopReq{}, transport.PrioControl}, {CommitSubReq{}, transport.PrioControl}, {AbortReq{}, transport.PrioControl},
+		{CommitTopReq{}, transport.PrioControl}, {AbortReq{}, transport.PrioControl},
 		{ReleaseReq{}, transport.PrioControl}, {RenewLeaseReq{}, transport.PrioControl}, {HintFenceReq{}, transport.PrioControl},
 		{ResolutionQueryReq{}, transport.PrioControl}, {ResolutionAnswer{}, transport.PrioControl},
 		// Each stands between a lock holder and its resolution.

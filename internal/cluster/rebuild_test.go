@@ -331,7 +331,7 @@ func TestRenewLeaseRefusedForUnknownTxn(t *testing.T) {
 	if resp, _ := srv.coordinate(RenewLeaseReq{Txn: "c1.t2"}); !resp.(Ack).OK {
 		t.Fatalf("renewal for lock holder = %#v, want OK", resp)
 	}
-	// An intention alone (lock promoted away mid-tree) is a trace too. It
+	// An intention alone, its lock gone, is a trace too. It
 	// is planted through WriteReq so the touched index hears of it.
 	if resp, _ := srv.apply(WriteReq{Txn: "c1.t3/0", Item: "y", VN: 9, Val: 1, Seq: 1}); !resp.(WriteResp).OK {
 		t.Fatalf("write refused: %#v", resp)

@@ -144,7 +144,7 @@ func WriteOp(key string, v any) Op { return Op{Key: key, Write: true, Val: v} }
 // and each group's ops run inside their own subtransaction — one subtree
 // per shard, exactly the nested-transaction shape the paper's locking
 // rules already handle: a subtree that conflicts aborts and is retried by
-// Run without disturbing siblings that already promoted, and the top-level
+// Run without disturbing siblings that already committed, and the top-level
 // commit fans out only to DMs of participating groups.
 //
 // Read results are returned keyed by item. On success every op ran; on

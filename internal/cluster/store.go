@@ -91,13 +91,10 @@ type Stats struct {
 	AdmissionSheds   metrics.Counter
 	ExpiredOnArrival metrics.Counter
 	// RetryBudgetDenied counts retries the token-bucket retry budget
-	// refused; BrownoutEntries counts transitions into read-only degraded
-	// mode and BrownoutWrites the write operations refused while in it.
-	// InflightLimit gauges the AIMD limiter's current in-flight ceiling;
-	// QueueDepth histograms the admission queue depths observed at DMs.
+	// refused. InflightLimit gauges the AIMD limiter's current in-flight
+	// ceiling; QueueDepth histograms the admission queue depths observed at
+	// DMs.
 	RetryBudgetDenied metrics.Counter
-	BrownoutEntries   metrics.Counter
-	BrownoutWrites    metrics.Counter
 	InflightLimit     metrics.Gauge
 	QueueDepth        metrics.IntHistogram
 	// AntiEntropySweepErrors counts sweeper passes that returned an error
@@ -199,12 +196,10 @@ type Store struct {
 	// (WithReadLease); always usable, empty when the fast lane is off.
 	hintCache hintCache
 
-	// Overload protection (all nil/off unless the matching option armed
-	// them): the retry token bucket, the AIMD in-flight limiter, and the
-	// brownout state machine.
+	// Overload protection (both nil/off unless the matching option armed
+	// them): the retry token bucket and the AIMD in-flight limiter.
 	budget  *retryBudget
 	limiter *aimdLimiter
-	brown   *brownout
 
 	// closeOnce makes Close idempotent and safe to race; stopBg and bg
 	// manage the background goroutines (lease renewer, anti-entropy loop).
@@ -286,7 +281,6 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 	}
 	s.budget = newRetryBudget(st.retryRatio)
 	s.limiter = newAIMDLimiter(st.inflightMax)
-	s.brown = newBrownout(st.brownoutAfter)
 	if s.limiter != nil {
 		s.Stats.InflightLimit.Set(int64(s.limiter.ceiling()))
 	}
@@ -689,8 +683,8 @@ const (
 	touchMaybe touchLevel = iota + 1
 	// touchGranted: the DM acknowledged a lock grant but buffered no
 	// intention — it holds nothing a commit needs, only locks that should
-	// be swept. Its commit ack is pursued but not required; aborts and
-	// subtransaction promotions still demand it.
+	// be swept. Its commit ack is pursued but not required; aborts still
+	// demand it.
 	touchGranted
 	// touchWritten: the DM acknowledged a write-phase grant and buffers an
 	// intention. The top-level commit must be acknowledged by every such
@@ -702,8 +696,9 @@ const (
 // concurrent use; run concurrent work in subtransactions via Sub or
 // separate top-level transactions.
 type Txn struct {
-	store *Store
-	id    TxnID
+	store  *Store
+	id     TxnID
+	parent *Txn // nil at the top level
 
 	mu       sync.Mutex
 	touched  map[string]touchLevel
@@ -711,11 +706,16 @@ type Txn struct {
 	phaseSeq int
 	done     bool
 	ops      []checker.Op
-	subs     []TxnID
 
-	// wroteItems names the items this transaction (or a promoted child)
-	// buffered writes for; the pre-commit hint fence revokes freshness
-	// hints at every replica of each one (WithReadLease).
+	// subs lists the committed subtransactions of this transaction's
+	// subtree; the append that puts a child here is the child's commit
+	// (adopt).
+	subs []TxnID
+
+	// wroteItems names the items this transaction (or a finished child,
+	// aborted ones included) buffered writes for; the pre-commit hint fence
+	// revokes freshness hints at every replica of each one (WithReadLease),
+	// and the tree's own reads of them stay off the hinted fast lane.
 	wroteItems map[string]bool
 
 	// wroteVNs maps each written item to the final version number this
@@ -798,26 +798,13 @@ func (t *Txn) controlSets() (written, granted, tentative []string) {
 // record logs one logical operation for the attached history recorder.
 // Ops accumulate on the transaction and reach the recorder only if the
 // top level commits; Sub adopts a child's ops only when the child
-// promotes, so aborted effects never pollute the history.
+// commits, so aborted effects never pollute the history.
 func (t *Txn) record(kind checker.Kind, item string, val any, vn int, start time.Time) {
 	if t.store.opts.history == nil {
 		return
 	}
 	t.mu.Lock()
 	t.ops = append(t.ops, checker.Op{Kind: kind, Item: item, Value: val, VN: vn, Start: start})
-	t.mu.Unlock()
-}
-
-// adoptOps appends a promoted child's operation log to the parent's.
-func (t *Txn) adoptOps(child *Txn) {
-	if t.store.opts.history == nil {
-		return
-	}
-	child.mu.Lock()
-	ops := append([]checker.Op(nil), child.ops...)
-	child.mu.Unlock()
-	t.mu.Lock()
-	t.ops = append(t.ops, ops...)
 	t.mu.Unlock()
 }
 
@@ -832,16 +819,33 @@ func (t *Txn) nextSeq() int {
 	return s
 }
 
-// adoptSubs records a committed child (and its own committed subs) on the
-// parent, so the top-level CommitTopReq can name every committed
-// subtransaction in the tree.
-func (t *Txn) adoptSubs(child *Txn) {
-	child.mu.Lock()
-	ids := append([]TxnID{child.id}, child.subs...)
-	child.mu.Unlock()
-	t.mu.Lock()
-	t.subs = append(t.subs, ids...)
-	t.mu.Unlock()
+// inherited lists the committed subtransactions whose locks and versions
+// t's ancestors, t included, have inherited so far — what every access t
+// sends states to the replica (ReadReq.Inherit). Gathered at send time, so
+// a retry after Busy names a sibling that committed meanwhile. Nil for a
+// flat transaction.
+func (t *Txn) inherited() []TxnID {
+	var out []TxnID
+	for a := t; a != nil; a = a.parent {
+		a.mu.Lock()
+		out = append(out, a.subs...)
+		a.mu.Unlock()
+	}
+	return out
+}
+
+// treeWrote reports whether t or an ancestor recorded a write of item,
+// their finished children's included.
+func (t *Txn) treeWrote(item string) bool {
+	for a := t; a != nil; a = a.parent {
+		a.mu.Lock()
+		wrote := a.wroteItems[item]
+		a.mu.Unlock()
+		if wrote {
+			return true
+		}
+	}
+	return false
 }
 
 // committedSubs snapshots the transaction's committed-subtransaction ids.
@@ -961,8 +965,10 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 	// any miss falls through to the quorum path below without surfacing an
 	// error. Only plain read locks qualify — update locking (LockWrite) is a
 	// write's first phase and must assemble the quorum that serializes
-	// writers.
-	if t.store.opts.readLeaseTTL > 0 && mode == LockRead {
+	// writers — and only items the tree has not written: a hinted replica
+	// outside the write quorum holds no lock or intention of the writer, so
+	// its hint stands and it would serve the version the tree overwrote.
+	if t.store.opts.readLeaseTTL > 0 && mode == LockRead && !t.treeWrote(item) {
 		if res, ok := t.tryHintRead(ctx, item); ok {
 			return res, nil
 		}
@@ -984,7 +990,7 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 				item:    item,
 				targets: union(quorums),
 				quorums: quorums,
-				req:     ReadReq{Txn: t.id, Item: item, Lock: mode, Seq: seq, Gen: res.gen},
+				req:     ReadReq{Txn: t.id, Item: item, Lock: mode, Seq: seq, Gen: res.gen, Inherit: t.inherited()},
 				seq:     seq,
 			}, &t.store.Stats.ReadPhaseLatency)
 			// Generation discovery may use every grant, winner or not: a newer
@@ -1146,22 +1152,13 @@ func (t *Txn) ReadForUpdate(ctx context.Context, item string) (any, error) {
 }
 
 // read is the one logical-read path: a read phase under the given lock
-// mode plus the operation's bookkeeping. A LockWrite read is a write-locking
-// operation, so it passes the brownout gate and reports its outcome to it.
+// mode plus the operation's bookkeeping.
 func (t *Txn) read(ctx context.Context, item string, mode LockMode) (any, int, error) {
 	if t.done {
 		return nil, 0, ErrTxnDone
 	}
-	if mode == LockWrite {
-		if err := t.store.writeGate("read-for-update", item); err != nil {
-			return nil, 0, err
-		}
-	}
 	start := time.Now()
 	res, err := t.readPhase(ctx, item, mode)
-	if mode == LockWrite {
-		t.store.noteWriteOutcome(err)
-	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1188,13 +1185,9 @@ func (t *Txn) WriteVersioned(ctx context.Context, item string, val any) (int, er
 	if t.done {
 		return 0, ErrTxnDone
 	}
-	if err := t.store.writeGate("write", item); err != nil {
-		return 0, err
-	}
 	start := time.Now()
 	res, err := t.readPhase(ctx, item, LockWrite)
 	if err != nil {
-		t.store.noteWriteOutcome(err)
 		return 0, err
 	}
 	// One past the read-quorum maximum, routed through the test-only
@@ -1204,9 +1197,8 @@ func (t *Txn) WriteVersioned(ctx context.Context, item string, val any) (int, er
 		vn = mut(item, vn)
 	}
 	err = t.writeQuorum(ctx, item, "write", res.cfg, func(seq int) any {
-		return WriteReq{Txn: t.id, Item: item, VN: vn, Val: val, Seq: seq}
+		return WriteReq{Txn: t.id, Item: item, VN: vn, Val: val, Seq: seq, Inherit: t.inherited()}
 	})
-	t.store.noteWriteOutcome(err)
 	if err != nil {
 		return 0, err
 	}
@@ -1229,7 +1221,7 @@ const tentativeControlRetries = 2
 // control sends a commit/abort control message to every touched DM
 // concurrently and returns the required DMs that never acknowledged.
 // Required DMs are retried until acknowledged or the retry budget runs
-// out; the caller decides what a missing ack means (Sub fails outright,
+// out; the caller decides what a missing ack means (an abort carries on,
 // Run's commit checks write-quorum coverage). Cleanup DMs get the same
 // retry budget but are never reported missing: they hold only locks the
 // resolution should sweep, not state the outcome depends on. Tentative
@@ -1292,36 +1284,40 @@ func (t *Txn) control(ctx context.Context, required, cleanup, tentative []string
 	return missing
 }
 
-// absorb merges a child's touched set into the parent, so the parent's
-// final commit or abort reaches every DM the child may have left state at
-// — including DMs a cancelled or failed child phase touched.
-func (t *Txn) absorb(child *Txn) {
+// adopt folds a finished child into its parent t. Either way the child's
+// DMs join t's control list, so t's final commit or abort reaches every DM
+// the child may have left state at — including DMs a cancelled or failed
+// child phase touched — and its written items join t's (over-fencing an
+// aborted child's item only revokes hints, never correctness). A committed
+// child also hands up its final versions (an aborted child's writes are
+// discarded at commit-apply, and an inflated Final matches no replica,
+// silently costing hints), its history, and its committed subtransactions
+// with its own id at their head: that append is the child's commit.
+func (t *Txn) adopt(child *Txn, committed bool) {
 	child.mu.Lock()
-	merged := make(map[string]touchLevel, len(child.touched))
-	for dm, lvl := range child.touched {
-		merged[dm] = lvl
-	}
-	wrote := make([]string, 0, len(child.wroteItems))
-	for item := range child.wroteItems {
-		wrote = append(wrote, item)
-	}
-	child.mu.Unlock()
+	defer child.mu.Unlock()
 	t.mu.Lock()
-	for dm, lvl := range merged {
-		if t.touched[dm] < lvl {
-			t.touched[dm] = lvl
-		}
+	defer t.mu.Unlock()
+	for dm, lvl := range child.touched {
+		t.touched[dm] = max(t.touched[dm], lvl)
 	}
-	// Written items ride along too (even from an aborted child, whose
-	// buffered writes are discarded): the top-level hint fence over-fencing
-	// an item only revokes hints, never correctness.
-	if len(wrote) > 0 && t.wroteItems == nil {
+	if len(child.wroteItems) > 0 && t.wroteItems == nil {
 		t.wroteItems = map[string]bool{}
 	}
-	for _, item := range wrote {
+	for item := range child.wroteItems {
 		t.wroteItems[item] = true
 	}
-	t.mu.Unlock()
+	if !committed {
+		return
+	}
+	if len(child.wroteVNs) > 0 && t.wroteVNs == nil {
+		t.wroteVNs = map[string]int{}
+	}
+	for item, vn := range child.wroteVNs {
+		t.wroteVNs[item] = max(t.wroteVNs[item], vn)
+	}
+	t.ops = append(t.ops, child.ops...)
+	t.subs = append(append(t.subs, child.id), child.subs...)
 }
 
 // Sub runs fn in a subtransaction. If fn fails the subtransaction is
@@ -1329,7 +1325,10 @@ func (t *Txn) absorb(child *Txn) {
 // returned for the parent to handle: a parent may tolerate the abort and
 // continue, exactly the failure-handling the paper's algorithm supports.
 // On success the subtransaction's locks and intentions are inherited by
-// the parent.
+// the parent — an event at the coordinator, with no message: the
+// subtransaction is recorded as committed on the parent, every later access
+// of the tree names it (Txn.inherited) and the top-level commit applies it.
+// So a child's commit is no point of no return; only the top level's is.
 func (t *Txn) Sub(ctx context.Context, fn func(*Txn) error) error {
 	if t.done {
 		return ErrTxnDone
@@ -1339,36 +1338,18 @@ func (t *Txn) Sub(ctx context.Context, fn func(*Txn) error) error {
 	child := &Txn{
 		store:   t.store,
 		id:      TxnID(fmt.Sprintf("%s/%d", t.id, t.childSeq)),
+		parent:  t,
 		touched: map[string]touchLevel{},
 	}
 	t.mu.Unlock()
 	if err := fn(child); err != nil {
 		child.abort(ctx)
-		// The child's DMs stay on the parent's control list: its abort is
-		// best-effort, and the top-level resolve must sweep any leftovers.
-		t.absorb(child)
+		t.adopt(child, false)
 		return err
 	}
 	child.done = true
-	written, granted, tentative := child.controlSets()
-	// Promotion transfers locks as well as intentions to the parent, so
-	// lock-only DMs are asked to confirm it too. The first CommitSubReq
-	// send is a point of no return: a DM that promoted cannot demote, so
-	// aborting the child here would leave its writes applied wherever the
-	// promote landed while the history records an abort. Stragglers keep
-	// the child's state under its own id; the top-level resolution sweeps
-	// it — CommitTopReq names the child in Subs and applies it, AbortReq
-	// drops the whole tree.
-	required := append(written, granted...)
-	sort.Strings(required)
-	if m := t.control(ctx, required, nil, tentative, CommitSubReq{Txn: child.id}); len(m) > 0 {
-		t.store.traceEvent(string(child.id), "sub-commit", "promote stragglers %v", m)
-	}
-	t.absorb(child)
-	t.adoptWrites(child)
-	t.adoptOps(child)
-	t.adoptSubs(child)
-	t.store.traceEvent(string(child.id), "sub-commit", "promoted to %s", t.id)
+	t.adopt(child, true)
+	t.store.traceEvent(string(child.id), "sub-commit", "inherited by %s", t.id)
 	return nil
 }
 
@@ -1613,13 +1594,13 @@ func (t *Txn) reconfigureTo(ctx context.Context, item, phase string, newCfg quor
 		return res, err
 	}
 	err = t.writeQuorum(ctx, item, phase, newCfg, func(seq int) any {
-		return WriteReq{Txn: t.id, Item: item, VN: res.vn, Val: res.val, Seq: seq}
+		return WriteReq{Txn: t.id, Item: item, VN: res.vn, Val: res.val, Seq: seq, Inherit: t.inherited()}
 	})
 	if err != nil {
 		return res, err
 	}
 	mkCfg := func(seq int) any {
-		return ConfigWriteReq{Txn: t.id, Item: item, Gen: res.gen + 1, Cfg: newCfg, Seq: seq}
+		return ConfigWriteReq{Txn: t.id, Item: item, Gen: res.gen + 1, Cfg: newCfg, Seq: seq, Inherit: t.inherited()}
 	}
 	err = t.writeQuorum(ctx, item, phase, res.cfg, mkCfg)
 	if err == nil && both {
@@ -1636,9 +1617,6 @@ func (s *Store) Reconfigure(ctx context.Context, item string, newCfg quorum.Conf
 		return fmt.Errorf("cluster: unknown item %q", item)
 	}
 	if err := newCfg.Validate(it.DMs); err != nil {
-		return err
-	}
-	if err := s.writeGate("reconfigure", item); err != nil {
 		return err
 	}
 	return s.Run(ctx, func(t *Txn) error {

@@ -94,7 +94,7 @@ func TestTransportParityNestedSubAbort(t *testing.T) {
 			}); !errors.Is(err, errRisky) {
 				return fmt.Errorf("sub abort surfaced as %v", err)
 			}
-			// A second sub commits and its write must survive promotion.
+			// A second sub commits and its write must reach the top-level commit.
 			return tx.Sub(ctx, func(sub *Txn) error {
 				return sub.Write(ctx, "x", 20)
 			})
@@ -110,6 +110,78 @@ func TestTransportParityNestedSubAbort(t *testing.T) {
 				t.Errorf("after tolerated sub-abort x = %v, want 20", v)
 			}
 			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestTransportParityNestedInheritance: a committed child reaches the
+// replicas only through the lists its tree's later accesses carry and the
+// top-level commit's Subs, on both backends — the parent reads the child's
+// write, a sibling overwrites a committed sibling's write (the final
+// version is the second writer's), and two concurrent siblings contending
+// for one item both finish, the loser's retry naming the winner.
+func TestTransportParityNestedInheritance(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
+		store, _ := openTestStore(t, tr)
+		ctx := context.Background()
+		readBack := func(wantVal any, wantVN int) {
+			t.Helper()
+			if err := store.Run(ctx, func(tx *Txn) error {
+				v, vn, err := tx.ReadVersioned(ctx, "x")
+				if err == nil && (v != wantVal || vn != wantVN) {
+					t.Errorf("read back (%v, vn %d), want (%v, vn %d)", v, vn, wantVal, wantVN)
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		if err := store.Run(ctx, func(tx *Txn) error {
+			if err := tx.Sub(ctx, func(sub *Txn) error { return sub.Write(ctx, "x", 1) }); err != nil {
+				return err
+			}
+			v, vn, err := tx.ReadVersioned(ctx, "x")
+			if err == nil && (v != 1 || vn != 1) {
+				t.Errorf("parent read (%v, vn %d) after its child's write, want (1, vn 1)", v, vn)
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		readBack(1, 1)
+
+		if err := store.Run(ctx, func(tx *Txn) error {
+			for _, v := range []int{2, 3} {
+				if err := tx.Sub(ctx, func(sub *Txn) error { return sub.Write(ctx, "x", v) }); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		readBack(3, 3)
+
+		if err := store.Run(ctx, func(tx *Txn) error {
+			errs := make(chan error, 2)
+			for _, v := range []int{4, 5} {
+				go func() {
+					errs <- tx.Sub(ctx, func(sub *Txn) error { return sub.Write(ctx, "x", v) })
+				}()
+			}
+			return errors.Join(<-errs, <-errs)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Run(ctx, func(tx *Txn) error {
+			v, vn, err := tx.ReadVersioned(ctx, "x")
+			if err == nil && (vn != 5 || (v != 4 && v != 5)) {
+				t.Errorf("after two concurrent siblings read (%v, vn %d), want vn 5 and the later writer's value", v, vn)
+			}
+			return err
 		}); err != nil {
 			t.Fatal(err)
 		}

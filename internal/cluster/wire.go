@@ -45,7 +45,8 @@ var wireTypes = []struct {
 	{2, WriteReq{}, transport.PrioWrite},
 	{3, ConfigWriteReq{}, transport.PrioWrite},
 	{4, ReleaseReq{}, transport.PrioControl},
-	{5, CommitSubReq{}, transport.PrioControl},
+	// 5 is retired (it was CommitSubReq: a subtransaction's commit is no
+	// longer a message).
 	{6, AbortReq{}, transport.PrioControl},
 	{7, CommitTopReq{}, transport.PrioControl},
 	{8, RepairReq{}, transport.PrioRead},

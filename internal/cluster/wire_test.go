@@ -51,11 +51,11 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	msgs := []any{
 		// Requests, in wireTypes order.
-		ReadReq{Txn: "t1/0", Item: "x", Lock: LockWrite, Seq: 3, Gen: 2},
-		WriteReq{Txn: "t1", Item: "x", VN: 7, Val: 42, Seq: 4},
-		ConfigWriteReq{Txn: "t2", Item: "y", Gen: 2, Cfg: cfg, Seq: 1},
+		ReadReq{Txn: "t1/0", Item: "x", Lock: LockWrite, Seq: 3, Gen: 2, Inherit: []TxnID{"t1/1", "t1/1/0"}},
+		WriteReq{Txn: "t1", Item: "x", VN: 7, Val: 42, Seq: 4, Inherit: []TxnID{"t1/0"}},
+		ConfigWriteReq{Txn: "t2", Item: "y", Gen: 2, Cfg: cfg, Seq: 1, Inherit: []TxnID{"t2/0", "t2/1"}},
 		ReleaseReq{Txn: "t3", Item: "x", Seq: 2},
-		CommitSubReq{Txn: "t1/0"},
+		ReadReq{Txn: "t1", Item: "x", Lock: LockRead, Seq: 1}, // a flat transaction's access: no list (this was retired tag 5's slot)
 		AbortReq{Txn: "t4"},
 		CommitTopReq{Txn: "t1", Subs: []TxnID{"t1/0", "t1/1"}, Final: map[string]int{"x": 8}},
 		RepairReq{Item: "x", VN: 9, Val: 5, Gen: 1, Cfg: cfg},
@@ -156,6 +156,10 @@ func TestWireRoundTrip(t *testing.T) {
 	empty := CommitTopReq{Txn: "t1", Subs: []TxnID{}, Final: map[string]int{}}
 	if got := frameRoundTrip(t, empty); !reflect.DeepEqual(got, CommitTopReq{Txn: "t1"}) {
 		t.Fatalf("empty slice and map decoded as %#v, want nil fields", got)
+	}
+	flat := WriteReq{Txn: "t1", Item: "x", VN: 7, Val: 42, Seq: 4, Inherit: []TxnID{}}
+	if got := frameRoundTrip(t, flat); !reflect.DeepEqual(got, WriteReq{Txn: "t1", Item: "x", VN: 7, Val: 42, Seq: 4}) {
+		t.Fatalf("empty inherit list decoded as %#v, want a nil field", got)
 	}
 	emptySets := ReadResp{OK: true, Cfg: quorum.Config{R: []quorum.Set{{}}, W: []quorum.Set{}}}
 	if got := frameRoundTrip(t, emptySets); !reflect.DeepEqual(got, ReadResp{OK: true, Cfg: quorum.Config{R: []quorum.Set{nil}}}) {
