@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race bench bench-json chaos fuzz proc-smoke budget counts verify
+.PHONY: build test vet staticcheck race bench bench-json chaos fuzz proc-smoke budget counts replay verify
 
 build:
 	$(GO) build ./...
@@ -58,19 +58,30 @@ proc-smoke:
 # way a replica gets on a transport, so a second start path cannot grow back
 # unnoticed, and dmServer.acquire, the only place a lock is granted, so a
 # second access arm cannot either — than the last PR that shrank it landed
-# at. A PR that shrinks any lowers the ceiling with it.
+# at. A PR that shrinks any lowers the ceiling with it. And a replica only
+# answers: no line of the package may hand the state machine a sender or
+# send from a served endpoint (notifyPeer(, setSender(, server.Notify), so a
+# replica that originates traffic cannot grow back unnoticed either.
 CLUSTER_MAX_OPTIONS = 27
-CLUSTER_MAX_LINES = 4970
+CLUSTER_MAX_LINES = 4744
 CLUSTER_MAX_SERVE_SITES = 1
 CLUSTER_MAX_CANLOCK_SITES = 1
+CLUSTER_MAX_REPLICA_SENDS = 0
 budget:
 	@opts=$$(grep -c '^func With' internal/cluster/options.go); \
 	src=$$(ls internal/cluster/*.go | grep -v '_test\.go$$'); \
 	lines=$$(cat $$src | grep -v '^[[:space:]]*$$' | grep -v '^[[:space:]]*//' | wc -l); \
 	serves=$$(cat $$src | grep -v '^[[:space:]]*//' | grep -c '\.Serve('); \
 	canlocks=$$(cat $$src | grep -v '^[[:space:]]*//' | grep -c '\.canLock('); \
-	echo "budget: internal/cluster has $$opts options (ceiling $(CLUSTER_MAX_OPTIONS)), $$lines code lines (ceiling $(CLUSTER_MAX_LINES)), $$serves .Serve( call sites (ceiling $(CLUSTER_MAX_SERVE_SITES)) and $$canlocks .canLock( call sites (ceiling $(CLUSTER_MAX_CANLOCK_SITES))"; \
-	[ $$opts -le $(CLUSTER_MAX_OPTIONS) ] && [ $$lines -le $(CLUSTER_MAX_LINES) ] && [ $$serves -le $(CLUSTER_MAX_SERVE_SITES) ] && [ $$canlocks -le $(CLUSTER_MAX_CANLOCK_SITES) ]
+	sends=$$(cat $$src | grep -v '^[[:space:]]*//' | grep -c -e 'notifyPeer(' -e 'setSender(' -e 'server\.Notify'); \
+	echo "budget: internal/cluster has $$opts options (ceiling $(CLUSTER_MAX_OPTIONS)), $$lines code lines (ceiling $(CLUSTER_MAX_LINES)), $$serves .Serve( call sites (ceiling $(CLUSTER_MAX_SERVE_SITES)), $$canlocks .canLock( call sites (ceiling $(CLUSTER_MAX_CANLOCK_SITES)) and $$sends replica-originated sends (ceiling $(CLUSTER_MAX_REPLICA_SENDS))"; \
+	[ $$opts -le $(CLUSTER_MAX_OPTIONS) ] && [ $$lines -le $(CLUSTER_MAX_LINES) ] && [ $$serves -le $(CLUSTER_MAX_SERVE_SITES) ] && [ $$canlocks -le $(CLUSTER_MAX_CANLOCK_SITES) ] && [ $$sends -le $(CLUSTER_MAX_REPLICA_SENDS) ]
+
+# Exact seeded replay: each deterministic chaos campaign runs its seed twice
+# and requires identical results, network counters by message kind included;
+# ten rounds of all six.
+replay:
+	$(GO) test -count=10 -run Deterministic ./internal/chaos/
 
 # The ROADMAP aim-1 ratchet: the counts of the benchmark's traced run may not
 # drift up. One short seeded run of the socket-and-codec workload, of the
@@ -103,7 +114,8 @@ counts:
 
 # CI entry point: everything tier-1 checks plus vet, staticcheck (when
 # installed — the toolchain image may not carry it), the internal/cluster
-# size budget, the benchmark's count ceilings, an explicit race pass
+# size budget, the benchmark's count ceilings, the exact-replay rounds of the
+# seeded chaos campaigns (180 of 180 when they joined, E23), an explicit race pass
 # over the chaos campaigns (they stress every cross-goroutine path the
 # self-healing machinery added), the race pass, short fuzz smokes (quorum
 # invariants, WAL records, TCP wire envelope and payload codec), the qcstore durable-mode
@@ -121,9 +133,9 @@ counts:
 # same zipfian load without regressing read p99), and the coordcrash gate
 # under both commit protocols: coordinators killed at every seeded instant
 # around the commit point — the 2PC arm must converge within the
-# lease-TTL reap window, the Paxos arm must resolve every acceptor-held
-# outcome through acceptor recovery (zero in-doubt past one inquiry round
-# trip), both with exactly one outcome per crash and zero violations, and
+# lease-TTL window, the Paxos arm must resolve every acceptor-held
+# outcome through acceptor recovery (not presumption), both with exactly
+# one outcome per crash and zero violations, and
 # the diskfault gate under both protocols plus the amnesia and coordcrash
 # mixes: replicas' logs scrambled at rest, disks filled mid-round, and
 # coordinators killed with a cohort disk scrambled — every quarantine must
@@ -131,7 +143,7 @@ counts:
 # replicas, zero wedged items (the proc smoke covers the same path against
 # real processes: a bit flipped on a real disk, the restarted process
 # rebuilding from its peers over TCP).
-verify: build vet staticcheck budget counts test race
+verify: build vet staticcheck budget counts test replay race
 	$(GO) test -race ./internal/chaos/...
 	$(GO) test ./internal/quorum/ -fuzz FuzzConfig -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s

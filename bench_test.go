@@ -473,15 +473,15 @@ func BenchmarkE12_WAL_FsyncEachRecord(b *testing.B) {
 
 // E13: self-healing. The reap-latency benchmark measures the full orphan
 // recovery cycle — a crashed client's write locks wedge the item, the lease
-// lapses, and the next conflicting writer triggers the peer inquiry and
-// presumed-abort reap before its retry succeeds. The lease on/off pair
+// lapses, and the next conflicting writer is told who is in its way, asks
+// every replica and presumes the orphan aborted before its retry succeeds. The lease on/off pair
 // measures what the lease machinery costs a healthy fast transaction: the
 // pre-commit fence is satisfied by the grant-time stamps, so the answer
 // should be "nothing but the stamp".
 
 // BenchmarkE13_OrphanReapLatency: one orphan planted and reaped per
-// iteration; reaps/op confirms every iteration actually exercised the
-// reaper (2 = both lock-holding replicas reaped independently).
+// iteration; reaps/op confirms every iteration actually resolved one
+// (1 = the blocked writer presumed it aborted, once, for every replica).
 func BenchmarkE13_OrphanReapLatency(b *testing.B) {
 	dms := []string{"dm0", "dm1", "dm2"}
 	net := sim.NewNetwork(sim.Config{MinLatency: 20 * time.Microsecond, MaxLatency: 200 * time.Microsecond, Seed: 1})
@@ -798,11 +798,11 @@ func BenchmarkE17_Write_Paxos_N5(b *testing.B) {
 // BenchmarkE17_InDoubt_* measures the in-doubt window in the one scenario
 // 2PC cannot shrink: the coordinator dies partway through the commit
 // broadcast (exactly one replica learned the outcome), and that knowing
-// replica then crashes. The 2PC inquiry cannot presume abort — an
-// unreachable peer might hold the commit, and here it does — so the item
+// replica then crashes. Under 2PC the blocked client cannot presume abort —
+// a silent replica might hold the commit, and here it does — so the item
 // stays wedged until the knowing replica returns (the harness restarts it
 // after three lease TTLs). Paxos Commit reconstructs the decision from the
-// surviving acceptor majority in the first inquiry round. The
+// surviving acceptor majority at the first conflict. The
 // ttl-rounds-to-writable metric is the window: expect 1 for Paxos and 4
 // for 2PC (three stalled rounds plus one after the restart).
 func benchE17InDoubt(b *testing.B, proto commit.Protocol) {
@@ -860,8 +860,8 @@ func benchE17InDoubt(b *testing.B, proto commit.Protocol) {
 			}
 			if r == 3 {
 				// Give 2PC its blocked window back: the knowing replica
-				// returns, the inquiry finds the commit record, the reap
-				// finishes the transaction.
+				// returns, the next probe round finds the commit record and
+				// re-serves it to the stragglers.
 				net.Restart(learned)
 				down = false
 			}

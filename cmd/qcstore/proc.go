@@ -176,15 +176,15 @@ func serveMain(args []string) int {
 }
 
 // clientMain attaches to a running multi-process cluster and performs one
-// operation: -get, -set N, -inspect <dm>, or (default) the nested-
-// transaction demo.
+// operation: -get, -set N, -inspect <dm|health|placement|txn:ID>, or
+// (default) the nested-transaction demo.
 func clientMain(args []string) int {
 	fs := flag.NewFlagSet("qcstore client", flag.ExitOnError)
 	var (
 		peersArg = fs.String("peers", "", "comma-separated name=host:port for every replica")
 		get      = fs.Bool("get", false, "read the item and print it")
 		set      = fs.String("set", "", "write this integer value in a transaction")
-		inspect  = fs.String("inspect", "", "print one replica's committed state (bypasses quorums); \"health\" prints every replica's status; with -shards, \"placement\" prints the whole ring layout")
+		inspect  = fs.String("inspect", "", "print one replica's committed state (bypasses quorums); \"health\" prints every replica's status; \"txn:<id>\" prints how a transaction stands at every replica; with -shards, \"placement\" prints the whole ring layout")
 		item     = fs.String("item", "", "data item for -get/-set/-inspect (default: the demo item, or k0 with -shards)")
 		timeout  = fs.Duration("timeout", 5*time.Second, "overall operation deadline")
 		shards   = fs.String("shards", "", "shard the keyspace onto replica groups, e.g. g0=dm0:dm1:dm2,g1=dm3:dm4:dm5")
@@ -253,6 +253,9 @@ func clientOp(ctx context.Context, store *cluster.Store, ring *shard.Ring, nkeys
 			}
 		}
 		return nil
+	case strings.HasPrefix(inspect, "txn:"):
+		printTxn(ctx, store, cluster.TxnID(strings.TrimPrefix(inspect, "txn:")))
+		return nil
 	case inspect != "":
 		resp, err := store.Inspect(ctx, inspect, item)
 		if err != nil {
@@ -284,6 +287,34 @@ func clientOp(ctx context.Context, store *cluster.Store, ring *shard.Ring, nkeys
 		return nil
 	default:
 		return clientDemo(ctx, store)
+	}
+}
+
+// printTxn prints, one line per replica, how a top-level transaction stands
+// there — the question to ask when an item is blocked, answered by the
+// message a blocked client itself resolves the blocker with: the outcome the
+// replica holds, whether it still holds locks or intentions of the
+// transaction, whether its lease is live (the coordinator renewed recently),
+// and its Paxos acceptor state. A replica that does not answer prints its
+// error instead of failing the table.
+func printTxn(ctx context.Context, store *cluster.Store, txn cluster.TxnID) {
+	for _, dm := range store.DMs() {
+		p, err := store.ResolutionProbe(ctx, dm, txn)
+		if err != nil {
+			fmt.Printf("%-8s ? %v\n", dm, err)
+			continue
+		}
+		outcome := "unknown"
+		if p.Known && p.Committed {
+			outcome = "committed"
+		} else if p.Known {
+			outcome = "aborted"
+		}
+		acceptor := "none"
+		if p.Promised != -2 {
+			acceptor = fmt.Sprintf("promised=%d accepted=%d commit=%v cohort=%s", p.Promised, p.AccBal, p.AccCommit, strings.Join(p.Cohort, ":"))
+		}
+		fmt.Printf("%-8s %-9s holds=%v lease-live=%v acceptor: %s\n", dm, outcome, p.Holds, p.Active, acceptor)
 	}
 }
 
@@ -330,7 +361,9 @@ func groupsOf(ring *shard.Ring) []shard.Group {
 // and commits.
 func clientDemo(ctx context.Context, store *cluster.Store) error {
 	errRisky := errors.New("risky step failed")
+	var id cluster.TxnID
 	err := store.Run(ctx, func(tx *cluster.Txn) error {
+		id = tx.ID()
 		if err := tx.Write(ctx, theItem, 150); err != nil {
 			return err
 		}
@@ -352,6 +385,7 @@ func clientDemo(ctx context.Context, store *cluster.Store) error {
 	if err != nil {
 		return err
 	}
+	fmt.Printf("transaction %s committed\n", id)
 	return store.Run(ctx, func(tx *cluster.Txn) error {
 		v, vn, err := tx.ReadVersioned(ctx, theItem)
 		if err != nil {

@@ -57,9 +57,9 @@ const (
 	FaultFlap Fault = "flap"
 	// FaultClientCrash simulates a client that died mid-transaction: a
 	// write-quorum's worth of write locks is planted under a transaction id
-	// nobody will ever resolve. Without the lease reaper the item wedges
-	// forever; with it, the orphan is presumed aborted once its lease
-	// lapses. There is no heal — recovery is the store's job.
+	// nobody will ever resolve. Without lock leases the item wedges
+	// forever; with them, the first client the orphan blocks after its lease
+	// lapsed presumes it aborted. There is no heal — recovery is the store's job.
 	FaultClientCrash Fault = "clientcrash"
 	// FaultOverload slams one replica's admission queue with a seeded burst
 	// of inert requests (some pre-expired), injected behind a held service
@@ -83,11 +83,11 @@ const (
 	// FaultMigrate live-migrates one item to a different replica group at a
 	// round boundary — and, half the time, kills the migration coordinator
 	// at its nastiest moments: after every intention is buffered but before
-	// any CommitTopReq (the lease reaper must presume abort), or partway
-	// through the commit broadcast (one delivered copy decides commit; the
-	// reaper's peer inquiry must finish the job). Selecting it runs the
-	// store sharded (a consistent-hash ring over the per-item replica
-	// groups) with self-healing on: abandoned coordinators are exactly
+	// any CommitTopReq (the next client its locks block must presume abort),
+	// or partway through the commit broadcast (one delivered copy decides
+	// commit; that client must find the record and finish the job).
+	// Selecting it runs the store sharded (a consistent-hash ring over the
+	// per-item replica groups) with self-healing on: abandoned coordinators are exactly
 	// orphaned clients. The campaign's final writability probe then gates
 	// zero wedged items and the checker zero serializability violations,
 	// whichever way each crash resolved.
@@ -97,14 +97,13 @@ const (
 	// partway through the Phase-2a accept fan-out (PaxosCommit), after the
 	// decision but before any replica learns it, or partway through the
 	// learn broadcast — locks, intentions, and acceptor votes left dangling
-	// exactly as a kill -9 would leave them. Selecting it runs the reaper
-	// stack; the campaign then holds every crash to the convergence
-	// contract: exactly one outcome cluster-wide, a decided commit never
-	// aborted, an un-voted transaction never committed, and — under
-	// PaxosCommit — every outcome that reached an acceptor resolved by
-	// acceptor recovery (one inquiry round trip) rather than a lease-TTL
-	// presumption. Resolved commits are backfilled into the history, so the
-	// serializability checker gates every crash's resolution too.
+	// exactly as a kill -9 would leave them. Selecting it runs lock leases;
+	// the campaign then holds every crash to the convergence contract:
+	// exactly one outcome cluster-wide, a decided commit never aborted, an
+	// un-voted transaction never committed, and — under PaxosCommit — every
+	// outcome that reached an acceptor resolved by acceptor recovery rather
+	// than a presumption. Resolved commits are backfilled into the history,
+	// so the serializability checker gates every crash's resolution too.
 	FaultCoordCrash Fault = "coordcrash"
 	// FaultDiskfault turns the stable storage the WAL is named after into a
 	// fault domain of its own: at a seeded boundary one replica's log is
@@ -286,10 +285,11 @@ func (c Config) selfHeal() bool {
 			// Stalehint needs the manual clock: hint expiry at round
 			// boundaries is what makes an unfenceable (partitioned) hint
 			// holder safe, and that argument must be a pure function of the
-			// seed. Migrate needs the reaper: a killed migration coordinator
-			// is an orphaned client whose locks only the reaper resolves.
-			// Coordcrash needs both: the reaper's inquiry is the trigger that
-			// routes an abandoned commit into acceptor recovery. Diskfault
+			// seed. Migrate needs leases: a killed migration coordinator is an
+			// orphaned client whose locks are resolved only once they lapse.
+			// Coordcrash needs both: a lapsed lease is what makes a refusal
+			// name an abandoned commit, and the named commit is what a blocked
+			// client routes into acceptor recovery. Diskfault
 			// needs them too — a transaction whose locks died with a
 			// corrupted replica resolves only through lease expiry against
 			// the rebuilt replica's renewal fence.
@@ -316,9 +316,9 @@ type Result struct {
 	Recoveries      int
 	ReplayedRecords int64
 	// Orphans counts transactions deliberately orphaned by clientcrash
-	// faults. ReapsAborted and ReapsCommitted count the lease reaper's
-	// resolutions (presumed aborts and peer-served commits);
-	// ResolutionQueries the peer inquiries behind them.
+	// faults. ReapsAborted and ReapsCommitted count the store's resolutions of
+	// orphans (presumed aborts and re-served commit records);
+	// ResolutionQueries the probe rounds behind them.
 	Orphans           int
 	ReapsAborted      int64
 	ReapsCommitted    int64
@@ -351,7 +351,7 @@ type Result struct {
 	HintFenceMisses int64
 	// Migrations counts live migrations the scheduler completed cleanly;
 	// MigrationsAbandoned the ones whose coordinator it killed (before
-	// commit or mid-broadcast — both left for the lease reaper to resolve).
+	// commit or mid-broadcast — both left for whoever they block to resolve).
 	// WrongShardRedirects is the store's count of redirects absorbed from
 	// retired replicas. All zero when FaultMigrate is not in play.
 	Migrations          int
@@ -362,10 +362,9 @@ type Result struct {
 	// them (every crash resolves exactly one way — the settle pass fails the
 	// campaign otherwise). PaxosCommits is the store's count of clean-path
 	// decisions through the acceptors; AcceptorResolvesCommitted/Aborted its
-	// acceptor-recovery resolutions — the decisions learned from acceptor
-	// hard state in one inquiry round trip, where TwoPhase would have waited
-	// out a lease TTL (those show up in ReapsAborted/ReapsCommitted
-	// instead). All zero when FaultCoordCrash is off and the protocol is
+	// acceptor-recovery resolutions — the decisions reconstructed from
+	// acceptor hard state, where TwoPhase can only find a record or presume
+	// (those show up in ReapsAborted/ReapsCommitted instead). All zero when FaultCoordCrash is off and the protocol is
 	// TwoPhase.
 	CoordCrashes              int
 	CoordCrashCommitted       int
@@ -550,12 +549,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			// time out in one run and retry, forking the message counters of
 			// an exact replay.
 			cluster.WithHealthProbes(true),
-			// Reap-vs-retry margin: a conflict retry that raced the inquiry
-			// round trip it triggered would make the retry's outcome a
-			// scheduling race. 4ms of backoff dwarfs the in-process message
-			// round trip, so by the time a conflicted writer retries, the
-			// reap it provoked has long settled.
-			cluster.WithRetryBackoff(4*time.Millisecond),
 		)
 	}
 	store, err := cluster.Open(net, items, opts...)
@@ -564,14 +557,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 	defer store.Close()
 	store.Hooks.MutateWriteVN = cfg.MutateVN
-	if selfHeal && !cfg.Live {
-		// Each sweep inspection doubles as an orphan sweep at the DM and may
-		// fire an asynchronous inquiry/recovery cascade. Drain each DM's
-		// cascade before inspecting the next, or cascades from different DMs
-		// interleave on near-tie message latencies — the decided-vs-heard
-		// race double-counts resolutions and forks an exact replay.
-		store.Hooks.SweepBarrier = net.Quiesce
-	}
 
 	// Prime every client↔DM lane in a fixed order. Lane fate streams are
 	// seeded by creation order; without priming, the first concurrent
@@ -586,17 +571,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	for _, dm := range allDMs {
 		net.PrimeLane(client, dm)
 		net.PrimeLane(dm, client)
-	}
-	if selfHeal {
-		// Lease-resolution inquiries gossip DM↔DM; prime those lanes too so
-		// their fate streams do not depend on which conflict fired first.
-		for _, a := range allDMs {
-			for _, b := range allDMs {
-				if a != b {
-					net.PrimeLane(a, b)
-				}
-			}
-		}
 	}
 
 	sched := newScheduler(net, store, client, groups, cfg)
@@ -614,16 +588,16 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		if clk != nil {
 			// One TTL per boundary: every lease stamped last round is now
 			// expired, so this round's conflicts (and the sweep's
-			// inspections) reap last round's orphans. The quiesce after the
-			// sweep drains the inquiry/answer/reap cascade before any fault
-			// state changes.
+			// inspections) resolve last round's orphans. The sweep returns
+			// after its resolutions; the quiesce after it drains its repairs
+			// before any fault state changes.
 			clk.Advance(cfg.LeaseTTL + time.Millisecond)
 			if _, err := store.SweepOnce(ctx); err != nil {
 				return res, err
 			}
 			net.Quiesce()
-			// The sweep above gave every pending coordinator crash its
-			// inquiry round trip; hold each resolved one to the convergence
+			// The sweep above resolved every pending coordinator crash it
+			// could reach; hold each resolved one to the convergence
 			// contract before any fault state changes. The probes only run
 			// when crashes are pending, so the message sequence stays a pure
 			// function of the seed.
@@ -638,8 +612,8 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		if clk != nil {
 			// Orphans planted by this boundary's clientcrash rolls carry a
 			// fresh lease; expire it now, before the round's workload runs,
-			// so the first transaction that trips over the orphan reaps it
-			// after one backoff instead of burning its whole retry budget
+			// so the first transaction that trips over the orphan resolves it
+			// before its first backoff instead of burning its whole retry budget
 			// against a lease that cannot lapse mid-round (the clock only
 			// moves at boundaries).
 			clk.Advance(cfg.LeaseTTL + time.Millisecond)
@@ -674,16 +648,14 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 	net.Quiesce()
 	if clk != nil {
-		// Reap settle: two TTL advances with a sweep each, so even an
-		// inquiry that went stale against a then-crashed peer re-polls and
-		// resolves on the now-healthy network.
-		for i := 0; i < 2; i++ {
-			clk.Advance(cfg.LeaseTTL + time.Millisecond)
-			if _, err := store.SweepOnce(ctx); err != nil {
-				return res, err
-			}
-			net.Quiesce()
+		// Resolution settle: every DM answers on the now-healthy network, so
+		// one sweep past the last leases resolves whatever a then-crashed or
+		// partitioned DM kept in doubt.
+		clk.Advance(cfg.LeaseTTL + time.Millisecond)
+		if _, err := store.SweepOnce(ctx); err != nil {
+			return res, err
 		}
+		net.Quiesce()
 	}
 	// Every injected coordinator crash must be resolved by now — the final
 	// settle fails the campaign on any transaction still in doubt.
@@ -691,10 +663,10 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		return res, err
 	}
 	// Final writability probe: after every fault healed (and, under
-	// self-healing, every orphan given two TTLs to be reaped), each item
+	// self-healing, every orphan given a TTL and a sweep to be resolved), each item
 	// must accept a write within the store's normal retry budget. An item
-	// that cannot is permanently wedged — exactly what the lease reaper
-	// exists to rule out.
+	// that cannot is permanently wedged — exactly what lock leases exist to
+	// rule out.
 	for _, name := range itemNames {
 		perr := store.Run(ctx, func(t *cluster.Txn) error {
 			return t.Write(ctx, name, fmt.Sprintf("final-%s", name))
@@ -800,7 +772,7 @@ type scheduler struct {
 
 	// migrate fault bookkeeping: home[i] is the group index item x<i> is
 	// believed to live on (updated only on clean cutover — a killed
-	// coordinator leaves the outcome to the reaper, and the next roll's
+	// coordinator leaves the outcome to the next client it blocks, and the next roll's
 	// no-op/migrate either way is valid); migrations and abandoned count
 	// clean and coordinator-killed injections.
 	home       []int
@@ -1048,7 +1020,7 @@ func (s *scheduler) advance(round int, injected map[Fault]int) {
 			item := fmt.Sprintf("x%d", g)
 			// The orphaned transaction holds write locks at a full write
 			// quorum, so the item is unreadable and unwritable until the
-			// lease reaper presumes it aborted. No episode is recorded:
+			// first client it blocks presumes it aborted. No episode is recorded:
 			// there is nothing the scheduler can heal — recovery is the
 			// store's job, and the final writability probe checks it did.
 			if _, perr := s.store.PlantOrphan(context.Background(), item); perr != nil {
@@ -1138,8 +1110,8 @@ func (s *scheduler) advance(round int, injected map[Fault]int) {
 			case errors.Is(merr, cluster.ErrCommitAbandoned), errors.Is(merr, cluster.ErrTxnInDoubt):
 				// The injected coordinator kill, or a decide phase a concurrent
 				// fault left in doubt. The item's fate — old group at the old
-				// generation, or new group at gen+1 — now rests with the lease
-				// reaper and acceptor recovery; the final writability probe and
+				// generation, or new group at gen+1 — now rests with whoever its
+				// locks block next; the final writability probe and
 				// the checker hold it to exactly one of those.
 				s.abandoned++
 			case expectedUnderFaults(merr):

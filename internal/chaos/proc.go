@@ -214,7 +214,28 @@ func RunProc(ctx context.Context, cfg ProcConfig) (ProcReport, error) {
 
 	// A nested transaction with a tolerated subtransaction abort — the
 	// paper's motivating capability — against real processes.
-	if _, err := client(); err != nil {
+	demo, err := client()
+	if err != nil {
+		return failed(err)
+	}
+	// What became of it is a question every replica answers — the one a
+	// blocked client asks before it resolves anybody: committed, and held
+	// nowhere.
+	var demoTxn string
+	for _, line := range strings.Split(demo, "\n") {
+		fmt.Sscanf(line, "transaction %s committed", &demoTxn)
+	}
+	resolvedEverywhere := func() error {
+		out, err := client("-inspect", "txn:"+demoTxn)
+		if err != nil {
+			return err
+		}
+		if got := strings.Count(out, " committed holds=false lease-live=false acceptor: none"); demoTxn == "" || got != n {
+			return fmt.Errorf("proc: demo transaction %q reads committed and released at %d of %d replicas:\n%s", demoTxn, got, n, out)
+		}
+		return nil
+	}
+	if err := resolvedEverywhere(); err != nil {
 		return failed(err)
 	}
 	if _, err := client("-set", "175"); err != nil {
@@ -277,6 +298,11 @@ func RunProc(ctx context.Context, cfg ProcConfig) (ProcReport, error) {
 	}
 	if report.RecoveredVN < 2 {
 		return failed(fmt.Errorf("proc: %s recovered vn %d, want >= 2 (lost acknowledged state)", victim, report.RecoveredVN))
+	}
+	// So must its resolution records be: the demo transaction's outcome is
+	// in the log the victim just replayed.
+	if err := resolvedEverywhere(); err != nil {
+		return failed(err)
 	}
 
 	// And the cluster-level read must see the post-kill commit.

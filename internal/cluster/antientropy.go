@@ -9,16 +9,16 @@ import (
 // notice a stale replica, the sweeper walks every replica of every item
 // during idle ticks and pushes the observed maximum committed version and
 // configuration generation to the laggards. Long partitions heal without
-// traffic; and because the DMs treat inspections as an orphan sweep, idle
-// items with expired-lease locks get reaped too.
+// traffic; and because an inspection names every expired-lease lock holder,
+// the sweeper resolves the orphans of idle items nobody else would trip over.
 
 // SweepOnce runs one synchronous anti-entropy pass: inspect every replica
 // of every item (sorted order — deterministic harnesses call this behind a
-// quiesce barrier), compute the maximum committed (vn, val) and (gen, cfg)
-// among the respondents, and fire-and-forget a RepairReq to every replica
-// that is behind. The DM-side guards (strictly newer, no writer in flight)
-// make a stale or duplicated repair harmless. Returns the number of repair
-// messages sent.
+// quiesce barrier), resolve the orphans the inspections named, compute the
+// maximum committed (vn, val) and (gen, cfg) among the respondents, and
+// fire-and-forget a RepairReq to every replica that is behind. The DM-side
+// guards (strictly newer, no writer in flight) make a stale or duplicated
+// repair harmless. Returns the number of repair messages sent.
 func (s *Store) SweepOnce(ctx context.Context) (int, error) {
 	repairs := 0
 	s.Stats.AntiEntropySweeps.Inc()
@@ -31,11 +31,9 @@ func (s *Store) SweepOnce(ctx context.Context) (int, error) {
 			resp InspectResp
 		}
 		var got []replicaState
+		var orphans []TxnID
 		for _, dm := range it.DMs {
 			resp, err := s.Inspect(ctx, dm, it.Name)
-			if barrier := s.Hooks.SweepBarrier; barrier != nil {
-				barrier()
-			}
 			if err != nil {
 				if ctx.Err() != nil {
 					return repairs, ctx.Err()
@@ -43,7 +41,11 @@ func (s *Store) SweepOnce(ctx context.Context) (int, error) {
 				continue // crashed or partitioned; next sweep catches it up
 			}
 			got = append(got, replicaState{dm: dm, resp: resp})
+			orphans = append(orphans, resp.Orphans...)
 		}
+		// The repairs below work from what the inspections saw: a replica an
+		// orphan's resolution just changed catches up on the next sweep.
+		s.resolveAll(ctx, orphans)
 		if len(got) == 0 {
 			continue
 		}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"maps"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/commit"
@@ -53,8 +52,8 @@ type intent struct {
 }
 
 // resolution records the outcome of a finished top-level transaction. For
-// commits it keeps the committed-subs list, so a lease-resolution inquiry
-// can re-serve the full commit record to a straggler that must apply the
+// commits it keeps the committed-subs list, so a resolver's probe can carry
+// the full commit record on to a straggler that must apply the
 // transaction's subtree consistently.
 type resolution struct {
 	Committed bool
@@ -75,8 +74,8 @@ type dmState struct {
 	// Resolved remembers finished top-level transactions (committed or
 	// aborted) so CommitTopReq is idempotent under client retries, so late
 	// request copies from cancelled fan-outs cannot grant locks for a
-	// transaction that no longer exists, and so lease-resolution inquiries
-	// from peers can be answered authoritatively.
+	// transaction that no longer exists, and so a resolver's probe can be
+	// answered authoritatively.
 	Resolved map[TxnID]*resolution
 
 	// Aborted remembers, per unresolved top-level transaction, the
@@ -96,9 +95,10 @@ type dmState struct {
 }
 
 // dmServer is the handler state of one DM node: the hard state plus the soft
-// state and wiring around it. It runs under the server actor discipline: the
-// handler is invoked on a single goroutine, so no locking is needed (the
-// lease sender hook is the one documented exception).
+// state around it. It runs under the server actor discipline: the handler is
+// invoked on a single goroutine, so no locking is needed. It only answers:
+// nothing here reaches a transport or a log — the host logs what apply
+// reports as mutating.
 type dmServer struct {
 	id string
 	dmState
@@ -128,12 +128,10 @@ type dmServer struct {
 
 	// Lease machinery (soft state: never snapshotted, never replayed —
 	// recovery re-stamps fresh leases, which only delays reaping).
-	leaseTTL  time.Duration
-	clock     transport.Clock
-	peers     []string // every other DM of the cluster, sorted
-	stats     *Stats   // shared with the owning Store; nil for standalone DMs
-	leases    map[TxnID]time.Time
-	inquiries map[TxnID]*inquiry
+	leaseTTL time.Duration
+	clock    transport.Clock
+	stats    *Stats // shared with the owning Store; nil for standalone DMs
+	leases   map[TxnID]time.Time
 
 	// Freshness-hint machinery (soft state like leases: never snapshotted,
 	// never replayed — hintTTL is configured only after recovery replay, so
@@ -142,32 +140,6 @@ type dmServer struct {
 	hintTTL    time.Duration
 	hints      map[string]itemHint
 	hintFences map[string]hintFence
-
-	// recoveries is the proposer side of Paxos acceptor recovery: soft state
-	// like inquiries (a lost recovery round is simply re-run when the next
-	// conflict finds the orphan still unresolved).
-	recoveries map[TxnID]*paxosRecovery
-
-	// logThen, set by a host that keeps a log, makes one already-applied
-	// mutating request durable and then runs done with the log's verdict
-	// (nil once the record is stable). Nil on a volatile host's state
-	// machine and on a bare one, which have nothing to log to. done is
-	// captured on the loop goroutine but runs on the log's flusher: it only
-	// sends, it never reads actor state.
-	logThen func(req any, done func(error))
-
-	// send delivers fire-and-forget protocol messages to peers. Guarded by
-	// sendMu because the node that carries the messages is wired up after
-	// the state machine is built.
-	sendMu sync.Mutex
-	send   func(to string, req any)
-}
-
-// inquiry tracks one in-flight resolution poll: which peers still owe an
-// answer and when the poll started (stale polls are re-sent).
-type inquiry struct {
-	waiting map[string]bool
-	started time.Time
 }
 
 // emptyState is the hard state of a DM that hosts nothing, every table
@@ -190,10 +162,8 @@ func newDMState(id string, items []ItemSpec) *dmServer {
 		dmState:    emptyState(),
 		clock:      transport.Wall,
 		leases:     map[TxnID]time.Time{},
-		inquiries:  map[TxnID]*inquiry{},
 		hints:      map[string]itemHint{},
 		hintFences: map[string]hintFence{},
-		recoveries: map[TxnID]*paxosRecovery{},
 	}
 	for _, it := range items {
 		s.Replicas[it.Name] = &replica{Val: it.Initial, Cfg: it.Config.Clone()}
@@ -202,8 +172,8 @@ func newDMState(id string, items []ItemSpec) *dmServer {
 }
 
 // configure arms the state machine for service from the host's settings:
-// lock leases and the orphan reaper (grants stamp leases of the TTL, and
-// conflicts with expired-lease holders poll the peers), the resolved-record
+// lock leases (grants stamp leases of the TTL, and a refusal names the
+// holders whose lease lapsed), the resolved-record
 // retention cap, the freshness-hint fast lane, and the initial placement-
 // ring view (a deep copy). It runs after recovery replay and before the
 // endpoint exists, so replay sees none of it: replayed resolutions are
@@ -211,28 +181,12 @@ func newDMState(id string, items []ItemSpec) *dmServer {
 // the pre-crash one, which is safe), a recovered replica holds no hints
 // until it re-proves freshness, and the ring a rebuilt replica gossips is
 // the one from its serve flags — ring state is never logged at all.
-func (s *dmServer) configure(st settings, peers []string, stats *Stats) {
-	s.leaseTTL, s.clock, s.peers, s.stats = st.leaseTTL, st.clock, peers, stats
+func (s *dmServer) configure(st settings, stats *Stats) {
+	s.leaseTTL, s.clock, s.stats = st.leaseTTL, st.clock, stats
 	s.resolvedCap = defaultResolvedRetention
 	s.hintTTL = st.readLeaseTTL
 	if st.ring != nil {
 		s.ring = st.ring.Clone()
-	}
-}
-
-// setSender installs the peer-message transport.
-func (s *dmServer) setSender(fn func(to string, req any)) {
-	s.sendMu.Lock()
-	s.send = fn
-	s.sendMu.Unlock()
-}
-
-func (s *dmServer) notifyPeer(to string, req any) {
-	s.sendMu.Lock()
-	fn := s.send
-	s.sendMu.Unlock()
-	if fn != nil {
-		fn(to, req)
 	}
 }
 
@@ -288,8 +242,8 @@ func (s *dmServer) holdsTxn(top TxnID) (holds bool) {
 }
 
 // resolve is the one way a top-level transaction's outcome is installed,
-// whoever sends it — the client's CommitTopReq or AbortReq, or a DecisionReq
-// this DM (or a recovery proposer) reached itself. The first verdict stands:
+// whoever sends it — the client's CommitTopReq or AbortReq, or the
+// DecisionReq of a client its locks were blocking. The first verdict stands:
 // a transaction already resolved is left as it is and acknowledged only when
 // the verdicts agree, so a commit can never land on a reaped abort nor an
 // abort on a commit, and a duplicate is not logged twice.
@@ -356,8 +310,9 @@ func (s *dmServer) abortSub(t TxnID) (Ack, bool) {
 // lock and its phase, indexes the item under the transaction and stamps its
 // lease, and returns the replica with whether the transaction already held
 // a lock there. Otherwise r is nil and refusal is the answer: the redirect,
-// or refuse(busy) — the caller's reply type, Busy after a lock conflict.
-func (s *dmServer) acquire(t TxnID, inherit []TxnID, item string, m LockMode, seq int, refuse func(busy bool) any) (r *replica, held bool, refusal any) {
+// or refuse(busy, orphans) — the caller's reply type, Busy after a lock
+// conflict, naming the holders whose lease lapsed.
+func (s *dmServer) acquire(t TxnID, inherit []TxnID, item string, m LockMode, seq int, refuse func(busy bool, orphans []TxnID) any) (r *replica, held bool, refusal any) {
 	if w, ok := s.Moved[item]; ok {
 		return nil, false, w
 	}
@@ -366,11 +321,10 @@ func (s *dmServer) acquire(t TxnID, inherit []TxnID, item string, m LockMode, se
 	// lookup.
 	dead := t != top && slices.ContainsFunc(s.Aborted[top], func(a TxnID) bool { return a.IsAncestorOf(t) })
 	if r == nil || s.Resolved[top] != nil || dead || (seq != 0 && seq <= r.Released[t]) {
-		return nil, false, refuse(false)
+		return nil, false, refuse(false, nil)
 	}
 	if !r.canLock(t, inherit, m) {
-		s.noteConflict(r, t)
-		return nil, false, refuse(true)
+		return nil, false, refuse(true, s.expiredHolders(r, t))
 	}
 	held = r.grant(t, m, seq)
 	s.touch(t, item)
@@ -385,7 +339,7 @@ func (s *dmServer) acquire(t TxnID, inherit []TxnID, item string, m LockMode, se
 // rides the grant itself, only the remaining replicas need an explicit
 // HintFenceReq.
 func (s *dmServer) write(item string, seq int, inherit []TxnID, in intent) (any, bool) {
-	r, held, refusal := s.acquire(in.Owner, inherit, item, LockWrite, seq, func(busy bool) any { return WriteResp{Busy: busy} })
+	r, held, refusal := s.acquire(in.Owner, inherit, item, LockWrite, seq, func(busy bool, orphans []TxnID) any { return WriteResp{Busy: busy, Orphans: orphans} })
 	if r == nil {
 		return refusal, false
 	}
@@ -523,7 +477,7 @@ func (s *dmServer) markResolved(t TxnID, committed bool, subs []TxnID) {
 	if s.resolvedCap > 0 {
 		// Retention: past the cap, the oldest records shed their subs
 		// payload but keep the verdict — a tombstone still refuses late
-		// commits, still answers inquiries and settle probes.
+		// commits, still answers resolvers' and settle probes.
 		s.resolvedLog = append(s.resolvedLog, t)
 		for len(s.resolvedLog) > s.resolvedCap {
 			if old := s.Resolved[s.resolvedLog[0]]; old != nil {
@@ -536,25 +490,10 @@ func (s *dmServer) markResolved(t TxnID, committed bool, subs []TxnID) {
 		}
 	}
 	delete(s.leases, t)
-	delete(s.inquiries, t)
-	// A resolved transaction's Paxos instance is over: queries answer from
-	// the resolution record from here on, so the acceptor state (and any
-	// in-flight recovery round of ours) can be retired with it.
+	// A resolved transaction's Paxos instance is over: probes and proposers
+	// are answered from the resolution record from here on, so the acceptor
+	// state can be retired with it.
 	delete(s.Acceptors, t)
-	delete(s.recoveries, t)
-}
-
-// applyLogged routes a decision this DM reached itself — a reap, a Paxos
-// outcome — through the same apply-then-log path as a client's request,
-// minus the reply: there is no caller to acknowledge. It runs on the loop
-// goroutine (coordinate calls it), so the log keeps its single writer. A
-// decision whose record is lost to a crash before the flush is simply
-// re-decided after recovery: the restored locks get fresh leases, lapse
-// again, and the inquiry re-runs.
-func (s *dmServer) applyLogged(req DecisionReq) {
-	if _, mutated := s.apply(req); mutated && s.logThen != nil {
-		s.logThen(req, func(error) {})
-	}
 }
 
 // acceptor returns t's Paxos acceptor state, or a fresh one for the cohort
@@ -580,7 +519,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		// Inert by contract (see PingReq): no locks, no leases, no state.
 		return Ack{OK: true}, false
 	case ReadReq:
-		r, held, refusal := s.acquire(q.Txn, q.Inherit, q.Item, q.Lock, q.Seq, func(busy bool) any { return ReadResp{Busy: busy} })
+		r, held, refusal := s.acquire(q.Txn, q.Inherit, q.Item, q.Lock, q.Seq, func(busy bool, orphans []TxnID) any { return ReadResp{Busy: busy, Orphans: orphans} })
 		if r == nil {
 			return refusal, false
 		}
@@ -639,13 +578,12 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		if r == nil {
 			return InspectResp{}, false
 		}
-		// An inspection doubles as an orphan sweep: the anti-entropy
-		// sweeper's idle-tick inspections hunt expired-lease holders even
+		// An inspection doubles as an orphan hunt: no requester is exempt, so
+		// the sweeper's idle-tick inspections find expired-lease holders even
 		// when no client is conflicting with them.
-		s.noteConflict(r, "")
 		return InspectResp{
 			OK: true, VN: r.VN, Val: r.Val, Gen: r.Gen, Cfg: r.Cfg.Clone(),
-			Locks: len(r.Locks), Intents: len(r.Intents),
+			Locks: len(r.Locks), Intents: len(r.Intents), Orphans: s.expiredHolders(r, ""),
 		}, false
 	case AbortReq:
 		if q.Txn.Top() == q.Txn {
@@ -653,7 +591,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		}
 		return s.abortSub(q.Txn)
 	case CommitTopReq:
-		// A transaction the lease reaper already presumed aborted must not
+		// A transaction a resolver already presumed aborted must not
 		// commit late — under the lease fence the client never reaches this
 		// point, but resolve's refused ack keeps even a fence bypass from
 		// silently diverging.
@@ -700,9 +638,9 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		// promised. Ballot 0 is the coordinator's fast path (it skips
 		// Phase 1); recovery proposers arrive with ballots >= 1.
 		if res := s.Resolved[q.Txn]; res != nil {
-			// Recovery already decided this instance — the caller adopts the
-			// decision instead of counting this as a vote.
-			return PaxosAcceptResp{Decided: true, DecCommit: res.Committed}, false
+			// Somebody already decided this instance — the caller adopts the
+			// record instead of counting this as a vote.
+			return PaxosAcceptResp{Decided: true, DecCommit: res.Committed, DecSubs: res.Subs}, false
 		}
 		acc := s.acceptor(q.Txn, q.Cohort)
 		ok, mutated := acc.Accept(q.Ballot, commit.Decision{
@@ -713,19 +651,21 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		}
 		return PaxosAcceptResp{OK: ok, Promised: acc.Promised}, mutated
 	case PaxosPrepareReq:
-		// Phase 1a durability: self-applied by the recovering DM so the
-		// promise watermark hits the log before the promise leaves the
-		// machine. A resolved instance refuses — the recovery path answers
-		// such queries from the resolution record instead.
-		if s.Resolved[q.Txn] != nil {
-			return Ack{OK: false}, false
+		// Phase 1a: promise the ballot to its proposer and report the value
+		// accepted so far. A resolved instance answers with its record
+		// instead: the proposer adopts, it never re-proposes over a decision.
+		if res := s.Resolved[q.Txn]; res != nil {
+			return PaxosPrepareResp{Decided: true, DecCommit: res.Committed, DecSubs: res.Subs}, false
 		}
 		acc := s.acceptor(q.Txn, q.Cohort)
-		ok, mutated := acc.Prepare(q.Ballot)
+		ok, mutated := acc.Prepare(q.Ballot, q.Proposer)
 		if ok {
 			s.Acceptors[q.Txn] = acc
 		}
-		return Ack{OK: ok}, mutated
+		return PaxosPrepareResp{
+			OK: ok, Promised: acc.Promised, AccBal: acc.AccBal, AccCommit: acc.AccVal.Commit,
+			AccSubs: stringsToTxns(acc.AccVal.Subs), AccFinal: acc.AccVal.Final,
+		}, mutated
 	default:
 		return Ack{OK: false}, false
 	}

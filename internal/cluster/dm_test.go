@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/quorum"
+	"repro/internal/transport"
 )
 
 // serve drives one request through the one request handler, on a volatile
@@ -531,5 +532,168 @@ func TestReadRespCarriesCfgOnlyWhenNews(t *testing.T) {
 		if resp.Gen != c.gen || !reflect.DeepEqual(resp.Cfg, c.cfg) {
 			t.Errorf("%s: reply carries gen %d cfg %v, want gen %d cfg %v", c.name, resp.Gen, resp.Cfg, c.gen, c.cfg)
 		}
+	}
+}
+
+// leasedDM is bareDM with lock leases of one minute on a manual clock.
+func leasedDM() (*dmServer, *transport.ManualClock) {
+	clk := transport.NewManualClock(time.Unix(0, 0))
+	s := bareDM()
+	s.clock, s.leaseTTL = clk, time.Minute
+	return s, clk
+}
+
+// TestRefusalNamesExpiredLeaseHolders: a replica does nothing about an
+// orphan but name it. Every refusal over its locks — a read's, a write's, a
+// fence's — carries exactly the top-level ids of other trees whose lease
+// lapsed, an inspection carries them with nobody exempt, and naming changes
+// nothing at the replica.
+func TestRefusalNamesExpiredLeaseHolders(t *testing.T) {
+	s, clk := leasedDM()
+	s.hintTTL = time.Minute
+	for _, holder := range []TxnID{"c1.t1/1", "c2.t9", "c1.t3/2"} {
+		if resp := serve(s, ReadReq{Txn: holder, Item: "x", Lock: LockRead, Seq: 1}).(ReadResp); !resp.OK {
+			t.Fatalf("read lock for %s refused: %+v", holder, resp)
+		}
+	}
+	// c1.t3 is refused by all three: two other trees, and its own child,
+	// which it does not list.
+	write := WriteReq{Txn: "c1.t3", Item: "x", VN: 1, Val: "v", Seq: 2}
+	refusals := func() map[string][]TxnID {
+		w := serve(s, write).(WriteResp)
+		r := serve(s, ReadReq{Txn: "c1.t3", Item: "x", Lock: LockWrite, Seq: 3}).(ReadResp)
+		f := serve(s, HintFenceReq{Txn: "c1.t3", Item: "x"}).(WriteResp)
+		if !w.Busy || !r.Busy || !f.Busy {
+			t.Fatalf("want three Busy refusals, got %+v %+v %+v", w, r, f)
+		}
+		return map[string][]TxnID{"write": w.Orphans, "read": r.Orphans, "fence": f.Orphans}
+	}
+	for kind, got := range refusals() {
+		if got != nil {
+			t.Errorf("%s refusal named %v while every lease is live", kind, got)
+		}
+	}
+	clk.Advance(time.Minute + time.Millisecond)
+	for kind, got := range refusals() {
+		if want := []TxnID{"c1.t1", "c2.t9"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s refusal named %v, want %v: other trees' top-level ids, sorted, never the requester's own", kind, got, want)
+		}
+	}
+	insp := serve(s, InspectReq{Item: "x"}).(InspectResp)
+	if want := []TxnID{"c1.t1", "c1.t3", "c2.t9"}; !reflect.DeepEqual(insp.Orphans, want) {
+		t.Errorf("inspection named %v, want %v: it has no requester to exempt", insp.Orphans, want)
+	}
+	// A renewal takes a transaction off the list; a holder without a lease
+	// entry is never on it, and being asked gives it none.
+	if ack := serve(s, RenewLeaseReq{Txn: "c2.t9"}).(Ack); !ack.OK {
+		t.Fatal("renewal refused")
+	}
+	delete(s.leases, "c1.t3")
+	if got, want := serve(s, InspectReq{Item: "x"}).(InspectResp).Orphans, []TxnID{"c1.t1"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("inspection named %v, want %v", got, want)
+	}
+	if _, stamped := s.leases["c1.t3"]; stamped || len(s.Resolved) != 0 || len(s.Replicas["x"].Locks) != 3 {
+		t.Errorf("naming changed the replica: leases %v, resolved %v, locks %v", s.leases, s.Resolved, s.Replicas["x"].Locks)
+	}
+	s.leaseTTL = 0
+	if got := serve(s, write).(WriteResp); !got.Busy || got.Orphans != nil {
+		t.Errorf("with leases off a refusal is %+v, want Busy and no names", got)
+	}
+	if got := serve(s, InspectReq{Item: "x"}).(InspectResp).Orphans; got != nil {
+		t.Errorf("with leases off an inspection named %v", got)
+	}
+}
+
+// TestPresumedAbortIsConditionalAtTheReplica: the resolver presumes, each
+// replica disposes. A DecisionReq marked Presumed is refused, unlogged, while
+// this replica holds an unexpired lease entry for the transaction; once the
+// lease lapsed — or at a replica that never saw the transaction — it is a
+// request like any other: applied, and reported for the log. A decision
+// proper is never held up by a lease.
+func TestPresumedAbortIsConditionalAtTheReplica(t *testing.T) {
+	s, clk := leasedDM()
+	const txn = TxnID("c1.t1")
+	serve(s, WriteReq{Txn: txn + "/0", Item: "x", VN: 1, Val: "v", Seq: 1})
+	presumed := DecisionReq{Txn: txn, Presumed: true}
+	if resp, handled := s.coordinate(presumed); !handled || resp != (Ack{OK: false}) {
+		t.Fatalf("presumed abort under a live lease: (%#v, handled %v), want an unlogged refusal", resp, handled)
+	}
+	if s.Resolved[txn] != nil || len(s.Replicas["x"].Locks) != 1 || len(s.Replicas["x"].Intents) != 1 {
+		t.Fatalf("the refusal moved state: resolved %v, replica %+v", s.Resolved[txn], s.Replicas["x"])
+	}
+	clk.Advance(time.Minute + time.Millisecond)
+	if resp, handled := s.coordinate(presumed); handled {
+		t.Fatalf("presumed abort past the lease was answered off the state machine: %#v", resp)
+	}
+	if resp, mutated := s.apply(presumed); resp != (Ack{OK: true}) || !mutated {
+		t.Fatalf("presumed abort past the lease: (%#v, logged %v), want applied and logged", resp, mutated)
+	}
+	if res := s.Resolved[txn]; res == nil || res.Committed || len(s.Replicas["x"].Locks) != 0 || len(s.Replicas["x"].Intents) != 0 || len(s.leases) != 0 {
+		t.Fatalf("after the presumed abort: resolved %+v, replica %+v, leases %v", res, s.Replicas["x"], s.leases)
+	}
+
+	// A replica that never saw the transaction records the abort and nothing
+	// else: no lease entry, so the rebuilt-replica fence — no renewal for a
+	// transaction this DM holds no trace of — still stands for it and for
+	// every other stranger.
+	fresh, _ := leasedDM()
+	if ack := serve(fresh, presumed).(Ack); !ack.OK || fresh.Resolved[txn] == nil {
+		t.Fatalf("presumed abort of a stranger: %+v, record %v", ack, fresh.Resolved[txn])
+	}
+	for _, stranger := range []TxnID{txn, "c1.t2"} {
+		if ack := serve(fresh, RenewLeaseReq{Txn: stranger}).(Ack); ack.OK || len(fresh.leases) != 0 {
+			t.Errorf("renewal for %s: %+v with leases %v, want refused and no entry", stranger, ack, fresh.leases)
+		}
+	}
+
+	// Not presumed: somebody holds the outcome, and a live lease does not
+	// argue with it.
+	live, _ := leasedDM()
+	serve(live, WriteReq{Txn: txn, Item: "x", VN: 1, Val: "v", Seq: 1})
+	if ack := serve(live, DecisionReq{Txn: txn, Commit: true}).(Ack); !ack.OK || live.Replicas["x"].VN != 1 {
+		t.Fatalf("a decided commit under a live lease: %+v, replica %+v", ack, live.Replicas["x"])
+	}
+}
+
+// TestAcceptorAnswersAtTheReplica: Phase 1a is a request like any other. An
+// open instance promises the ballot to its proposer and reports what it
+// accepted; the same proposer's retry is granted and not logged again;
+// another proposer at that ballot is refused with the watermark; and a
+// resolved instance answers either phase with its record, Subs included,
+// and keeps no acceptor state.
+func TestAcceptorAnswersAtTheReplica(t *testing.T) {
+	s := bareDM()
+	const txn = TxnID("c1.t1")
+	cohort := []string{"d"}
+	serve(s, WriteReq{Txn: txn + "/0", Item: "x", VN: 1, Val: "v", Seq: 1})
+	serve(s, PaxosAcceptReq{Txn: txn, Ballot: 0, Commit: true, Subs: []TxnID{txn + "/0"}, Final: map[string]int{"x": 1}, Cohort: cohort})
+	prep := PaxosPrepareReq{Txn: txn, Ballot: 2, Cohort: cohort, Proposer: "c2"}
+	want := PaxosPrepareResp{OK: true, Promised: 2, AccBal: 0, AccCommit: true, AccSubs: []TxnID{txn + "/0"}, AccFinal: map[string]int{"x": 1}}
+	if resp, mutated := s.apply(prep); !reflect.DeepEqual(resp, want) || !mutated {
+		t.Fatalf("first prepare: (%#v, logged %v), want %#v logged", resp, mutated, want)
+	}
+	if resp, mutated := s.apply(prep); !reflect.DeepEqual(resp, want) || mutated {
+		t.Fatalf("the proposer's retry: (%#v, logged %v), want the same promise, not logged again", resp, mutated)
+	}
+	prep.Proposer = "c3"
+	if resp, mutated := s.apply(prep); resp.(PaxosPrepareResp).OK || resp.(PaxosPrepareResp).Promised != 2 || mutated {
+		t.Fatalf("another proposer at the promised ballot: (%#v, logged %v), want refused at watermark 2", resp, mutated)
+	}
+	if resp := serve(s, PaxosAcceptReq{Txn: txn, Ballot: 0, Commit: true, Cohort: cohort}).(PaxosAcceptResp); resp.OK || resp.Promised != 2 {
+		t.Fatalf("the coordinator's ballot 0 after a promise of 2: %+v, want refused", resp)
+	}
+
+	serve(s, CommitTopReq{Txn: txn, Subs: []TxnID{txn + "/0"}})
+	prep.Ballot = 5
+	decided := PaxosPrepareResp{Decided: true, DecCommit: true, DecSubs: []TxnID{txn + "/0"}}
+	if resp, mutated := s.apply(prep); !reflect.DeepEqual(resp, decided) || mutated {
+		t.Fatalf("prepare on a resolved instance: (%#v, logged %v), want %#v", resp, mutated, decided)
+	}
+	acc := serve(s, PaxosAcceptReq{Txn: txn, Ballot: 5, Cohort: cohort}).(PaxosAcceptResp)
+	if !acc.Decided || !acc.DecCommit || !reflect.DeepEqual(acc.DecSubs, decided.DecSubs) || acc.OK {
+		t.Fatalf("accept on a resolved instance: %+v, want the record", acc)
+	}
+	if len(s.Acceptors) != 0 {
+		t.Fatalf("a resolved instance kept acceptor state: %v", s.Acceptors)
 	}
 }

@@ -47,9 +47,9 @@ func decodeRecord(b []byte) (any, error) {
 
 // encodeSnapshot serializes the DM's complete hard state: the gob of the
 // state machine's own dmState, with no mirror types between them. Leases,
-// in-flight inquiries, freshness hints and the touched index are soft or
-// derived state and deliberately absent: recovery re-stamps fresh leases
-// (which only delays reaping), rebuilds an empty hint table (a recovered
+// freshness hints and the touched index are soft or derived state and
+// deliberately absent: recovery re-stamps fresh leases (which only delays
+// orphan resolution), rebuilds an empty hint table (a recovered
 // replica serves no hinted reads until a commit or the sweeper re-proves
 // its freshness) and re-derives the index.
 func encodeSnapshot(s *dmServer) ([]byte, error) {

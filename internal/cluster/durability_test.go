@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +22,11 @@ func amnesia(t *testing.T, store *Store, dm string) RecoveryStats {
 	if h == nil {
 		t.Fatalf("no DM %q", dm)
 	}
+	// Links are FIFO, so the answer to a ping proves the replica's loop is
+	// done with everything this client sent it before (a fan-out's stray
+	// release, say) and is not reading the state zeroed below. A crashed
+	// replica answers nothing and handles nothing.
+	store.callDM(context.Background(), dm, PingReq{})
 	// Zero the state machine before reopening: anything the recovered DM
 	// serves afterwards can only have come from the log.
 	h.srv.dmState = emptyState()
@@ -342,13 +348,13 @@ func TestCloseDrainsDetachedSweeps(t *testing.T) {
 	}
 }
 
-// TestReaperAndReplayConverge crosses the lease reaper with amnesia
+// TestReaperAndReplayConverge crosses orphan resolution with amnesia
 // recovery: a replica crashes across the commit point, is amnesia-restarted
 // (WAL replay resurrects the committed transaction's lock and intention,
-// with a fresh lease), and the reaper then resolves the orphan from the
+// with a fresh lease), and the sweeper then resolves the orphan from the
 // peers' commit records. A second amnesia restart must converge to the same
-// state purely from the log — the reap decision was persisted as a ReapReq
-// record — and must not double-count the reap.
+// state purely from the log — the re-served decision was persisted as a
+// DecisionReq record — and must not double-count the resolution.
 func TestReaperAndReplayConverge(t *testing.T) {
 	ttl := 50 * time.Millisecond
 	clk := sim.NewManualClock(time.Unix(0, 0))
@@ -397,7 +403,6 @@ func TestReaperAndReplayConverge(t *testing.T) {
 	if _, err := store.SweepOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	net.Quiesce()
 	if got := store.Stats.OrphanReapsCommitted.Value(); got != 1 {
 		t.Fatalf("%d commit-reaps after sweep, want 1", got)
 	}
@@ -410,7 +415,7 @@ func TestReaperAndReplayConverge(t *testing.T) {
 	}
 
 	// Second amnesia restart, with no clock advance and no sweep: the only
-	// way dm0 can come back already resolved is the logged ReapReq.
+	// way dm0 can come back already resolved is the logged DecisionReq.
 	amnesia(t, store, "dm0")
 	replayed, err := store.Inspect(ctx, "dm0", "x")
 	if err != nil {
@@ -570,5 +575,59 @@ func TestCommittedChildSurvivesAmnesiaBeforeTopCommit(t *testing.T) {
 		return err
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPromiseSurvivesAmnesiaBetweenThePhases: a recovering client's Phase 1
+// is a logged request, so an acceptor that loses its memory between that
+// client's two phases comes back still bound by the promise — the ballot
+// and whom it was promised to. It refuses the dead coordinator's ballot 0
+// and any other proposer at the promised ballot, grants the promised
+// proposer its retry, and accepts its Phase 2.
+func TestPromiseSurvivesAmnesiaBetweenThePhases(t *testing.T) {
+	net, store, dms := openPaxos(t, 66, WithSynchronousCleanup(true))
+	defer func() { store.Close(); net.Close() }()
+	ctx := context.Background()
+	rep, err := store.CrashCommit(ctx, "x", 5, CommitCrashOptions{Stage: CommitCrashMidDecide, Deliver: 1})
+	if !errors.Is(err, ErrCommitAbandoned) {
+		t.Fatalf("CrashCommit: %v", err)
+	}
+	call := func(dm string, req any) any {
+		t.Helper()
+		raw, err := store.client.Call(ctx, dm, req)
+		if err != nil {
+			t.Fatalf("%T at %s: %v", req, dm, err)
+		}
+		return raw
+	}
+	prep := PaxosPrepareReq{Txn: rep.Txn, Ballot: 3, Cohort: dms, Proposer: "c7"}
+	for _, dm := range dms {
+		if p := call(dm, prep).(PaxosPrepareResp); !p.OK || (p.AccBal == 0) != (dm == dms[0]) {
+			t.Fatalf("phase 1 at %s: %+v", dm, p)
+		}
+	}
+	for _, dm := range dms {
+		amnesia(t, store, dm)
+	}
+	for _, dm := range dms {
+		if a := call(dm, PaxosAcceptReq{Txn: rep.Txn, Ballot: 0, Commit: true, Cohort: dms}).(PaxosAcceptResp); a.OK || a.Promised != 3 {
+			t.Errorf("%s after amnesia took the coordinator's ballot 0: %+v", dm, a)
+		}
+		other := prep
+		other.Proposer = "c8"
+		if p := call(dm, other).(PaxosPrepareResp); p.OK || p.Promised != 3 {
+			t.Errorf("%s after amnesia promised ballot 3 a second time, to c8: %+v", dm, p)
+		}
+		if p := call(dm, prep).(PaxosPrepareResp); !p.OK {
+			t.Errorf("%s after amnesia refused the promised proposer's retry: %+v", dm, p)
+		}
+		if a := call(dm, PaxosAcceptReq{Txn: rep.Txn, Ballot: 3, Commit: true, Cohort: dms}).(PaxosAcceptResp); !a.OK {
+			t.Errorf("%s after amnesia refused phase 2 at the promised ballot: %+v", dm, a)
+		}
+	}
+	for dm, p := range probeAll(t, store, dms, rep.Txn) {
+		if p.Promised != 3 || p.AccBal != 3 || !p.AccCommit || !reflect.DeepEqual(p.Cohort, dms) {
+			t.Errorf("%s ended at %+v, want ballot 3 accepted over the recorded cohort", dm, p)
+		}
 	}
 }

@@ -35,6 +35,7 @@ type collector struct {
 	quar    map[string]bool           // DM answered quarantined (serving nothing)
 	dups    int                       // responses beyond the first, per DM, summed
 	expired bool                      // at least one shed was expired-on-arrival
+	orphans []TxnID                   // expired-lease holders the Busy refusals named
 }
 
 func newCollector(quorums []quorum.Set) *collector {
@@ -65,6 +66,7 @@ func (c *collector) reply(dm string, granted, busy, held bool, m memberResp) {
 	}
 	if busy {
 		c.busy[dm] = true
+		c.orphans = append(c.orphans, m.resp.Orphans...)
 	}
 	if granted && !c.granted[dm] {
 		c.granted[dm] = true
@@ -253,13 +255,13 @@ type phaseResp struct {
 }
 
 // parseGrant normalizes a DM response. Read payloads are preserved; write
-// acks carry no state.
+// acks carry no state but the orphans a refusal names.
 func parseGrant(raw any) (granted, busy, held bool, resp ReadResp) {
 	switch v := raw.(type) {
 	case ReadResp:
 		return v.OK, v.Busy, v.Held, v
 	case WriteResp:
-		return v.OK, v.Busy, v.Held, ReadResp{}
+		return v.OK, v.Busy, v.Held, ReadResp{Orphans: v.Orphans}
 	}
 	return false, false, false, ReadResp{}
 }

@@ -162,7 +162,7 @@ func (s *dmServer) coordinateHints(req any) (resp any, handled bool) {
 	case HintFenceReq:
 		r := s.Replicas[q.Item]
 		if r == nil || s.hintTTL <= 0 {
-			return Ack{OK: true}, true
+			return WriteResp{OK: true}, true
 		}
 		// Revoke first, verdict second: even a refused fence stops new
 		// hinted reads immediately.
@@ -172,13 +172,12 @@ func (s *dmServer) coordinateHints(req any) (resp any, handled bool) {
 				// Another transaction — possibly a hinted reader that holds
 				// only this replica's lock — is still in flight on the item.
 				// The writer must wait it out exactly as quorum intersection
-				// would have made it; noteConflict gives expired-lease
-				// holders (a crashed reader) to the orphan reaper.
-				s.noteConflict(r, q.Txn)
-				return Ack{OK: false}, true
+				// would have made it; the refusal names expired-lease holders
+				// (a crashed reader) for the writer to resolve.
+				return WriteResp{Busy: true, Orphans: s.expiredHolders(r, q.Txn)}, true
 			}
 		}
-		return Ack{OK: true}, true
+		return WriteResp{OK: true}, true
 	}
 	return nil, false
 }
@@ -436,7 +435,8 @@ func (t *Txn) writtenItems() []string {
 // this transaction wrote. A replica that refuses (another transaction's
 // lock — a hinted reader still mid-flight) is retried and, if it keeps
 // refusing, fails the fence as a lock conflict: the writer waits for the
-// reader exactly as quorum intersection would have made it.
+// reader exactly as quorum intersection would have made it — after
+// resolving any holder the refusal named as an orphan.
 //
 // A replica the fence cannot reach at all cannot be revoked, only
 // outwaited: under the wall clock the fence blocks until one full hint TTL
@@ -485,11 +485,12 @@ func (t *Txn) fenceHints(ctx context.Context) error {
 					// wait below is the only sound revocation for it.
 					return
 				}
-				ack, ok := raw.(Ack)
-				refused[i] = !ok || !ack.OK
+				resp, ok := raw.(WriteResp)
+				refused[i] = !ok || !resp.OK
 				if !refused[i] {
 					return
 				}
+				s.resolveAll(ctx, resp.Orphans)
 				s.backoff(ctx, attempt)
 			}
 		}(i, tgt)

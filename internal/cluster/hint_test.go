@@ -14,7 +14,11 @@ import (
 // freshness-hint fast lane on, driven by a manual clock so tests control
 // exactly when hints expire. Synchronous cleanup keeps control rounds
 // inside Run, so a Quiesce after an operation settles every message it
-// caused — after which the DM soft state may be inspected directly.
+// caused — after which the DM soft state may be inspected directly. The
+// network reports every loss at once (FateFeedback), so the call timeout is
+// pure backstop and sits where a loaded machine cannot reach it: a timeout
+// that can fire on a scheduling hiccup is a wall-clock race. A test that
+// wants a short one passes it in extra.
 func hintCluster(t *testing.T, seed int64, ttl time.Duration, extra ...Option) (*Store, *sim.Network, *sim.ManualClock, []string) {
 	t.Helper()
 	dms := []string{"dm0", "dm1", "dm2"}
@@ -26,7 +30,7 @@ func hintCluster(t *testing.T, seed int64, ttl time.Duration, extra ...Option) (
 	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
 	opts := append([]Option{
 		WithSeed(seed),
-		WithCallTimeout(25 * time.Millisecond),
+		WithCallTimeout(time.Second),
 		WithReadLease(ttl),
 		WithClock(clk),
 		WithRetryBackoff(2 * time.Millisecond),
@@ -376,8 +380,8 @@ func TestHintFenceRefusedByReaderLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack, ok := raw.(Ack); !ok || ack.OK {
-		t.Fatalf("fence over a live foreign lock acked OK: %#v", raw)
+	if resp, ok := raw.(WriteResp); !ok || resp.OK || !resp.Busy {
+		t.Fatalf("fence over a live foreign lock answered %#v, want Busy", raw)
 	}
 	if _, ok := dmHint(store, target, "x"); ok {
 		t.Fatal("refused fence left the hint standing")
@@ -385,7 +389,7 @@ func TestHintFenceRefusedByReaderLock(t *testing.T) {
 	// The lock holder's own fence is never refused by its own lock.
 	if raw, err := store.client.Call(cctx, target, HintFenceReq{Txn: "reader", Item: "x"}); err != nil {
 		t.Fatal(err)
-	} else if ack, ok := raw.(Ack); !ok || !ack.OK {
+	} else if resp, ok := raw.(WriteResp); !ok || !resp.OK {
 		t.Fatalf("fence refused by its own transaction's lock: %#v", raw)
 	}
 	// Release the parked lock so shutdown sweeps find a clean item.

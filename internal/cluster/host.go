@@ -25,7 +25,7 @@ type DMHost struct {
 	tr    transport.Transport
 	id    string
 	items []ItemSpec // the items this replica hosts
-	peers []string   // every other DM of the cluster, sorted
+	peers []string   // every other DM of the cluster, sorted: whom a rebuild pulls from
 	st    settings
 	dir   string // the log's directory, "" on a volatile host
 
@@ -55,10 +55,10 @@ type DMHost struct {
 	// rebuild, with what the rebuild restored.
 	Rebuilt *RebuildStats
 
-	// Stats receives the host-side counters: lease coordination (orphan
-	// reaps, resolution queries), recoveries, quarantines and rebuilds. A
-	// host a Store started shares the store's; a ServeDM host has its own,
-	// whose client-side counters stay zero.
+	// Stats receives the host-side counters: recoveries, quarantines,
+	// rebuilds and resolution-record evictions. A host a Store started shares
+	// the store's; a ServeDM host has its own, whose client-side counters
+	// stay zero.
 	Stats *Stats
 }
 
@@ -69,8 +69,9 @@ const defaultSnapshotEvery = 1024
 // defaultResolvedRetention is how many resolution records a DM keeps with
 // their full committed-subs payload before the oldest compact to outcome
 // tombstones (the verdict alone). The window only needs to outlive the
-// straggler horizon — a replica that missed a commit hears about it via the
-// lease reaper or anti-entropy long before 4096 later transactions resolve.
+// straggler horizon — a replica that missed a commit hears about it from a
+// client its locks block, or from the sweeper, long before 4096 later
+// transactions resolve.
 const defaultResolvedRetention = 4096
 
 // start brings up the replica id hosting items: the state machine at the
@@ -113,15 +114,11 @@ func newHost(tr transport.Transport, id string, items []ItemSpec, peers []string
 // a recovered replica re-proves freshness and never compacts what it
 // replays — and before the endpoint exists.
 func (h *DMHost) wire() {
-	srv := h.srv
-	srv.configure(h.st, h.peers, h.Stats)
-	if h.log != nil {
-		srv.logThen = h.logThen
-	}
+	h.srv.configure(h.st, h.Stats)
 	// Lease stamps from a previous incarnation are meaningless wall-clock
 	// values; give every recovered lock holder a fresh lease. Delayed
-	// reaping is always safe, invented expiry is not.
-	srv.refreshLeases()
+	// resolution is always safe, invented expiry is not.
+	h.srv.refreshLeases()
 }
 
 // serve wires the state machine and puts the host on the transport — the
@@ -149,10 +146,6 @@ func (h *DMHost) serve() error {
 		}
 		return fmt.Errorf("cluster: serve DM %s: %w", h.id, err)
 	}
-	// The peer-gossip sender binds after Serve: setSender is the documented
-	// late-binding hook, and an inquiry fired into the gap is re-sent once
-	// its poll goes stale.
-	h.srv.setSender(server.Notify)
 	h.server = server
 	return nil
 }
@@ -164,7 +157,7 @@ func (h *DMHost) serve() error {
 // once, like every other answer, when the host keeps no log (no deferred
 // reply is even built: the seeded chaos replays are sensitive to what a
 // volatile replica allocates per request). Requests that mutate nothing (refusals,
-// inspections, idempotent re-deliveries, lease coordination) reply
+// inspections, probes, idempotent re-deliveries, lease coordination) reply
 // immediately: a restart loses nothing they promised. Because the log is
 // sequential, a record's durability implies every earlier record's, so an
 // acked request can never be contradicted by recovery.
@@ -187,9 +180,8 @@ func (h *DMHost) handle(_ string, req any, reply func(any)) {
 		}
 		req = rr
 	}
-	// Lease coordination (renewals, resolution queries and answers) is soft
-	// state and never logged; the decisions it produces come back through
-	// applyLogged, which does log them.
+	// Coordination (renewals, probes, the refusal of a presumed abort, rebuild
+	// pulls, hint upkeep, ring gossip) is soft state and never logged.
 	if resp, handled := h.srv.coordinate(req); handled {
 		reply(resp)
 		return
@@ -212,11 +204,10 @@ func (h *DMHost) handle(_ string, req any, reply func(any)) {
 
 // logThen appends one already-applied mutating request to the log and runs
 // done once the record is durable. Only a host with a log gets here: the
-// handler answers at once without one, and wire leaves the state machine's
-// hook nil. It is the one append in the package: replies to clients, acceptor answers
-// that travel as peer notifications, and the decisions the DM reaches
-// itself (reaps, Paxos outcomes) all become durable here. done runs on the
-// log's flusher goroutine and must not touch actor state. An append the log
+// handler answers at once without one. It is the one append in the package,
+// and handle its one caller: every record is a client's request, every done
+// a reply. done runs on the log's flusher goroutine and must not touch actor
+// state. An append the log
 // refuses or fails to flush (ENOSPC, a dying disk) quarantines the host and
 // hands done the error; a record lost to a crash before its flush never ran
 // done, so recovery contradicts nothing the replica said.

@@ -132,8 +132,8 @@ func TestEveryStartPathWiresTheReplicaAlike(t *testing.T) {
 			if srv.leaseTTL != 3*time.Second || srv.clock != transport.Clock(clock) {
 				t.Errorf("leases: ttl %v clock %v, want 3s on the injected clock", srv.leaseTTL, srv.clock)
 			}
-			if !reflect.DeepEqual(srv.peers, []string{"dm1", "dm2"}) {
-				t.Errorf("peers = %v, want [dm1 dm2]", srv.peers)
+			if !reflect.DeepEqual(h.peers, []string{"dm1", "dm2"}) {
+				t.Errorf("peers = %v, want [dm1 dm2]", h.peers)
 			}
 			if srv.resolvedCap != defaultResolvedRetention {
 				t.Errorf("retention cap = %d, want %d", srv.resolvedCap, defaultResolvedRetention)
@@ -143,9 +143,6 @@ func TestEveryStartPathWiresTheReplicaAlike(t *testing.T) {
 			}
 			if srv.ring == nil || srv.ring.Epoch != ring.Epoch {
 				t.Errorf("ring = %+v, want epoch %d", srv.ring, ring.Epoch)
-			}
-			if (srv.logThen != nil) != (h.log != nil) {
-				t.Errorf("state machine logs through its host: %v, host keeps a log: %v", srv.logThen != nil, h.log != nil)
 			}
 		})
 	}

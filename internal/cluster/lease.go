@@ -3,35 +3,39 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/commit"
+	"repro/internal/metrics"
 )
 
-// Lock leases and orphan reaping.
+// Lock leases and orphan resolution.
 //
 // Every lock grant stamps a lease of WithLeaseTTL duration for the
 // holder's top-level transaction; further grants and RenewLeaseReqs
 // re-stamp it. A transaction whose client is alive keeps its leases fresh
 // (grants during execution, the background renewer, and the synchronous
-// pre-commit renewal); a transaction whose client crashed stops renewing,
-// and once its lease lapses any DM that runs into its locks starts a
-// resolution inquiry: poll every peer DM for a commit record. Any peer
-// that resolved the transaction dictates the outcome (commit records carry
-// the committed-subs list, so the straggler applies the subtree exactly as
-// a late CommitTopReq would); if every peer answers "unknown", no replica
-// anywhere heard CommitTopReq, so the commit point — the first
-// CommitTopReq send, which requires a synchronous renewal at every touched
-// DM just before it — was never passed, and the transaction is reaped as a
-// presumed abort.
+// pre-commit renewal); a transaction whose client crashed stops renewing.
+// A replica does nothing about that itself — it only answers. Once a lease
+// lapsed, a refusal over the orphan's locks names it (Orphans), and the
+// client that was refused resolves it with the coordinator's own rounds
+// (Store.resolve): it asks every DM how the transaction stands, and a
+// resolution record any of them holds dictates the outcome (commit records
+// carry the committed-subs list, so a straggler applies the subtree exactly
+// as a late CommitTopReq would). If every DM answers "unknown", no replica
+// anywhere heard CommitTopReq, so the commit point — the first CommitTopReq
+// send, which requires a synchronous renewal at every touched DM just
+// before it — was never passed, and the transaction is presumed aborted.
 //
 // Safety rests on the fence: the client renews synchronously at every
 // written and granted DM before broadcasting CommitTopReq, and any refusal
-// (the DM resolved the transaction — possibly by reaping it) or
-// unreachable DM aborts the attempt instead. So "all peers unknown" at
-// inquiry time genuinely implies the commit point is unreachable: passing
-// it would require a successful renewal at a DM that has already refused
-// forever.
+// (the DM resolved the transaction — possibly by a presumed abort) or
+// unreachable DM aborts the attempt instead. So "all DMs unknown" at probe
+// time genuinely implies the commit point is unreachable: passing it would
+// require a successful renewal at a DM that has already refused forever.
 
 // stampLease (re)stamps the lease of the holder's top-level transaction.
 // Called on every grant; a no-op when leases are disabled.
@@ -42,27 +46,16 @@ func (s *dmServer) stampLease(t TxnID) {
 	s.leases[t.Top()] = s.clock.Now().Add(s.leaseTTL)
 }
 
-// leaseExpired reports whether the top-level transaction's lease lapsed. A
-// holder without a lease entry (state restored from a snapshot before
-// refreshLeases, or leases toggled) is granted a fresh lease rather than
-// treated as expired — expiry must only ever shorten availability, never
-// invent an orphan.
-func (s *dmServer) leaseExpired(t TxnID) bool {
-	if s.leaseTTL <= 0 {
-		return false
-	}
-	top := t.Top()
+// leaseLive reports whether this DM holds an unexpired lease entry for the
+// top-level transaction: its client stamped or renewed here within the TTL.
+func (s *dmServer) leaseLive(top TxnID) bool {
 	deadline, ok := s.leases[top]
-	if !ok {
-		s.stampLease(top)
-		return false
-	}
-	return s.clock.Now().After(deadline)
+	return ok && s.leaseTTL > 0 && !s.clock.Now().After(deadline)
 }
 
 // refreshLeases stamps a fresh lease for every lock holder — called after
 // recovery, where lease wall-clock stamps from the previous incarnation
-// are meaningless. Fresh stamps only delay reaping, which is always safe.
+// are meaningless. Fresh stamps only delay resolution, which is always safe.
 func (s *dmServer) refreshLeases() {
 	if s.leaseTTL <= 0 {
 		return
@@ -74,98 +67,36 @@ func (s *dmServer) refreshLeases() {
 	}
 }
 
-// noteConflict runs on every refused lock request: if any conflicting
-// holder's lease lapsed, its client may be gone — start (or refresh) a
-// resolution inquiry for it. Lazy detection keeps the reaper off the
-// clock: orphans are hunted exactly when they are in somebody's way — and
-// by the anti-entropy sweeper's inspections during idle ticks, which pass
-// no requester and so sweep every holder on the inspected replica.
-func (s *dmServer) noteConflict(r *replica, requester TxnID) {
+// expiredHolders names, sorted, the top-level transactions other than the
+// requester's own that hold a lock on r under a lapsed lease: their clients
+// may be gone. Every refusal over r's locks carries the list, and an
+// inspection carries it with no requester to exempt, so orphans are named
+// exactly when they are in somebody's way or under the sweeper's eye. It
+// changes nothing: a holder without a lease entry is not expired — expiry
+// must only ever shorten availability, never invent an orphan — and nil is
+// the answer whenever leases are off.
+func (s *dmServer) expiredHolders(r *replica, requester TxnID) []TxnID {
 	if s.leaseTTL <= 0 {
-		return
+		return nil
 	}
-	reqTop := requester.Top()
+	var out []TxnID
+	now, own := s.clock.Now(), requester.Top()
 	for holder := range r.Locks {
-		if holder.Top() != reqTop && s.leaseExpired(holder) {
-			s.maybeStartInquiry(holder.Top())
+		top := holder.Top()
+		if deadline, ok := s.leases[top]; ok && top != own && now.After(deadline) && !slices.Contains(out, top) {
+			out = append(out, top)
 		}
 	}
+	slices.Sort(out)
+	return out
 }
 
-// maybeStartInquiry polls the peers for a resolution of top, unless one is
-// already in flight and still fresh. With no peers (single-replica
-// clusters) nobody else could hold a commit record, so the presumed abort
-// is immediate.
-func (s *dmServer) maybeStartInquiry(top TxnID) {
-	if s.Resolved[top] != nil {
-		return
-	}
-	if acc := s.Acceptors[top]; acc != nil {
-		// Acceptor state lives here: the outcome may already be decided at a
-		// majority of the cohort, so consult the acceptors (Paxos recovery)
-		// instead of polling for commit records — a poll's all-unknown
-		// verdict would presume abort over a possibly-decided commit.
-		s.startPaxosRecovery(top, acc.Cohort)
-		return
-	}
-	now := s.clock.Now()
-	if inq := s.inquiries[top]; inq != nil {
-		if now.Sub(inq.started) < s.leaseTTL {
-			return
-		}
-		// Stale: some answers never arrived (lost, peer down). Re-poll the
-		// peers still owing one.
-		inq.started = now
-		remaining := make([]string, 0, len(inq.waiting))
-		for p := range inq.waiting {
-			remaining = append(remaining, p)
-		}
-		sort.Strings(remaining)
-		s.pollPeers(top, remaining)
-		return
-	}
-	if s.stats != nil {
-		s.stats.ResolutionQueries.Inc()
-	}
-	if len(s.peers) == 0 {
-		s.reap(top, false, nil)
-		return
-	}
-	inq := &inquiry{started: now, waiting: map[string]bool{}}
-	for _, p := range s.peers {
-		inq.waiting[p] = true
-	}
-	s.inquiries[top] = inq
-	s.pollPeers(top, s.peers)
-}
-
-func (s *dmServer) pollPeers(top TxnID, peers []string) {
-	for _, p := range peers {
-		s.notifyPeer(p, ResolutionQueryReq{Txn: top, From: s.id})
-	}
-}
-
-// reap routes the reaper's verdict on an orphan into the state machine (and
-// the host's log, when it keeps one) and counts it. The counters live here,
-// at the decision site, so log replay of an old decision does not
-// double-count.
-func (s *dmServer) reap(top TxnID, commit bool, subs []TxnID) {
-	if s.stats != nil {
-		if commit {
-			s.stats.OrphanReapsCommitted.Inc()
-		} else {
-			s.stats.OrphanReapsAborted.Inc()
-		}
-	}
-	s.applyLogged(DecisionReq{Txn: top, Commit: commit, Subs: subs})
-}
-
-// coordinate handles the lease-coordination messages that never touch the
-// replicated state machine directly: renewals, resolution queries, and
-// resolution answers. It reports handled=false for everything else. Kept
-// out of apply so the WAL/replay path never sees clock reads or peer
-// sends — the reap decisions coordinate produces enter the state machine
-// through applyLogged as DecisionReqs, which ARE logged and replayed.
+// coordinate answers the requests that never reach the replicated state
+// machine: lease renewals, a resolver's probe, the refusal of a presumed
+// abort, rebuild pulls, hint upkeep and ring gossip. It reports
+// handled=false for everything else. Kept out of apply so what the
+// WAL/replay path decides never depends on a clock read — a DecisionReq
+// that passes here IS applied, logged and replayed like any request.
 func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 	switch q := req.(type) {
 	case RenewLeaseReq:
@@ -185,73 +116,28 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 		}
 		s.stampLease(top)
 		return Ack{OK: true}, true
-	case ResolutionQueryReq:
-		ans := ResolutionAnswer{Txn: q.Txn, From: s.id}
-		if res := s.Resolved[q.Txn]; res != nil {
+	case ResolutionProbeReq:
+		top := q.Txn.Top()
+		ans := ResolutionProbeResp{Promised: -2, AccBal: -1, Holds: s.holdsTxn(top), Active: s.leaseLive(top)}
+		if res := s.Resolved[top]; res != nil {
 			ans.Known, ans.Committed, ans.Subs = true, res.Committed, res.Subs
-		} else {
-			if s.leaseTTL > 0 {
-				if deadline, ok := s.leases[q.Txn]; ok && s.clock.Now().Before(deadline) {
-					// This DM's lease is live: the client renewed here recently,
-					// so it is alive and the inquirer should extend grace
-					// instead of reaping.
-					ans.Active = true
-				}
-			}
-			if acc := s.Acceptors[q.Txn]; acc != nil {
-				// Paxos acceptor state here means the coordinator reached its
-				// Phase 2a: the outcome may already be decided, so the inquirer
-				// must run acceptor recovery over the cohort instead of
-				// counting this DM toward a presumed abort.
-				ans.Accepted = true
-				ans.Cohort = acc.Cohort
-			}
 		}
-		s.notifyPeer(q.From, ans)
-		return Ack{OK: true}, true
-	case ResolutionAnswer:
-		inq := s.inquiries[q.Txn]
-		if inq == nil || s.Resolved[q.Txn] != nil {
-			return Ack{OK: true}, true
+		if acc := s.Acceptors[top]; acc != nil {
+			ans.Promised, ans.AccBal, ans.AccCommit, ans.Cohort = acc.Promised, acc.AccBal, acc.AccVal.Commit, acc.Cohort
 		}
-		if q.Known {
-			delete(s.inquiries, q.Txn)
-			s.reap(q.Txn, q.Committed, q.Subs)
-			return Ack{OK: true}, true
+		return ans, true
+	case DecisionReq:
+		if q.Presumed && s.leaseLive(q.Txn.Top()) {
+			// The presumption is conditional here: this DM's lease is live —
+			// the client renewed since the resolver asked — so it is alive
+			// and the transaction is not an orphan. Everything else falls
+			// through to apply.
+			return Ack{OK: false}, true
 		}
-		if q.Active {
-			delete(s.inquiries, q.Txn)
-			s.stampLease(q.Txn)
-			return Ack{OK: true}, true
-		}
-		if q.Accepted {
-			// An acceptor somewhere heard Phase 2a: the presumed abort is off
-			// the table (the decision may exist at a majority we cannot see
-			// from here). Switch this inquiry to acceptor recovery.
-			delete(s.inquiries, q.Txn)
-			s.startPaxosRecovery(q.Txn, q.Cohort)
-			return Ack{OK: true}, true
-		}
-		delete(inq.waiting, q.From)
-		if len(inq.waiting) > 0 {
-			return Ack{OK: true}, true
-		}
-		delete(s.inquiries, q.Txn)
-		// Every peer answered "unknown". Re-check the lease: a renewal may
-		// have landed here mid-inquiry, proving the client alive.
-		if s.leaseExpired(q.Txn) {
-			s.reap(q.Txn, false, nil)
-		}
-		return Ack{OK: true}, true
+		return nil, false
 	}
 	// Rebuild pulls are read-only state exports — nothing to log.
 	if resp, handled := s.coordinateRebuild(req); handled {
-		return resp, handled
-	}
-	// Acceptor recovery (Paxos Commit): the recovery rounds are soft-state
-	// coordination like inquiries; the promises, acceptances and decisions
-	// they produce enter the state machine as logged requests (paxos.go).
-	if resp, handled := s.coordinatePaxos(req); handled {
 		return resp, handled
 	}
 	// Hint grants and write fences are coordination too: soft state, never
@@ -416,10 +302,127 @@ func (s *Store) openTxnList() []*Txn {
 	return out
 }
 
+// resolveAll resolves each of the named orphans in turn, in sorted order so
+// a seeded harness replays it.
+func (s *Store) resolveAll(ctx context.Context, orphans []TxnID) {
+	slices.Sort(orphans)
+	for _, top := range slices.Compact(orphans) {
+		s.resolve(ctx, top)
+	}
+}
+
+// resolve settles the top-level transaction top, whose locks — held under a
+// lapsed lease — are in this client's way. Orphans are resolved by whoever
+// they block, with the coordinator's own rounds, every step a call; one
+// resolution per transaction is in flight per store, and a second caller
+// waits for it. It asks every DM the store's items name how the transaction
+// stands (ResolutionProbeReq), then does exactly one of, in this order:
+//
+//   - a DM holds a resolution record: the outcome exists; re-serve it to
+//     every DM (the record's Subs make a straggler apply the same commit).
+//   - a DM vouches for a live coordinator (an unexpired lease): nothing.
+//     The coordinator may be mid-commit, and a recovery ballot would only
+//     kill its ballot 0. Asked of every DM before acceptor state is looked
+//     at, so the order no longer depends on which replica noticed.
+//   - a DM holds acceptor state: the outcome may be decided at a majority
+//     the probes did not reach, so it is reconstructed, never presumed —
+//     acceptor recovery over the instance's cohort, above every ballot the
+//     probes saw, then the learn round to every DM.
+//   - every DM answered and none of the above: no replica anywhere heard a
+//     commit or a Phase 2a, so the commit point was never passed — presumed
+//     abort, which each replica still refuses while its own lease is live.
+//   - otherwise (a DM silent or quarantined) nothing: the missing answer
+//     could be the commit record.
+//
+// "Every DM" is every DM this store's item specs name: a client that ran
+// leases knowing only part of the cluster's items could presume over a
+// record a replica of the others holds. The caller retries its own request
+// afterwards, whatever happened here.
+func (s *Store) resolve(ctx context.Context, top TxnID) {
+	s.mu.Lock()
+	if inflight := s.resolving[top]; inflight != nil {
+		s.mu.Unlock()
+		select {
+		case <-inflight:
+		case <-ctx.Done():
+		}
+		return
+	}
+	done := make(chan struct{})
+	if s.resolving == nil {
+		s.resolving = map[TxnID]chan struct{}{}
+	}
+	s.resolving[top] = done
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.resolving, top)
+		s.mu.Unlock()
+		close(done)
+	}()
+
+	s.Stats.ResolutionQueries.Inc()
+	dms := s.DMs()
+	// One try per DM: a lost probe only means no presumption this time, and
+	// the caller's own retry loop brings the next round.
+	answers, _ := s.callEach(ctx, dms, ResolutionProbeReq{Txn: top}, 0)
+	var record *ResolutionProbeResp
+	var cohort []string
+	active, silent, ballot := false, false, 1
+	for _, raw := range answers {
+		p, ok := raw.(ResolutionProbeResp)
+		if !ok {
+			silent = true
+			continue
+		}
+		if p.Known && record == nil {
+			record = &p
+		}
+		active = active || p.Active
+		if len(p.Cohort) > 0 {
+			cohort, ballot = p.Cohort, max(ballot, p.Promised+1)
+		}
+	}
+	dec := DecisionReq{Txn: top}
+	switch {
+	case record != nil:
+		dec.Commit, dec.Subs = record.Committed, record.Subs
+		countOutcome(dec.Commit, &s.Stats.OrphanReapsCommitted, &s.Stats.OrphanReapsAborted)
+	case active:
+		return
+	case cohort != nil:
+		s.Stats.AcceptorRecoveries.Inc()
+		out, _, err := s.propose(ctx, top, cohort, len(cohort), ballot, commit.Decision{})
+		if err != nil {
+			return // the next refusal over these locks tries again
+		}
+		dec.Commit, dec.Subs, dec.Final = out.Commit, stringsToTxns(out.Subs), out.Final
+		countOutcome(dec.Commit, &s.Stats.AcceptorResolvesCommitted, &s.Stats.AcceptorResolvesAborted)
+	case !silent:
+		dec.Presumed = true
+		s.Stats.OrphanReapsAborted.Inc()
+	default:
+		return
+	}
+	s.traceEvent(string(top), "resolve", "commit %v (presumed %v) sent to %v", dec.Commit, dec.Presumed, dms)
+	s.callEach(ctx, dms, dec, s.opts.lockRetries)
+}
+
+// countOutcome counts a resolved orphan under its outcome. The counters live
+// at the decision site, so a replica's log replay of an old decision does
+// not double-count.
+func countOutcome(committed bool, commits, aborts *metrics.Counter) {
+	if committed {
+		commits.Inc()
+	} else {
+		aborts.Inc()
+	}
+}
+
 // PlantOrphan simulates a client that crashed while holding write locks:
 // it grabs a write-quorum's worth of write locks (with a buffered
 // intention) on item under a transaction id nobody will ever resolve, and
-// returns that id. The locks wedge the item until the lease reaper
+// returns that id. The locks wedge the item until a client they block
 // presumes the orphan aborted. Test/chaos harness use only.
 func (s *Store) PlantOrphan(ctx context.Context, item string) (TxnID, error) {
 	if _, ok := s.itemSpec(item); !ok {

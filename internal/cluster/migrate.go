@@ -109,20 +109,7 @@ func (s *Store) gossipRing(r *shard.Ring) {
 	if r == nil {
 		return
 	}
-	s.mu.Lock()
-	seen := map[string]bool{}
-	var dms []string
-	for _, it := range s.items {
-		for _, dm := range it.DMs {
-			if !seen[dm] {
-				seen[dm] = true
-				dms = append(dms, dm)
-			}
-		}
-	}
-	s.mu.Unlock()
-	sort.Strings(dms)
-	for _, dm := range dms {
+	for _, dm := range s.DMs() {
 		s.client.Notify(dm, RingUpdateReq{Ring: *r.Clone()})
 	}
 }

@@ -65,6 +65,13 @@ type ReadResp struct {
 	// single-replica read target. Advisory only — a hinted read re-validates
 	// at serve time and falls back to the quorum path on any doubt.
 	Hinted bool
+	// Orphans rides a Busy refusal: the top-level transactions of other
+	// trees that hold a lock on this replica under a lapsed lease. The
+	// replica only names them; the refused client resolves them
+	// (Store.resolve) before it backs off. Response-only soft state like
+	// Hinted, nil whenever leases are off. WriteResp and InspectResp carry the
+	// same list.
+	Orphans []TxnID
 }
 
 // WriteReq buffers a versioned value write as an intention of the
@@ -90,12 +97,13 @@ type ConfigWriteReq struct {
 	Inherit []TxnID
 }
 
-// WriteResp acknowledges a write (or reports a lock conflict). Held is as
-// in ReadResp.
+// WriteResp acknowledges a write (or reports a lock conflict). Held and
+// Orphans are as in ReadResp.
 type WriteResp struct {
-	OK   bool
-	Busy bool
-	Held bool
+	OK      bool
+	Busy    bool
+	Held    bool
+	Orphans []TxnID
 }
 
 // ReleaseReq retracts phase Seq of a transaction at one replica: the
@@ -188,13 +196,16 @@ type PingReq struct {
 	Seq int
 }
 
-// InspectReq asks a DM for its committed replica state (diagnostics and
-// tests only — not part of the protocol).
+// InspectReq asks a DM for its committed replica state: the anti-entropy
+// sweeper's question, and a diagnostic.
 type InspectReq struct {
 	Item string
 }
 
 // InspectResp carries a replica's committed state and bookkeeping sizes.
+// Orphans names every lock holder's top-level transaction whose lease
+// lapsed (as in ReadResp, with no requester to exempt), which is how the
+// sweeper finds orphans nobody is waiting on.
 type InspectResp struct {
 	OK      bool
 	VN      int
@@ -203,6 +214,7 @@ type InspectResp struct {
 	Cfg     quorum.Config
 	Locks   int
 	Intents int
+	Orphans []TxnID
 }
 
 // RenewLeaseReq refreshes the lock lease of a live transaction at one DM.
@@ -212,38 +224,6 @@ type InspectResp struct {
 // soft state, re-stamped fresh on recovery.
 type RenewLeaseReq struct {
 	Txn TxnID
-}
-
-// ResolutionQueryReq asks a peer DM whether it knows the outcome of a
-// top-level transaction. A DM sends it (fire-and-forget, to every peer)
-// when a lock conflict runs into a holder whose lease expired: before
-// presuming the orphan aborted, the cluster is polled for a commit record
-// — a replica that heard CommitTopReq proves the transaction committed and
-// supplies its committed-subs list.
-type ResolutionQueryReq struct {
-	Txn  TxnID
-	From string
-}
-
-// ResolutionAnswer is the fire-and-forget reply to a ResolutionQueryReq.
-// Known reports whether the answering DM has a resolution record for the
-// transaction; Committed and Subs are meaningful only when Known. Active
-// reports that the answering DM holds an unexpired lease for the
-// transaction — its client renewed there recently, so it is alive and the
-// inquirer extends grace instead of reaping. Accepted reports that the
-// answering DM holds Paxos acceptor state for the transaction (it heard a
-// Phase-2a or a recovery prepare): the outcome may already be decided, so
-// the inquirer must run acceptor recovery over Cohort instead of presuming
-// abort — a single Accepted answer vetoes the TTL-reap.
-type ResolutionAnswer struct {
-	Txn       TxnID
-	From      string
-	Known     bool
-	Committed bool
-	Subs      []TxnID
-	Active    bool
-	Accepted  bool
-	Cohort    []string
 }
 
 // HintReadReq asks one replica to serve a read from its freshness hint: a
@@ -289,12 +269,13 @@ type HintGrantReq struct {
 // HintFenceReq revokes the freshness hint for an item at one replica —
 // the write-path fence, sent to every replica of a written item after the
 // lease fence and before the commit point. The replica drops its hint,
-// stamps a fence window (grants are refused for one hint TTL), and acks
-// OK only when no other transaction holds a lock on the item there: an
-// outstanding hinted read's lock refuses the fence, which is what restores
-// the quorum-intersection argument a single-replica read bypassed (see
-// DESIGN.md §9). Txn names the fencing transaction so its own locks do not
-// refuse it.
+// stamps a fence window (grants are refused for one hint TTL), and answers
+// as it would a write lock request: WriteResp{OK} only when no other
+// transaction holds a lock on the item there, WriteResp{Busy} — Orphans
+// and all — otherwise. An outstanding hinted read's lock refuses the
+// fence, which is what restores the quorum-intersection argument a
+// single-replica read bypassed (see DESIGN.md §9). Txn names the fencing
+// transaction so its own locks do not refuse it.
 type HintFenceReq struct {
 	Txn  TxnID
 	Item string
@@ -368,13 +349,14 @@ type RingUpdateReq struct {
 	Ring shard.Ring
 }
 
-// PaxosAcceptReq is the coordinator's Phase-2a of Paxos Commit: accept
-// this transaction's outcome at Ballot. The coordinator that ran the
-// transaction owns ballot 0 and skips Phase 1 (no other proposer ever
-// uses 0). Commit/Subs/Final are the full Decision value — everything a
-// CommitTopReq would carry — and Cohort is the complete acceptor set of
-// the instance, recorded by each acceptor so any replica can later run
-// recovery without knowing the transaction's footprint. Hard state: the
+// PaxosAcceptReq is Phase-2a of Paxos Commit: accept this transaction's
+// outcome at Ballot. The coordinator that ran the transaction owns ballot 0
+// and skips Phase 1 (no other proposer ever uses 0); a recovering client
+// arrives with the ballot its Phase 1 was promised. Commit/Subs/Final are
+// the full Decision value — everything a CommitTopReq would carry — and
+// Cohort is the complete acceptor set of the instance, recorded by each
+// acceptor so anyone can later run recovery without knowing the
+// transaction's footprint. Hard state: the
 // acceptance is WAL-logged before the ack (persist-before-ack), which is
 // what lets a majority of acceptors reconstruct the decision after any
 // single failure.
@@ -388,75 +370,40 @@ type PaxosAcceptReq struct {
 }
 
 // PaxosAcceptResp answers a PaxosAcceptReq. OK false with Promised set
-// means a recovery proposer promised a higher ballot here (the
-// coordinator lost the race and must not treat the outcome as decided).
-// Decided short-circuits: the transaction is already resolved at this
-// replica — recovery beat the coordinator to a decision — and the caller
-// adopts DecCommit instead of counting votes.
+// means another proposer was promised a higher ballot here (the caller
+// lost the race and must not treat the outcome as decided). Decided
+// short-circuits: the transaction is already resolved at this replica —
+// someone else reached a decision first — and the caller adopts the
+// record (DecCommit, DecSubs) instead of counting votes.
 type PaxosAcceptResp struct {
 	OK        bool
 	Promised  int
 	Decided   bool
 	DecCommit bool
+	DecSubs   []TxnID
 }
 
-// PaxosPrepareReq is Phase-1a durability for recovery: it is self-applied
-// by the DM running acceptor recovery (synthesized from a
-// PaxosRecoverQuery, never sent by clients) so the promise watermark is
-// WAL-logged before the promise leaves the machine. Mirrors DecisionReq's
-// self-apply pattern.
+// PaxosPrepareReq is Phase-1a of acceptor recovery: Proposer — a client
+// blocked by Txn's locks (Store.resolve) — asks for a promise of Ballot, a
+// number it picked itself. The acceptor grants a ballot above its
+// watermark, or the watermark again to the proposer already holding it (a
+// retry); see commit.Acceptor.Prepare. Hard state: a granted promise is
+// WAL-logged before the answer leaves the machine.
 type PaxosPrepareReq struct {
-	Txn    TxnID
-	Ballot int
-	Cohort []string
+	Txn      TxnID
+	Ballot   int
+	Cohort   []string
+	Proposer string
 }
 
-// DecisionReq installs a top-level transaction's outcome that a DM reached
-// itself rather than heard from the transaction's client: the lease
-// reaper's verdict on an orphan — Commit true when a peer produced the
-// commit record (Subs naming the committed subtree), false for the presumed
-// abort, when no replica anywhere knew the transaction and its commit point
-// was therefore never reached — or the outcome of Paxos acceptor recovery,
-// which the proposer that completed the round also sends to every peer as
-// the learn message. The deciding DM applies it to itself through the same
-// apply/WAL path as every other mutation, so recovery replays the decision
-// deterministically; clients never send it. Commit true applies the
-// transaction's intentions exactly as CommitTopReq would, false discards
-// them as AbortReq would, and an already-resolved transaction keeps its
-// first verdict. Final is as in CommitTopReq. A reaped commit carries none
-// — the reaper reconstructs the verdict, not the write set — so a replica
-// that applies one cannot prove its state is the cluster maximum and grants
-// itself no freshness hint (the sweeper re-proves it); a Paxos decision
-// carries the map the coordinator proposed.
-type DecisionReq struct {
-	Txn    TxnID
-	Commit bool
-	Subs   []TxnID
-	Final  map[string]int
-}
-
-// PaxosRecoverQuery is the fire-and-forget Phase-1a of acceptor recovery:
-// DM From proposes ballot Ballot for Txn's instance and asks each cohort
-// member to promise. Soft state at the receiver until it grants — the
-// grant itself is logged via PaxosPrepareReq before the promise is sent.
-type PaxosRecoverQuery struct {
-	Txn    TxnID
-	Ballot int
-	Cohort []string
-	From   string
-}
-
-// PaxosRecoverPromise is the fire-and-forget Phase-1b answer. OK false
-// reports a higher promise watermark (Promised), killing the proposer's
-// ballot. AccBal/AccCommit/AccSubs/AccFinal carry the acceptor's accepted
-// value when AccBal >= 0 — the proposer must adopt the highest accepted
-// ballot's value. Decided short-circuits the round entirely: the answering
-// replica already knows the outcome (DecCommit/DecSubs/DecFinal), and the
-// proposer adopts it as decided — it never re-proposes over a decision.
-type PaxosRecoverPromise struct {
-	Txn       TxnID
-	Ballot    int
-	From      string
+// PaxosPrepareResp is the Phase-1b answer. OK grants the promise and
+// AccBal/AccCommit/AccSubs/AccFinal carry the acceptor's accepted value
+// when AccBal >= 0 — the proposer must adopt the highest accepted ballot's
+// value. OK false reports the watermark that refused the ballot (Promised):
+// the proposer retries above it. Decided short-circuits the round: the
+// answering replica already holds the outcome (DecCommit, DecSubs), and the
+// proposer adopts it — it never re-proposes over a decision.
+type PaxosPrepareResp struct {
 	OK        bool
 	Promised  int
 	AccBal    int
@@ -466,57 +413,64 @@ type PaxosRecoverPromise struct {
 	Decided   bool
 	DecCommit bool
 	DecSubs   []TxnID
-	DecFinal  map[string]int
 }
 
-// PaxosRecoverAccept is the fire-and-forget Phase-2a of a recovery round:
-// accept the chosen value at Ballot. The receiver logs the acceptance
-// (through the same acceptor state machine as PaxosAcceptReq) before
-// answering PaxosRecoverAccepted.
-type PaxosRecoverAccept struct {
-	Txn    TxnID
-	Ballot int
-	Commit bool
-	Subs   []TxnID
-	Final  map[string]int
-	// Cohort travels with the accept because a cohort member that missed the
-	// Phase-1 query (the proposer accepts at ALL members, not just the
-	// promising quorum) may hold no acceptor state yet and must create it.
-	Cohort []string
-	From   string
+// DecisionReq installs a top-level transaction's outcome that somebody
+// other than the transaction's own client reached: a client the
+// transaction's locks were blocking (Store.resolve). Commit true is a commit
+// record another replica held, re-served (Subs naming the committed
+// subtree), or the outcome of acceptor recovery; Commit false is the same
+// for an abort, or — Presumed — the presumed abort: every DM answered the
+// resolver and none knew the transaction, vouched for its coordinator or
+// held acceptor state, so its commit point was never reached. The
+// presumption stays conditional at each replica: one that holds an
+// unexpired lease entry for the transaction refuses it unlogged (the
+// coordinator renewed there since the resolver asked), every other replica
+// applies it. Commit true applies the transaction's intentions exactly as
+// CommitTopReq would, false discards them as AbortReq would, and an
+// already-resolved transaction keeps its first verdict. Final is as in
+// CommitTopReq. A re-served commit carries none — the record holds the
+// verdict, not the write set — so a replica that applies one cannot prove
+// its state is the cluster maximum and grants itself no freshness hint (the
+// sweeper re-proves it); a Paxos decision carries the map the coordinator
+// proposed.
+type DecisionReq struct {
+	Txn      TxnID
+	Commit   bool
+	Subs     []TxnID
+	Final    map[string]int
+	Presumed bool
 }
 
-// PaxosRecoverAccepted is the fire-and-forget Phase-2b ack. A majority of
-// OK accepts at the proposer's ballot decides the value; the proposer then
-// broadcasts the DecisionReq.
-type PaxosRecoverAccepted struct {
-	Txn    TxnID
-	Ballot int
-	From   string
-	OK     bool
-}
-
-// ResolutionProbeReq asks a DM how a transaction stands there (diagnostics
-// and chaos gating only — not part of the protocol). The answer is served
-// from the same actor goroutine that owns the state, so it is consistent
-// without locks.
+// ResolutionProbeReq asks a DM how a top-level transaction stands there:
+// the protocol's one such question. A client blocked by the transaction's
+// locks asks every DM before it resolves anything (Store.resolve), and the
+// chaos gates and `qcstore client -inspect txn:<id>` read the same answer.
+// Served from the actor goroutine that owns the state, so it is consistent
+// without locks, and never logged.
 type ResolutionProbeReq struct {
 	Txn TxnID
 }
 
 // ResolutionProbeResp reports a replica's view of one transaction: whether
-// it holds a resolution record (Known/Committed), whether any replica
+// it holds a resolution record (Known/Committed, with the committed-subs
+// list a straggler needs to apply the same commit), whether any replica
 // state still references the transaction's tree (Holds — locks or
-// intentions), and the raw acceptor hard state when one exists (Promised,
-// AccBal, AccCommit; Promised is -2 when no acceptor state exists, since
-// -1 and 0 are both meaningful watermarks).
+// intentions), whether this replica vouches for a live coordinator (Active —
+// it holds an unexpired lease entry: the client renewed here recently), and
+// the raw acceptor hard state when one exists (Promised, AccBal, AccCommit,
+// and the instance's Cohort; Promised is -2 when no acceptor state exists,
+// since -1 and 0 are both meaningful watermarks).
 type ResolutionProbeResp struct {
 	Known     bool
 	Committed bool
+	Subs      []TxnID
 	Holds     bool
+	Active    bool
 	Promised  int
 	AccBal    int
 	AccCommit bool
+	Cohort    []string
 }
 
 // QuarantinedResp is a quarantined replica's answer to every request: its

@@ -182,13 +182,14 @@ func WithSynchronousCleanup(on bool) Option {
 	return func(s *settings) { s.syncCleanup = on }
 }
 
-// WithLeaseTTL enables lock leases and orphan reaping: every lock grant
+// WithLeaseTTL enables lock leases and orphan resolution: every lock grant
 // carries a lease of duration ttl, renewed implicitly by further grants,
 // by the background renewer (wall clock only), and synchronously at every
 // touched DM just before the commit point (the lease fence). A DM that
-// runs into an expired-lease holder polls its peers for a commit record
-// and — when every peer answers "unknown" — reaps the holder as a
-// presumed abort, so a crashed client can never permanently wedge an item.
+// refuses a request over an expired-lease holder's locks names the holder,
+// and the refused client resolves it: it asks every DM for a commit record
+// and — when every DM answers "unknown" — presumes the holder aborted, so
+// a crashed client can never permanently wedge an item.
 // Zero (the default) disables leases entirely. The ttl must comfortably
 // exceed a transaction's inter-phase gaps; the TTL/3 background renewer
 // covers long-running transactions.
@@ -258,7 +259,7 @@ func WithClientTag(tag string) Option {
 
 // WithAdmissionCapacity bounds every DM's service queue to n queued bulk
 // requests (reads + writes; control traffic — commit, abort, release,
-// lease, reap — is exempt and always admitted). A full queue sheds the
+// lease, orphan resolution — is exempt and always admitted). A full queue sheds the
 // request with an explicit OverloadedResp instead of queueing or silently
 // dropping it, and requests whose propagated deadline passes while queued
 // are discarded at dequeue. Zero (the default) keeps the unbounded
@@ -351,13 +352,14 @@ func WithRing(r *shard.Ring) Option {
 // point (DESIGN.md §11). TwoPhase (the default) is the classic presumed-
 // abort protocol: the first CommitTopReq send is the commit point, and a
 // coordinator that dies in the commit window leaves its locks in doubt
-// until the lease reaper's TTL + inquiry round presumes it aborted.
+// until its lease lapses and a client they block finds a commit record or —
+// with every DM answering — presumes it aborted.
 // PaxosCommit inserts one consensus instance per transaction before the
 // commit broadcast: the outcome is durably accepted at a majority of
 // acceptors (co-located on the written items' replica groups) first, so
 // after ANY single crash — the coordinator's included — the outcome is
-// reconstructed from the surviving acceptors in one round-trip instead of
-// being presumed after a TTL. Clean-path cost: one extra logged fan-out
+// reconstructed from a majority of the surviving acceptors instead of
+// waiting for every DM to answer. Clean-path cost: one extra logged fan-out
 // round over the cohort per commit.
 func WithCommitProtocol(p commit.Protocol) Option {
 	return func(s *settings) { s.protocol = p }

@@ -76,6 +76,45 @@ func (s *Store) callAcked(ctx context.Context, dm string, req any, retries int) 
 	return false
 }
 
+// callEach sends req to every one of dms at once and returns their answers
+// by position, nil where none came. A call that gets no answer is retried
+// after the ordinary backoff, up to retries times; whatever a DM does answer
+// — a refusal included — ends its round. sent counts the DMs a copy may have
+// reached: a call refused before it left this process (no deadline budget)
+// reached nobody.
+func (s *Store) callEach(ctx context.Context, dms []string, req any, retries int) (answers []any, sent int) {
+	answers = make([]any, len(dms))
+	left := make([]bool, len(dms))
+	var wg sync.WaitGroup
+	for i, dm := range dms {
+		wg.Add(1)
+		go func(i int, dm string) {
+			defer wg.Done()
+			for attempt := 0; attempt <= retries && ctx.Err() == nil; attempt++ {
+				raw, err := s.callDM(ctx, dm, req)
+				if errors.Is(err, errNoBudget) {
+					return
+				}
+				// A failed call may still have been delivered and logged —
+				// only the answer is missing.
+				left[i] = true
+				if err == nil {
+					answers[i] = raw
+					return
+				}
+				s.backoff(ctx, attempt)
+			}
+		}(i, dm)
+	}
+	wg.Wait()
+	for _, l := range left {
+		if l {
+			sent++
+		}
+	}
+	return answers, sent
+}
+
 // retryBudget is the SRE-style token bucket that bounds retry traffic to a
 // fraction of first-attempt traffic. Every first attempt of a quorum phase
 // deposits ratio tokens; every retry withdraws one. Under healthy load the

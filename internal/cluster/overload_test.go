@@ -507,11 +507,9 @@ func TestEveryRequestHasAnAdmissionClass(t *testing.T) {
 		{WriteReq{}, transport.PrioWrite}, {ConfigWriteReq{}, transport.PrioWrite},
 		{CommitTopReq{}, transport.PrioControl}, {AbortReq{}, transport.PrioControl},
 		{ReleaseReq{}, transport.PrioControl}, {RenewLeaseReq{}, transport.PrioControl}, {HintFenceReq{}, transport.PrioControl},
-		{ResolutionQueryReq{}, transport.PrioControl}, {ResolutionAnswer{}, transport.PrioControl},
 		// Each stands between a lock holder and its resolution.
+		{ResolutionProbeReq{}, transport.PrioControl},
 		{PaxosAcceptReq{}, transport.PrioControl}, {PaxosPrepareReq{}, transport.PrioControl}, {DecisionReq{}, transport.PrioControl},
-		{PaxosRecoverQuery{}, transport.PrioControl}, {PaxosRecoverPromise{}, transport.PrioControl},
-		{PaxosRecoverAccept{}, transport.PrioControl}, {PaxosRecoverAccepted{}, transport.PrioControl},
 		{RebuildPullReq{}, transport.PrioControl},
 	} {
 		if got := classifyRequest(tc.req); got != tc.want {

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -122,7 +124,7 @@ func TestAcceptorStateSurvivesAmnesia(t *testing.T) {
 			}
 			post := probeAll(t, store, dms, rep.Txn)
 			for _, dm := range dms {
-				if pre[dm] != post[dm] {
+				if !reflect.DeepEqual(pre[dm], post[dm]) {
 					t.Errorf("%s replayed to %+v, want identical pre-crash %+v", dm, post[dm], pre[dm])
 				}
 			}
@@ -162,23 +164,14 @@ func TestRecoveryAdoptsDecidedOutcome(t *testing.T) {
 		}
 	}
 
-	// One reaper round: the expired lease triggers the peer inquiry, the
-	// acceptor answer routes it into Paxos recovery, and recovery must
-	// adopt the accepted commit.
+	// One sweep past the lease: its inspections name the orphan, the probes
+	// find acceptor state, and the sweeper's recovery proposer must adopt
+	// the accepted commit. Every round is a call, so the sweep returns after
+	// the resolution.
 	clk.Advance(ttl + time.Millisecond)
 	if _, err := store.SweepOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// A durable acceptor answers a recovery round once its log flush is
-	// through, and the network's barrier cannot see a flush in progress:
-	// give the one round until a deadline, not one look.
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		net.Quiesce()
-		if store.Stats.AcceptorResolvesCommitted.Value() > 0 || time.Now().After(deadline) {
-			break
-		}
-	}
-	net.Quiesce()
 
 	if got := store.Stats.AcceptorResolvesCommitted.Value(); got == 0 {
 		t.Error("no acceptor-driven commit resolution recorded")
@@ -254,4 +247,270 @@ func TestLearnFanoutSurvivesCallerCancel(t *testing.T) {
 			t.Errorf("%s missed the learn fan-out: %+v", dm, insp)
 		}
 	}
+}
+
+// orphanCluster opens a durable three-replica cluster whose store plays the
+// coordinator that is about to die, and a second client of it that will
+// trip over what the coordinator leaves behind. Both run lock leases on one
+// manual clock, and sequential phases: a phase asks one quorum and waits for
+// all of it, so a dead coordinator has no copy in flight that could land —
+// and stamp a live lease — after the clock moved. Extra options shape the
+// second client too.
+func orphanCluster(t *testing.T, seed int64, protocol commit.Protocol, extra ...Option) (coord, blocked *Store, net *sim.Network, clk *sim.ManualClock, dms []string) {
+	t.Helper()
+	clk = sim.NewManualClock(time.Unix(0, 0))
+	opts := append([]Option{
+		WithCommitProtocol(protocol), WithSynchronousCleanup(true), WithSequentialPhases(true), WithHedgeDelay(0),
+		WithLeaseTTL(orphanTTL), WithClock(clk), WithRetryBackoff(time.Millisecond),
+	}, extra...)
+	net, coord, dms = openDurable(t, seed, opts...)
+	blocked, err := OpenClient(net, coord.Items(), append([]Option{WithSeed(seed + 1000)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { blocked.Close(); coord.Close(); net.Close() })
+	return coord, blocked, net, clk, dms
+}
+
+const orphanTTL = 50 * time.Millisecond
+
+// lapse lets every lease stamped so far expire.
+func lapse(clk *sim.ManualClock) { clk.Advance(orphanTTL + time.Millisecond) }
+
+// oneOutcome probes every DM for txn and requires all of them to hold the
+// same verdict and nothing else of the transaction; it returns the verdict.
+func oneOutcome(t *testing.T, store *Store, dms []string, txn TxnID) (committed bool) {
+	t.Helper()
+	probes := probeAll(t, store, dms, txn)
+	committed = probes[dms[0]].Committed
+	for dm, p := range probes {
+		if !p.Known || p.Holds || p.Promised != -2 {
+			t.Fatalf("%s is not done with %s: %+v", dm, txn, p)
+		}
+		if p.Committed != committed {
+			t.Fatalf("split outcome for %s: %s says committed=%v, %s says %v", txn, dm, p.Committed, dms[0], committed)
+		}
+	}
+	return committed
+}
+
+// TestBlockedClientResolvesCrashedCoordinator kills a coordinator at every
+// stage of the commit tail, under both protocols. Whatever it left behind,
+// the next conflicting transaction of ANOTHER client goes through — the
+// refusal names the orphan, the refused client resolves it — after one
+// sweep every replica holds the same verdict, the verdict is the one the stage
+// dictates, and it was reached the way the stage dictates: a record
+// re-served, acceptor state recovered, or an abort presumed.
+func TestBlockedClientResolvesCrashedCoordinator(t *testing.T) {
+	type how int
+	const (
+		presumed how = iota
+		reserved
+		recovered
+	)
+	cases := []struct {
+		name       string
+		protocol   commit.Protocol
+		cut        CommitCrashOptions
+		wantCommit bool
+		via        how
+	}{
+		{"2pc/before-decide", commit.TwoPhase, CommitCrashOptions{Stage: CommitCrashBeforeDecide}, false, presumed},
+		{"2pc/mid-decide", commit.TwoPhase, CommitCrashOptions{Stage: CommitCrashMidDecide, Deliver: 2}, false, presumed},
+		{"2pc/before-learn", commit.TwoPhase, CommitCrashOptions{Stage: CommitCrashBeforeLearn}, false, presumed},
+		{"2pc/mid-learn-0", commit.TwoPhase, CommitCrashOptions{Stage: CommitCrashMidLearn}, false, presumed},
+		{"2pc/mid-learn-1", commit.TwoPhase, CommitCrashOptions{Stage: CommitCrashMidLearn, Deliver: 1}, true, reserved},
+		{"paxos/before-decide", commit.PaxosCommit, CommitCrashOptions{Stage: CommitCrashBeforeDecide}, false, presumed},
+		{"paxos/mid-decide-0", commit.PaxosCommit, CommitCrashOptions{Stage: CommitCrashMidDecide}, false, presumed},
+		// One acceptance is no decision, but recovery must assume it could
+		// have become one: the value accepted at the highest ballot wins.
+		{"paxos/mid-decide-1", commit.PaxosCommit, CommitCrashOptions{Stage: CommitCrashMidDecide, Deliver: 1}, true, recovered},
+		{"paxos/mid-decide-2", commit.PaxosCommit, CommitCrashOptions{Stage: CommitCrashMidDecide, Deliver: 2}, true, recovered},
+		{"paxos/before-learn", commit.PaxosCommit, CommitCrashOptions{Stage: CommitCrashBeforeLearn}, true, recovered},
+		{"paxos/mid-learn-1", commit.PaxosCommit, CommitCrashOptions{Stage: CommitCrashMidLearn, Deliver: 1}, true, reserved},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, blocked, _, clk, dms := orphanCluster(t, 130+int64(i), tc.protocol)
+			ctx := context.Background()
+			if err := coord.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 1) }); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := coord.CrashCommit(ctx, "x", 2, tc.cut)
+			if !errors.Is(err, ErrCommitAbandoned) {
+				t.Fatalf("CrashCommit: %v, want ErrCommitAbandoned", err)
+			}
+			lapse(clk)
+
+			var read int
+			if err := blocked.Run(ctx, func(tx *Txn) (err error) {
+				if read, err = ReadAs[int](ctx, tx, "x"); err != nil {
+					return err
+				}
+				return tx.Write(ctx, "x", 3)
+			}); err != nil {
+				t.Fatalf("the next conflicting transaction: %v", err)
+			}
+			// Quorums route around a straggler a partial learn left behind, so
+			// nobody may have tripped over it: that one is the sweeper's.
+			if _, err := blocked.SweepOnce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			committed := oneOutcome(t, blocked, dms, rep.Txn)
+			if committed != tc.wantCommit || (read == 2) != committed {
+				t.Fatalf("orphan committed=%v and the next reader saw %d, want committed=%v", committed, read, tc.wantCommit)
+			}
+			st := &blocked.Stats
+			reaps, viaAcceptors := st.OrphanReapsAborted.Value()+st.OrphanReapsCommitted.Value(),
+				st.AcceptorResolvesAborted.Value()+st.AcceptorResolvesCommitted.Value()
+			switch tc.via {
+			case presumed:
+				if st.OrphanReapsAborted.Value() != 1 || reaps+viaAcceptors != 1 {
+					t.Errorf("want one presumed abort, got %d reaps (%d aborts) and %d acceptor resolutions", reaps, st.OrphanReapsAborted.Value(), viaAcceptors)
+				}
+			case reserved:
+				if st.OrphanReapsCommitted.Value() != 1 || reaps+viaAcceptors != 1 {
+					t.Errorf("want one re-served commit record, got %d reaps (%d commits) and %d acceptor resolutions", reaps, st.OrphanReapsCommitted.Value(), viaAcceptors)
+				}
+			case recovered:
+				if st.AcceptorResolvesCommitted.Value() != 1 || st.AcceptorRecoveries.Value() != 1 || reaps+viaAcceptors != 1 {
+					t.Errorf("want one acceptor recovery to commit, got %d started, %d resolutions, %d reaps", st.AcceptorRecoveries.Value(), viaAcceptors, reaps)
+				}
+			}
+			if got := coord.Stats.ResolutionQueries.Value(); got != 0 {
+				t.Errorf("the dead coordinator's store ran %d probe rounds", got)
+			}
+		})
+	}
+}
+
+// TestTwoClientsResolveOneOrphan: an orphan with acceptor state blocks two
+// clients at once. Both run a proposer, both pick ballot 1, and each
+// acceptor promises it to one of them; whoever gathers no majority retries
+// higher or adopts what the other decided. Both transactions commit, in
+// some order, over one outcome for the orphan.
+func TestTwoClientsResolveOneOrphan(t *testing.T) {
+	for seed := int64(150); seed < 156; seed++ {
+		coord, a, net, clk, dms := orphanCluster(t, seed, commit.PaxosCommit)
+		b, err := OpenClient(net, coord.Items(),
+			WithSeed(seed+2000), WithCommitProtocol(commit.PaxosCommit), WithSynchronousCleanup(true),
+			WithSequentialPhases(true), WithHedgeDelay(0),
+			WithLeaseTTL(orphanTTL), WithClock(clk), WithRetryBackoff(time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Close)
+		ctx := context.Background()
+		rep, err := coord.CrashCommit(ctx, "x", 2, CommitCrashOptions{Stage: CommitCrashMidDecide, Deliver: int(seed % 3)})
+		if !errors.Is(err, ErrCommitAbandoned) {
+			t.Fatalf("seed %d: CrashCommit: %v", seed, err)
+		}
+		lapse(clk)
+
+		var wg sync.WaitGroup
+		for i, store := range []*Store{a, b} {
+			wg.Add(1)
+			go func(i int, store *Store) {
+				defer wg.Done()
+				if err := store.Run(ctx, func(tx *Txn) error {
+					v, err := ReadAs[int](ctx, tx, "x")
+					if err != nil {
+						return err
+					}
+					return tx.Write(ctx, "x", v+10*(i+1))
+				}); err != nil {
+					t.Errorf("seed %d: blocked client %d: %v", seed, i, err)
+				}
+			}(i, store)
+		}
+		wg.Wait()
+		base := 0
+		if oneOutcome(t, a, dms, rep.Txn) {
+			base = 2
+		}
+		// No acceptance cannot commit and a majority of them is a decision. One
+		// acceptance goes either way: a proposer whose promising majority
+		// missed it rightly picks abort.
+		if accepted := seed % 3; (accepted == 0 && base == 2) || (accepted == 2 && base == 0) {
+			t.Errorf("seed %d: %d acceptances recovered to committed=%v", seed, accepted, base == 2)
+		}
+		if err := a.Run(ctx, func(tx *Txn) error {
+			v, err := ReadAs[int](ctx, tx, "x")
+			if err == nil && v != base+30 {
+				t.Errorf("seed %d: x = %d, want both increments over the orphan's outcome (%d)", seed, v, base+30)
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestResolveWithADMDown: a silent DM could be the one holding the commit
+// record, so nothing is presumed while one is down — the orphan's locks
+// stand and the blocked client fails as any conflict does. Acceptor
+// recovery needs only a majority of the cohort and goes through; the DM
+// that was down is served the record once it is back.
+func TestResolveWithADMDown(t *testing.T) {
+	ctx := context.Background()
+	t.Run("no presumption", func(t *testing.T) {
+		coord, blocked, net, clk, dms := orphanCluster(t, 160, commit.TwoPhase, WithLockRetries(2), WithTxnRetries(1))
+		rep, err := coord.CrashCommit(ctx, "x", 2, CommitCrashOptions{Stage: CommitCrashBeforeDecide})
+		if !errors.Is(err, ErrCommitAbandoned) {
+			t.Fatal(err)
+		}
+		lapse(clk)
+		net.Crash("dm2")
+		write := func(tx *Txn) error { return tx.Write(ctx, "x", 3) }
+		if err := blocked.Run(ctx, write); !errors.Is(err, ErrConflict) {
+			t.Fatalf("write over an unresolvable orphan: %v, want a conflict", err)
+		}
+		if got := blocked.Stats.OrphanReapsAborted.Value(); got != 0 || blocked.Stats.ResolutionQueries.Value() == 0 {
+			t.Fatalf("%d aborts presumed after %d probe rounds with dm2 silent, want none of some", got, blocked.Stats.ResolutionQueries.Value())
+		}
+		for dm, p := range probeAll(t, blocked, dms[:2], rep.Txn) {
+			if p.Known || !p.Holds {
+				t.Errorf("%s: %+v, want the orphan untouched", dm, p)
+			}
+		}
+		net.Restart("dm2")
+		if err := blocked.Run(ctx, write); err != nil {
+			t.Fatalf("write once every DM answers: %v", err)
+		}
+		if oneOutcome(t, blocked, dms, rep.Txn) {
+			t.Fatal("an un-voted transaction committed")
+		}
+	})
+	t.Run("acceptor recovery on a majority", func(t *testing.T) {
+		coord, blocked, net, clk, dms := orphanCluster(t, 161, commit.PaxosCommit, WithLockRetries(2), WithTxnRetries(1))
+		rep, err := coord.CrashCommit(ctx, "x", 2, CommitCrashOptions{Stage: CommitCrashBeforeLearn})
+		if !errors.Is(err, ErrCommitAbandoned) {
+			t.Fatal(err)
+		}
+		lapse(clk)
+		net.Crash("dm2")
+		if err := blocked.Run(ctx, func(tx *Txn) error {
+			v, err := ReadAs[int](ctx, tx, "x")
+			if err == nil && v != 2 {
+				t.Errorf("read %d behind a decided commit, want 2", v)
+			}
+			return err
+		}); err != nil {
+			t.Fatalf("read behind a decided commit with a cohort minority down: %v", err)
+		}
+		if got := blocked.Stats.AcceptorResolvesCommitted.Value(); got != 1 {
+			t.Fatalf("%d acceptor recoveries to commit, want 1", got)
+		}
+		net.Restart("dm2")
+		if p := probeAll(t, blocked, dms[2:], rep.Txn)["dm2"]; p.Known || !p.Holds {
+			t.Fatalf("dm2 while it was down: %+v, want it still holding the orphan", p)
+		}
+		lapse(clk)
+		if _, err := blocked.SweepOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if !oneOutcome(t, blocked, dms, rep.Txn) || blocked.Stats.OrphanReapsCommitted.Value() != 1 {
+			t.Fatalf("the straggler was not served the record (%d re-served)", blocked.Stats.OrphanReapsCommitted.Value())
+		}
+	})
 }

@@ -208,9 +208,11 @@ func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmSe
 	// the answered peers — a promise or acceptance witnessed only by an
 	// absent member would otherwise be lost, which is exactly the acceptor
 	// amnesia the all-peers pull exists to prevent. Promised watermarks
-	// merge by maximum; the accepted value rides the highest accepted
-	// ballot. Instances some peer already resolved are dropped — the
-	// resolution record answers for them now.
+	// merge by maximum, each with the proposer it was promised to (to nobody
+	// when two peers promised that ballot to different proposers: the
+	// rebuilt acceptor must then grant neither a retry); the accepted value
+	// rides the highest accepted ballot. Instances some peer already
+	// resolved are dropped — the resolution record answers for them now.
 	for _, p := range peers {
 		for t, acc := range answers[p].Acceptors {
 			if srv.Resolved[t.Top()] != nil {
@@ -221,7 +223,12 @@ func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmSe
 				srv.Acceptors[t] = &acc
 				continue
 			}
-			m.Promised = max(m.Promised, acc.Promised)
+			switch {
+			case acc.Promised > m.Promised:
+				m.Promised, m.PromisedTo = acc.Promised, acc.PromisedTo
+			case acc.Promised == m.Promised && acc.PromisedTo != m.PromisedTo:
+				m.PromisedTo = ""
+			}
 			if acc.AccBal > m.AccBal {
 				m.AccBal, m.AccVal = acc.AccBal, acc.AccVal
 			}
@@ -378,7 +385,7 @@ type DMHealth struct {
 // wrong answer — is unreachable. Works from pure client stores; each probe
 // is bounded by the store's call budget.
 func (s *Store) ProbeHealth(ctx context.Context) []DMHealth {
-	dms, _ := sitesOf(s.Items())
+	dms := s.DMs()
 	out := make([]DMHealth, 0, len(dms))
 	for _, dm := range dms {
 		h := DMHealth{DM: dm}

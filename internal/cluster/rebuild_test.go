@@ -232,7 +232,8 @@ func TestRebuildRequiresAllPeers(t *testing.T) {
 
 // TestRebuildRestoresResolvedAndAcceptors: resolution records and Paxos
 // acceptor hard state survive a rebuild — the merged acceptor carries the
-// maximum promise and the highest-ballot accepted value among the peers.
+// maximum promise, the proposer it was made to, and the highest-ballot
+// accepted value among the peers.
 func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 	net, store, dms := openDurable(t, 151, WithWALOptions(wal.WithFsync(false), wal.WithSegmentBytes(256)))
 	defer func() { store.Close(); net.Close() }()
@@ -268,10 +269,10 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 			t.Fatalf("accept at %s answered %#v", dm, raw)
 		}
 	}
-	if raw, err := store.client.Call(ctx, "dm1", PaxosPrepareReq{Txn: orphan, Ballot: 4, Cohort: dms}); err != nil {
+	if raw, err := store.client.Call(ctx, "dm1", PaxosPrepareReq{Txn: orphan, Ballot: 4, Cohort: dms, Proposer: "c9"}); err != nil {
 		t.Fatal(err)
-	} else if ack, ok := raw.(Ack); !ok || !ack.OK {
-		t.Fatalf("prepare at dm1 answered %#v", raw)
+	} else if pr, ok := raw.(PaxosPrepareResp); !ok || !pr.OK || pr.AccBal != 0 || !pr.AccCommit {
+		t.Fatalf("prepare at dm1 answered %#v, want the promise and the ballot-0 commit", raw)
 	}
 
 	dir := walPathOf(t, store, "dm0")
@@ -304,8 +305,8 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 	if acc == nil {
 		t.Fatal("acceptor state not restored")
 	}
-	if acc.Promised != 4 {
-		t.Fatalf("merged promise watermark = %d, want the max (4)", acc.Promised)
+	if acc.Promised != 4 || acc.PromisedTo != "c9" {
+		t.Fatalf("merged promise = %d to %q, want the max (4) and its proposer (c9)", acc.Promised, acc.PromisedTo)
 	}
 	if acc.AccBal != 0 || !acc.AccVal.Commit || acc.AccVal.Final["x"] != 9 {
 		t.Fatalf("merged accepted value = bal %d %+v, want ballot-0 commit", acc.AccBal, acc.AccVal)
@@ -373,9 +374,9 @@ func TestResolvedRetentionCompacts(t *testing.T) {
 	if resp, mutated := srv.apply(CommitTopReq{Txn: "c1.t1"}); !resp.(Ack).OK || mutated {
 		t.Fatalf("late commit retry on tombstone = %#v mutated=%v, want idempotent ack", resp, mutated)
 	}
-	// ...and still answers resolution inquiries with the verdict.
-	if resp, _ := srv.coordinate(ResolutionQueryReq{Txn: "c1.t1", From: "dm9"}); !resp.(Ack).OK {
-		t.Fatalf("inquiry on tombstone: %#v", resp)
+	// ...and still answers a resolver's probe with the verdict.
+	if resp, _ := srv.coordinate(ResolutionProbeReq{Txn: "c1.t1"}); !resp.(ResolutionProbeResp).Known || !resp.(ResolutionProbeResp).Committed {
+		t.Fatalf("probe on tombstone: %#v", resp)
 	}
 	// Re-resolving an already-resolved id never re-enters the eviction log.
 	srv.apply(CommitTopReq{Txn: "c1.t3", Subs: []TxnID{"c1.t3/0"}})

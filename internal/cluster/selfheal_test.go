@@ -290,11 +290,11 @@ func TestFanOutSteersAroundCrashedReplica(t *testing.T) {
 	}
 }
 
-// TestLeaseReapsOrphanedLocks is the reaper's core promise: a client that
+// TestLeaseReapsOrphanedLocks is the lease's core promise: a client that
 // crashed holding write locks wedges the item only until its lease lapses;
-// the next conflicting writer triggers a peer inquiry, every peer answers
-// "unknown", and the orphan is presumed aborted — locks freed, intention
-// dropped, the writer's retry succeeds.
+// the next conflicting writer is told who is in its way, asks every DM,
+// every DM answers "unknown", and the orphan is presumed aborted — locks
+// freed, intention dropped, the writer's retry succeeds.
 func TestLeaseReapsOrphanedLocks(t *testing.T) {
 	ttl := 50 * time.Millisecond
 	store, net, clk, dms := selfHealCluster(t, 304, ttl)
@@ -310,12 +310,11 @@ func TestLeaseReapsOrphanedLocks(t *testing.T) {
 	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 2) }); err != nil {
 		t.Fatalf("write after orphan's lease lapsed: %v", err)
 	}
-	net.Quiesce()
 	if got := store.Stats.OrphanReapsAborted.Value(); got == 0 {
 		t.Fatal("no orphan was reaped")
 	}
 	if got := store.Stats.ResolutionQueries.Value(); got == 0 {
-		t.Fatal("reap happened without a peer inquiry")
+		t.Fatal("reap happened without a probe round")
 	}
 	for _, dm := range dms {
 		insp, err := store.Inspect(ctx, dm, "x")
@@ -343,8 +342,9 @@ func TestLeaseReapsOrphanedLocks(t *testing.T) {
 // TestReapAppliesPeerCommitRecord covers the other reap outcome: a replica
 // that missed the commit broadcast (crashed across the commit point) still
 // holds the committed transaction's locks and intention. Once the lease
-// lapses, its inquiry reaches peers that DID resolve the transaction, and
-// the straggler applies the commit — intention folded in, not discarded.
+// lapses, the sweeper's probes reach peers that DID resolve the transaction,
+// and the straggler is served their record — intention folded in, not
+// discarded.
 func TestReapAppliesPeerCommitRecord(t *testing.T) {
 	ttl := 50 * time.Millisecond
 	store, net, clk, _ := selfHealCluster(t, 305, ttl, WithLockRetries(3))
@@ -378,7 +378,6 @@ func TestReapAppliesPeerCommitRecord(t *testing.T) {
 	if _, err := store.SweepOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	net.Quiesce()
 
 	if got := store.Stats.OrphanReapsCommitted.Value(); got == 0 {
 		t.Fatal("straggler never applied the peers' commit record")
@@ -421,7 +420,7 @@ func TestLeaseFenceStopsReapedCommit(t *testing.T) {
 		// conflicting write gets the locks reaped out from under it. (The
 		// write returned on its first quorum; the copy still in flight to the
 		// third replica must land before the clock moves, or its grant stamps
-		// a lease the reaper's inquiry finds live.)
+		// a lease the second client's probe finds live.)
 		net.Quiesce()
 		clk.Advance(ttl + time.Millisecond)
 		if err := other.Run(ctx, func(tx2 *Txn) error { return tx2.Write(ctx, "x", 222) }); err != nil {

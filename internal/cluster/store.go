@@ -65,10 +65,11 @@ type Stats struct {
 	// reaped them — and were aborted and restarted.
 	LeaseRenewals metrics.Counter
 	LeaseExpiries metrics.Counter
-	// OrphanReapsAborted and OrphanReapsCommitted count lease-reaper
-	// resolutions of orphaned transactions: presumed aborts, and commits
-	// re-served from a peer's resolution record. ResolutionQueries counts
-	// the peer inquiries that preceded them.
+	// OrphanReapsAborted and OrphanReapsCommitted count resolutions of
+	// orphaned transactions this client reached for the replicas
+	// (Store.resolve): presumed aborts and re-served abort records, and
+	// commits re-served from a replica's resolution record.
+	// ResolutionQueries counts the probe rounds that preceded them.
 	OrphanReapsAborted   metrics.Counter
 	OrphanReapsCommitted metrics.Counter
 	ResolutionQueries    metrics.Counter
@@ -122,10 +123,10 @@ type Stats struct {
 	// Paxos Commit (DESIGN.md §11). PaxosAccepts counts durable ballot-0
 	// acceptances coordinators collected; PaxosCommits counts commit
 	// decisions reached through an acceptor majority on the clean path.
-	// AcceptorRecoveries counts recovery rounds DMs started over orphaned
-	// instances; AcceptorResolvesCommitted / AcceptorResolvesAborted count
-	// outcomes those rounds decided — decisions learned via acceptors,
-	// versus OrphanReaps*, outcomes learned by TTL-bounded lease reaping.
+	// AcceptorRecoveries counts recovery proposers this client started over
+	// orphaned instances; AcceptorResolvesCommitted / AcceptorResolvesAborted
+	// count outcomes they learned — decisions reconstructed from acceptors,
+	// versus OrphanReaps*, outcomes read from a record or presumed.
 	PaxosAccepts              metrics.Counter
 	PaxosCommits              metrics.Counter
 	AcceptorRecoveries        metrics.Counter
@@ -212,6 +213,10 @@ type Store struct {
 	openTxns  map[TxnID]*Txn
 	orphanSeq atomic.Uint64
 
+	// resolving holds the orphan resolutions in flight (resolve), each with
+	// the channel that closes when it ends. Guarded by mu.
+	resolving map[TxnID]chan struct{}
+
 	Stats Stats
 
 	// Hooks are test-only fault-injection points; leave zero in production
@@ -233,14 +238,6 @@ type Hooks struct {
 	// hears it. Durability tests use it to crash replicas exactly inside
 	// the commit-point window.
 	BeforeCommitTop func(txn TxnID)
-	// SweepBarrier, when set, runs after each replica inspection during
-	// SweepOnce. An inspection doubles as an orphan sweep at the DM, which
-	// may fire an asynchronous inquiry/recovery cascade; the deterministic
-	// chaos harness sets this to the network's quiesce barrier so each
-	// DM's cascade fully drains before the next DM is inspected — cascade
-	// interleaving across DMs would otherwise fork counters on near-tie
-	// message latencies.
-	SweepBarrier func()
 }
 
 type genCfg struct {
@@ -308,7 +305,7 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 	}
 	if spawnServers {
 		// One host per replica site: a DM hosts every item whose spec names
-		// it, and knows every other DM as a peer for resolution inquiries.
+		// it, and knows every other DM as a peer to rebuild from.
 		ids, hosted := sitesOf(items)
 		for _, id := range ids {
 			h, err := start(tr, id, hosted[id], peersOf(id, ids), st, &s.Stats)
@@ -492,6 +489,12 @@ func (s *Store) Items() []ItemSpec {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// DMs lists every DM the store's current item specs name, sorted.
+func (s *Store) DMs() []string {
+	dms, _ := sitesOf(s.Items())
+	return dms
 }
 
 // traceEvent records an event when tracing is enabled.
@@ -871,6 +874,7 @@ type phaseTally struct {
 	budgetDenied bool
 	col          *collector // the last plan's outcome
 	targets      []string   // and the replicas it asked
+	orphans      []TxnID    // expired-lease holders the refusals named, not yet resolved
 }
 
 // admit opens one attempt of a phase. The first deposits into the retry
@@ -933,7 +937,17 @@ func (t *Txn) runPlan(ctx context.Context, tally *phaseTally, spec phaseSpec, la
 	if col.sawBusy() {
 		tally.sawBusy = true
 	}
+	tally.orphans = append(tally.orphans, col.orphans...)
 	return col
+}
+
+// retry closes a phase attempt that made no progress: the orphans its
+// refusals named are resolved — they are in this transaction's way, so this
+// client runs their resolution — and then it backs off.
+func (p *phaseTally) retry(ctx context.Context, s *Store, attempt int) {
+	s.resolveAll(ctx, p.orphans)
+	p.orphans = nil
+	s.backoff(ctx, attempt)
 }
 
 // wrongShardErr is the typed error for a phase that cannot carry on past a
@@ -1052,7 +1066,7 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 			}
 		}
 		if !progressed {
-			t.store.backoff(ctx, attempt)
+			tally.retry(ctx, t.store, attempt)
 		}
 	}
 	return readResult{}, tally.fail(ctx, t, item, "read")
@@ -1123,7 +1137,7 @@ func (t *Txn) writeQuorum(ctx context.Context, item, phase string, cfg quorum.Co
 				return t.wrongShardErr(item, phase, w)
 			}
 		}
-		t.store.backoff(ctx, attempt)
+		tally.retry(ctx, t.store, attempt)
 	}
 	return tally.fail(ctx, t, item, phase)
 }
@@ -1362,7 +1376,7 @@ func (t *Txn) abort(ctx context.Context) {
 		// The caller's context is dead, so acked control rounds are
 		// impossible — every Call would fail instantly. One fire-and-forget
 		// AbortReq per touched DM still usually lands, and whatever it
-		// misses the lease reaper sweeps once the leases lapse.
+		// misses is resolved by whoever it blocks once the leases lapse.
 		for _, dm := range t.touchedDMs() {
 			t.store.client.Notify(dm, AbortReq{Txn: t.id})
 		}
@@ -1424,8 +1438,8 @@ func (s *Store) Run(ctx context.Context, fn func(*Txn) error) error {
 // common tail — lease fence, hint fence, Paxos decide (when the protocol
 // and a non-empty cohort call for it), the CommitTopReq learn round, then
 // hint priming, counters and history. A failure before the commit point
-// aborts the attempt; an in-doubt decide leaves its locks to acceptor
-// recovery instead, because aborting or retrying could contradict whatever
+// aborts the attempt; an in-doubt decide leaves its locks to whoever they
+// block next instead, because aborting or retrying could contradict whatever
 // the cohort decides.
 //
 // cut, when its Stage is set, kills the coordinator at that instant: no
@@ -1447,7 +1461,7 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 	if err == nil {
 		// The lease fence: renew at every touched DM before the commit
 		// point. A refusal means some DM already resolved the transaction —
-		// most likely the lease reaper presumed it aborted — so committing
+		// most likely a blocked client presumed it aborted — so committing
 		// would diverge; abort this attempt and restart under a fresh id
 		// (LeaseExpiredError unwraps to ErrConflict).
 		if err = t.ensureLease(ctx); err != nil {
@@ -1491,17 +1505,27 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 		if stage == CommitCrashMidDecide {
 			deliver = min(prefix, deliver)
 		}
-		var inDoubt bool
+		var out commit.Decision
 		rep.Cohort, rep.Sends = len(cohort), deliver
-		rep.Accepts, inDoubt, err = t.paxosDecide(ctx, cohort, deliver)
+		out, rep.Accepts, err = s.propose(ctx, t.id, cohort, deliver, 0,
+			commit.Decision{Commit: true, Subs: txnsToStrings(t.committedSubs()), Final: t.finalVNs()})
+		s.Stats.PaxosAccepts.Add(int64(rep.Accepts))
+		if rep.Accepts >= commit.Quorum(len(cohort)) {
+			s.Stats.PaxosCommits.Inc()
+		}
+		if err == nil && !out.Commit {
+			// Somebody resolved the instance first, as an abort: the
+			// ordinary abort/restart path is safe (no DM can hold a commit).
+			err = &ConflictError{Txn: t.id, Phase: "decide", Attempts: 1}
+		}
 		rep.Decided = err == nil
 		if stage == CommitCrashMidDecide || (stage == CommitCrashBeforeLearn && err == nil) {
 			return t.dangle(rep, cohort), ErrCommitAbandoned
 		}
-		if inDoubt {
+		if errors.Is(err, ErrTxnInDoubt) {
 			// Acceptors were reached but no majority answered. The locks
-			// stand until acceptor recovery resolves them — one
-			// conflict-triggered round-trip, not a lease TTL.
+			// stand until acceptor recovery resolves them — at the first
+			// conflict that finds them, not by presumption.
 			return t.dangle(rep, cohort), err
 		}
 		if err != nil {

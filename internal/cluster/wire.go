@@ -27,7 +27,7 @@ import (
 // cannot be registered without one. Control traffic — everything that
 // finishes transactions and frees locks — must always get through: an
 // overloaded replica that sheds a commit, a release, a lease renewal or a
-// reaper's poll strands locks the whole cluster waits on. The hint fence,
+// resolver's probe strands locks the whole cluster waits on. The hint fence,
 // the Paxos Commit rounds, a decision and a rebuild pull are control for
 // the same reason: each stands between a lock holder and its resolution,
 // and shedding one stalls it exactly like a shed renewal would.
@@ -53,8 +53,9 @@ var wireTypes = []struct {
 	{9, PingReq{}, transport.PrioRead},
 	{10, InspectReq{}, transport.PrioRead},
 	{11, RenewLeaseReq{}, transport.PrioControl},
-	{12, ResolutionQueryReq{}, transport.PrioControl},
-	{13, ResolutionAnswer{}, transport.PrioControl},
+	// 12 and 13 are retired (they were ResolutionQueryReq and
+	// ResolutionAnswer, the replica-to-replica inquiry: the blocked client
+	// asks with ResolutionProbeReq instead).
 	{14, HintReadReq{}, transport.PrioRead},
 	{15, HintGrantReq{}, transport.PrioRead},
 	{16, HintFenceReq{}, transport.PrioControl},
@@ -66,11 +67,10 @@ var wireTypes = []struct {
 	{22, PaxosAcceptReq{}, transport.PrioControl},
 	{23, PaxosPrepareReq{}, transport.PrioControl},
 	{24, DecisionReq{}, transport.PrioControl},
-	{25, PaxosRecoverQuery{}, transport.PrioControl},
-	{26, PaxosRecoverPromise{}, transport.PrioControl},
-	{27, PaxosRecoverAccept{}, transport.PrioControl},
-	{28, PaxosRecoverAccepted{}, transport.PrioControl},
-	{29, ResolutionProbeReq{}, transport.PrioRead},
+	// 25–28 are retired (they were PaxosRecoverQuery, PaxosRecoverPromise,
+	// PaxosRecoverAccept and PaxosRecoverAccepted, the replica-side proposer's
+	// fire-and-forget wrappers of tags 23 and 22).
+	{29, ResolutionProbeReq{}, transport.PrioControl},
 	{30, RebuildPullReq{}, transport.PrioControl},
 	// Responses.
 	{31, ReadResp{}, notRequest},
@@ -85,6 +85,7 @@ var wireTypes = []struct {
 	{40, ResolutionProbeResp{}, notRequest},
 	{41, QuarantinedResp{}, notRequest},
 	{42, RebuildPullResp{}, notRequest},
+	{43, PaxosPrepareResp{}, notRequest},
 }
 
 // notRequest fills the admission column of a response row: a DM never

@@ -45,7 +45,7 @@ func TestWireRoundTrip(t *testing.T) {
 	ring.Lookup("x") // builds the unexported derived points, which must not travel
 	bare := *ring.Clone()
 	acc := commit.Acceptor{
-		Promised: 1, AccBal: 1,
+		Promised: 1, PromisedTo: "c2", AccBal: 1,
 		AccVal: commit.Decision{Commit: true, Subs: []string{"t2/0"}, Final: map[string]int{"x": 5}},
 		Cohort: []string{"dm0", "dm1"},
 	}
@@ -62,8 +62,10 @@ func TestWireRoundTrip(t *testing.T) {
 		PingReq{Seq: 11},
 		InspectReq{Item: "z"},
 		RenewLeaseReq{Txn: "t5"},
-		ResolutionQueryReq{Txn: "t6", From: "dm0"},
-		ResolutionAnswer{Txn: "t6", From: "dm1", Known: true, Committed: true, Subs: []TxnID{"t6/0"}, Active: true},
+		// Retired tags 12 and 13's slots (later subtest numbers stay put): the
+		// presumed abort, and a refusal that names an orphan.
+		DecisionReq{Txn: "t6", Presumed: true},
+		ReadResp{Busy: true, Orphans: []TxnID{"t6", "t9"}},
 		HintReadReq{Txn: "t7", Item: "x", Seq: 5, Gen: 1},
 		HintGrantReq{Item: "x", VN: 3, Gen: 1},
 		HintFenceReq{Txn: "t8", Item: "x"},
@@ -72,29 +74,30 @@ func TestWireRoundTrip(t *testing.T) {
 		RingReq{},
 		RingUpdateReq{Ring: *ring},
 		PaxosAcceptReq{Txn: "t10", Ballot: 1, Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2, "y": 3}, Cohort: []string{"dm0", "dm1"}},
-		PaxosPrepareReq{Txn: "t10", Ballot: 2, Cohort: []string{"dm0", "dm1"}},
+		PaxosPrepareReq{Txn: "t10", Ballot: 2, Cohort: []string{"dm0", "dm1"}, Proposer: "c2"},
 		DecisionReq{Txn: "t10", Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2}},
-		PaxosRecoverQuery{Txn: "t10", Ballot: 2, Cohort: []string{"dm0", "dm1"}, From: "dm1"},
-		PaxosRecoverPromise{
-			Txn: "t10", Ballot: 2, From: "dm0", OK: true, Promised: 2,
-			AccBal: 1, AccCommit: true, AccSubs: []TxnID{"t10/0"}, AccFinal: map[string]int{"x": 2},
-			Decided: true, DecCommit: true, DecSubs: []TxnID{"t10/1"}, DecFinal: map[string]int{"y": 3},
-		},
-		PaxosRecoverAccept{Txn: "t10", Ballot: 2, Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2}, Cohort: []string{"dm0"}, From: "dm1"},
-		PaxosRecoverAccepted{Txn: "t10", Ballot: 2, From: "dm0", OK: true},
+		// Retired tags 25–28's slots: Phase 1b in its three forms, and a
+		// refused fence.
+		PaxosPrepareResp{OK: true, Promised: 2, AccBal: 1, AccCommit: true, AccSubs: []TxnID{"t10/0"}, AccFinal: map[string]int{"x": 2}},
+		PaxosPrepareResp{Promised: 3, AccBal: -1},
+		PaxosPrepareResp{Decided: true, DecCommit: true, DecSubs: []TxnID{"t10/1"}},
+		WriteResp{Busy: true, Orphans: []TxnID{"t6"}},
 		ResolutionProbeReq{Txn: "t11"},
 		RebuildPullReq{For: "dm1", Items: []string{"x", "y"}},
 		// Responses.
-		ReadResp{OK: true, VN: 6, Val: 13, Gen: 1, Cfg: cfg, Hinted: true},
+		ReadResp{OK: true, Held: true, VN: 6, Val: 13, Gen: 1, Cfg: cfg, Hinted: true},
 		WriteResp{OK: true, Held: true},
 		Ack{OK: true},
 		OverloadedResp{DM: "dm2", Expired: true},
-		InspectResp{OK: true, VN: 4, Val: 8, Gen: 1, Cfg: cfg, Locks: 2, Intents: 1},
+		InspectResp{OK: true, VN: 4, Val: 8, Gen: 1, Cfg: cfg, Locks: 2, Intents: 1, Orphans: []TxnID{"t6"}},
 		HintMissResp{DM: "dm0", Reason: "expired"},
 		WrongShardResp{DM: "dm0", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm3"}, Gen: 3, Cfg: cfg},
 		RingResp{OK: true, Ring: *ring},
-		PaxosAcceptResp{OK: true, Promised: 3, Decided: true, DecCommit: true},
-		ResolutionProbeResp{Known: true, Committed: true, Holds: true, Promised: -2, AccBal: -1, AccCommit: true},
+		PaxosAcceptResp{OK: true, Promised: 3, Decided: true, DecCommit: true, DecSubs: []TxnID{"t10/0"}},
+		ResolutionProbeResp{
+			Known: true, Committed: true, Subs: []TxnID{"t11/0"}, Holds: true, Active: true,
+			Promised: -2, AccBal: -1, AccCommit: true, Cohort: []string{"dm0", "dm1"},
+		},
 		QuarantinedResp{DM: "dm1", Reason: "wal: segment corrupt"},
 		RebuildPullResp{
 			OK: true, From: "dm0",
@@ -161,9 +164,9 @@ func TestWireRoundTrip(t *testing.T) {
 	if got := frameRoundTrip(t, flat); !reflect.DeepEqual(got, WriteReq{Txn: "t1", Item: "x", VN: 7, Val: 42, Seq: 4}) {
 		t.Fatalf("empty inherit list decoded as %#v, want a nil field", got)
 	}
-	emptySets := ReadResp{OK: true, Cfg: quorum.Config{R: []quorum.Set{{}}, W: []quorum.Set{}}}
+	emptySets := ReadResp{OK: true, Cfg: quorum.Config{R: []quorum.Set{{}}, W: []quorum.Set{}}, Orphans: []TxnID{}}
 	if got := frameRoundTrip(t, emptySets); !reflect.DeepEqual(got, ReadResp{OK: true, Cfg: quorum.Config{R: []quorum.Set{nil}}}) {
-		t.Fatalf("empty sets decoded as %#v", got)
+		t.Fatalf("empty sets and orphan list decoded as %#v", got)
 	}
 }
 

@@ -9,12 +9,13 @@
 // final version numbers the learn fan-out needs). The coordinator that ran
 // the transaction owns ballot 0 and may skip Phase 1 entirely — no other
 // proposer ever uses ballot 0, so a bare Phase-2a at ballot 0 is safe.
-// Recovery proposers (replicas that find a dangling lock after the
-// coordinator died) use higher ballots made unique per proposer by
-// RecoveryBallot, run Phase 1 to learn any accepted value, and are bound
-// by the usual Paxos rule: adopt the highest-ballot accepted value seen,
-// and only when no acceptor in a majority accepted anything propose the
-// default — abort, mirroring presumed abort.
+// Recovery proposers (clients that find a dangling lock in their way after
+// the coordinator died) pick higher ballots themselves; the acceptor makes a
+// ballot unique by promising it to one proposer only (PromisedTo). They run
+// Phase 1 to learn any accepted value, and are bound by the usual Paxos
+// rule: adopt the highest-ballot accepted value seen, and only when no
+// acceptor in a majority accepted anything propose the default — abort,
+// mirroring presumed abort.
 package commit
 
 import "fmt"
@@ -76,6 +77,13 @@ type Acceptor struct {
 	// meaningful (the coordinator's own ballot), so Prepared/Accepted
 	// track whether anything happened at all.
 	Promised int
+	// PromisedTo names the proposer a Phase-1a promise of Promised was
+	// granted to; empty when Promised was taken by a bare accept (the
+	// coordinator's ballot 0, or a Phase-2a that overtook its own Phase 1).
+	// Proposers pick their ballots without coordinating, so this is what
+	// keeps two of them from both gathering a majority of promises for one
+	// ballot.
+	PromisedTo string
 	// AccBal is the ballot of the accepted value, -1 if none accepted.
 	AccBal int
 	// AccVal is the accepted outcome, meaningful iff AccBal >= 0.
@@ -91,23 +99,29 @@ func NewAcceptor(cohort []string) *Acceptor {
 	return &Acceptor{Promised: -1, AccBal: -1, Cohort: cohort}
 }
 
-// Prepare handles a Phase-1a message at ballot bal. It reports whether the
-// promise was granted and whether hard state changed (callers log only
-// mutations).
-func (a *Acceptor) Prepare(bal int) (ok, mutated bool) {
-	if bal < a.Promised {
-		return false, false
+// Prepare handles a Phase-1a message at ballot bal from proposer who. A
+// ballot above the watermark is promised to who; the watermark itself is
+// promised again only to the proposer that holds it — a retry, which
+// changes nothing. It reports whether the promise was granted and whether
+// hard state changed (callers log only mutations).
+func (a *Acceptor) Prepare(bal int, who string) (ok, mutated bool) {
+	if bal > a.Promised {
+		a.Promised, a.PromisedTo = bal, who
+		return true, true
 	}
-	mutated = bal > a.Promised
-	a.Promised = bal
-	return true, mutated
+	return bal == a.Promised && who == a.PromisedTo, false
 }
 
 // Accept handles a Phase-2a message at ballot bal with value val. Granting
-// an accept also promises the ballot (the standard acceptor collapse).
+// an accept also promises the ballot (the standard acceptor collapse) — to
+// nobody, when the accept raises the watermark: no Phase 1 may follow it at
+// that ballot.
 func (a *Acceptor) Accept(bal int, val Decision) (ok, mutated bool) {
 	if bal < a.Promised {
 		return false, false
+	}
+	if bal > a.Promised {
+		a.PromisedTo = ""
 	}
 	a.Promised = bal
 	a.AccBal = bal
@@ -141,15 +155,3 @@ func Choose(promises []Promise) Decision {
 // Quorum is the majority threshold for a cohort of n acceptors: with
 // n = 2F+1 the instance tolerates F acceptor failures.
 func Quorum(n int) int { return n/2 + 1 }
-
-// RecoveryBallot returns the attempt-th ballot for the recovery proposer
-// at index idx among n possible proposers. Ballots are distinct across
-// proposers and attempts and strictly greater than the coordinator's
-// ballot 0, so a duel between concurrent recoverers resolves by the usual
-// ballot ordering.
-func RecoveryBallot(attempt, idx, n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return 1 + idx + attempt*n
-}

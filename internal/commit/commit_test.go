@@ -81,7 +81,7 @@ func TestAcceptorOrdering(t *testing.T) {
 			for i, s := range tc.steps {
 				var ok, mut bool
 				if s.prepare {
-					ok, mut = a.Prepare(s.bal)
+					ok, mut = a.Prepare(s.bal, "p")
 				} else {
 					ok, mut = a.Accept(s.bal, s.val)
 				}
@@ -137,18 +137,77 @@ func TestQuorumAndBallots(t *testing.T) {
 			t.Fatalf("Quorum(%d) = %d, want %d", n, got, want)
 		}
 	}
-	// Ballots must be unique across (attempt, proposer) pairs and > 0.
-	seen := map[int]bool{}
-	for attempt := 0; attempt < 3; attempt++ {
-		for idx := 0; idx < 5; idx++ {
-			b := RecoveryBallot(attempt, idx, 5)
-			if b <= 0 {
-				t.Fatalf("recovery ballot %d not above coordinator ballot 0", b)
+	// Proposers pick ballots without coordinating, so two may pick the same
+	// one. Whatever order their Phase-1a messages reach three acceptors in,
+	// at most one of them gathers a majority of promises for it.
+	type msg struct {
+		acc int
+		who string
+	}
+	msgs := []msg{{0, "A"}, {1, "A"}, {2, "A"}, {0, "B"}, {1, "B"}, {2, "B"}}
+	var orders int
+	var permute func(k int)
+	permute = func(k int) {
+		if k < len(msgs) {
+			for i := k; i < len(msgs); i++ {
+				msgs[k], msgs[i] = msgs[i], msgs[k]
+				permute(k + 1)
+				msgs[k], msgs[i] = msgs[i], msgs[k]
 			}
-			if seen[b] {
-				t.Fatalf("duplicate recovery ballot %d", b)
-			}
-			seen[b] = true
+			return
 		}
+		orders++
+		accs := []*Acceptor{NewAcceptor(nil), NewAcceptor(nil), NewAcceptor(nil)}
+		promises := map[string]int{}
+		for _, m := range msgs {
+			if ok, _ := accs[m.acc].Prepare(1, m.who); ok {
+				promises[m.who]++
+			}
+		}
+		if promises["A"] >= Quorum(3) && promises["B"] >= Quorum(3) {
+			t.Fatalf("order %v: both proposers hold a majority of promises for ballot 1: %v", msgs, promises)
+		}
+		if promises["A"]+promises["B"] != 3 {
+			t.Fatalf("order %v: %v — every acceptor promises the ballot exactly once", msgs, promises)
+		}
+	}
+	permute(0)
+	if orders != 720 {
+		t.Fatalf("walked %d orders, want 6!", orders)
+	}
+}
+
+// TestPrepareRetryAndStaleCoordinator: the proposer a ballot was promised to
+// may ask again (a retried call) and changes nothing by it; anybody else is
+// refused that ballot, also after a bare accept took it; and the
+// coordinator's ballot 0 is dead once any ballot >= 1 is promised.
+func TestPrepareRetryAndStaleCoordinator(t *testing.T) {
+	a := NewAcceptor([]string{"dm0", "dm1", "dm2"})
+	if ok, mut := a.Prepare(1, "A"); !ok || !mut {
+		t.Fatalf("first prepare: ok=%v mutated=%v", ok, mut)
+	}
+	if ok, mut := a.Prepare(1, "A"); !ok || mut {
+		t.Fatalf("same proposer's retry: ok=%v mutated=%v, want granted and unchanged", ok, mut)
+	}
+	if ok, mut := a.Prepare(1, "B"); ok || mut {
+		t.Fatalf("another proposer at the promised ballot: ok=%v mutated=%v, want refused", ok, mut)
+	}
+	if ok, _ := a.Accept(0, Decision{Commit: true}); ok {
+		t.Fatal("ballot 0 accepted after ballot 1 was promised")
+	}
+	if a.Promised != 1 || a.PromisedTo != "A" || a.AccBal != -1 {
+		t.Fatalf("refusals moved the acceptor: %+v", a)
+	}
+	// A Phase 2a that overtakes its own Phase 1 takes the ballot for nobody.
+	if ok, _ := a.Accept(2, Decision{}); !ok {
+		t.Fatal("accept above the watermark refused")
+	}
+	for _, who := range []string{"A", "B"} {
+		if ok, _ := a.Prepare(2, who); ok {
+			t.Fatalf("%s was promised ballot 2 after a value was accepted at it", who)
+		}
+	}
+	if ok, mut := a.Prepare(3, "B"); !ok || !mut || a.PromisedTo != "B" {
+		t.Fatalf("a higher ballot must be promised to its proposer: ok=%v mutated=%v %+v", ok, mut, a)
 	}
 }

@@ -69,7 +69,10 @@ type Config struct {
 
 // Stats is a snapshot of network counters. Sent counts Send calls;
 // Delivered and Dropped count delivery outcomes, so a duplicated message
-// can contribute two deliveries to a single send.
+// can contribute two deliveries to a single send. ByType splits Sent by the
+// payload's type and, for the RPC layer's wrappers, the type of the request
+// or response inside ("sim.envelope/cluster.ReadReq"), so two runs that
+// diverge say in which kind of message.
 type Stats struct {
 	Sent       int64
 	Delivered  int64
@@ -103,15 +106,12 @@ type lane struct {
 	ch    chan laneMsg
 }
 
-// fateKind names one fate stream of a lane: the payload's type and, for the
-// RPC layer's wrappers, the type of the request or response inside.
+// fateKind names one kind of message — a fate stream of a lane, a row of
+// Stats.ByType: the payload's type and, for the RPC layer's wrappers, the
+// type of the request or response inside.
 type fateKind struct{ outer, inner reflect.Type }
 
-// fate returns the generator that decides payload's fate on the lane,
-// creating it on first use. Its seed derives from the lane's seed and the
-// kind's type names, not from creation order, so the stream is the same
-// whichever kind happens to travel first.
-func (l *lane) fate(payload any) *rand.Rand {
+func kindOf(payload any) fateKind {
 	k := fateKind{outer: reflect.TypeOf(payload)}
 	switch p := payload.(type) {
 	case envelope:
@@ -119,6 +119,21 @@ func (l *lane) fate(payload any) *rand.Rand {
 	case reply:
 		k.inner = reflect.TypeOf(p.Resp)
 	}
+	return k
+}
+
+func (k fateKind) String() string {
+	if k.inner == nil {
+		return fmt.Sprint(k.outer)
+	}
+	return fmt.Sprint(k.outer, "/", k.inner)
+}
+
+// fate returns the generator that decides the fate of k's messages on the
+// lane, creating it on first use. Its seed derives from the lane's seed and
+// the kind's type names, not from creation order, so the stream is the same
+// whichever kind happens to travel first.
+func (l *lane) fate(k fateKind) *rand.Rand {
 	if rng, ok := l.fates[k]; ok {
 		return rng
 	}
@@ -150,7 +165,7 @@ type Network struct {
 	dropped     int64
 	duplicated  int64
 	reordered   int64
-	byType      map[string]int64
+	byType      map[fateKind]int64
 
 	stop chan struct{}
 
@@ -181,7 +196,7 @@ func NewNetwork(cfg Config) *Network {
 		reorderProb: cfg.ReorderProb,
 		reorderDel:  cfg.ReorderDelay,
 		watchers:    map[string]func(Message){},
-		byType:      map[string]int64{},
+		byType:      map[fateKind]int64{},
 		stop:        make(chan struct{}),
 	}
 	n.idle = sync.NewCond(&n.mu)
@@ -308,7 +323,8 @@ func (n *Network) Send(from, to string, payload any) {
 		return
 	}
 	n.sent++
-	n.byType[fmt.Sprintf("%T", payload)]++
+	kind := kindOf(payload)
+	n.byType[kind]++
 	if n.crashed[from] {
 		n.dropped++
 		n.mu.Unlock()
@@ -320,7 +336,7 @@ func (n *Network) Send(from, to string, payload any) {
 	l := n.lane(from, to)
 	var rng *rand.Rand
 	if n.dropProb > 0 || n.dupProb > 0 || n.reorderProb > 0 || n.cfg.MaxLatency > n.cfg.MinLatency || len(n.nodeLat) > 0 {
-		rng = l.fate(payload) // a network that samples nothing never builds one
+		rng = l.fate(kind) // a network that samples nothing never builds one
 	}
 	if n.dropProb > 0 && rng.Float64() < n.dropProb {
 		n.dropped++
@@ -494,7 +510,7 @@ func (n *Network) Stats() Stats {
 	defer n.mu.Unlock()
 	byType := make(map[string]int64, len(n.byType))
 	for k, v := range n.byType {
-		byType[k] = v
+		byType[k.String()] = v
 	}
 	return Stats{
 		Sent: n.sent, Delivered: n.delivered, Dropped: n.dropped,

@@ -309,15 +309,6 @@ func (n *Node) Notify(to string, req any) {
 	n.net.Send(n.id, to, envelope{ID: 0, Req: req})
 }
 
-// SendNotify sends a fire-and-forget protocol message from one node name to
-// another directly through the network, without needing the sender's *Node.
-// Server state machines use it to gossip among themselves (lease-resolution
-// inquiries) before their own node handle exists — the message is
-// indistinguishable from a Node.Notify on the wire.
-func SendNotify(n *Network, from, to string, req any) {
-	n.Send(from, to, envelope{ID: 0, Req: req})
-}
-
 // Shutdown stops the node's loop and waits for it to exit. With admission,
 // the service goroutine drains whatever the loop enqueued before exiting —
 // the same orderly-departure contract as the inbox drain. Idempotent.

@@ -149,7 +149,6 @@ func (t *Transport) Serve(id string, h transport.Handler, opts ...transport.Serv
 		conns:   map[net.Conn]*frameWriter{},
 		routes:  map[routeKey]*frameWriter{},
 		done:    make(chan struct{}),
-		out:     newCaller(t, id),
 	}
 	s.idle = sync.NewCond(&s.mu)
 	if cfg.Admission != nil {
@@ -199,13 +198,12 @@ func (t *Transport) Stats() Stats {
 func (t *Transport) Quiesce() {
 	t.mu.Lock()
 	servers := make([]*Server, 0, len(t.servers))
-	callers := make([]*caller, 0, len(t.callers)+len(t.servers))
+	callers := make([]*caller, 0, len(t.callers))
 	for c := range t.callers {
 		callers = append(callers, c.caller)
 	}
 	for _, s := range t.servers {
 		servers = append(servers, s)
-		callers = append(callers, s.out)
 	}
 	t.mu.Unlock()
 	for _, c := range callers {
@@ -263,8 +261,8 @@ const serverBacklog = 1024
 type lostMarker struct{}
 
 // caller owns this endpoint's outbound connections: at most one per
-// destination, dialed lazily, evicted and redialed after loss. Both Client
-// endpoints and server-originated Notify traffic use one.
+// destination, dialed lazily, evicted and redialed after loss. Every Client
+// endpoint has one.
 type caller struct {
 	tr     *Transport
 	id     string
@@ -551,7 +549,6 @@ type Server struct {
 	handler transport.Handler
 	adm     *transport.Queue
 	reqs    chan serverReq
-	out     *caller // server-originated Notify (lease gossip)
 
 	mu       sync.Mutex
 	idle     *sync.Cond
@@ -574,9 +571,6 @@ func (s *Server) ID() string { return s.id }
 // encoded (a payload type nobody registered with package wire) and were
 // therefore never sent.
 func (s *Server) DroppedReplies() uint64 { return s.dropped.Load() }
-
-// Notify sends a fire-and-forget message under this server's name.
-func (s *Server) Notify(to string, req any) { s.out.notify(to, req) }
 
 func (s *Server) acceptLoop() {
 	for {
@@ -762,7 +756,6 @@ func (s *Server) Close() {
 		if s.adm != nil {
 			s.adm.Close()
 		}
-		s.out.close()
 		s.tr.dropServer(s)
 	})
 	<-s.done

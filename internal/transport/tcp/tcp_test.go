@@ -246,30 +246,6 @@ func TestNotifyReachesServer(t *testing.T) {
 	}
 }
 
-func TestServerToServerNotify(t *testing.T) {
-	tr := New()
-	defer tr.Close()
-	got := make(chan string, 1)
-	if _, err := tr.Serve("a", func(from string, req any, reply func(any)) {
-		got <- from
-	}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := tr.Serve("b", func(from string, req any, reply func(any)) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Notify("a", echoReq{N: 7})
-	select {
-	case from := <-got:
-		if from != "b" {
-			t.Fatalf("peer notify arrived from %q, want b", from)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("peer notify never delivered")
-	}
-}
-
 func TestAsyncReplyAfterHandlerReturns(t *testing.T) {
 	tr := New()
 	defer tr.Close()

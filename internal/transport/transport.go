@@ -1,6 +1,6 @@
 // Package transport defines the RPC seam between the cluster layer and
 // whatever carries its messages. The cluster's protocol code (quorum
-// fan-out, commit/abort control rounds, lease gossip) speaks only to the
+// fan-out, commit/abort control rounds, orphan resolution) speaks only to the
 // three small interfaces here; internal/sim implements them over the
 // deterministic in-process network, internal/transport/tcp over real
 // sockets. The envelope semantics every backend must carry:
@@ -59,20 +59,17 @@ type Client interface {
 	Call(ctx context.Context, to string, req any) (any, error)
 	// Notify sends req without waiting for — or ever receiving — a reply.
 	// Best-effort: a lost notify is silent and must be harmless to the
-	// protocol (releases, repairs, lease gossip all are).
+	// protocol (releases, repairs, hint grants all are).
 	Notify(to string, req any)
 	// Close releases the endpoint. Pending calls fail.
 	Close()
 }
 
-// Server is a serving endpoint returned by Transport.Serve. It can also
-// originate fire-and-forget traffic under its own name — DM state machines
-// gossip lease-resolution inquiries to peers this way.
+// Server is a serving endpoint returned by Transport.Serve. It only
+// answers: a replica originates no traffic.
 type Server interface {
 	// ID is the served name.
 	ID() string
-	// Notify sends a fire-and-forget message from this server's name.
-	Notify(to string, req any)
 	// Close stops serving: an orderly departure, not a crash. Requests the
 	// backend already delivered are served before the handler goes away,
 	// so a durable replica's log never misses a release or commit its

@@ -211,8 +211,8 @@ var (
 	WithSeed = cluster.WithSeed
 	// WithTrace directs structured per-operation events to a trace log.
 	WithTrace = cluster.WithTrace
-	// WithLeaseTTL enables lock leases and the presumed-abort orphan
-	// reaper; a client crash wedges an item for at most one TTL.
+	// WithLeaseTTL enables lock leases and presumed-abort orphan
+	// resolution; a client crash wedges an item for at most one TTL.
 	WithLeaseTTL = cluster.WithLeaseTTL
 	// WithHealthProbes enables the per-replica failure detector and
 	// circuit-broken quorum selection.
@@ -227,8 +227,9 @@ var (
 	WithReadLease = cluster.WithReadLease
 	// WithCommitProtocol selects the top-level commit strategy: TwoPhase
 	// (default) or PaxosCommit (non-blocking commit — a coordinator crash
-	// around the commit point resolves from acceptor state in one inquiry
-	// round trip instead of blocking on an unreachable replica).
+	// around the commit point is resolved from a majority of acceptors by
+	// the first client its locks block, instead of blocking on an
+	// unreachable replica).
 	WithCommitProtocol = cluster.WithCommitProtocol
 )
 
