@@ -490,7 +490,7 @@ func BenchmarkE13_OrphanReapLatency(b *testing.B) {
 	store, err := cluster.Open(net, []cluster.ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
 		cluster.WithSeed(1), cluster.WithCallTimeout(25*time.Millisecond),
 		cluster.WithLeaseTTL(ttl), cluster.WithClock(clk),
-		cluster.WithRetryBackoff(time.Millisecond), cluster.WithSynchronousCleanup(true))
+		cluster.WithRetryBackoff(time.Millisecond))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -813,7 +813,7 @@ func benchE17InDoubt(b *testing.B, proto commit.Protocol) {
 	store, err := cluster.Open(net, []cluster.ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
 		cluster.WithSeed(1), cluster.WithCallTimeout(25*time.Millisecond),
 		cluster.WithLeaseTTL(ttl), cluster.WithClock(clk),
-		cluster.WithRetryBackoff(time.Millisecond), cluster.WithSynchronousCleanup(true),
+		cluster.WithRetryBackoff(time.Millisecond),
 		cluster.WithCommitProtocol(proto))
 	if err != nil {
 		b.Fatal(err)

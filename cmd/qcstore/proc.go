@@ -227,7 +227,14 @@ func clientMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "qcstore client:", err)
 		return 1
 	}
-	defer store.Close()
+	defer func() {
+		store.Close() // delivers every release notify still queued
+		// A release lost with its connection leaves a read lock that only
+		// an expired lease ever frees: say so.
+		if n := tr.Stats().DroppedNotifies; n > 0 {
+			fmt.Fprintf(os.Stderr, "qcstore client: %d notifies lost with their connections\n", n)
+		}
+	}()
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 	if err := clientOp(ctx, store, ring, *nkeys, *item, *get, *set, *inspect); err != nil {

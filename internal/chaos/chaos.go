@@ -523,7 +523,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		opts = append(opts,
 			cluster.WithSequentialPhases(true),
 			cluster.WithHedgeDelay(0),
-			cluster.WithSynchronousCleanup(true),
 			// One worker means lock conflicts cannot happen, so deep retry
 			// loops would only re-probe quorums whose members stay crashed
 			// for the whole round — each probe a full call timeout. A few

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,16 +143,10 @@ func TestRestartServesDurableState(t *testing.T) {
 func TestAmnesiaMidCommitBroadcast(t *testing.T) {
 	rec := checker.NewRecorder()
 	rec.DeclareItem("x", 0)
-	// Synchronous cleanup keeps the commit's control goroutines inside
-	// Run: without it, a detached retry to a tentatively-touched replica
-	// can outlive Run, land after the restart below, and legitimately
-	// apply the commit — correct behaviour, but it would make the
-	// pending-intention assertion racy.
 	net, store, _ := openDurable(t, 62,
 		WithHistory(rec),
 		WithCallTimeout(20*time.Millisecond),
 		WithLockRetries(3),
-		WithSynchronousCleanup(true),
 	)
 	defer func() { store.Close(); net.Close() }()
 	ctx := context.Background()
@@ -172,6 +167,11 @@ func TestAmnesiaMidCommitBroadcast(t *testing.T) {
 		t.Fatalf("commit with crashed minority must succeed: %v", err)
 	}
 	store.Hooks.BeforeCommitTop = nil
+	// A notify to dm0 still in transit would be delivered after the restart
+	// below and legitimately apply the commit — correct behaviour, but it
+	// would make the pending-intention assertion racy. Settled in transit
+	// while dm0 is down, it is dropped.
+	net.Quiesce()
 
 	stats := amnesia(t, store, "dm0")
 	net.Restart("dm0")
@@ -220,7 +220,7 @@ func TestAmnesiaMidCommitBroadcast(t *testing.T) {
 // same WALs and repeat. Each reopened cluster must serve the pre-close
 // balance and grant locks freely. The final transaction is deliberately
 // read-only — its commit has no required acks, so everything it tells
-// the replicas rides on detached control sends; were Close to strand
+// the replicas rides on notifies; were Close to strand
 // them, its read locks would be recovered into the next cycle and every
 // later write would conflict (the regression this test pins).
 func TestDurableReopenAcrossStores(t *testing.T) {
@@ -301,21 +301,40 @@ func TestDurableReopenAcrossStores(t *testing.T) {
 	cycle(3, 73, 175)
 }
 
-// TestCloseDrainsDetachedSweeps pins the drain-and-pin race between the
-// detached cleanup sweeps and Close: a sweep that detaches while doClose is
-// between "bar new detachments" and the transport Quiesce would either
-// trip the WaitGroup (Add racing Wait) or fire sends into a torn-down
-// transport. goDetached must refuse once closing — the refused caller
-// falls back to a bounded in-line send — and Close must wait out every
-// sweep it admitted. The workload is read-only transactions because their
-// lock releases ride entirely on detached sends.
-func TestCloseDrainsDetachedSweeps(t *testing.T) {
+// TestCloseRacingReadOnlyRunsLeavesNoLocks: a read-only transaction's
+// releases ride entirely on notifies, sent before Run returns and carrying
+// no context, and an orderly Close delivers what is queued. So however Close
+// races a stream of read-only Runs, no transaction that returned before Close
+// began leaves a read lock in any replica's log: after a restart from the
+// logs, every replica has let go of every one of them — the leak a release
+// dying with the process would leave wedging every later writer.
+func TestCloseRacingReadOnlyRunsLeavesNoLocks(t *testing.T) {
+	dms := []string{"dm0", "dm1", "dm2"}
+	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
+	ctx := context.Background()
 	for seed := int64(81); seed <= 85; seed++ {
-		net, store, _ := openDurable(t, seed)
-		ctx := context.Background()
+		dir := t.TempDir()
+		open := func() (*sim.Network, *Store) {
+			net := sim.NewNetwork(sim.Config{
+				MinLatency: 50 * time.Microsecond, MaxLatency: 500 * time.Microsecond,
+				Seed: seed, FateFeedback: true,
+			})
+			store, err := Open(net, items, WithSeed(seed), WithDurability(dir))
+			if err != nil {
+				net.Close()
+				t.Fatal(err)
+			}
+			return net, store
+		}
+		net, store := open()
 		if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 7) }); err != nil {
 			t.Fatal(err)
 		}
+		var (
+			closing  atomic.Bool
+			mu       sync.Mutex
+			returned []TxnID // read-only transactions that committed before Close began
+		)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
@@ -328,22 +347,51 @@ func TestCloseDrainsDetachedSweeps(t *testing.T) {
 						return
 					default:
 					}
-					// Errors are expected once Close tears the cluster down;
-					// the assertion is the absence of panics and strands.
-					_ = store.Run(ctx, func(tx *Txn) error {
+					// Errors are expected once Close tears the cluster down.
+					var id TxnID
+					err := store.Run(ctx, func(tx *Txn) error {
+						id = tx.ID()
 						_, err := tx.Read(ctx, "x")
 						return err
 					})
+					if err == nil && !closing.Load() {
+						mu.Lock()
+						returned = append(returned, id)
+						mu.Unlock()
+					}
 				}
 			}()
 		}
-		time.Sleep(2 * time.Millisecond)
-		store.Close() // races the workers' detached release sweeps
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+			mu.Lock()
+			n := len(returned)
+			mu.Unlock()
+			if n >= 8 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("seed %d: %d read-only transactions committed in 10s", seed, n)
+			}
+		}
+		closing.Store(true)
+		store.Close() // races the workers' release notifies
 		close(stop)
 		wg.Wait()
-		if store.goDetached(func() {}) {
-			t.Fatal("goDetached accepted a sweep after Close")
+		net.Close()
+
+		net, store = open()
+		for _, id := range returned {
+			for _, dm := range dms {
+				probe, err := store.ResolutionProbe(ctx, dm, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if probe.Holds {
+					t.Fatalf("seed %d: %s recovered a lock of %s, which returned before Close", seed, dm, id)
+				}
+			}
 		}
+		store.Close()
 		net.Close()
 	}
 }
@@ -361,7 +409,6 @@ func TestReaperAndReplayConverge(t *testing.T) {
 	net, store, _ := openDurable(t, 65,
 		WithCallTimeout(20*time.Millisecond),
 		WithLockRetries(3),
-		WithSynchronousCleanup(true),
 		WithLeaseTTL(ttl),
 		WithClock(clk),
 	)
@@ -585,7 +632,7 @@ func TestCommittedChildSurvivesAmnesiaBeforeTopCommit(t *testing.T) {
 // and any other proposer at the promised ballot, grants the promised
 // proposer its retry, and accepts its Phase 2.
 func TestPromiseSurvivesAmnesiaBetweenThePhases(t *testing.T) {
-	net, store, dms := openPaxos(t, 66, WithSynchronousCleanup(true))
+	net, store, dms := openPaxos(t, 66)
 	defer func() { store.Close(); net.Close() }()
 	ctx := context.Background()
 	rep, err := store.CrashCommit(ctx, "x", 5, CommitCrashOptions{Stage: CommitCrashMidDecide, Deliver: 1})

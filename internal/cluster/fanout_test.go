@@ -410,31 +410,40 @@ func TestConflictErrorDetail(t *testing.T) {
 
 // tapTransport decorates a transport so a test can watch every request a
 // client sends and pick requests that land at their DM while the caller
-// hears transport.ErrLost — the lost-reply fate a real network deals out.
+// hears transport.ErrLost — the lost-reply fate a real network deals out —
+// or notifies the network eats.
 type tapTransport struct {
 	transport.Transport
-	// onCall sees each outgoing request before it is sent; returning true
-	// loses the reply after the request was served.
+	// onCall, when set, sees each outgoing call before it is sent; returning
+	// true loses the reply after the request was served.
 	onCall func(to string, req any) (loseReply bool)
+	// onNotify, when set, sees each outgoing notify; returning true drops it.
+	onNotify func(to string, req any) (drop bool)
 }
 
 func (tt tapTransport) Client(id string) (transport.Client, error) {
 	c, err := tt.Transport.Client(id)
-	return tapClient{Client: c, onCall: tt.onCall}, err
+	return tapClient{Client: c, tap: tt}, err
 }
 
 type tapClient struct {
 	transport.Client
-	onCall func(to string, req any) bool
+	tap tapTransport
 }
 
 func (c tapClient) Call(ctx context.Context, to string, req any) (any, error) {
-	lose := c.onCall(to, req)
+	lose := c.tap.onCall != nil && c.tap.onCall(to, req)
 	resp, err := c.Client.Call(ctx, to, req)
 	if err == nil && lose {
 		return nil, transport.ErrLost
 	}
 	return resp, err
+}
+
+func (c tapClient) Notify(to string, req any) {
+	if c.tap.onNotify == nil || !c.tap.onNotify(to, req) {
+		c.Client.Notify(to, req)
+	}
 }
 
 // TestSequentialPhaseSweepsLostGrant: a ReadReq lands at its DM and grants,
@@ -452,7 +461,7 @@ func TestSequentialPhaseSweepsLostGrant(t *testing.T) {
 	// Read-all: the only read quorum needs dm0, whose grant goes unheard.
 	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.ReadAllWriteOne(dms)}}
 	store, err := Open(tap, items, WithSeed(61), WithSequentialPhases(true), WithHedgeDelay(0),
-		WithSynchronousCleanup(true), WithLockRetries(0), WithTxnRetries(0), WithCallTimeout(25*time.Millisecond))
+		WithLockRetries(0), WithTxnRetries(0), WithCallTimeout(25*time.Millisecond))
 	if err != nil {
 		net.Close()
 		t.Fatal(err)

@@ -12,9 +12,9 @@ import (
 
 // hintCluster opens a volatile three-replica majority cluster with the
 // freshness-hint fast lane on, driven by a manual clock so tests control
-// exactly when hints expire. Synchronous cleanup keeps control rounds
-// inside Run, so a Quiesce after an operation settles every message it
-// caused — after which the DM soft state may be inspected directly. The
+// exactly when hints expire. Every message an operation causes is sent
+// before Run returns, so settleHints after it settles them all — after
+// which the DM soft state may be inspected directly. The
 // network reports every loss at once (FateFeedback), so the call timeout is
 // pure backstop and sits where a loaded machine cannot reach it: a timeout
 // that can fire on a scheduling hiccup is a wall-clock race. A test that
@@ -34,7 +34,6 @@ func hintCluster(t *testing.T, seed int64, ttl time.Duration, extra ...Option) (
 		WithReadLease(ttl),
 		WithClock(clk),
 		WithRetryBackoff(2 * time.Millisecond),
-		WithSynchronousCleanup(true),
 	}, extra...)
 	store, err := Open(net, items, opts...)
 	if err != nil {
@@ -287,7 +286,6 @@ func TestHintRebuildAfterAmnesia(t *testing.T) {
 		WithCallTimeout(25*time.Millisecond),
 		WithReadLease(time.Minute),
 		WithClock(clk),
-		WithSynchronousCleanup(true),
 		WithDurability(t.TempDir()),
 	)
 	if err != nil {
@@ -480,4 +478,42 @@ func TestTreeReadsItsOwnWriteBackPastTheHintLane(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
+}
+
+// TestGrantedOnlyReplicaSelfGrantsOnNotifiedCommit: a write transaction's
+// granted-only replica — locked by the read phase, outside the write quorum —
+// hears the commit only as a notify, and still runs the one resolution path:
+// when it already holds the final version (planted here, as a repair would
+// have brought it), the Final match in CommitTopReq grants it a hint.
+func TestGrantedOnlyReplicaSelfGrantsOnNotifiedCommit(t *testing.T) {
+	store, net, _, dms := hintCluster(t, 91, time.Minute, WithSequentialPhases(true), WithHedgeDelay(0))
+	ctx := context.Background()
+	for i := 1; i <= 10; i++ {
+		var dm string
+		var vn int
+		if err := store.Run(ctx, func(tx *Txn) error {
+			var err error
+			if vn, err = tx.WriteVersioned(ctx, "x", i); err != nil {
+				return err
+			}
+			if _, granted, _ := tx.controlSets(); len(granted) > 0 {
+				dm = granted[0]
+				r := store.host(dm).srv.Replicas["x"]
+				r.VN, r.Val = vn, i
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if dm == "" {
+			continue // read and write quorum coincided; try another transaction
+		}
+		settleHints(t, store, net, dms)
+		h, ok := dmHint(store, dm, "x")
+		if !ok || h.vn != vn {
+			t.Fatalf("granted-only %s after the notified commit of vn %d: hint %+v (present %v)", dm, vn, h, ok)
+		}
+		return
+	}
+	t.Fatal("no write in 10 had a granted-only replica")
 }

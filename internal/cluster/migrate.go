@@ -90,7 +90,7 @@ func (s *Store) MigrateItem(ctx context.Context, item, toGroup string, cut Commi
 		// transaction still holds locks there (our own commit stragglers),
 		// and a refusal is safe — the replica keeps the gen+1 config record
 		// and redirects via the ordinary generation chase instead.
-		if !slices.Contains(newDMs, dm) && !s.callAcked(ctx, dm, retire, tentativeControlRetries) {
+		if !slices.Contains(newDMs, dm) && !s.callAcked(ctx, dm, retire, 2) {
 			s.traceEvent("store", "migrate", "retire of %q at %s not acknowledged (safe: gen chase covers it)", item, dm)
 		}
 	}

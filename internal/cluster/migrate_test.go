@@ -40,7 +40,6 @@ func shardedCluster(t *testing.T, seed int64, ttl time.Duration, keys []string, 
 		WithLeaseTTL(ttl),
 		WithClock(clk),
 		WithRetryBackoff(2 * time.Millisecond),
-		WithSynchronousCleanup(true),
 		WithRing(ring),
 	}, extra...)
 	store, err := Open(net, items, opts...)
@@ -156,7 +155,7 @@ func TestMigrateStaleClientRedirect(t *testing.T) {
 	}
 	stale, err := OpenClient(net, items,
 		WithSeed(1502), WithCallTimeout(25*time.Millisecond),
-		WithRetryBackoff(2*time.Millisecond), WithSynchronousCleanup(true),
+		WithRetryBackoff(2*time.Millisecond),
 		WithRing(ring))
 	if err != nil {
 		t.Fatal(err)

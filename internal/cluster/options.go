@@ -25,7 +25,6 @@ type settings struct {
 	seed         int64
 	trace        *trace.Log
 	history      *checker.Recorder
-	syncCleanup  bool
 	walDir       string
 	walOpts      []wal.Option
 	leaseTTL     time.Duration
@@ -124,8 +123,8 @@ func WithReadRepair(on bool) Option {
 // each plan waits for every member of one quorum and never hedges, so no
 // grant is surplus and a copy is abandoned only when its replica stays
 // silent (it is then swept like any abandoned copy). A replay lever, not a
-// production setting — the deterministic chaos harness needs it (with
-// WithSynchronousCleanup and a manual WithClock) for exact seeded replay
+// production setting — the deterministic chaos harness needs it (with a
+// manual WithClock) for exact seeded replay
 // until the virtual-time simulator lands; E10 measures what it costs.
 func WithSequentialPhases(on bool) Option {
 	return func(s *settings) { s.sequential = on }
@@ -169,17 +168,6 @@ func WithDurability(dir string) Option {
 // size, fsync, group commit. Only meaningful together with WithDurability.
 func WithWALOptions(opts ...wal.Option) Option {
 	return func(s *settings) { s.walOpts = opts }
-}
-
-// WithSynchronousCleanup makes commit/abort control rounds wait for the
-// best-effort cleanup of tentatively-touched DMs instead of detaching it.
-// The default (off) matches production behaviour — a dead replica the
-// transaction never used must not stall commits — but detached cleanup
-// leaves goroutines drawing from the store's RNG after the operation
-// returns, which perturbs replay; the deterministic chaos harness turns
-// this on.
-func WithSynchronousCleanup(on bool) Option {
-	return func(s *settings) { s.syncCleanup = on }
 }
 
 // WithLeaseTTL enables lock leases and orphan resolution: every lock grant

@@ -138,11 +138,6 @@ func TestHedgeClampToCallerDeadline(t *testing.T) {
 		WithHedgeDelay(5*time.Millisecond),
 		WithLockRetries(0),
 		WithTxnRetries(0),
-		// The abort sweep to tentatively-touched DMs normally runs detached
-		// under a background context (so a caller's cancel can't leak locks
-		// on a real transport) and would register as post-return sends here.
-		// Awaiting it keeps the no-stray-traffic assertion about hedges only.
-		WithSynchronousCleanup(true),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +189,7 @@ func TestLeaseFenceHonorsCallerDeadline(t *testing.T) {
 	clk := sim.NewManualClock(time.Unix(0, 0))
 	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
 	store, err := Open(tap, items, WithSeed(13), WithLeaseTTL(ttl), WithClock(clk),
-		WithHopAllowance(time.Hour), WithSynchronousCleanup(true), WithTxnRetries(0))
+		WithHopAllowance(time.Hour), WithTxnRetries(0))
 	if err != nil {
 		t.Fatal(err)
 	}

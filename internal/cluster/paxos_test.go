@@ -85,7 +85,7 @@ func TestAcceptorStateSurvivesAmnesia(t *testing.T) {
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			net, store, dms := openPaxos(t, 100+int64(i), WithSynchronousCleanup(true))
+			net, store, dms := openPaxos(t, 100+int64(i))
 			defer func() { store.Close(); net.Close() }()
 			ctx := context.Background()
 
@@ -142,7 +142,6 @@ func TestRecoveryAdoptsDecidedOutcome(t *testing.T) {
 	ttl := 50 * time.Millisecond
 	clk := sim.NewManualClock(time.Unix(0, 0))
 	net, store, dms := openPaxos(t, 110,
-		WithSynchronousCleanup(true),
 		WithCallTimeout(20*time.Millisecond),
 		WithLeaseTTL(ttl),
 		WithClock(clk),
@@ -219,11 +218,12 @@ func TestRecoveryAdoptsDecidedOutcome(t *testing.T) {
 // TestLearnFanoutSurvivesCallerCancel is the satellite-4 guard: once the
 // acceptors decided commit, the caller cancelling its context must not
 // abandon the learn fan-out — the outcome is already chosen, so the
-// broadcast runs detached from the caller's lifetime (mirroring the
-// detached cleanup sweeps). Without that, a cancelled caller strands every
-// replica un-applied and the commit surfaces only after recovery.
+// broadcast runs without the caller's cancellation (as the cleanup
+// notifies, which carry no context, do). Without that, a cancelled caller
+// strands every replica un-applied and the commit surfaces only after
+// recovery.
 func TestLearnFanoutSurvivesCallerCancel(t *testing.T) {
-	net, store, dms := openPaxos(t, 120, WithSynchronousCleanup(true))
+	net, store, dms := openPaxos(t, 120)
 	defer func() { store.Close(); net.Close() }()
 	bg := context.Background()
 
@@ -260,7 +260,7 @@ func orphanCluster(t *testing.T, seed int64, protocol commit.Protocol, extra ...
 	t.Helper()
 	clk = sim.NewManualClock(time.Unix(0, 0))
 	opts := append([]Option{
-		WithCommitProtocol(protocol), WithSynchronousCleanup(true), WithSequentialPhases(true), WithHedgeDelay(0),
+		WithCommitProtocol(protocol), WithSequentialPhases(true), WithHedgeDelay(0),
 		WithLeaseTTL(orphanTTL), WithClock(clk), WithRetryBackoff(time.Millisecond),
 	}, extra...)
 	net, coord, dms = openDurable(t, seed, opts...)
@@ -393,7 +393,7 @@ func TestTwoClientsResolveOneOrphan(t *testing.T) {
 	for seed := int64(150); seed < 156; seed++ {
 		coord, a, net, clk, dms := orphanCluster(t, seed, commit.PaxosCommit)
 		b, err := OpenClient(net, coord.Items(),
-			WithSeed(seed+2000), WithCommitProtocol(commit.PaxosCommit), WithSynchronousCleanup(true),
+			WithSeed(seed+2000), WithCommitProtocol(commit.PaxosCommit),
 			WithSequentialPhases(true), WithHedgeDelay(0),
 			WithLeaseTTL(orphanTTL), WithClock(clk), WithRetryBackoff(time.Millisecond))
 		if err != nil {

@@ -244,6 +244,9 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The commits' notifies may still be in a DM's inbox: let them land
+	// before reading dm1's state from outside its actor loop.
+	settleHints(t, store, net, dms)
 	var resolvedTxn TxnID
 	store.mu.Lock()
 	for tid := range store.dms["dm1"].srv.Resolved {

@@ -94,7 +94,7 @@ func TestRouterStaleCacheRetriesOnce(t *testing.T) {
 	}
 	staleStore, err := OpenClient(net, items,
 		WithSeed(1602), WithCallTimeout(25*time.Millisecond),
-		WithRetryBackoff(2*time.Millisecond), WithSynchronousCleanup(true),
+		WithRetryBackoff(2*time.Millisecond),
 		WithRing(ring))
 	if err != nil {
 		t.Fatal(err)

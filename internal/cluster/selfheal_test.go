@@ -14,8 +14,8 @@ import (
 
 // selfHealCluster opens a volatile three-replica majority cluster with
 // leases driven by a manual clock, so tests control exactly when leases
-// lapse. Synchronous cleanup keeps commit control inside Run, so a Quiesce
-// after an operation settles every message the operation caused.
+// lapse. Every message an operation causes is sent before Run returns — the
+// cleanup as notifies — so a Quiesce after it settles them all in transit.
 func selfHealCluster(t *testing.T, seed int64, ttl time.Duration, extra ...Option) (*Store, *sim.Network, *sim.ManualClock, []string) {
 	t.Helper()
 	dms := []string{"dm0", "dm1", "dm2"}
@@ -31,7 +31,6 @@ func selfHealCluster(t *testing.T, seed int64, ttl time.Duration, extra ...Optio
 		WithLeaseTTL(ttl),
 		WithClock(clk),
 		WithRetryBackoff(2 * time.Millisecond),
-		WithSynchronousCleanup(true),
 	}, extra...)
 	store, err := Open(net, items, opts...)
 	if err != nil {
@@ -405,8 +404,7 @@ func TestLeaseFenceStopsReapedCommit(t *testing.T) {
 	ctx := context.Background()
 	other, err := OpenClient(net, store.Items(),
 		WithSeed(307), WithCallTimeout(25*time.Millisecond),
-		WithLeaseTTL(ttl), WithClock(clk), WithRetryBackoff(2*time.Millisecond),
-		WithSynchronousCleanup(true))
+		WithLeaseTTL(ttl), WithClock(clk), WithRetryBackoff(2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,5 +502,84 @@ func TestAntiEntropySweepHealsStaleReplica(t *testing.T) {
 	}
 	if repairs != 0 {
 		t.Fatalf("second sweep sent %d repairs on a converged cluster", repairs)
+	}
+}
+
+// TestLostReleaseNotifyIsResolvedByTheLease: a read-only transaction's
+// commit reaches its replicas only as notifies, and the network may eat one —
+// that replica keeps the read lock, and the lock lease is the backstop. Once
+// the lease lapses, a writer that needs the replica (the write quorum is every
+// replica) is refused with Busy naming the holder, resolves it by re-serving
+// the commit record the other read-quorum replica holds, and commits.
+func TestLostReleaseNotifyIsResolvedByTheLease(t *testing.T) {
+	const ttl = 50 * time.Millisecond
+	dms := []string{"dm0", "dm1", "dm2"}
+	net := sim.NewNetwork(sim.Config{
+		MinLatency: 50 * time.Microsecond, MaxLatency: 500 * time.Microsecond,
+		Seed: 41, FateFeedback: true,
+	})
+	defer net.Close()
+	// Set and read on the Run goroutine: the reader, the replica whose commit
+	// notify is eaten, and how many were.
+	var (
+		reader  TxnID
+		victim  string
+		dropped int
+	)
+	tap := tapTransport{Transport: net, onNotify: func(to string, req any) bool {
+		if c, ok := req.(CommitTopReq); ok && c.Txn == reader && to == victim {
+			dropped++
+			return true
+		}
+		return false
+	}}
+	cfg, err := quorum.Voting(map[string]int{"dm0": 1, "dm1": 1, "dm2": 1}, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := sim.NewManualClock(time.Unix(0, 0))
+	store, err := Open(tap, []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: cfg}},
+		WithSeed(41), WithCallTimeout(time.Second), WithLeaseTTL(ttl), WithClock(clk),
+		WithSequentialPhases(true), WithHedgeDelay(0), WithRetryBackoff(2*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+
+	if err := store.Run(ctx, func(tx *Txn) error {
+		if _, err := tx.Read(ctx, "x"); err != nil {
+			return err
+		}
+		_, granted, _ := tx.controlSets()
+		reader, victim = tx.ID(), granted[0]
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if dropped != 1 {
+		t.Fatalf("%d commit notifies to %s dropped, want 1", dropped, victim)
+	}
+	net.Quiesce()
+	if p, err := store.ResolutionProbe(ctx, victim, reader); err != nil || !p.Holds {
+		t.Fatalf("%s after the lost notify: %+v, %v — want %s's read lock still held", victim, p, err, reader)
+	}
+
+	clk.Advance(ttl + time.Millisecond)
+	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 1) }); err != nil {
+		t.Fatalf("writer behind the lapsed lease: %v", err)
+	}
+	if got := store.Stats.OrphanReapsCommitted.Value(); got != 1 {
+		t.Fatalf("%d orphans resolved as committed, want 1 (%s, re-served from its record)", got, reader)
+	}
+	if got := store.Stats.OrphanReapsAborted.Value(); got != 0 {
+		t.Fatalf("%d orphans presumed aborted: the commit record was not found", got)
+	}
+	p, err := store.ResolutionProbe(ctx, victim, reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Holds || !p.Known || !p.Committed {
+		t.Fatalf("%s after the resolution: %+v, want %s's commit record and none of its locks", victim, p, reader)
 	}
 }

@@ -178,17 +178,6 @@ type Store struct {
 	clientID string
 	txnSeq   atomic.Uint64
 
-	// detached counts control goroutines (commit/abort sweeps to replicas
-	// whose ack the outcome does not need) still in flight. Close waits
-	// them out: with durable replicas a resolution that dies with the
-	// process would leave its locks held in the logs forever. detachMu
-	// guards detachClosing: once Close decided to drain, no new sweep may
-	// detach — a late Add would race the Wait, and the sweep's sends would
-	// race the transport teardown.
-	detached      sync.WaitGroup
-	detachMu      sync.Mutex
-	detachClosing bool
-
 	// health is the failure detector's scoreboard; nil unless
 	// WithHealthProbes is on.
 	health *healthBoard
@@ -356,26 +345,6 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 	return s, nil
 }
 
-// goDetached runs fn as a detached background sweep registered with the
-// close drain, or reports false once Close began draining — racing a
-// WaitGroup.Add against its Wait is undefined, and the sweep's sends would
-// race the transport teardown. A refused caller runs the sweep bounded by
-// its own context instead.
-func (s *Store) goDetached(fn func()) bool {
-	s.detachMu.Lock()
-	if s.detachClosing {
-		s.detachMu.Unlock()
-		return false
-	}
-	s.detached.Add(1)
-	s.detachMu.Unlock()
-	go func() {
-		defer s.detached.Done()
-		fn()
-	}()
-	return true
-}
-
 // now reads the store's clock (wall by default, manual in deterministic
 // harnesses).
 func (s *Store) now() time.Time { return s.opts.clock.Now() }
@@ -424,15 +393,10 @@ func (s *Store) doClose() {
 	close(s.stopBg)
 	s.bg.Wait()
 	// An orderly Close is not a crash (net.Crash models those, and loses
-	// exactly what a crash may lose). Bar new detachments, wait out the
-	// detached commit/abort sweeps already in flight, then let the
-	// transport finish delivering their traffic and any fire-and-forget
-	// releases, so durable replicas log every resolution the client
-	// believes delivered before their WALs close.
-	s.detachMu.Lock()
-	s.detachClosing = true
-	s.detachMu.Unlock()
-	s.detached.Wait()
+	// exactly what a crash may lose). Let the transport deliver everything
+	// already queued — the commit and abort notifies of every returned
+	// operation among it — so durable replicas log every resolution the
+	// client believes delivered before their WALs close.
 	s.tr.Quiesce()
 	s.client.Close()
 	for _, h := range s.hosts() {
@@ -1226,21 +1190,19 @@ func (t *Txn) WriteVersioned(ctx context.Context, item string, val any) (int, er
 	return vn, nil
 }
 
-// tentativeControlRetries bounds control attempts to tentatively-touched
-// DMs. Their acks are not required — they may hold nothing at all — so a
-// few tries to clean up a possible late grant are enough; a crashed DM
-// must not stall commits it was never part of.
-const tentativeControlRetries = 2
-
-// control sends a commit/abort control message to every touched DM
-// concurrently and returns the required DMs that never acknowledged.
-// Required DMs are retried until acknowledged or the retry budget runs
-// out; the caller decides what a missing ack means (an abort carries on,
-// Run's commit checks write-quorum coverage). Cleanup DMs get the same
-// retry budget but are never reported missing: they hold only locks the
-// resolution should sweep, not state the outcome depends on. Tentative
-// DMs (abandoned in-flight copies that may have granted) are retried a
-// few times and given up on silently.
+// control sends a commit/abort control message to every touched DM and
+// returns the required DMs that never acknowledged. Only the required DMs
+// are called, concurrently, each until it acknowledges or the retry budget
+// runs out; the caller decides what a missing ack means (an abort carries
+// on, Run's commit checks write-quorum coverage). Cleanup DMs hold only
+// locks and tentative DMs (abandoned in-flight copies) may hold nothing at
+// all: the outcome depends on neither, so each hears it once, as a notify
+// sent in order from this goroutine — the paper's INFORM, which an object
+// never answers. A notify carries no context, so a caller that cancels
+// right after Run returns revokes nothing, and Close delivers what is
+// queued. One lost to a broken link is what the lock lease covers: whoever
+// the lock blocks resolves the transaction from the record any other DM
+// holds, or presumes abort.
 func (t *Txn) control(ctx context.Context, required, cleanup, tentative []string, req any) (missing []string) {
 	if len(required) == 0 && len(cleanup) == 0 && len(tentative) == 0 {
 		return nil
@@ -1256,37 +1218,11 @@ func (t *Txn) control(ctx context.Context, required, cleanup, tentative []string
 			acked[i] = s.callAcked(ctx, dm, req, s.opts.lockRetries)
 		}(i, dm)
 	}
-	// Cleanup and tentative rounds run detached: the operation's outcome
-	// does not depend on them, and waiting would let a slow or dead
-	// replica the transaction never used stall every commit.
-	//
-	// Detached sends deliberately drop the operation's context: the
-	// outcome is already decided, and a caller that cancels its context
-	// right after Run returns (a CLI that exits, a request handler that
-	// times out) must not revoke the lock sweep — over a real transport
-	// the replicas outlive the client process, so an unswept read lock
-	// wedges the item for every later writer. The sends stay bounded by
-	// their per-call timeouts and retry budgets, and Close waits them out.
-	detached := func(dm string, retries int) {
-		if !s.opts.syncCleanup && s.goDetached(func() { s.callAcked(context.Background(), dm, req, retries) }) {
-			return
-		}
-		// Awaited on the caller's context instead, either because
-		// WithSynchronousCleanup forbids goroutines that outlive the
-		// operation (a replay requirement) or because the store is closing:
-		// the transport is about to quiesce, so a detached sweep could not
-		// outlive this operation anyway and must not race the close drain.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.callAcked(ctx, dm, req, retries)
-		}()
-	}
 	for _, dm := range cleanup {
-		detached(dm, s.opts.lockRetries)
+		s.client.Notify(dm, req)
 	}
 	for _, dm := range tentative {
-		detached(dm, tentativeControlRetries)
+		s.client.Notify(dm, req)
 	}
 	wg.Wait()
 	s.Stats.ControlLatency.ObserveSince(start)
@@ -1554,8 +1490,8 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 	learnCtx := ctx
 	if len(cohort) > 0 {
 		// The outcome is already decided at the acceptors: a caller
-		// cancelling its context now must not abandon the learn fan-out
-		// (the detached-cleanup rule applied to commits). The sends stay
+		// cancelling its context now must not abandon the learn fan-out,
+		// any more than it can revoke the cleanup notifies. The sends stay
 		// bounded by per-call timeouts and retry budgets, and stragglers
 		// are resolved by acceptor recovery regardless.
 		learnCtx = context.WithoutCancel(ctx)

@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -486,4 +490,209 @@ func TestTransportParityHintTargetKilled(t *testing.T) {
 			t.Fatal("dead replica still cached as the fast-lane target")
 		}
 	})
+}
+
+// TestReadOnlyRunCallsNothingAfterItsReads: a read-only transaction's
+// resolution decides nothing, so over TCP no Call follows its read phase —
+// every replica it touched hears the commit as a notify. After Quiesce each
+// of them holds no lock of it and holds its commit record.
+func TestReadOnlyRunCallsNothingAfterItsReads(t *testing.T) {
+	tr := tcp.New()
+	defer tr.Close()
+	var calls atomic.Int64
+	tap := tapTransport{Transport: tr, onCall: func(string, any) bool {
+		calls.Add(1)
+		return false
+	}}
+	store, _ := openTestStore(t, tap)
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		var (
+			id         TxnID
+			touched    []string
+			afterReads int64
+		)
+		if err := store.Run(ctx, func(tx *Txn) error {
+			id = tx.ID()
+			if _, err := tx.Read(ctx, "x"); err != nil {
+				return err
+			}
+			touched, afterReads = tx.touchedDMs(), calls.Load()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n := calls.Load() - afterReads; n != 0 {
+			t.Fatalf("read-only txn %d made %d calls after its read phase", i, n)
+		}
+		tr.Quiesce()
+		for _, dm := range touched {
+			probe, err := store.ResolutionProbe(ctx, dm, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probe.Holds || !probe.Known || !probe.Committed {
+				t.Fatalf("%s after %s's notified commit: %+v, want its record and none of its locks", dm, id, probe)
+			}
+		}
+	}
+}
+
+// TestCommitDoesNotWaitOnAStoppedReplica runs tcp_degraded's shape — three
+// replicas, the third stopped, single-op reads and writes — and holds every
+// commit to its own replicas: a tentative DM (the stopped one, asked by the
+// fan-out and never heard from) hears the outcome as a notify, so the commit
+// tail makes no call to it and no Run spends a call timeout on it. The sim's
+// stopped node is silent, the harder case; over TCP a stopped replica
+// refuses the dial.
+func TestCommitDoesNotWaitOnAStoppedReplica(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
+		const stopped = "pd2"
+		var toStopped atomic.Int64
+		tap := tapTransport{Transport: tr, onCall: func(to string, _ any) bool {
+			if to == stopped {
+				toStopped.Add(1)
+			}
+			return false
+		}}
+		const callTimeout = time.Second
+		store, _ := openTestStore(t, tap, WithCallTimeout(callTimeout))
+		if err := store.StopDM(stopped); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		tentative := 0
+		for i := 0; i < 20; i++ {
+			var afterBody int64
+			start := time.Now()
+			err := store.Run(ctx, func(tx *Txn) error {
+				var err error
+				if i%2 == 0 {
+					err = tx.Write(ctx, "x", i)
+				} else {
+					_, err = tx.Read(ctx, "x")
+				}
+				if _, _, tent := tx.controlSets(); slices.Contains(tent, stopped) {
+					tentative++
+				}
+				afterBody = toStopped.Load()
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if took := time.Since(start); took >= callTimeout/2 {
+				t.Fatalf("txn %d took %v with %s stopped", i, took, stopped)
+			}
+			if n := toStopped.Load() - afterBody; n != 0 {
+				t.Fatalf("txn %d's commit called stopped %s %d times", i, stopped, n)
+			}
+		}
+		if _, isSim := tr.(*sim.Network); isSim && tentative == 0 {
+			t.Fatalf("no commit had the silent %s as a tentative DM", stopped)
+		}
+	})
+}
+
+// stallTransport lets a test stop one replica's handler. While stall is held
+// the replica serves nothing, its server stops reading once its backlog is
+// full, and the links to it back up behind the kernel's buffers.
+type stallTransport struct {
+	transport.Transport
+	id    string
+	stall sync.Mutex
+}
+
+func (st *stallTransport) Serve(id string, h transport.Handler, opts ...transport.ServeOption) (transport.Server, error) {
+	if id == st.id {
+		serve := h
+		h = func(from string, req any, reply func(any)) {
+			st.stall.Lock()
+			st.stall.Unlock()
+			serve(from, req, reply)
+		}
+	}
+	return st.Transport.Serve(id, h, opts...)
+}
+
+// TestReleaseNotifyOutwaitsACongestedLink: with leases off — the default —
+// nothing but its notify ever releases a read lock, so a commit's notify to a
+// replica whose link is full waits for room instead of being dropped. A
+// read-only Run commits while pd0 serves nothing and the client's link to it
+// is backed up; once pd0 serves again it holds none of the transaction's
+// locks and holds its commit record, a writer that needs pd0 commits, and
+// the transport counted no notify dropped.
+func TestReleaseNotifyOutwaitsACongestedLink(t *testing.T) {
+	tr := tcp.New()
+	defer tr.Close()
+	st := &stallTransport{Transport: tr, id: "pd0"}
+	dms := []string{"pd0", "pd1", "pd2"}
+	store, err := Open(st, []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.ReadAllWriteOne(dms)}}, WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	// Filler the replica answers without touching any lock or log.
+	pad := ResolutionProbeReq{Txn: TxnID(strings.Repeat("j", 1<<10))}
+	var (
+		id         TxnID
+		stop       atomic.Bool
+		flooded    = make(chan struct{})
+		committing time.Time
+	)
+	err = store.Run(ctx, func(tx *Txn) error {
+		id = tx.ID()
+		if _, err := tx.Read(ctx, "x"); err != nil {
+			return err
+		}
+		// Every replica granted: the read quorum is all of them. Stop pd0
+		// and fill the client's link to it before the commit's notify.
+		st.stall.Lock()
+		var sent atomic.Int64
+		go func() {
+			defer close(flooded)
+			for !stop.Load() {
+				store.client.Notify("pd0", pad)
+				sent.Add(1)
+			}
+		}()
+		for last := int64(-1); sent.Load() != last; time.Sleep(50 * time.Millisecond) {
+			if last = sent.Load(); last > 64<<10 {
+				stop.Store(true)
+				st.stall.Unlock()
+				return fmt.Errorf("%d notifies to a replica that reads nothing, none of them waited", last)
+			}
+		}
+		time.AfterFunc(100*time.Millisecond, func() {
+			stop.Store(true)
+			st.stall.Unlock()
+		})
+		committing = time.Now()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(committing); waited < 50*time.Millisecond {
+		t.Fatalf("the commit returned %v after its body: its notify did not wait on the full link", waited)
+	}
+	<-flooded
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		probe, err := store.ResolutionProbe(ctx, "pd0", id)
+		if err == nil && !probe.Holds && probe.Known && probe.Committed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pd0 after %s's commit: %+v, %v; want its record and none of its locks", id, probe, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 1) }); err != nil {
+		t.Fatalf("a writer after the congested release: %v", err)
+	}
+	if d := tr.Stats().DroppedNotifies; d != 0 {
+		t.Fatalf("%d notifies counted dropped on live links", d)
+	}
 }

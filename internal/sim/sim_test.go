@@ -392,7 +392,7 @@ func TestFateStreamsIgnoreOtherKindsOnTheLane(t *testing.T) {
 	// kind goes first — the order two racing senders on a node happen to
 	// reach the link in — each kind must meet the same fates, or two rounds
 	// a client runs at once against one replica (a phase's requests and a
-	// detached sweep's, say) fork the chaos harness's exact replay.
+	// resolver's probes, say) fork the chaos harness's exact replay.
 	run := func(interleave bool) (ints, strs int) {
 		net := NewNetwork(Config{DropProb: 0.3, DupProb: 0.3, Seed: 78})
 		defer net.Close()

@@ -204,17 +204,21 @@ func putBuf(bp *[]byte) {
 // linkBound is how many queued bytes make a link's buffer full: a sender that
 // finds it at or over the bound waits for the writer to take it, as it used
 // to wait inside Write, so a peer that stops reading still stops its senders
-// (TCP's back-pressure, one buffer further up). A frame is queued whole, so
-// the buffer can exceed the bound by one frame.
+// (TCP's back-pressure, one buffer further up). A notify waits like a call: it
+// may be the only release a lock will get, and a busy peer is no reason to
+// lose it. A frame is queued whole, so the buffer can exceed the bound by one
+// frame.
 const linkBound = 1 << 20
 
 // errLinkClosed fails a frame sent on a link that was closed in good order.
 var errLinkClosed = errors.New("tcp: link closed")
 
 // linkCounters count what the links of one transport handed to their
-// sockets: Frames/Writes is the coalescing ratio.
+// sockets: Frames/Writes is the coalescing ratio. dropped counts the notifies
+// that never reached a socket: refused by a broken or closed link, or queued
+// on one whose Write — or dial — then failed.
 type linkCounters struct {
-	frames, writes, bytes atomic.Uint64
+	frames, writes, bytes, dropped atomic.Uint64
 }
 
 // frameWriter is the write side of one connection, the only routine that
@@ -229,15 +233,16 @@ type frameWriter struct {
 	c  io.WriteCloser
 	st *linkCounters
 
-	mu     sync.Mutex
-	work   sync.Cond // the writer waits here for a frame
-	room   sync.Cond // senders wait here while the buffer is full
-	buf    []byte    // whole frames, length prefixes included
-	frames int       // how many
-	spare  []byte    // the buffer the last Write used, for the next swap
-	err    error     // the first Write failure
-	closed bool
-	done   chan struct{} // closed when the writer goroutine has exited
+	mu       sync.Mutex
+	work     sync.Cond // the writer waits here for a frame
+	room     sync.Cond // senders wait here while the buffer is full
+	buf      []byte    // whole frames, length prefixes included
+	frames   int       // how many
+	notifies int       // how many of them are notifies
+	spare    []byte    // the buffer the last Write used, for the next swap
+	err      error     // the first Write failure
+	closed   bool
+	done     chan struct{} // closed when the writer goroutine has exited
 }
 
 // newFrameWriter starts the writer goroutine of one connection; close reaps
@@ -250,8 +255,9 @@ func newFrameWriter(c io.WriteCloser, st *linkCounters) *frameWriter {
 }
 
 // writeFrame encodes f, length prefix and body, behind the frames already
-// queued. An error wrapping errUnencodable means the frame was refused and
-// the link is as it was; any other is the connection's.
+// queued, waiting for room while the link is full. An error wrapping
+// errUnencodable means the frame was refused and the link is as it was; any
+// other is the connection's.
 func (fw *frameWriter) writeFrame(f Frame) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
@@ -273,6 +279,9 @@ func (fw *frameWriter) writeFrame(f Frame) error {
 	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	fw.buf = buf
 	fw.frames++
+	if f.Kind == kindNotify {
+		fw.notifies++
+	}
 	if start == 0 {
 		fw.work.Signal()
 	}
@@ -300,15 +309,16 @@ func (fw *frameWriter) run() {
 		runtime.Gosched()
 		fw.mu.Lock()
 		for len(fw.buf) > 0 {
-			out, n := fw.buf, fw.frames
-			fw.buf, fw.frames, fw.spare = fw.spare[:0], 0, nil
+			out, n, notifies := fw.buf, fw.frames, fw.notifies
+			fw.buf, fw.frames, fw.notifies, fw.spare = fw.spare[:0], 0, 0, nil
 			fw.room.Broadcast()
 			fw.mu.Unlock()
 			_, err := fw.c.Write(out)
 			if err != nil {
 				fw.c.Close()
 				fw.mu.Lock()
-				fw.err, fw.buf, fw.frames = err, nil, 0
+				fw.st.dropped.Add(uint64(notifies + fw.notifies))
+				fw.err, fw.buf, fw.frames, fw.notifies = err, nil, 0, 0
 				fw.room.Broadcast()
 				return
 			}

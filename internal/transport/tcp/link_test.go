@@ -87,8 +87,9 @@ func (g *gatedConn) Write(p []byte) (int, error) {
 	return g.Conn.Write(p)
 }
 
-// sendAll has `senders` goroutines queue `each` frames apiece on fw, sender
-// s numbering its frames s*1000, s*1000+1, …; done counts frames queued.
+// sendAll has `senders` goroutines queue `each` call frames apiece on fw,
+// sender s numbering its frames s*1000, s*1000+1, …; done counts frames
+// queued.
 func sendAll(fw *frameWriter, senders, each int, blob []byte, done *atomic.Int64) *sync.WaitGroup {
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -96,7 +97,7 @@ func sendAll(fw *frameWriter, senders, each int, blob []byte, done *atomic.Int64
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				f := Frame{Kind: kindNotify, From: fmt.Sprint("s", s), Req: shapedMsg{VN: s*1000 + i, Blob: blob}}
+				f := Frame{Kind: kindCall, From: fmt.Sprint("s", s), Req: shapedMsg{VN: s*1000 + i, Blob: blob}}
 				if err := fw.writeFrame(f); err != nil {
 					return
 				}
@@ -154,8 +155,9 @@ func TestLinkCoalescesBehindABlockedWrite(t *testing.T) {
 	}
 }
 
-// TestLinkBoundBlocksSenders: a peer that stops reading stops its senders
-// once the buffer is full, and loses none of them when it reads again.
+// TestLinkBoundBlocksSenders: a peer that stops reading stops its callers
+// once the buffer is full, and loses none of their frames when it reads
+// again.
 func TestLinkBoundBlocksSenders(t *testing.T) {
 	near, far := net.Pipe()
 	defer far.Close()
@@ -345,4 +347,129 @@ func TestOneWritePerFrameAndLargeBodies(t *testing.T) {
 		t.Fatalf("reader kept a %d-byte buffer after one large frame", cap(fr.body))
 	}
 	readInOrder(t, fr.br, 8*200, []byte("interleaved"))
+}
+
+// TestNotifyNeverWaitsOnADial: a notify to a peer with no pooled link returns
+// while the link is still dialing. Once the dial completes, what was queued
+// behind it is delivered in order; if the dial fails, it is counted dropped.
+func TestNotifyNeverWaitsOnADial(t *testing.T) {
+	const goneAddr = "127.0.0.1:1"
+	tr := New(WithPeers(map[string]string{"gone": goneAddr}))
+	defer tr.Close()
+	got := make(chan int, 4)
+	if _, err := tr.Serve("s", func(from string, req any, reply func(any)) {
+		got <- req.(echoReq).N
+	}); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	dial := tr.dial
+	tr.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		<-release
+		if addr == goneAddr {
+			return nil, errors.New("connection refused")
+		}
+		return dial(ctx, addr)
+	}
+	c, _ := tr.Client("c")
+	defer c.Close()
+	for _, to := range []string{"s", "gone"} {
+		start := time.Now()
+		c.Notify(to, echoReq{N: 1})
+		// The dial is held until release closes, so any return at all proves
+		// the notify did not wait on it; the bound only catches a hang.
+		if took := time.Since(start); took >= 500*time.Millisecond {
+			t.Fatalf("a notify to dialing %q took %v", to, took)
+		}
+		c.Notify(to, echoReq{N: 2})
+	}
+	select {
+	case n := <-got:
+		t.Fatalf("notify %d delivered before its dial completed", n)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	for want := 1; want <= 2; want++ {
+		select {
+		case n := <-got:
+			if n != want {
+				t.Fatalf("notify %d arrived where %d was due", n, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("notify %d never delivered after the dial completed", want)
+		}
+	}
+	waitFor(t, "the failed dial's notifies to be counted", func() bool { return tr.Stats().DroppedNotifies == 2 })
+}
+
+// TestNotifyWaitsForRoomOnAFullLink: a notify on a live link whose peer has
+// stopped reading waits for room once the buffer is full, as a call does —
+// it may be a lock's only release — and every one of them arrives, in order,
+// when the peer reads again. None is counted dropped.
+func TestNotifyWaitsForRoomOnAFullLink(t *testing.T) {
+	tr := New()
+	defer tr.Close()
+	cl, _ := tr.Client("c")
+	c := cl.(*Client).caller
+	near, far := net.Pipe()
+	defer far.Close()
+	c.mu.Lock()
+	cc := c.adopt("s", near)
+	c.mu.Unlock()
+
+	blob := bytes.Repeat([]byte{0x5A}, 64<<10)
+	n := 3 * linkBound / len(blob) // the writer holds one buffer's worth in Write, the link one more
+	var queued atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			cl.Notify("s", shapedMsg{VN: i, Blob: blob})
+			queued.Add(1)
+		}
+	}()
+	waitFor(t, "the buffer to fill", func() bool {
+		cc.fw.mu.Lock()
+		defer cc.fw.mu.Unlock()
+		return len(cc.fw.buf) >= linkBound
+	})
+	time.Sleep(20 * time.Millisecond) // a notify that was going to be dropped would have been
+	select {
+	case <-done:
+		t.Fatalf("all %d notifies returned with nobody reading", n)
+	default:
+	}
+	readInOrder(t, far, n, blob)
+	<-done
+	if q := queued.Load(); q != int64(n) {
+		t.Fatalf("%d of %d notifies returned after the peer read again", q, n)
+	}
+	if d := tr.Stats().DroppedNotifies; d != 0 {
+		t.Fatalf("%d notifies counted dropped on a live link", d)
+	}
+}
+
+// TestCloseWaitsOneGraceForDialingLinks: closing an endpoint whose links are
+// all still dialing unreachable peers waits closeGrace once, not once per
+// link, and counts what was queued on them dropped.
+func TestCloseWaitsOneGraceForDialingLinks(t *testing.T) {
+	peers := map[string]string{"a": "127.0.0.1:1", "b": "127.0.0.1:2", "c": "127.0.0.1:3"}
+	tr := New(WithPeers(peers), WithDialTimeout(time.Minute))
+	defer tr.Close()
+	tr.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		<-ctx.Done() // unreachable: only the close deadline ends it
+		return nil, ctx.Err()
+	}
+	cl, _ := tr.Client("x")
+	for to := range peers {
+		cl.Notify(to, echoReq{N: 1})
+	}
+	start := time.Now()
+	cl.Close()
+	if took := time.Since(start); took >= 2*closeGrace {
+		t.Fatalf("Close over %d dialing links took %v, want about one closeGrace (%v)", len(peers), took, closeGrace)
+	}
+	if d := tr.Stats().DroppedNotifies; d != uint64(len(peers)) {
+		t.Fatalf("%d notifies counted dropped, want the %d queued on the abandoned dials", d, len(peers))
+	}
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -47,6 +48,9 @@ var (
 type Transport struct {
 	dialTimeout time.Duration
 	links       linkCounters // summed over every link this transport writes
+
+	// dial connects to a peer; a seam for tests that need a dial to hang.
+	dial func(ctx context.Context, addr string) (net.Conn, error)
 
 	mu      sync.Mutex
 	peers   map[string]string // static name → host:port
@@ -84,10 +88,14 @@ func WithDialTimeout(d time.Duration) Option {
 func New(opts ...Option) *Transport {
 	t := &Transport{
 		dialTimeout: 2 * time.Second,
-		peers:       map[string]string{},
-		local:       map[string]string{},
-		servers:     map[string]*Server{},
-		callers:     map[*Client]struct{}{},
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		},
+		peers:   map[string]string{},
+		local:   map[string]string{},
+		servers: map[string]*Server{},
+		callers: map[*Client]struct{}{},
 	}
 	for _, o := range opts {
 		o(t)
@@ -177,20 +185,24 @@ func (t *Transport) Client(id string) (transport.Client, error) {
 }
 
 // Stats is what a transport's links handed to their sockets so far: whole
-// frames, the Writes that carried them, and their bytes.
+// frames, the Writes that carried them, and their bytes. DroppedNotifies
+// counts the notifies that never reached a socket: refused by a broken or
+// closed link, or lost with a link whose dial or Write failed.
 type Stats struct {
-	Frames, Writes, Bytes uint64
+	Frames, Writes, Bytes, DroppedNotifies uint64
 }
 
 // Stats sums the link counters of every connection this transport wrote to,
 // as a caller or as a server. Frames/Writes is the coalescing ratio.
 func (t *Transport) Stats() Stats {
-	return Stats{Frames: t.links.frames.Load(), Writes: t.links.writes.Load(), Bytes: t.links.bytes.Load()}
+	return Stats{Frames: t.links.frames.Load(), Writes: t.links.writes.Load(), Bytes: t.links.bytes.Load(),
+		DroppedNotifies: t.links.dropped.Load()}
 }
 
 // Quiesce waits until everything this transport's endpoints have sent so
-// far has been read by its peer — every link is flushed and answered a
-// barrier (see caller.barrier) — and then until every request this transport's
+// far has been read by its peer — every link, a dialing one included, is
+// flushed and answered a barrier (see caller.barrier), each within
+// closeGrace — and then until every request this transport's
 // servers have read off their connections has been served. Work a handler
 // starts while Quiesce waits is not chased, so this is still weaker than the
 // sim network's drain: the caller must have stopped issuing new work first
@@ -282,9 +294,97 @@ func newCaller(t *Transport, id string) *caller {
 // back — so a peer that stopped reading cannot hold a Close hostage.
 const closeGrace = 2 * time.Second
 
+// linkConn is what a pooled outbound link needs of its socket.
+type linkConn interface {
+	io.ReadWriteCloser
+	SetWriteDeadline(time.Time) error
+}
+
+// dialingConn is an outbound socket whose dial runs in the background. The
+// link is pooled the moment the dial starts, so no sender waits on it: frames
+// queue in the link's buffer and leave in order once it connects, or fail
+// with it. Read and Write wait for the dial and fail as it did; Close
+// abandons a dial still running.
+type dialingConn struct {
+	ready  chan struct{} // closed when the dial has finished
+	cancel context.CancelFunc
+
+	mu       sync.Mutex
+	conn     net.Conn  // set before ready closes; nil if the dial failed
+	deadline time.Time // a write deadline set while dialing, for conn
+}
+
+// dialAsync starts dialing addr, bounded by the dial timeout.
+func (t *Transport) dialAsync(addr string) *dialingConn {
+	ctx, cancel := context.WithTimeout(context.Background(), t.dialTimeout)
+	d := &dialingConn{ready: make(chan struct{}), cancel: cancel}
+	go func() {
+		defer close(d.ready)
+		conn, err := t.dial(ctx, addr)
+		cancel()
+		if err != nil {
+			return
+		}
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if !d.deadline.IsZero() {
+			conn.SetWriteDeadline(d.deadline)
+		}
+		d.conn = conn
+	}()
+	return d
+}
+
+// wait returns the dialed socket; a refused or unreachable dial is a dead
+// peer, the lost fate.
+func (d *dialingConn) wait() (net.Conn, error) {
+	<-d.ready
+	if d.conn == nil {
+		return nil, transport.ErrLost
+	}
+	return d.conn, nil
+}
+
+func (d *dialingConn) Read(p []byte) (int, error) {
+	c, err := d.wait()
+	if err != nil {
+		return 0, err
+	}
+	return c.Read(p)
+}
+
+func (d *dialingConn) Write(p []byte) (int, error) {
+	c, err := d.wait()
+	if err != nil {
+		return 0, err
+	}
+	return c.Write(p)
+}
+
+func (d *dialingConn) Close() error {
+	d.cancel()
+	if c, err := d.wait(); err == nil {
+		return c.Close()
+	}
+	return nil
+}
+
+// SetWriteDeadline bounds the dial as well as the writes after it, and waits
+// for neither: a dial still running at t is abandoned then.
+func (d *dialingConn) SetWriteDeadline(t time.Time) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.conn != nil {
+		return d.conn.SetWriteDeadline(t)
+	}
+	d.deadline = t
+	time.AfterFunc(time.Until(t), d.cancel)
+	return nil
+}
+
 // clientConn is one pooled outbound connection and the calls pending on it.
 type clientConn struct {
-	c  net.Conn
+	c  linkConn
 	fw *frameWriter
 
 	mu      sync.Mutex
@@ -325,48 +425,28 @@ func (cc *clientConn) fail() {
 	}
 }
 
-// get returns the pooled connection to `to`, dialing if needed.
+// get returns the pooled connection to `to`, pooling one that starts dialing
+// in the background if there is none: nobody waits on a dial here. A dial
+// that fails fails the link, and every call queued on it, with the lost fate.
 func (c *caller) get(to string) (*clientConn, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("tcp: endpoint %q closed", c.id)
 	}
 	if cc := c.conns[to]; cc != nil {
-		c.mu.Unlock()
 		return cc, nil
 	}
-	c.mu.Unlock()
-
 	addr, ok := c.tr.resolve(to)
 	if !ok {
 		return nil, fmt.Errorf("tcp: unknown peer %q", to)
 	}
-	conn, err := net.DialTimeout("tcp", addr, c.tr.dialTimeout)
-	if err != nil {
-		// A refused or unreachable dial is a dead peer: the lost fate.
-		return nil, transport.ErrLost
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, fmt.Errorf("tcp: endpoint %q closed", c.id)
-	}
-	if raced := c.conns[to]; raced != nil {
-		// Another goroutine dialed first; keep its connection.
-		c.mu.Unlock()
-		conn.Close()
-		return raced, nil
-	}
-	cc := c.adopt(to, conn)
-	c.mu.Unlock()
-	return cc, nil
+	return c.adopt(to, c.tr.dialAsync(addr)), nil
 }
 
 // adopt pools conn as the connection to `to` and starts its writer and its
 // reader. The caller holds c.mu.
-func (c *caller) adopt(to string, conn net.Conn) *clientConn {
+func (c *caller) adopt(to string, conn linkConn) *clientConn {
 	cc := &clientConn{c: conn, fw: newFrameWriter(conn, &c.tr.links), pending: map[uint64]chan any{}}
 	c.conns[to] = cc
 	go c.readLoop(to, cc)
@@ -454,20 +534,27 @@ func (c *caller) send(to string, cc *clientConn, f Frame) error {
 	return err
 }
 
-// notify sends one fire-and-forget frame, best-effort.
+// notify queues one fire-and-forget frame and returns. It never waits on a
+// dial (get pools a dialing link); like a call, it waits for room on a full
+// link, because a notify may be the only release a lock will get. A notify
+// that is not queued, or is lost with its link, is counted in
+// Stats.DroppedNotifies.
 func (c *caller) notify(to string, req any) {
 	cc, err := c.get(to)
-	if err != nil {
-		return
+	if err == nil {
+		err = c.send(to, cc, Frame{Kind: kindNotify, From: c.id, Req: req})
 	}
-	c.send(to, cc, Frame{Kind: kindNotify, From: c.id, Req: req})
+	if err != nil {
+		c.tr.links.dropped.Add(1)
+	}
 }
 
 // barrier flushes every pooled link and waits until its peer has read what was
 // sent on it: a call that carries no request is the transport's own barrier,
 // answered by the peer's reader once every frame before it on the connection
-// has been dispatched. A link that breaks or stays silent for closeGrace has
-// nothing left to wait for.
+// has been dispatched. A link still dialing is waited for like any other. A
+// link that breaks or stays silent for closeGrace has nothing left to wait
+// for.
 func (c *caller) barrier() {
 	c.mu.Lock()
 	conns := make(map[string]*clientConn, len(c.conns))
@@ -483,8 +570,10 @@ func (c *caller) barrier() {
 }
 
 // close delivers what the links still hold — an orderly close loses no
-// fire-and-forget message it was handed — then closes them; calls still
-// pending fail with ErrLost.
+// fire-and-forget message it was handed, on a link still dialing either —
+// then closes them; calls still pending fail with ErrLost. Every link gets
+// the same deadline before any is waited on, so the whole close takes at
+// most one closeGrace.
 func (c *caller) close() {
 	c.mu.Lock()
 	if c.closed {
@@ -495,8 +584,11 @@ func (c *caller) close() {
 	conns := c.conns
 	c.conns = map[string]*clientConn{}
 	c.mu.Unlock()
+	deadline := time.Now().Add(closeGrace)
 	for _, cc := range conns {
-		cc.c.SetWriteDeadline(time.Now().Add(closeGrace))
+		cc.c.SetWriteDeadline(deadline)
+	}
+	for _, cc := range conns {
 		cc.fw.close()
 		cc.fail()
 	}
