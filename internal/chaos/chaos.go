@@ -677,6 +677,10 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 
 	hist := rec.History()
 	res.Ops = hist.Events()
+	// The probe's commits notify the replicas whose acknowledgement they do
+	// not act on; count them delivered in every run, not only in those where
+	// they landed before the snapshot.
+	net.Quiesce()
 	res.Net = net.Stats()
 	res.Recoveries = int(store.Stats.Recoveries.Value())
 	res.ReplayedRecords = store.Stats.ReplayedRecords.Value()

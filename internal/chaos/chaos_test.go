@@ -78,6 +78,53 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// flatCfg is shortCfg over flat two-operation transactions: no Sub wraps an
+// operation, so every transaction whose first operation is a read takes it
+// without a lock, and its second operation validates it.
+func flatCfg(seed int64) Config {
+	cfg := shortCfg(seed)
+	cfg.NestDepth, cfg.OpsPerTxn, cfg.Rounds = -1, 2, 3
+	return cfg
+}
+
+// TestFlatCampaign runs the full fault mix, under both commit protocols,
+// over flat transactions: lockless first reads and their validations meet
+// every fault class, and every history must still verify with nothing
+// wedged.
+func TestFlatCampaign(t *testing.T) {
+	ctx := testCtx(t)
+	for i := 0; i < 6; i++ {
+		cfg := flatCfg(CampaignSeed(131, i))
+		if i%2 == 1 {
+			cfg.Protocol = commit.PaxosCommit
+		}
+		res, err := Run(ctx, cfg)
+		if err != nil {
+			t.Fatalf("flat campaign %d (seed %d): %v", i, cfg.Seed, err)
+		}
+		if res.Committed == 0 || res.Wedged != 0 {
+			t.Errorf("flat campaign %d (seed %d): %d committed, %d wedged", i, cfg.Seed, res.Committed, res.Wedged)
+		}
+	}
+}
+
+// TestFlatCampaignDeterministic: a campaign of lockless first reads and
+// their validations replays exactly, down to the network's counters by
+// message kind.
+func TestFlatCampaignDeterministic(t *testing.T) {
+	skipReplayUnderRace(t)
+	ctx := testCtx(t)
+	cfg := flatCfg(CampaignSeed(131, 0))
+	a, errA := Run(ctx, cfg)
+	b, errB := Run(ctx, cfg)
+	if errA != nil || errB != nil {
+		t.Fatalf("campaign errors: %v / %v", errA, errB)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same seed diverged:\n  run A: %+v\n  run B: %+v", a, b)
+	}
+}
+
 // TestAmnesiaCampaign runs amnesia-only campaigns: replicas keep having
 // their memory wiped and rebuilt from their write-ahead logs mid-campaign,
 // and every history must still verify. Aggregate recovery counters prove

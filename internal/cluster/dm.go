@@ -311,7 +311,9 @@ func (s *dmServer) abortSub(t TxnID) (Ack, bool) {
 // lease, and returns the replica with whether the transaction already held
 // a lock there. Otherwise r is nil and refusal is the answer: the redirect,
 // or refuse(busy, orphans) — the caller's reply type, Busy after a lock
-// conflict, naming the holders whose lease lapsed.
+// conflict, naming the holders whose lease lapsed. A lockNone access passes
+// every refusal a read lock would and then records nothing: no lock, index
+// entry or lease.
 func (s *dmServer) acquire(t TxnID, inherit []TxnID, item string, m LockMode, seq int, refuse func(busy bool, orphans []TxnID) any) (r *replica, held bool, refusal any) {
 	if w, ok := s.Moved[item]; ok {
 		return nil, false, w
@@ -325,6 +327,9 @@ func (s *dmServer) acquire(t TxnID, inherit []TxnID, item string, m LockMode, se
 	}
 	if !r.canLock(t, inherit, m) {
 		return nil, false, refuse(true, s.expiredHolders(r, t))
+	}
+	if m == lockNone {
+		return r, false, nil
 	}
 	held = r.grant(t, m, seq)
 	s.touch(t, item)
@@ -529,9 +534,10 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		}
 		// A granted read mutates the lock table: the grant is a promise
 		// two-phase locking depends on, so a restarted replica must still
-		// remember it. Hinted is response-only soft state (a replay's
-		// discarded responses may differ in it; the hard state never does).
-		return ReadResp{OK: true, Held: held, VN: vn, Val: val, Gen: gen, Cfg: cfg, Hinted: s.hintMiss(q.Item, r) == ""}, true
+		// remember it. A lockless read promised nothing and is not logged.
+		// Hinted is response-only soft state (a replay's discarded responses
+		// may differ in it; the hard state never does).
+		return ReadResp{OK: true, Held: held, VN: vn, Val: val, Gen: gen, Cfg: cfg, Hinted: s.hintMiss(q.Item, r) == ""}, q.Lock != lockNone
 	case WriteReq:
 		return s.write(q.Item, q.Seq, q.Inherit, intent{Owner: q.Txn, VN: q.VN, Val: q.Val})
 	case ConfigWriteReq:

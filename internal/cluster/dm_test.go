@@ -604,6 +604,49 @@ func TestRefusalNamesExpiredLeaseHolders(t *testing.T) {
 	}
 }
 
+// TestLocklessReadAtTheReplica: a top-level transaction's first read carries
+// lockNone. A foreign read lock does not refuse it, and it is answered with
+// the committed state while the replica records nothing — no lock, no index
+// entry, no lease — and reports nothing for the log. A foreign write lock,
+// with or without an intention behind it, makes it Busy exactly as it would
+// a read lock, naming the holders whose lease lapsed.
+func TestLocklessReadAtTheReplica(t *testing.T) {
+	s, clk := leasedDM()
+	r := s.Replicas["x"]
+	const reader = TxnID("c2.t1")
+	read := ReadReq{Txn: reader, Item: "x", Lock: lockNone, Seq: 1}
+	if resp := serve(s, ReadReq{Txn: "c1.t1", Item: "x", Lock: LockRead, Seq: 1}).(ReadResp); !resp.OK {
+		t.Fatalf("foreign read lock refused: %+v", resp)
+	}
+	resp, mutated := s.apply(read)
+	if got := resp.(ReadResp); !got.OK || got.Held || got.VN != 0 || got.Val != "init" || mutated {
+		t.Fatalf("lockless read beside a foreign read lock: (%+v, logged %v), want the committed state, unlogged", got, mutated)
+	}
+	_, locked := r.Locks[reader]
+	_, leased := s.leases[reader]
+	if locked || leased || s.touched[reader] != nil || len(r.Locks) != 1 {
+		t.Fatalf("lockless read left state: locks %v, leases %v, touched %v", r.Locks, s.leases, s.touched)
+	}
+
+	for _, writer := range []any{
+		ReadReq{Txn: "c1.t2", Item: "x", Lock: LockWrite, Seq: 1},
+		WriteReq{Txn: "c1.t2/0", Item: "x", VN: 1, Val: "v", Seq: 1},
+	} {
+		s, clk = leasedDM()
+		serve(s, writer)
+		if got := serve(s, read).(ReadResp); got.OK || !got.Busy || got.Orphans != nil {
+			t.Fatalf("lockless read behind %T: %+v, want Busy naming nobody", writer, got)
+		}
+		clk.Advance(time.Minute + time.Millisecond)
+		if got := serve(s, read).(ReadResp); !got.Busy || !reflect.DeepEqual(got.Orphans, []TxnID{"c1.t2"}) {
+			t.Fatalf("lockless read behind %T past its lease: %+v, want Busy naming c1.t2", writer, got)
+		}
+		if _, leased := s.leases[reader]; leased || s.touched[reader] != nil {
+			t.Fatalf("a refused lockless read left state: leases %v, touched %v", s.leases, s.touched)
+		}
+	}
+}
+
 // TestPresumedAbortIsConditionalAtTheReplica: the resolver presumes, each
 // replica disposes. A DecisionReq marked Presumed is refused, unlogged, while
 // this replica holds an unexpired lease entry for the transaction; once the

@@ -60,7 +60,8 @@ type ConflictError struct {
 	// Txn is the transaction that gave up.
 	Txn TxnID
 	// Phase is the quorum phase that conflicted ("read", "write",
-	// "reconfigure").
+	// "reconfigure"), or "validate": the version a lockless first read
+	// returned had changed by the tree's next access.
 	Phase string
 	// Attempts is how many times the phase was tried (first try included).
 	Attempts int

@@ -245,6 +245,9 @@ type phaseSpec struct {
 	req     any          // the request, Seq already stamped
 	seq     int          // the phase's sequence number
 	isWrite bool         // write phases never release extra locks (intents need them)
+	// lockless phases (ReadReq with lockNone) leave nothing at any replica,
+	// late copies included: there is nothing to touch or release.
+	lockless bool
 }
 
 // phaseResp is one RPC outcome delivered to the fan-out loop.
@@ -411,8 +414,11 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 // copies are tombstoned so a late grant at the DM frees itself. Locks the
 // transaction already held from earlier phases, and write locks backing
 // buffered intentions, are never released; the DM enforces the same
-// guards.
+// guards. A lockless phase has nothing to reconcile.
 func (t *Txn) settlePhase(spec phaseSpec, col *collector) {
+	if spec.lockless {
+		return
+	}
 	win, won := col.winner()
 	for _, dm := range spec.targets {
 		switch {

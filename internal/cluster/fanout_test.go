@@ -230,7 +230,9 @@ func TestHedgingResendsToSilentReplica(t *testing.T) {
 
 // TestExtraReadLocksReleased: a read fan-out over five replicas grants at
 // more members than the majority needs; the extras must be released while
-// the transaction still runs, observable via Inspect lock counts.
+// the transaction still runs, observable via Inspect lock counts. The read
+// runs in a subtransaction, where it locks: a top-level first read takes no
+// lock at all.
 func TestExtraReadLocksReleased(t *testing.T) {
 	dms := []string{"dm0", "dm1", "dm2", "dm3", "dm4"}
 	net := sim.NewNetwork(sim.Config{MinLatency: 10 * time.Microsecond, MaxLatency: 100 * time.Microsecond, Seed: 43})
@@ -244,33 +246,35 @@ func TestExtraReadLocksReleased(t *testing.T) {
 	ctx := context.Background()
 
 	err = store.Run(ctx, func(tx *Txn) error {
-		if _, err := tx.Read(ctx, "x"); err != nil {
-			return err
-		}
-		// The fan-out returns at the third grant; the other two replicas
-		// are either extras (released) or outstanding (tombstoned), so
-		// once the dust settles exactly the winning majority holds locks.
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			total := 0
-			for _, dm := range dms {
-				resp, err := store.Inspect(ctx, dm, "x")
-				if err != nil {
-					return err
+		return tx.Sub(ctx, func(sub *Txn) error {
+			if _, err := sub.Read(ctx, "x"); err != nil {
+				return err
+			}
+			// The fan-out returns at the third grant; the other two replicas
+			// are either extras (released) or outstanding (tombstoned), so
+			// once the dust settles exactly the winning majority holds locks.
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				total := 0
+				for _, dm := range dms {
+					resp, err := store.Inspect(ctx, dm, "x")
+					if err != nil {
+						return err
+					}
+					total += resp.Locks
 				}
-				total += resp.Locks
+				// The winning majority holds exactly 3 locks; extras must be
+				// gone while the transaction is still open.
+				if total == 3 {
+					return nil
+				}
+				if time.Now().After(deadline) {
+					t.Errorf("lock count stuck at %d, want 3 (extras not released)", total)
+					return nil
+				}
+				time.Sleep(time.Millisecond)
 			}
-			// The winning majority holds exactly 3 locks; extras must be
-			// gone while the transaction is still open.
-			if total == 3 {
-				return nil
-			}
-			if time.Now().After(deadline) {
-				t.Errorf("lock count stuck at %d, want 3 (extras not released)", total)
-				return nil
-			}
-			time.Sleep(time.Millisecond)
-		}
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -450,6 +454,7 @@ func (c tapClient) Notify(to string, req any) {
 // but the reply is lost, so the one-quorum-at-a-time plan fails and the
 // transaction aborts. The DM the client never heard from may hold a lock:
 // it must stay on the transaction's control list so the abort reaches it.
+// The read runs in a subtransaction, where it locks.
 func TestSequentialPhaseSweepsLostGrant(t *testing.T) {
 	dms := []string{"dm0", "dm1", "dm2"}
 	net := sim.NewNetwork(sim.Config{MinLatency: 50 * time.Microsecond, MaxLatency: 500 * time.Microsecond, Seed: 61})
@@ -472,8 +477,10 @@ func TestSequentialPhaseSweepsLostGrant(t *testing.T) {
 	var id TxnID
 	err = store.Run(ctx, func(tx *Txn) error {
 		id = tx.ID()
-		_, rerr := tx.Read(ctx, "x")
-		return rerr
+		return tx.Sub(ctx, func(sub *Txn) error {
+			_, rerr := sub.Read(ctx, "x")
+			return rerr
+		})
 	})
 	if !errors.Is(err, ErrUnavailable) || lost.Load() == 0 {
 		t.Fatalf("read with dm0's grant unheard: %v (lost %d replies), want ErrUnavailable", err, lost.Load())

@@ -10,20 +10,24 @@ import (
 type LockMode int
 
 // Lock modes. Write-TM read phases use LockWrite (update locking), so a
-// writer never needs to upgrade a read lock it already holds.
+// writer never needs to upgrade a read lock it already holds. lockNone is a
+// top-level transaction's first read (readPhase): refused exactly where a
+// read lock would be, and otherwise answered with no lock taken.
 const (
-	LockRead LockMode = iota + 1
+	lockNone LockMode = iota
+	LockRead
 	LockWrite
 )
 
 // ReadReq asks a DM for its replica state of an item, acquiring a lock of
-// the given mode for the transaction first. Seq identifies the quorum
-// phase that issued the request (monotonic per transaction); hedged
-// duplicates of one phase share a Seq, and a ReleaseReq carrying the same
-// Seq tombstones the phase so late copies cannot re-grant. Seq 0 means
-// "no phase tracking" (requests sent outside a quorum phase, such as
-// PlantOrphan's). Gen is the newest configuration generation the reader
-// already holds: the reply carries a configuration only when it is newer.
+// the given mode for the transaction first (none for lockNone). Seq
+// identifies the quorum phase that issued the request (monotonic per
+// transaction); hedged duplicates of one phase share a Seq, and a
+// ReleaseReq carrying the same Seq tombstones the phase so late copies
+// cannot re-grant. Seq 0 means "no phase tracking" (requests sent outside a
+// quorum phase, such as PlantOrphan's). Gen is the newest configuration
+// generation the reader already holds: the reply carries a configuration
+// only when it is newer.
 //
 // Inherit states Moss's lock inheritance instead of having the replica
 // perform it: the committed subtransactions whose locks and versions Txn's

@@ -510,7 +510,9 @@ func TestAntiEntropySweepHealsStaleReplica(t *testing.T) {
 // that replica keeps the read lock, and the lock lease is the backstop. Once
 // the lease lapses, a writer that needs the replica (the write quorum is every
 // replica) is refused with Busy naming the holder, resolves it by re-serving
-// the commit record the other read-quorum replica holds, and commits.
+// the commit record the other read-quorum replica holds, and commits. The
+// read runs in a subtransaction, where it locks: a top-level first read
+// leaves nothing to release.
 func TestLostReleaseNotifyIsResolvedByTheLease(t *testing.T) {
 	const ttl = 50 * time.Millisecond
 	dms := []string{"dm0", "dm1", "dm2"}
@@ -548,7 +550,10 @@ func TestLostReleaseNotifyIsResolvedByTheLease(t *testing.T) {
 	ctx := context.Background()
 
 	if err := store.Run(ctx, func(tx *Txn) error {
-		if _, err := tx.Read(ctx, "x"); err != nil {
+		if err := tx.Sub(ctx, func(sub *Txn) error {
+			_, err := sub.Read(ctx, "x")
+			return err
+		}); err != nil {
 			return err
 		}
 		_, granted, _ := tx.controlSets()

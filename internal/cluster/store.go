@@ -496,13 +496,6 @@ func (s *Store) Ring() *shard.Ring {
 	return s.ring.Clone()
 }
 
-// relocateItem rewrites the client's view of where item lives: its replica
-// set, believed generation/config, and (when the store is sharded) the
-// ring override pinning it to the new group. Every freshness hint is
-// dropped when the ring epoch advances — a hint primed against the old
-// replica group must not serve after the move. Generation numbers only go
-// forward, so a stale redirect (or a racing pair of them) cannot regress a
-// newer placement.
 // RingEpoch returns the store's current placement epoch (0 unsharded) —
 // cheaper than Ring() when only staleness is being checked.
 func (s *Store) RingEpoch() int {
@@ -514,6 +507,13 @@ func (s *Store) RingEpoch() int {
 	return s.ring.Epoch
 }
 
+// relocateItem rewrites the client's view of where item lives: its replica
+// set, believed generation/config, and (when the store is sharded) the
+// ring override pinning it to the new group. Every freshness hint is
+// dropped when the ring epoch advances — a hint primed against the old
+// replica group must not serve after the move. Generation numbers only go
+// forward, so a stale redirect (or a racing pair of them) cannot regress a
+// newer placement.
 func (s *Store) relocateItem(item string, dms []string, gen int, cfg quorum.Config, group string, epoch int) {
 	s.mu.Lock()
 	if it, ok := s.items[item]; ok {
@@ -543,13 +543,14 @@ func (s *Store) relocateItem(item string, dms []string, gen int, cfg quorum.Conf
 
 // adoptRedirect folds a WrongShard redirect into the client's placement
 // view and reports whether it taught the client anything new — a fresh
-// generation or a different replica set. A redirect that changes nothing
-// means the client already believes the placement the marker names, so
-// retrying under it cannot make progress.
+// generation, or a different replica set at the believed one (an older
+// generation's is not adopted). A redirect that changes nothing means the
+// client already believes the placement the marker names, so retrying under
+// it cannot make progress.
 func (s *Store) adoptRedirect(w WrongShardResp) bool {
 	it, _ := s.itemSpec(w.Item)
 	cur := s.config(w.Item)
-	changed := w.Gen > cur.gen || !sameStrings(it.DMs, w.DMs)
+	changed := w.Gen > cur.gen || (w.Gen == cur.gen && !sameStrings(it.DMs, w.DMs))
 	s.relocateItem(w.Item, w.DMs, w.Gen, w.Cfg, w.Group, w.Epoch)
 	return changed
 }
@@ -666,6 +667,13 @@ type Txn struct {
 	store  *Store
 	id     TxnID
 	parent *Txn // nil at the top level
+	root   *Txn // the top level of t's tree, t itself there
+
+	// unchecked is the root's lockless first read while no later access of
+	// the tree has re-read it under a lock; the next read phase of any Txn in
+	// the tree takes it and validates it (validateFirst). Set on the root
+	// only.
+	unchecked atomic.Pointer[firstRead]
 
 	mu       sync.Mutex
 	touched  map[string]touchLevel
@@ -673,6 +681,9 @@ type Txn struct {
 	phaseSeq int
 	done     bool
 	ops      []checker.Op
+	// invalid is the root's sticky verdict of a failed validation, which
+	// commitAttempt refuses to commit past.
+	invalid error
 
 	// subs lists the committed subtransactions of this transaction's
 	// subtree; the append that puts a child here is the child's commit
@@ -924,6 +935,13 @@ func (t *Txn) wrongShardErr(item, phase string, w WrongShardResp) error {
 	}
 }
 
+// firstRead is a root's lockless first read: the item and the version it
+// returned, which the tree's next access re-reads under a lock.
+type firstRead struct {
+	item string
+	vn   int
+}
+
 // readPhase assembles a read-quorum of the item's current configuration,
 // chasing generation numbers upward as newer configurations are discovered
 // (Section 4's read rule), and returns the highest-version value seen.
@@ -934,7 +952,28 @@ func (t *Txn) wrongShardErr(item, phase string, w WrongShardResp) error {
 // released replica's value would use state no lock protects, breaking
 // two-phase locking). Quorum intersection makes the winner sufficient:
 // any read-quorum contains the highest version any write-quorum committed.
+//
+// A top-level transaction's first access, when it is a plain read, takes no
+// lock (lockNone): a replica refuses it where it would refuse a read lock —
+// on a foreign write lock, which every intention comes with — and otherwise
+// answers with its committed state and records nothing. Every read quorum
+// meets each committed writer's write quorum at a member that applied the
+// write or still holds its lock, so a lockless read that assembles a quorum
+// misses no write whose commit point has passed (DESIGN.md §5). Anything
+// else — Busy inside every quorum, a shed, silence — switches the next
+// attempt to a locking read. A read-only body that stops there has nothing
+// to resolve; any further access validates the read first (validateFirst).
+//
+// Progress — a newer generation or placement learned — re-reads at once and
+// is no retry: it spends neither an attempt nor a retry-budget token, and
+// neither does the switch. Each such step strictly advances the client's
+// view, so there are finitely many.
 func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readResult, error) {
+	if t.root.unchecked.Load() != nil {
+		if first := t.root.unchecked.Swap(nil); first != nil {
+			return t.validateFirst(ctx, first, item, mode)
+		}
+	}
 	it, ok := t.store.itemSpec(item)
 	if !ok {
 		return readResult{}, fmt.Errorf("cluster: unknown item %q", item)
@@ -953,23 +992,32 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 	}
 	believed := t.store.config(item)
 	res := readResult{val: it.Initial, gen: believed.gen, cfg: believed.cfg}
+	lockless := false
+	if t.parent == nil && mode == LockRead {
+		t.mu.Lock()
+		lockless = t.phaseSeq == 0 && t.childSeq == 0
+		t.mu.Unlock()
+	}
 	var tally phaseTally
-	for attempt := 0; attempt <= t.store.opts.lockRetries; attempt++ {
+	tally.admit(t.store, 0)
+	for attempt := 0; ; {
 		if err := ctx.Err(); err != nil {
 			return readResult{}, err
 		}
-		if !tally.admit(t.store, attempt) {
-			break
+		lock := mode
+		if lockless {
+			lock = lockNone
 		}
 		progressed := false
 		for _, quorums := range t.store.phasePlans(believed.cfg.R) {
 			seq := t.nextSeq()
 			col := t.runPlan(ctx, &tally, phaseSpec{
-				item:    item,
-				targets: union(quorums),
-				quorums: quorums,
-				req:     ReadReq{Txn: t.id, Item: item, Lock: mode, Seq: seq, Gen: res.gen, Inherit: t.inherited()},
-				seq:     seq,
+				item:     item,
+				targets:  union(quorums),
+				quorums:  quorums,
+				req:      ReadReq{Txn: t.id, Item: item, Lock: lock, Seq: seq, Gen: res.gen, Inherit: t.inherited()},
+				seq:      seq,
+				lockless: lockless,
 			}, &t.store.Stats.ReadPhaseLatency)
 			// Generation discovery may use every grant, winner or not: a newer
 			// generation only redirects the next attempt, which assembles a
@@ -1002,6 +1050,9 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 				if t.store.opts.readRepair {
 					t.store.repairStale(item, res, col.grantedResps())
 				}
+				if lockless {
+					t.unchecked.Store(&firstRead{item: item, vn: res.vn})
+				}
 				return res, nil
 			}
 			if res.gen > believed.gen {
@@ -1029,11 +1080,49 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 				break
 			}
 		}
-		if !progressed {
+		switch {
+		case progressed: // re-read under what was learned
+		case lockless: // and a locking read next, at once
+			lockless = false
+		default:
 			tally.retry(ctx, t.store, attempt)
+			if attempt++; attempt > t.store.opts.lockRetries || !tally.admit(t.store, attempt) {
+				return readResult{}, tally.fail(ctx, t, item, "read")
+			}
 		}
 	}
-	return readResult{}, tally.fail(ctx, t, item, "read")
+}
+
+// validateFirst runs t's read phase of item behind the validation of the
+// root's lockless first read: the root re-reads that item under a read lock
+// of its own, which lives until the top level resolves, and the tree goes on
+// only if the version is unchanged — the first read is then exactly a
+// locking read taken now. When t is the root reading the same item again,
+// that read phase is the re-read and no extra round is sent. A changed
+// version or a failed re-read is a sticky conflict on the root: a body that
+// tolerates this access's error still cannot commit.
+func (t *Txn) validateFirst(ctx context.Context, first *firstRead, item string, mode LockMode) (readResult, error) {
+	root := t.root
+	fold := t == root && item == first.item
+	check := LockRead
+	if fold {
+		check = mode
+	}
+	res, err := root.readPhase(ctx, first.item, check)
+	if err != nil || res.vn != first.vn {
+		conflict := &ConflictError{Item: first.item, Txn: root.id, Phase: "validate", Attempts: 1}
+		root.mu.Lock()
+		root.invalid = conflict
+		root.mu.Unlock()
+		if err == nil {
+			err = conflict
+		}
+		return readResult{}, err
+	}
+	if fold {
+		return res, nil
+	}
+	return t.readPhase(ctx, item, mode)
 }
 
 // repairStale fire-and-forgets the quorum read's winning (version, value)
@@ -1289,6 +1378,7 @@ func (t *Txn) Sub(ctx context.Context, fn func(*Txn) error) error {
 		store:   t.store,
 		id:      TxnID(fmt.Sprintf("%s/%d", t.id, t.childSeq)),
 		parent:  t,
+		root:    t.root,
 		touched: map[string]touchLevel{},
 	}
 	t.mu.Unlock()
@@ -1390,10 +1480,18 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 		touched:    map[string]touchLevel{},
 		leaseStamp: s.now(),
 	}
+	t.root = t
 	rep.Txn = t.id
 	s.trackTxn(t)
 	defer s.untrackTxn(t)
 	err = body(t)
+	if err == nil {
+		// A failed validation of the lockless first read is sticky: a body
+		// that tolerated the failed access still cannot commit.
+		t.mu.Lock()
+		err = t.invalid
+		t.mu.Unlock()
+	}
 	if err == nil {
 		// The lease fence: renew at every touched DM before the commit
 		// point. A refusal means some DM already resolved the transaction —

@@ -250,6 +250,49 @@ func TestTransportParityReconfigure(t *testing.T) {
 	})
 }
 
+// TestStaleClientChasesWithNoRetries: the generation chase is progress, not
+// a retry. A stale client allowed no lock retries at all still reads after
+// a reconfiguration — the chase spends neither its one attempt nor a
+// retry-budget token — and then writes under the configuration it learned.
+func TestStaleClientChasesWithNoRetries(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
+		store, dms := openTestStore(t, tr)
+		ctx := context.Background()
+		if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 5) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Reconfigure(ctx, "x", quorum.ReadOneWriteAll(dms)); err != nil {
+			t.Fatal(err)
+		}
+		stale, err := OpenClient(tr, []ItemSpec{
+			{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)},
+		}, WithCallTimeout(500*time.Millisecond), WithSeed(12), WithLockRetries(0), WithRetryBudget(0.1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stale.Close()
+		if err := stale.Run(ctx, func(tx *Txn) error {
+			v, err := tx.Read(ctx, "x")
+			if err != nil {
+				return err
+			}
+			if v != 5 {
+				t.Errorf("stale client read = %v, want 5", v)
+			}
+			return tx.Write(ctx, "x", 6)
+		}); err != nil {
+			t.Fatalf("stale client with no lock retries: %v", err)
+		}
+		if got := stale.config("x").gen; got != 1 {
+			t.Errorf("stale client believes gen %d, want 1", got)
+		}
+		// The bucket starts full and first attempts only top it up.
+		if b := stale.budget; b.tokens != b.max {
+			t.Errorf("retry budget at %.1f of %.1f tokens: the chase withdrew", b.tokens, b.max)
+		}
+	})
+}
+
 func TestTransportParitySecondClient(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
 		store, dms := openTestStore(t, tr)
@@ -492,19 +535,20 @@ func TestTransportParityHintTargetKilled(t *testing.T) {
 	})
 }
 
-// TestReadOnlyRunCallsNothingAfterItsReads: a read-only transaction's
-// resolution decides nothing, so over TCP no Call follows its read phase —
-// every replica it touched hears the commit as a notify. After Quiesce each
-// of them holds no lock of it and holds its commit record.
+// TestReadOnlyRunCallsNothingAfterItsReads: a one-read transaction's read
+// takes no lock, so over TCP it sends nothing after its read phase — no call
+// and no notify — and, leases on, after Quiesce no replica holds a lock, a
+// lease or a resolution record of it.
 func TestReadOnlyRunCallsNothingAfterItsReads(t *testing.T) {
 	tr := tcp.New()
 	defer tr.Close()
-	var calls atomic.Int64
-	tap := tapTransport{Transport: tr, onCall: func(string, any) bool {
-		calls.Add(1)
-		return false
-	}}
-	store, _ := openTestStore(t, tap)
+	var calls, notifies atomic.Int64
+	tap := tapTransport{
+		Transport: tr,
+		onCall:    func(string, any) bool { calls.Add(1); return false },
+		onNotify:  func(string, any) bool { notifies.Add(1); return false },
+	}
+	store, dms := openTestStore(t, tap, WithLeaseTTL(time.Minute))
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		var (
@@ -525,14 +569,17 @@ func TestReadOnlyRunCallsNothingAfterItsReads(t *testing.T) {
 		if n := calls.Load() - afterReads; n != 0 {
 			t.Fatalf("read-only txn %d made %d calls after its read phase", i, n)
 		}
+		if n := notifies.Load(); n != 0 || len(touched) != 0 {
+			t.Fatalf("read-only txn %d sent %d notifies and touched %v, want neither", i, n, touched)
+		}
 		tr.Quiesce()
-		for _, dm := range touched {
+		for _, dm := range dms {
 			probe, err := store.ResolutionProbe(ctx, dm, id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if probe.Holds || !probe.Known || !probe.Committed {
-				t.Fatalf("%s after %s's notified commit: %+v, want its record and none of its locks", dm, id, probe)
+			if probe.Holds || probe.Active || probe.Known {
+				t.Fatalf("%s after %s's lockless read: %+v, want no lock, lease or record of it", dm, id, probe)
 			}
 		}
 	}
@@ -621,7 +668,8 @@ func (st *stallTransport) Serve(id string, h transport.Handler, opts ...transpor
 // read-only Run commits while pd0 serves nothing and the client's link to it
 // is backed up; once pd0 serves again it holds none of the transaction's
 // locks and holds its commit record, a writer that needs pd0 commits, and
-// the transport counted no notify dropped.
+// the transport counted no notify dropped. The read runs in a
+// subtransaction, where it locks.
 func TestReleaseNotifyOutwaitsACongestedLink(t *testing.T) {
 	tr := tcp.New()
 	defer tr.Close()
@@ -643,7 +691,10 @@ func TestReleaseNotifyOutwaitsACongestedLink(t *testing.T) {
 	)
 	err = store.Run(ctx, func(tx *Txn) error {
 		id = tx.ID()
-		if _, err := tx.Read(ctx, "x"); err != nil {
+		if err := tx.Sub(ctx, func(sub *Txn) error {
+			_, err := sub.Read(ctx, "x")
+			return err
+		}); err != nil {
 			return err
 		}
 		// Every replica granted: the read quorum is all of them. Stop pd0

@@ -112,6 +112,9 @@ func TestWireRoundTrip(t *testing.T) {
 	for _, val := range []any{nil, true, -42, int64(1) << 40, uint64(1) << 63, 2.5, "sixteen bytes ok", []byte{0, 1, 2}, gobOnlyVal{Name: "n", Score: 0.5}} {
 		msgs = append(msgs, WriteReq{Txn: "t1", Item: "x", VN: 7, Val: val, Seq: 4})
 	}
+	// A top-level transaction's lockless first read: Lock is the zero mode,
+	// which a replica of wire version 4 would have recorded as a lock.
+	msgs = append(msgs, ReadReq{Txn: "t1", Item: "x", Lock: lockNone, Seq: 1, Gen: 2})
 	// Every registered type must be in msgs: a new message cannot join the
 	// table without a round trip here.
 	sampled := map[reflect.Type]bool{}

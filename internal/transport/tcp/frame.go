@@ -38,7 +38,7 @@ import (
 // wireVersion is the first byte of every frame body. A change to the
 // header, to package wire's encodings, or to the meaning of a registered
 // tag bumps it; a peer speaking another version is refused, frame by frame.
-const wireVersion = 4
+const wireVersion = 5
 
 // Frame kinds.
 const (
