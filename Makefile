@@ -64,8 +64,8 @@ proc-smoke:
 # answers: no line of the package may hand the state machine a sender or
 # send from a served endpoint (notifyPeer(, setSender(, server.Notify), so a
 # replica that originates traffic cannot grow back unnoticed either.
-CLUSTER_MAX_OPTIONS = 26
-CLUSTER_MAX_LINES = 4776
+CLUSTER_MAX_OPTIONS = 25
+CLUSTER_MAX_LINES = 4756
 CLUSTER_MAX_SERVE_SITES = 1
 CLUSTER_MAX_CANLOCK_SITES = 1
 CLUSTER_MAX_REPLICA_SENDS = 0
@@ -81,7 +81,7 @@ budget:
 
 # Exact seeded replay: each deterministic chaos campaign runs its seed twice
 # and requires identical results, network counters by message kind included;
-# ten rounds of all six.
+# ten rounds of all seven.
 replay:
 	$(GO) test -count=10 -run Deterministic ./internal/chaos/
 

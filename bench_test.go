@@ -474,10 +474,7 @@ func BenchmarkE12_WAL_FsyncEachRecord(b *testing.B) {
 // E13: self-healing. The reap-latency benchmark measures the full orphan
 // recovery cycle — a crashed client's write locks wedge the item, the lease
 // lapses, and the next conflicting writer is told who is in its way, asks
-// every replica and presumes the orphan aborted before its retry succeeds. The lease on/off pair
-// measures what the lease machinery costs a healthy fast transaction: the
-// pre-commit fence is satisfied by the grant-time stamps, so the answer
-// should be "nothing but the stamp".
+// every replica and presumes the orphan aborted before its retry succeeds.
 
 // BenchmarkE13_OrphanReapLatency: one orphan planted and reaped per
 // iteration; reaps/op confirms every iteration actually resolved one
@@ -486,11 +483,9 @@ func BenchmarkE13_OrphanReapLatency(b *testing.B) {
 	dms := []string{"dm0", "dm1", "dm2"}
 	net := sim.NewNetwork(sim.Config{MinLatency: 20 * time.Microsecond, MaxLatency: 200 * time.Microsecond, Seed: 1})
 	clk := sim.NewManualClock(time.Unix(0, 0))
-	ttl := 50 * time.Millisecond
 	store, err := cluster.Open(net, []cluster.ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
 		cluster.WithSeed(1), cluster.WithCallTimeout(25*time.Millisecond),
-		cluster.WithLeaseTTL(ttl), cluster.WithClock(clk),
-		cluster.WithRetryBackoff(time.Millisecond))
+		cluster.WithClock(clk), cluster.WithRetryBackoff(time.Millisecond))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -505,45 +500,13 @@ func BenchmarkE13_OrphanReapLatency(b *testing.B) {
 		if _, err := store.PlantOrphan(ctx, "x"); err != nil {
 			b.Fatal(err)
 		}
-		clk.Advance(ttl + time.Millisecond)
+		clk.Advance(cluster.LeaseTTL + time.Millisecond)
 		if err := store.Run(ctx, func(tx *cluster.Txn) error { return tx.Write(ctx, "x", i) }); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(store.Stats.OrphanReapsAborted.Value()-before)/float64(b.N), "reaps/op")
-}
-
-func benchLeaseWrite(b *testing.B, opts ...cluster.Option) {
-	dms := []string{"dm0", "dm1", "dm2"}
-	net := sim.NewNetwork(sim.Config{MinLatency: 20 * time.Microsecond, MaxLatency: 200 * time.Microsecond, Seed: 1})
-	store, err := cluster.Open(net, []cluster.ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
-		append([]cluster.Option{cluster.WithSeed(1), cluster.WithCallTimeout(25 * time.Millisecond)}, opts...)...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		store.Close()
-		net.Close()
-	})
-	ctx := context.Background()
-	before := net.Stats().Sent
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := store.Run(ctx, func(tx *cluster.Txn) error { return tx.Write(ctx, "x", i) }); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(net.Stats().Sent-before)/float64(b.N), "msgs/txn")
-}
-
-func BenchmarkE13_Write_LeasesOff(b *testing.B) {
-	benchLeaseWrite(b)
-}
-
-func BenchmarkE13_Write_LeasesOn(b *testing.B) {
-	benchLeaseWrite(b, cluster.WithLeaseTTL(100*time.Millisecond))
 }
 
 func BenchmarkE12_WAL_GroupCommit(b *testing.B) {
@@ -809,11 +772,9 @@ func benchE17InDoubt(b *testing.B, proto commit.Protocol) {
 	dms := []string{"dm0", "dm1", "dm2"}
 	net := sim.NewNetwork(sim.Config{MinLatency: 20 * time.Microsecond, MaxLatency: 200 * time.Microsecond, Seed: 1})
 	clk := sim.NewManualClock(time.Unix(0, 0))
-	ttl := 50 * time.Millisecond
 	store, err := cluster.Open(net, []cluster.ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
 		cluster.WithSeed(1), cluster.WithCallTimeout(25*time.Millisecond),
-		cluster.WithLeaseTTL(ttl), cluster.WithClock(clk),
-		cluster.WithRetryBackoff(time.Millisecond),
+		cluster.WithClock(clk), cluster.WithRetryBackoff(time.Millisecond),
 		cluster.WithCommitProtocol(proto))
 	if err != nil {
 		b.Fatal(err)
@@ -848,7 +809,7 @@ func benchE17InDoubt(b *testing.B, proto commit.Protocol) {
 		net.Crash(learned)
 		down := true
 		for r := 1; ; r++ {
-			clk.Advance(ttl + time.Millisecond)
+			clk.Advance(cluster.LeaseTTL + time.Millisecond)
 			if _, serr := store.SweepOnce(ctx); serr != nil {
 				b.Fatal(serr)
 			}

@@ -50,7 +50,6 @@ func main() {
 		rounds     = flag.Int("rounds", 4, "workload rounds per campaign (faults advance between rounds)")
 		txns       = flag.Int("txns", 8, "top-level transactions per round")
 		live       = flag.Bool("live", false, "live mode: fan-out, hedging, concurrent workers (forfeits exact replay)")
-		selfheal   = flag.String("selfheal", "auto", "lease reaper + failure detector: auto (on when flap/clientcrash faults run), on, off")
 		overload   = flag.Bool("overload", false, "run the three-arm overload goodput experiment instead of campaigns")
 		shardscale = flag.Bool("shardscale", false, "run the shard scale-out throughput experiment instead of campaigns")
 		proc       = flag.Bool("proc", false, "run the process-level kill -9 recovery check against real qcstore processes over TCP")
@@ -80,19 +79,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var heal chaos.SelfHealMode
-	switch *selfheal {
-	case "auto":
-		heal = chaos.SelfHealAuto
-	case "on":
-		heal = chaos.SelfHealOn
-	case "off":
-		heal = chaos.SelfHealOff
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -selfheal mode %q (want auto, on or off)\n", *selfheal)
-		os.Exit(2)
-	}
-
 	start := time.Now()
 	var agg chaos.Result
 	ran := 0
@@ -113,7 +99,6 @@ func main() {
 			TxnsPerRound: *txns,
 			Faults:       fs,
 			Live:         *live,
-			SelfHeal:     heal,
 			Protocol:     proto,
 		}
 		res, err := chaos.Run(ctx, cfg)
@@ -156,8 +141,8 @@ func main() {
 			if errors.As(err, &v) {
 				fmt.Fprintln(os.Stderr, v.Diagnostic())
 			}
-			fmt.Fprintf(os.Stderr, "replay: go run ./cmd/qchaos -seed %d -first %d -campaigns 1 -faults %s -selfheal %s -protocol %s -items %d -replicas %d -rounds %d -txns %d -v\n",
-				*seed, i, *faults, *selfheal, proto, *items, *replicas, *rounds, *txns)
+			fmt.Fprintf(os.Stderr, "replay: go run ./cmd/qchaos -seed %d -first %d -campaigns 1 -faults %s -protocol %s -items %d -replicas %d -rounds %d -txns %d -v\n",
+				*seed, i, *faults, proto, *items, *replicas, *rounds, *txns)
 			os.Exit(1)
 		}
 		agg.Committed += res.Committed

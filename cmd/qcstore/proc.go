@@ -107,7 +107,6 @@ func serveMain(args []string) int {
 		id       = fs.String("id", "", "this replica's DM name (must appear in -peers)")
 		peersArg = fs.String("peers", "", "comma-separated name=host:port for every replica")
 		dir      = fs.String("dir", "", "keep a write-ahead log under this directory (dir/<id>); empty serves volatile")
-		lease    = fs.Duration("lease", 0, "lock-lease TTL for orphan reaping; 0 disables leases")
 		shards   = fs.String("shards", "", "shard the keyspace onto replica groups, e.g. g0=dm0:dm1:dm2,g1=dm3:dm4:dm5")
 		nkeys    = fs.Int("keys", 16, "sharded keyspace size (k0..kN-1); only with -shards")
 		ringseed = fs.Int64("ringseed", 1, "consistent-hash ring seed; must match on every process")
@@ -131,9 +130,6 @@ func serveMain(args []string) int {
 	opts := []cluster.Option{}
 	if *dir != "" {
 		opts = append(opts, cluster.WithDurability(*dir))
-	}
-	if *lease > 0 {
-		opts = append(opts, cluster.WithLeaseTTL(*lease))
 	}
 	items := itemsFor(peers)
 	if *shards != "" {
@@ -229,8 +225,8 @@ func clientMain(args []string) int {
 	}
 	defer func() {
 		store.Close() // delivers every release notify still queued
-		// A release lost with its connection leaves a read lock that only
-		// an expired lease ever frees: say so.
+		// A release lost with its connection leaves a read lock until its
+		// lease lapses and a transaction it blocks resolves it: say so.
 		if n := tr.Stats().DroppedNotifies; n > 0 {
 			fmt.Fprintf(os.Stderr, "qcstore client: %d notifies lost with their connections\n", n)
 		}

@@ -11,7 +11,8 @@
 // Determinism engineering: fault transitions happen only between rounds,
 // behind a network Quiesce barrier, so no transaction ever spans a fault
 // toggle; the store runs with sequential quorum phases, no hedging,
-// synchronous control cleanup and a single workload worker, so the message
+// synchronous control cleanup and a single workload worker, on a manual
+// clock that moves one lock-lease period per round boundary, so the message
 // sequence on every network lane — and with it every per-lane fate stream
 // — is a pure function of the seed. Live mode (Config.Live) re-enables the
 // fan-out, hedging and concurrency for realism at the cost of exact
@@ -57,9 +58,9 @@ const (
 	FaultFlap Fault = "flap"
 	// FaultClientCrash simulates a client that died mid-transaction: a
 	// write-quorum's worth of write locks is planted under a transaction id
-	// nobody will ever resolve. Without lock leases the item wedges
-	// forever; with them, the first client the orphan blocks after its lease
-	// lapsed presumes it aborted. There is no heal — recovery is the store's job.
+	// nobody will ever resolve. The first client the orphan blocks after its
+	// lease lapsed presumes it aborted. There is no heal — recovery is the
+	// store's job.
 	FaultClientCrash Fault = "clientcrash"
 	// FaultOverload slams one replica's admission queue with a seeded burst
 	// of inert requests (some pre-expired), injected behind a held service
@@ -81,46 +82,45 @@ const (
 	// anywhere in the campaign is a violation.
 	FaultStalehint Fault = "stalehint"
 	// FaultMigrate live-migrates one item to a different replica group at a
-	// round boundary — and, half the time, kills the migration coordinator
-	// at its nastiest moments: after every intention is buffered but before
-	// any CommitTopReq (the next client its locks block must presume abort),
-	// or partway through the commit broadcast (one delivered copy decides
-	// commit; that client must find the record and finish the job).
-	// Selecting it runs the store sharded (a consistent-hash ring over the
-	// per-item replica groups) with self-healing on: abandoned coordinators are exactly
-	// orphaned clients. The campaign's final writability probe then gates
-	// zero wedged items and the checker zero serializability violations,
+	// round boundary — and, half the time, kills the migration coordinator at
+	// its nastiest moments: after every intention is buffered but before any
+	// CommitTopReq (the next client its locks block must presume abort), or
+	// partway through the commit broadcast (one delivered copy decides commit;
+	// that client must find the record and finish the job). Selecting it runs
+	// the store sharded (a consistent-hash ring over the per-item replica
+	// groups): abandoned coordinators are exactly orphaned clients, resolved
+	// once their leases lapse. The campaign's final writability probe then
+	// gates zero wedged items and the checker zero serializability violations,
 	// whichever way each crash resolved.
 	FaultMigrate Fault = "migrate"
-	// FaultCoordCrash kills a top-level transaction's commit coordinator at
-	// a seeded instant around the commit point: before any decide message,
+	// FaultCoordCrash kills a top-level transaction's commit coordinator at a
+	// seeded instant around the commit point: before any decide message,
 	// partway through the Phase-2a accept fan-out (PaxosCommit), after the
-	// decision but before any replica learns it, or partway through the
-	// learn broadcast — locks, intentions, and acceptor votes left dangling
-	// exactly as a kill -9 would leave them. Selecting it runs lock leases;
-	// the campaign then holds every crash to the convergence contract:
-	// exactly one outcome cluster-wide, a decided commit never aborted, an
-	// un-voted transaction never committed, and — under PaxosCommit — every
-	// outcome that reached an acceptor resolved by acceptor recovery rather
-	// than a presumption. Resolved commits are backfilled into the history,
-	// so the serializability checker gates every crash's resolution too.
+	// decision but before any replica learns it, or partway through the learn
+	// broadcast — locks, intentions, and acceptor votes left dangling exactly
+	// as a kill -9 would leave them. The campaign holds every crash to the
+	// convergence contract: exactly one outcome cluster-wide, a decided commit
+	// never aborted, an un-voted transaction never committed, and — under
+	// PaxosCommit — every outcome that reached an acceptor resolved by acceptor
+	// recovery rather than a presumption. Resolved commits are backfilled into
+	// the history, so the serializability checker gates every crash's
+	// resolution too.
 	FaultCoordCrash Fault = "coordcrash"
 	// FaultDiskfault turns the stable storage the WAL is named after into a
 	// fault domain of its own: at a seeded boundary one replica's log is
 	// scrambled on disk (a bit flip in a sealed segment, a whole segment
 	// dropped, or the snapshot damaged) and the replica restarted onto the
-	// wreckage, or its disk "fills" so the next logged write fails its
-	// append — and, at its nastiest, a commit coordinator is killed around
-	// the commit point with a cohort member's disk scrambled in the same
-	// breath. The replica must fail closed into quarantine (serving the
-	// typed refusal, never corrupt state), the cluster must keep serving
-	// through the remaining majority, and the heal is a peer rebuild that
-	// pulls the committed state back from ALL peers. Selecting it runs the
-	// durability + self-healing stacks; at most a minority of any group is
-	// disk-impaired, and only one disk at a time (a rebuild needs every
-	// peer answering). The campaign's final gates then hold the whole path
-	// to account: zero serializability violations, zero permanently
-	// quarantined replicas, and a writable cluster.
+	// wreckage, or its disk "fills" so the next logged write fails its append —
+	// and, at its nastiest, a commit coordinator is killed around the commit
+	// point with a cohort member's disk scrambled in the same breath. The
+	// replica must fail closed into quarantine (serving the typed refusal,
+	// never corrupt state), the cluster must keep serving through the remaining
+	// majority, and the heal is a peer rebuild that pulls the committed state
+	// back from ALL peers. Selecting it runs the durability stack; at most a
+	// minority of any group is disk-impaired, and only one disk at a time (a
+	// rebuild needs every peer answering). The campaign's final gates then hold
+	// the whole path to account: zero serializability violations, zero
+	// permanently quarantined replicas, and a writable cluster.
 	FaultDiskfault Fault = "diskfault"
 )
 
@@ -197,17 +197,6 @@ type Config struct {
 	// version mutation hook — the self-test uses it to plant a
 	// fault-masking bug and assert the checker catches it.
 	MutateVN func(item string, vn int) int
-	// SelfHeal controls the self-healing stack: lock leases with orphan
-	// reaping (on a campaign-driven manual clock, one TTL per round
-	// boundary), failure-detector steering, and anti-entropy sweeps between
-	// rounds. Auto (the default) enables it exactly when a fault class that
-	// needs it — flap or clientcrash — is selected.
-	SelfHeal SelfHealMode
-	// LeaseTTL is the lock-lease duration under self-healing (default 1s).
-	// The campaign's manual clock advances one TTL per round boundary, so a
-	// lease stamped in round k is expired — and its holder reapable — from
-	// round k+1 on.
-	LeaseTTL time.Duration
 	// Protocol selects the store's commit protocol. The zero value is
 	// TwoPhase, so seeded campaigns that predate the option replay
 	// unchanged; commit.PaxosCommit arms the non-blocking commit path and
@@ -215,17 +204,6 @@ type Config struct {
 	// TTL presumption, must resolve every outcome an acceptor holds).
 	Protocol commit.Protocol
 }
-
-// SelfHealMode selects how a campaign decides to run the self-healing
-// stack.
-type SelfHealMode int
-
-// Self-heal modes.
-const (
-	SelfHealAuto SelfHealMode = iota // on iff flap or clientcrash is enabled
-	SelfHealOn
-	SelfHealOff
-)
 
 func (c Config) withDefaults() Config {
 	if c.Items <= 0 {
@@ -266,37 +244,7 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = time.Second
-	}
 	return c
-}
-
-// selfHeal resolves the SelfHealMode against the selected faults.
-func (c Config) selfHeal() bool {
-	switch c.SelfHeal {
-	case SelfHealOn:
-		return true
-	case SelfHealOff:
-		return false
-	}
-	for _, f := range c.Faults {
-		if f == FaultFlap || f == FaultClientCrash || f == FaultStalehint || f == FaultMigrate || f == FaultCoordCrash || f == FaultDiskfault {
-			// Stalehint needs the manual clock: hint expiry at round
-			// boundaries is what makes an unfenceable (partitioned) hint
-			// holder safe, and that argument must be a pure function of the
-			// seed. Migrate needs leases: a killed migration coordinator is an
-			// orphaned client whose locks are resolved only once they lapse.
-			// Coordcrash needs both: a lapsed lease is what makes a refusal
-			// name an abandoned commit, and the named commit is what a blocked
-			// client routes into acceptor recovery. Diskfault
-			// needs them too — a transaction whose locks died with a
-			// corrupted replica resolves only through lease expiry against
-			// the rebuilt replica's renewal fence.
-			return true
-		}
-	}
-	return false
 }
 
 // Result summarizes one campaign.
@@ -325,8 +273,7 @@ type Result struct {
 	ResolutionQueries int64
 	// Wedged counts items still unwritable after the final heal and two
 	// lease TTLs of reap settling — the campaign's permanently-wedged
-	// check. Always zero with self-healing on; the self-heal-off ablation
-	// with clientcrash faults shows why.
+	// check; a campaign that ends with one fails.
 	Wedged int
 	// Bursts counts overload fault injections; Shed and ExpiredOnArrival
 	// total the admission verdicts across them (requests rejected at a full
@@ -479,7 +426,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		// in the previous round to still be live (one boundary advance old),
 		// and the earliest heal is three boundary advances after any
 		// pre-partition hint was stamped, so expiry strictly precedes it.
-		opts = append(opts, cluster.WithReadLease(2*cfg.LeaseTTL))
+		opts = append(opts, cluster.WithReadLease(2*cluster.LeaseTTL))
 	}
 	if overloadOn {
 		// Overload needs something to overload: run every DM behind a
@@ -530,26 +477,22 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			cluster.WithLockRetries(4),
 		)
 	}
-	selfHeal := cfg.selfHeal()
-	var clk *sim.ManualClock
-	if selfHeal {
-		// Leases expire against a campaign-driven manual clock: time moves
-		// only at round boundaries, behind a quiesce barrier, so lease
-		// expiry — and every reap it triggers — is a pure function of the
-		// seed, never of wall-clock scheduling.
-		clk = sim.NewManualClock(time.Unix(0, 0))
-		opts = append(opts,
-			cluster.WithLeaseTTL(cfg.LeaseTTL),
-			cluster.WithClock(clk),
-			// Under the manual clock the health board pins every call to the
-			// full budget: adaptive timeouts derive from measured wall-clock
-			// latency EWMAs — the one health-board input the seed does not
-			// fix — and under load (think -race) a borderline call could
-			// time out in one run and retry, forking the message counters of
-			// an exact replay.
-			cluster.WithHealthProbes(true),
-		)
-	}
+	// Leases expire against a campaign-driven manual clock: time moves only
+	// at round boundaries, behind a quiesce barrier, so lease expiry — and
+	// every reap it triggers — is a pure function of the seed, never of
+	// wall-clock scheduling. Under the wall clock the store would run its
+	// timer-driven lease renewer, whose traffic would fork the replay.
+	clk := sim.NewManualClock(time.Unix(0, 0))
+	opts = append(opts,
+		cluster.WithClock(clk),
+		// Under the manual clock the health board pins every call to the
+		// full budget: adaptive timeouts derive from measured wall-clock
+		// latency EWMAs — the one health-board input the seed does not fix —
+		// and under load (think -race) a borderline call could time out in
+		// one run and retry, forking the message counters of an exact
+		// replay.
+		cluster.WithHealthProbes(true),
+	)
 	store, err := cluster.Open(net, items, opts...)
 	if err != nil {
 		return Result{}, err
@@ -584,39 +527,33 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			return res, err
 		}
 		net.Quiesce()
-		if clk != nil {
-			// One TTL per boundary: every lease stamped last round is now
-			// expired, so this round's conflicts (and the sweep's
-			// inspections) resolve last round's orphans. The sweep returns
-			// after its resolutions; the quiesce after it drains its repairs
-			// before any fault state changes.
-			clk.Advance(cfg.LeaseTTL + time.Millisecond)
-			if _, err := store.SweepOnce(ctx); err != nil {
-				return res, err
-			}
-			net.Quiesce()
-			// The sweep above resolved every pending coordinator crash it
-			// could reach; hold each resolved one to the convergence
-			// contract before any fault state changes. The probes only run
-			// when crashes are pending, so the message sequence stays a pure
-			// function of the seed.
-			if err := sched.settleCoordCrashes(ctx, rec, false); err != nil {
-				return res, err
-			}
+		// One TTL per boundary: every lease stamped last round is now
+		// expired, so this round's conflicts (and the sweep's inspections)
+		// resolve last round's orphans. The sweep returns after its
+		// resolutions; the quiesce after it drains its repairs before any
+		// fault state changes.
+		clk.Advance(cluster.LeaseTTL + time.Millisecond)
+		if _, err := store.SweepOnce(ctx); err != nil {
+			return res, err
+		}
+		net.Quiesce()
+		// The sweep above resolved every pending coordinator crash it could
+		// reach; hold each resolved one to the convergence contract before
+		// any fault state changes. The probes only run when crashes are
+		// pending, so the message sequence stays a pure function of the seed.
+		if err := sched.settleCoordCrashes(ctx, rec, false); err != nil {
+			return res, err
 		}
 		sched.advance(round, res.Injected)
 		if sched.err != nil {
 			return res, sched.err
 		}
-		if clk != nil {
-			// Orphans planted by this boundary's clientcrash rolls carry a
-			// fresh lease; expire it now, before the round's workload runs,
-			// so the first transaction that trips over the orphan resolves it
-			// before its first backoff instead of burning its whole retry budget
-			// against a lease that cannot lapse mid-round (the clock only
-			// moves at boundaries).
-			clk.Advance(cfg.LeaseTTL + time.Millisecond)
-		}
+		// Orphans planted by this boundary's clientcrash rolls carry a fresh
+		// lease; expire it now, before the round's workload runs, so the first
+		// transaction that trips over the orphan resolves it before its first
+		// backoff instead of burning its whole retry budget against a lease
+		// that cannot lapse mid-round (the clock only moves at boundaries).
+		clk.Advance(cluster.LeaseTTL + time.Millisecond)
 		p := workload.Profile{
 			ReadFraction: cfg.ReadFraction,
 			OpsPerTxn:    cfg.OpsPerTxn,
@@ -646,24 +583,22 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		return res, sched.err
 	}
 	net.Quiesce()
-	if clk != nil {
-		// Resolution settle: every DM answers on the now-healthy network, so
-		// one sweep past the last leases resolves whatever a then-crashed or
-		// partitioned DM kept in doubt.
-		clk.Advance(cfg.LeaseTTL + time.Millisecond)
-		if _, err := store.SweepOnce(ctx); err != nil {
-			return res, err
-		}
-		net.Quiesce()
+	// Resolution settle: every DM answers on the now-healthy network, so one
+	// sweep past the last leases resolves whatever a then-crashed or
+	// partitioned DM kept in doubt.
+	clk.Advance(cluster.LeaseTTL + time.Millisecond)
+	if _, err := store.SweepOnce(ctx); err != nil {
+		return res, err
 	}
+	net.Quiesce()
 	// Every injected coordinator crash must be resolved by now — the final
 	// settle fails the campaign on any transaction still in doubt.
 	if err := sched.settleCoordCrashes(ctx, rec, true); err != nil {
 		return res, err
 	}
-	// Final writability probe: after every fault healed (and, under
-	// self-healing, every orphan given a TTL and a sweep to be resolved), each item
-	// must accept a write within the store's normal retry budget. An item
+	// Final writability probe: after every fault healed and every orphan
+	// was given a TTL and a sweep to be resolved, each item must accept a
+	// write within the store's normal retry budget. An item
 	// that cannot is permanently wedged — exactly what lock leases exist to
 	// rule out.
 	for _, name := range itemNames {
@@ -719,7 +654,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		// the operator never got back.
 		return res, fmt.Errorf("chaos: replica(s) still quarantined after final heal: %v", qs)
 	}
-	if selfHeal && res.Wedged > 0 {
+	if res.Wedged > 0 {
 		return res, fmt.Errorf("chaos: %d item(s) permanently wedged after heal and reap settle", res.Wedged)
 	}
 	return res, nil

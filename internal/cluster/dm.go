@@ -126,12 +126,11 @@ type dmServer struct {
 	resolvedCap int
 	resolvedLog []TxnID
 
-	// Lease machinery (soft state: never snapshotted, never replayed —
-	// recovery re-stamps fresh leases, which only delays reaping).
-	leaseTTL time.Duration
-	clock    transport.Clock
-	stats    *Stats // shared with the owning Store; nil for standalone DMs
-	leases   map[TxnID]time.Time
+	// Lease machinery (soft state: never snapshotted — recovery replaces
+	// whatever replay stamped with fresh leases, which only delays reaping).
+	clock  transport.Clock
+	stats  *Stats // shared with the owning Store; nil for standalone DMs
+	leases map[TxnID]time.Time
 
 	// Freshness-hint machinery (soft state like leases: never snapshotted,
 	// never replayed — hintTTL is configured only after recovery replay, so
@@ -172,8 +171,7 @@ func newDMState(id string, items []ItemSpec) *dmServer {
 }
 
 // configure arms the state machine for service from the host's settings:
-// lock leases (grants stamp leases of the TTL, and a refusal names the
-// holders whose lease lapsed), the resolved-record
+// the clock its lock leases expire against, the resolved-record
 // retention cap, the freshness-hint fast lane, and the initial placement-
 // ring view (a deep copy). It runs after recovery replay and before the
 // endpoint exists, so replay sees none of it: replayed resolutions are
@@ -182,7 +180,7 @@ func newDMState(id string, items []ItemSpec) *dmServer {
 // until it re-proves freshness, and the ring a rebuilt replica gossips is
 // the one from its serve flags — ring state is never logged at all.
 func (s *dmServer) configure(st settings, stats *Stats) {
-	s.leaseTTL, s.clock, s.stats = st.leaseTTL, st.clock, stats
+	s.clock, s.stats = st.clock, stats
 	s.resolvedCap = defaultResolvedRetention
 	s.hintTTL = st.readLeaseTTL
 	if st.ring != nil {

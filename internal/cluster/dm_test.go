@@ -535,11 +535,11 @@ func TestReadRespCarriesCfgOnlyWhenNews(t *testing.T) {
 	}
 }
 
-// leasedDM is bareDM with lock leases of one minute on a manual clock.
+// leasedDM is bareDM with its lock leases on a manual clock.
 func leasedDM() (*dmServer, *transport.ManualClock) {
 	clk := transport.NewManualClock(time.Unix(0, 0))
 	s := bareDM()
-	s.clock, s.leaseTTL = clk, time.Minute
+	s.clock = clk
 	return s, clk
 }
 
@@ -573,7 +573,7 @@ func TestRefusalNamesExpiredLeaseHolders(t *testing.T) {
 			t.Errorf("%s refusal named %v while every lease is live", kind, got)
 		}
 	}
-	clk.Advance(time.Minute + time.Millisecond)
+	clk.Advance(LeaseTTL + time.Millisecond)
 	for kind, got := range refusals() {
 		if want := []TxnID{"c1.t1", "c2.t9"}; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s refusal named %v, want %v: other trees' top-level ids, sorted, never the requester's own", kind, got, want)
@@ -595,12 +595,30 @@ func TestRefusalNamesExpiredLeaseHolders(t *testing.T) {
 	if _, stamped := s.leases["c1.t3"]; stamped || len(s.Resolved) != 0 || len(s.Replicas["x"].Locks) != 3 {
 		t.Errorf("naming changed the replica: leases %v, resolved %v, locks %v", s.leases, s.Resolved, s.Replicas["x"].Locks)
 	}
-	s.leaseTTL = 0
-	if got := serve(s, write).(WriteResp); !got.Busy || got.Orphans != nil {
-		t.Errorf("with leases off a refusal is %+v, want Busy and no names", got)
+}
+
+// TestRecoveryKeepsNoLeaseWithoutALock: replay stamps a lease for every
+// grant it re-applies, on the wall clock, before the host wires its own. A
+// holder whose lock a logged release then dropped must not keep that stamp:
+// under a manual clock it would stay live forever, and the transaction would
+// never be presumed aborted. Wiring leaves exactly the lock holders leased,
+// each from the wired clock's now.
+func TestRecoveryKeepsNoLeaseWithoutALock(t *testing.T) {
+	s := bareDM() // as replay finds it: the wall clock
+	serve(s, ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockRead, Seq: 1})
+	serve(s, ReleaseReq{Txn: "c1.t1/0", Item: "x", Seq: 1})
+	serve(s, ReadReq{Txn: "c1.t2/0", Item: "x", Lock: LockRead, Seq: 1})
+	if len(s.leases) != 2 || len(s.Replicas["x"].Locks) != 1 {
+		t.Fatalf("precondition: leases %v, locks %v — want two stamps, one lock", s.leases, s.Replicas["x"].Locks)
 	}
-	if got := serve(s, InspectReq{Item: "x"}).(InspectResp).Orphans; got != nil {
-		t.Errorf("with leases off an inspection named %v", got)
+	clk := transport.NewManualClock(time.Unix(0, 0))
+	s.configure(settings{clock: clk}, nil)
+	s.refreshLeases()
+	if want := map[TxnID]time.Time{"c1.t2": clk.Now().Add(LeaseTTL)}; !reflect.DeepEqual(s.leases, want) {
+		t.Fatalf("wired leases %v, want %v", s.leases, want)
+	}
+	if p := serve(s, ResolutionProbeReq{Txn: "c1.t1"}).(ResolutionProbeResp); p.Active || p.Holds {
+		t.Fatalf("c1.t1, whose only lock was released before the restart: %+v, want neither active nor holding", p)
 	}
 }
 
@@ -637,7 +655,7 @@ func TestLocklessReadAtTheReplica(t *testing.T) {
 		if got := serve(s, read).(ReadResp); got.OK || !got.Busy || got.Orphans != nil {
 			t.Fatalf("lockless read behind %T: %+v, want Busy naming nobody", writer, got)
 		}
-		clk.Advance(time.Minute + time.Millisecond)
+		clk.Advance(LeaseTTL + time.Millisecond)
 		if got := serve(s, read).(ReadResp); !got.Busy || !reflect.DeepEqual(got.Orphans, []TxnID{"c1.t2"}) {
 			t.Fatalf("lockless read behind %T past its lease: %+v, want Busy naming c1.t2", writer, got)
 		}
@@ -664,7 +682,7 @@ func TestPresumedAbortIsConditionalAtTheReplica(t *testing.T) {
 	if s.Resolved[txn] != nil || len(s.Replicas["x"].Locks) != 1 || len(s.Replicas["x"].Intents) != 1 {
 		t.Fatalf("the refusal moved state: resolved %v, replica %+v", s.Resolved[txn], s.Replicas["x"])
 	}
-	clk.Advance(time.Minute + time.Millisecond)
+	clk.Advance(LeaseTTL + time.Millisecond)
 	if resp, handled := s.coordinate(presumed); handled {
 		t.Fatalf("presumed abort past the lease was answered off the state machine: %#v", resp)
 	}

@@ -404,12 +404,10 @@ func TestCloseRacingReadOnlyRunsLeavesNoLocks(t *testing.T) {
 // state purely from the log — the re-served decision was persisted as a
 // DecisionReq record — and must not double-count the resolution.
 func TestReaperAndReplayConverge(t *testing.T) {
-	ttl := 50 * time.Millisecond
 	clk := sim.NewManualClock(time.Unix(0, 0))
 	net, store, _ := openDurable(t, 65,
 		WithCallTimeout(20*time.Millisecond),
 		WithLockRetries(3),
-		WithLeaseTTL(ttl),
 		WithClock(clk),
 	)
 	defer func() { store.Close(); net.Close() }()
@@ -446,7 +444,7 @@ func TestReaperAndReplayConverge(t *testing.T) {
 		t.Fatalf("precondition: recovered dm0 should hold the orphan lock+intent, got %+v", pre)
 	}
 
-	clk.Advance(ttl + time.Millisecond)
+	clk.Advance(LeaseTTL + time.Millisecond)
 	if _, err := store.SweepOnce(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -110,14 +110,15 @@ func newHost(tr transport.Transport, id string, items []ItemSpec, peers []string
 }
 
 // wire configures the state machine for service. It runs after recovery
-// replay — replay must see neither leases nor hints nor a retention cap, so
-// a recovered replica re-proves freshness and never compacts what it
-// replays — and before the endpoint exists.
+// replay — replay must see neither hints nor a retention cap, so a recovered
+// replica re-proves freshness and never compacts what it replays — and
+// before the endpoint exists.
 func (h *DMHost) wire() {
 	h.srv.configure(h.st, h.Stats)
-	// Lease stamps from a previous incarnation are meaningless wall-clock
-	// values; give every recovered lock holder a fresh lease. Delayed
-	// resolution is always safe, invented expiry is not.
+	// Replay's grants stamped leases on the default wall clock, and a logged
+	// release may since have dropped the lock one was for: drop them all and
+	// give every recovered lock holder a fresh lease on the host's clock.
+	// Delayed resolution is always safe, invented expiry is not.
 	h.srv.refreshLeases()
 }
 

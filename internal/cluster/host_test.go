@@ -21,7 +21,7 @@ import (
 // TestEveryStartPathWiresTheReplicaAlike: however a replica comes to exist —
 // Open or ServeDM, volatile or durable, a restart, a rebuild through the
 // Store or the one ServeDM runs on its own — its state machine ends up with
-// the same lease TTL, clock, peer set, retention cap, hint TTL and ring.
+// the same lease clock, peer set, retention cap, hint TTL and ring.
 // ServeDM used to wire its replicas by hand and never armed retention.
 func TestEveryStartPathWiresTheReplicaAlike(t *testing.T) {
 	dms := []string{"dm0", "dm1", "dm2"}
@@ -36,7 +36,7 @@ func TestEveryStartPathWiresTheReplicaAlike(t *testing.T) {
 	clock := transport.NewManualClock(time.Unix(1700000000, 0))
 	opts := func(dir string) []Option {
 		return []Option{
-			WithLeaseTTL(3 * time.Second), WithClock(clock), WithReadLease(70 * time.Millisecond), WithRing(ring), WithDurability(dir),
+			WithClock(clock), WithReadLease(70 * time.Millisecond), WithRing(ring), WithDurability(dir),
 			WithWALOptions(wal.WithFsync(false), wal.WithSegmentBytes(256)),
 		}
 	}
@@ -129,8 +129,8 @@ func TestEveryStartPathWiresTheReplicaAlike(t *testing.T) {
 			t.Cleanup(net.Close) // registered first, so it runs after the hosts close
 			h := path.bringUp(t, net)
 			srv := h.srv
-			if srv.leaseTTL != 3*time.Second || srv.clock != transport.Clock(clock) {
-				t.Errorf("leases: ttl %v clock %v, want 3s on the injected clock", srv.leaseTTL, srv.clock)
+			if srv.clock != transport.Clock(clock) {
+				t.Errorf("leases: clock %v, want the injected clock", srv.clock)
 			}
 			if !reflect.DeepEqual(h.peers, []string{"dm1", "dm2"}) {
 				t.Errorf("peers = %v, want [dm1 dm2]", h.peers)

@@ -14,11 +14,15 @@ import (
 
 // Lock leases and orphan resolution.
 //
-// Every lock grant stamps a lease of WithLeaseTTL duration for the
-// holder's top-level transaction; further grants and RenewLeaseReqs
-// re-stamp it. A transaction whose client is alive keeps its leases fresh
-// (grants during execution, the background renewer, and the synchronous
-// pre-commit renewal); a transaction whose client crashed stops renewing.
+// Every lock grant stamps a lease of LeaseTTL for the holder's top-level
+// transaction; further grants and RenewLeaseReqs re-stamp it. The lease is
+// part of the lock, not an option: a lock that no notify releases — the
+// notify lost with its connection, or the replica restarted between the
+// grant and the release — is freed by whoever it blocks once the lease
+// lapses, so no item can wedge for good. A transaction whose client is
+// alive keeps its leases fresh (grants during execution, the background
+// renewer, and the synchronous pre-commit renewal); a transaction whose
+// client crashed stops renewing.
 // A replica does nothing about that itself — it only answers. Once a lease
 // lapsed, a refusal over the orphan's locks names it (Orphans), and the
 // client that was refused resolves it with the coordinator's own rounds
@@ -37,29 +41,35 @@ import (
 // time genuinely implies the commit point is unreachable: passing it would
 // require a successful renewal at a DM that has already refused forever.
 
+// LeaseTTL is how long a lock lease lives without a grant or a renewal. It
+// is one constant that client and replica both read — they are one binary —
+// so the two can never disagree about it, and it sits far above a
+// transaction's inter-phase gaps: the pre-commit fence is free for a
+// transaction younger than LeaseTTL/2, and the background renewer re-stamps
+// every LeaseTTL/3.
+const LeaseTTL = time.Second
+
 // stampLease (re)stamps the lease of the holder's top-level transaction.
-// Called on every grant; a no-op when leases are disabled.
+// Called on every grant.
 func (s *dmServer) stampLease(t TxnID) {
-	if s.leaseTTL <= 0 {
-		return
-	}
-	s.leases[t.Top()] = s.clock.Now().Add(s.leaseTTL)
+	s.leases[t.Top()] = s.clock.Now().Add(LeaseTTL)
 }
 
 // leaseLive reports whether this DM holds an unexpired lease entry for the
 // top-level transaction: its client stamped or renewed here within the TTL.
 func (s *dmServer) leaseLive(top TxnID) bool {
 	deadline, ok := s.leases[top]
-	return ok && s.leaseTTL > 0 && !s.clock.Now().After(deadline)
+	return ok && !s.clock.Now().After(deadline)
 }
 
-// refreshLeases stamps a fresh lease for every lock holder — called after
-// recovery, where lease wall-clock stamps from the previous incarnation
-// are meaningless. Fresh stamps only delay resolution, which is always safe.
+// refreshLeases replaces every lease with a fresh one for each lock holder —
+// called once the host's clock is wired, after recovery replay. What replay
+// stamped is against the wrong clock, and it may name a transaction whose
+// last lock a logged release dropped: kept, that entry would answer Active
+// forever under a manual clock, and the transaction would never be presumed
+// aborted. Fresh stamps only delay resolution, which is always safe.
 func (s *dmServer) refreshLeases() {
-	if s.leaseTTL <= 0 {
-		return
-	}
+	clear(s.leases)
 	for _, r := range s.Replicas {
 		for holder := range r.Locks {
 			s.stampLease(holder)
@@ -73,12 +83,8 @@ func (s *dmServer) refreshLeases() {
 // inspection carries it with no requester to exempt, so orphans are named
 // exactly when they are in somebody's way or under the sweeper's eye. It
 // changes nothing: a holder without a lease entry is not expired — expiry
-// must only ever shorten availability, never invent an orphan — and nil is
-// the answer whenever leases are off.
+// must only ever shorten availability, never invent an orphan.
 func (s *dmServer) expiredHolders(r *replica, requester TxnID) []TxnID {
-	if s.leaseTTL <= 0 {
-		return nil
-	}
 	var out []TxnID
 	now, own := s.clock.Now(), requester.Top()
 	for holder := range r.Locks {
@@ -104,7 +110,7 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 		if s.Resolved[top] != nil {
 			return Ack{OK: false}, true
 		}
-		if s.leaseTTL > 0 && !s.knowsTxn(top) {
+		if !s.knowsTxn(top) {
 			// The commit fence's other half for rebuilt replicas: a renewal
 			// for a transaction this DM holds no trace of — no lease, no
 			// lock, no intention — is refused. A replica rebuilt from peers
@@ -179,14 +185,10 @@ func (s *dmServer) coordinateRing(req any) (resp any, handled bool) {
 // reaped somewhere, so committing would be unsafe. The caller aborts and
 // re-runs.
 func (t *Txn) ensureLease(ctx context.Context) error {
-	st := t.store.opts
-	if st.leaseTTL <= 0 {
-		return nil
-	}
 	t.mu.Lock()
 	stamp := t.leaseStamp
 	t.mu.Unlock()
-	if t.store.now().Sub(stamp) < st.leaseTTL/2 {
+	if t.store.now().Sub(stamp) < LeaseTTL/2 {
 		return nil
 	}
 	return t.renewLeases(ctx)
@@ -255,11 +257,7 @@ func (t *Txn) noteLeaseStamp() {
 // instead.
 func (s *Store) leaseRenewer() {
 	defer s.bg.Done()
-	interval := s.opts.leaseTTL / 3
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(LeaseTTL / 3)
 	defer tick.Stop()
 	for {
 		select {

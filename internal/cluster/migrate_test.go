@@ -12,10 +12,9 @@ import (
 )
 
 // shardedCluster opens a two-group (three replicas each) sharded cluster
-// whose keys are placed by a seeded ring, with leases on a manual clock so
-// tests decide exactly when an abandoned migration coordinator's locks
-// become reapable.
-func shardedCluster(t *testing.T, seed int64, ttl time.Duration, keys []string, extra ...Option) (*Store, *sim.Network, *sim.ManualClock, *shard.Ring) {
+// whose keys are placed by a seeded ring, on a manual clock so tests decide
+// exactly when an abandoned migration coordinator's locks become reapable.
+func shardedCluster(t *testing.T, seed int64, keys []string, extra ...Option) (*Store, *sim.Network, *sim.ManualClock, *shard.Ring) {
 	t.Helper()
 	groups := []shard.Group{
 		{Name: "g0", DMs: []string{"a0", "a1", "a2"}},
@@ -37,7 +36,6 @@ func shardedCluster(t *testing.T, seed int64, ttl time.Duration, keys []string, 
 	opts := append([]Option{
 		WithSeed(seed),
 		WithCallTimeout(25 * time.Millisecond),
-		WithLeaseTTL(ttl),
 		WithClock(clk),
 		WithRetryBackoff(2 * time.Millisecond),
 		WithRing(ring),
@@ -69,7 +67,7 @@ func keyOn(t *testing.T, r *shard.Ring, keys []string, group string) string {
 
 func TestMigrateItemMovesValue(t *testing.T) {
 	keys := shard.Keys("k", 12)
-	store, net, _, ring := shardedCluster(t, 501, 50*time.Millisecond, keys)
+	store, net, _, ring := shardedCluster(t, 501, keys)
 	ctx := context.Background()
 	key := keyOn(t, ring, keys, "g0")
 
@@ -145,7 +143,7 @@ func TestMigrateItemMovesValue(t *testing.T) {
 // redirect transparently, and ends up with the adopted placement.
 func TestMigrateStaleClientRedirect(t *testing.T) {
 	keys := shard.Keys("k", 12)
-	store, net, _, ring := shardedCluster(t, 502, 50*time.Millisecond, keys)
+	store, net, _, ring := shardedCluster(t, 502, keys)
 	ctx := context.Background()
 	key := keyOn(t, ring, keys, "g0")
 
@@ -239,9 +237,8 @@ func TestMigrateCoordinatorCrash(t *testing.T) {
 		{"paxos/before-learn", commit.PaxosCommit, CommitCrashOptions{Stage: CommitCrashBeforeLearn}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ttl := 50 * time.Millisecond
 			keys := shard.Keys("k", 12)
-			store, net, clk, ring := shardedCluster(t, 503+int64(i), ttl, keys,
+			store, net, clk, ring := shardedCluster(t, 503+int64(i), keys,
 				WithLockRetries(8), WithTxnRetries(8), WithCommitProtocol(tc.protocol))
 			ctx := context.Background()
 			key := keyOn(t, ring, keys, "g0")
@@ -291,7 +288,7 @@ func TestMigrateCoordinatorCrash(t *testing.T) {
 					t.Fatal("a replica applied the cutover before any learn")
 				}
 			}
-			clk.Advance(ttl + time.Millisecond)
+			clk.Advance(LeaseTTL + time.Millisecond)
 
 			// The item is not wedged: the first conflicting operation finds the
 			// orphan's lapsed lease and triggers its resolution. The copy
@@ -342,7 +339,7 @@ func TestMigrateCoordinatorCrash(t *testing.T) {
 					holding('a', 0, 10), holding('b', 0, 0))
 			}
 			// And the migration itself can be retried to completion.
-			clk.Advance(ttl + time.Millisecond)
+			clk.Advance(LeaseTTL + time.Millisecond)
 			if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
 				t.Fatalf("retried migration: %v", err)
 			}
@@ -365,7 +362,7 @@ func TestMigrateCoordinatorCrash(t *testing.T) {
 // otherwise be one partition away from serving a superseded version.
 func TestMigrateInvalidatesHints(t *testing.T) {
 	keys := shard.Keys("k", 12)
-	store, net, _, ring := shardedCluster(t, 506, 50*time.Millisecond, keys,
+	store, net, _, ring := shardedCluster(t, 506, keys,
 		WithReadLease(50*time.Millisecond))
 	ctx := context.Background()
 	key := keyOn(t, ring, keys, "g0")

@@ -73,8 +73,7 @@ type ReadResp struct {
 	// trees that hold a lock on this replica under a lapsed lease. The
 	// replica only names them; the refused client resolves them
 	// (Store.resolve) before it backs off. Response-only soft state like
-	// Hinted, nil whenever leases are off. WriteResp and InspectResp carry the
-	// same list.
+	// Hinted. WriteResp and InspectResp carry the same list.
 	Orphans []TxnID
 }
 

@@ -27,7 +27,6 @@ type settings struct {
 	history      *checker.Recorder
 	walDir       string
 	walOpts      []wal.Option
-	leaseTTL     time.Duration
 	health       bool
 	antiEntropy  time.Duration
 	clock        transport.Clock
@@ -170,21 +169,6 @@ func WithWALOptions(opts ...wal.Option) Option {
 	return func(s *settings) { s.walOpts = opts }
 }
 
-// WithLeaseTTL enables lock leases and orphan resolution: every lock grant
-// carries a lease of duration ttl, renewed implicitly by further grants,
-// by the background renewer (wall clock only), and synchronously at every
-// touched DM just before the commit point (the lease fence). A DM that
-// refuses a request over an expired-lease holder's locks names the holder,
-// and the refused client resolves it: it asks every DM for a commit record
-// and — when every DM answers "unknown" — presumes the holder aborted, so
-// a crashed client can never permanently wedge an item.
-// Zero (the default) disables leases entirely. The ttl must comfortably
-// exceed a transaction's inter-phase gaps; the TTL/3 background renewer
-// covers long-running transactions.
-func WithLeaseTTL(ttl time.Duration) Option {
-	return func(s *settings) { s.leaseTTL = ttl }
-}
-
 // WithHealthProbes enables the per-replica failure detector: call outcomes
 // feed a health scoreboard, fan-outs steer toward healthy replicas and
 // probe suspects with single half-open trials instead of hedging them, and
@@ -221,11 +205,12 @@ func WithReadLease(ttl time.Duration) Option {
 	return func(s *settings) { s.readLeaseTTL = ttl }
 }
 
-// WithClock injects the clock lock leases expire against. Deterministic
-// harnesses pass a sim.ManualClock and advance it explicitly between
-// rounds; the default is the wall clock. The background lease renewer only
-// runs under the wall clock — under a manual clock, timer-driven renewal
-// traffic would fork seeded replays.
+// WithClock injects the clock lock leases (LeaseTTL) expire against.
+// Deterministic harnesses pass a sim.ManualClock and advance it explicitly
+// between rounds, past LeaseTTL to let the leases stamped so far lapse; the
+// default is the wall clock. The background lease renewer only runs under
+// the wall clock — under a manual clock, timer-driven renewal traffic would
+// fork seeded replays, and grants alone re-stamp leases.
 func WithClock(c transport.Clock) Option {
 	return func(s *settings) {
 		if c != nil {

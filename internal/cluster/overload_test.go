@@ -185,10 +185,9 @@ func TestLeaseFenceHonorsCallerDeadline(t *testing.T) {
 		}
 		return false
 	}}
-	ttl := 50 * time.Millisecond
 	clk := sim.NewManualClock(time.Unix(0, 0))
 	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
-	store, err := Open(tap, items, WithSeed(13), WithLeaseTTL(ttl), WithClock(clk),
+	store, err := Open(tap, items, WithSeed(13), WithClock(clk),
 		WithHopAllowance(time.Hour), WithTxnRetries(0))
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +202,7 @@ func TestLeaseFenceHonorsCallerDeadline(t *testing.T) {
 		if err := tx.Write(bg, "x", 1); err != nil {
 			return err
 		}
-		clk.Advance(ttl) // the grants' lease stamps are stale: the fence must renew
+		clk.Advance(LeaseTTL) // the grants' lease stamps are stale: the fence must renew
 		return nil
 	})
 	if !errors.Is(err, ErrLeaseExpired) {

@@ -139,11 +139,9 @@ func TestAcceptorStateSurvivesAmnesia(t *testing.T) {
 // its ballot-0 proposal against a resolved DM gets the decision back
 // (Decided answer) instead of a vote it could mistake for an open round.
 func TestRecoveryAdoptsDecidedOutcome(t *testing.T) {
-	ttl := 50 * time.Millisecond
 	clk := sim.NewManualClock(time.Unix(0, 0))
 	net, store, dms := openPaxos(t, 110,
 		WithCallTimeout(20*time.Millisecond),
-		WithLeaseTTL(ttl),
 		WithClock(clk),
 	)
 	defer func() { store.Close(); net.Close() }()
@@ -167,7 +165,7 @@ func TestRecoveryAdoptsDecidedOutcome(t *testing.T) {
 	// find acceptor state, and the sweeper's recovery proposer must adopt
 	// the accepted commit. Every round is a call, so the sweep returns after
 	// the resolution.
-	clk.Advance(ttl + time.Millisecond)
+	lapse(clk)
 	if _, err := store.SweepOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +249,8 @@ func TestLearnFanoutSurvivesCallerCancel(t *testing.T) {
 
 // orphanCluster opens a durable three-replica cluster whose store plays the
 // coordinator that is about to die, and a second client of it that will
-// trip over what the coordinator leaves behind. Both run lock leases on one
-// manual clock, and sequential phases: a phase asks one quorum and waits for
+// trip over what the coordinator leaves behind. Both run on one manual
+// clock, and sequential phases: a phase asks one quorum and waits for
 // all of it, so a dead coordinator has no copy in flight that could land —
 // and stamp a live lease — after the clock moved. Extra options shape the
 // second client too.
@@ -261,7 +259,7 @@ func orphanCluster(t *testing.T, seed int64, protocol commit.Protocol, extra ...
 	clk = sim.NewManualClock(time.Unix(0, 0))
 	opts := append([]Option{
 		WithCommitProtocol(protocol), WithSequentialPhases(true), WithHedgeDelay(0),
-		WithLeaseTTL(orphanTTL), WithClock(clk), WithRetryBackoff(time.Millisecond),
+		WithClock(clk), WithRetryBackoff(time.Millisecond),
 	}, extra...)
 	net, coord, dms = openDurable(t, seed, opts...)
 	blocked, err := OpenClient(net, coord.Items(), append([]Option{WithSeed(seed + 1000)}, opts...)...)
@@ -272,10 +270,8 @@ func orphanCluster(t *testing.T, seed int64, protocol commit.Protocol, extra ...
 	return coord, blocked, net, clk, dms
 }
 
-const orphanTTL = 50 * time.Millisecond
-
 // lapse lets every lease stamped so far expire.
-func lapse(clk *sim.ManualClock) { clk.Advance(orphanTTL + time.Millisecond) }
+func lapse(clk *sim.ManualClock) { clk.Advance(LeaseTTL + time.Millisecond) }
 
 // oneOutcome probes every DM for txn and requires all of them to hold the
 // same verdict and nothing else of the transaction; it returns the verdict.
@@ -395,7 +391,7 @@ func TestTwoClientsResolveOneOrphan(t *testing.T) {
 		b, err := OpenClient(net, coord.Items(),
 			WithSeed(seed+2000), WithCommitProtocol(commit.PaxosCommit),
 			WithSequentialPhases(true), WithHedgeDelay(0),
-			WithLeaseTTL(orphanTTL), WithClock(clk), WithRetryBackoff(time.Millisecond))
+			WithClock(clk), WithRetryBackoff(time.Millisecond))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -317,13 +317,12 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 }
 
 // TestRenewLeaseRefusedForUnknownTxn: the rebuilt-replica commit fence. A
-// DM with leases armed refuses to renew a transaction it holds no trace of
+// DM refuses to renew a transaction it holds no trace of
 // — so a transaction whose locks died with a corrupted-and-rebuilt replica
 // aborts at its pre-commit fence instead of committing over the loss.
 func TestRenewLeaseRefusedForUnknownTxn(t *testing.T) {
 	cfg := quorum.Majority([]string{"dm0"})
 	srv := newDMState("dm0", []ItemSpec{{Name: "x", DMs: []string{"dm0"}, Config: cfg}, {Name: "y", DMs: []string{"dm0"}, Config: cfg}})
-	srv.leaseTTL = time.Minute
 
 	if resp, handled := srv.coordinate(RenewLeaseReq{Txn: "c1.t1"}); !handled || resp.(Ack).OK {
 		t.Fatalf("renewal for unknown txn = %#v, want refusal", resp)

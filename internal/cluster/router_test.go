@@ -11,7 +11,7 @@ import (
 
 func TestRouterCrossShard(t *testing.T) {
 	keys := shard.Keys("k", 12)
-	store, net, _, ring := shardedCluster(t, 601, 50*time.Millisecond, keys)
+	store, net, _, ring := shardedCluster(t, 601, keys)
 	ctx := context.Background()
 	r, err := NewRouter(store)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestRouterCrossShard(t *testing.T) {
 // catches up.
 func TestRouterStaleCacheRetriesOnce(t *testing.T) {
 	keys := shard.Keys("k", 12)
-	store, net, _, ring := shardedCluster(t, 602, 50*time.Millisecond, keys)
+	store, net, _, ring := shardedCluster(t, 602, keys)
 	ctx := context.Background()
 	key := keyOn(t, ring, keys, "g0")
 
@@ -159,7 +159,7 @@ func TestShardItemsPlacement(t *testing.T) {
 // -race).
 func TestShardStatsConcurrent(t *testing.T) {
 	keys := shard.Keys("k", 8)
-	store, _, _, ring := shardedCluster(t, 603, 50*time.Millisecond, keys,
+	store, _, _, ring := shardedCluster(t, 603, keys,
 		WithLockRetries(5), WithTxnRetries(5))
 	ctx := context.Background()
 	key := keyOn(t, ring, keys, "g0")

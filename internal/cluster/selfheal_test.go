@@ -12,11 +12,11 @@ import (
 	"repro/internal/sim"
 )
 
-// selfHealCluster opens a volatile three-replica majority cluster with
-// leases driven by a manual clock, so tests control exactly when leases
-// lapse. Every message an operation causes is sent before Run returns — the
+// selfHealCluster opens a volatile three-replica majority cluster on a
+// manual clock, so tests control exactly when leases lapse: one
+// clk.Advance past LeaseTTL lapses every lease stamped so far. Every message an operation causes is sent before Run returns — the
 // cleanup as notifies — so a Quiesce after it settles them all in transit.
-func selfHealCluster(t *testing.T, seed int64, ttl time.Duration, extra ...Option) (*Store, *sim.Network, *sim.ManualClock, []string) {
+func selfHealCluster(t *testing.T, seed int64, extra ...Option) (*Store, *sim.Network, *sim.ManualClock, []string) {
 	t.Helper()
 	dms := []string{"dm0", "dm1", "dm2"}
 	net := sim.NewNetwork(sim.Config{
@@ -28,7 +28,6 @@ func selfHealCluster(t *testing.T, seed int64, ttl time.Duration, extra ...Optio
 	opts := append([]Option{
 		WithSeed(seed),
 		WithCallTimeout(25 * time.Millisecond),
-		WithLeaseTTL(ttl),
 		WithClock(clk),
 		WithRetryBackoff(2 * time.Millisecond),
 	}, extra...)
@@ -55,8 +54,8 @@ func TestCloseIdempotent(t *testing.T) {
 		[]ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
 		WithSeed(301),
 		// Background loops make double-Close genuinely dangerous (a second
-		// close of stopBg would panic), so run with both enabled.
-		WithLeaseTTL(50*time.Millisecond),
+		// close of stopBg would panic): the lease renewer runs under the wall
+		// clock, and the sweeper runs too.
 		WithAntiEntropy(5*time.Millisecond),
 	)
 	if err != nil {
@@ -84,7 +83,7 @@ func TestCloseIdempotent(t *testing.T) {
 // seconds of backoff, must return promptly when its context is cancelled —
 // from the retry loops and from the commit/abort control sends alike.
 func TestConflictRetryHonorsCancel(t *testing.T) {
-	store, _, _, dms := selfHealCluster(t, 302, 0, // leases off: the blocker must never be reaped
+	store, _, _, dms := selfHealCluster(t, 302, // the clock never moves: the blocker is never reaped
 		WithLockRetries(100),
 		WithRetryBackoff(50*time.Millisecond),
 		WithTxnRetries(100),
@@ -253,7 +252,7 @@ func TestHealthBoardOrderQuorums(t *testing.T) {
 // crashed replica opens its circuit after a few writes, later fan-outs skip
 // it, and once it restarts a half-open probe closes the circuit again.
 func TestFanOutSteersAroundCrashedReplica(t *testing.T) {
-	store, net, _, _ := selfHealCluster(t, 303, 0, WithHealthProbes(true))
+	store, net, _, _ := selfHealCluster(t, 303, WithHealthProbes(true))
 	ctx := context.Background()
 	write := func(i int) {
 		t.Helper()
@@ -295,8 +294,7 @@ func TestFanOutSteersAroundCrashedReplica(t *testing.T) {
 // every DM answers "unknown", and the orphan is presumed aborted — locks
 // freed, intention dropped, the writer's retry succeeds.
 func TestLeaseReapsOrphanedLocks(t *testing.T) {
-	ttl := 50 * time.Millisecond
-	store, net, clk, dms := selfHealCluster(t, 304, ttl)
+	store, net, clk, dms := selfHealCluster(t, 304)
 	ctx := context.Background()
 	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 1) }); err != nil {
 		t.Fatal(err)
@@ -305,7 +303,7 @@ func TestLeaseReapsOrphanedLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Quiesce()
-	clk.Advance(ttl + time.Millisecond)
+	clk.Advance(LeaseTTL + time.Millisecond)
 	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 2) }); err != nil {
 		t.Fatalf("write after orphan's lease lapsed: %v", err)
 	}
@@ -345,8 +343,7 @@ func TestLeaseReapsOrphanedLocks(t *testing.T) {
 // and the straggler is served their record — intention folded in, not
 // discarded.
 func TestReapAppliesPeerCommitRecord(t *testing.T) {
-	ttl := 50 * time.Millisecond
-	store, net, clk, _ := selfHealCluster(t, 305, ttl, WithLockRetries(3))
+	store, net, clk, _ := selfHealCluster(t, 305, WithLockRetries(3))
 	ctx := context.Background()
 	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 1) }); err != nil {
 		t.Fatal(err)
@@ -371,7 +368,7 @@ func TestReapAppliesPeerCommitRecord(t *testing.T) {
 		t.Fatalf("precondition: dm0 should be a straggler with lock+intent, got %+v", pre)
 	}
 
-	clk.Advance(ttl + time.Millisecond)
+	clk.Advance(LeaseTTL + time.Millisecond)
 	// The sweep's inspection is the orphan hunter here — no client is
 	// waiting on dm0, since quorums route around it.
 	if _, err := store.SweepOnce(ctx); err != nil {
@@ -399,12 +396,11 @@ func TestReapAppliesPeerCommitRecord(t *testing.T) {
 // they refuse the renewal, and Run surfaces ErrLeaseExpired instead of
 // committing a transaction the cluster already aborted.
 func TestLeaseFenceStopsReapedCommit(t *testing.T) {
-	ttl := 50 * time.Millisecond
-	store, net, clk, _ := selfHealCluster(t, 306, ttl, WithTxnRetries(0))
+	store, net, clk, _ := selfHealCluster(t, 306, WithTxnRetries(0))
 	ctx := context.Background()
 	other, err := OpenClient(net, store.Items(),
 		WithSeed(307), WithCallTimeout(25*time.Millisecond),
-		WithLeaseTTL(ttl), WithClock(clk), WithRetryBackoff(2*time.Millisecond))
+		WithClock(clk), WithRetryBackoff(2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +416,7 @@ func TestLeaseFenceStopsReapedCommit(t *testing.T) {
 		// third replica must land before the clock moves, or its grant stamps
 		// a lease the second client's probe finds live.)
 		net.Quiesce()
-		clk.Advance(ttl + time.Millisecond)
+		clk.Advance(LeaseTTL + time.Millisecond)
 		if err := other.Run(ctx, func(tx2 *Txn) error { return tx2.Write(ctx, "x", 222) }); err != nil {
 			return fmt.Errorf("second client could not write past the expired lease: %w", err)
 		}
@@ -452,7 +448,7 @@ func TestLeaseFenceStopsReapedCommit(t *testing.T) {
 // — without waiting for a lucky quorum read, and that a converged cluster
 // sweeps clean.
 func TestAntiEntropySweepHealsStaleReplica(t *testing.T) {
-	store, net, _, dms := selfHealCluster(t, 308, 0)
+	store, net, _, dms := selfHealCluster(t, 308)
 	ctx := context.Background()
 	net.Crash("dm2")
 	for i := 1; i <= 3; i++ {
@@ -505,22 +501,20 @@ func TestAntiEntropySweepHealsStaleReplica(t *testing.T) {
 	}
 }
 
-// TestLostReleaseNotifyIsResolvedByTheLease: a read-only transaction's
-// commit reaches its replicas only as notifies, and the network may eat one —
-// that replica keeps the read lock, and the lock lease is the backstop. Once
-// the lease lapses, a writer that needs the replica (the write quorum is every
-// replica) is refused with Busy naming the holder, resolves it by re-serving
-// the commit record the other read-quorum replica holds, and commits. The
-// read runs in a subtransaction, where it locks: a top-level first read
-// leaves nothing to release.
-func TestLostReleaseNotifyIsResolvedByTheLease(t *testing.T) {
-	const ttl = 50 * time.Millisecond
+// lostRelease opens three replicas of "x" on a manual clock, with default
+// options otherwise — reads need two replicas and writes all three — and runs
+// one transaction whose subtransaction read-locks two of them. The first, the
+// victim, never hears the commit: its notify is eaten. between runs after the
+// read and before the commit. It returns the store, its clock, the reader and
+// the victim, once the victim is known to still hold the reader's lock.
+func lostRelease(t *testing.T, seed int64, between func(store *Store, victim string), extra ...Option) (*Store, *sim.ManualClock, TxnID, string) {
+	t.Helper()
 	dms := []string{"dm0", "dm1", "dm2"}
 	net := sim.NewNetwork(sim.Config{
 		MinLatency: 50 * time.Microsecond, MaxLatency: 500 * time.Microsecond,
-		Seed: 41, FateFeedback: true,
+		Seed: seed, FateFeedback: true,
 	})
-	defer net.Close()
+	t.Cleanup(net.Close)
 	// Set and read on the Run goroutine: the reader, the replica whose commit
 	// notify is eaten, and how many were.
 	var (
@@ -540,13 +534,14 @@ func TestLostReleaseNotifyIsResolvedByTheLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := sim.NewManualClock(time.Unix(0, 0))
-	store, err := Open(tap, []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: cfg}},
-		WithSeed(41), WithCallTimeout(time.Second), WithLeaseTTL(ttl), WithClock(clk),
-		WithSequentialPhases(true), WithHedgeDelay(0), WithRetryBackoff(2*time.Millisecond))
+	store, err := Open(tap, []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: cfg}}, append([]Option{
+		WithSeed(seed), WithCallTimeout(time.Second), WithClock(clk),
+		WithSequentialPhases(true), WithHedgeDelay(0), WithRetryBackoff(2 * time.Millisecond),
+	}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
+	t.Cleanup(store.Close)
 	ctx := context.Background()
 
 	if err := store.Run(ctx, func(tx *Txn) error {
@@ -558,6 +553,7 @@ func TestLostReleaseNotifyIsResolvedByTheLease(t *testing.T) {
 		}
 		_, granted, _ := tx.controlSets()
 		reader, victim = tx.ID(), granted[0]
+		between(store, victim)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -569,8 +565,18 @@ func TestLostReleaseNotifyIsResolvedByTheLease(t *testing.T) {
 	if p, err := store.ResolutionProbe(ctx, victim, reader); err != nil || !p.Holds {
 		t.Fatalf("%s after the lost notify: %+v, %v — want %s's read lock still held", victim, p, err, reader)
 	}
+	return store, clk, reader, victim
+}
 
-	clk.Advance(ttl + time.Millisecond)
+// writeBehindLapsedLease lets every lease lapse and then writes "x", whose
+// write quorum is every replica: the victim refuses with Busy naming the
+// reader, and the writer resolves it by re-serving the commit record the
+// other read-quorum replica holds, and commits. The victim then holds the
+// reader's commit record and none of its locks.
+func writeBehindLapsedLease(t *testing.T, store *Store, clk *sim.ManualClock, reader TxnID, victim string) {
+	t.Helper()
+	ctx := context.Background()
+	clk.Advance(LeaseTTL + time.Millisecond)
 	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 1) }); err != nil {
 		t.Fatalf("writer behind the lapsed lease: %v", err)
 	}
@@ -587,4 +593,33 @@ func TestLostReleaseNotifyIsResolvedByTheLease(t *testing.T) {
 	if p.Holds || !p.Known || !p.Committed {
 		t.Fatalf("%s after the resolution: %+v, want %s's commit record and none of its locks", victim, p, reader)
 	}
+	if insp, err := store.Inspect(ctx, victim, "x"); err != nil || insp.Locks != 0 {
+		t.Fatalf("%s after the resolution: %+v, %v — want 0 locks", victim, insp, err)
+	}
+}
+
+// TestLostReleaseNotifyIsResolvedByTheLease: a read-only transaction's
+// commit reaches its replicas only as notifies, and the network may eat one —
+// that replica keeps the read lock, and the lock lease, which every lock has,
+// is the backstop: a writer that needs the replica commits once the lease
+// lapsed. The read runs in a subtransaction, where it locks: a top-level
+// first read leaves nothing to release.
+func TestLostReleaseNotifyIsResolvedByTheLease(t *testing.T) {
+	store, clk, reader, victim := lostRelease(t, 41, func(*Store, string) {})
+	writeBehindLapsedLease(t, store, clk, reader, victim)
+}
+
+// TestRestartBetweenGrantAndReleaseIsResolvedByTheLease: a durable replica
+// that restarts between a read lock's grant and its release recovers the
+// lock from its log, and the release — sent while it was down — never
+// arrives. Recovery stamps the recovered holder a fresh lease, so once that
+// lapses a writer that needs the replica commits, and the replica is left
+// with no lock.
+func TestRestartBetweenGrantAndReleaseIsResolvedByTheLease(t *testing.T) {
+	store, clk, reader, victim := lostRelease(t, 42, func(store *Store, victim string) {
+		if _, err := store.RestartDM(victim); err != nil {
+			t.Errorf("restart %s: %v", victim, err)
+		}
+	}, WithDurability(t.TempDir()))
+	writeBehindLapsedLease(t, store, clk, reader, victim)
 }

@@ -331,7 +331,7 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		return nil, fmt.Errorf("cluster: client endpoint: %w", err)
 	}
 	s.client = client
-	if st.leaseTTL > 0 && st.clock == transport.Wall {
+	if st.clock == transport.Wall {
 		// The background renewer exists for wall-clock deployments only:
 		// under a manual clock (deterministic harnesses) time moves between
 		// rounds, and a timer-driven renewal would fork seeded replays.

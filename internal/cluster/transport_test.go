@@ -537,8 +537,8 @@ func TestTransportParityHintTargetKilled(t *testing.T) {
 
 // TestReadOnlyRunCallsNothingAfterItsReads: a one-read transaction's read
 // takes no lock, so over TCP it sends nothing after its read phase — no call
-// and no notify — and, leases on, after Quiesce no replica holds a lock, a
-// lease or a resolution record of it.
+// and no notify — and after Quiesce no replica holds a lock, a lease or a
+// resolution record of it.
 func TestReadOnlyRunCallsNothingAfterItsReads(t *testing.T) {
 	tr := tcp.New()
 	defer tr.Close()
@@ -548,7 +548,7 @@ func TestReadOnlyRunCallsNothingAfterItsReads(t *testing.T) {
 		onCall:    func(string, any) bool { calls.Add(1); return false },
 		onNotify:  func(string, any) bool { notifies.Add(1); return false },
 	}
-	store, dms := openTestStore(t, tap, WithLeaseTTL(time.Minute))
+	store, dms := openTestStore(t, tap)
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		var (
@@ -662,9 +662,9 @@ func (st *stallTransport) Serve(id string, h transport.Handler, opts ...transpor
 	return st.Transport.Serve(id, h, opts...)
 }
 
-// TestReleaseNotifyOutwaitsACongestedLink: with leases off — the default —
-// nothing but its notify ever releases a read lock, so a commit's notify to a
-// replica whose link is full waits for room instead of being dropped. A
+// TestReleaseNotifyOutwaitsACongestedLink: only its notify releases a read
+// lock before the lock's lease lapses, so a commit's notify to a replica
+// whose link is full waits for room instead of being dropped. A
 // read-only Run commits while pd0 serves nothing and the client's link to it
 // is backed up; once pd0 serves again it holds none of the transaction's
 // locks and holds its commit record, a writer that needs pd0 commits, and

@@ -211,9 +211,6 @@ var (
 	WithSeed = cluster.WithSeed
 	// WithTrace directs structured per-operation events to a trace log.
 	WithTrace = cluster.WithTrace
-	// WithLeaseTTL enables lock leases and presumed-abort orphan
-	// resolution; a client crash wedges an item for at most one TTL.
-	WithLeaseTTL = cluster.WithLeaseTTL
 	// WithHealthProbes enables the per-replica failure detector and
 	// circuit-broken quorum selection.
 	WithHealthProbes = cluster.WithHealthProbes
