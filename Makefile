@@ -64,8 +64,8 @@ proc-smoke:
 # answers: no line of the package may hand the state machine a sender or
 # send from a served endpoint (notifyPeer(, setSender(, server.Notify), so a
 # replica that originates traffic cannot grow back unnoticed either.
-CLUSTER_MAX_OPTIONS = 25
-CLUSTER_MAX_LINES = 4756
+CLUSTER_MAX_OPTIONS = 24
+CLUSTER_MAX_LINES = 4745
 CLUSTER_MAX_SERVE_SITES = 1
 CLUSTER_MAX_CANLOCK_SITES = 1
 CLUSTER_MAX_REPLICA_SENDS = 0
@@ -87,31 +87,37 @@ replay:
 
 # The ROADMAP aim-1 ratchet: the counts of the benchmark's traced run may not
 # drift up. One short seeded run of the socket-and-codec workload, of the
-# no-socket nested one and of the logged nested one (the benchmark itself is
-# only read), and every count named below must stay at or under its ceiling:
-# the value the last PR that moved it landed at (seed 7, 5 s, this harness)
-# + 10 % for process.allocs_per_txn, which breathes with the garbage
-# collector, and for everything on tcp_durable_write, whose traced pass is
-# some 400 transactions and repeats to ±2.5 %, + 5 % for the rest, which
-# repeat to the third digit. cluster.messages_per_txn is derived here, rpcs +
+# no-socket nested one, of the logged nested one and of the one with a
+# replica stopped (the benchmark itself is only read), and every count named
+# below must stay at or under its ceiling:
+# the highest of at least three traced runs of the last PR that moved it (seed 7, 5 s,
+# this harness) + 10 % for process.allocs_per_txn, which breathes with the
+# garbage collector, and for everything on tcp_durable_write, whose traced
+# pass is some 800 transactions and repeats to ±2.5 %, + 5 % for the rest,
+# which repeat to the third digit. tcp_durable_write's notifies are the
+# exception: a handful of tombstones per traced pass (0 to 0.025 a
+# transaction), so a relative margin is noise and the ceiling is 0.05.
+# cluster.messages_per_txn is derived here, rpcs +
 # notifies, and has a ceiling of its own: a call turned into a notify lowers
 # the one and raises the other, so only the sum shows traffic added under
 # another label. A PR that lowers a count lowers its ceiling.
 # Timings are not held here; they go through the ten-pair protocol.
 COUNTS_frames = tcp.frame_allocs.readreq=6.4 tcp.frame_allocs.readresp=5.3 \
 	tcp.frame_allocs.writereq1k=8.5 tcp.frame_allocs.committop=12.7
-COUNTS_tcp_read95 = process.allocs_per_txn=103 cluster.rpcs_per_txn=3.43 \
-	cluster.notifies_per_txn=0.157 cluster.messages_per_txn=3.57 \
-	tcp.wire_bytes_per_txn=257 $(COUNTS_frames)
-COUNTS_sim_nested_n5 = process.allocs_per_txn=446 cluster.rpcs_per_txn=19.6 \
-	cluster.notifies_per_txn=9.84 cluster.messages_per_txn=29.5 \
+COUNTS_tcp_read95 = process.allocs_per_txn=85 cluster.rpcs_per_txn=2.32 \
+	cluster.notifies_per_txn=0.055 cluster.messages_per_txn=2.38 \
+	tcp.wire_bytes_per_txn=198 $(COUNTS_frames)
+COUNTS_sim_nested_n5 = process.allocs_per_txn=363 cluster.rpcs_per_txn=13.8 \
+	cluster.notifies_per_txn=2.18 cluster.messages_per_txn=15.9 \
 	tcp.wire_bytes_per_txn=0 $(COUNTS_frames)
-COUNTS_tcp_durable_write = cluster.rpcs_per_txn=13.1 cluster.notifies_per_txn=4.13 \
-	cluster.messages_per_txn=17.6 wal.appends_per_txn=16.6
+COUNTS_tcp_durable_write = cluster.rpcs_per_txn=10.4 cluster.notifies_per_txn=0.05 \
+	cluster.messages_per_txn=10.4 wal.appends_per_txn=9.7
+COUNTS_tcp_degraded = cluster.rpcs_per_txn=4.64 cluster.notifies_per_txn=0.54 \
+	cluster.messages_per_txn=5.18
 counts:
-	@for w in tcp_read95 sim_nested_n5 tcp_durable_write; do \
+	@for w in tcp_read95 sim_nested_n5 tcp_durable_write tcp_degraded; do \
 		case $$w in tcp_read95) ceilings="$(COUNTS_tcp_read95)";; sim_nested_n5) ceilings="$(COUNTS_sim_nested_n5)";; \
-			*) ceilings="$(COUNTS_tcp_durable_write)";; esac; \
+			tcp_durable_write) ceilings="$(COUNTS_tcp_durable_write)";; *) ceilings="$(COUNTS_tcp_degraded)";; esac; \
 		bash bench/run.sh --workload $$w --seed 7 --seconds 5 --trace 1 | awk -v w=$$w -v ceilings="$$ceilings" ' \
 			function check(k, v) { seen[k] = 1; over = (v + 0 > max[k] + 0); bad += over; \
 				printf "counts: %-17s %-30s %10.4f (ceiling %s)%s\n", w, k, v, max[k], over ? " OVER" : "" } \

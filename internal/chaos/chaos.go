@@ -186,9 +186,10 @@ type Config struct {
 	// CallTimeout bounds each RPC (default 10ms). It must exceed the
 	// worst straggler latency or timeouts become scheduling races.
 	CallTimeout time.Duration
-	// Live disables the determinism constraints: first-to-quorum fan-out,
-	// hedging and concurrent workers come back on. Campaigns still verify,
-	// but exact replay of network counters is no longer guaranteed.
+	// Live disables the determinism constraints: phases that ask one quorum
+	// and widen on a refusal or the hedge timer, hedging and concurrent
+	// workers come back on. Campaigns still verify, but exact replay of
+	// network counters is no longer guaranteed.
 	Live bool
 	// Workers is the number of concurrent workload workers in live mode
 	// (default 2; deterministic mode always uses 1).
@@ -483,16 +484,9 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	// wall-clock scheduling. Under the wall clock the store would run its
 	// timer-driven lease renewer, whose traffic would fork the replay.
 	clk := sim.NewManualClock(time.Unix(0, 0))
-	opts = append(opts,
-		cluster.WithClock(clk),
-		// Under the manual clock the health board pins every call to the
-		// full budget: adaptive timeouts derive from measured wall-clock
-		// latency EWMAs — the one health-board input the seed does not fix —
-		// and under load (think -race) a borderline call could time out in
-		// one run and retry, forking the message counters of an exact
-		// replay.
-		cluster.WithHealthProbes(true),
-	)
+	// The store's failure detector reads no clock at all: its one timed
+	// input, the hedge timer, is off in the deterministic campaigns.
+	opts = append(opts, cluster.WithClock(clk))
 	store, err := cluster.Open(net, items, opts...)
 	if err != nil {
 		return Result{}, err

@@ -24,8 +24,12 @@ type OverloadConfig struct {
 	// Items (default 2) and Replicas (default 3) shape the cluster.
 	Items    int
 	Replicas int
-	// Workers is the capacity arm's concurrency (default 6); the overload
-	// and ablation arms run 2x.
+	// Workers is the capacity arm's concurrency (default 12); the overload
+	// and ablation arms run 2x. A read asks one quorum, two of the three
+	// replicas, and leaves no copy behind to be served after its caller
+	// gave up, so it takes twelve workers to hold the replicas at capacity;
+	// at six, twice the load never makes the ablated queues outlast a
+	// deadline.
 	Workers int
 	// TxnsPerWorker is how many transactions each worker attempts
 	// (default 60).
@@ -51,7 +55,7 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 		c.Replicas = 3
 	}
 	if c.Workers <= 0 {
-		c.Workers = 6
+		c.Workers = 12
 	}
 	if c.TxnsPerWorker <= 0 {
 		c.TxnsPerWorker = 60
@@ -189,7 +193,7 @@ func runOverloadArm(ctx context.Context, cfg OverloadConfig, name string, worker
 	opts := []cluster.Option{
 		cluster.WithSeed(cfg.Seed),
 		cluster.WithCallTimeout(time.Second), // backstop; the deadline clamps it
-		cluster.WithHedgeDelay(0),            // hedges would amplify offered load
+		cluster.WithHedgeDelay(0),            // phases widen only on a refusal: timed widening would amplify offered load
 		cluster.WithServiceTime(cfg.ServiceTime),
 		cluster.WithLockRetries(2),
 		cluster.WithTxnRetries(0),

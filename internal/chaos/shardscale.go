@@ -39,8 +39,11 @@ type ShardScaleConfig struct {
 	// (default 80).
 	TxnsPerWorker int
 	// ServiceTime is the simulated per-request service delay at every
-	// replica (default 400µs): large enough that queueing at saturated
-	// groups, not host CPU contention, decides each arm's throughput.
+	// replica (default 1.2ms): large enough that queueing at saturated
+	// groups, not host CPU contention, decides each arm's throughput. A
+	// read asks two of a group's three replicas; at 400µs one group then
+	// served reads so fast that four groups outran a 2-core host, and the
+	// 4-shard arm measured the host instead of the replicas.
 	ServiceTime time.Duration
 	// ReadFraction (default 0.95) and Theta (default 0.9) shape the 95/5
 	// zipfian mix. The theta default sits below YCSB's 0.99 deliberately:
@@ -69,7 +72,7 @@ func (c ShardScaleConfig) withDefaults() ShardScaleConfig {
 		c.TxnsPerWorker = 80
 	}
 	if c.ServiceTime <= 0 {
-		c.ServiceTime = 400 * time.Microsecond
+		c.ServiceTime = 1200 * time.Microsecond
 	}
 	if c.ReadFraction <= 0 {
 		c.ReadFraction = 0.95
@@ -198,7 +201,7 @@ func RunShardScaleArm(ctx context.Context, cfg ShardScaleConfig, n int) (ShardSc
 	store, err := cluster.Open(net, items,
 		cluster.WithSeed(cfg.Seed),
 		cluster.WithCallTimeout(time.Second),
-		cluster.WithHedgeDelay(0), // hedges would inflate offered load
+		cluster.WithHedgeDelay(0), // phases widen only on a refusal: timed widening would inflate offered load
 		// The service delay only bites behind an admission queue (that is
 		// where the single service goroutine lives); a deep bound keeps the
 		// finite service rate without ever shedding the closed-loop load.

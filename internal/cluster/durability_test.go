@@ -134,16 +134,16 @@ func TestRestartServesDurableState(t *testing.T) {
 	}
 }
 
-// TestAmnesiaMidCommitBroadcast crashes a minority replica exactly inside
-// the commit-point window — after the commit decision, before any
-// CommitTopReq lands — wipes its memory, recovers it from its WAL, and
-// checks (a) the full history stays serializable and (b) the recovered
-// replica still buffers the committed transaction's intention, which the
-// crash prevented it from applying.
+// TestAmnesiaMidCommitBroadcast crashes a minority replica the write phase
+// wrote exactly inside the commit-point window — after the commit decision,
+// before any CommitTopReq lands — wipes its memory, recovers it from its
+// WAL, and checks (a) the full history stays serializable and (b) the
+// recovered replica still buffers the committed transaction's intention,
+// which the crash prevented it from applying.
 func TestAmnesiaMidCommitBroadcast(t *testing.T) {
 	rec := checker.NewRecorder()
 	rec.DeclareItem("x", 0)
-	net, store, _ := openDurable(t, 62,
+	net, store, dms := openDurable(t, 62,
 		WithHistory(rec),
 		WithCallTimeout(20*time.Millisecond),
 		WithLockRetries(3),
@@ -156,37 +156,48 @@ func TestAmnesiaMidCommitBroadcast(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	crashed := false
+	// The write phase asks one write quorum: the victim is a member of it,
+	// the first replica found holding the intention.
+	victim := ""
 	store.Hooks.BeforeCommitTop = func(TxnID) {
-		if !crashed {
-			crashed = true
-			net.Crash("dm0")
+		if victim != "" {
+			return
+		}
+		for _, dm := range dms {
+			if insp, err := store.Inspect(ctx, dm, "x"); err == nil && insp.Intents > 0 {
+				victim = dm
+				net.Crash(dm)
+				return
+			}
 		}
 	}
 	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 100) }); err != nil {
 		t.Fatalf("commit with crashed minority must succeed: %v", err)
 	}
 	store.Hooks.BeforeCommitTop = nil
-	// A notify to dm0 still in transit would be delivered after the restart
-	// below and legitimately apply the commit — correct behaviour, but it
-	// would make the pending-intention assertion racy. Settled in transit
-	// while dm0 is down, it is dropped.
+	if victim == "" {
+		t.Fatal("no replica held the write's intention at the commit point")
+	}
+	// A notify to the victim still in transit would be delivered after the
+	// restart below and legitimately apply the commit — correct behaviour,
+	// but it would make the pending-intention assertion racy. Settled in
+	// transit while the victim is down, it is dropped.
 	net.Quiesce()
 
-	stats := amnesia(t, store, "dm0")
-	net.Restart("dm0")
+	stats := amnesia(t, store, victim)
+	net.Restart(victim)
 	if stats.Replayed == 0 && !stats.FromSnapshot {
 		t.Fatalf("recovery replayed nothing: %+v", stats)
 	}
-	// dm0 acknowledged the write phase (persist-before-ack), then missed
-	// the commit broadcast: recovery must resurrect the intention, not the
-	// applied state.
-	insp, err := store.Inspect(ctx, "dm0", "x")
+	// The victim acknowledged the write phase (persist-before-ack), then
+	// missed the commit broadcast: recovery must resurrect the intention,
+	// not the applied state.
+	insp, err := store.Inspect(ctx, victim, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if insp.Intents == 0 {
-		t.Errorf("recovered dm0 lost the committed txn's pending intention: %+v", insp)
+		t.Errorf("recovered %s lost the committed txn's pending intention: %+v", victim, insp)
 	}
 
 	// The cluster keeps serving — readers and writers route around the

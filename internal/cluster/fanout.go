@@ -16,7 +16,7 @@ type memberResp struct {
 	resp ReadResp
 }
 
-// collector is the pure state machine of one first-to-quorum fan-out: it
+// collector is the pure state machine of one quorum phase's fan-out: it
 // tracks which replicas were asked, which answered how, and whether the
 // responses received so far cover any quorum. It has no concurrency of its
 // own — runPhase drives it from a single goroutine — which keeps it
@@ -81,11 +81,13 @@ func (c *collector) done() bool {
 	return ok
 }
 
-// winner returns the smallest quorum fully covered by grants, if any.
+// winner returns the smallest quorum fully covered by grants, if any. A
+// quorum larger than the grant count cannot be covered, so a phase's early
+// answers cost no set walk.
 func (c *collector) winner() (quorum.Set, bool) {
 	var best quorum.Set
 	for _, q := range c.quorums {
-		if best != nil && len(q) >= len(best) {
+		if len(q) > len(c.granted) || best != nil && len(q) >= len(best) {
 			continue
 		}
 		if q.SubsetOf(c.granted) {
@@ -269,14 +271,19 @@ func parseGrant(raw any) (granted, busy, held bool, resp ReadResp) {
 	return false, false, false, ReadResp{}
 }
 
-// runPhase broadcasts spec.req to every target concurrently and returns as
-// soon as the grants cover any of spec.quorums ("first to quorum wins"),
-// all targets have answered without covering one, or the phase times out.
-// While waiting it hedges: every hedgeDelay it re-issues the request to
-// targets that have not answered at all, up to hedgeMax copies each, so
-// one slow replica cannot stall the phase. Returning cancels the phase
-// context, abandoning in-flight copies; settlePhase squares that with the
-// DMs.
+// runPhase asks one quorum first and returns as soon as the grants cover
+// any of spec.quorums ("first to quorum wins"), every copy sent has been
+// answered without covering one, or the phase times out. The board's plan
+// picks the first quorum — the smallest with no suspect member — and any
+// half-open probe due. The phase widens to every other target the plan may
+// dial, once, the moment an asked member answers with anything but a grant
+// (Busy, a shed, quarantined, a redirect), a call fails, or the hedge timer
+// first fires. That first tick also charges each first-quorum member still
+// silent one failure, so a steady straggler turns suspect and leaves the
+// first quorums. Later ticks hedge: they re-issue the request to targets
+// that have not answered at all, up to hedgeMax copies each, so one slow
+// replica cannot stall the phase. Returning cancels the phase context,
+// abandoning in-flight copies; settlePhase squares that with the DMs.
 func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	st := t.store.opts
 	col := newCollector(spec.quorums)
@@ -293,22 +300,13 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	pctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 
-	// Circuit-broken steering: with the failure detector on, suspects are
-	// skipped (when healthy replicas still cover a quorum) except for the
-	// occasional half-open probe copy, which is also exempt from hedging —
-	// one trial per probe window is the whole point.
 	board := t.store.health
-	targets := spec.targets
-	var probes map[string]bool
-	if board != nil {
-		var skipped int
-		targets, probes, skipped = board.plan(spec.targets, spec.quorums)
-		if skipped > 0 {
-			t.store.Stats.SuspectSkips.Add(int64(skipped))
-		}
-		if len(probes) > 0 {
-			t.store.Stats.ProbeTrials.Add(int64(len(probes)))
-		}
+	plan := board.plan(spec.targets, spec.quorums)
+	if plan.skipped > 0 {
+		t.store.Stats.SuspectSkips.Add(int64(plan.skipped))
+	}
+	if len(plan.probes) > 0 {
+		t.store.Stats.ProbeTrials.Add(int64(len(plan.probes)))
 	}
 
 	results := make(chan phaseResp, len(spec.targets)*hedgeMax)
@@ -317,36 +315,37 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 		col.issue(dm)
 		inflight++
 		go func() {
-			cctx := pctx
-			if board != nil && !probes[dm] {
-				// Adaptive timeout: a replica that usually answers in
-				// microseconds gets milliseconds, not the full phase budget,
-				// so its failures feed the scoreboard quickly. Probes keep
-				// the full budget — they exist to give a suspect every
-				// chance to prove itself back.
-				if d := board.timeout(dm, st.callTimeout); d < st.callTimeout {
-					var ccancel context.CancelFunc
-					cctx, ccancel = context.WithTimeout(pctx, d)
-					defer ccancel()
-				}
-			}
-			callStart := time.Now()
-			raw, err := t.store.client.Call(cctx, dm, spec.req)
-			if board != nil {
-				if err == nil {
-					board.observe(dm, true, time.Since(callStart))
-				} else if !errors.Is(pctx.Err(), context.Canceled) || errors.Is(cctx.Err(), context.DeadlineExceeded) {
-					// A copy abandoned because the phase already completed
-					// says nothing about the replica; a per-call timeout or
-					// a network-reported loss does.
-					board.observe(dm, false, 0)
-				}
+			raw, err := t.store.client.Call(pctx, dm, spec.req)
+			if err == nil {
+				board.observe(dm, true)
+			} else if !errors.Is(pctx.Err(), context.Canceled) {
+				// A copy abandoned because the phase already completed says
+				// nothing about the replica; a timeout or a network-reported
+				// loss does.
+				board.observe(dm, false)
 			}
 			results <- phaseResp{dm: dm, raw: raw, err: err}
 		}()
 	}
-	for _, dm := range targets {
-		issue(dm)
+	for _, dm := range plan.send {
+		if plan.first == nil || plan.first[dm] || plan.probes[dm] {
+			issue(dm)
+		}
+	}
+	// A phase with nobody left to ask — a plan that dialed everyone, or a
+	// one-quorum sequential plan — has nothing to widen to.
+	widened := inflight == len(plan.send)
+	widen := func() {
+		if widened || pctx.Err() != nil {
+			return
+		}
+		widened = true
+		t.store.Stats.Widenings.Inc()
+		for _, dm := range plan.send {
+			if col.issued[dm] == 0 {
+				issue(dm)
+			}
+		}
 	}
 
 	// A sequential plan asks one quorum and moves on to the next when a
@@ -358,6 +357,7 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 		hedgeC = tick.C
 	}
 
+	ticked := false
 	for {
 		select {
 		case r := <-results:
@@ -385,6 +385,9 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 			if col.done() {
 				return col
 			}
+			if !col.granted[r.dm] {
+				widen() // a refusal or a failed call
+			}
 			if inflight == 0 {
 				// Every copy resolved without covering a quorum. Hedging
 				// cannot help: it only re-asks targets that never answered,
@@ -392,8 +395,20 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 				return col
 			}
 		case <-hedgeC:
-			for _, dm := range col.hedgeTargets(targets, hedgeMax) {
-				if probes[dm] {
+			if !ticked {
+				ticked = true
+				for dm := range plan.first {
+					if col.replied[dm] == 0 {
+						board.observe(dm, false)
+					}
+				}
+				if !widened {
+					widen()
+					continue
+				}
+			}
+			for _, dm := range col.hedgeTargets(plan.send, hedgeMax) {
+				if plan.probes[dm] {
 					continue // half-open probes get exactly one copy
 				}
 				t.store.Stats.Hedges.Inc()

@@ -3,10 +3,13 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -155,34 +158,149 @@ func stragglerCluster(t *testing.T, seed int64, opts ...Option) (*Store, *sim.Ne
 }
 
 // TestFanoutCompletesDespiteStraggler: the straggler's latency exceeds the
-// fast replicas' by two orders of magnitude, yet reads and writes complete
-// at fast-quorum speed because the other four cover a majority.
+// fast replicas' by two orders of magnitude. A phase whose first quorum
+// holds it waits one hedge delay, widens to the fast replicas and completes
+// without it; each such wait charges the straggler one miss, and after
+// failThreshold misses in a row it is a suspect no first quorum holds.
 func TestFanoutCompletesDespiteStraggler(t *testing.T) {
-	store, net, _ := stragglerCluster(t, 41, WithHedgeDelay(0))
+	store, net, _ := stragglerCluster(t, 41)
 	defer func() { store.Close(); net.Close() }()
 	ctx := context.Background()
 
-	start := time.Now()
-	err := store.Run(ctx, func(tx *Txn) error {
-		if err := tx.Write(ctx, "x", 1); err != nil {
-			return err
+	for i := 1; i <= 10; i++ {
+		if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", i) }); err != nil {
+			t.Fatal(err)
 		}
-		v, err := tx.Read(ctx, "x")
-		if err != nil {
-			return err
-		}
-		if v != 1 {
-			t.Errorf("read %v, want 1", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	// The straggler needs ≥ 60ms round trip; a phase that waited for it
-	// could not finish the whole transaction in 20ms.
-	if elapsed := time.Since(start); elapsed > 20*time.Millisecond {
-		t.Errorf("transaction took %v; the straggler dominated", elapsed)
+	// would have taken that long, not one hedge delay and a fast answer.
+	bound := store.opts.hedgeDelay + 25*time.Millisecond
+	for phase, h := range map[string]*metrics.Histogram{
+		"read": &store.Stats.ReadPhaseLatency, "write": &store.Stats.WritePhaseLatency,
+	} {
+		if max := h.Snapshot().Max; max > bound {
+			t.Errorf("slowest %s phase took %v, want at most %v: it waited for the straggler", phase, max, bound)
+		}
+	}
+	if store.Stats.Widenings.Value() == 0 {
+		t.Error("no phase widened past a first quorum holding the straggler")
+	}
+	var dm4 ReplicaHealth
+	for _, h := range store.Health() {
+		if h.DM == "dm4" {
+			dm4 = h
+		}
+	}
+	if !dm4.Suspect || dm4.Failures < defaultFailThreshold || dm4.Successes != 0 {
+		t.Errorf("straggler after 20 phases: %+v, want a suspect charged >= %d misses", dm4, defaultFailThreshold)
+	}
+	if err := store.Run(ctx, func(tx *Txn) error {
+		v, err := tx.Read(ctx, "x")
+		if err == nil && v != 10 {
+			t.Errorf("read %v, want 10", v)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// quorumCluster opens a 5-replica majority cluster of "x" whose calls are
+// counted per request kind. Hedging is off, so no scheduler hiccup can
+// widen a phase: a phase asks exactly its first quorum unless a member
+// refuses or fails.
+func quorumCluster(t *testing.T, seed int64, opts ...Option) (*Store, func(kind string) int64) {
+	t.Helper()
+	dms := []string{"dm0", "dm1", "dm2", "dm3", "dm4"}
+	net := sim.NewNetwork(sim.Config{MinLatency: 20 * time.Microsecond, MaxLatency: 200 * time.Microsecond, Seed: seed})
+	var mu sync.Mutex
+	calls := map[string]int64{}
+	tap := tapTransport{Transport: net, onCall: func(_ string, req any) bool {
+		mu.Lock()
+		calls[fmt.Sprintf("%T", req)]++
+		mu.Unlock()
+		return false
+	}}
+	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
+	store, err := Open(tap, items, append([]Option{
+		WithSeed(seed), WithCallTimeout(time.Second), WithHedgeDelay(0),
+		WithClock(sim.NewManualClock(time.Unix(0, 0))),
+	}, opts...)...)
+	if err != nil {
+		net.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close(); net.Close() })
+	return store, func(kind string) int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return calls["cluster."+kind]
+	}
+}
+
+// TestPhaseAsksOneQuorum: on a healthy 5-replica cluster a phase asks one
+// majority, not all five — a read sends exactly 3 ReadReqs, a write's two
+// phases 3 ReadReqs and 3 WriteReqs — so no grant is surplus and no lock is
+// released early.
+func TestPhaseAsksOneQuorum(t *testing.T) {
+	store, calls := quorumCluster(t, 48)
+	ctx := context.Background()
+	for i := 1; i <= 4; i++ {
+		reads, writes := calls("ReadReq"), calls("WriteReq")
+		if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", i) }); err != nil {
+			t.Fatal(err)
+		}
+		if r, w := calls("ReadReq")-reads, calls("WriteReq")-writes; r != 3 || w != 3 {
+			t.Fatalf("write %d sent %d ReadReq and %d WriteReq, want 3 and 3", i, r, w)
+		}
+		reads = calls("ReadReq")
+		if err := store.Run(ctx, func(tx *Txn) error {
+			return tx.Sub(ctx, func(sub *Txn) error {
+				v, err := sub.Read(ctx, "x")
+				if err == nil && v != i {
+					t.Errorf("read %v, want %d", v, i)
+				}
+				return err
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if r := calls("ReadReq") - reads; r != 3 {
+			t.Fatalf("read %d sent %d ReadReq, want 3", i, r)
+		}
+	}
+	if n := store.Stats.ExtraLockReleases.Value(); n != 0 {
+		t.Fatalf("%d surplus read locks released, want none", n)
+	}
+	if n := store.Stats.Widenings.Value(); n != 0 {
+		t.Fatalf("%d phases widened on a healthy cluster, want none", n)
+	}
+}
+
+// TestBusyWidensWithinThePhase: a foreign write lock at dm0 makes it answer
+// Busy whenever a first quorum holds it. The phase widens at once to the
+// other replicas, which still cover a majority, and completes on that same
+// attempt: every transaction runs exactly one read phase and one write
+// phase.
+func TestBusyWidensWithinThePhase(t *testing.T) {
+	store, _ := quorumCluster(t, 49, WithTxnRetries(0))
+	ctx := context.Background()
+	raw, err := store.client.Call(ctx, "dm0", WriteReq{Txn: "zz.t1", Item: "x", VN: 999, Val: 0, Seq: 1})
+	if wr, ok := raw.(WriteResp); err != nil || !ok || !wr.OK {
+		t.Fatalf("plant blocker at dm0: %#v, %v", raw, err)
+	}
+	const txns = 5
+	for i := 1; i <= txns; i++ {
+		if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", i) }); err != nil {
+			t.Fatalf("write %d with dm0 locked: %v", i, err)
+		}
+	}
+	if store.Stats.BusyRetries.Value() == 0 || store.Stats.Widenings.Value() == 0 {
+		t.Fatalf("busy answers %d, widenings %d: no first quorum held dm0",
+			store.Stats.BusyRetries.Value(), store.Stats.Widenings.Value())
+	}
+	if r, w := store.Stats.ReadPhaseLatency.Count(), store.Stats.WritePhaseLatency.Count(); r != txns || w != txns {
+		t.Fatalf("%d read and %d write phases for %d writes: a Busy cost a retry", r, w, txns)
 	}
 }
 

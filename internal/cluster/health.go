@@ -3,23 +3,24 @@ package cluster
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/quorum"
 )
 
-// healthBoard is the per-replica failure detector: every call outcome
-// accrues evidence, consecutive failures open a replica's circuit
-// ("suspect"), and fan-outs steer around suspects — probing them with a
-// single half-open trial every few phases instead of burning full fan-out
-// and hedge budget on a replica that has not answered in a while. Latency
-// EWMAs feed adaptive per-replica call timeouts so a dead replica is
-// detected in milliseconds, not a full call timeout.
+// healthBoard is the per-replica failure detector, and the one place that
+// decides whom a quorum phase dials. Every call outcome accrues evidence,
+// consecutive failures open a replica's circuit ("suspect"), and a phase
+// first asks one quorum with no suspect in it — a suspect only gets a
+// single half-open trial every few phases. runPhase charges a first-quorum
+// member still silent when the hedge timer first fires one failure, so a
+// steady straggler becomes a suspect too and leaves the first quorums.
 //
 // All state transitions are counter-driven (N consecutive failures open,
-// one success closes, every Kth planning pass probes), never timer-driven:
-// under a seeded deterministic network the board's decisions are a pure
-// function of the call outcome sequence, so chaos replay holds.
+// one success closes, every Kth planning pass probes), and the only timer
+// any of them reads is the phase's own hedge timer, which the seeded
+// harnesses turn off: under a seeded deterministic network the board's
+// decisions are a pure function of the call outcome sequence, so chaos
+// replay holds.
 type healthBoard struct {
 	mu sync.Mutex
 	// failThreshold consecutive failures open a replica's circuit.
@@ -27,12 +28,9 @@ type healthBoard struct {
 	// probeEvery is how many planning passes an open replica sits out
 	// between half-open probe trials.
 	probeEvery int
-	// fixedTimeout suppresses latency-adaptive call timeouts (the one
-	// wall-clock-measured input to the board's behavior); set when the store
-	// runs on a manual clock, so a deterministic harness's replays cannot
-	// fork on scheduler noise.
-	fixedTimeout bool
-	nodes        map[string]*nodeHealth
+	nodes      map[string]*nodeHealth
+	// turn rotates first quorums among equally small candidates.
+	turn int
 
 	stats *Stats
 }
@@ -40,8 +38,7 @@ type healthBoard struct {
 type nodeHealth struct {
 	consecFails int
 	open        bool
-	sincePlan   int     // planning passes since the last probe while open
-	ewma        float64 // smoothed round-trip estimate, nanoseconds
+	sincePlan   int // planning passes since the last probe while open
 	successes   int64
 	failures    int64
 }
@@ -49,20 +46,12 @@ type nodeHealth struct {
 const (
 	defaultFailThreshold = 3
 	defaultProbeEvery    = 4
-	// ewmaWeight is the weight of the newest sample.
-	ewmaWeight = 0.2
-	// adaptiveTimeoutMult scales the EWMA into a per-call timeout;
-	// adaptiveTimeoutFloor keeps scheduler hiccups from failing healthy
-	// calls.
-	adaptiveTimeoutMult  = 5
-	adaptiveTimeoutFloor = 3 * time.Millisecond
 )
 
-func newHealthBoard(stats *Stats, fixedTimeout bool) *healthBoard {
+func newHealthBoard(stats *Stats) *healthBoard {
 	return &healthBoard{
 		failThreshold: defaultFailThreshold,
 		probeEvery:    defaultProbeEvery,
-		fixedTimeout:  fixedTimeout,
 		nodes:         map[string]*nodeHealth{},
 		stats:         stats,
 	}
@@ -78,9 +67,8 @@ func (b *healthBoard) node(dm string) *nodeHealth {
 }
 
 // observe folds one call outcome in. ok means the replica answered at all
-// — a lock-conflict refusal is proof of liveness. rtt is meaningful only
-// when ok.
-func (b *healthBoard) observe(dm string, ok bool, rtt time.Duration) {
+// — a lock-conflict refusal is proof of liveness.
+func (b *healthBoard) observe(dm string, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := b.node(dm)
@@ -92,11 +80,6 @@ func (b *healthBoard) observe(dm string, ok bool, rtt time.Duration) {
 			if b.stats != nil {
 				b.stats.SuspectReplicas.Add(-1)
 			}
-		}
-		if n.ewma == 0 {
-			n.ewma = float64(rtt)
-		} else {
-			n.ewma = (1-ewmaWeight)*n.ewma + ewmaWeight*float64(rtt)
 		}
 		return
 	}
@@ -120,58 +103,86 @@ func (b *healthBoard) suspect(dm string) bool {
 	return n != nil && n.open
 }
 
-// plan decides which targets a fan-out should actually dial. If every
-// target is healthy, or no quorum is coverable by healthy targets alone,
-// everyone is dialed (availability first — a degraded cluster cannot
-// afford to skip anyone). Otherwise the suspects are skipped, except that
-// a suspect due for its half-open trial gets exactly one probe copy;
-// probes maps those, so the fan-out exempts them from hedging. skipped
-// counts the suspects left out entirely.
-func (b *healthBoard) plan(targets []string, quorums []quorum.Set) (send []string, probes map[string]bool, skipped int) {
+// phasePlan is whom one quorum phase dials. send lists every target the
+// phase may ask: suspects are left out, except one due for its half-open
+// trial, which probes names. first is the quorum asked at once, together
+// with the probes; the rest of send is asked only when the phase widens.
+// A nil first asks all of send at once.
+type phasePlan struct {
+	send    []string
+	first   quorum.Set
+	probes  map[string]bool
+	skipped int // suspects left out entirely
+}
+
+// plan decides whom a phase dials. The first quorum is the smallest quorum
+// with no suspect member, taken in turn among equally small ones. When no
+// quorum is free of suspects, everyone is dialed at once (availability
+// first — a degraded cluster cannot afford to skip anyone). Otherwise the
+// suspects are left out, except that one due for its half-open trial gets
+// exactly one probe copy alongside the first quorum.
+func (b *healthBoard) plan(targets []string, quorums []quorum.Set) phasePlan {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	healthy := make(map[string]bool, len(targets))
-	anySuspect := false
+	var suspects map[string]bool
 	for _, dm := range targets {
-		n := b.nodes[dm]
-		if n != nil && n.open {
-			anySuspect = true
-		} else {
-			healthy[dm] = true
+		if n := b.nodes[dm]; n != nil && n.open {
+			if suspects == nil {
+				suspects = map[string]bool{}
+			}
+			suspects[dm] = true
 		}
 	}
-	if !anySuspect {
-		return targets, nil, 0
+	p := phasePlan{send: targets, first: b.firstQuorum(quorums, suspects)}
+	if suspects == nil || p.first == nil {
+		return p
 	}
-	covered := false
-	for _, q := range quorums {
-		if q.SubsetOf(healthy) {
-			covered = true
-			break
-		}
-	}
-	if !covered {
-		return targets, nil, 0
-	}
+	p.send = make([]string, 0, len(targets))
 	for _, dm := range targets {
-		if healthy[dm] {
-			send = append(send, dm)
+		if !suspects[dm] {
+			p.send = append(p.send, dm)
 			continue
 		}
-		n := b.node(dm)
+		n := b.nodes[dm]
 		n.sincePlan++
-		if n.sincePlan >= b.probeEvery {
-			n.sincePlan = 0
-			if probes == nil {
-				probes = map[string]bool{}
-			}
-			probes[dm] = true
-			send = append(send, dm)
-		} else {
-			skipped++
+		if n.sincePlan < b.probeEvery {
+			p.skipped++
+			continue
 		}
+		n.sincePlan = 0
+		if p.probes == nil {
+			p.probes = map[string]bool{}
+		}
+		p.probes[dm] = true
+		p.send = append(p.send, dm)
 	}
-	return send, probes, skipped
+	return p
+}
+
+// firstQuorum returns the smallest of qs with no member in suspects, or nil
+// when every quorum has one. The scan starts one quorum further on each
+// call, so equally small candidates take turns.
+func (b *healthBoard) firstQuorum(qs []quorum.Set, suspects map[string]bool) quorum.Set {
+	if len(qs) == 0 {
+		return nil
+	}
+	var best quorum.Set
+	b.turn++
+	start := b.turn % len(qs)
+next:
+	for i := range qs {
+		q := qs[(start+i)%len(qs)]
+		if best != nil && len(q) >= len(best) {
+			continue
+		}
+		for dm := range suspects {
+			if q[dm] {
+				continue next
+			}
+		}
+		best = q
+	}
+	return best
 }
 
 // orderQuorums stable-sorts quorums by how many suspect members each
@@ -205,26 +216,6 @@ func (b *healthBoard) orderQuorums(qs []quorum.Set) []quorum.Set {
 	return out
 }
 
-// timeout derives dm's adaptive call timeout from its latency EWMA,
-// clamped to [adaptiveTimeoutFloor, base]. Unknown replicas get the full
-// base timeout.
-func (b *healthBoard) timeout(dm string, base time.Duration) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := b.nodes[dm]
-	if b.fixedTimeout || n == nil || n.ewma <= 0 {
-		return base
-	}
-	d := time.Duration(adaptiveTimeoutMult * n.ewma)
-	if d < adaptiveTimeoutFloor {
-		d = adaptiveTimeoutFloor
-	}
-	if d > base {
-		d = base
-	}
-	return d
-}
-
 // ReplicaHealth is one replica's scoreboard snapshot.
 type ReplicaHealth struct {
 	DM string
@@ -235,16 +226,11 @@ type ReplicaHealth struct {
 	ConsecutiveFailures int
 	Successes           int64
 	Failures            int64
-	// EWMA is the smoothed round-trip estimate; zero before any success.
-	EWMA time.Duration
 }
 
-// Health returns the scoreboard snapshot, sorted by replica name. Empty
-// unless WithHealthProbes is on.
+// Health returns the failure detector's scoreboard, sorted by replica name:
+// one entry per replica this client has called.
 func (s *Store) Health() []ReplicaHealth {
-	if s.health == nil {
-		return nil
-	}
 	b := s.health
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -253,7 +239,6 @@ func (s *Store) Health() []ReplicaHealth {
 		out = append(out, ReplicaHealth{
 			DM: dm, Suspect: n.open, ConsecutiveFailures: n.consecFails,
 			Successes: n.successes, Failures: n.failures,
-			EWMA: time.Duration(n.ewma),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DM < out[j].DM })

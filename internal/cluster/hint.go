@@ -275,7 +275,7 @@ func (t *Txn) tryHintRead(ctx context.Context, item string) (readResult, bool) {
 	if !ok {
 		return readResult{}, false
 	}
-	if s.health != nil && s.health.suspect(dm) {
+	if s.health.suspect(dm) {
 		// The planner's steering applies to the fast lane too: a suspect
 		// target gets no solo read — the quorum fan-out probes it instead.
 		return readResult{}, false

@@ -113,9 +113,10 @@ type WriteResp struct {
 // replica records a tombstone so late (hedged or cancelled) copies of the
 // phase's request cannot re-grant, and frees the lock if — and only if —
 // that phase created it, no later phase re-granted it, and no buffered
-// intention depends on it. Sent fire-and-forget when a first-to-quorum
-// fan-out completes with more grants than the winning quorum needs, so
-// Moss locking fairness is preserved.
+// intention depends on it. Sent fire-and-forget when a widened phase
+// completes with more grants than the winning quorum needs, so Moss locking
+// fairness is preserved, and to every replica a finished phase left a copy
+// in flight at.
 type ReleaseReq struct {
 	Txn  TxnID
 	Item string

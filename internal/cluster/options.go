@@ -27,7 +27,6 @@ type settings struct {
 	history      *checker.Recorder
 	walDir       string
 	walOpts      []wal.Option
-	health       bool
 	antiEntropy  time.Duration
 	clock        transport.Clock
 	readLeaseTTL time.Duration // freshness-hint lifetime; 0 = fast lane off
@@ -80,9 +79,13 @@ func WithCallTimeout(d time.Duration) Option {
 	return func(s *settings) { s.callTimeout = d }
 }
 
-// WithHedgeDelay sets how long a fan-out waits before re-issuing a phase's
-// request to replicas that have not answered. Zero disables hedging.
-// Default 5ms; a replica is sent at most three copies per phase.
+// WithHedgeDelay sets how long a phase waits on its first quorum before
+// widening to the other replicas — each first-quorum member still silent
+// then counts one miss with the failure detector — and, every further
+// delay, before re-issuing the request to replicas that have not answered.
+// Zero turns the timer off: a phase then waits for its first quorum unless
+// a member refuses or fails. Default 5ms; a replica is sent at most three
+// copies per phase.
 func WithHedgeDelay(d time.Duration) Option {
 	return func(s *settings) { s.hedgeDelay = d }
 }
@@ -167,18 +170,6 @@ func WithDurability(dir string) Option {
 // size, fsync, group commit. Only meaningful together with WithDurability.
 func WithWALOptions(opts ...wal.Option) Option {
 	return func(s *settings) { s.walOpts = opts }
-}
-
-// WithHealthProbes enables the per-replica failure detector: call outcomes
-// feed a health scoreboard, fan-outs steer toward healthy replicas and
-// probe suspects with single half-open trials instead of hedging them, and
-// per-replica call timeouts adapt to observed latency EWMAs — under the wall
-// clock only: the EWMAs are *measured* wall-clock values, so under a manual
-// clock (WithClock; deterministic harnesses) scheduler noise could time out
-// a call in one run and not its replay, forking the seeded message stream,
-// and every call gets the full WithCallTimeout budget instead. Default off.
-func WithHealthProbes(on bool) Option {
-	return func(s *settings) { s.health = on }
 }
 
 // WithAntiEntropy starts a background sweeper that, every interval,

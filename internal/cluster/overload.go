@@ -47,12 +47,11 @@ func (s *Store) callDM(ctx context.Context, dm string, req any) (any, error) {
 	}
 	cctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
-	start := time.Now()
 	raw, err := s.client.Call(cctx, dm, req)
 	if err == nil {
-		s.observeDM(dm, true, time.Since(start))
+		s.health.observe(dm, true)
 	} else if ctx.Err() == nil {
-		s.observeDM(dm, false, 0)
+		s.health.observe(dm, false)
 	}
 	return raw, err
 }

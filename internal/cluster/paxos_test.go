@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/commit"
+	"repro/internal/quorum"
 	"repro/internal/sim"
 )
 
@@ -176,15 +177,7 @@ func TestRecoveryAdoptsDecidedOutcome(t *testing.T) {
 	if got := store.Stats.OrphanReapsAborted.Value(); got != 0 {
 		t.Errorf("%d abort reaps fired over a decided commit", got)
 	}
-	for _, dm := range dms {
-		insp, err := store.Inspect(ctx, dm, "x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if insp.Val != 99 || insp.Locks != 0 || insp.Intents != 0 {
-			t.Errorf("%s did not converge on the decided commit: %+v", dm, insp)
-		}
-	}
+	appliedQuorum(t, store, dms, 99)
 
 	// The restarted coordinator replays its ballot-0 proposal (amnesia: it
 	// might even propose the wrong way). A resolved DM must answer with
@@ -236,15 +229,31 @@ func TestLearnFanoutSurvivesCallerCancel(t *testing.T) {
 	if got := store.Stats.PaxosCommits.Value(); got != 1 {
 		t.Fatalf("%d paxos commits, want 1", got)
 	}
+	appliedQuorum(t, store, dms, 31)
+}
+
+// appliedQuorum requires that no replica of "x" still holds a lock or an
+// intention, and that the replicas serving val cover a write quorum: the
+// ones the write phase wrote, each of which applied the commit.
+func appliedQuorum(t *testing.T, store *Store, dms []string, val int) {
+	t.Helper()
+	applied := map[string]bool{}
 	for _, dm := range dms {
-		insp, err := store.Inspect(bg, dm, "x")
+		insp, err := store.Inspect(context.Background(), dm, "x")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if insp.Val != 31 || insp.Locks != 0 || insp.Intents != 0 {
-			t.Errorf("%s missed the learn fan-out: %+v", dm, insp)
+		if insp.Locks != 0 || insp.Intents != 0 {
+			t.Errorf("%s still holds %d lock(s), %d intention(s): %+v", dm, insp.Locks, insp.Intents, insp)
+		}
+		applied[dm] = insp.Val == val
+	}
+	for _, q := range quorum.Majority(dms).W {
+		if q.SubsetOf(applied) {
+			return
 		}
 	}
+	t.Errorf("replicas serving %d are %v: no write quorum applied the commit", val, applied)
 }
 
 // orphanCluster opens a durable three-replica cluster whose store plays the

@@ -122,14 +122,14 @@ func TestConflictRetryHonorsCancel(t *testing.T) {
 // success, and expose their state through suspect().
 func TestHealthBoardTransitions(t *testing.T) {
 	var stats Stats
-	b := newHealthBoard(&stats, false)
+	b := newHealthBoard(&stats)
 	for i := 0; i < defaultFailThreshold-1; i++ {
-		b.observe("dm0", false, 0)
+		b.observe("dm0", false)
 	}
 	if b.suspect("dm0") {
 		t.Fatalf("circuit opened after %d failures, threshold is %d", defaultFailThreshold-1, defaultFailThreshold)
 	}
-	b.observe("dm0", false, 0)
+	b.observe("dm0", false)
 	if !b.suspect("dm0") {
 		t.Fatal("circuit not open at the fail threshold")
 	}
@@ -137,7 +137,7 @@ func TestHealthBoardTransitions(t *testing.T) {
 		t.Fatalf("counters: opens=%d suspects=%d, want 1/1", stats.CircuitOpens.Value(), stats.SuspectReplicas.Value())
 	}
 	// A success — even after a long failure streak — closes the circuit.
-	b.observe("dm0", true, time.Millisecond)
+	b.observe("dm0", true)
 	if b.suspect("dm0") {
 		t.Fatal("circuit still open after a success")
 	}
@@ -145,93 +145,85 @@ func TestHealthBoardTransitions(t *testing.T) {
 		t.Fatalf("suspect gauge %d after recovery, want 0", stats.SuspectReplicas.Value())
 	}
 	// Interleaved successes keep resetting the streak.
-	b.observe("dm1", false, 0)
-	b.observe("dm1", false, 0)
-	b.observe("dm1", true, time.Millisecond)
-	b.observe("dm1", false, 0)
-	b.observe("dm1", false, 0)
+	b.observe("dm1", false)
+	b.observe("dm1", false)
+	b.observe("dm1", true)
+	b.observe("dm1", false)
+	b.observe("dm1", false)
 	if b.suspect("dm1") {
 		t.Fatal("non-consecutive failures opened the circuit")
 	}
 }
 
-// TestHealthBoardPlan checks fan-out planning: suspects are skipped only
-// while healthy replicas still cover a quorum, and an open circuit gets a
-// single half-open probe every probeEvery passes.
+// TestHealthBoardPlan checks fan-out planning: a phase first asks one
+// smallest quorum of non-suspects, taking equal candidates in turn; suspects
+// are skipped only while non-suspects still cover a quorum, and an open
+// circuit gets a single half-open probe every probeEvery passes.
 func TestHealthBoardPlan(t *testing.T) {
-	b := newHealthBoard(nil, false)
+	b := newHealthBoard(nil)
 	targets := []string{"dm0", "dm1", "dm2"}
 	quorums := []quorum.Set{
 		quorum.NewSet("dm0", "dm1"), quorum.NewSet("dm0", "dm2"), quorum.NewSet("dm1", "dm2"),
+		quorum.NewSet("dm0", "dm1", "dm2"),
 	}
-	// All healthy: everyone is dialed.
-	send, probes, skipped := b.plan(targets, quorums)
-	if len(send) != 3 || probes != nil || skipped != 0 {
-		t.Fatalf("healthy plan: send=%v probes=%v skipped=%d", send, probes, skipped)
+	// All healthy: every target may be dialed, and one pair is asked first —
+	// each pair in turn, never the larger quorum.
+	firsts := map[string]int{}
+	for pass := 0; pass < 2*len(quorums); pass++ {
+		p := b.plan(targets, quorums)
+		if len(p.send) != 3 || p.probes != nil || p.skipped != 0 || len(p.first) != 2 {
+			t.Fatalf("healthy plan: %+v", p)
+		}
+		firsts[p.first.String()]++
 	}
+	if len(firsts) != 3 {
+		t.Fatalf("first quorums did not rotate over the three pairs: %v", firsts)
+	}
+	asksFirst := func(p phasePlan, dm string) bool { return p.first == nil || p.first[dm] || p.probes[dm] }
 	for i := 0; i < defaultFailThreshold; i++ {
-		b.observe("dm2", false, 0)
+		b.observe("dm2", false)
 	}
-	// dm2 suspect, {dm0,dm1} covers a quorum: skip dm2 for probeEvery-1
-	// passes, then probe it exactly once.
+	// dm2 suspect, {dm0,dm1} covers a quorum: it is every first quorum; dm2
+	// is skipped for probeEvery-1 passes, then probed exactly once.
 	probed := 0
 	for pass := 1; pass <= defaultProbeEvery; pass++ {
-		send, probes, skipped = b.plan(targets, quorums)
-		if len(probes) > 0 {
+		p := b.plan(targets, quorums)
+		if p.first.String() != "{dm0,dm1}" {
+			t.Fatalf("pass %d: first quorum %v holds the suspect", pass, p.first)
+		}
+		if len(p.probes) > 0 {
 			probed++
-			if !probes["dm2"] || len(send) != 3 || skipped != 0 {
-				t.Fatalf("pass %d: probe plan send=%v probes=%v skipped=%d", pass, send, probes, skipped)
+			if !p.probes["dm2"] || len(p.send) != 3 || p.skipped != 0 || !asksFirst(p, "dm2") {
+				t.Fatalf("pass %d: probe plan %+v", pass, p)
 			}
-		} else if len(send) != 2 || skipped != 1 {
-			t.Fatalf("pass %d: skip plan send=%v skipped=%d", pass, send, skipped)
+		} else if len(p.send) != 2 || p.skipped != 1 || asksFirst(p, "dm2") {
+			t.Fatalf("pass %d: skip plan %+v", pass, p)
 		}
 	}
 	if probed != 1 {
 		t.Fatalf("%d probes in %d passes, want exactly 1", probed, defaultProbeEvery)
 	}
-	// Two suspects leave no healthy quorum: availability first, dial all.
+	// Two suspects leave no healthy quorum: availability first, dial all at once.
 	for i := 0; i < defaultFailThreshold; i++ {
-		b.observe("dm1", false, 0)
+		b.observe("dm1", false)
 	}
-	send, probes, skipped = b.plan(targets, quorums)
-	if len(send) != 3 || probes != nil || skipped != 0 {
-		t.Fatalf("uncovered plan must dial everyone: send=%v probes=%v skipped=%d", send, probes, skipped)
+	p := b.plan(targets, quorums)
+	if len(p.send) != 3 || p.probes != nil || p.skipped != 0 || p.first != nil {
+		t.Fatalf("uncovered plan must dial everyone: %+v", p)
 	}
-}
-
-// TestHealthBoardTimeout checks the adaptive timeout clamps: unknown
-// replicas get the full base, fast replicas get mult×EWMA floored, and the
-// base is never exceeded.
-func TestHealthBoardTimeout(t *testing.T) {
-	b := newHealthBoard(nil, false)
-	base := 100 * time.Millisecond
-	if d := b.timeout("dm0", base); d != base {
-		t.Fatalf("unknown replica timeout %v, want base %v", d, base)
-	}
-	b.observe("dm0", true, 100*time.Microsecond)
-	if d := b.timeout("dm0", base); d != adaptiveTimeoutFloor {
-		t.Fatalf("fast replica timeout %v, want floor %v", d, adaptiveTimeoutFloor)
-	}
-	b.observe("dm1", true, 2*time.Millisecond)
-	if d := b.timeout("dm1", base); d != adaptiveTimeoutMult*2*time.Millisecond {
-		t.Fatalf("timeout %v, want %v", d, adaptiveTimeoutMult*2*time.Millisecond)
-	}
-	b.observe("dm2", true, time.Second)
-	if d := b.timeout("dm2", base); d != base {
-		t.Fatalf("slow replica timeout %v, want clamped to base %v", d, base)
-	}
-	b.fixedTimeout = true
-	if d := b.timeout("dm0", base); d != base {
-		t.Fatalf("fixed-timeout board gave %v, want base %v", d, base)
+	for _, dm := range targets {
+		if !asksFirst(p, dm) {
+			t.Fatalf("uncovered plan holds %s back", dm)
+		}
 	}
 }
 
 // TestHealthBoardOrderQuorums checks the sequential path's steering:
 // quorums are stably reordered by suspect count, fewest first.
 func TestHealthBoardOrderQuorums(t *testing.T) {
-	b := newHealthBoard(nil, false)
+	b := newHealthBoard(nil)
 	for i := 0; i < defaultFailThreshold; i++ {
-		b.observe("dm0", false, 0)
+		b.observe("dm0", false)
 	}
 	qs := []quorum.Set{
 		quorum.NewSet("dm0", "dm1"), // 1 suspect
@@ -252,7 +244,7 @@ func TestHealthBoardOrderQuorums(t *testing.T) {
 // crashed replica opens its circuit after a few writes, later fan-outs skip
 // it, and once it restarts a half-open probe closes the circuit again.
 func TestFanOutSteersAroundCrashedReplica(t *testing.T) {
-	store, net, _, _ := selfHealCluster(t, 303, WithHealthProbes(true))
+	store, net, _, _ := selfHealCluster(t, 303)
 	ctx := context.Background()
 	write := func(i int) {
 		t.Helper()
@@ -260,7 +252,7 @@ func TestFanOutSteersAroundCrashedReplica(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	write(0) // seed the EWMAs while everyone is up
+	write(0)
 	net.Crash("dm2")
 	for i := 1; i <= 8; i++ {
 		write(i)

@@ -45,9 +45,12 @@ type Stats struct {
 	// ExtraLockReleases counts read-phase locks retracted because the
 	// fan-out assembled its quorum without them.
 	ExtraLockReleases metrics.Counter
-	ReadLatency       metrics.Histogram
-	WriteLatency      metrics.Histogram
-	TxnLatency        metrics.Histogram
+	// Widenings counts quorum phases that asked past their first quorum:
+	// a member refused or failed, or the hedge timer fired first.
+	Widenings    metrics.Counter
+	ReadLatency  metrics.Histogram
+	WriteLatency metrics.Histogram
+	TxnLatency   metrics.Histogram
 	// ReadPhaseLatency and WritePhaseLatency time individual quorum
 	// phases (one fan-out or one sequential quorum attempt), hedges
 	// included; ControlLatency times commit/abort propagation rounds.
@@ -178,8 +181,8 @@ type Store struct {
 	clientID string
 	txnSeq   atomic.Uint64
 
-	// health is the failure detector's scoreboard; nil unless
-	// WithHealthProbes is on.
+	// health is the failure detector's scoreboard, which also picks every
+	// phase's first quorum.
 	health *healthBoard
 
 	// hintCache maps items to their cached fast-lane read targets
@@ -262,9 +265,7 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		jitter:   rand.New(rand.NewSource(st.seed ^ 0x5DEECE66D)),
 		believed: map[string]genCfg{},
 	}
-	if st.health {
-		s.health = newHealthBoard(&s.Stats, st.clock != transport.Wall)
-	}
+	s.health = newHealthBoard(&s.Stats)
 	s.budget = newRetryBudget(st.retryRatio)
 	s.limiter = newAIMDLimiter(st.inflightMax)
 	if s.limiter != nil {
@@ -348,13 +349,6 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 // now reads the store's clock (wall by default, manual in deterministic
 // harnesses).
 func (s *Store) now() time.Time { return s.opts.clock.Now() }
-
-// observeDM feeds one call outcome to the failure detector, when present.
-func (s *Store) observeDM(dm string, ok bool, rtt time.Duration) {
-	if s.health != nil {
-		s.health.observe(dm, ok, rtt)
-	}
-}
 
 // clientSeq hands out process-unique client numbers; it exists solely to
 // keep transaction IDs from distinct clients disjoint.
@@ -593,8 +587,8 @@ func (s *Store) observeConfig(item string, gen int, cfg quorum.Config) {
 }
 
 // phasePlans lists, in order, the quorum sets one attempt of a phase offers
-// runPhase. By default that is one plan offering every quorum at once:
-// first to quorum wins. WithSequentialPhases offers one quorum per plan
+// runPhase. By default that is one plan offering every quorum: runPhase asks
+// one of them first and widens to the others' members when it has to. WithSequentialPhases offers one quorum per plan
 // instead — a single-quorum plan waits for every member, is never hedged
 // (runPhase) and never has a surplus grant to release, so which replicas a
 // phase asks does not depend on which of them answers first, which exact
@@ -608,17 +602,15 @@ func (s *Store) phasePlans(qs []quorum.Set) [][]quorum.Set {
 }
 
 // sequentialPlans orders the quorums randomly, smallest first among equal
-// random keys so cheap quorums are preferred and — with the failure
-// detector on — fewest suspect members first, and offers them one by one.
+// random keys so cheap quorums are preferred and fewest suspect members
+// first, and offers them one by one.
 func (s *Store) sequentialPlans(qs []quorum.Set) [][]quorum.Set {
 	order := append([]quorum.Set(nil), qs...)
 	s.mu.Lock()
 	s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	s.mu.Unlock()
 	sort.SliceStable(order, func(i, j int) bool { return len(order[i]) < len(order[j]) })
-	if s.health != nil {
-		order = s.health.orderQuorums(order)
-	}
+	order = s.health.orderQuorums(order)
 	plans := make([][]quorum.Set, len(order))
 	for i := range order {
 		plans[i] = order[i : i+1]
@@ -946,12 +938,14 @@ type firstRead struct {
 // chasing generation numbers upward as newer configurations are discovered
 // (Section 4's read rule), and returns the highest-version value seen.
 //
-// Each plan is broadcast to every replica its read-quorums mention and
-// completes on the first covered quorum; versions are folded over the
-// winning quorum only, because grants beyond it are released (folding a
-// released replica's value would use state no lock protects, breaking
-// two-phase locking). Quorum intersection makes the winner sufficient:
-// any read-quorum contains the highest version any write-quorum committed.
+// Each plan first asks one read-quorum, widens to the other replicas its
+// read-quorums mention only when a member refuses or fails or the hedge
+// timer fires, and completes on the first covered quorum (runPhase).
+// Versions are folded over the winning quorum only, because grants beyond
+// it are released (folding a released replica's value would use state no
+// lock protects, breaking two-phase locking). Quorum intersection makes the
+// winner sufficient: any read-quorum contains the highest version any
+// write-quorum committed.
 //
 // A top-level transaction's first access, when it is a plain read, takes no
 // lock (lockNone): a replica refuses it where it would refuse a read lock —
@@ -1152,9 +1146,10 @@ func (s *Store) Inspect(ctx context.Context, dm, item string) (InspectResp, erro
 	return resp, nil
 }
 
-// writeQuorum offers the request built by mk to the write-quorums of cfg
-// and completes on the first covered one, retrying with backoff on
-// conflicts. Replicas beyond the winning quorum that granted keep their
+// writeQuorum offers the request built by mk to the write-quorums of cfg —
+// one first, the rest only when the phase widens (runPhase) — and completes
+// on the first covered one, retrying with backoff on conflicts. Replicas
+// beyond the winning quorum that granted after a widening keep their
 // intentions — extra copies of a committed write only help availability —
 // so no locks are released.
 func (t *Txn) writeQuorum(ctx context.Context, item, phase string, cfg quorum.Config, mk func(seq int) any) error {

@@ -641,6 +641,61 @@ func TestCommitDoesNotWaitOnAStoppedReplica(t *testing.T) {
 	})
 }
 
+// TestStoppedReplicaLeavesFirstQuorums is tcp_degraded's mechanism: over
+// TCP a stopped replica refuses the dial, each refused call counts one
+// failure, and after failThreshold of them the replica is a suspect no first
+// quorum holds — it is called only by its half-open probe, one phase in
+// probeEvery.
+func TestStoppedReplicaLeavesFirstQuorums(t *testing.T) {
+	tr := tcp.New()
+	defer tr.Close()
+	const stopped = "pd2"
+	var toStopped atomic.Int64
+	tap := tapTransport{Transport: tr, onCall: func(to string, _ any) bool {
+		if to == stopped {
+			toStopped.Add(1)
+		}
+		return false
+	}}
+	store, _ := openTestStore(t, tap)
+	if err := store.StopDM(stopped); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	write := func(i int) {
+		t.Helper()
+		if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", i) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	suspect := func() bool {
+		for _, h := range store.Health() {
+			if h.DM == stopped {
+				return h.Suspect
+			}
+		}
+		return false
+	}
+	for i := 0; !suspect(); i++ {
+		if i == 20 {
+			t.Fatalf("%s not suspect after %d writes and %d lost calls", stopped, i, toStopped.Load())
+		}
+		write(i)
+	}
+	if n := toStopped.Load(); n < defaultFailThreshold {
+		t.Fatalf("%s suspect after %d lost calls, want %d", stopped, n, defaultFailThreshold)
+	}
+	// Each write is a read phase and a write phase.
+	const writes = 4 * defaultProbeEvery
+	before := toStopped.Load()
+	for i := 0; i < writes; i++ {
+		write(100 + i)
+	}
+	if n, probes := toStopped.Load()-before, int64(2*writes/defaultProbeEvery); n != probes {
+		t.Fatalf("%d calls to suspect %s in %d phases, want its %d probes only", n, stopped, 2*writes, probes)
+	}
+}
+
 // stallTransport lets a test stop one replica's handler. While stall is held
 // the replica serves nothing, its server stops reading once its backlog is
 // full, and the links to it back up behind the kernel's buffers.

@@ -211,9 +211,6 @@ var (
 	WithSeed = cluster.WithSeed
 	// WithTrace directs structured per-operation events to a trace log.
 	WithTrace = cluster.WithTrace
-	// WithHealthProbes enables the per-replica failure detector and
-	// circuit-broken quorum selection.
-	WithHealthProbes = cluster.WithHealthProbes
 	// WithAntiEntropy starts a background sweeper repairing stale
 	// replicas at the given interval.
 	WithAntiEntropy = cluster.WithAntiEntropy
