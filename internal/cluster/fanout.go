@@ -274,7 +274,8 @@ func parseGrant(raw any) (granted, busy, held bool, resp ReadResp) {
 // runPhase asks one quorum first and returns as soon as the grants cover
 // any of spec.quorums ("first to quorum wins"), every copy sent has been
 // answered without covering one, or the phase times out. The board's plan
-// picks the first quorum — the smallest with no suspect member — and any
+// picks the first quorum — the one with no suspect member that adds the
+// fewest replicas to those the transaction's tree already holds — and any
 // half-open probe due. The phase widens to every other target the plan may
 // dial, once, the moment an asked member answers with anything but a grant
 // (Busy, a shed, quarantined, a redirect), a call fails, or the hedge timer
@@ -301,7 +302,7 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	defer cancel()
 
 	board := t.store.health
-	plan := board.plan(spec.targets, spec.quorums)
+	plan := board.plan(spec.targets, spec.quorums, t.held(spec.targets))
 	if plan.skipped > 0 {
 		t.store.Stats.SuspectSkips.Add(int64(plan.skipped))
 	}

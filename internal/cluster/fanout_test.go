@@ -205,23 +205,105 @@ func TestFanoutCompletesDespiteStraggler(t *testing.T) {
 	}
 }
 
-// quorumCluster opens a 5-replica majority cluster of "x" whose calls are
-// counted per request kind. Hedging is off, so no scheduler hiccup can
-// widen a phase: a phase asks exactly its first quorum unless a member
-// refuses or fails.
-func quorumCluster(t *testing.T, seed int64, opts ...Option) (*Store, func(kind string) int64) {
+// footprint records what a client sends: calls per request kind, the
+// replicas each top-level transaction's accesses and commit reach, the
+// replicas each phase asked, and notifies.
+type footprint struct {
+	mu       sync.Mutex
+	calls    map[string]int64
+	notifies int64
+	reached  map[TxnID]quorum.Set    // by top-level transaction
+	asked    map[phaseKey]quorum.Set // by the phase's Txn and Seq
+}
+
+type phaseKey struct {
+	txn TxnID
+	seq int
+}
+
+func (f *footprint) observe(to string, req any) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.calls[fmt.Sprintf("%T", req)]++
+	var txn TxnID
+	seq := 0
+	switch r := req.(type) {
+	case ReadReq:
+		txn, seq = r.Txn, r.Seq
+	case WriteReq:
+		txn, seq = r.Txn, r.Seq
+	case CommitTopReq:
+		txn = r.Txn
+	default:
+		return
+	}
+	top := txn.Top()
+	if f.reached[top] == nil {
+		f.reached[top] = quorum.Set{}
+	}
+	f.reached[top][to] = true
+	if seq > 0 {
+		k := phaseKey{txn, seq}
+		if f.asked[k] == nil {
+			f.asked[k] = quorum.Set{}
+		}
+		f.asked[k][to] = true
+	}
+}
+
+// phase returns the replicas txn's phase seq asked.
+func (f *footprint) phase(txn TxnID, seq int) quorum.Set {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.asked[phaseKey{txn, seq}].Clone()
+}
+
+// call returns how many calls of kind ("ReadReq", ...) were sent.
+func (f *footprint) call(kind string) int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.calls["cluster."+kind]
+}
+
+// notified returns how many notifies were sent.
+func (f *footprint) notified() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.notifies
+}
+
+// reachedBy returns the replicas txn's tree sent an access or commit to.
+func (f *footprint) reachedBy(txn TxnID) quorum.Set {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.reached[txn].Clone()
+}
+
+// footprintCluster opens an n-replica majority cluster of "x" and "y"
+// whose traffic a footprint records. Hedging is off, so no scheduler
+// hiccup can widen a phase: a phase asks exactly its first quorum unless a
+// member refuses or fails.
+func footprintCluster(t *testing.T, seed int64, n int, opts ...Option) (*Store, *footprint) {
 	t.Helper()
-	dms := []string{"dm0", "dm1", "dm2", "dm3", "dm4"}
+	dms := make([]string, n)
+	for i := range dms {
+		dms[i] = fmt.Sprintf("dm%d", i)
+	}
 	net := sim.NewNetwork(sim.Config{MinLatency: 20 * time.Microsecond, MaxLatency: 200 * time.Microsecond, Seed: seed})
-	var mu sync.Mutex
-	calls := map[string]int64{}
-	tap := tapTransport{Transport: net, onCall: func(_ string, req any) bool {
-		mu.Lock()
-		calls[fmt.Sprintf("%T", req)]++
-		mu.Unlock()
-		return false
-	}}
-	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
+	f := &footprint{calls: map[string]int64{}, reached: map[TxnID]quorum.Set{}, asked: map[phaseKey]quorum.Set{}}
+	tap := tapTransport{Transport: net,
+		onCall: func(to string, req any) bool { f.observe(to, req); return false },
+		onNotify: func(string, any) bool {
+			f.mu.Lock()
+			f.notifies++
+			f.mu.Unlock()
+			return false
+		},
+	}
+	items := []ItemSpec{
+		{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)},
+		{Name: "y", Initial: 0, DMs: dms, Config: quorum.Majority(dms)},
+	}
 	store, err := Open(tap, items, append([]Option{
 		WithSeed(seed), WithCallTimeout(time.Second), WithHedgeDelay(0),
 		WithClock(sim.NewManualClock(time.Unix(0, 0))),
@@ -231,11 +313,15 @@ func quorumCluster(t *testing.T, seed int64, opts ...Option) (*Store, func(kind 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close(); net.Close() })
-	return store, func(kind string) int64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return calls["cluster."+kind]
-	}
+	return store, f
+}
+
+// quorumCluster is a 5-replica footprintCluster that reports calls per
+// request kind.
+func quorumCluster(t *testing.T, seed int64, opts ...Option) (*Store, func(kind string) int64) {
+	t.Helper()
+	store, f := footprintCluster(t, seed, 5, opts...)
+	return store, f.call
 }
 
 // TestPhaseAsksOneQuorum: on a healthy 5-replica cluster a phase asks one
@@ -274,6 +360,155 @@ func TestPhaseAsksOneQuorum(t *testing.T) {
 	}
 	if n := store.Stats.Widenings.Value(); n != 0 {
 		t.Fatalf("%d phases widened on a healthy cluster, want none", n)
+	}
+}
+
+// TestTxnStaysOnHeldQuorum: a transaction's later phases land on the
+// replicas its earlier phases locked. At n=3, a transaction whose two Subs
+// write x and y runs all four phases on one write quorum, so its commit
+// calls exactly that quorum's two members and sends no notify: no replica
+// holds only a lock. At n=5, a write and a read, each two Subs deep, touch
+// exactly one majority.
+func TestTxnStaysOnHeldQuorum(t *testing.T) {
+	ctx := context.Background()
+	nested := func(tx *Txn, fn func(*Txn) error) error {
+		return tx.Sub(ctx, func(s1 *Txn) error { return s1.Sub(ctx, fn) })
+	}
+	for _, tc := range []struct {
+		n    int
+		body func(tx *Txn, i int) error
+	}{
+		{3, func(tx *Txn, i int) error {
+			if err := tx.Sub(ctx, func(sub *Txn) error { return sub.Write(ctx, "x", i) }); err != nil {
+				return err
+			}
+			return tx.Sub(ctx, func(sub *Txn) error { return sub.Write(ctx, "y", i) })
+		}},
+		{5, func(tx *Txn, i int) error {
+			if err := nested(tx, func(s2 *Txn) error { return s2.Write(ctx, "x", i) }); err != nil {
+				return err
+			}
+			return nested(tx, func(s2 *Txn) error {
+				_, err := s2.Read(ctx, "y")
+				return err
+			})
+		}},
+	} {
+		store, f := footprintCluster(t, 50+int64(tc.n), tc.n)
+		majority := tc.n/2 + 1
+		for i := 1; i <= 6; i++ {
+			commits, notifies := f.call("CommitTopReq"), f.notified()
+			var id TxnID
+			if err := store.Run(ctx, func(tx *Txn) error {
+				id = tx.ID()
+				return tc.body(tx, i)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if reached := f.reachedBy(id); len(reached) != majority {
+				t.Errorf("n=%d txn %d reached %v, want one majority", tc.n, i, reached)
+			}
+			if c := f.call("CommitTopReq") - commits; c != int64(majority) {
+				t.Errorf("n=%d txn %d made %d CommitTopReq calls, want %d", tc.n, i, c, majority)
+			}
+			if n := f.notified() - notifies; n != 0 {
+				t.Errorf("n=%d txn %d sent %d notifies, want 0", tc.n, i, n)
+			}
+		}
+	}
+}
+
+// TestFirstQuorumRotationSpreadsTransactions: thirty transactions of one
+// three-phase shape (Write x: a locking read and a write; then Read y) on
+// three replicas. Only each transaction's first phase has a tie to break —
+// its later phases stay on the quorum it holds — so the rotation moves once
+// per transaction and each of the three quorums is the first quorum of ten
+// of them. A rotation that moved on every phase would start every
+// transaction at the same quorum: three phases over three quorums.
+func TestFirstQuorumRotationSpreadsTransactions(t *testing.T) {
+	store, f := footprintCluster(t, 53, 3)
+	ctx := context.Background()
+	const txns = 30
+	firsts := map[string]int{}
+	for i := 1; i <= txns; i++ {
+		var id TxnID
+		if err := store.Run(ctx, func(tx *Txn) error {
+			id = tx.ID()
+			if err := tx.Write(ctx, "x", i); err != nil {
+				return err
+			}
+			_, err := tx.Read(ctx, "y")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		firsts[f.phase(id, 1).String()]++
+	}
+	if r, w := store.Stats.ReadPhaseLatency.Count(), store.Stats.WritePhaseLatency.Count(); r != 2*txns || w != txns {
+		t.Fatalf("%d read and %d write phases, want %d and %d: not a fixed three-phase shape", r, w, 2*txns, txns)
+	}
+	if len(firsts) != 3 {
+		t.Fatalf("first quorums %v, want each of the three pairs", firsts)
+	}
+	for q, n := range firsts {
+		if n < txns/3-1 || n > txns/3+1 {
+			t.Errorf("%s was the first quorum of %d transactions, want %d ± 1 (all: %v)", q, n, txns/3, firsts)
+		}
+	}
+}
+
+// TestHeldSuspectIsLeft: holding a replica makes it cheap, not trusted. On
+// the board, a held pair is every first quorum without moving the rotation,
+// and once a held member turns suspect the first quorum is the one pair
+// that keeps the other held member and leaves the suspect out. In a
+// transaction, a write after a held replica turns suspect asks a first
+// quorum without it, and the transaction still commits.
+func TestHeldSuspectIsLeft(t *testing.T) {
+	b := newHealthBoard(nil)
+	targets := []string{"dm0", "dm1", "dm2"}
+	quorums := []quorum.Set{quorum.NewSet("dm0", "dm1"), quorum.NewSet("dm0", "dm2"), quorum.NewSet("dm1", "dm2")}
+	const held = 0b011 // dm0 and dm1
+	turn := b.turn
+	for pass := 0; pass < 3; pass++ {
+		if p := b.plan(targets, quorums, held); p.first.String() != "{dm0,dm1}" {
+			t.Fatalf("pass %d: first quorum %v, want the held {dm0,dm1}", pass, p.first)
+		}
+	}
+	if b.turn != turn {
+		t.Errorf("rotation moved %d times with no tie to break", b.turn-turn)
+	}
+	for i := 0; i < defaultFailThreshold; i++ {
+		b.observe("dm1", false)
+	}
+	if p := b.plan(targets, quorums, held); p.first.String() != "{dm0,dm2}" {
+		t.Fatalf("first quorum %v with held dm1 suspect, want {dm0,dm2}", p.first)
+	}
+
+	store, f := footprintCluster(t, 54, 3)
+	ctx := context.Background()
+	var id TxnID
+	var suspect string
+	if err := store.Run(ctx, func(tx *Txn) error {
+		id = tx.ID()
+		if err := tx.Write(ctx, "x", 1); err != nil {
+			return err
+		}
+		q := f.phase(id, 1)
+		if w := f.phase(id, 2); w.String() != q.String() {
+			t.Errorf("write phase asked %v, want the held %v", w, q)
+		}
+		suspect = q.Names()[1]
+		for i := 0; i < defaultFailThreshold; i++ {
+			store.health.observe(suspect, false)
+		}
+		return tx.Write(ctx, "y", 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for seq := 3; seq <= 4; seq++ {
+		if q := f.phase(id, seq); len(q) != 2 || q[suspect] {
+			t.Errorf("phase %d asked %v with held %s suspect, want a pair without it", seq, q, suspect)
+		}
 	}
 }
 

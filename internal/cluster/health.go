@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -29,7 +30,7 @@ type healthBoard struct {
 	// between half-open probe trials.
 	probeEvery int
 	nodes      map[string]*nodeHealth
-	// turn rotates first quorums among equally small candidates.
+	// turn rotates first quorums among equally cheap candidates.
 	turn int
 
 	stats *Stats
@@ -115,13 +116,14 @@ type phasePlan struct {
 	skipped int // suspects left out entirely
 }
 
-// plan decides whom a phase dials. The first quorum is the smallest quorum
-// with no suspect member, taken in turn among equally small ones. When no
-// quorum is free of suspects, everyone is dialed at once (availability
-// first — a degraded cluster cannot afford to skip anyone). Otherwise the
-// suspects are left out, except that one due for its half-open trial gets
-// exactly one probe copy alongside the first quorum.
-func (b *healthBoard) plan(targets []string, quorums []quorum.Set) phasePlan {
+// plan decides whom a phase dials. The first quorum is the quorum with no
+// suspect member that adds the fewest replicas to the transaction's tree
+// (firstQuorum; held has bit i set when the tree already holds a grant at
+// targets[i]). When no quorum is free of suspects, everyone is dialed at
+// once (availability first — a degraded cluster cannot afford to skip
+// anyone). Otherwise the suspects are left out, except that one due for its
+// half-open trial gets exactly one probe copy alongside the first quorum.
+func (b *healthBoard) plan(targets []string, quorums []quorum.Set, held uint64) phasePlan {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var suspects map[string]bool
@@ -133,7 +135,7 @@ func (b *healthBoard) plan(targets []string, quorums []quorum.Set) phasePlan {
 			suspects[dm] = true
 		}
 	}
-	p := phasePlan{send: targets, first: b.firstQuorum(quorums, suspects)}
+	p := phasePlan{send: targets, first: b.firstQuorum(quorums, targets, held, suspects)}
 	if suspects == nil || p.first == nil {
 		return p
 	}
@@ -159,28 +161,42 @@ func (b *healthBoard) plan(targets []string, quorums []quorum.Set) phasePlan {
 	return p
 }
 
-// firstQuorum returns the smallest of qs with no member in suspects, or nil
-// when every quorum has one. The scan starts one quorum further on each
-// call, so equally small candidates take turns.
-func (b *healthBoard) firstQuorum(qs []quorum.Set, suspects map[string]bool) quorum.Set {
-	if len(qs) == 0 {
-		return nil
-	}
+// firstQuorum returns the quorum of qs with no member in suspects that adds
+// the fewest replicas the transaction does not already hold, or nil when
+// every quorum has a suspect. A quorum's cost is its size less its held
+// members (held has bit i set for a held targets[i]), so a tree that holds
+// nothing takes the smallest quorum, and each later phase lands on replicas
+// its earlier phases locked, which keeps the commit's participants to one
+// quorum. Equally cheap quorums take turns: the first of them from one past
+// the turn wins, and the turn moves on only when there was such a tie to
+// break, so a transaction moves the rotation once, not once per phase, and
+// every quorum gets its turn as some transaction's first.
+func (b *healthBoard) firstQuorum(qs []quorum.Set, targets []string, held uint64, suspects map[string]bool) quorum.Set {
 	var best quorum.Set
-	b.turn++
-	start := b.turn % len(qs)
+	least, tied := 0, false
 next:
 	for i := range qs {
-		q := qs[(start+i)%len(qs)]
-		if best != nil && len(q) >= len(best) {
-			continue
-		}
+		q := qs[(b.turn+1+i)%len(qs)]
 		for dm := range suspects {
 			if q[dm] {
 				continue next
 			}
 		}
-		best = q
+		c := len(q)
+		for m := held; m != 0; m &= m - 1 {
+			if q[targets[bits.TrailingZeros64(m)]] {
+				c--
+			}
+		}
+		switch {
+		case best == nil || c < least:
+			best, least, tied = q, c, false
+		case c == least:
+			tied = true
+		}
+	}
+	if tied {
+		b.turn++
 	}
 	return best
 }

@@ -244,12 +244,16 @@ func TestMigrateCoordinatorCrash(t *testing.T) {
 			key := keyOn(t, ring, keys, "g0")
 			paxos := tc.protocol == commit.PaxosCommit
 			// holding counts the group's replicas whose committed state is
-			// (gen, val) with nothing pending.
+			// (gen, val) with nothing pending; anyGen or a nil val matches
+			// every generation or value. A configuration record and a value
+			// each live at some write quorum, not necessarily the same one.
+			const anyGen = -1
 			holding := func(group byte, gen int, val any) int {
 				n := 0
 				for _, dm := range []string{"0", "1", "2"} {
 					insp, err := store.Inspect(ctx, string(group)+dm, key)
-					if err == nil && insp.Gen == gen && insp.Val == val && insp.Locks == 0 && insp.Intents == 0 {
+					if err == nil && (gen == anyGen || insp.Gen == gen) && (val == nil || insp.Val == val) &&
+						insp.Locks == 0 && insp.Intents == 0 {
 						n++
 					}
 				}
@@ -261,7 +265,15 @@ func TestMigrateCoordinatorCrash(t *testing.T) {
 			}
 			decided := store.Stats.PaxosCommits.Value()
 			err := store.MigrateItem(ctx, key, "g1", tc.cut)
+			// Settle before the clock moves: a widened phase's copy still in
+			// transit, or queued in a replica's inbox, would land after the
+			// advance below and stamp the orphan a live lease there. An
+			// Inspect rides the same client→DM lane, so its reply proves the
+			// replica handled every earlier copy.
 			net.Quiesce()
+			for _, dm := range []string{"a0", "a1", "a2", "b0", "b1", "b2"} {
+				_, _ = store.Inspect(ctx, dm, key)
+			}
 			if paxos && tc.wantCommit {
 				if got := store.Stats.PaxosCommits.Value() - decided; got != 1 {
 					t.Fatalf("migration decided %d Paxos commits, want 1: it must decide before it learns", got)
@@ -284,7 +296,7 @@ func TestMigrateCoordinatorCrash(t *testing.T) {
 				if g := store.Ring().Lookup(key); g != "g0" {
 					t.Fatalf("abandoned migration moved the ring placement to %q", g)
 				}
-				if tc.cut.Stage == CommitCrashBeforeLearn && holding('b', 1, 9) != 0 {
+				if tc.cut.Stage == CommitCrashBeforeLearn && holding('b', 1, nil)+holding('b', anyGen, 9) != 0 {
 					t.Fatal("a replica applied the cutover before any learn")
 				}
 			}
@@ -319,15 +331,27 @@ func TestMigrateCoordinatorCrash(t *testing.T) {
 					st.AcceptorResolvesCommitted.Value(), reapedAbort+reapedCommit)
 			}
 			if tc.wantCommit {
-				// Wholly at the new group: the write landed at a new-config write
-				// quorum and nowhere else, and an old-config write quorum still
-				// carries the record that redirects stale clients — unless the
-				// live coordinator already retired them to moved-markers.
-				if n := holding('b', 1, 10); n < 2 {
+				// Wholly at the new group: the configuration record and the write
+				// each landed at a new-config write quorum, and an old-config
+				// write quorum still carries the record that redirects stale
+				// clients, beside the copied value at one — unless the live
+				// coordinator already retired them to moved-markers.
+				if n := holding('b', 1, nil); n < 2 {
+					t.Errorf("%d new-group replicas hold the gen-1 configuration, want a write quorum", n)
+				}
+				if n := holding('b', anyGen, 10); n < 2 {
 					t.Errorf("%d new-group replicas hold the post-cutover write, want a write quorum", n)
 				}
-				if tc.cut.Stage != CommitCrashNone && holding('a', 1, 9) < 2 {
-					t.Error("no old-config write quorum holds the redirecting config record")
+				if tc.cut.Stage != CommitCrashNone {
+					if holding('a', 1, nil) < 2 {
+						t.Error("no old-config write quorum holds the redirecting config record")
+					}
+					if holding('a', anyGen, 9) < 2 {
+						t.Error("no old-config write quorum holds the value the migration copied")
+					}
+					if holding('a', anyGen, 10) != 0 {
+						t.Error("the post-cutover write reached the old group")
+					}
 				}
 				return
 			}

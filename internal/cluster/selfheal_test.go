@@ -170,7 +170,7 @@ func TestHealthBoardPlan(t *testing.T) {
 	// each pair in turn, never the larger quorum.
 	firsts := map[string]int{}
 	for pass := 0; pass < 2*len(quorums); pass++ {
-		p := b.plan(targets, quorums)
+		p := b.plan(targets, quorums, 0)
 		if len(p.send) != 3 || p.probes != nil || p.skipped != 0 || len(p.first) != 2 {
 			t.Fatalf("healthy plan: %+v", p)
 		}
@@ -187,7 +187,7 @@ func TestHealthBoardPlan(t *testing.T) {
 	// is skipped for probeEvery-1 passes, then probed exactly once.
 	probed := 0
 	for pass := 1; pass <= defaultProbeEvery; pass++ {
-		p := b.plan(targets, quorums)
+		p := b.plan(targets, quorums, 0)
 		if p.first.String() != "{dm0,dm1}" {
 			t.Fatalf("pass %d: first quorum %v holds the suspect", pass, p.first)
 		}
@@ -207,7 +207,7 @@ func TestHealthBoardPlan(t *testing.T) {
 	for i := 0; i < defaultFailThreshold; i++ {
 		b.observe("dm1", false)
 	}
-	p := b.plan(targets, quorums)
+	p := b.plan(targets, quorums, 0)
 	if len(p.send) != 3 || p.probes != nil || p.skipped != 0 || p.first != nil {
 		t.Fatalf("uncovered plan must dial everyone: %+v", p)
 	}
@@ -328,6 +328,29 @@ func TestLeaseReapsOrphanedLocks(t *testing.T) {
 	}
 }
 
+// crashWriterBeforeCommit arms store to crash, just before the next
+// top-level commit is sent, the first replica by name that buffers an
+// intention for item — a member of the write quorum the commit must reach —
+// and returns where the victim's name is stored.
+func crashWriterBeforeCommit(t *testing.T, store *Store, net *sim.Network, dms []string, item string) *string {
+	t.Helper()
+	victim := new(string)
+	store.Hooks.BeforeCommitTop = func(TxnID) {
+		if *victim != "" {
+			return
+		}
+		for _, dm := range dms {
+			if insp, err := store.Inspect(context.Background(), dm, item); err == nil && insp.Intents > 0 {
+				*victim = dm
+				net.Crash(dm)
+				return
+			}
+		}
+		t.Errorf("no replica buffers an intention for %s before the commit", item)
+	}
+	return victim
+}
+
 // TestReapAppliesPeerCommitRecord covers the other reap outcome: a replica
 // that missed the commit broadcast (crashed across the commit point) still
 // holds the committed transaction's locks and intention. Once the lease
@@ -335,34 +358,29 @@ func TestLeaseReapsOrphanedLocks(t *testing.T) {
 // and the straggler is served their record — intention folded in, not
 // discarded.
 func TestReapAppliesPeerCommitRecord(t *testing.T) {
-	store, net, clk, _ := selfHealCluster(t, 305, WithLockRetries(3))
+	store, net, clk, dms := selfHealCluster(t, 305, WithLockRetries(3))
 	ctx := context.Background()
 	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 1) }); err != nil {
 		t.Fatal(err)
 	}
-	crashed := false
-	store.Hooks.BeforeCommitTop = func(TxnID) {
-		if !crashed {
-			crashed = true
-			net.Crash("dm0")
-		}
-	}
+	victim := crashWriterBeforeCommit(t, store, net, dms, "x")
 	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", 42) }); err != nil {
 		t.Fatalf("commit with crashed minority: %v", err)
 	}
 	store.Hooks.BeforeCommitTop = nil
-	net.Restart("dm0")
-	pre, err := store.Inspect(ctx, "dm0", "x")
+	straggler := *victim
+	net.Restart(straggler)
+	pre, err := store.Inspect(ctx, straggler, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pre.Intents == 0 || pre.Locks == 0 {
-		t.Fatalf("precondition: dm0 should be a straggler with lock+intent, got %+v", pre)
+		t.Fatalf("precondition: %s should be a straggler with lock+intent, got %+v", straggler, pre)
 	}
 
 	clk.Advance(LeaseTTL + time.Millisecond)
 	// The sweep's inspection is the orphan hunter here — no client is
-	// waiting on dm0, since quorums route around it.
+	// waiting on the straggler, since quorums route around it.
 	if _, err := store.SweepOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +388,7 @@ func TestReapAppliesPeerCommitRecord(t *testing.T) {
 	if got := store.Stats.OrphanReapsCommitted.Value(); got == 0 {
 		t.Fatal("straggler never applied the peers' commit record")
 	}
-	post, err := store.Inspect(ctx, "dm0", "x")
+	post, err := store.Inspect(ctx, straggler, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +406,7 @@ func TestReapAppliesPeerCommitRecord(t *testing.T) {
 // they refuse the renewal, and Run surfaces ErrLeaseExpired instead of
 // committing a transaction the cluster already aborted.
 func TestLeaseFenceStopsReapedCommit(t *testing.T) {
-	store, net, clk, _ := selfHealCluster(t, 306, WithTxnRetries(0))
+	store, net, clk, dms := selfHealCluster(t, 306, WithTxnRetries(0))
 	ctx := context.Background()
 	other, err := OpenClient(net, store.Items(),
 		WithSeed(307), WithCallTimeout(25*time.Millisecond),
@@ -403,11 +421,12 @@ func TestLeaseFenceStopsReapedCommit(t *testing.T) {
 			return err
 		}
 		// The client now "stalls": its lease lapses, and a second client's
-		// conflicting write gets the locks reaped out from under it. (The
-		// write returned on its first quorum; the copy still in flight to the
-		// third replica must land before the clock moves, or its grant stamps
-		// a lease the second client's probe finds live.)
-		net.Quiesce()
+		// conflicting write gets the locks reaped out from under it. (A
+		// widened phase's copy still in flight to a replica, or queued in its
+		// inbox, must be handled before the clock moves, or its grant stamps
+		// a lease the second client's probe finds live: an Inspect rides the
+		// same lane, so its reply proves the replica handled the copy.)
+		settleHints(t, store, net, dms)
 		clk.Advance(LeaseTTL + time.Millisecond)
 		if err := other.Run(ctx, func(tx2 *Txn) error { return tx2.Write(ctx, "x", 222) }); err != nil {
 			return fmt.Errorf("second client could not write past the expired lease: %w", err)

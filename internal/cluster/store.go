@@ -234,7 +234,19 @@ type Hooks struct {
 
 type genCfg struct {
 	gen int
-	cfg quorum.Config
+	cfg knownCfg
+}
+
+// knownCfg is a configuration as the client plans phases with it: the
+// quorums and, computed once when the client adopts the configuration, the
+// sorted union of each kind's members — every replica a phase may ask.
+type knownCfg struct {
+	quorum.Config
+	readTargets, writeTargets []string
+}
+
+func newKnownCfg(cfg quorum.Config) knownCfg {
+	return knownCfg{Config: cfg, readTargets: union(cfg.R), writeTargets: union(cfg.W)}
 }
 
 // Open spawns one DM server per replica and a client endpoint on the
@@ -284,7 +296,7 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 			return nil, fmt.Errorf("cluster: duplicate item %q", it.Name)
 		}
 		s.items[it.Name] = it
-		s.believed[it.Name] = genCfg{gen: 0, cfg: it.Config}
+		s.believed[it.Name] = genCfg{gen: 0, cfg: newKnownCfg(it.Config)}
 	}
 	// From here on every failure must close the hosts already started, or
 	// their endpoints and open logs outlive the failed Open.
@@ -515,7 +527,7 @@ func (s *Store) relocateItem(item string, dms []string, gen int, cfg quorum.Conf
 			it.DMs = append([]string(nil), dms...)
 			it.Config = cfg.Clone()
 			s.items[item] = it
-			s.believed[item] = genCfg{gen: gen, cfg: cfg.Clone()}
+			s.believed[item] = genCfg{gen: gen, cfg: newKnownCfg(cfg.Clone())}
 		}
 	}
 	ringEpoch := 0
@@ -574,16 +586,20 @@ func (s *Store) ForgetConfig(item string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if it, ok := s.items[item]; ok {
-		s.believed[item] = genCfg{gen: 0, cfg: it.Config}
+		s.believed[item] = genCfg{gen: 0, cfg: newKnownCfg(it.Config)}
 	}
 }
 
-func (s *Store) observeConfig(item string, gen int, cfg quorum.Config) {
+// observeConfig adopts cfg, generation gen's configuration of item, when gen
+// is newer than the one the client believes — a private copy, its target
+// lists computed then — and returns what the client believes after.
+func (s *Store) observeConfig(item string, gen int, cfg quorum.Config) genCfg {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.believed[item]; !ok || gen > cur.gen {
-		s.believed[item] = genCfg{gen: gen, cfg: cfg.Clone()}
+		s.believed[item] = genCfg{gen: gen, cfg: newKnownCfg(cfg.Clone())}
 	}
+	return s.believed[item]
 }
 
 // phasePlans lists, in order, the quorum sets one attempt of a phase offers
@@ -599,6 +615,17 @@ func (s *Store) phasePlans(qs []quorum.Set) [][]quorum.Set {
 		return s.sequentialPlans(qs)
 	}
 	return [][]quorum.Set{qs}
+}
+
+// planTargets lists every replica the plan offering quorums may ask: all —
+// the configuration's union, computed when the client adopted it — when
+// that plan is the only one and so offers every quorum, else the union of
+// quorums alone.
+func planTargets(plans [][]quorum.Set, quorums []quorum.Set, all []string) []string {
+	if len(plans) == 1 {
+		return all
+	}
+	return union(quorums)
 }
 
 // sequentialPlans orders the quorums randomly, smallest first among equal
@@ -731,6 +758,23 @@ func (t *Txn) touchTentative(dm string) {
 	t.mu.Unlock()
 }
 
+// held reports which of targets t's tree already holds a grant at: bit i is
+// set when t or an ancestor touched targets[i] at touchGranted or above. A
+// target past the 64th never counts as held.
+func (t *Txn) held(targets []string) uint64 {
+	var mask uint64
+	for a := t; a != nil; a = a.parent {
+		a.mu.Lock()
+		for i, dm := range targets {
+			if a.touched[dm] >= touchGranted {
+				mask |= 1 << i
+			}
+		}
+		a.mu.Unlock()
+	}
+	return mask
+}
+
 func (t *Txn) touchedDMs() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -830,7 +874,7 @@ type readResult struct {
 	vn  int
 	val any
 	gen int
-	cfg quorum.Config
+	cfg knownCfg
 }
 
 // phaseTally accumulates what a phase's attempts saw, for the typed error
@@ -1003,11 +1047,12 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 			lock = lockNone
 		}
 		progressed := false
-		for _, quorums := range t.store.phasePlans(believed.cfg.R) {
+		plans := t.store.phasePlans(believed.cfg.R)
+		for _, quorums := range plans {
 			seq := t.nextSeq()
 			col := t.runPlan(ctx, &tally, phaseSpec{
 				item:     item,
-				targets:  union(quorums),
+				targets:  planTargets(plans, quorums, believed.cfg.readTargets),
 				quorums:  quorums,
 				req:      ReadReq{Txn: t.id, Item: item, Lock: lock, Seq: seq, Gen: res.gen, Inherit: t.inherited()},
 				seq:      seq,
@@ -1018,8 +1063,8 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 			// proper quorum of the newer configuration on its own.
 			for _, m := range col.grantedResps() {
 				if m.resp.Gen > res.gen {
-					res.gen, res.cfg = m.resp.Gen, m.resp.Cfg
-					t.store.observeConfig(item, m.resp.Gen, m.resp.Cfg)
+					now := t.store.observeConfig(item, m.resp.Gen, m.resp.Cfg)
+					res.gen, res.cfg = now.gen, now.cfg
 				}
 			}
 			win, won := col.winner()
@@ -1152,7 +1197,7 @@ func (s *Store) Inspect(ctx context.Context, dm, item string) (InspectResp, erro
 // beyond the winning quorum that granted after a widening keep their
 // intentions — extra copies of a committed write only help availability —
 // so no locks are released.
-func (t *Txn) writeQuorum(ctx context.Context, item, phase string, cfg quorum.Config, mk func(seq int) any) error {
+func (t *Txn) writeQuorum(ctx context.Context, item, phase string, cfg knownCfg, mk func(seq int) any) error {
 	var tally phaseTally
 	for attempt := 0; attempt <= t.store.opts.lockRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -1161,11 +1206,12 @@ func (t *Txn) writeQuorum(ctx context.Context, item, phase string, cfg quorum.Co
 		if !tally.admit(t.store, attempt) {
 			break
 		}
-		for _, quorums := range t.store.phasePlans(cfg.W) {
+		plans := t.store.phasePlans(cfg.W)
+		for _, quorums := range plans {
 			seq := t.nextSeq()
 			col := t.runPlan(ctx, &tally, phaseSpec{
 				item:    item,
-				targets: union(quorums),
+				targets: planTargets(plans, quorums, cfg.writeTargets),
 				quorums: quorums,
 				req:     mk(seq),
 				seq:     seq,
@@ -1646,7 +1692,8 @@ func (t *Txn) reconfigureTo(ctx context.Context, item, phase string, newCfg quor
 	if err != nil {
 		return res, err
 	}
-	err = t.writeQuorum(ctx, item, phase, newCfg, func(seq int) any {
+	next := newKnownCfg(newCfg)
+	err = t.writeQuorum(ctx, item, phase, next, func(seq int) any {
 		return WriteReq{Txn: t.id, Item: item, VN: res.vn, Val: res.val, Seq: seq, Inherit: t.inherited()}
 	})
 	if err != nil {
@@ -1657,7 +1704,7 @@ func (t *Txn) reconfigureTo(ctx context.Context, item, phase string, newCfg quor
 	}
 	err = t.writeQuorum(ctx, item, phase, res.cfg, mkCfg)
 	if err == nil && both {
-		err = t.writeQuorum(ctx, item, phase, newCfg, mkCfg)
+		err = t.writeQuorum(ctx, item, phase, next, mkCfg)
 	}
 	return res, err
 }
