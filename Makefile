@@ -112,7 +112,7 @@ COUNTS_frames = tcp.frame_allocs.readreq=6.4 tcp.frame_allocs.readresp=5.3 \
 COUNTS_tcp_read95 = process.allocs_per_txn=84 cluster.rpcs_per_txn=2.32 \
 	cluster.notifies_per_txn=0.01 cluster.messages_per_txn=2.32 \
 	tcp.wire_bytes_per_txn=195 $(COUNTS_frames)
-COUNTS_sim_nested_n5 = process.allocs_per_txn=338 cluster.rpcs_per_txn=13.1 \
+COUNTS_sim_nested_n5 = process.allocs_per_txn=317 cluster.rpcs_per_txn=13.1 \
 	cluster.notifies_per_txn=0.83 cluster.messages_per_txn=13.9 \
 	tcp.wire_bytes_per_txn=0 $(COUNTS_frames)
 COUNTS_tcp_durable_write = cluster.rpcs_per_txn=9.4 cluster.notifies_per_txn=0.05 \
@@ -138,7 +138,9 @@ counts:
 # size budget, the benchmark's count ceilings, the exact-replay rounds of the
 # seeded chaos campaigns (180 of 180 when they joined, E23), an explicit race pass
 # over the chaos campaigns (they stress every cross-goroutine path the
-# self-healing machinery added), the race pass, short fuzz smokes (quorum
+# self-healing machinery added), the race pass, twenty race passes of the
+# asynchronous-call contract both backends are held to (every Go delivers
+# exactly one reply and leaves no pending entry behind), short fuzz smokes (quorum
 # invariants, WAL records, TCP wire envelope and payload codec), the qcstore durable-mode
 # end-to-end demo (open, write, close, reopen from the WALs, read back),
 # the multi-process kill -9 recovery smoke (real qcstore server processes
@@ -166,6 +168,7 @@ counts:
 # rebuilding from its peers over TCP).
 verify: build vet staticcheck budget counts test replay race
 	$(GO) test -race ./internal/chaos/...
+	$(GO) test -race -count=20 -run TestAsyncContract ./internal/transport/
 	$(GO) test ./internal/quorum/ -fuzz FuzzConfig -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzSegment -fuzztime 5s

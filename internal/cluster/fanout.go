@@ -3,10 +3,12 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/quorum"
+	"repro/internal/transport"
 )
 
 // memberResp pairs a replica's answer with its name, so the read phase can
@@ -252,13 +254,6 @@ type phaseSpec struct {
 	lockless bool
 }
 
-// phaseResp is one RPC outcome delivered to the fan-out loop.
-type phaseResp struct {
-	dm  string
-	raw any
-	err error
-}
-
 // parseGrant normalizes a DM response. Read payloads are preserved; write
 // acks carry no state but the orphans a refusal names.
 func parseGrant(raw any) (granted, busy, held bool, resp ReadResp) {
@@ -283,8 +278,12 @@ func parseGrant(raw any) (granted, busy, held bool, resp ReadResp) {
 // silent one failure, so a steady straggler turns suspect and leaves the
 // first quorums. Later ticks hedge: they re-issue the request to targets
 // that have not answered at all, up to hedgeMax copies each, so one slow
-// replica cannot stall the phase. Returning cancels the phase context,
-// abandoning in-flight copies; settlePhase squares that with the DMs.
+// replica cannot stall the phase. Every copy leaves through transport.Go and
+// answers on one channel this goroutine reads, which also feeds the failure
+// detector: an answer is a success, a failed call a failure, and so is each
+// copy still silent when the phase budget runs out. Returning cancels the
+// phase context, abandoning in-flight copies, which proves nothing about
+// their replicas; settlePhase squares that with the DMs.
 func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	st := t.store.opts
 	col := newCollector(spec.quorums)
@@ -310,23 +309,15 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 		t.store.Stats.ProbeTrials.Add(int64(len(plan.probes)))
 	}
 
-	results := make(chan phaseResp, len(spec.targets)*hedgeMax)
+	results := make(chan transport.Reply, len(spec.targets)*hedgeMax)
+	copies := make([]int, len(spec.targets)) // in flight, per target
 	inflight := 0
 	issue := func(dm string) {
+		i := slices.Index(spec.targets, dm)
 		col.issue(dm)
+		copies[i]++
 		inflight++
-		go func() {
-			raw, err := t.store.client.Call(pctx, dm, spec.req)
-			if err == nil {
-				board.observe(dm, true)
-			} else if !errors.Is(pctx.Err(), context.Canceled) {
-				// A copy abandoned because the phase already completed says
-				// nothing about the replica; a timeout or a network-reported
-				// loss does.
-				board.observe(dm, false)
-			}
-			results <- phaseResp{dm: dm, raw: raw, err: err}
-		}()
+		transport.Go(t.store.client, pctx, dm, spec.req, i, results)
 	}
 	for _, dm := range plan.send {
 		if plan.first == nil || plan.first[dm] || plan.probes[dm] {
@@ -362,31 +353,38 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	for {
 		select {
 		case r := <-results:
+			dm := spec.targets[r.Tag]
+			copies[r.Tag]--
 			inflight--
-			if r.err == nil {
-				if o, ok := r.raw.(OverloadedResp); ok {
-					col.noteShed(r.dm, o.Expired)
+			if r.Err == nil {
+				board.observe(dm, true)
+				if o, ok := r.Resp.(OverloadedResp); ok {
+					col.noteShed(dm, o.Expired)
 					if o.Expired {
 						t.store.Stats.ExpiredOnArrival.Inc()
 					} else {
 						t.store.Stats.AdmissionSheds.Inc()
 					}
-				} else if w, ok := r.raw.(WrongShardResp); ok {
-					col.noteWrongShard(r.dm, w)
-				} else if _, ok := r.raw.(QuarantinedResp); ok {
-					col.noteQuarantined(r.dm)
+				} else if w, ok := r.Resp.(WrongShardResp); ok {
+					col.noteWrongShard(dm, w)
+				} else if _, ok := r.Resp.(QuarantinedResp); ok {
+					col.noteQuarantined(dm)
 				} else {
-					granted, busy, held, resp := parseGrant(r.raw)
+					granted, busy, held, resp := parseGrant(r.Resp)
 					if busy {
 						t.store.Stats.BusyRetries.Inc()
 					}
-					col.reply(r.dm, granted, busy, held, memberResp{dm: r.dm, resp: resp})
+					col.reply(dm, granted, busy, held, memberResp{dm: dm, resp: resp})
 				}
+			} else if !errors.Is(pctx.Err(), context.Canceled) {
+				// A parent that gave up proves nothing about the replica; a
+				// timeout or a network-reported loss does.
+				board.observe(dm, false)
 			}
 			if col.done() {
 				return col
 			}
-			if !col.granted[r.dm] {
+			if !col.granted[dm] {
 				widen() // a refusal or a failed call
 			}
 			if inflight == 0 {
@@ -416,6 +414,14 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 				issue(dm)
 			}
 		case <-pctx.Done():
+			if errors.Is(pctx.Err(), context.DeadlineExceeded) {
+				// The budget ran out: each copy still silent is a timeout.
+				for i, n := range copies {
+					for ; n > 0; n-- {
+						board.observe(spec.targets[i], false)
+					}
+				}
+			}
 			return col
 		}
 	}

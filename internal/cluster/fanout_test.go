@@ -797,6 +797,25 @@ func (c tapClient) Call(ctx context.Context, to string, req any) (any, error) {
 	return resp, err
 }
 
+// Go applies the tap as Call does and issues the call through the inner
+// client's Go: the path the store takes on both backends. A lost reply is
+// the one case that needs a goroutine, to turn the answer into ErrLost.
+func (c tapClient) Go(ctx context.Context, to string, req any, tag int, done chan<- transport.Reply) {
+	if c.tap.onCall == nil || !c.tap.onCall(to, req) {
+		transport.Go(c.Client, ctx, to, req, tag, done)
+		return
+	}
+	answer := make(chan transport.Reply, 1)
+	transport.Go(c.Client, ctx, to, req, tag, answer)
+	go func() {
+		r := <-answer
+		if r.Err == nil {
+			r.Resp, r.Err = nil, transport.ErrLost
+		}
+		done <- r
+	}()
+}
+
 func (c tapClient) Notify(to string, req any) {
 	if c.tap.onNotify == nil || !c.tap.onNotify(to, req) {
 		c.Client.Notify(to, req)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/commit"
@@ -205,25 +204,9 @@ func (t *Txn) renewLeases(ctx context.Context) error {
 		t.noteLeaseStamp()
 		return nil
 	}
-	errs := make([]error, len(dms))
-	var wg sync.WaitGroup
-	for i, dm := range dms {
-		wg.Add(1)
-		go func(i int, dm string) {
-			defer wg.Done()
-			raw, err := t.store.callDM(ctx, dm, RenewLeaseReq{Txn: t.id})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if ack, ok := raw.(Ack); !ok || !ack.OK {
-				errs[i] = ErrLeaseExpired
-			}
-		}(i, dm)
-	}
-	wg.Wait()
-	for i, e := range errs {
-		if e != nil {
+	answers, _ := t.store.call(ctx, round{dms: dms, req: RenewLeaseReq{Txn: t.id}, until: isAck})
+	for i, raw := range answers {
+		if !isAck(raw) {
 			return &LeaseExpiredError{Txn: t.id, DM: dms[i]}
 		}
 	}
@@ -363,7 +346,7 @@ func (s *Store) resolve(ctx context.Context, top TxnID) {
 	dms := s.DMs()
 	// One try per DM: a lost probe only means no presumption this time, and
 	// the caller's own retry loop brings the next round.
-	answers, _ := s.callEach(ctx, dms, ResolutionProbeReq{Txn: top}, 0)
+	answers, _ := s.call(ctx, round{dms: dms, req: ResolutionProbeReq{Txn: top}})
 	var record *ResolutionProbeResp
 	var cohort []string
 	active, silent, ballot := false, false, 1
@@ -403,7 +386,7 @@ func (s *Store) resolve(ctx context.Context, top TxnID) {
 		return
 	}
 	s.traceEvent(string(top), "resolve", "commit %v (presumed %v) sent to %v", dec.Commit, dec.Presumed, dms)
-	s.callEach(ctx, dms, dec, s.opts.lockRetries)
+	s.call(ctx, round{dms: dms, req: dec, retries: s.opts.lockRetries})
 }
 
 // countOutcome counts a resolved orphan under its outcome. The counters live

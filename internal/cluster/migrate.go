@@ -62,9 +62,11 @@ func (s *Store) MigrateItem(ctx context.Context, item, toGroup string, cut Commi
 	// placeholder before the copy phase can buffer intentions there.
 	// Adoption is idempotent hard state, so retries are free; a DM that
 	// cannot be reached now fails the migration before any lock was taken.
-	for _, dm := range newDMs {
-		if !s.callAcked(ctx, dm, AdoptItemReq{Item: item, Initial: it.Initial}, s.opts.lockRetries) {
-			return fmt.Errorf("cluster: migrate %q: %w: adopt not acknowledged by %s", item, ErrUnavailable, dm)
+	adopted, _ := s.call(ctx, round{dms: newDMs, req: AdoptItemReq{Item: item, Initial: it.Initial},
+		retries: s.opts.lockRetries, until: isAck})
+	for i, raw := range adopted {
+		if !isAck(raw) {
+			return fmt.Errorf("cluster: migrate %q: %w: adopt not acknowledged by %s", item, ErrUnavailable, newDMs[i])
 		}
 	}
 
@@ -85,13 +87,15 @@ func (s *Store) MigrateItem(ctx context.Context, item, toGroup string, cut Commi
 		Item: item, Epoch: ringAfter.Epoch, Group: toGroup,
 		DMs: newDMs, Gen: res.gen + 1, Cfg: newCfg,
 	}
-	for _, dm := range it.DMs {
-		// Best-effort with a short retry: the DM refuses while any
-		// transaction still holds locks there (our own commit stragglers),
-		// and a refusal is safe — the replica keeps the gen+1 config record
-		// and redirects via the ordinary generation chase instead.
-		if !slices.Contains(newDMs, dm) && !s.callAcked(ctx, dm, retire, 2) {
-			s.traceEvent("store", "migrate", "retire of %q at %s not acknowledged (safe: gen chase covers it)", item, dm)
+	// Best-effort with a short retry: a DM refuses while any transaction
+	// still holds locks there (our own commit stragglers), and a refusal is
+	// safe — the replica keeps the gen+1 config record and redirects via the
+	// ordinary generation chase instead.
+	old := slices.DeleteFunc(slices.Clone(it.DMs), func(dm string) bool { return slices.Contains(newDMs, dm) })
+	retired, _ := s.call(ctx, round{dms: old, req: retire, retries: 2, until: isAck})
+	for i, raw := range retired {
+		if !isAck(raw) {
+			s.traceEvent("store", "migrate", "retire of %q at %s not acknowledged (safe: gen chase covers it)", item, old[i])
 		}
 	}
 	s.gossipRing(ringAfter)

@@ -56,59 +56,86 @@ func (s *Store) callDM(ctx context.Context, dm string, req any) (any, error) {
 	return raw, err
 }
 
-// callAcked sends req to dm until it answers Ack{OK: true}, backing off
-// between tries, and reports whether it did. A dead context or an exhausted
-// deadline budget ends the round at once: every further try would fail
-// without being sent, so grinding through the retries would only burn
-// backoffs.
-func (s *Store) callAcked(ctx context.Context, dm string, req any, retries int) bool {
-	for attempt := 0; attempt <= retries && ctx.Err() == nil; attempt++ {
-		raw, err := s.callDM(ctx, dm, req)
-		if ack, ok := raw.(Ack); err == nil && ok && ack.OK {
-			return true
-		}
-		if errors.Is(err, errNoBudget) {
-			return false
-		}
-		s.backoff(ctx, attempt)
-	}
-	return false
+// round is one request to a set of replicas, each asked until its answer
+// will do.
+type round struct {
+	dms     []string
+	req     any
+	retries int
+	// until tells an answer that ends a DM's round from one that is retried;
+	// nil takes any answer. No answer at all is always retried.
+	until func(any) bool
+	// then, when set, runs once the first copies are out, while they travel
+	// (and when none could go, all the same).
+	then func()
 }
 
-// callEach sends req to every one of dms at once and returns their answers
-// by position, nil where none came. A call that gets no answer is retried
-// after the ordinary backoff, up to retries times; whatever a DM does answer
-// — a refusal included — ends its round. sent counts the DMs a copy may have
-// reached: a call refused before it left this process (no deadline budget)
-// reached nobody.
-func (s *Store) callEach(ctx context.Context, dms []string, req any, retries int) (answers []any, sent int) {
-	answers = make([]any, len(dms))
-	left := make([]bool, len(dms))
-	var wg sync.WaitGroup
-	for i, dm := range dms {
-		wg.Add(1)
-		go func(i int, dm string) {
-			defer wg.Done()
-			for attempt := 0; attempt <= retries && ctx.Err() == nil; attempt++ {
-				raw, err := s.callDM(ctx, dm, req)
-				if errors.Is(err, errNoBudget) {
-					return
-				}
-				// A failed call may still have been delivered and logged —
-				// only the answer is missing.
-				left[i] = true
-				if err == nil {
-					answers[i] = raw
-					return
-				}
-				s.backoff(ctx, attempt)
-			}
-		}(i, dm)
+// isAck is the until of a round that needs every DM's Ack{OK: true}.
+func isAck(raw any) bool {
+	ack, ok := raw.(Ack)
+	return ok && ack.OK
+}
+
+// call sends r.req to every one of r.dms at once, under one round context,
+// and collects the answers on this goroutine from one channel. A DM whose
+// answer does not end its round gets its own attempt-scaled, jittered
+// backoff and is asked again, under a call budget of its own, up to
+// r.retries times. It returns each DM's last answer by position, nil where
+// none came, and the number of DMs a copy may have reached: a call refused
+// before it left this process (no deadline budget) reached nobody. Every
+// outcome feeds the failure detector as callDM's does. A dead context ends
+// the round at once.
+func (s *Store) call(ctx context.Context, r round) (answers []any, sent int) {
+	answers = make([]any, len(r.dms))
+	attempts := make([]int, len(r.dms))
+	// One copy per DM is in flight or backing off at a time, so neither
+	// channel ever holds more than one entry for each.
+	replies := make(chan transport.Reply, len(r.dms))
+	again := make(chan int, len(r.dms))
+	var cancels []context.CancelFunc
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}()
+	// issue asks r.dms[from:to] under one context bounded by callBudget, and
+	// returns how many it asked: none once the caller's context is dead.
+	issue := func(from, to int) int {
+		budget, err := s.callBudget(ctx)
+		if err != nil || ctx.Err() != nil {
+			return 0
+		}
+		actx, cancel := context.WithTimeout(ctx, budget)
+		cancels = append(cancels, cancel)
+		for i := from; i < to; i++ {
+			transport.Go(s.client, actx, r.dms[i], r.req, i, replies)
+		}
+		return to - from
 	}
-	wg.Wait()
-	for _, l := range left {
-		if l {
-			sent++
+	sent = issue(0, len(r.dms))
+	if r.then != nil {
+		r.then()
+	}
+	for live := sent; live > 0; {
+		select {
+		case rep := <-replies:
+			i := rep.Tag
+			if rep.Err == nil {
+				s.health.observe(r.dms[i], true)
+				answers[i] = rep.Resp
+			} else if ctx.Err() == nil {
+				s.health.observe(r.dms[i], false)
+			}
+			if rep.Err == nil && (r.until == nil || r.until(rep.Resp)) || attempts[i] == r.retries || ctx.Err() != nil {
+				live--
+				continue
+			}
+			time.AfterFunc(s.backoffDelay(attempts[i]), func() { again <- i })
+			attempts[i]++
+		case i := <-again:
+			live += issue(i, i+1) - 1
+		case <-ctx.Done():
+			return answers, sent
 		}
 	}
 	return answers, sent
@@ -213,20 +240,14 @@ func (l *aimdLimiter) acquire(ctx context.Context) error {
 		return nil
 	}
 	l.mu.Unlock()
-	// Slow path: a watcher turns ctx expiry into a wakeup. It takes the
-	// mutex before broadcasting so the wakeup cannot land between our
-	// ctx.Err check and cond.Wait.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			l.mu.Lock()
-			l.cond.Broadcast()
-			l.mu.Unlock()
-		case <-stop:
-		}
-	}()
+	// Slow path: ctx expiry becomes a wakeup. It takes the mutex before
+	// broadcasting so the wakeup cannot land between our ctx.Err check and
+	// cond.Wait.
+	defer context.AfterFunc(ctx, func() {
+		l.mu.Lock()
+		l.cond.Broadcast()
+		l.mu.Unlock()
+	})()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.inflight >= l.ceilLocked() {

@@ -142,7 +142,8 @@ func (s *Store) propose(ctx context.Context, top TxnID, cohort []string, deliver
 		refusedAt := -1 // the highest watermark that refused this ballot
 		targets := cohort[:deliver]
 		if ballot > 0 {
-			answers, n := s.callEach(ctx, cohort, PaxosPrepareReq{Txn: top, Ballot: ballot, Cohort: cohort, Proposer: s.clientID}, s.opts.lockRetries)
+			answers, n := s.call(ctx, round{dms: cohort, retries: s.opts.lockRetries,
+				req: PaxosPrepareReq{Txn: top, Ballot: ballot, Cohort: cohort, Proposer: s.clientID}})
 			sent += n
 			var promises []commit.Promise
 			for _, raw := range answers {
@@ -166,10 +167,10 @@ func (s *Store) propose(ctx context.Context, top TxnID, cohort []string, deliver
 				targets = nil // no Phase 2 at a ballot no majority promised
 			}
 		}
-		answers, n := s.callEach(ctx, targets, PaxosAcceptReq{
+		answers, n := s.call(ctx, round{dms: targets, retries: s.opts.lockRetries, req: PaxosAcceptReq{
 			Txn: top, Ballot: ballot, Commit: val.Commit,
 			Subs: stringsToTxns(val.Subs), Final: val.Final, Cohort: cohort,
-		}, s.opts.lockRetries)
+		}})
 		sent, acked = sent+n, 0
 		for _, raw := range answers {
 			switch a, ok := raw.(PaxosAcceptResp); {

@@ -168,8 +168,8 @@ type Store struct {
 	ring *shard.Ring
 
 	// jitter feeds backoff sleeps and nothing else. It is separate from
-	// rng because backoff is reached from concurrent control goroutines:
-	// were they to share rng with quorum selection, the scheduling order
+	// rng because backoff is reached from concurrent transactions: were
+	// they to share rng with quorum selection, the scheduling order
 	// of their draws would reshuffle the quorum stream and break seeded
 	// replay. Jitter order still varies, but jitter only shapes time.
 	jitterMu sync.Mutex
@@ -649,14 +649,18 @@ func (s *Store) sequentialPlans(qs []quorum.Set) [][]quorum.Set {
 // expires. The jitter breaks restart symmetry between conflicting
 // transactions, which plain linear backoff can lock into livelock.
 func (s *Store) backoff(ctx context.Context, attempt int) {
-	base := s.opts.retryBackoff * time.Duration(attempt+1)
-	s.jitterMu.Lock()
-	d := base/2 + time.Duration(s.jitter.Int63n(int64(base)))
-	s.jitterMu.Unlock()
 	select {
-	case <-time.After(d):
+	case <-time.After(s.backoffDelay(attempt)):
 	case <-ctx.Done():
 	}
+}
+
+// backoffDelay draws the attempt-scaled, jittered wait before retry attempt.
+func (s *Store) backoffDelay(attempt int) time.Duration {
+	base := s.opts.retryBackoff * time.Duration(attempt+1)
+	s.jitterMu.Lock()
+	defer s.jitterMu.Unlock()
+	return base/2 + time.Duration(s.jitter.Int63n(int64(base)))
 }
 
 // touchLevel grades how certain the client is that a DM holds state for
@@ -1322,42 +1326,35 @@ func (t *Txn) WriteVersioned(ctx context.Context, item string, val any) (int, er
 
 // control sends a commit/abort control message to every touched DM and
 // returns the required DMs that never acknowledged. Only the required DMs
-// are called, concurrently, each until it acknowledges or the retry budget
-// runs out; the caller decides what a missing ack means (an abort carries
-// on, Run's commit checks write-quorum coverage). Cleanup DMs hold only
-// locks and tentative DMs (abandoned in-flight copies) may hold nothing at
-// all: the outcome depends on neither, so each hears it once, as a notify
-// sent in order from this goroutine — the paper's INFORM, which an object
-// never answers. A notify carries no context, so a caller that cancels
-// right after Run returns revokes nothing, and Close delivers what is
-// queued. One lost to a broken link is what the lock lease covers: whoever
-// the lock blocks resolves the transaction from the record any other DM
-// holds, or presumes abort.
+// are called, in one round (Store.call), each until it acknowledges or the
+// retry budget runs out; the caller decides what a missing ack means (an
+// abort carries on, Run's commit checks write-quorum coverage). Cleanup DMs
+// hold only locks and tentative DMs (abandoned in-flight copies) may hold
+// nothing at all: the outcome depends on neither, so each hears it once, as
+// a notify sent in order from this goroutine while the calls travel — the
+// paper's INFORM, which an object never answers. A notify carries no
+// context, so a caller that cancels right after Run returns revokes nothing,
+// and Close delivers what is queued. One lost to a broken link is what the
+// lock lease covers: whoever the lock blocks resolves the transaction from
+// the record any other DM holds, or presumes abort.
 func (t *Txn) control(ctx context.Context, required, cleanup, tentative []string, req any) (missing []string) {
 	if len(required) == 0 && len(cleanup) == 0 && len(tentative) == 0 {
 		return nil
 	}
 	s := t.store
 	start := time.Now()
-	acked := make([]bool, len(required))
-	var wg sync.WaitGroup
-	for i, dm := range required {
-		wg.Add(1)
-		go func(i int, dm string) {
-			defer wg.Done()
-			acked[i] = s.callAcked(ctx, dm, req, s.opts.lockRetries)
-		}(i, dm)
+	notify := func() {
+		for _, dm := range cleanup {
+			s.client.Notify(dm, req)
+		}
+		for _, dm := range tentative {
+			s.client.Notify(dm, req)
+		}
 	}
-	for _, dm := range cleanup {
-		s.client.Notify(dm, req)
-	}
-	for _, dm := range tentative {
-		s.client.Notify(dm, req)
-	}
-	wg.Wait()
+	answers, _ := s.call(ctx, round{dms: required, req: req, retries: s.opts.lockRetries, until: isAck, then: notify})
 	s.Stats.ControlLatency.ObserveSince(start)
-	for i, ok := range acked {
-		if !ok {
+	for i, raw := range answers {
+		if !isAck(raw) {
 			missing = append(missing, required[i])
 		}
 	}

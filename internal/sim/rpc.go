@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/transport"
@@ -24,9 +22,8 @@ var ErrRPCTimeout = transport.ErrTimeout
 // scheduler. It is the shared transport.ErrLost sentinel.
 var ErrCallLost = transport.ErrLost
 
-// callLost is the sentinel a drop watcher delivers on a pending call's
-// channel in place of a response.
-type callLost struct{}
+// errNodeShutDown fails the calls of a node that was shut down.
+var errNodeShutDown = errors.New("node shut down")
 
 // envelope is an RPC request on the wire. Deadline, when non-zero, is the
 // caller's absolute give-up time, stamped by Call from its context — the
@@ -70,9 +67,8 @@ type Node struct {
 	handler  Handler
 	ahandler AsyncHandler
 
-	nextID  atomic.Uint64
-	mu      sync.Mutex
-	pending map[uint64]chan any
+	// calls are the calls this node issued that await a reply.
+	calls transport.Calls
 
 	// admCfg holds the admission configuration until start builds the
 	// queue; adm, when non-nil, is the bounded priority service queue
@@ -105,7 +101,6 @@ func NewNode(net *Network, id string, handler Handler, opts ...NodeOption) *Node
 		id:      id,
 		net:     net,
 		handler: handler,
-		pending: map[uint64]chan any{},
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -121,7 +116,6 @@ func NewAsyncNode(net *Network, id string, handler AsyncHandler, opts ...NodeOpt
 		id:       id,
 		net:      net,
 		ahandler: handler,
-		pending:  map[uint64]chan any{},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -173,15 +167,8 @@ func (n *Node) onDrop(m Message) {
 	default:
 		return
 	}
-	if id == 0 {
-		return // Notify traffic has no waiter
-	}
-	n.mu.Lock()
-	ch := n.pending[id]
-	delete(n.pending, id)
-	n.mu.Unlock()
-	if ch != nil {
-		ch <- callLost{}
+	if id != 0 { // Notify traffic has no waiter
+		n.calls.Finish(id, nil, ErrCallLost)
 	}
 }
 
@@ -242,13 +229,7 @@ func (n *Node) dispatch(m Message) {
 		}
 		n.serve(m.From, p)
 	case reply:
-		n.mu.Lock()
-		ch := n.pending[p.ID]
-		delete(n.pending, p.ID)
-		n.mu.Unlock()
-		if ch != nil {
-			ch <- p.Resp
-		}
+		n.calls.Finish(p.ID, p.Resp, nil)
 	}
 }
 
@@ -268,14 +249,14 @@ func (n *Node) serve(from string, p envelope) {
 	}
 }
 
-// Call sends req to the node named to and waits for its reply or ctx
-// expiry. Lost messages surface as ErrRPCTimeout via the context.
-func (n *Node) Call(ctx context.Context, to string, req any) (any, error) {
-	id := n.nextID.Add(1)
-	ch := make(chan any, 1)
-	n.mu.Lock()
-	n.pending[id] = ch
-	n.mu.Unlock()
+// Go sends req to the node named to and returns at once; the reply, the
+// lost fate (under Config.FateFeedback) or ErrRPCTimeout once ctx is done
+// arrives on done under tag (transport.AsyncClient).
+func (n *Node) Go(ctx context.Context, to string, req any, tag int, done chan<- transport.Reply) {
+	id := n.calls.Add(ctx, tag, done, nil)
+	if id == 0 {
+		return
+	}
 	env := envelope{ID: id, Req: req}
 	if dl, ok := ctx.Deadline(); ok {
 		// Deadline propagation: the receiver learns when this caller gives
@@ -284,21 +265,19 @@ func (n *Node) Call(ctx context.Context, to string, req any) (any, error) {
 		env.Deadline = dl
 	}
 	n.net.Send(n.id, to, env)
-	select {
-	case resp := <-ch:
-		if _, lost := resp.(callLost); lost {
-			return nil, ErrCallLost
-		}
-		return resp, nil
-	case <-ctx.Done():
-		n.mu.Lock()
-		delete(n.pending, id)
-		n.mu.Unlock()
-		return nil, ErrRPCTimeout
-	case <-n.stop:
-		return nil, errors.New("node shut down")
-	}
 }
+
+// Call sends req to the node named to and waits for its reply or ctx
+// expiry. Lost messages surface as ErrRPCTimeout via the context.
+func (n *Node) Call(ctx context.Context, to string, req any) (any, error) {
+	done := make(chan transport.Reply, 1)
+	n.Go(ctx, to, req, 0, done)
+	r := <-done
+	return r.Resp, r.Err
+}
+
+// Pending is the number of this node's calls still awaiting a reply.
+func (n *Node) Pending() int { return n.calls.Len() }
 
 // Notify sends req to the node named to without waiting for — or ever
 // receiving — a reply: the envelope carries ID 0, which the receiver's
@@ -319,6 +298,7 @@ func (n *Node) Shutdown() {
 	default:
 		close(n.stop)
 	}
+	n.calls.Close(errNodeShutDown)
 	<-n.done
 	if n.adm != nil {
 		n.adm.Close()

@@ -4,7 +4,7 @@ import "repro/internal/transport"
 
 // The simulated network is one backend of the transport seam: Serve and
 // Client make *Network a transport.Transport, and *Node already speaks the
-// Client/Server vocabulary (Call, Notify, ID, Close). Every seeded-replay
+// Client/Server vocabulary (Go, Call, Notify, ID, Close). Every seeded-replay
 // guarantee is carried through unchanged — the cluster layer talks to the
 // interface, the interface talks to the same lanes, fates and inboxes.
 
@@ -12,6 +12,7 @@ import "repro/internal/transport"
 var (
 	_ transport.Transport       = (*Network)(nil)
 	_ transport.Client          = (*Node)(nil)
+	_ transport.AsyncClient     = (*Node)(nil)
 	_ transport.Server          = (*Node)(nil)
 	_ transport.OverloadHarness = (*Node)(nil)
 )

@@ -208,7 +208,7 @@ func TestWriteFailureAfterSendIsErrLost(t *testing.T) {
 	go io.Copy(io.Discard, far)
 	g := newGatedConn(near)
 	c.mu.Lock()
-	cc := c.adopt("s", g)
+	c.adopt("s", g)
 	c.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -218,11 +218,7 @@ func TestWriteFailureAfterSendIsErrLost(t *testing.T) {
 		_, err := cl.Call(ctx, "s", echoReq{N: 1})
 		errs <- err
 	}
-	pending := func() int {
-		cc.mu.Lock()
-		defer cc.mu.Unlock()
-		return len(cc.pending)
-	}
+	pending := c.calls.Len
 	go call()
 	waitFor(t, "the first call to be written", func() bool { return tr.Stats().Frames == 1 })
 	g.broken.Store(true)

@@ -37,6 +37,7 @@ import (
 var (
 	_ transport.Transport       = (*Transport)(nil)
 	_ transport.Client          = (*Client)(nil)
+	_ transport.AsyncClient     = (*Client)(nil)
 	_ transport.Server          = (*Server)(nil)
 	_ transport.OverloadHarness = (*Server)(nil)
 )
@@ -201,7 +202,7 @@ func (t *Transport) Stats() Stats {
 
 // Quiesce waits until everything this transport's endpoints have sent so
 // far has been read by its peer — every link, a dialing one included, is
-// flushed and answered a barrier (see caller.barrier), each within
+// flushed and answered a barrier (see caller.barrier), all within one
 // closeGrace — and then until every request this transport's
 // servers have read off their connections has been served. Work a handler
 // starts while Quiesce waits is not chased, so this is still weaker than the
@@ -268,17 +269,15 @@ func (t *Transport) dropServer(s *Server) {
 // TCP's native backpressure.
 const serverBacklog = 1024
 
-// lostMarker is delivered on a pending call's channel when its connection
-// died: the transport knows no answer is coming.
-type lostMarker struct{}
-
 // caller owns this endpoint's outbound connections: at most one per
 // destination, dialed lazily, evicted and redialed after loss. Every Client
 // endpoint has one.
 type caller struct {
-	tr     *Transport
-	id     string
-	nextID atomic.Uint64
+	tr *Transport
+	id string
+	// calls are the calls awaiting a reply, on every link; each is owned by
+	// the clientConn it was sent on, which fails it when the link breaks.
+	calls transport.Calls
 
 	mu     sync.Mutex
 	conns  map[string]*clientConn
@@ -382,28 +381,15 @@ func (d *dialingConn) SetWriteDeadline(t time.Time) error {
 	return nil
 }
 
-// clientConn is one pooled outbound connection and the calls pending on it.
+// clientConn is one pooled outbound connection. The calls pending on it
+// are its caller's calls it owns.
 type clientConn struct {
-	c  linkConn
-	fw *frameWriter
+	c     linkConn
+	fw    *frameWriter
+	calls *transport.Calls
 
-	mu      sync.Mutex
-	pending map[uint64]chan any
-	dead    bool
-}
-
-func (cc *clientConn) addPending(id uint64, ch chan any) {
-	cc.mu.Lock()
-	cc.pending[id] = ch
-	cc.mu.Unlock()
-}
-
-func (cc *clientConn) takePending(id uint64) chan any {
-	cc.mu.Lock()
-	ch := cc.pending[id]
-	delete(cc.pending, id)
-	cc.mu.Unlock()
-	return ch
+	mu   sync.Mutex
+	dead bool
 }
 
 // fail marks the connection dead and delivers the lost fate to every
@@ -415,14 +401,10 @@ func (cc *clientConn) fail() {
 		return
 	}
 	cc.dead = true
-	pending := cc.pending
-	cc.pending = map[uint64]chan any{}
 	cc.mu.Unlock()
 	cc.c.Close()
 	cc.fw.close() // the connection is gone: this only reaps the writer
-	for _, ch := range pending {
-		ch <- lostMarker{}
-	}
+	cc.calls.Fail(cc, transport.ErrLost)
 }
 
 // get returns the pooled connection to `to`, pooling one that starts dialing
@@ -447,7 +429,7 @@ func (c *caller) get(to string) (*clientConn, error) {
 // adopt pools conn as the connection to `to` and starts its writer and its
 // reader. The caller holds c.mu.
 func (c *caller) adopt(to string, conn linkConn) *clientConn {
-	cc := &clientConn{c: conn, fw: newFrameWriter(conn, &c.tr.links), pending: map[uint64]chan any{}}
+	cc := &clientConn{c: conn, fw: newFrameWriter(conn, &c.tr.links), calls: &c.calls}
 	c.conns[to] = cc
 	go c.readLoop(to, cc)
 	return cc
@@ -477,26 +459,27 @@ func (c *caller) readLoop(to string, cc *clientConn) {
 		if f.Kind != kindReply {
 			continue // a confused peer; replies are all a caller accepts
 		}
-		if ch := cc.takePending(f.ID); ch != nil {
-			ch <- f.Resp
-		}
+		c.calls.Finish(f.ID, f.Resp, nil)
 	}
 }
 
-// call implements Call for Client (and would for any other caller role).
-func (c *caller) call(ctx context.Context, to string, req any) (any, error) {
+// goCall implements Go for Client (and would for any other caller role).
+func (c *caller) goCall(ctx context.Context, to string, req any, tag int, done chan<- transport.Reply) {
 	cc, err := c.get(to)
 	if err != nil {
-		return nil, err
+		done <- transport.Reply{Tag: tag, Err: err}
+		return
 	}
-	return c.callOn(ctx, to, cc, req)
+	c.callOn(ctx, to, cc, req, tag, done)
 }
 
-// callOn sends one call frame on cc and waits for its reply.
-func (c *caller) callOn(ctx context.Context, to string, cc *clientConn, req any) (any, error) {
-	id := c.nextID.Add(1)
-	ch := make(chan any, 1)
-	cc.addPending(id, ch)
+// callOn sends one call frame on cc; its reply, or its failure, arrives on
+// done under tag.
+func (c *caller) callOn(ctx context.Context, to string, cc *clientConn, req any, tag int, done chan<- transport.Reply) {
+	id := c.calls.Add(ctx, tag, done, cc)
+	if id == 0 {
+		return
+	}
 	f := Frame{Kind: kindCall, ID: id, From: c.id, Req: req}
 	if dl, ok := ctx.Deadline(); ok {
 		// Deadline propagation: the receiver learns when this caller gives
@@ -505,18 +488,7 @@ func (c *caller) callOn(ctx context.Context, to string, cc *clientConn, req any)
 		f.Deadline = dl
 	}
 	if err := c.send(to, cc, f); err != nil {
-		cc.takePending(id)
-		return nil, err
-	}
-	select {
-	case v := <-ch:
-		if _, lost := v.(lostMarker); lost {
-			return nil, transport.ErrLost
-		}
-		return v, nil
-	case <-ctx.Done():
-		cc.takePending(id)
-		return nil, transport.ErrTimeout
+		c.calls.Finish(id, nil, err)
 	}
 }
 
@@ -552,9 +524,9 @@ func (c *caller) notify(to string, req any) {
 // barrier flushes every pooled link and waits until its peer has read what was
 // sent on it: a call that carries no request is the transport's own barrier,
 // answered by the peer's reader once every frame before it on the connection
-// has been dispatched. A link still dialing is waited for like any other. A
-// link that breaks or stays silent for closeGrace has nothing left to wait
-// for.
+// has been dispatched. Every link's barrier leaves at once, a link still
+// dialing included, and the answers come back on one channel. A link that
+// breaks or stays silent for closeGrace has nothing left to wait for.
 func (c *caller) barrier() {
 	c.mu.Lock()
 	conns := make(map[string]*clientConn, len(c.conns))
@@ -564,8 +536,12 @@ func (c *caller) barrier() {
 	c.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
 	defer cancel()
+	done := make(chan transport.Reply, len(conns))
 	for to, cc := range conns {
-		c.callOn(ctx, to, cc, nil) // any failure ends the wait just as well
+		c.callOn(ctx, to, cc, nil, 0, done)
+	}
+	for range conns {
+		<-done // any failure ends the wait just as well
 	}
 }
 
@@ -592,6 +568,7 @@ func (c *caller) close() {
 		cc.fw.close()
 		cc.fail()
 	}
+	c.calls.Close(transport.ErrLost)
 }
 
 // Client is a TCP caller endpoint.
@@ -602,10 +579,22 @@ type Client struct {
 // ID returns the endpoint's name, which receivers see as `from`.
 func (c *Client) ID() string { return c.caller.id }
 
+// Go sends req to the named server and returns at once; the reply or the
+// call's failure arrives on done under tag (transport.AsyncClient).
+func (c *Client) Go(ctx context.Context, to string, req any, tag int, done chan<- transport.Reply) {
+	c.caller.goCall(ctx, to, req, tag, done)
+}
+
 // Call sends req to the named server and waits for its reply or ctx expiry.
 func (c *Client) Call(ctx context.Context, to string, req any) (any, error) {
-	return c.caller.call(ctx, to, req)
+	done := make(chan transport.Reply, 1)
+	c.caller.goCall(ctx, to, req, 0, done)
+	r := <-done
+	return r.Resp, r.Err
 }
+
+// Pending is the number of this endpoint's calls still awaiting a reply.
+func (c *Client) Pending() int { return c.caller.calls.Len() }
 
 // Notify sends req without waiting for — or ever receiving — a reply.
 func (c *Client) Notify(to string, req any) { c.caller.notify(to, req) }
