@@ -106,6 +106,12 @@ replay:
 # notifies, and has a ceiling of its own: a call turned into a notify lowers
 # the one and raises the other, so only the sum shows traffic added under
 # another label. A PR that lowers a count lowers its ceiling.
+# tcp_durable_write's allocations and WAL bytes (ten runs: 421-511
+# allocations, 3 649-11 337 bytes) swing with the snapshots that land in a
+# pass — each is ~36 000 allocations and ~1.2 MB — so their + 10 % is wide:
+# the allocation ceiling fails a revert to the gob codec (670-700) every
+# time and a revert to a snapshot every 1 024 records (549-587) in most
+# runs; the byte ceiling only catches gross growth (EXPERIMENTS.md E30).
 # Timings are not held here; they go through the ten-pair protocol.
 COUNTS_frames = tcp.frame_allocs.readreq=6.4 tcp.frame_allocs.readresp=5.3 \
 	tcp.frame_allocs.writereq1k=8.5 tcp.frame_allocs.committop=12.7
@@ -116,7 +122,8 @@ COUNTS_sim_nested_n5 = process.allocs_per_txn=317 cluster.rpcs_per_txn=13.1 \
 	cluster.notifies_per_txn=0.83 cluster.messages_per_txn=13.9 \
 	tcp.wire_bytes_per_txn=0 $(COUNTS_frames)
 COUNTS_tcp_durable_write = cluster.rpcs_per_txn=9.4 cluster.notifies_per_txn=0.05 \
-	cluster.messages_per_txn=9.4 wal.appends_per_txn=9.1 wal.fsyncs_per_txn=7.9
+	cluster.messages_per_txn=9.4 wal.appends_per_txn=9.1 wal.fsyncs_per_txn=7.9 \
+	process.allocs_per_txn=563 wal.write_bytes_per_txn=12471
 COUNTS_tcp_degraded = cluster.rpcs_per_txn=4.64 cluster.notifies_per_txn=0.54 \
 	cluster.messages_per_txn=5.18
 counts:

@@ -486,8 +486,9 @@ func corruptFirstFrame(dir string) error {
 }
 
 // logNames reports whether any file of the replica log in dir — segment or
-// snapshot — names txn or one of its subtransactions. Both are gob, which
-// writes a string as its length and then its bytes, so txn is named where
+// snapshot — names txn or one of its subtransactions. Both are package
+// wire's encoding, which writes a string as its uvarint length (one byte,
+// for an id this short) and then its bytes, so txn is named where
 // its bytes follow a length that ends exactly at txn, or that runs on past
 // it with the '/' of a subtransaction id; a longer id that merely starts
 // with txn's bytes does not count.

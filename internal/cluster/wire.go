@@ -9,14 +9,14 @@ import (
 )
 
 // Wire registration: every protocol request and response type is registered
-// exactly once, here, with both codecs that carry it through an interface
-// field — gob for the write-ahead log (walRecord) and package wire for the
-// TCP transport (frames). A type missing from this table would work
-// in-process over the sim backend and then fail the moment it crossed a
-// real socket or a log replay, so the table is exhaustive by construction:
-// msgs.go types appear here in declaration order, both registrations read
-// the one table (no type can have one without the other), and
-// TestWireRoundTrip walks them all.
+// exactly once, here, with package wire, the one codec of both the TCP
+// transport's frames and the write-ahead log's records (durability.go), and
+// with gob, which carries a protocol value stored inside an item's `any`.
+// A type missing from this table would work in-process over the sim backend
+// and then fail the moment it crossed a real socket or a log, so the table
+// is exhaustive by construction: msgs.go types appear here in declaration
+// order, both registrations read the one table, and TestWireRoundTrip walks
+// them all.
 //
 // The tag is the type's identity on the wire. Tags are append-only: a new
 // type takes the next free number, a retired type's number is never
@@ -88,6 +88,11 @@ var wireTypes = []struct {
 	{43, PaxosPrepareResp{}, notRequest},
 }
 
+// snapshotTag is the tag of dmState, the hard state a log snapshot holds.
+// No message carries it: it is registered so the log and the network share
+// one codec, and it takes its number from the same append-only sequence.
+const snapshotTag = 44
+
 // notRequest fills the admission column of a response row: a DM never
 // queues one.
 const notRequest transport.Priority = -1
@@ -103,6 +108,7 @@ func init() {
 			admitClass[reflect.TypeOf(t.proto)] = t.prio
 		}
 	}
+	wire.Register(snapshotTag, dmState{})
 }
 
 // classifyRequest maps a wire request to its admission priority at a DM: a

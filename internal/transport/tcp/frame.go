@@ -33,12 +33,17 @@ import (
 // version byte and the type tag are the whole negotiation — so every
 // process of a cluster runs one build, and a payload type must have been
 // registered with package wire by the protocol layer (internal/cluster does
-// this in wire.go, from the table that also gob-registers it for the WAL).
+// this in wire.go, for its frames and its write-ahead log alike).
 
 // wireVersion is the first byte of every frame body. A change to the
 // header, to package wire's encodings, or to the meaning of a registered
 // tag bumps it; a peer speaking another version is refused, frame by frame.
 const wireVersion = 5
+
+// WireVersion is the version byte this build speaks. The protocol layer
+// pins the fingerprint of its registered layouts to it (package wire's
+// Fingerprint), so a layout that changes without a bump fails its tests.
+const WireVersion = wireVersion
 
 // Frame kinds.
 const (

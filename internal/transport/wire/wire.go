@@ -19,6 +19,7 @@
 //	other slices          uvarint count, elements
 //	maps                  uvarint count, key/element pairs sorted by key
 //	structs               exported fields in declaration order
+//	pointers              one presence byte, 0 (nil) or 1, then the element
 //	any                   a value-kind byte, then the value (see value kinds)
 //
 // Zero-length slices and maps decode as nil, as gob decodes them. Maps are
@@ -28,6 +29,12 @@
 // Decoding never trusts a number it read: every length and count is checked
 // against the bytes that remain before anything is allocated, and every
 // failure is a *Error, never a panic.
+//
+// Fingerprint names the registered layouts: two builds whose registries
+// agree on every tag, kind, field name and order have the same one.
+// AppendStamped puts it in front of a message kept beyond one process — a
+// log record — so that DecodeStamped in a build with other layouts refuses
+// the bytes instead of misreading them.
 package wire
 
 import (
@@ -35,7 +42,10 @@ import (
 	"cmp"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"maps"
 	"math"
 	"reflect"
@@ -87,7 +97,7 @@ func (e *Error) Unwrap() error { return e.Err }
 type node struct {
 	kind   reflect.Kind
 	typ    reflect.Type
-	elem   *node   // slice and map element
+	elem   *node   // slice, map and pointer element
 	key    *node   // map key
 	fields []field // struct
 	min    int     // fewest bytes one value of this type occupies on the wire
@@ -110,6 +120,8 @@ type plan struct {
 type registry struct {
 	byType map[reflect.Type]*plan
 	byTag  map[uint64]*plan
+	fpOnce sync.Once
+	fp     uint64 // Fingerprint of byTag, computed on first use
 }
 
 var (
@@ -130,9 +142,11 @@ func init() {
 // are the wire identity of a type: assign them once, never reuse one, only
 // append. Tag 0 is the nil message. Registering the same pair again is a
 // no-op; a tag or type bound differently, a non-struct, or a field the
-// format cannot carry (pointers, channels, functions, arrays, floats,
+// format cannot carry (channels, functions, arrays, floats,
 // non-empty interfaces, recursive types) panics — registration runs at
 // start-up, where a bad table is a bug to fix, not an input to survive.
+// A pointer field travels as its element behind a presence byte; a type
+// that reaches itself through pointers is recursive like any other.
 func Register(tag uint16, proto any) {
 	t := reflect.TypeOf(proto)
 	if tag == 0 || t == nil || t.Kind() != reflect.Struct {
@@ -154,6 +168,81 @@ func Register(tag uint16, proto any) {
 	reg.Store(next)
 }
 
+// Fingerprint identifies the registered layouts: a hash of the codec's rules
+// (encodings) and of every tag's plan — each node's Go kind, each struct's
+// exported field names in order, each container's element, key and pointee.
+// Two builds that would encode or decode any message differently have
+// different fingerprints (up to a 64-bit hash collision); renaming a type,
+// or reordering registrations, changes nothing. Bytes kept beyond one
+// process — a write-ahead log — carry it, so a build with other layouts
+// refuses them rather than misreading them.
+func Fingerprint() uint64 {
+	r := reg.Load()
+	r.fpOnce.Do(func() { r.fp = fingerprint(r.byTag) })
+	return r.fp
+}
+
+// ErrLayout is what DecodeStamped's *Error wraps when the bytes were
+// stamped by a registry with other layouts.
+var ErrLayout = errors.New("written under other layouts")
+
+// AppendStamped appends msg's encoding behind the 8-byte little-endian
+// Fingerprint of this build's layouts.
+func AppendStamped(dst []byte, msg any) ([]byte, error) {
+	return Append(binary.LittleEndian.AppendUint64(dst, Fingerprint()), msg)
+}
+
+// DecodeStamped decodes the whole of b, which AppendStamped wrote. Bytes
+// stamped with another fingerprint fail with a *Error wrapping ErrLayout,
+// bytes left after the message with a *Error as well.
+func DecodeStamped(b []byte) (any, error) {
+	if len(b) < 8 || binary.LittleEndian.Uint64(b) != Fingerprint() {
+		return nil, &Error{Reason: fmt.Sprintf("stamp %x, this build's layouts %x", b[:min(len(b), 8)], Fingerprint()), Err: ErrLayout}
+	}
+	msg, rest, err := Decode(b[8:])
+	if len(rest) > 0 {
+		return nil, &Error{Reason: fmt.Sprintf("%d bytes after the message", len(rest))}
+	}
+	return msg, err
+}
+
+// encodings names the byte-level rules of this file, for Fingerprint: a
+// change to one — which also bumps the TCP wire version — edits it.
+const encodings = "wire/1: bool byte; zig-zag varint; uvarint; length-prefixed strings and bytes; " +
+	"counted slices; key-sorted maps, empty as nil; presence-byte pointers; " +
+	"value kinds nil bool int int64 uint64 float64 string bytes gob"
+
+func fingerprint(byTag map[uint64]*plan) uint64 {
+	tags := make([]uint64, 0, len(byTag))
+	for tag := range byTag {
+		tags = append(tags, tag)
+	}
+	slices.Sort(tags)
+	h := fnv.New64a()
+	h.Write([]byte(encodings))
+	for _, tag := range tags {
+		fmt.Fprintf(h, "tag %d ", tag)
+		describe(h, byTag[tag].root)
+	}
+	return h.Sum64()
+}
+
+// describe writes n's layout, depth first.
+func describe(h hash.Hash64, n *node) {
+	fmt.Fprintf(h, "%v(", n.typ.Kind())
+	for _, f := range n.fields {
+		fmt.Fprintf(h, "%s:", n.typ.Field(f.index).Name)
+		describe(h, f.node)
+	}
+	if n.key != nil {
+		describe(h, n.key)
+	}
+	if n.elem != nil {
+		describe(h, n.elem)
+	}
+	h.Write([]byte{')'})
+}
+
 // compile builds the plan of t. path is the chain of types being compiled
 // around it: a type that contains itself has no finite plan.
 func compile(t reflect.Type, path []reflect.Type) *node {
@@ -172,6 +261,8 @@ func compile(t reflect.Type, path []reflect.Type) *node {
 		if t != anyType {
 			panic(fmt.Sprintf("wire: %v: only the empty interface can be carried", t))
 		}
+	case reflect.Pointer:
+		n.elem = compile(t.Elem(), path)
 	case reflect.Slice:
 		n.elem = compile(t.Elem(), path)
 		if n.elem.min == 0 {
@@ -263,6 +354,13 @@ func (e *encoder) encode(n *node, v reflect.Value) {
 		}
 	case reflect.Map:
 		e.encodeMap(n, v)
+	case reflect.Pointer:
+		if v.IsNil() {
+			e.buf = append(e.buf, 0)
+			return
+		}
+		e.buf = append(e.buf, 1)
+		e.encode(n.elem, v.Elem())
 	case reflect.Struct:
 		for _, f := range n.fields {
 			e.encode(f.node, v.Field(f.index))
@@ -495,6 +593,15 @@ func (d *decoder) decode(n *node, v reflect.Value) {
 		}
 	case reflect.Map:
 		d.decodeMap(n, v)
+	case reflect.Pointer:
+		switch c := d.byte(); {
+		case c == 1:
+			p := reflect.New(n.elem.typ)
+			d.decode(n.elem, p.Elem())
+			v.Set(p)
+		case c > 1:
+			d.fail(fmt.Sprintf("pointer presence byte %d", c))
+		}
 	case reflect.Struct:
 		for _, f := range n.fields {
 			d.decode(f.node, v.Field(f.index))

@@ -45,6 +45,13 @@ type everything struct {
 
 type empty struct{}
 
+// pointers carries the pointer kind: nil, set, and as map elements.
+type pointers struct {
+	P     *inner
+	N     *int
+	ByKey map[string]*inner
+}
+
 // blobVal has no native value kind: inside an `any` it rides as a gob blob.
 type blobVal struct {
 	A int32
@@ -55,13 +62,21 @@ const (
 	tagEverything = 1
 	tagInner      = 2
 	tagEmpty      = 3
+	tagPointers   = 4
 )
 
 func init() {
 	Register(tagEverything, everything{})
 	Register(tagInner, inner{})
 	Register(tagEmpty, empty{})
+	Register(tagPointers, pointers{})
 	gob.Register(blobVal{})
+}
+
+func withPointers() pointers {
+	n := -3
+	return pointers{P: &inner{ID: "p", Tags: []string{"t"}}, N: &n,
+		ByKey: map[string]*inner{"a": {ID: "a"}, "nil": nil, "b": {Sets: []set{{"dm0": true}}}}}
 }
 
 func full() everything {
@@ -94,7 +109,7 @@ func roundTrip(t *testing.T, msg any) any {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, msg := range []any{full(), everything{}, inner{ID: "i"}, empty{}, nil} {
+	for _, msg := range []any{full(), everything{}, inner{ID: "i"}, empty{}, nil, pointers{}, withPointers()} {
 		if got := roundTrip(t, msg); !reflect.DeepEqual(got, msg) {
 			t.Errorf("round trip changed the value:\n sent %#v\n got  %#v", msg, got)
 		}
@@ -154,7 +169,7 @@ func TestRegisterRefuses(t *testing.T) {
 		"nil":             func() { Register(90, nil) },
 		"tag taken":       func() { Register(tagInner, struct{ A int }{}) },
 		"type taken":      func() { Register(91, inner{}) },
-		"pointer field":   func() { Register(92, struct{ P *int }{}) },
+		"recursive ptr":   func() { Register(92, list{}) },
 		"float field":     func() { Register(93, struct{ F float64 }{}) },
 		"array field":     func() { Register(94, struct{ A [2]int }{}) },
 		"func field":      func() { Register(95, struct{ F func() }{}) },
@@ -181,6 +196,61 @@ func TestRegisterRefuses(t *testing.T) {
 }
 
 type viaMapInner struct{ C chan int }
+
+// list reaches itself through a pointer: no finite plan.
+type list struct{ Next *list }
+
+// TestPointerKind: a pointer is one presence byte, then its element; a nil
+// pointer is the single byte 0, and a decoded pointer owns a fresh element.
+func TestPointerKind(t *testing.T) {
+	b, err := Append(nil, pointers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{tagPointers, 0, 0, 0}; !bytes.Equal(b, want) {
+		t.Errorf("nil pointers encode as %x, want %x", b, want)
+	}
+	sent := withPointers()
+	got := roundTrip(t, sent).(pointers)
+	if got.P == sent.P || got.ByKey["a"] == sent.ByKey["a"] {
+		t.Error("a decoded pointer aliases the sender's element")
+	}
+	if _, ok := got.ByKey["nil"]; !ok || got.ByKey["nil"] != nil {
+		t.Errorf("a nil map element arrived as %#v", got.ByKey)
+	}
+	whole, err := Append(nil, sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 1; cut < len(whole); cut++ {
+		var we *Error
+		if _, _, err := Decode(whole[:cut]); !errors.As(err, &we) {
+			t.Fatalf("pointers cut at %d of %d: %v, want a *Error", cut, len(whole), err)
+		}
+	}
+	var we *Error
+	if _, _, err := Decode([]byte{tagPointers, 2, 0, 0}); !errors.As(err, &we) {
+		t.Errorf("presence byte 2: %v, want a *Error", err)
+	}
+}
+
+// TestFingerprintNamesTheLayouts: the fingerprint is a function of the
+// registered layouts — stable while they stand, moved by a registration.
+func TestFingerprintNamesTheLayouts(t *testing.T) {
+	before := Fingerprint()
+	if before == 0 || Fingerprint() != before {
+		t.Fatalf("fingerprint %x is not a stable identity", before)
+	}
+	Register(tagPointers, pointers{}) // the same pair again changes nothing
+	if Fingerprint() != before {
+		t.Fatal("re-registering a pair moved the fingerprint")
+	}
+	type widened struct{ A, B int }
+	Register(61001, widened{})
+	if Fingerprint() == before {
+		t.Fatal("a new registration left the fingerprint where it was")
+	}
+}
 
 // hostile builds an `everything` body by hand up to some field and lets the
 // caller finish it with something the field cannot be.
@@ -245,6 +315,10 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(b[:len(b)/2])
 	}
 	f.Add(hostile(8, binary.AppendUvarint(nil, 1<<31)...))
+	if b, err := Append(nil, withPointers()); err == nil {
+		f.Add(b)
+		f.Add(b[:len(b)-3])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, rest, err := Decode(data)
 		if err != nil {

@@ -24,8 +24,9 @@ type CorruptionError struct {
 	// applicable.
 	Offset int64
 	// Err is the underlying classification: ErrCorrupt, ErrTorn (torn
-	// frame in a non-final segment), or the I/O error that exposed the
-	// damage.
+	// frame in a non-final segment), the I/O error that exposed the
+	// damage, or — from a caller whose records the log stores opaquely —
+	// the failure to decode a snapshot or record that checked.
 	Err error
 }
 

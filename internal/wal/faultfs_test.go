@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 )
 
 // fillSegments appends enough records to spread the log over several
@@ -235,4 +238,48 @@ func TestFaultFSSeededReplay(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
+}
+
+// TestFaultFSSlowDisk: the slow-disk model. SetOpLatency delays one kind
+// of operation; after a Remove, a Truncate or a Rename that replaces a
+// file, the next sync — of any file, by path or by handle — stalls once;
+// a Rename onto a free name frees nothing.
+func TestFaultFSSlowDisk(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(8)
+	// Well above what the real disk under the test takes for any of these
+	// operations, a real unlink or the sync after one included.
+	const stall = 300 * time.Millisecond
+	ffs.StallSyncAfterFree(stall)
+	ffs.SetOpLatency(OpRename, stall)
+	path := func(name string) string { return filepath.Join(dir, name) }
+	f, err := ffs.OpenAppend(path("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte("x"))
+	timed := func(what string, op func() error, slow bool) {
+		t.Helper()
+		start := time.Now()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if took := time.Since(start); (took >= stall) != slow {
+			t.Fatalf("%s took %v; slow=%v expected", what, took, slow)
+		}
+	}
+	timed("sync before any free", f.Sync, false)
+	timed("rename onto a free name", func() error { return ffs.Rename(path("a"), path("b")) }, true)
+	timed("sync after it", f.Sync, false)
+	os.WriteFile(path("c"), []byte("c"), 0o644)
+	timed("rename over a file", func() error { return ffs.Rename(path("c"), path("b")) }, true)
+	timed("sync after the replacing rename", func() error { return ffs.SyncFile(path("b")) }, true)
+	timed("the sync after that", f.Sync, false)
+	os.WriteFile(path("d"), []byte("d"), 0o644)
+	timed("remove", func() error { return ffs.Remove(path("d")) }, false)
+	timed("sync after the remove", f.Sync, true)
+	if n := ffs.Frees(); n != 2 {
+		t.Fatalf("Frees = %d, want 2 (a replacing rename and a remove)", n)
+	}
+	f.Close()
 }

@@ -10,8 +10,11 @@ import (
 // campaign) can substitute a fault-injecting implementation — see FaultFS
 // — while production uses the operating system directly via OSFS. The
 // interface is deliberately path-based and minimal: the log's access
-// pattern is append-one-file-at-a-time plus whole-file reads at recovery,
-// and a smaller seam is a smaller surface to inject faults through.
+// pattern is write-one-file-at-a-time from its first byte plus whole-file
+// reads at recovery, and a smaller seam is a smaller surface to inject
+// faults through. Nothing the log does while serving frees disk blocks:
+// it never removes a file, truncates one only while recovering a torn
+// tail at Open, and renames only onto names that do not exist.
 type FS interface {
 	// MkdirAll creates dir and any missing parents.
 	MkdirAll(dir string, perm os.FileMode) error
@@ -19,16 +22,18 @@ type FS interface {
 	ReadDir(dir string) ([]os.DirEntry, error)
 	// ReadFile reads the whole file.
 	ReadFile(path string) ([]byte, error)
-	// WriteFile writes the whole file (snapshot temp files).
+	// WriteFile writes the whole file (fault injection at rest).
 	WriteFile(path string, data []byte, perm os.FileMode) error
-	// OpenAppend opens path for exclusive append-only creation — the open
-	// segment. The log owns the returned handle until Close.
+	// OpenAppend opens path for writing from its first byte, creating it
+	// if missing and never truncating it: a segment, fresh or reused, or a
+	// snapshot slot, each overwritten in place. The log owns the returned
+	// handle until Close.
 	OpenAppend(path string) (File, error)
 	// Truncate cuts path to size bytes (torn-tail recovery).
 	Truncate(path string, size int64) error
-	// Rename atomically moves a file (snapshot publication).
+	// Rename atomically moves a file (retiring a segment, reusing one).
 	Rename(oldpath, newpath string) error
-	// Remove deletes a file (compaction).
+	// Remove deletes a file. The log itself never does.
 	Remove(path string) error
 	// SyncFile fsyncs path by opening it read-write.
 	SyncFile(path string) error
@@ -37,7 +42,8 @@ type FS interface {
 	SyncDir(dir string)
 }
 
-// File is an open append-only segment handle.
+// File is an open handle on a segment or a snapshot slot; writes advance
+// from its first byte.
 type File interface {
 	io.Writer
 	// Sync flushes the file to stable storage.
@@ -58,7 +64,7 @@ func (osFS) WriteFile(path string, data []byte, perm os.FileMode) error {
 	return os.WriteFile(path, data, perm)
 }
 func (osFS) OpenAppend(path string) (File, error) {
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 }
 func (osFS) Truncate(path string, size int64) error { return os.Truncate(path, size) }
 func (osFS) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }

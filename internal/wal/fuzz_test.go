@@ -153,7 +153,7 @@ func FuzzSegment(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir2, segName(0)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir2, segName(1)), AppendFrame(nil, sentinel), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir2, segName(1)), appendFrame(nil, segSeed(1), sentinel), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l2, rec2, err := Open(dir2, WithFsync(false))
