@@ -484,7 +484,9 @@ type ResolutionProbeResp struct {
 // split brain; the explicit refusal lets callers count the replica as
 // responsive-but-useless — alive for failure detection, never granted,
 // never hedged — until a peer rebuild (cluster.RebuildReplica) readmits
-// it. Reason carries the corruption detail for diagnostics.
+// it. Reason carries the corruption detail for diagnostics. A healthy
+// durable replica gives the same refusal, without quarantining, to a
+// request its log cannot encode: it applies nothing it could not log.
 type QuarantinedResp struct {
 	DM     string
 	Reason string
