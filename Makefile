@@ -67,8 +67,8 @@ proc-smoke:
 # answers: no line of the package may hand the state machine a sender or
 # send from a served endpoint (notifyPeer(, setSender(, server.Notify), so a
 # replica that originates traffic cannot grow back unnoticed either.
-CLUSTER_MAX_OPTIONS = 24
-CLUSTER_MAX_LINES = 4783
+CLUSTER_MAX_OPTIONS = 23
+CLUSTER_MAX_LINES = 4330
 CLUSTER_MAX_SERVE_SITES = 1
 CLUSTER_MAX_CANLOCK_SITES = 1
 CLUSTER_MAX_REPLICA_SENDS = 0
@@ -115,10 +115,10 @@ replay:
 # Timings are not held here; they go through the ten-pair protocol.
 COUNTS_frames = tcp.frame_allocs.readreq=6.4 tcp.frame_allocs.readresp=5.3 \
 	tcp.frame_allocs.writereq1k=8.5 tcp.frame_allocs.committop=12.7
-COUNTS_tcp_read95 = process.allocs_per_txn=84 cluster.rpcs_per_txn=2.32 \
+COUNTS_tcp_read95 = process.allocs_per_txn=82 cluster.rpcs_per_txn=2.32 \
 	cluster.notifies_per_txn=0.01 cluster.messages_per_txn=2.32 \
-	tcp.wire_bytes_per_txn=195 $(COUNTS_frames)
-COUNTS_sim_nested_n5 = process.allocs_per_txn=317 cluster.rpcs_per_txn=13.1 \
+	tcp.wire_bytes_per_txn=192 $(COUNTS_frames)
+COUNTS_sim_nested_n5 = process.allocs_per_txn=314 cluster.rpcs_per_txn=13.1 \
 	cluster.notifies_per_txn=0.83 cluster.messages_per_txn=13.9 \
 	tcp.wire_bytes_per_txn=0 $(COUNTS_frames)
 COUNTS_tcp_durable_write = cluster.rpcs_per_txn=9.4 cluster.notifies_per_txn=0.05 \
@@ -153,10 +153,10 @@ counts:
 # the multi-process kill -9 recovery smoke (real qcstore server processes
 # over TCP), the overload smoke (the three-arm goodput gate — protections
 # under 2x load must stay within 20% of capacity while the ablated
-# cluster collapses), the stalehint gate: seeded campaigns that
-# partition exactly the replica the next hinted read trusts while newer
-# versions commit through the survivors, every history checked
-# serializable, the migrate gate: campaigns that kill the migration
+# cluster collapses), the stalecopy gate: seeded campaigns that
+# partition one replica while newer versions commit through the
+# survivors and then heal it, so later read quorums meet a superseded
+# copy, every history checked serializable, the migrate gate: campaigns that kill the migration
 # coordinator mid-cutover (abandoned migrations must resolve with zero
 # wedged items, zero violations), the shard scale-out gate (E16
 # smoke — 4 shards must deliver >= 2.5x 1-shard throughput under the
@@ -185,9 +185,9 @@ verify: build vet staticcheck budget counts test replay race
 	$(GO) build -o bin/qcstore ./cmd/qcstore
 	$(GO) run ./cmd/qchaos -proc -bin bin/qcstore
 	$(GO) run ./cmd/qchaos -overload
-	$(GO) run ./cmd/qchaos -seed 1 -campaigns 5 -faults stalehint
+	$(GO) run ./cmd/qchaos -seed 1 -campaigns 5 -faults stalecopy
 	$(GO) run ./cmd/qchaos -seed 1 -campaigns 5 -faults migrate
-	$(GO) run ./cmd/qchaos -seed 1 -campaigns 3 -faults stalehint,migrate
+	$(GO) run ./cmd/qchaos -seed 1 -campaigns 3 -faults stalecopy,migrate
 	$(GO) run ./cmd/qchaos -seed 1 -campaigns 5 -faults coordcrash -protocol 2pc
 	$(GO) run ./cmd/qchaos -seed 1 -campaigns 5 -faults coordcrash -protocol paxos
 	$(GO) run ./cmd/qchaos -seed 1 -campaigns 5 -faults diskfault -protocol 2pc

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"testing"
 	"time"
 
@@ -566,109 +565,6 @@ func BenchmarkE14_Goodput_Ablation2x(b *testing.B) {
 // not the page cache.
 func BenchmarkE12_WAL_NoFsync(b *testing.B) {
 	benchWAL(b, true, wal.WithFsync(false))
-}
-
-// E15: the read-dominant fast path. A 95/5 read/write mix over a
-// three-replica majority cluster with heterogeneous replica latencies (one
-// fast replica, two progressively slower ones — the regime where a quorum
-// read pays the second-slowest member while a hinted single-replica read
-// pays only its target). The two arms differ solely in WithReadLease;
-// compare msgs/read-txn and read-p99-us across them, with the hit ratio
-// and fallback rate qualifying how often the fast lane actually served.
-func benchE15(b *testing.B, lease bool) {
-	b.Helper()
-	const nItems = 4
-	net := sim.NewNetwork(sim.Config{MinLatency: 20 * time.Microsecond, MaxLatency: 200 * time.Microsecond, Seed: 1})
-	items := make([]cluster.ItemSpec, nItems)
-	for i := range items {
-		name := fmt.Sprintf("x%d", i)
-		dms := []string{name + "-dm0", name + "-dm1", name + "-dm2"}
-		// Latencies well above the sim scheduler's sleep granularity, so
-		// p99 reflects protocol round trips, not timer jitter: a quorum
-		// read cannot finish before the second-fastest replica answers,
-		// a hinted read needs only dm0.
-		net.SetNodeLatency(dms[1], 3*time.Millisecond, 4*time.Millisecond)
-		net.SetNodeLatency(dms[2], 6*time.Millisecond, 8*time.Millisecond)
-		items[i] = cluster.ItemSpec{Name: name, Initial: 0, DMs: dms, Config: quorum.Majority(dms)}
-	}
-	opts := []cluster.Option{cluster.WithCallTimeout(50 * time.Millisecond), cluster.WithSeed(1)}
-	if lease {
-		opts = append(opts, cluster.WithReadLease(time.Second))
-	}
-	store, err := cluster.Open(net, items, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		store.Close()
-		net.Close()
-	})
-	ctx := context.Background()
-	// Warm-up: one committed write per item (the commit is what first
-	// proves freshness at its write quorum) and one quorum read (whose
-	// hinted piggyback primes the client's target cache).
-	for i := 0; i < nItems; i++ {
-		item := fmt.Sprintf("x%d", i)
-		if err := store.Run(ctx, func(tx *cluster.Txn) error { return tx.Write(ctx, item, 0) }); err != nil {
-			b.Fatal(err)
-		}
-		if err := store.Run(ctx, func(tx *cluster.Txn) error { _, e := tx.Read(ctx, item); return e }); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(7))
-	var readMsgs int64
-	var reads, writes int
-	var latencies []float64
-	hintReads0 := store.Stats.HintReads.Value()
-	hintHits0 := store.Stats.HintHits.Value()
-	hintMisses0 := store.Stats.HintMisses.Value()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		item := fmt.Sprintf("x%d", rng.Intn(nItems))
-		if rng.Float64() < 0.05 {
-			if err := store.Run(ctx, func(tx *cluster.Txn) error { return tx.Write(ctx, item, i) }); err != nil {
-				b.Fatal(err)
-			}
-			writes++
-			continue
-		}
-		before := net.Stats().Sent
-		start := time.Now()
-		if err := store.Run(ctx, func(tx *cluster.Txn) error { _, e := tx.Read(ctx, item); return e }); err != nil {
-			b.Fatal(err)
-		}
-		latencies = append(latencies, float64(time.Since(start).Microseconds()))
-		readMsgs += net.Stats().Sent - before
-		reads++
-	}
-	b.StopTimer()
-	if reads == 0 {
-		return
-	}
-	b.ReportMetric(float64(readMsgs)/float64(reads), "msgs/read-txn")
-	sort.Float64s(latencies)
-	b.ReportMetric(latencies[len(latencies)*99/100], "read-p99-us")
-	hintReads := store.Stats.HintReads.Value() - hintReads0
-	hits := store.Stats.HintHits.Value() - hintHits0
-	misses := store.Stats.HintMisses.Value() - hintMisses0
-	b.ReportMetric(float64(hits)/float64(reads), "hint-hit-ratio")
-	b.ReportMetric(float64(misses)/float64(max64(hintReads, 1)), "fallback-rate")
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func BenchmarkE15_ReadMostly_HintOn(b *testing.B) {
-	benchE15(b, true)
-}
-
-func BenchmarkE15_ReadMostly_HintOff(b *testing.B) {
-	benchE15(b, false)
 }
 
 // E16: sharded scale-out. Each benchmark runs one arm of the shard-scale

@@ -43,7 +43,7 @@ func main() {
 		campaigns  = flag.Int("campaigns", 10, "number of campaigns (ignored when -duration is set)")
 		duration   = flag.Duration("duration", 0, "run campaigns until this much wall time has elapsed")
 		first      = flag.Int("first", 0, "index of the first campaign (for replaying one campaign of a larger run)")
-		faults     = flag.String("faults", "all", "comma-separated fault classes: crash,amnesia,partition,straggler,drop,dup,reorder,flap,clientcrash,overload,stalehint,migrate,coordcrash,diskfault")
+		faults     = flag.String("faults", "all", "comma-separated fault classes: crash,amnesia,partition,straggler,drop,dup,reorder,flap,clientcrash,overload,stalecopy,migrate,coordcrash,diskfault")
 		protocol   = flag.String("protocol", "2pc", "commit protocol: 2pc or paxos (paxos resolves coordinator crashes through acceptor recovery instead of lease-TTL presumption)")
 		items      = flag.Int("items", 2, "replicated items per campaign")
 		replicas   = flag.Int("replicas", 3, "replicas (DMs) per item")
@@ -116,10 +116,9 @@ func main() {
 				fmt.Printf("campaign %d migrations: clean=%d abandoned=%d redirects=%d\n",
 					i, res.Migrations, res.MigrationsAbandoned, res.WrongShardRedirects)
 			}
-			if res.StaleHints > 0 || res.HintReads > 0 {
-				fmt.Printf("campaign %d hints: stale=%d reads=%d hits=%d misses=%d fences=%d fencemisses=%d\n",
-					i, res.StaleHints, res.HintReads, res.HintHits, res.HintMisses,
-					res.HintFences, res.HintFenceMisses)
+			if res.StaleCopies > 0 {
+				fmt.Printf("campaign %d stalecopy: injected=%d written=%d\n",
+					i, res.StaleCopies, res.StaleCopyWrites)
 			}
 			if res.DiskFaults > 0 {
 				fmt.Printf("campaign %d disk: faults=%d quarantines=%d rebuilds=%d rebuilt_items=%d\n",
@@ -156,12 +155,8 @@ func main() {
 		agg.ReapsCommitted += res.ReapsCommitted
 		agg.ResolutionQueries += res.ResolutionQueries
 		agg.Wedged += res.Wedged
-		agg.StaleHints += res.StaleHints
-		agg.HintReads += res.HintReads
-		agg.HintHits += res.HintHits
-		agg.HintMisses += res.HintMisses
-		agg.HintFences += res.HintFences
-		agg.HintFenceMisses += res.HintFenceMisses
+		agg.StaleCopies += res.StaleCopies
+		agg.StaleCopyWrites += res.StaleCopyWrites
 		agg.Bursts += res.Bursts
 		agg.Shed += res.Shed
 		agg.ExpiredOnArrival += res.ExpiredOnArrival
@@ -185,13 +180,13 @@ func main() {
 		agg.Net.Duplicated += res.Net.Duplicated
 		agg.Net.Reordered += res.Net.Reordered
 	}
-	fmt.Printf("%d campaigns verified in %v: committed=%d failed=%d tolerated=%d ops=%d finalround=%d recoveries=%d replayed=%d | orphans=%d reaps=%d aborted / %d committed, queries=%d wedged=%d | bursts=%d shed=%d expired=%d | stalehints=%d hintreads=%d hinthits=%d fencemisses=%d | migrations=%d abandoned=%d redirects=%d | commit(%s) paxoscommits=%d coordcrashes=%d crashresolved=%d/%d, via acceptors=%d commit / %d abort | disk faults=%d quarantines=%d rebuilds=%d rebuilt_items=%d | net sent=%d delivered=%d dropped=%d dup=%d reordered=%d\n",
+	fmt.Printf("%d campaigns verified in %v: committed=%d failed=%d tolerated=%d ops=%d finalround=%d recoveries=%d replayed=%d | orphans=%d reaps=%d aborted / %d committed, queries=%d wedged=%d | bursts=%d shed=%d expired=%d | stalecopies=%d written=%d | migrations=%d abandoned=%d redirects=%d | commit(%s) paxoscommits=%d coordcrashes=%d crashresolved=%d/%d, via acceptors=%d commit / %d abort | disk faults=%d quarantines=%d rebuilds=%d rebuilt_items=%d | net sent=%d delivered=%d dropped=%d dup=%d reordered=%d\n",
 		ran, time.Since(start).Round(time.Millisecond),
 		agg.Committed, agg.Failed, agg.Tolerated, agg.Ops, agg.FinalRoundCommitted,
 		agg.Recoveries, agg.ReplayedRecords,
 		agg.Orphans, agg.ReapsAborted, agg.ReapsCommitted, agg.ResolutionQueries, agg.Wedged,
 		agg.Bursts, agg.Shed, agg.ExpiredOnArrival,
-		agg.StaleHints, agg.HintReads, agg.HintHits, agg.HintFenceMisses,
+		agg.StaleCopies, agg.StaleCopyWrites,
 		agg.Migrations, agg.MigrationsAbandoned, agg.WrongShardRedirects,
 		proto, agg.PaxosCommits, agg.CoordCrashes, agg.CoordCrashCommitted, agg.CoordCrashAborted,
 		agg.AcceptorResolvesCommitted, agg.AcceptorResolvesAborted,

@@ -68,19 +68,15 @@ const (
 	// a pure function of the burst shape. Selecting it runs every DM with
 	// bounded admission; the burst is instantaneous, so there is no heal.
 	FaultOverload Fault = "overload"
-	// FaultStalehint is the adversarial schedule against the freshness-hint
-	// fast lane: partition the client from exactly the replica its next
-	// hinted read would use — while that replica still holds a live hint —
-	// then commit a newer version through the survivors (whose fence cannot
-	// reach the hint holder), and heal only after the campaign clock has
-	// expired every pre-partition hint. Selecting it runs the store with
-	// WithReadLease on at a hint TTL of two lease TTLs: long enough that the
-	// injection finds a live cached target from the previous round, short
-	// enough that the round-boundary clock advances provably expire it
-	// before the earliest heal. The serializability checker then gates the
-	// whole discipline: a hinted read served from the superseded version
-	// anywhere in the campaign is a violation.
-	FaultStalehint Fault = "stalehint"
+	// FaultStalecopy leaves one replica holding a superseded version: it
+	// partitions the client from one replica of a random group, commits a
+	// newer version of the group's item through the survivors, and heals the
+	// partition when the episode ends. The healed replica still holds the
+	// old version, so every later read quorum that includes it must still
+	// return the newer one — the intersection of read and write quorums the
+	// paper's Lemma 8 rests on. The serializability checker gates it: a read
+	// served from the superseded copy is a violation.
+	FaultStalecopy Fault = "stalecopy"
 	// FaultMigrate live-migrates one item to a different replica group at a
 	// round boundary — and, half the time, kills the migration coordinator at
 	// its nastiest moments: after every intention is buffered but before any
@@ -125,10 +121,11 @@ const (
 )
 
 // AllFaults lists every fault class in canonical order. Newer classes
-// (stalehint, then migrate, then coordcrash, then diskfault) come last so
-// enabling them never perturbs the draw order — and with it the schedule —
-// of seeded campaigns that predate them.
-var AllFaults = []Fault{FaultCrash, FaultAmnesia, FaultPartition, FaultStraggler, FaultDrop, FaultDup, FaultReorder, FaultFlap, FaultClientCrash, FaultOverload, FaultStalehint, FaultMigrate, FaultCoordCrash, FaultDiskfault}
+// (migrate, then coordcrash, then diskfault) come last so enabling them
+// never perturbs the draw order — and with it the schedule — of seeded
+// campaigns that predate them. Stalecopy holds the slot of the class it
+// replaced, so campaigns that do not select it draw as they did.
+var AllFaults = []Fault{FaultCrash, FaultAmnesia, FaultPartition, FaultStraggler, FaultDrop, FaultDup, FaultReorder, FaultFlap, FaultClientCrash, FaultOverload, FaultStalecopy, FaultMigrate, FaultCoordCrash, FaultDiskfault}
 
 // overloadAdmitCap is the per-DM admission queue capacity campaigns use
 // when FaultOverload is selected: small enough that a burst always sheds,
@@ -284,19 +281,12 @@ type Result struct {
 	Bursts           int
 	Shed             int64
 	ExpiredOnArrival int64
-	// StaleHints counts stalehint injections: a live fast-lane target
-	// partitioned away with its hint outstanding while a newer version
-	// committed through the survivors. HintReads/HintHits/HintMisses are
-	// the store's fast-lane counters across the campaign, and
-	// HintFences/HintFenceMisses the write-path fence rounds and the
-	// unreachable replicas they could only outwait. All zero when
-	// FaultStalehint is not in play.
-	StaleHints      int
-	HintReads       int64
-	HintHits        int64
-	HintMisses      int64
-	HintFences      int64
-	HintFenceMisses int64
+	// StaleCopies counts stalecopy injections: a replica partitioned away
+	// while a newer version was written through the survivors;
+	// StaleCopyWrites the ones whose write committed. Both zero when
+	// FaultStalecopy is not in play.
+	StaleCopies     int
+	StaleCopyWrites int
 	// Migrations counts live migrations the scheduler completed cleanly;
 	// MigrationsAbandoned the ones whose coordinator it killed (before
 	// commit or mid-broadcast — both left for whoever they block to resolve).
@@ -383,16 +373,13 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		cluster.WithHistory(rec),
 		cluster.WithCommitProtocol(cfg.Protocol),
 	}
-	amnesiaOn, overloadOn, staleOn, migrateOn, diskOn := false, false, false, false, false
+	amnesiaOn, overloadOn, migrateOn, diskOn := false, false, false, false
 	for _, f := range cfg.Faults {
 		if f == FaultAmnesia {
 			amnesiaOn = true
 		}
 		if f == FaultOverload {
 			overloadOn = true
-		}
-		if f == FaultStalehint {
-			staleOn = true
 		}
 		if f == FaultMigrate {
 			migrateOn = true
@@ -420,14 +407,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			}
 		}
 		opts = append(opts, cluster.WithRing(ring))
-	}
-	if staleOn {
-		// Stalehint needs something to poison: the freshness-hint fast lane.
-		// The hint TTL is two lease TTLs — the injection needs a target cached
-		// in the previous round to still be live (one boundary advance old),
-		// and the earliest heal is three boundary advances after any
-		// pre-partition hint was stamped, so expiry strictly precedes it.
-		opts = append(opts, cluster.WithReadLease(2*cluster.LeaseTTL))
 	}
 	if overloadOn {
 		// Overload needs something to overload: run every DM behind a
@@ -614,12 +593,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	res.Recoveries = int(store.Stats.Recoveries.Value())
 	res.ReplayedRecords = store.Stats.ReplayedRecords.Value()
 	res.Orphans = sched.orphans
-	res.StaleHints = sched.stales
-	res.HintReads = store.Stats.HintReads.Value()
-	res.HintHits = store.Stats.HintHits.Value()
-	res.HintMisses = store.Stats.HintMisses.Value()
-	res.HintFences = store.Stats.HintFences.Value()
-	res.HintFenceMisses = store.Stats.HintFenceMisses.Value()
+	res.StaleCopies, res.StaleCopyWrites = sched.stales, sched.staleWrites
 	res.Bursts = sched.bursts
 	res.Shed = sched.shed
 	res.ExpiredOnArrival = sched.expired
@@ -696,11 +670,13 @@ type scheduler struct {
 	enabled map[Fault]bool
 	active  []episode
 	orphans int   // transactions orphaned by clientcrash faults
-	stales  int   // stalehint injections (hint holder partitioned, newer VN committed)
+	stales  int   // stalecopy injections (one replica partitioned, newer VN written)
 	bursts  int   // overload bursts fired
 	shed    int64 // requests shed at admission across all bursts
 	expired int64 // admitted requests expired at dequeue across all bursts
 	err     error // first amnesia-recovery failure; fails the campaign
+
+	staleWrites int // stalecopy writes that committed through the survivors
 
 	// migrate fault bookkeeping: home[i] is the group index item x<i> is
 	// believed to live on (updated only on clean cutover — a killed
@@ -900,7 +876,7 @@ func (s *scheduler) advance(round int, injected map[Fault]int) {
 		}
 		ttl := round + 1 + s.rng.Intn(2)
 		switch f {
-		case FaultCrash, FaultAmnesia, FaultPartition, FaultStraggler, FaultFlap:
+		case FaultCrash, FaultAmnesia, FaultPartition, FaultStraggler, FaultFlap, FaultStalecopy:
 			g := s.rng.Intn(len(s.groups))
 			if s.impaired(g) >= s.impairBudget() {
 				continue
@@ -916,7 +892,7 @@ func (s *scheduler) advance(round int, injected map[Fault]int) {
 				s.net.Crash(dm)
 			case FaultFlap:
 				s.net.Crash(dm)
-			case FaultPartition:
+			case FaultPartition, FaultStalecopy:
 				s.net.Disconnect(s.client, dm)
 			case FaultStraggler:
 				// Kept far below the call timeout so a straggler's reply —
@@ -926,6 +902,9 @@ func (s *scheduler) advance(round int, injected map[Fault]int) {
 				s.net.SetNodeLatency(dm, d, d)
 			}
 			s.active = append(s.active, episode{fault: f, dm: dm, group: g, until: ttl, down: f == FaultFlap})
+			if f == FaultStalecopy && !s.writePast(g) {
+				return
+			}
 		case FaultDrop:
 			if s.faultActive(f) {
 				continue
@@ -973,36 +952,6 @@ func (s *scheduler) advance(round int, injected map[Fault]int) {
 			s.bursts++
 			s.shed += int64(rep.Shed)
 			s.expired += int64(rep.Expired)
-		case FaultStalehint:
-			// The adversarial hint schedule: partition exactly the replica the
-			// client's next hinted read would use — while both sides still
-			// believe the hint — then commit a newer version through the
-			// survivors. The writer's fence cannot reach the partitioned
-			// holder and (manual clock) proceeds counting the miss; safety
-			// rests entirely on the round-boundary TTL advances expiring the
-			// orphaned hint before the heal, which is exactly what the
-			// checker gates.
-			g := s.rng.Intn(len(s.groups))
-			item := fmt.Sprintf("x%d", g)
-			dm, ok := s.store.HintTarget(item)
-			if !ok {
-				continue // no live cached target this boundary; the roll is spent
-			}
-			if s.impaired(g) >= s.impairBudget() || s.nodeFaulted(dm) {
-				continue
-			}
-			s.net.Disconnect(s.client, dm)
-			s.active = append(s.active, episode{fault: f, dm: dm, group: g, until: ttl})
-			s.stales++
-			val := fmt.Sprintf("stalehint-%d", s.stales)
-			if werr := s.store.Run(context.Background(), func(t *cluster.Txn) error {
-				return t.Write(context.Background(), item, val)
-			}); werr != nil && !expectedUnderFaults(werr) {
-				if s.err == nil {
-					s.err = fmt.Errorf("chaos: stalehint write through survivors: %w", werr)
-				}
-				return
-			}
 		case FaultMigrate:
 			if len(s.groups) < 2 {
 				continue
@@ -1217,6 +1166,26 @@ func (s *scheduler) healDisk(e episode) bool {
 	return true
 }
 
+// writePast moves group g's item past the replica a stalecopy episode cut
+// off: the write's quorum is the survivors, and the healed replica rejoins
+// holding the superseded version for later read quorums to outvote. False
+// when the write failed in a way the campaign's faults do not explain.
+func (s *scheduler) writePast(g int) bool {
+	s.stales++
+	item, val := fmt.Sprintf("x%d", g), fmt.Sprintf("stalecopy-%d", s.stales)
+	err := s.store.Run(context.Background(), func(t *cluster.Txn) error {
+		return t.Write(context.Background(), item, val)
+	})
+	switch {
+	case err == nil:
+		s.staleWrites++
+	case !expectedUnderFaults(err):
+		s.fail(fmt.Errorf("chaos: stalecopy write through survivors: %w", err))
+		return false
+	}
+	return true
+}
+
 func (s *scheduler) fail(err error) {
 	if s.err == nil {
 		s.err = err
@@ -1260,7 +1229,7 @@ func (s *scheduler) heal(e episode) {
 			return
 		}
 		s.net.Restart(e.dm)
-	case FaultPartition, FaultStalehint:
+	case FaultPartition, FaultStalecopy:
 		s.net.Reconnect(s.client, e.dm)
 	case FaultStraggler:
 		s.net.SetNodeLatency(e.dm, 0, 0)

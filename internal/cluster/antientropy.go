@@ -78,29 +78,6 @@ func (s *Store) SweepOnce(ctx context.Context) (int, error) {
 		if maxGen > 0 {
 			s.observeConfig(it.Name, maxGen, bestCfg)
 		}
-		// Freshness-hint grant (WithReadLease): only when EVERY replica of
-		// the item responded and they are unanimous — same committed
-		// (vn, gen), zero locks, zero intentions — is the observed maximum
-		// provably the cluster maximum (a write in flight anywhere would
-		// show as a lock or intention at its write quorum). Respondent-only
-		// maxima are NOT enough: an unreachable replica may hold a newer
-		// commit, which is exactly why sweep repairs never grant.
-		if s.opts.readLeaseTTL > 0 && len(got) == len(it.DMs) {
-			unanimous := true
-			for _, g := range got {
-				if g.resp.VN != maxVN || g.resp.Gen != maxGen || g.resp.Locks != 0 || g.resp.Intents != 0 {
-					unanimous = false
-					break
-				}
-			}
-			if unanimous {
-				for _, g := range got {
-					s.client.Notify(g.dm, HintGrantReq{Item: it.Name, VN: maxVN, Gen: maxGen})
-				}
-				s.Stats.HintGrants.Inc()
-				s.noteHintTarget(it.Name, got[0].dm, maxGen)
-			}
-		}
 	}
 	return repairs, nil
 }

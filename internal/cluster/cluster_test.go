@@ -459,3 +459,69 @@ func TestLogicalOpsBookkeptOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestConcurrentSiblingsStayIsolated: two subtransactions of one top-level
+// transaction run at once, and each reads x for update and then writes it.
+// Moss's rule keeps the second off x until the first commits, so in the
+// committed history — child operations are recorded in the order the
+// children committed — the first child read the initial value and the
+// second read the first one's write, version number included. (A plain Read
+// would have both children hold read locks and then wait on each other's
+// for their writes.)
+func TestConcurrentSiblingsStayIsolated(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 20; seed++ {
+		dms := []string{"dm0", "dm1", "dm2"}
+		net := sim.NewNetwork(fastNet(seed))
+		rec := checker.NewRecorder()
+		rec.DeclareItem("x", "init")
+		store, err := Open(net, []ItemSpec{{Name: "x", Initial: "init", DMs: dms, Config: quorum.Majority(dms)}},
+			WithSeed(seed), WithCallTimeout(time.Second), WithRetryBackoff(time.Millisecond), WithHistory(rec))
+		if err != nil {
+			net.Close()
+			t.Fatal(err)
+		}
+		err = store.Run(ctx, func(tx *Txn) error {
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = tx.Sub(ctx, func(sub *Txn) error {
+						if _, err := sub.ReadForUpdate(ctx, "x"); err != nil {
+							return err
+						}
+						return sub.Write(ctx, "x", fmt.Sprintf("sibling%d", i))
+					})
+				}(i)
+			}
+			wg.Wait()
+			return errors.Join(errs...)
+		})
+		store.Close()
+		net.Close()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		hist := rec.History()
+		if err := hist.Verify(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(hist.Txns) != 1 || len(hist.Txns[0].Ops) != 4 {
+			t.Fatalf("seed %d: history %+v, want one transaction of four operations", seed, hist.Txns)
+		}
+		ops := hist.Txns[0].Ops
+		first, second := ops[1], ops[3]
+		switch {
+		case ops[0].Kind != checker.OpRead || ops[0].Value != "init" || ops[0].VN != 0:
+			t.Errorf("seed %d: the first child read %+v, want the initial value", seed, ops[0])
+		case first.Kind != checker.OpWrite || second.Kind != checker.OpWrite || first.Value == second.Value:
+			t.Errorf("seed %d: writes %+v and %+v, want one by each child", seed, first, second)
+		case ops[2].Kind != checker.OpRead || ops[2].Value != first.Value || ops[2].VN != first.VN:
+			t.Errorf("seed %d: the second child read %+v, want the first child's write %+v", seed, ops[2], first)
+		case second.VN != first.VN+1:
+			t.Errorf("seed %d: the second write installed vn %d, want %d", seed, second.VN, first.VN+1)
+		}
+	}
+}

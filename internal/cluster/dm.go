@@ -132,14 +132,6 @@ type dmServer struct {
 	clock  transport.Clock
 	stats  *Stats // shared with the owning Store; nil for standalone DMs
 	leases map[TxnID]time.Time
-
-	// Freshness-hint machinery (soft state like leases: never snapshotted,
-	// never replayed — hintTTL is configured only after recovery replay, so
-	// a rebuilt replica holds no hints until a commit or the sweeper
-	// re-proves its freshness). Zero hintTTL disables the fast lane.
-	hintTTL    time.Duration
-	hints      map[string]itemHint
-	hintFences map[string]hintFence
 }
 
 // emptyState is the hard state of a DM that hosts nothing, every table
@@ -158,12 +150,10 @@ func (st dmState) allocated() dmState {
 // each at its initial value and configuration.
 func newDMState(id string, items []ItemSpec) *dmServer {
 	s := &dmServer{
-		id:         id,
-		dmState:    emptyState(),
-		clock:      transport.Wall,
-		leases:     map[TxnID]time.Time{},
-		hints:      map[string]itemHint{},
-		hintFences: map[string]hintFence{},
+		id:      id,
+		dmState: emptyState(),
+		clock:   transport.Wall,
+		leases:  map[TxnID]time.Time{},
 	}
 	for _, it := range items {
 		s.Replicas[it.Name] = &replica{Val: it.Initial, Cfg: it.Config.Clone()}
@@ -173,17 +163,15 @@ func newDMState(id string, items []ItemSpec) *dmServer {
 
 // configure arms the state machine for service from the host's settings:
 // the clock its lock leases expire against, the resolved-record
-// retention cap, the freshness-hint fast lane, and the initial placement-
-// ring view (a deep copy). It runs after recovery replay and before the
-// endpoint exists, so replay sees none of it: replayed resolutions are
-// never compacted (the replayed state can only carry MORE information than
-// the pre-crash one, which is safe), a recovered replica holds no hints
-// until it re-proves freshness, and the ring a rebuilt replica gossips is
-// the one from its serve flags — ring state is never logged at all.
+// retention cap, and the initial placement-ring view (a deep copy). It runs
+// after recovery replay and before the endpoint exists, so replay sees none
+// of it: replayed resolutions are never compacted (the replayed state can
+// only carry MORE information than the pre-crash one, which is safe), and
+// the ring a rebuilt replica gossips is the one from its serve flags — ring
+// state is never logged at all.
 func (s *dmServer) configure(st settings, stats *Stats) {
 	s.clock, s.stats = st.clock, stats
 	s.resolvedCap = defaultResolvedRetention
-	s.hintTTL = st.readLeaseTTL
 	if st.ring != nil {
 		s.ring = st.ring.Clone()
 	}
@@ -218,10 +206,10 @@ func (s *dmServer) reindex() {
 }
 
 // eachTouched calls fn on every hosted replica t's tree has touched.
-func (s *dmServer) eachTouched(t TxnID, fn func(item string, r *replica)) {
+func (s *dmServer) eachTouched(t TxnID, fn func(r *replica)) {
 	for item := range s.touched[t.Top()] {
 		if r := s.Replicas[item]; r != nil {
-			fn(item, r)
+			fn(r)
 		}
 	}
 }
@@ -229,7 +217,7 @@ func (s *dmServer) eachTouched(t TxnID, fn func(item string, r *replica)) {
 // holdsTxn reports whether top's tree still owns a lock or an intention at
 // any hosted replica (a touched replica may have shed them since).
 func (s *dmServer) holdsTxn(top TxnID) (holds bool) {
-	s.eachTouched(top, func(_ string, r *replica) {
+	s.eachTouched(top, func(r *replica) {
 		for holder := range r.Locks {
 			holds = holds || holder.Top() == top
 		}
@@ -251,16 +239,8 @@ func (s *dmServer) holdsTxn(top TxnID) (holds bool) {
 // subtransactions subs, into the committed state of every replica it
 // touched and releases its locks; an abort drops the whole subtree —
 // every descendant holds its state under its own id, within drop's ancestor
-// sweep. The commit doubles as a freshness proof ONLY for replicas whose
-// post-apply version is the transaction's final one for the item (final is
-// nil when the sender cannot know it: no hints then; and a replica the
-// transaction never touched cannot hold a version only it wrote, so
-// visiting the touched ones misses no grant). Merely having advanced is not
-// enough: a transaction that wrote the item twice through different write
-// quorums leaves its earlier version at replicas the later quorum never
-// touched — they advance, but to a version that is already superseded
-// cluster-wide.
-func (s *dmServer) resolve(top TxnID, commit bool, subs []TxnID, final map[string]int) (Ack, bool) {
+// sweep.
+func (s *dmServer) resolve(top TxnID, commit bool, subs []TxnID) (Ack, bool) {
 	if res := s.Resolved[top]; res != nil {
 		return Ack{OK: res.Committed == commit}, false
 	}
@@ -272,15 +252,12 @@ func (s *dmServer) resolve(top TxnID, commit bool, subs []TxnID, final map[strin
 	for _, sub := range subs {
 		committed[sub] = true
 	}
-	s.eachTouched(top, func(item string, r *replica) {
+	s.eachTouched(top, func(r *replica) {
 		if !commit {
 			r.drop(top)
 			return
 		}
 		r.applyTop(top, committed)
-		if fin, ok := final[item]; ok && r.VN == fin {
-			s.grantHint(item, r, top)
-		}
 	})
 	delete(s.touched, top)
 	delete(s.Aborted, top)
@@ -298,7 +275,7 @@ func (s *dmServer) abortSub(t TxnID) (Ack, bool) {
 	if !slices.Contains(s.Aborted[top], t) {
 		s.Aborted[top] = append(s.Aborted[top], t)
 	}
-	s.eachTouched(t, func(_ string, r *replica) { r.drop(t) })
+	s.eachTouched(t, func(r *replica) { r.drop(t) })
 	return Ack{OK: true}, true
 }
 
@@ -338,16 +315,12 @@ func (s *dmServer) acquire(t TxnID, inherit []TxnID, item string, m LockMode, se
 
 // write is the write arm of acquire: a write lock, then the intention,
 // unless the transaction already buffered this exact logical write (hedged
-// duplicate requests install a single intention). The lock revokes the
-// freshness hint here and stamps the fence: the write-quorum members' fence
-// rides the grant itself, only the remaining replicas need an explicit
-// HintFenceReq.
+// duplicate requests install a single intention).
 func (s *dmServer) write(item string, seq int, inherit []TxnID, in intent) (any, bool) {
 	r, held, refusal := s.acquire(in.Owner, inherit, item, LockWrite, seq, func(busy bool, orphans []TxnID) any { return WriteResp{Busy: busy, Orphans: orphans} })
 	if r == nil {
 		return refusal, false
 	}
-	s.fenceHintLocal(item, in.Owner)
 	same := func(have intent) bool {
 		return have.Owner == in.Owner && have.IsConfig == in.IsConfig && have.VN == in.VN && have.Gen == in.Gen
 	}
@@ -431,9 +404,8 @@ func grow[M ~map[K]V, K comparable, V any](m M) M {
 }
 
 // writerInFlight reports whether any transaction holds a write lock or a
-// buffered intention here — state a repair must not overwrite and a
-// freshness hint must not vouch for. Read locks are compatible with both:
-// they cannot change the value.
+// buffered intention here — state a repair must not overwrite. Read locks
+// are compatible with it: they cannot change the value.
 func (r *replica) writerInFlight() bool {
 	for _, l := range r.Locks {
 		if l.Mode == LockWrite {
@@ -553,9 +525,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		// A granted read mutates the lock table: the grant is a promise
 		// two-phase locking depends on, so a restarted replica must still
 		// remember it. A lockless read promised nothing and is not logged.
-		// Hinted is response-only soft state (a replay's discarded responses
-		// may differ in it; the hard state never does).
-		return ReadResp{OK: true, Held: held, VN: vn, Val: val, Gen: gen, Cfg: cfg, Hinted: s.hintMiss(q.Item, r) == ""}, q.Lock != lockNone
+		return ReadResp{OK: true, Held: held, VN: vn, Val: val, Gen: gen, Cfg: cfg}, q.Lock != lockNone
 	case WriteReq:
 		return s.write(q.Item, q.Seq, q.Inherit, intent{Owner: q.Txn, VN: q.VN, Val: q.Val})
 	case ConfigWriteReq:
@@ -611,17 +581,17 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		}, false
 	case AbortReq:
 		if q.Txn.Top() == q.Txn {
-			return s.resolve(q.Txn, false, nil, nil)
+			return s.resolve(q.Txn, false, nil)
 		}
 		return s.abortSub(q.Txn)
 	case CommitTopReq:
 		// A transaction a resolver already presumed aborted must not
 		// commit late — under the lease fence the client never reaches this
 		// point, but resolve's refused ack keeps even a fence bypass from
-		// silently diverging.
-		return s.resolve(q.Txn, true, q.Subs, q.Final)
+		// silently diverging. Final is ignored (CommitTopReq).
+		return s.resolve(q.Txn, true, q.Subs)
 	case DecisionReq:
-		return s.resolve(q.Txn.Top(), q.Commit, q.Subs, q.Final)
+		return s.resolve(q.Txn.Top(), q.Commit, q.Subs)
 	case AdoptItemReq:
 		if _, hosts := s.Replicas[q.Item]; hosts {
 			// Idempotent: a retried adopt round must not regress a replica
@@ -655,7 +625,6 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 			DM: s.id, Item: q.Item, Epoch: q.Epoch, Group: q.Group,
 			DMs: slices.Clone(q.DMs), Gen: q.Gen, Cfg: q.Cfg.Clone(),
 		}
-		delete(s.hints, q.Item)
 		return Ack{OK: true}, true
 	case PaxosAcceptReq:
 		// Phase 2a: accept the proposed outcome unless a higher ballot was
@@ -668,7 +637,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		}
 		acc := s.acceptor(q.Txn, q.Cohort)
 		ok, mutated := acc.Accept(q.Ballot, commit.Decision{
-			Commit: q.Commit, Subs: txnsToStrings(q.Subs), Final: q.Final,
+			Commit: q.Commit, Subs: txnsToStrings(q.Subs),
 		})
 		if ok {
 			s.Acceptors[q.Txn] = acc
@@ -688,7 +657,7 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		}
 		return PaxosPrepareResp{
 			OK: ok, Promised: acc.Promised, AccBal: acc.AccBal, AccCommit: acc.AccVal.Commit,
-			AccSubs: stringsToTxns(acc.AccVal.Subs), AccFinal: acc.AccVal.Final,
+			AccSubs: stringsToTxns(acc.AccVal.Subs),
 		}, mutated
 	default:
 		return Ack{OK: false}, false

@@ -491,8 +491,7 @@ func TestLateCopyOfAbortedSubIsRefused(t *testing.T) {
 // TestReadRespCarriesCfgOnlyWhenNews: Section 4's reader needs c only to move
 // to a newer g, so a read reply carries the configuration exactly when the
 // generation visible to the transaction is above the one its request names —
-// whether that generation is committed or still an ancestor's intention, and
-// whether the request came as a ReadReq or through the hinted fast lane.
+// whether that generation is committed or still an ancestor's intention.
 func TestReadRespCarriesCfgOnlyWhenNews(t *testing.T) {
 	next := quorum.ReadOneWriteAll([]string{"a", "b", "c"})
 	committed := func(s *dmServer) { s.Replicas["x"].Gen, s.Replicas["x"].Cfg = 1, next }
@@ -500,11 +499,6 @@ func TestReadRespCarriesCfgOnlyWhenNews(t *testing.T) {
 		if w := serve(s, ConfigWriteReq{Txn: "c1.t1", Item: "x", Gen: 1, Cfg: next, Seq: 1}).(WriteResp); !w.OK {
 			t.Fatalf("config write refused: %+v", w)
 		}
-	}
-	hinted := func(s *dmServer) {
-		committed(s)
-		s.hintTTL = time.Minute
-		s.hints["x"] = itemHint{gen: 1, expiry: s.clock.Now().Add(time.Minute)}
 	}
 	cases := []struct {
 		name    string
@@ -519,7 +513,6 @@ func TestReadRespCarriesCfgOnlyWhenNews(t *testing.T) {
 		{"reader stale by one generation", committed, ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockRead, Seq: 2}, 1, next},
 		{"reader stale, new config an ancestor's intention", intended, ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockWrite, Seq: 2}, 1, next},
 		{"owner of the intention already holds it", intended, ReadReq{Txn: "c1.t1/0", Item: "x", Lock: LockWrite, Seq: 2, Gen: 1}, 1, quorum.Config{}},
-		{"hinted read at the matching generation", hinted, HintReadReq{Txn: "c1.t1/0", Item: "x", Seq: 2, Gen: 1}, 1, quorum.Config{}},
 	}
 	for _, c := range cases {
 		s := bareDM()
@@ -544,13 +537,12 @@ func leasedDM() (*dmServer, *transport.ManualClock) {
 }
 
 // TestRefusalNamesExpiredLeaseHolders: a replica does nothing about an
-// orphan but name it. Every refusal over its locks — a read's, a write's, a
-// fence's — carries exactly the top-level ids of other trees whose lease
-// lapsed, an inspection carries them with nobody exempt, and naming changes
-// nothing at the replica.
+// orphan but name it. Every refusal over its locks — a read's, a write's —
+// carries exactly the top-level ids of other trees whose lease lapsed, an
+// inspection carries them with nobody exempt, and naming changes nothing at
+// the replica.
 func TestRefusalNamesExpiredLeaseHolders(t *testing.T) {
 	s, clk := leasedDM()
-	s.hintTTL = time.Minute
 	for _, holder := range []TxnID{"c1.t1/1", "c2.t9", "c1.t3/2"} {
 		if resp := serve(s, ReadReq{Txn: holder, Item: "x", Lock: LockRead, Seq: 1}).(ReadResp); !resp.OK {
 			t.Fatalf("read lock for %s refused: %+v", holder, resp)
@@ -562,11 +554,10 @@ func TestRefusalNamesExpiredLeaseHolders(t *testing.T) {
 	refusals := func() map[string][]TxnID {
 		w := serve(s, write).(WriteResp)
 		r := serve(s, ReadReq{Txn: "c1.t3", Item: "x", Lock: LockWrite, Seq: 3}).(ReadResp)
-		f := serve(s, HintFenceReq{Txn: "c1.t3", Item: "x"}).(WriteResp)
-		if !w.Busy || !r.Busy || !f.Busy {
-			t.Fatalf("want three Busy refusals, got %+v %+v %+v", w, r, f)
+		if !w.Busy || !r.Busy {
+			t.Fatalf("want two Busy refusals, got %+v %+v", w, r)
 		}
-		return map[string][]TxnID{"write": w.Orphans, "read": r.Orphans, "fence": f.Orphans}
+		return map[string][]TxnID{"write": w.Orphans, "read": r.Orphans}
 	}
 	for kind, got := range refusals() {
 		if got != nil {
@@ -727,9 +718,9 @@ func TestAcceptorAnswersAtTheReplica(t *testing.T) {
 	const txn = TxnID("c1.t1")
 	cohort := []string{"d"}
 	serve(s, WriteReq{Txn: txn + "/0", Item: "x", VN: 1, Val: "v", Seq: 1})
-	serve(s, PaxosAcceptReq{Txn: txn, Ballot: 0, Commit: true, Subs: []TxnID{txn + "/0"}, Final: map[string]int{"x": 1}, Cohort: cohort})
+	serve(s, PaxosAcceptReq{Txn: txn, Ballot: 0, Commit: true, Subs: []TxnID{txn + "/0"}, Cohort: cohort})
 	prep := PaxosPrepareReq{Txn: txn, Ballot: 2, Cohort: cohort, Proposer: "c2"}
-	want := PaxosPrepareResp{OK: true, Promised: 2, AccBal: 0, AccCommit: true, AccSubs: []TxnID{txn + "/0"}, AccFinal: map[string]int{"x": 1}}
+	want := PaxosPrepareResp{OK: true, Promised: 2, AccBal: 0, AccCommit: true, AccSubs: []TxnID{txn + "/0"}}
 	if resp, mutated := s.apply(prep); !reflect.DeepEqual(resp, want) || !mutated {
 		t.Fatalf("first prepare: (%#v, logged %v), want %#v logged", resp, mutated, want)
 	}

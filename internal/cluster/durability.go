@@ -26,11 +26,9 @@ import (
 // refused (wire.ErrLayout), never misread.
 
 // encodeSnapshot serializes the DM's complete hard state: its dmState, with
-// no mirror types between them. Leases, freshness hints and the touched
-// index are soft or derived state and deliberately absent: recovery
-// re-stamps fresh leases (which only delays orphan resolution), rebuilds an
-// empty hint table (a recovered replica serves no hinted reads until a
-// commit or the sweeper re-proves its freshness) and re-derives the index.
+// no mirror types between them. Leases and the touched index are soft or
+// derived state and deliberately absent: recovery re-stamps fresh leases
+// (which only delays orphan resolution) and re-derives the index.
 func encodeSnapshot(s *dmServer) ([]byte, error) { return wire.AppendStamped(nil, s.dmState) }
 
 // restoreSnapshot overwrites the DM's hard state with a decoded snapshot

@@ -107,9 +107,8 @@ func newHost(tr transport.Transport, id string, items []ItemSpec, peers []string
 }
 
 // wire configures the state machine for service. It runs after recovery
-// replay — replay must see neither hints nor a retention cap, so a recovered
-// replica re-proves freshness and never compacts what it replays — and
-// before the endpoint exists.
+// replay — replay must see no retention cap, so a recovered replica never
+// compacts what it replays — and before the endpoint exists.
 func (h *DMHost) wire() {
 	h.srv.configure(h.st, h.Stats)
 	// Replay's grants stamped leases on the default wall clock, and a logged
@@ -166,20 +165,8 @@ func (h *DMHost) handle(_ string, req any, reply func(any)) {
 		reply(QuarantinedResp{DM: h.id, Reason: qerr.Error()})
 		return
 	}
-	// A hinted read is validated OUTSIDE apply: a valid one is rewritten to
-	// the ordinary ReadReq it is equivalent to (and logged and replayed as
-	// such — replay never consults hint state), an invalid one is answered
-	// with an unlogged miss.
-	if q, ok := req.(HintReadReq); ok {
-		rr, miss := h.srv.hintCheck(q)
-		if miss != nil {
-			reply(*miss)
-			return
-		}
-		req = rr
-	}
 	// Coordination (renewals, probes, the refusal of a presumed abort, rebuild
-	// pulls, hint upkeep, ring gossip) is soft state and never logged.
+	// pulls, ring gossip) is soft state and never logged.
 	if resp, handled := h.srv.coordinate(req); handled {
 		reply(resp)
 		return

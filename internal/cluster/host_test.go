@@ -21,7 +21,7 @@ import (
 // TestEveryStartPathWiresTheReplicaAlike: however a replica comes to exist —
 // Open or ServeDM, volatile or durable, a restart, a rebuild through the
 // Store or the one ServeDM runs on its own — its state machine ends up with
-// the same lease clock, peer set, retention cap, hint TTL and ring.
+// the same lease clock, peer set, retention cap and ring.
 // ServeDM used to wire its replicas by hand and never armed retention.
 func TestEveryStartPathWiresTheReplicaAlike(t *testing.T) {
 	dms := []string{"dm0", "dm1", "dm2"}
@@ -36,7 +36,7 @@ func TestEveryStartPathWiresTheReplicaAlike(t *testing.T) {
 	clock := transport.NewManualClock(time.Unix(1700000000, 0))
 	opts := func(dir string) []Option {
 		return []Option{
-			WithClock(clock), WithReadLease(70 * time.Millisecond), WithRing(ring), WithDurability(dir),
+			WithClock(clock), WithRing(ring), WithDurability(dir),
 			WithWALOptions(wal.WithFsync(false), wal.WithSegmentBytes(256)),
 		}
 	}
@@ -138,9 +138,6 @@ func TestEveryStartPathWiresTheReplicaAlike(t *testing.T) {
 			if srv.resolvedCap != defaultResolvedRetention {
 				t.Errorf("retention cap = %d, want %d", srv.resolvedCap, defaultResolvedRetention)
 			}
-			if srv.hintTTL != 70*time.Millisecond {
-				t.Errorf("hint TTL = %v, want 70ms", srv.hintTTL)
-			}
 			if srv.ring == nil || srv.ring.Epoch != ring.Epoch {
 				t.Errorf("ring = %+v, want epoch %d", srv.ring, ring.Epoch)
 			}
@@ -171,17 +168,6 @@ func TestOpenClosesItsHostsWhenTheEpochBumpFails(t *testing.T) {
 	store.Close()
 }
 
-// hardState is snapshotState without the hint soft state, which a replica
-// recovered from its log starts without.
-func hardState(s *dmServer) (map[string]replicaState, map[TxnID]resolution, map[TxnID][]TxnID) {
-	reps, res, aborted := snapshotState(s)
-	for name, st := range reps {
-		st.Hint, st.HintFence = itemHint{}, hintFence{}
-		reps[name] = st
-	}
-	return reps, res, aborted
-}
-
 // TestOneHandlerVolatileAndDurableAgree feeds the seeded request stream of
 // TestIndexedResolutionMatchesFullScan to a volatile host and a durable
 // host over the transport: both must answer like the full-scan reference
@@ -194,7 +180,7 @@ func TestOneHandlerVolatileAndDurableAgree(t *testing.T) {
 			clock := transport.NewManualClock(time.Unix(1700000000, 0))
 			net := sim.NewNetwork(sim.Config{Seed: seed})
 			defer net.Close()
-			st := resolve([]Option{WithClock(clock), WithReadLease(time.Hour), WithWALOptions(wal.WithFsync(false))})
+			st := resolve([]Option{WithClock(clock), WithWALOptions(wal.WithFsync(false))})
 			volatile, err := start(net, "volatile", specs, nil, st, new(Stats))
 			if err != nil {
 				t.Fatal(err)
@@ -208,7 +194,6 @@ func TestOneHandlerVolatileAndDurableAgree(t *testing.T) {
 			defer func() { durable.Close() }()
 			reference := newDMState("reference", specs)
 			reference.clock = clock
-			reference.hintTTL = time.Hour
 			client, err := net.Client("driver")
 			if err != nil {
 				t.Fatal(err)
@@ -247,8 +232,8 @@ func TestOneHandlerVolatileAndDurableAgree(t *testing.T) {
 			if rec := durable.Recovery(); rec.Replayed == 0 && !rec.FromSnapshot {
 				t.Fatalf("restart recovered nothing: %+v", rec)
 			}
-			gotReps, gotRes, gotAborted := hardState(durable.srv)
-			wantReps, wantRes, wantAborted := hardState(reference)
+			gotReps, gotRes, gotAborted := snapshotState(durable.srv)
+			wantReps, wantRes, wantAborted := snapshotState(reference)
 			if !reflect.DeepEqual(gotAborted, wantAborted) {
 				t.Fatalf("aborted subtransactions recovered from the log as %+v, the reference holds %+v", gotAborted, wantAborted)
 			}

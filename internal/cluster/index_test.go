@@ -16,7 +16,7 @@ import (
 // hosted replica. Kept as the reference the indexed server is compared
 // against; every other request goes through the shared apply.
 func fullScanApply(s *dmServer, req any) (any, bool) {
-	resolve := func(top TxnID, commit bool, subs []TxnID, final map[string]int) (any, bool) {
+	resolve := func(top TxnID, commit bool, subs []TxnID) (any, bool) {
 		if res := s.Resolved[top]; res != nil {
 			return Ack{OK: res.Committed == commit}, false
 		}
@@ -28,15 +28,12 @@ func fullScanApply(s *dmServer, req any) (any, bool) {
 		for _, sub := range subs {
 			committed[sub] = true
 		}
-		for name, r := range s.Replicas {
+		for _, r := range s.Replicas {
 			if !commit {
 				r.drop(top)
 				continue
 			}
 			r.applyTop(top, committed)
-			if fin, ok := final[name]; ok && r.VN == fin {
-				s.grantHint(name, r, top)
-			}
 		}
 		delete(s.Aborted, top)
 		return Ack{OK: true}, true
@@ -45,7 +42,7 @@ func fullScanApply(s *dmServer, req any) (any, bool) {
 	case AbortReq:
 		top := q.Txn.Top()
 		if top == q.Txn {
-			return resolve(q.Txn, false, nil, nil)
+			return resolve(q.Txn, false, nil)
 		}
 		if s.Resolved[top] != nil {
 			return Ack{OK: true}, false
@@ -62,9 +59,9 @@ func fullScanApply(s *dmServer, req any) (any, bool) {
 		}
 		return Ack{OK: true}, true
 	case CommitTopReq:
-		return resolve(q.Txn, true, q.Subs, q.Final)
+		return resolve(q.Txn, true, q.Subs)
 	case DecisionReq:
-		return resolve(q.Txn.Top(), q.Commit, q.Subs, q.Final)
+		return resolve(q.Txn.Top(), q.Commit, q.Subs)
 	}
 	return s.apply(req)
 }
@@ -91,23 +88,18 @@ func fullScanHolds(s *dmServer, top TxnID) bool {
 // replicaState is everything a replica holds, with empty maps and slices
 // normalised to nil so lazily allocated tables compare equal.
 type replicaState struct {
-	VN, Gen   int
-	Val       any
-	Cfg       string
-	Locks     map[TxnID]lock
-	Freed     map[TxnID]int
-	Intents   []intent
-	Hint      itemHint
-	HintFence hintFence
+	VN, Gen int
+	Val     any
+	Cfg     string
+	Locks   map[TxnID]lock
+	Freed   map[TxnID]int
+	Intents []intent
 }
 
 func snapshotState(s *dmServer) (map[string]replicaState, map[TxnID]resolution, map[TxnID][]TxnID) {
 	reps := map[string]replicaState{}
 	for name, r := range s.Replicas {
-		st := replicaState{
-			VN: r.VN, Gen: r.Gen, Val: r.Val, Cfg: r.Cfg.String(),
-			Hint: s.hints[name], HintFence: s.hintFences[name],
-		}
+		st := replicaState{VN: r.VN, Gen: r.Gen, Val: r.Val, Cfg: r.Cfg.String()}
 		if len(r.Locks) > 0 {
 			st.Locks = r.Locks
 		}
@@ -196,10 +188,6 @@ func resolutionStream(seed int64) ([]ItemSpec, func(step int) (any, TxnID)) {
 		}
 		return subs
 	}
-	// finals is what a client knows at commit: per top-level transaction,
-	// the last version it wrote to each item. Version numbers are unique
-	// per write, as a write-TM's are.
-	finals := map[TxnID]map[string]int{}
 	generation := 0
 	return specs, func(step int) (any, TxnID) {
 		// Resolved ids are retired now and then, so fresh transactions keep
@@ -213,12 +201,7 @@ func resolutionStream(seed int64) ([]ItemSpec, func(step int) (any, TxnID)) {
 		case p < 35:
 			req = ReadReq{Txn: node(top), Item: item(), Lock: LockMode(1 + rng.Intn(2)), Seq: rng.Intn(4), Inherit: subsOf(top)}
 		case p < 63:
-			w := WriteReq{Txn: node(top), Item: item(), VN: step + 1, Val: step, Seq: rng.Intn(4), Inherit: subsOf(top)}
-			if finals[top] == nil {
-				finals[top] = map[string]int{}
-			}
-			finals[top][w.Item] = w.VN
-			req = w
+			req = WriteReq{Txn: node(top), Item: item(), VN: step + 1, Val: step, Seq: rng.Intn(4), Inherit: subsOf(top)}
 		case p < 67:
 			req = ConfigWriteReq{Txn: node(top), Item: item(), Gen: 1 + rng.Intn(5), Cfg: cfg, Seq: rng.Intn(4), Inherit: subsOf(top)}
 		case p < 78:
@@ -226,11 +209,11 @@ func resolutionStream(seed int64) ([]ItemSpec, func(step int) (any, TxnID)) {
 		case p < 88:
 			req = AbortReq{Txn: node(top)}
 		case p < 94:
-			req = CommitTopReq{Txn: top, Subs: subsOf(top), Final: finals[top]}
-		case p < 97: // a reap: no final versions, and the reaper may name any node of the tree
+			req = CommitTopReq{Txn: top, Subs: subsOf(top)}
+		case p < 97: // a reap: the reaper may name any node of the tree
 			req = DecisionReq{Txn: node(top), Commit: rng.Intn(2) == 0, Subs: subsOf(top)}
 		default: // a Paxos decision
-			req = DecisionReq{Txn: top, Commit: rng.Intn(2) == 0, Subs: subsOf(top), Final: finals[top]}
+			req = DecisionReq{Txn: top, Commit: rng.Intn(2) == 0, Subs: subsOf(top)}
 		}
 		return req, top
 	}
@@ -249,7 +232,6 @@ func TestIndexedResolutionMatchesFullScan(t *testing.T) {
 			build := func() *dmServer {
 				s := newDMState("dm0", specs)
 				s.clock = clock
-				s.hintTTL = time.Hour
 				return s
 			}
 			indexed, reference := build(), build()
@@ -271,7 +253,6 @@ func TestIndexedResolutionMatchesFullScan(t *testing.T) {
 					if err := restoreSnapshot(restored, snap); err != nil {
 						t.Fatal(err)
 					}
-					restored.hints, restored.hintFences = indexed.hints, indexed.hintFences // soft state, not snapshotted
 					indexed = restored
 				}
 				gotReps, gotRes, gotAborted := snapshotState(indexed)
@@ -376,7 +357,7 @@ func TestResolutionCostIndependentOfHostedItems(t *testing.T) {
 				if resp, _ := s.apply(WriteReq{Txn: txn, Item: item, VN: round*txns + i + 1, Val: i, Seq: 1}); !resp.(WriteResp).OK {
 					t.Fatalf("write refused: %+v", resp)
 				}
-				commit := CommitTopReq{Txn: txn, Final: map[string]int{item: round*txns + i + 1}}
+				commit := CommitTopReq{Txn: txn}
 				t0 := time.Now()
 				resp := serve(s, commit)
 				spent += time.Since(t0)

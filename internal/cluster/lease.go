@@ -98,7 +98,7 @@ func (s *dmServer) expiredHolders(r *replica, requester TxnID) []TxnID {
 
 // coordinate answers the requests that never reach the replicated state
 // machine: lease renewals, a resolver's probe, the refusal of a presumed
-// abort, rebuild pulls, hint upkeep and ring gossip. It reports
+// abort, rebuild pulls and ring gossip. It reports
 // handled=false for everything else. Kept out of apply so what the
 // WAL/replay path decides never depends on a clock read — a DecisionReq
 // that passes here IS applied, logged and replayed like any request.
@@ -143,11 +143,6 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 	}
 	// Rebuild pulls are read-only state exports — nothing to log.
 	if resp, handled := s.coordinateRebuild(req); handled {
-		return resp, handled
-	}
-	// Hint grants and write fences are coordination too: soft state, never
-	// logged, never replayed (hint.go).
-	if resp, handled := s.coordinateHints(req); handled {
 		return resp, handled
 	}
 	// Ring gossip last: also soft state (dm.go ring field).
@@ -377,7 +372,7 @@ func (s *Store) resolve(ctx context.Context, top TxnID) {
 		if err != nil {
 			return // the next refusal over these locks tries again
 		}
-		dec.Commit, dec.Subs, dec.Final = out.Commit, stringsToTxns(out.Subs), out.Final
+		dec.Commit, dec.Subs = out.Commit, stringsToTxns(out.Subs)
 		countOutcome(dec.Commit, &s.Stats.AcceptorResolvesCommitted, &s.Stats.AcceptorResolvesAborted)
 	case !silent:
 		dec.Presumed = true

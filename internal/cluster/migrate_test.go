@@ -379,47 +379,3 @@ func TestMigrateCoordinatorCrash(t *testing.T) {
 		})
 	}
 }
-
-// TestMigrateInvalidatesHints: a freshness hint cached before a migration
-// points at a replica the cutover retires. The ring-epoch invalidation
-// must clear it — a single-replica read against the retired holder would
-// otherwise be one partition away from serving a superseded version.
-func TestMigrateInvalidatesHints(t *testing.T) {
-	keys := shard.Keys("k", 12)
-	store, net, _, ring := shardedCluster(t, 506, keys,
-		WithReadLease(50*time.Millisecond))
-	ctx := context.Background()
-	key := keyOn(t, ring, keys, "g0")
-
-	// A committed write primes the fast-lane cache with an old-group holder.
-	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 5) }); err != nil {
-		t.Fatal(err)
-	}
-	dm, ok := store.HintTarget(key)
-	if !ok || dm[0] != 'a' {
-		t.Fatalf("hint prime: target %q ok=%v, want an a-replica", dm, ok)
-	}
-
-	if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	net.Quiesce()
-	if dm, ok := store.HintTarget(key); ok {
-		t.Fatalf("hint survived the cutover: still targets %q", dm)
-	}
-
-	// The next read goes the quorum path against the new group and sees the
-	// migrated value; any hint it relearns names a new-group replica.
-	if err := store.Run(ctx, func(tx *Txn) error {
-		v, err := tx.Read(ctx, key)
-		if err == nil && v != 5 {
-			t.Errorf("read %v after migrate, want 5", v)
-		}
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if dm, ok := store.HintTarget(key); ok && dm[0] != 'b' {
-		t.Fatalf("relearned hint targets retired replica %q", dm)
-	}
-}

@@ -64,16 +64,11 @@ type ReadResp struct {
 	Val  any
 	Gen  int
 	Cfg  quorum.Config
-	// Hinted piggybacks on quorum-read replies: the replica holds a live
-	// freshness hint for this item, so the client may cache it as a
-	// single-replica read target. Advisory only — a hinted read re-validates
-	// at serve time and falls back to the quorum path on any doubt.
-	Hinted bool
 	// Orphans rides a Busy refusal: the top-level transactions of other
 	// trees that hold a lock on this replica under a lapsed lease. The
 	// replica only names them; the refused client resolves them
-	// (Store.resolve) before it backs off. Response-only soft state like
-	// Hinted. WriteResp and InspectResp carry the same list.
+	// (Store.resolve) before it backs off. Response-only soft state.
+	// WriteResp and InspectResp carry the same list.
 	Orphans []TxnID
 }
 
@@ -142,14 +137,10 @@ type CommitTopReq struct {
 	Txn  TxnID
 	Subs []TxnID
 
-	// Final maps each written item to the last version number the
-	// transaction's committed tree installed for it. A transaction that
-	// writes an item more than once may route each write through a
-	// different write quorum, so a replica's committed state advancing at
-	// commit-apply does NOT prove it holds the newest version — only the
-	// client, which assembled every write quorum, knows the final number.
-	// A replica self-grants a freshness hint only when its post-apply vn
-	// equals Final[item]. Nil is always safe: no hints are granted.
+	// Final is unused: no client fills it and the replica ignores it. It
+	// stays only because the benchmark's frame probe (bench/probes.go)
+	// builds a committop frame with it; the next change that may edit
+	// bench/ deletes both.
 	Final map[string]int
 }
 
@@ -230,61 +221,6 @@ type RenewLeaseReq struct {
 	Txn TxnID
 }
 
-// HintReadReq asks one replica to serve a read from its freshness hint: a
-// single-replica fast-lane read that bypasses quorum assembly entirely.
-// The replica serves it only while its hint is live — its committed
-// (vn, gen) is provably the cluster maximum, no writer is in flight, and
-// the hint's TTL has not lapsed — by translating the request into an
-// ordinary ReadReq (read lock, lease stamp, WAL record and all), so
-// everything downstream of the grant is the proven quorum-read machinery.
-// Any doubt answers HintMissResp instead and the client falls back to the
-// full read-quorum path. Gen is the configuration generation the client
-// believes current; a mismatch is a miss, forcing the quorum path's
-// generation chase. Txn/Seq are as in ReadReq.
-type HintReadReq struct {
-	Txn  TxnID
-	Item string
-	Seq  int
-	Gen  int
-}
-
-// HintMissResp is the explicit refusal of a HintReadReq: the replica
-// cannot prove freshness, and the client must assemble a read quorum.
-// Reason is diagnostic ("none", "expired", "stale", "gen", "writer", ...);
-// no protocol decision may depend on it.
-type HintMissResp struct {
-	DM     string
-	Reason string
-}
-
-// HintGrantReq installs a freshness hint at one replica. Only the
-// anti-entropy sweeper sends it, and only after inspecting every replica
-// of the item and finding them unanimous — same committed (vn, gen), zero
-// locks, zero intentions — so the granted bound is the cluster maximum by
-// construction. The replica re-validates before accepting (its state must
-// still match and no write fence may be fresh) and the grant is soft
-// state: never logged, never replayed, gone after amnesia until re-proven.
-type HintGrantReq struct {
-	Item string
-	VN   int
-	Gen  int
-}
-
-// HintFenceReq revokes the freshness hint for an item at one replica —
-// the write-path fence, sent to every replica of a written item after the
-// lease fence and before the commit point. The replica drops its hint,
-// stamps a fence window (grants are refused for one hint TTL), and answers
-// as it would a write lock request: WriteResp{OK} only when no other
-// transaction holds a lock on the item there, WriteResp{Busy} — Orphans
-// and all — otherwise. An outstanding hinted read's lock refuses the
-// fence, which is what restores the quorum-intersection argument a
-// single-replica read bypassed (see DESIGN.md §9). Txn names the fencing
-// transaction so its own locks do not refuse it.
-type HintFenceReq struct {
-	Txn  TxnID
-	Item string
-}
-
 // AdoptItemReq tells a DM to start hosting a replica of an item it did not
 // serve before — the first round of a live migration. The replica is
 // created empty at version 0 with Initial as its value; the copy phase
@@ -356,7 +292,7 @@ type RingUpdateReq struct {
 // PaxosAcceptReq is Phase-2a of Paxos Commit: accept this transaction's
 // outcome at Ballot. The coordinator that ran the transaction owns ballot 0
 // and skips Phase 1 (no other proposer ever uses 0); a recovering client
-// arrives with the ballot its Phase 1 was promised. Commit/Subs/Final are
+// arrives with the ballot its Phase 1 was promised. Commit/Subs are
 // the full Decision value — everything a CommitTopReq would carry — and
 // Cohort is the complete acceptor set of the instance, recorded by each
 // acceptor so anyone can later run recovery without knowing the
@@ -369,7 +305,6 @@ type PaxosAcceptReq struct {
 	Ballot int
 	Commit bool
 	Subs   []TxnID
-	Final  map[string]int
 	Cohort []string
 }
 
@@ -401,7 +336,7 @@ type PaxosPrepareReq struct {
 }
 
 // PaxosPrepareResp is the Phase-1b answer. OK grants the promise and
-// AccBal/AccCommit/AccSubs/AccFinal carry the acceptor's accepted value
+// AccBal/AccCommit/AccSubs carry the acceptor's accepted value
 // when AccBal >= 0 — the proposer must adopt the highest accepted ballot's
 // value. OK false reports the watermark that refused the ballot (Promised):
 // the proposer retries above it. Decided short-circuits the round: the
@@ -413,7 +348,6 @@ type PaxosPrepareResp struct {
 	AccBal    int
 	AccCommit bool
 	AccSubs   []TxnID
-	AccFinal  map[string]int
 	Decided   bool
 	DecCommit bool
 	DecSubs   []TxnID
@@ -432,17 +366,11 @@ type PaxosPrepareResp struct {
 // coordinator renewed there since the resolver asked), every other replica
 // applies it. Commit true applies the transaction's intentions exactly as
 // CommitTopReq would, false discards them as AbortReq would, and an
-// already-resolved transaction keeps its first verdict. Final is as in
-// CommitTopReq. A re-served commit carries none — the record holds the
-// verdict, not the write set — so a replica that applies one cannot prove
-// its state is the cluster maximum and grants itself no freshness hint (the
-// sweeper re-proves it); a Paxos decision carries the map the coordinator
-// proposed.
+// already-resolved transaction keeps its first verdict.
 type DecisionReq struct {
 	Txn      TxnID
 	Commit   bool
 	Subs     []TxnID
-	Final    map[string]int
 	Presumed bool
 }
 

@@ -29,7 +29,6 @@ type settings struct {
 	walOpts      []wal.Option
 	antiEntropy  time.Duration
 	clock        transport.Clock
-	readLeaseTTL time.Duration // freshness-hint lifetime; 0 = fast lane off
 
 	clientTag string
 
@@ -182,20 +181,6 @@ func WithAntiEntropy(interval time.Duration) Option {
 	return func(s *settings) { s.antiEntropy = interval }
 }
 
-// WithReadLease enables the freshness-hint read fast lane (DESIGN.md §9)
-// with hints that live for ttl: replicas grant themselves per-item freshness
-// hints at commit-apply and via the anti-entropy sweeper's unanimity proof,
-// and clients try a single hinted replica before assembling a read quorum,
-// falling back transparently on any miss. Writes pay for it: before its
-// commit point a writer fences the hint at EVERY replica of each written
-// item (not just a write quorum), and under the wall clock an unreachable
-// replica makes the writer wait out one ttl — the staleness bound an
-// unreachable replica's hint can survive a fence by. Zero (the default)
-// leaves the fast lane off.
-func WithReadLease(ttl time.Duration) Option {
-	return func(s *settings) { s.readLeaseTTL = ttl }
-}
-
 // WithClock injects the clock lock leases (LeaseTTL) expire against.
 // Deterministic harnesses pass a sim.ManualClock and advance it explicitly
 // between rounds, past LeaseTTL to let the leases stamped so far lapse; the
@@ -300,8 +285,7 @@ func WithHopAllowance(d time.Duration) Option {
 
 // WithRing arms sharded placement with an explicit consistent-hash ring:
 // the store (and every DM it spawns) adopts a deep copy as its placement
-// view, and the freshness-hint cache is stamped with the ring's epoch so
-// placement changes invalidate it. The ring decides which replica group
+// view. The ring decides which replica group
 // owns which item; the item specs passed to Open must agree with it
 // (ShardItems derives them). nil leaves the store unsharded.
 func WithRing(r *shard.Ring) Option {

@@ -36,18 +36,20 @@ func TestWithLockRetriesZeroMeansZero(t *testing.T) {
 
 // TestZeroLockRetriesFailsFirstConflict wires the regression through the
 // store: with WithLockRetries(0) a conflicted write fails on its first
-// attempt instead of burning 12 retries.
+// attempt instead of burning 12 retries. The call timeout is a second, as
+// validationCluster's: the Busy answer comes back in one round trip, and a
+// short timeout only lets a loaded host pass for a dead replica.
 func TestZeroLockRetriesFailsFirstConflict(t *testing.T) {
 	dms := []string{"dm0", "dm1", "dm2"}
 	net := sim.NewNetwork(sim.Config{MinLatency: 50 * time.Microsecond, MaxLatency: 500 * time.Microsecond, Seed: 51})
 	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
-	a, err := Open(net, items, WithSeed(51), WithCallTimeout(10*time.Millisecond))
+	a, err := Open(net, items, WithSeed(51), WithCallTimeout(time.Second))
 	if err != nil {
 		net.Close()
 		t.Fatal(err)
 	}
 	b, err := OpenClient(net, items,
-		WithSeed(52), WithCallTimeout(10*time.Millisecond),
+		WithSeed(52), WithCallTimeout(time.Second),
 		WithLockRetries(0), WithTxnRetries(0))
 	if err != nil {
 		a.Close()

@@ -497,10 +497,10 @@ func TestEveryRequestHasAnAdmissionClass(t *testing.T) {
 		req  any
 		want transport.Priority
 	}{
-		{ReadReq{}, transport.PrioRead}, {PingReq{}, transport.PrioRead}, {HintReadReq{}, transport.PrioRead},
+		{ReadReq{}, transport.PrioRead}, {PingReq{}, transport.PrioRead},
 		{WriteReq{}, transport.PrioWrite}, {ConfigWriteReq{}, transport.PrioWrite},
 		{CommitTopReq{}, transport.PrioControl}, {AbortReq{}, transport.PrioControl},
-		{ReleaseReq{}, transport.PrioControl}, {RenewLeaseReq{}, transport.PrioControl}, {HintFenceReq{}, transport.PrioControl},
+		{ReleaseReq{}, transport.PrioControl}, {RenewLeaseReq{}, transport.PrioControl},
 		// Each stands between a lock holder and its resolution.
 		{ResolutionProbeReq{}, transport.PrioControl},
 		{PaxosAcceptReq{}, transport.PrioControl}, {PaxosPrepareReq{}, transport.PrioControl}, {DecisionReq{}, transport.PrioControl},

@@ -83,6 +83,27 @@ func stringsToTxns(ss []string) []TxnID {
 	return out
 }
 
+// noteWrittenItem records an item this transaction buffered a write for.
+func (t *Txn) noteWrittenItem(item string) {
+	t.mu.Lock()
+	if t.wroteItems == nil {
+		t.wroteItems = map[string]bool{}
+	}
+	t.wroteItems[item] = true
+	t.mu.Unlock()
+}
+
+// writtenItems snapshots the transaction's written-item set.
+func (t *Txn) writtenItems() []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]string, 0, len(t.wroteItems))
+	for item := range t.wroteItems {
+		out = append(out, item)
+	}
+	return out
+}
+
 // paxosCohort derives the transaction's acceptor cohort: the sorted union
 // of the replica sets of every item the transaction (tree) wrote. Writing
 // through a quorum of these same DMs is what makes co-location free — no
@@ -153,7 +174,7 @@ func (s *Store) propose(ctx context.Context, top TxnID, cohort []string, deliver
 					return commit.Decision{Commit: p.DecCommit, Subs: txnsToStrings(p.DecSubs)}, 0, nil
 				case p.OK:
 					promises = append(promises, commit.Promise{OK: true, AccBal: p.AccBal, AccVal: commit.Decision{
-						Commit: p.AccCommit, Subs: txnsToStrings(p.AccSubs), Final: p.AccFinal,
+						Commit: p.AccCommit, Subs: txnsToStrings(p.AccSubs),
 					}})
 				default:
 					refusedAt = max(refusedAt, p.Promised)
@@ -169,7 +190,7 @@ func (s *Store) propose(ctx context.Context, top TxnID, cohort []string, deliver
 		}
 		answers, n := s.call(ctx, round{dms: targets, retries: s.opts.lockRetries, req: PaxosAcceptReq{
 			Txn: top, Ballot: ballot, Commit: val.Commit,
-			Subs: stringsToTxns(val.Subs), Final: val.Final, Cohort: cohort,
+			Subs: stringsToTxns(val.Subs), Cohort: cohort,
 		}})
 		sent, acked = sent+n, 0
 		for _, raw := range answers {

@@ -246,7 +246,7 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 	}
 	// The commits' notifies may still be in a DM's inbox: let them land
 	// before reading dm1's state from outside its actor loop.
-	settleHints(t, store, net, dms)
+	settle(t, store, net, dms)
 	var resolvedTxn TxnID
 	store.mu.Lock()
 	for tid := range store.dms["dm1"].srv.Resolved {
@@ -262,8 +262,7 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 	orphan := TxnID("zz.t77")
 	for _, dm := range dms {
 		raw, err := store.client.Call(ctx, dm, PaxosAcceptReq{
-			Txn: orphan, Ballot: 0, Commit: true, Subs: nil,
-			Final: map[string]int{"x": 9}, Cohort: dms,
+			Txn: orphan, Ballot: 0, Commit: true, Subs: nil, Cohort: dms,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -311,7 +310,7 @@ func TestRebuildRestoresResolvedAndAcceptors(t *testing.T) {
 	if acc.Promised != 4 || acc.PromisedTo != "c9" {
 		t.Fatalf("merged promise = %d to %q, want the max (4) and its proposer (c9)", acc.Promised, acc.PromisedTo)
 	}
-	if acc.AccBal != 0 || !acc.AccVal.Commit || acc.AccVal.Final["x"] != 9 {
+	if acc.AccBal != 0 || !acc.AccVal.Commit {
 		t.Fatalf("merged accepted value = bal %d %+v, want ballot-0 commit", acc.AccBal, acc.AccVal)
 	}
 }

@@ -257,22 +257,16 @@ func (r *Router) Refresh(ctx context.Context) (int, error) {
 }
 
 // adoptRing folds an externally-learned ring into the store's placement
-// state when it is strictly newer, invalidating hint-cache entries minted
-// under the older epoch.
+// state when it is strictly newer.
 func (s *Store) adoptRing(r *shard.Ring) {
 	if r == nil {
 		return
 	}
 	s.mu.Lock()
-	epoch := 0
 	if s.ring != nil {
 		s.ring.Adopt(r)
-		epoch = s.ring.Epoch
 	}
 	s.mu.Unlock()
-	if epoch > 0 {
-		s.hintCache.setEpoch(epoch)
-	}
 }
 
 // ShardItems builds the ItemSpec slice a sharded deployment opens with:

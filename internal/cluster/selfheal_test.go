@@ -43,6 +43,46 @@ func selfHealCluster(t *testing.T, seed int64, extra ...Option) (*Store, *sim.Ne
 	return store, net, clk, dms
 }
 
+// settle flushes every DM's inbox: Quiesce settles network transit, but
+// fire-and-forget traffic (commit notifies) settles on inbox enqueue, before
+// the node's loop handles it. A follow-up Inspect call rides the same
+// client→DM lane FIFO, so its reply proves every earlier message to that DM
+// has been handled.
+func settle(t *testing.T, store *Store, net *sim.Network, dms []string) {
+	t.Helper()
+	net.Quiesce()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	for _, dm := range dms {
+		if _, err := store.Inspect(ctx, dm, "x"); err != nil {
+			t.Fatalf("settle %s: %v", dm, err)
+		}
+	}
+}
+
+// TestSweepErrorBudget: a cancelled sweep surfaces as an error, the
+// background loop's counting wrapper records it, and healthy sweeps keep
+// the error budget at zero.
+func TestSweepErrorBudget(t *testing.T) {
+	store, _, _, _ := selfHealCluster(t, 13, WithCallTimeout(time.Second))
+	ctx := context.Background()
+	if _, err := store.SweepOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Stats.AntiEntropySweepErrors.Value(); n != 0 {
+		t.Fatalf("healthy sweep burned error budget: %d", n)
+	}
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := store.SweepOnce(dead); err == nil {
+		t.Fatal("cancelled sweep returned no error")
+	}
+	store.sweepAndCount(dead)
+	if n := store.Stats.AntiEntropySweepErrors.Value(); n != 1 {
+		t.Fatalf("AntiEntropySweepErrors = %d, want 1", n)
+	}
+}
+
 // TestCloseIdempotent pins Store.Close's contract: any number of calls,
 // from any number of goroutines, is safe and shuts the store down exactly
 // once.
@@ -426,7 +466,7 @@ func TestLeaseFenceStopsReapedCommit(t *testing.T) {
 		// inbox, must be handled before the clock moves, or its grant stamps
 		// a lease the second client's probe finds live: an Inspect rides the
 		// same lane, so its reply proves the replica handled the copy.)
-		settleHints(t, store, net, dms)
+		settle(t, store, net, dms)
 		clk.Advance(LeaseTTL + time.Millisecond)
 		if err := other.Run(ctx, func(tx2 *Txn) error { return tx2.Write(ctx, "x", 222) }); err != nil {
 			return fmt.Errorf("second client could not write past the expired lease: %w", err)

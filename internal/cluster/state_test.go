@@ -19,11 +19,10 @@ func streamedState(t *testing.T, seed int64, steps int) *dmServer {
 	specs, next := resolutionStream(seed)
 	s := newDMState("dm0", specs)
 	s.clock = transport.NewManualClock(time.Unix(1700000000, 0))
-	s.hintTTL = time.Hour
 	for _, req := range []any{
 		AdoptItemReq{Item: "gone", Initial: 0},
 		RetireItemReq{Item: "gone", Epoch: 2, Group: "g1", DMs: []string{"dm7", "dm8"}, Gen: 3, Cfg: specs[0].Config},
-		PaxosAcceptReq{Txn: "c9.t1", Commit: true, Subs: []TxnID{"c9.t1/0"}, Final: map[string]int{"k0": 4}, Cohort: []string{"dm0", "dm1", "dm2"}},
+		PaxosAcceptReq{Txn: "c9.t1", Commit: true, Subs: []TxnID{"c9.t1/0"}, Cohort: []string{"dm0", "dm1", "dm2"}},
 		PaxosPrepareReq{Txn: "c9.t2", Ballot: 3, Cohort: []string{"dm0", "dm2"}},
 	} {
 		if _, mutated := s.apply(req); !mutated {
@@ -186,11 +185,11 @@ func TestEveryResolutionSenderKeepsTheFirstVerdict(t *testing.T) {
 		commit bool
 		req    any
 	}{
-		{"CommitTopReq", true, CommitTopReq{Txn: txn, Subs: []TxnID{txn + "/0"}, Final: map[string]int{"x": 2}}},
+		{"CommitTopReq", true, CommitTopReq{Txn: txn, Subs: []TxnID{txn + "/0"}}},
 		{"AbortReq", false, AbortReq{Txn: txn}},
 		{"reap/commit", true, DecisionReq{Txn: txn + "/0", Commit: true, Subs: []TxnID{txn + "/0"}}},
 		{"reap/abort", false, DecisionReq{Txn: txn + "/0"}},
-		{"paxos/commit", true, DecisionReq{Txn: txn, Commit: true, Subs: []TxnID{txn + "/0"}, Final: map[string]int{"x": 2}}},
+		{"paxos/commit", true, DecisionReq{Txn: txn, Commit: true, Subs: []TxnID{txn + "/0"}}},
 		{"paxos/abort", false, DecisionReq{Txn: txn}},
 	}
 	priors := []struct {

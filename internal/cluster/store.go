@@ -105,19 +105,6 @@ type Stats struct {
 	// (some replica unreachable mid-sweep). The background loop used to
 	// swallow these silently; tests assert an error budget against it.
 	AntiEntropySweepErrors metrics.Counter
-	// Freshness-hint fast lane (DESIGN.md §9). HintReads counts
-	// single-replica read attempts; HintHits the ones served from a live
-	// hint, HintMisses the fallbacks to the quorum path. HintGrants counts
-	// sweeper grant rounds pushed to replicas; HintFences counts write-path
-	// fence rounds completed before commit points, and HintFenceMisses the
-	// unreachable replicas a fence could not revoke (waited out under the
-	// wall clock, counted and proceeded under a manual one).
-	HintReads       metrics.Counter
-	HintHits        metrics.Counter
-	HintMisses      metrics.Counter
-	HintGrants      metrics.Counter
-	HintFences      metrics.Counter
-	HintFenceMisses metrics.Counter
 	// Sharded placement (DESIGN.md §10). WrongShardRedirects counts
 	// redirects absorbed from retired replicas after a live migration;
 	// Migrations counts MigrateItem cutovers this client completed.
@@ -163,8 +150,7 @@ type Store struct {
 
 	// ring is this client's view of the consistent-hash placement, nil for
 	// unsharded stores. Guarded by mu. Migration cutovers and WrongShard
-	// redirects advance it; its epoch invalidates the freshness-hint cache,
-	// so a hint primed before a migration can never serve after one.
+	// redirects advance it.
 	ring *shard.Ring
 
 	// jitter feeds backoff sleeps and nothing else. It is separate from
@@ -184,10 +170,6 @@ type Store struct {
 	// health is the failure detector's scoreboard, which also picks every
 	// phase's first quorum.
 	health *healthBoard
-
-	// hintCache maps items to their cached fast-lane read targets
-	// (WithReadLease); always usable, empty when the fast lane is off.
-	hintCache hintCache
 
 	// Overload protection (both nil/off unless the matching option armed
 	// them): the retry token bucket and the AIMD in-flight limiter.
@@ -286,7 +268,6 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 	s.stopBg = make(chan struct{})
 	if st.ring != nil {
 		s.ring = st.ring.Clone()
-		s.hintCache.setEpoch(s.ring.Epoch)
 	}
 	for _, it := range items {
 		if err := it.Config.Validate(it.DMs); err != nil {
@@ -515,9 +496,7 @@ func (s *Store) RingEpoch() int {
 
 // relocateItem rewrites the client's view of where item lives: its replica
 // set, believed generation/config, and (when the store is sharded) the
-// ring override pinning it to the new group. Every freshness hint is
-// dropped when the ring epoch advances — a hint primed against the old
-// replica group must not serve after the move. Generation numbers only go
+// ring override pinning it to the new group. Generation numbers only go
 // forward, so a stale redirect (or a racing pair of them) cannot regress a
 // newer placement.
 func (s *Store) relocateItem(item string, dms []string, gen int, cfg quorum.Config, group string, epoch int) {
@@ -530,7 +509,6 @@ func (s *Store) relocateItem(item string, dms []string, gen int, cfg quorum.Conf
 			s.believed[item] = genCfg{gen: gen, cfg: newKnownCfg(cfg.Clone())}
 		}
 	}
-	ringEpoch := 0
 	if s.ring != nil && group != "" {
 		if _, ok := s.ring.Group(group); ok && s.ring.Lookup(item) != group {
 			_ = s.ring.MoveKey(item, group)
@@ -538,13 +516,8 @@ func (s *Store) relocateItem(item string, dms []string, gen int, cfg quorum.Conf
 		if epoch > s.ring.Epoch {
 			s.ring.Epoch = epoch
 		}
-		ringEpoch = s.ring.Epoch
 	}
 	s.mu.Unlock()
-	if ringEpoch > 0 {
-		s.hintCache.setEpoch(ringEpoch)
-	}
-	s.hintCache.drop(item)
 }
 
 // adoptRedirect folds a WrongShard redirect into the client's placement
@@ -714,17 +687,9 @@ type Txn struct {
 	subs []TxnID
 
 	// wroteItems names the items this transaction (or a finished child,
-	// aborted ones included) buffered writes for; the pre-commit hint fence
-	// revokes freshness hints at every replica of each one (WithReadLease),
-	// and the tree's own reads of them stay off the hinted fast lane.
+	// aborted ones included) buffered writes for; the Paxos cohort is the
+	// union of their replica sets (paxosCohort).
 	wroteItems map[string]bool
-
-	// wroteVNs maps each written item to the final version number this
-	// transaction's committed tree installed — the commit broadcast carries
-	// it so only replicas holding that exact version self-grant a
-	// freshness hint (a multi-write transaction's earlier versions may sit
-	// at replicas its later write quorums never touched).
-	wroteVNs map[string]int
 
 	// leaseStamp is the last time this client knowingly (re)stamped the
 	// transaction's leases everywhere — at creation (no leases exist yet)
@@ -850,20 +815,6 @@ func (t *Txn) inherited() []TxnID {
 		a.mu.Unlock()
 	}
 	return out
-}
-
-// treeWrote reports whether t or an ancestor recorded a write of item,
-// their finished children's included.
-func (t *Txn) treeWrote(item string) bool {
-	for a := t; a != nil; a = a.parent {
-		a.mu.Lock()
-		wrote := a.wroteItems[item]
-		a.mu.Unlock()
-		if wrote {
-			return true
-		}
-	}
-	return false
 }
 
 // committedSubs snapshots the transaction's committed-subtransaction ids.
@@ -1020,18 +971,6 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 	if !ok {
 		return readResult{}, fmt.Errorf("cluster: unknown item %q", item)
 	}
-	// The fast lane sits ahead of quorum assembly: one hinted replica first,
-	// any miss falls through to the quorum path below without surfacing an
-	// error. Only plain read locks qualify — update locking (LockWrite) is a
-	// write's first phase and must assemble the quorum that serializes
-	// writers — and only items the tree has not written: a hinted replica
-	// outside the write quorum holds no lock or intention of the writer, so
-	// its hint stands and it would serve the version the tree overwrote.
-	if t.store.opts.readLeaseTTL > 0 && mode == LockRead && !t.treeWrote(item) {
-		if res, ok := t.tryHintRead(ctx, item); ok {
-			return res, nil
-		}
-	}
 	believed := t.store.config(item)
 	res := readResult{val: it.Initial, gen: believed.gen, cfg: believed.cfg}
 	lockless := false
@@ -1073,21 +1012,12 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 			}
 			win, won := col.winner()
 			if won && res.gen <= believed.gen {
-				winner := col.winnerResps(win)
-				for _, m := range winner {
+				for _, m := range col.winnerResps(win) {
 					if m.resp.VN > res.vn {
 						res.vn, res.val = m.resp.VN, m.resp.Val
 					}
 					if m.resp.VN == res.vn && m.resp.Val != nil {
 						res.val = m.resp.Val
-					}
-				}
-				// Hinted piggyback: a winner member advertising a live hint at the
-				// quorum-maximum version becomes the next read's fast-lane target.
-				for _, m := range winner {
-					if m.resp.Hinted && m.resp.VN == res.vn {
-						t.store.noteHintTarget(item, m.dm, res.gen)
-						break
 					}
 				}
 				if t.store.opts.readRepair {
@@ -1314,7 +1244,6 @@ func (t *Txn) WriteVersioned(ctx context.Context, item string, val any) (int, er
 	if err != nil {
 		return 0, err
 	}
-	t.noteWrittenVN(item, vn)
 	t.store.Stats.Writes.Inc()
 	t.store.Stats.WriteLatency.ObserveSince(start)
 	t.record(checker.OpWrite, item, val, vn, start)
@@ -1364,12 +1293,10 @@ func (t *Txn) control(ctx context.Context, required, cleanup, tentative []string
 // adopt folds a finished child into its parent t. Either way the child's
 // DMs join t's control list, so t's final commit or abort reaches every DM
 // the child may have left state at — including DMs a cancelled or failed
-// child phase touched — and its written items join t's (over-fencing an
-// aborted child's item only revokes hints, never correctness). A committed
-// child also hands up its final versions (an aborted child's writes are
-// discarded at commit-apply, and an inflated Final matches no replica,
-// silently costing hints), its history, and its committed subtransactions
-// with its own id at their head: that append is the child's commit.
+// child phase touched — and its written items join t's (an aborted child's
+// item only widens the Paxos cohort, never correctness). A committed child
+// also hands up its history and its committed subtransactions with its own
+// id at their head: that append is the child's commit.
 func (t *Txn) adopt(child *Txn, committed bool) {
 	child.mu.Lock()
 	defer child.mu.Unlock()
@@ -1386,12 +1313,6 @@ func (t *Txn) adopt(child *Txn, committed bool) {
 	}
 	if !committed {
 		return
-	}
-	if len(child.wroteVNs) > 0 && t.wroteVNs == nil {
-		t.wroteVNs = map[string]int{}
-	}
-	for item, vn := range child.wroteVNs {
-		t.wroteVNs[item] = max(t.wroteVNs[item], vn)
 	}
 	t.ops = append(t.ops, child.ops...)
 	t.subs = append(append(t.subs, child.id), child.subs...)
@@ -1499,9 +1420,9 @@ func (s *Store) Run(ctx context.Context, fn func(*Txn) error) error {
 
 // commitAttempt is the one top-level commit path: it runs body in a fresh
 // transaction and, if body succeeds, carries the transaction through the
-// common tail — lease fence, hint fence, Paxos decide (when the protocol
-// and a non-empty cohort call for it), the CommitTopReq learn round, then
-// hint priming, counters and history. A failure before the commit point
+// common tail — lease fence, Paxos decide (when the protocol and a
+// non-empty cohort call for it), the CommitTopReq learn round, then
+// counters and history. A failure before the commit point
 // aborts the attempt; an in-doubt decide leaves its locks to whoever they
 // block next instead, because aborting or retrying could contradict whatever
 // the cohort decides.
@@ -1540,14 +1461,6 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 			s.Stats.LeaseExpiries.Inc()
 		}
 	}
-	if err == nil {
-		// The hint fence rides the same pre-commit slot: revoke freshness
-		// hints at every replica of every written item before the commit
-		// point, so no replica can serve a single-replica read of the
-		// version this commit supersedes. A refusal (a hinted reader's lock
-		// still live there) is a lock conflict — abort and restart.
-		err = t.fenceHints(ctx)
-	}
 	if err != nil {
 		t.abort(ctx)
 		return rep, err
@@ -1580,7 +1493,7 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 		var out commit.Decision
 		rep.Cohort, rep.Sends = len(cohort), deliver
 		out, rep.Accepts, err = s.propose(ctx, t.id, cohort, deliver, 0,
-			commit.Decision{Commit: true, Subs: txnsToStrings(t.committedSubs()), Final: t.finalVNs()})
+			commit.Decision{Commit: true, Subs: txnsToStrings(t.committedSubs())})
 		s.Stats.PaxosAccepts.Add(int64(rep.Accepts))
 		if rep.Accepts >= commit.Quorum(len(cohort)) {
 			s.Stats.PaxosCommits.Inc()
@@ -1633,7 +1546,7 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 		learnCtx = context.WithoutCancel(ctx)
 	}
 	missing := t.control(learnCtx, written, granted, tentative,
-		CommitTopReq{Txn: t.id, Subs: t.committedSubs(), Final: t.finalVNs()})
+		CommitTopReq{Txn: t.id, Subs: t.committedSubs()})
 	rep.Sends += len(written)
 	rep.Learned = len(written) - len(missing)
 	if len(cohort) == 0 {
@@ -1646,7 +1559,6 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 	if len(missing) > 0 {
 		s.traceEvent(string(t.id), "commit", "stragglers %v", missing)
 	}
-	t.primeHintTargets(missing)
 	t.done = true
 	s.Stats.Commits.Inc()
 	rep.Decided = true

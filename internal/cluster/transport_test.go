@@ -386,155 +386,6 @@ func TestTransportParityErrorTaxonomy(t *testing.T) {
 	})
 }
 
-// TestTransportParityHintedRead runs the freshness-hint fast lane over both
-// backends: a committed write grants hints, a quorum read caches the target
-// from the piggybacked flag, and the next read is served by one replica —
-// same value, same counters, sim or TCP.
-func TestTransportParityHintedRead(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
-		store, _ := openTestStore(t, tr, WithReadLease(time.Minute))
-		ctx := context.Background()
-		if err := store.Run(ctx, func(tx *Txn) error {
-			return tx.Write(ctx, "x", 31)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		readBack := func(want int) {
-			t.Helper()
-			if err := store.Run(ctx, func(tx *Txn) error {
-				v, err := tx.Read(ctx, "x")
-				if err != nil {
-					return err
-				}
-				if v != want {
-					t.Errorf("read = %v, want %d", v, want)
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		readBack(31) // quorum read; piggybacks the hinted target
-		if _, ok := store.HintTarget("x"); !ok {
-			t.Fatal("quorum read cached no hinted target")
-		}
-		readBack(31) // fast-lane read
-		if store.Stats.HintHits.Value() == 0 {
-			t.Fatal("hinted single-replica read never hit")
-		}
-	})
-}
-
-// TestTransportParityHintStaleFallback forces the replica-side miss over
-// both backends: after a reconfiguration bumps the generation, a hinted
-// read still asserting the old generation gets a typed HintMissResp (never
-// a raw transport artifact), and the ordinary read path silently falls
-// back to the quorum with the correct value.
-func TestTransportParityHintStaleFallback(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
-		store, dms := openTestStore(t, tr, WithReadLease(time.Minute))
-		ctx := context.Background()
-		if err := store.Run(ctx, func(tx *Txn) error {
-			return tx.Write(ctx, "x", 8)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Run(ctx, func(tx *Txn) error {
-			_, err := tx.Read(ctx, "x")
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Reconfigure(ctx, "x", quorum.ReadOneWriteAll(dms)); err != nil {
-			t.Fatal(err)
-		}
-		// A probe asserting the pre-reconfiguration generation must be
-		// refused with the protocol's typed miss on every replica.
-		cctx, cancel := context.WithTimeout(ctx, time.Second)
-		defer cancel()
-		for _, dm := range dms {
-			raw, err := store.client.Call(cctx, dm, HintReadReq{Txn: "probe", Item: "x", Seq: 1, Gen: 0})
-			if err != nil {
-				t.Fatalf("%s: %v", dm, err)
-			}
-			if resp, ok := raw.(ReadResp); ok && resp.OK {
-				t.Fatalf("%s served a hinted read under a stale generation", dm)
-			}
-		}
-		// The full path still reads the committed value under the new
-		// configuration.
-		if err := store.Run(ctx, func(tx *Txn) error {
-			v, err := tx.Read(ctx, "x")
-			if err != nil {
-				return err
-			}
-			if v != 8 {
-				t.Errorf("post-reconfig read = %v, want 8", v)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestTransportParityHintTargetKilled kills the cached fast-lane replica
-// mid-workload: the hinted read's transport failure must stay invisible —
-// the read falls back to a quorum of the survivors with the right value,
-// no error, and no raw *net.OpError anywhere.
-func TestTransportParityHintTargetKilled(t *testing.T) {
-	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
-		store, _ := openTestStore(t, tr,
-			WithReadLease(time.Minute),
-			WithCallTimeout(150*time.Millisecond))
-		ctx := context.Background()
-		if err := store.Run(ctx, func(tx *Txn) error {
-			return tx.Write(ctx, "x", 77)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Run(ctx, func(tx *Txn) error {
-			_, err := tx.Read(ctx, "x")
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		target, ok := store.HintTarget("x")
-		if !ok {
-			t.Fatal("no hinted target cached")
-		}
-		if err := store.StopDM(target); err != nil {
-			t.Fatal(err)
-		}
-		misses := store.Stats.HintMisses.Value()
-		err := store.Run(ctx, func(tx *Txn) error {
-			v, err := tx.Read(ctx, "x")
-			if err != nil {
-				return err
-			}
-			if v != 77 {
-				t.Errorf("read with dead hint target = %v, want 77", v)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("read with dead hint target failed: %v", err)
-		}
-		var op *net.OpError
-		if errors.As(err, &op) {
-			t.Fatalf("raw *net.OpError leaked through the fast lane: %v", err)
-		}
-		if store.Stats.HintMisses.Value() == misses {
-			t.Fatal("dead-target fast lane not counted as a miss")
-		}
-		// The fallback quorum read may re-cache a SURVIVING hinted replica —
-		// but never the dead one.
-		if dm, ok := store.HintTarget("x"); ok && dm == target {
-			t.Fatal("dead replica still cached as the fast-lane target")
-		}
-	})
-}
-
 // TestReadOnlyRunCallsNothingAfterItsReads: a one-read transaction's read
 // takes no lock, so over TCP it sends nothing after its read phase — no call
 // and no notify — and after Quiesce no replica holds a lock, a lease or a

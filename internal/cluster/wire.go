@@ -27,8 +27,8 @@ import (
 // cannot be registered without one. Control traffic — everything that
 // finishes transactions and frees locks — must always get through: an
 // overloaded replica that sheds a commit, a release, a lease renewal or a
-// resolver's probe strands locks the whole cluster waits on. The hint fence,
-// the Paxos Commit rounds, a decision and a rebuild pull are control for
+// resolver's probe strands locks the whole cluster waits on. The Paxos
+// Commit rounds, a decision and a rebuild pull are control for
 // the same reason: each stands between a lock holder and its resolution,
 // and shedding one stalls it exactly like a shed renewal would.
 // Write-intent traffic outranks fresh reads because writers usually hold
@@ -56,9 +56,8 @@ var wireTypes = []struct {
 	// 12 and 13 are retired (they were ResolutionQueryReq and
 	// ResolutionAnswer, the replica-to-replica inquiry: the blocked client
 	// asks with ResolutionProbeReq instead).
-	{14, HintReadReq{}, transport.PrioRead},
-	{15, HintGrantReq{}, transport.PrioRead},
-	{16, HintFenceReq{}, transport.PrioControl},
+	// 14–16 are retired (they were the freshness-hint read lane's read,
+	// grant and fence requests; the lane is gone, DESIGN.md §9).
 	// 17 is retired (it was ReapReq, which DecisionReq absorbed).
 	{18, AdoptItemReq{}, transport.PrioRead},
 	{19, RetireItemReq{}, transport.PrioRead},
@@ -78,7 +77,7 @@ var wireTypes = []struct {
 	{33, Ack{}, notRequest},
 	{34, OverloadedResp{}, notRequest},
 	{35, InspectResp{}, notRequest},
-	{36, HintMissResp{}, notRequest},
+	// 36 is retired (it was the freshness-hint lane's refusal of a read).
 	{37, WrongShardResp{}, notRequest},
 	{38, RingResp{}, notRequest},
 	{39, PaxosAcceptResp{}, notRequest},

@@ -46,7 +46,7 @@ func TestWireRoundTrip(t *testing.T) {
 	bare := *ring.Clone()
 	acc := commit.Acceptor{
 		Promised: 1, PromisedTo: "c2", AccBal: 1,
-		AccVal: commit.Decision{Commit: true, Subs: []string{"t2/0"}, Final: map[string]int{"x": 5}},
+		AccVal: commit.Decision{Commit: true, Subs: []string{"t2/0"}},
 		Cohort: []string{"dm0", "dm1"},
 	}
 	msgs := []any{
@@ -66,31 +66,33 @@ func TestWireRoundTrip(t *testing.T) {
 		// presumed abort, and a refusal that names an orphan.
 		DecisionReq{Txn: "t6", Presumed: true},
 		ReadResp{Busy: true, Orphans: []TxnID{"t6", "t9"}},
-		HintReadReq{Txn: "t7", Item: "x", Seq: 5, Gen: 1},
-		HintGrantReq{Item: "x", VN: 3, Gen: 1},
-		HintFenceReq{Txn: "t8", Item: "x"},
+		// Retired tags 14–16's slots: a commit as a client sends it (no
+		// Final), a re-served commit record, and a proposed abort.
+		CommitTopReq{Txn: "t7", Subs: []TxnID{"t7/0"}},
+		DecisionReq{Txn: "t8", Commit: true},
+		PaxosAcceptReq{Txn: "t8", Cohort: []string{"dm0", "dm1", "dm2"}},
 		AdoptItemReq{Item: "x", Initial: "seed"},
 		RetireItemReq{Item: "x", Epoch: 2, Group: "g1", DMs: []string{"dm3", "dm4"}, Gen: 3, Cfg: cfg},
 		RingReq{},
 		RingUpdateReq{Ring: *ring},
-		PaxosAcceptReq{Txn: "t10", Ballot: 1, Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2, "y": 3}, Cohort: []string{"dm0", "dm1"}},
+		PaxosAcceptReq{Txn: "t10", Ballot: 1, Commit: true, Subs: []TxnID{"t10/0"}, Cohort: []string{"dm0", "dm1"}},
 		PaxosPrepareReq{Txn: "t10", Ballot: 2, Cohort: []string{"dm0", "dm1"}, Proposer: "c2"},
-		DecisionReq{Txn: "t10", Commit: true, Subs: []TxnID{"t10/0"}, Final: map[string]int{"x": 2}},
+		DecisionReq{Txn: "t10", Commit: true, Subs: []TxnID{"t10/0"}},
 		// Retired tags 25–28's slots: Phase 1b in its three forms, and a
 		// refused fence.
-		PaxosPrepareResp{OK: true, Promised: 2, AccBal: 1, AccCommit: true, AccSubs: []TxnID{"t10/0"}, AccFinal: map[string]int{"x": 2}},
+		PaxosPrepareResp{OK: true, Promised: 2, AccBal: 1, AccCommit: true, AccSubs: []TxnID{"t10/0"}},
 		PaxosPrepareResp{Promised: 3, AccBal: -1},
 		PaxosPrepareResp{Decided: true, DecCommit: true, DecSubs: []TxnID{"t10/1"}},
 		WriteResp{Busy: true, Orphans: []TxnID{"t6"}},
 		ResolutionProbeReq{Txn: "t11"},
 		RebuildPullReq{For: "dm1", Items: []string{"x", "y"}},
 		// Responses.
-		ReadResp{OK: true, Held: true, VN: 6, Val: 13, Gen: 1, Cfg: cfg, Hinted: true},
+		ReadResp{OK: true, Held: true, VN: 6, Val: 13, Gen: 1, Cfg: cfg},
 		WriteResp{OK: true, Held: true},
 		Ack{OK: true},
 		OverloadedResp{DM: "dm2", Expired: true},
 		InspectResp{OK: true, VN: 4, Val: 8, Gen: 1, Cfg: cfg, Locks: 2, Intents: 1, Orphans: []TxnID{"t6"}},
-		HintMissResp{DM: "dm0", Reason: "expired"},
+		ReadResp{OK: true, VN: 6, Val: 13, Gen: 1}, // retired tag 36's slot: a read with no configuration news
 		WrongShardResp{DM: "dm0", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm3"}, Gen: 3, Cfg: cfg},
 		RingResp{OK: true, Ring: *ring},
 		PaxosAcceptResp{OK: true, Promised: 3, Decided: true, DecCommit: true, DecSubs: []TxnID{"t10/0"}},

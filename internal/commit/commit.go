@@ -60,12 +60,11 @@ func ParseProtocol(s string) (Protocol, error) {
 
 // Decision is the value a transaction's consensus instance decides: the
 // full outcome, carrying everything a replica needs to apply it without
-// asking anyone else. Subs and Final mirror CommitTopReq so a recovered
-// decision can drive the same learn path the coordinator would have.
+// asking anyone else. Subs mirrors CommitTopReq so a recovered decision can
+// drive the same learn path the coordinator would have.
 type Decision struct {
 	Commit bool
 	Subs   []string
-	Final  map[string]int
 }
 
 // Acceptor is the per-transaction Paxos acceptor hard state. It lives in

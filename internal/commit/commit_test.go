@@ -24,7 +24,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 // promises and accepts are granted exactly when the ballot is no lower
 // than the promise watermark, and every grant moves the watermark.
 func TestAcceptorOrdering(t *testing.T) {
-	commit := Decision{Commit: true, Subs: []string{"s1"}, Final: map[string]int{"x": 3}}
+	commit := Decision{Commit: true, Subs: []string{"s1"}}
 	abort := Decision{Commit: false}
 	type step struct {
 		prepare bool // else accept
@@ -100,7 +100,7 @@ func TestAcceptorOrdering(t *testing.T) {
 }
 
 func TestChoose(t *testing.T) {
-	commit := Decision{Commit: true, Final: map[string]int{"x": 1}}
+	commit := Decision{Commit: true, Subs: []string{"s1"}}
 	cases := []struct {
 		name     string
 		promises []Promise
@@ -124,7 +124,7 @@ func TestChoose(t *testing.T) {
 }
 
 func TestChooseAdoptsValueWhole(t *testing.T) {
-	val := Decision{Commit: true, Subs: []string{"a", "b"}, Final: map[string]int{"x": 7}}
+	val := Decision{Commit: true, Subs: []string{"a", "b"}}
 	got := Choose([]Promise{{OK: true, AccBal: 3, AccVal: val}})
 	if !reflect.DeepEqual(got, val) {
 		t.Fatalf("Choose must adopt the accepted value unchanged: got %+v", got)

@@ -61,8 +61,8 @@ type Ring struct {
 	// smooth the key distribution; 64 is plenty for a handful of groups.
 	VNodes int
 	// Epoch counts placement changes. Every mutation (add/remove group,
-	// migrate a key) bumps it; routers cache it and clients use it to
-	// invalidate placement-derived state such as freshness hints.
+	// migrate a key) bumps it; routers cache it, and a ring is adopted only
+	// over one with an older epoch.
 	Epoch int
 	// Groups are the replica groups, in insertion order. Placement
 	// depends only on the set of names, not the order.

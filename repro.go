@@ -214,11 +214,6 @@ var (
 	// WithAntiEntropy starts a background sweeper repairing stale
 	// replicas at the given interval.
 	WithAntiEntropy = cluster.WithAntiEntropy
-	// WithReadLease enables the freshness-hint read fast lane with the
-	// given hint TTL: a hinted item is read from one replica, no quorum,
-	// inside the TTL — which is also the bound on how long an unreachable
-	// replica's hint outlives its revocation.
-	WithReadLease = cluster.WithReadLease
 	// WithCommitProtocol selects the top-level commit strategy: TwoPhase
 	// (default) or PaxosCommit (non-blocking commit — a coordinator crash
 	// around the commit point is resolved from a majority of acceptors by
