@@ -342,40 +342,6 @@ func BenchmarkRandomSpecGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkE9_ReadRepairCatchUp measures a full stale-replica repair cycle:
-// crash, miss a write, restart, read until caught up with repair on.
-func BenchmarkE9_ReadRepairCatchUp(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		dms := []string{"dm0", "dm1", "dm2"}
-		net := sim.NewNetwork(sim.Config{MinLatency: 20 * time.Microsecond, MaxLatency: 200 * time.Microsecond, Seed: int64(i)})
-		store, err := cluster.Open(net, []cluster.ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
-			cluster.WithCallTimeout(25*time.Millisecond), cluster.WithReadRepair(true), cluster.WithSeed(int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		net.Crash("dm2")
-		if err := store.Run(ctx, func(tx *cluster.Txn) error { return tx.Write(ctx, "x", 1) }); err != nil {
-			b.Fatal(err)
-		}
-		net.Restart("dm2")
-		for {
-			if err := store.Run(ctx, func(tx *cluster.Txn) error {
-				_, err := tx.Read(ctx, "x")
-				return err
-			}); err != nil {
-				b.Fatal(err)
-			}
-			time.Sleep(500 * time.Microsecond)
-			if resp, err := store.Inspect(ctx, "dm2", "x"); err == nil && resp.VN >= 1 {
-				break
-			}
-		}
-		store.Close()
-		net.Close()
-	}
-}
-
 // E10: phase latency under a skewed network. One of five replicas answers
 // in 30–40ms while the rest answer in microseconds; majority quorums never
 // need the straggler. The sequential path queries one shuffled quorum per
@@ -704,7 +670,7 @@ func benchE17InDoubt(b *testing.B, proto commit.Protocol) {
 		down := true
 		for r := 1; ; r++ {
 			clk.Advance(cluster.LeaseTTL + time.Millisecond)
-			if _, serr := store.SweepOnce(ctx); serr != nil {
+			if serr := store.ResolveOrphans(ctx); serr != nil {
 				b.Fatal(serr)
 			}
 			net.Quiesce()

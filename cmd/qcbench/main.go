@@ -4,7 +4,7 @@
 // Usage:
 //
 //	qcbench -exp all
-//	qcbench -exp figures|model|messages|availability|latency|nesting|faults|read-repair
+//	qcbench -exp figures|model|messages|availability|latency|nesting|faults
 //	qcbench -exp messages -txns 200
 package main
 
@@ -72,12 +72,6 @@ func run(exp string, txns, seeds int) error {
 	if all || exp == "faults" {
 		section("E8 crash tolerance and reconfiguration")
 		if err := experiments.Faults(w, txns); err != nil {
-			return err
-		}
-	}
-	if all || exp == "read-repair" {
-		section("E9 read repair")
-		if err := experiments.ReadRepair(w, 40); err != nil {
 			return err
 		}
 	}

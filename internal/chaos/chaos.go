@@ -501,18 +501,18 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		}
 		net.Quiesce()
 		// One TTL per boundary: every lease stamped last round is now
-		// expired, so this round's conflicts (and the sweep's inspections)
-		// resolve last round's orphans. The sweep returns after its
-		// resolutions; the quiesce after it drains its repairs before any
-		// fault state changes.
+		// expired, so this round's conflicts (and ResolveOrphans's
+		// inspections) resolve last round's orphans. ResolveOrphans returns
+		// after its resolutions; the quiesce after it drains their
+		// notifies before any fault state changes.
 		clk.Advance(cluster.LeaseTTL + time.Millisecond)
-		if _, err := store.SweepOnce(ctx); err != nil {
+		if err := store.ResolveOrphans(ctx); err != nil {
 			return res, err
 		}
 		net.Quiesce()
-		// The sweep above resolved every pending coordinator crash it could
-		// reach; hold each resolved one to the convergence contract before
-		// any fault state changes. The probes only run when crashes are
+		// ResolveOrphans above resolved every pending coordinator crash it
+		// could reach; hold each resolved one to the convergence contract
+		// before any fault state changes. The probes only run when crashes are
 		// pending, so the message sequence stays a pure function of the seed.
 		if err := sched.settleCoordCrashes(ctx, rec, false); err != nil {
 			return res, err
@@ -560,7 +560,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	// sweep past the last leases resolves whatever a then-crashed or
 	// partitioned DM kept in doubt.
 	clk.Advance(cluster.LeaseTTL + time.Millisecond)
-	if _, err := store.SweepOnce(ctx); err != nil {
+	if err := store.ResolveOrphans(ctx); err != nil {
 		return res, err
 	}
 	net.Quiesce()

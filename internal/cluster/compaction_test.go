@@ -202,7 +202,7 @@ func TestUnencodableWriteFailsAtOnce(t *testing.T) {
 // internal/transport/tcp/frame.go is bumped and the new fingerprint pinned
 // under it, so no layout change ships without one.
 func TestLayoutsArePinnedToTheWireVersion(t *testing.T) {
-	pinned := map[byte]uint64{5: 0x812f188c18dc5810, 6: 0xda64edff278986c3}
+	pinned := map[byte]uint64{5: 0x812f188c18dc5810, 6: 0xda64edff278986c3, 7: 0x2f514b13f7eeaad8}
 	want, ok := pinned[tcp.WireVersion]
 	if got := wire.Fingerprint(); !ok || got != want {
 		t.Fatalf("registered layouts have fingerprint %#x; wire version %d pins %#x (pinned: %v). "+

@@ -403,18 +403,6 @@ func grow[M ~map[K]V, K comparable, V any](m M) M {
 	return m
 }
 
-// writerInFlight reports whether any transaction holds a write lock or a
-// buffered intention here — state a repair must not overwrite. Read locks
-// are compatible with it: they cannot change the value.
-func (r *replica) writerInFlight() bool {
-	for _, l := range r.Locks {
-		if l.Mode == LockWrite {
-			return true
-		}
-	}
-	return len(r.Intents) > 0
-}
-
 // view folds the intentions visible to t (those owned by t, its ancestors,
 // or the committed descendants they inherited) over the committed state,
 // yielding the state t must read.
@@ -542,39 +530,14 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 		r.release(q.Txn, q.Seq)
 		s.touch(q.Txn, q.Item)
 		return Ack{OK: true}, true
-	case RepairReq:
-		r := s.Replicas[q.Item]
-		if r == nil {
-			return Ack{}, false
-		}
-		// Safe when strictly newer and no writer is in flight: the repair
-		// only advances the committed state to a value that is already
-		// committed at a write-quorum, which every quorum read would
-		// return anyway. Read locks do not block it. The same argument
-		// covers configuration generations: a newer (gen, cfg) was
-		// installed by a committed reconfiguration, and propagating it
-		// only redirects clients sooner.
-		if r.writerInFlight() {
-			return Ack{OK: true}, false
-		}
-		applied := false
-		if q.VN > r.VN {
-			r.VN, r.Val = q.VN, q.Val
-			applied = true
-		}
-		if q.Gen > r.Gen {
-			r.Gen, r.Cfg = q.Gen, q.Cfg.Clone()
-			applied = true
-		}
-		return Ack{OK: true}, applied
 	case InspectReq:
 		r := s.Replicas[q.Item]
 		if r == nil {
 			return InspectResp{}, false
 		}
 		// An inspection doubles as an orphan hunt: no requester is exempt, so
-		// the sweeper's idle-tick inspections find expired-lease holders even
-		// when no client is conflicting with them.
+		// Store.ResolveOrphans finds expired-lease holders even when no client
+		// is conflicting with them.
 		return InspectResp{
 			OK: true, VN: r.VN, Val: r.Val, Gen: r.Gen, Cfg: r.Cfg.Clone(),
 			Locks: len(r.Locks), Intents: len(r.Intents), Orphans: s.expiredHolders(r, ""),

@@ -267,33 +267,6 @@ func TestCommitTopIdempotent(t *testing.T) {
 	}
 }
 
-func TestRepairAppliesOnlyWhenNewerAndIdle(t *testing.T) {
-	s := bareDM()
-	r := s.Replicas["x"]
-	r.VN = 2
-	serve(s, RepairReq{Item: "x", VN: 1, Val: "older"})
-	if r.VN != 2 {
-		t.Error("older repair applied")
-	}
-	serve(s, RepairReq{Item: "x", VN: 5, Val: "newer"})
-	if r.VN != 5 || r.Val != "newer" {
-		t.Error("newer repair not applied")
-	}
-	// Read locks do not block repairs (they only advance committed state
-	// to the quorum maximum) …
-	r.grant("c1.t1", LockRead, 0)
-	serve(s, RepairReq{Item: "x", VN: 9, Val: "reader-held"})
-	if r.VN != 9 {
-		t.Error("repair must apply under read locks")
-	}
-	// … but write locks and pending intents do.
-	r.grant("c1.t2", LockWrite, 0)
-	serve(s, RepairReq{Item: "x", VN: 12, Val: "busy"})
-	if r.VN != 12-3 {
-		t.Error("repair applied under a write lock")
-	}
-}
-
 func TestReplicaReleaseGuards(t *testing.T) {
 	r := newReplica()
 	// released retracts phase seq of txn and reports whether that freed the

@@ -441,7 +441,7 @@ func TestCloseRacingReadOnlyRunsLeavesNoLocks(t *testing.T) {
 // TestReaperAndReplayConverge crosses orphan resolution with amnesia
 // recovery: a replica crashes across the commit point, is amnesia-restarted
 // (WAL replay resurrects the committed transaction's lock and intention,
-// with a fresh lease), and the sweeper then resolves the orphan from the
+// with a fresh lease), and ResolveOrphans then resolves the orphan from the
 // peers' commit records. A second amnesia restart must converge to the same
 // state purely from the log — the re-served decision was persisted as a
 // DecisionReq record — and must not double-count the resolution.
@@ -482,11 +482,11 @@ func TestReaperAndReplayConverge(t *testing.T) {
 	}
 
 	clk.Advance(LeaseTTL + time.Millisecond)
-	if _, err := store.SweepOnce(ctx); err != nil {
+	if err := store.ResolveOrphans(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := store.Stats.OrphanReapsCommitted.Value(); got != 1 {
-		t.Fatalf("%d commit-reaps after sweep, want 1", got)
+		t.Fatalf("%d commit-reaps after ResolveOrphans, want 1", got)
 	}
 	post, err := store.Inspect(ctx, straggler, "x")
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // memberResp pairs a replica's answer with its name, so the read phase can
-// fold versions and repair stale members afterwards.
+// fold versions and learn generations afterwards.
 type memberResp struct {
 	dm   string
 	resp ReadResp

@@ -67,7 +67,7 @@ type DMHost struct {
 // their full committed-subs payload before the oldest compact to outcome
 // tombstones (the verdict alone). The window only needs to outlive the
 // straggler horizon — a replica that missed a commit hears about it from a
-// client its locks block, or from the sweeper, long before 4096 later
+// client its locks block, or from ResolveOrphans, long before 4096 later
 // transactions resolve.
 const defaultResolvedRetention = 4096
 

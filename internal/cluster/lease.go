@@ -80,7 +80,7 @@ func (s *dmServer) refreshLeases() {
 // requester's own that hold a lock on r under a lapsed lease: their clients
 // may be gone. Every refusal over r's locks carries the list, and an
 // inspection carries it with no requester to exempt, so orphans are named
-// exactly when they are in somebody's way or under the sweeper's eye. It
+// exactly when they are in somebody's way or under ResolveOrphans's eye. It
 // changes nothing: a holder without a lease entry is not expired — expiry
 // must only ever shorten availability, never invent an orphan.
 func (s *dmServer) expiredHolders(r *replica, requester TxnID) []TxnID {
@@ -276,6 +276,29 @@ func (s *Store) openTxnList() []*Txn {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
+}
+
+// ResolveOrphans settles the orphans of idle items, which no transaction
+// trips over: it inspects every replica of every item, in sorted order so a
+// seeded harness replays it, and resolves the expired-lease holders the
+// inspections name. A replica it cannot reach is skipped; only a done ctx
+// ends the pass early, with its error. It pushes no data: a lagging copy
+// needs none (DESIGN.md §6).
+func (s *Store) ResolveOrphans(ctx context.Context) error {
+	for _, it := range s.Items() {
+		var orphans []TxnID
+		for _, dm := range it.DMs {
+			resp, err := s.Inspect(ctx, dm, it.Name)
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			if err == nil {
+				orphans = append(orphans, resp.Orphans...)
+			}
+		}
+		s.resolveAll(ctx, orphans)
+	}
+	return ctx.Err()
 }
 
 // resolveAll resolves each of the named orphans in turn, in sorted order so

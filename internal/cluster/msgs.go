@@ -149,20 +149,15 @@ type Ack struct {
 	OK bool
 }
 
-// RepairReq propagates already-committed state to a stale replica —
-// Gifford's background update of out-of-date copies, triggered by quorum
-// reads that observe stale version numbers and by the anti-entropy
-// sweeper. Applied only when strictly newer than the replica's committed
-// state and no transaction holds conflicting state on the item. Gen/Cfg,
-// when Gen is non-zero, propagate a newer quorum configuration the same
-// way (the sweeper's reconfiguration catch-up); read repair leaves them
-// zero.
+// RepairReq is retired: nothing sends or serves it, and it is not
+// registered with the wire (its tag, 8, stays unused). It was the repair a
+// quorum read or an anti-entropy sweep pushed to a stale copy, which no read
+// returns anyway (DESIGN.md §6). It stays only because the benchmark's
+// tracer test (bench/trace_test.go) builds one; the next change that may
+// edit bench/ deletes both.
 type RepairReq struct {
 	Item string
 	VN   int
-	Val  any
-	Gen  int
-	Cfg  quorum.Config
 }
 
 // OverloadedResp is the explicit admission rejection a DM sends when its
@@ -191,16 +186,16 @@ type PingReq struct {
 	Seq int
 }
 
-// InspectReq asks a DM for its committed replica state: the anti-entropy
-// sweeper's question, and a diagnostic.
+// InspectReq asks a DM for its committed replica state: ResolveOrphans's
+// question, and a diagnostic.
 type InspectReq struct {
 	Item string
 }
 
 // InspectResp carries a replica's committed state and bookkeeping sizes.
 // Orphans names every lock holder's top-level transaction whose lease
-// lapsed (as in ReadResp, with no requester to exempt), which is how the
-// sweeper finds orphans nobody is waiting on.
+// lapsed (as in ReadResp, with no requester to exempt), which is how
+// ResolveOrphans finds orphans nobody is waiting on.
 type InspectResp struct {
 	OK      bool
 	VN      int

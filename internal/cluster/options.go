@@ -20,14 +20,12 @@ type settings struct {
 	lockRetries  int
 	retryBackoff time.Duration
 	txnRetries   int
-	readRepair   bool
 	sequential   bool
 	seed         int64
 	trace        *trace.Log
 	history      *checker.Recorder
 	walDir       string
 	walOpts      []wal.Option
-	antiEntropy  time.Duration
 	clock        transport.Clock
 
 	clientTag string
@@ -112,13 +110,6 @@ func WithTxnRetries(n int) Option {
 	return func(s *settings) { s.txnRetries = n }
 }
 
-// WithReadRepair enables Gifford read repair: quorum reads that observe
-// stale replicas push the quorum-maximum version to them in the
-// background. Default off.
-func WithReadRepair(on bool) Option {
-	return func(s *settings) { s.readRepair = on }
-}
-
 // WithSequentialPhases makes every quorum phase offer its quorums to the
 // fan-out one at a time, in seeded shuffled order, instead of all at once:
 // each plan waits for every member of one quorum and never hedges, so no
@@ -169,16 +160,6 @@ func WithDurability(dir string) Option {
 // size, fsync, group commit. Only meaningful together with WithDurability.
 func WithWALOptions(opts ...wal.Option) Option {
 	return func(s *settings) { s.walOpts = opts }
-}
-
-// WithAntiEntropy starts a background sweeper that, every interval,
-// inspects every replica and pushes the observed maximum committed version
-// and configuration generation to stale ones — so long partitions heal
-// during idle ticks without waiting for a lucky read-repair. Zero (the
-// default) disables the loop; Store.SweepOnce is always available for
-// explicit passes.
-func WithAntiEntropy(interval time.Duration) Option {
-	return func(s *settings) { s.antiEntropy = interval }
 }
 
 // WithClock injects the clock lock leases (LeaseTTL) expire against.

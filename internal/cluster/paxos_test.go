@@ -166,12 +166,12 @@ func TestRecoveryAdoptsDecidedOutcome(t *testing.T) {
 		}
 	}
 
-	// One sweep past the lease: its inspections name the orphan, the probes
-	// find acceptor state, and the sweeper's recovery proposer must adopt
-	// the accepted commit. Every round is a call, so the sweep returns after
-	// the resolution.
+	// One ResolveOrphans past the lease: its inspections name the orphan, the
+	// probes find acceptor state, and the recovery proposer must adopt the
+	// accepted commit. Every round is a call, so it returns after the
+	// resolution.
 	lapse(clk)
-	if _, err := store.SweepOnce(ctx); err != nil {
+	if err := store.ResolveOrphans(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -361,8 +361,8 @@ func TestBlockedClientResolvesCrashedCoordinator(t *testing.T) {
 				t.Fatalf("the next conflicting transaction: %v", err)
 			}
 			// Quorums route around a straggler a partial learn left behind, so
-			// nobody may have tripped over it: that one is the sweeper's.
-			if _, err := blocked.SweepOnce(ctx); err != nil {
+			// nobody may have tripped over it: that one is ResolveOrphans's.
+			if err := blocked.ResolveOrphans(ctx); err != nil {
 				t.Fatal(err)
 			}
 			committed := oneOutcome(t, blocked, dms, rep.Txn)
@@ -515,7 +515,7 @@ func TestResolveWithADMDown(t *testing.T) {
 			t.Fatalf("dm2 while it was down: %+v, want it still holding the orphan", p)
 		}
 		lapse(clk)
-		if _, err := blocked.SweepOnce(ctx); err != nil {
+		if err := blocked.ResolveOrphans(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if !oneOutcome(t, blocked, dms, rep.Txn) || blocked.Stats.OrphanReapsCommitted.Value() != 1 {

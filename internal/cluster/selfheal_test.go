@@ -60,26 +60,18 @@ func settle(t *testing.T, store *Store, net *sim.Network, dms []string) {
 	}
 }
 
-// TestSweepErrorBudget: a cancelled sweep surfaces as an error, the
-// background loop's counting wrapper records it, and healthy sweeps keep
-// the error budget at zero.
-func TestSweepErrorBudget(t *testing.T) {
+// TestResolveOrphansStopsOnCancel: a pass over healthy replicas returns
+// nil, and a pass under a cancelled context stops with its error.
+func TestResolveOrphansStopsOnCancel(t *testing.T) {
 	store, _, _, _ := selfHealCluster(t, 13, WithCallTimeout(time.Second))
 	ctx := context.Background()
-	if _, err := store.SweepOnce(ctx); err != nil {
+	if err := store.ResolveOrphans(ctx); err != nil {
 		t.Fatal(err)
-	}
-	if n := store.Stats.AntiEntropySweepErrors.Value(); n != 0 {
-		t.Fatalf("healthy sweep burned error budget: %d", n)
 	}
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := store.SweepOnce(dead); err == nil {
-		t.Fatal("cancelled sweep returned no error")
-	}
-	store.sweepAndCount(dead)
-	if n := store.Stats.AntiEntropySweepErrors.Value(); n != 1 {
-		t.Fatalf("AntiEntropySweepErrors = %d, want 1", n)
+	if err := store.ResolveOrphans(dead); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled pass returned %v, want context.Canceled", err)
 	}
 }
 
@@ -92,11 +84,10 @@ func TestCloseIdempotent(t *testing.T) {
 	defer net.Close()
 	store, err := Open(net,
 		[]ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}},
-		WithSeed(301),
-		// Background loops make double-Close genuinely dangerous (a second
+		// A background loop makes double-Close genuinely dangerous (a second
 		// close of stopBg would panic): the lease renewer runs under the wall
-		// clock, and the sweeper runs too.
-		WithAntiEntropy(5*time.Millisecond),
+		// clock.
+		WithSeed(301),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -394,9 +385,9 @@ func crashWriterBeforeCommit(t *testing.T, store *Store, net *sim.Network, dms [
 // TestReapAppliesPeerCommitRecord covers the other reap outcome: a replica
 // that missed the commit broadcast (crashed across the commit point) still
 // holds the committed transaction's locks and intention. Once the lease
-// lapses, the sweeper's probes reach peers that DID resolve the transaction,
-// and the straggler is served their record — intention folded in, not
-// discarded.
+// lapses, ResolveOrphans's probes reach peers that DID resolve the
+// transaction, and the straggler is served their record — intention folded
+// in, not discarded.
 func TestReapAppliesPeerCommitRecord(t *testing.T) {
 	store, net, clk, dms := selfHealCluster(t, 305, WithLockRetries(3))
 	ctx := context.Background()
@@ -419,9 +410,9 @@ func TestReapAppliesPeerCommitRecord(t *testing.T) {
 	}
 
 	clk.Advance(LeaseTTL + time.Millisecond)
-	// The sweep's inspection is the orphan hunter here — no client is
+	// ResolveOrphans's inspection is the orphan hunter here — no client is
 	// waiting on the straggler, since quorums route around it.
-	if _, err := store.SweepOnce(ctx); err != nil {
+	if err := store.ResolveOrphans(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -491,64 +482,6 @@ func TestLeaseFenceStopsReapedCommit(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAntiEntropySweepHealsStaleReplica checks the sweeper repairs both
-// dimensions of staleness — committed version and configuration generation
-// — without waiting for a lucky quorum read, and that a converged cluster
-// sweeps clean.
-func TestAntiEntropySweepHealsStaleReplica(t *testing.T) {
-	store, net, _, dms := selfHealCluster(t, 308)
-	ctx := context.Background()
-	net.Crash("dm2")
-	for i := 1; i <= 3; i++ {
-		if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, "x", i) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Bump the configuration generation while dm2 is down; the config write
-	// needs only a write quorum of the old configuration.
-	if err := store.Reconfigure(ctx, "x", quorum.Majority(dms)); err != nil {
-		t.Fatal(err)
-	}
-	net.Restart("dm2")
-	stale, err := store.Inspect(ctx, "dm2", "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := store.Inspect(ctx, "dm0", "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale.VN >= fresh.VN && stale.Gen >= fresh.Gen {
-		t.Fatalf("precondition: dm2 should be stale (dm2 %+v, dm0 %+v)", stale, fresh)
-	}
-	repairs, err := store.SweepOnce(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repairs == 0 {
-		t.Fatal("sweep saw a stale replica but sent no repairs")
-	}
-	net.Quiesce()
-	healed, err := store.Inspect(ctx, "dm2", "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if healed.VN != fresh.VN || healed.Val != fresh.Val || healed.Gen != fresh.Gen {
-		t.Fatalf("dm2 not healed: %+v, want vn/gen of %+v", healed, fresh)
-	}
-	if store.Stats.AntiEntropyRepairs.Value() == 0 || store.Stats.AntiEntropySweeps.Value() == 0 {
-		t.Fatal("sweep counters not advanced")
-	}
-	// A converged cluster has nothing to repair.
-	repairs, err = store.SweepOnce(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repairs != 0 {
-		t.Fatalf("second sweep sent %d repairs on a converged cluster", repairs)
 	}
 }
 

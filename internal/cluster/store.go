@@ -38,7 +38,6 @@ type Stats struct {
 	Aborts      metrics.Counter
 	Restarts    metrics.Counter
 	BusyRetries metrics.Counter
-	Repairs     metrics.Counter
 	// Hedges counts duplicate request copies sent to replicas that had not
 	// answered within the hedge delay.
 	Hedges metrics.Counter
@@ -84,10 +83,6 @@ type Stats struct {
 	SuspectReplicas metrics.Gauge
 	ProbeTrials     metrics.Counter
 	SuspectSkips    metrics.Counter
-	// AntiEntropySweeps counts sweeper passes; AntiEntropyRepairs the
-	// repair messages those passes pushed to stale replicas.
-	AntiEntropySweeps  metrics.Counter
-	AntiEntropyRepairs metrics.Counter
 	// Overload protection (DESIGN.md §7). AdmissionSheds counts replies
 	// where a DM rejected the request at its bounded queue;
 	// ExpiredOnArrival counts replies where a DM discarded the request at
@@ -101,10 +96,6 @@ type Stats struct {
 	RetryBudgetDenied metrics.Counter
 	InflightLimit     metrics.Gauge
 	QueueDepth        metrics.IntHistogram
-	// AntiEntropySweepErrors counts sweeper passes that returned an error
-	// (some replica unreachable mid-sweep). The background loop used to
-	// swallow these silently; tests assert an error budget against it.
-	AntiEntropySweepErrors metrics.Counter
 	// Sharded placement (DESIGN.md §10). WrongShardRedirects counts
 	// redirects absorbed from retired replicas after a live migration;
 	// Migrations counts MigrateItem cutovers this client completed.
@@ -177,7 +168,7 @@ type Store struct {
 	limiter *aimdLimiter
 
 	// closeOnce makes Close idempotent and safe to race; stopBg and bg
-	// manage the background goroutines (lease renewer, anti-entropy loop).
+	// manage the background goroutines (the lease renewer).
 	closeOnce sync.Once
 	stopBg    chan struct{}
 	bg        sync.WaitGroup
@@ -332,10 +323,6 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		s.bg.Add(1)
 		go s.leaseRenewer()
 	}
-	if st.antiEntropy > 0 {
-		s.bg.Add(1)
-		go s.antiEntropyLoop()
-	}
 	return s, nil
 }
 
@@ -375,8 +362,8 @@ func (s *Store) Close() {
 }
 
 func (s *Store) doClose() {
-	// Stop the background goroutines (lease renewer, anti-entropy sweeper)
-	// first so they do not issue new traffic into a closing cluster.
+	// Stop the background goroutine (the lease renewer) first so it does
+	// not issue new traffic into a closing cluster.
 	close(s.stopBg)
 	s.bg.Wait()
 	// An orderly Close is not a crash (net.Crash models those, and loses
@@ -1020,9 +1007,6 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 						res.val = m.resp.Val
 					}
 				}
-				if t.store.opts.readRepair {
-					t.store.repairStale(item, res, col.grantedResps())
-				}
 				if lockless {
 					t.unchecked.Store(&firstRead{item: item, vn: res.vn})
 				}
@@ -1096,20 +1080,6 @@ func (t *Txn) validateFirst(ctx context.Context, first *firstRead, item string, 
 		return res, nil
 	}
 	return t.readPhase(ctx, item, mode)
-}
-
-// repairStale fire-and-forgets the quorum read's winning (version, value)
-// to the replicas that answered with older version numbers. The DM applies
-// it only if still strictly newer and idle; losing the message is
-// harmless.
-func (s *Store) repairStale(item string, res readResult, resps []memberResp) {
-	for _, m := range resps {
-		if m.resp.VN >= res.vn {
-			continue
-		}
-		s.Stats.Repairs.Inc()
-		s.client.Notify(m.dm, RepairReq{Item: item, VN: res.vn, Val: res.val})
-	}
 }
 
 // Inspect returns a DM's committed replica state for tests and tooling.

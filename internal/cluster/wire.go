@@ -32,9 +32,8 @@ import (
 // the same reason: each stands between a lock holder and its resolution,
 // and shedding one stalls it exactly like a shed renewal would.
 // Write-intent traffic outranks fresh reads because writers usually hold
-// locks elsewhere already. Everything else (reads, pings, repairs,
-// inspections, migration and ring upkeep) is the bulk that admission
-// exists to bound.
+// locks elsewhere already. Everything else (reads, pings, inspections,
+// migration and ring upkeep) is the bulk that admission exists to bound.
 var wireTypes = []struct {
 	tag   uint16
 	proto any
@@ -49,7 +48,8 @@ var wireTypes = []struct {
 	// longer a message).
 	{6, AbortReq{}, transport.PrioControl},
 	{7, CommitTopReq{}, transport.PrioControl},
-	{8, RepairReq{}, transport.PrioRead},
+	// 8 is retired (it was RepairReq, the push of a newer committed copy to
+	// a stale one: read repair and the anti-entropy sweeper are gone).
 	{9, PingReq{}, transport.PrioRead},
 	{10, InspectReq{}, transport.PrioRead},
 	{11, RenewLeaseReq{}, transport.PrioControl},

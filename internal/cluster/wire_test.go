@@ -58,7 +58,7 @@ func TestWireRoundTrip(t *testing.T) {
 		ReadReq{Txn: "t1", Item: "x", Lock: LockRead, Seq: 1}, // a flat transaction's access: no list (this was retired tag 5's slot)
 		AbortReq{Txn: "t4"},
 		CommitTopReq{Txn: "t1", Subs: []TxnID{"t1/0", "t1/1"}, Final: map[string]int{"x": 8}},
-		RepairReq{Item: "x", VN: 9, Val: 5, Gen: 1, Cfg: cfg},
+		InspectReq{Item: "x"}, // retired tag 8's slot (later subtest numbers stay put)
 		PingReq{Seq: 11},
 		InspectReq{Item: "z"},
 		RenewLeaseReq{Txn: "t5"},

@@ -1,6 +1,6 @@
 // Package experiments implements the evaluation harness: every figure the
 // paper contains (F1, F2) and every systems experiment DESIGN.md defines
-// (E1–E9, A1) can be regenerated through the functions here. cmd/qcbench
+// (E1–E8, A1) can be regenerated through the functions here. cmd/qcbench
 // is a thin flag wrapper; the root bench_test.go wraps the same functions in
 // testing.B benchmarks.
 package experiments
@@ -256,62 +256,6 @@ func Availability(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "(cells are read-availability/write-availability)")
-	return nil
-}
-
-// ReadRepair (E9) measures how quickly a restarted, stale replica catches
-// up under a read-only workload, with and without read repair: the
-// fraction of reads until the replica holds the current version.
-func ReadRepair(w io.Writer, reads int) error {
-	fmt.Fprintf(w, "%-14s  %18s  %12s\n", "read repair", "reads until caught up", "repairs sent")
-	for _, enabled := range []bool{false, true} {
-		net := sim.NewNetwork(sim.Config{MinLatency: 40 * time.Microsecond, MaxLatency: 400 * time.Microsecond, Seed: 55})
-		dms := dmNames(3)
-		store, err := cluster.Open(net, []cluster.ItemSpec{{
-			Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms),
-		}}, cluster.WithCallTimeout(20*time.Millisecond), cluster.WithReadRepair(enabled), cluster.WithSeed(55))
-		if err != nil {
-			net.Close()
-			return err
-		}
-		ctx := context.Background()
-		// Make dm2 stale.
-		net.Crash("dm2")
-		if err := store.Run(ctx, func(t *cluster.Txn) error { return t.Write(ctx, "x", 1) }); err != nil {
-			store.Close()
-			net.Close()
-			return err
-		}
-		net.Restart("dm2")
-		caught := -1
-		for i := 1; i <= reads; i++ {
-			if err := store.Run(ctx, func(t *cluster.Txn) error {
-				_, err := t.Read(ctx, "x")
-				return err
-			}); err != nil {
-				store.Close()
-				net.Close()
-				return err
-			}
-			time.Sleep(time.Millisecond) // let fire-and-forget repairs land
-			if resp, err := store.Inspect(ctx, "dm2", "x"); err == nil && resp.VN >= 1 {
-				caught = i
-				break
-			}
-		}
-		caughtStr := "never"
-		if caught >= 0 {
-			caughtStr = fmt.Sprintf("%d", caught)
-		}
-		label := "off"
-		if enabled {
-			label = "on"
-		}
-		fmt.Fprintf(w, "%-14s  %18s  %12d\n", label, caughtStr, store.Stats.Repairs.Value())
-		store.Close()
-		net.Close()
-	}
-	fmt.Fprintln(w, "(without repair the replica stays stale until the next direct write; reads stay correct either way via quorum intersection)")
 	return nil
 }
 

@@ -282,7 +282,7 @@ func (n *Node) Pending() int { return n.calls.Len() }
 // Notify sends req to the node named to without waiting for — or ever
 // receiving — a reply: the envelope carries ID 0, which the receiver's
 // loop handles but does not answer. Use it for fire-and-forget protocol
-// messages (lock releases, read repair) where the sender cannot act on
+// messages (lock releases, commit cleanup) where the sender cannot act on
 // the outcome anyway and a lost message is harmless.
 func (n *Node) Notify(to string, req any) {
 	n.net.Send(n.id, to, envelope{ID: 0, Req: req})

@@ -38,7 +38,7 @@ import (
 // wireVersion is the first byte of every frame body. A change to the
 // header, to package wire's encodings, or to the meaning of a registered
 // tag bumps it; a peer speaking another version is refused, frame by frame.
-const wireVersion = 6
+const wireVersion = 7
 
 // WireVersion is the version byte this build speaks. The protocol layer
 // pins the fingerprint of its registered layouts to it (package wire's

@@ -59,7 +59,7 @@ type Client interface {
 	Call(ctx context.Context, to string, req any) (any, error)
 	// Notify sends req without waiting for — or ever receiving — a reply.
 	// Best-effort: a lost notify is silent and must be harmless to the
-	// protocol (releases and repairs are).
+	// protocol (releases and cleanup notifies are).
 	Notify(to string, req any)
 	// Close releases the endpoint. Pending calls fail.
 	Close()

@@ -202,8 +202,6 @@ var (
 	// WithTxnRetries sets how many times Run restarts a conflicted
 	// transaction.
 	WithTxnRetries = cluster.WithTxnRetries
-	// WithReadRepair enables background repair of stale replicas.
-	WithReadRepair = cluster.WithReadRepair
 	// WithSequentialPhases offers each phase's quorums one at a time in
 	// seeded order — a replay lever for deterministic harnesses.
 	WithSequentialPhases = cluster.WithSequentialPhases
@@ -211,9 +209,6 @@ var (
 	WithSeed = cluster.WithSeed
 	// WithTrace directs structured per-operation events to a trace log.
 	WithTrace = cluster.WithTrace
-	// WithAntiEntropy starts a background sweeper repairing stale
-	// replicas at the given interval.
-	WithAntiEntropy = cluster.WithAntiEntropy
 	// WithCommitProtocol selects the top-level commit strategy: TwoPhase
 	// (default) or PaxosCommit (non-blocking commit — a coordinator crash
 	// around the commit point is resolved from a majority of acceptors by
