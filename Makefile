@@ -64,12 +64,13 @@ proc-smoke:
 # the transaction already holds, and each configuration's target lists
 # computed once when the client adopts it instead of per phase: 4745 → 4783,
 # E28). Read repair and the anti-entropy sweeper went in one step: 23 → 21
-# options, 4330 → 4205 lines (E32). And a replica only
+# options, 4330 → 4205 lines (E32); a quorum phase's books as bitmasks
+# over its targets, 4205 → 4168 (E33). And a replica only
 # answers: no line of the package may hand the state machine a sender or
 # send from a served endpoint (notifyPeer(, setSender(, server.Notify), so a
 # replica that originates traffic cannot grow back unnoticed either.
 CLUSTER_MAX_OPTIONS = 21
-CLUSTER_MAX_LINES = 4205
+CLUSTER_MAX_LINES = 4168
 CLUSTER_MAX_SERVE_SITES = 1
 CLUSTER_MAX_CANLOCK_SITES = 1
 CLUSTER_MAX_REPLICA_SENDS = 0
@@ -116,10 +117,10 @@ replay:
 # Timings are not held here; they go through the ten-pair protocol.
 COUNTS_frames = tcp.frame_allocs.readreq=6.4 tcp.frame_allocs.readresp=5.3 \
 	tcp.frame_allocs.writereq1k=8.5 tcp.frame_allocs.committop=12.7
-COUNTS_tcp_read95 = process.allocs_per_txn=82 cluster.rpcs_per_txn=2.32 \
+COUNTS_tcp_read95 = process.allocs_per_txn=57 cluster.rpcs_per_txn=2.32 \
 	cluster.notifies_per_txn=0.01 cluster.messages_per_txn=2.32 \
 	tcp.wire_bytes_per_txn=192 $(COUNTS_frames)
-COUNTS_sim_nested_n5 = process.allocs_per_txn=314 cluster.rpcs_per_txn=13.1 \
+COUNTS_sim_nested_n5 = process.allocs_per_txn=222 cluster.rpcs_per_txn=13.1 \
 	cluster.notifies_per_txn=0.83 cluster.messages_per_txn=13.9 \
 	tcp.wire_bytes_per_txn=0 $(COUNTS_frames)
 COUNTS_tcp_durable_write = cluster.rpcs_per_txn=9.4 cluster.notifies_per_txn=0.05 \

@@ -51,6 +51,22 @@ func (e *LeaseExpiredError) Error() string {
 
 func (e *LeaseExpiredError) Unwrap() []error { return []error{ErrLeaseExpired, ErrConflict} }
 
+// MaxQuorumTargets is how many replicas one kind of quorum of an item may
+// span: a quorum phase keeps its books in 64-bit masks over them.
+const MaxQuorumTargets = 64
+
+// TooManyTargetsError refuses a configuration whose read or write quorums
+// span more than MaxQuorumTargets replicas.
+type TooManyTargetsError struct {
+	Item    string
+	Targets int // the replicas the wider kind of quorum spans
+}
+
+func (e *TooManyTargetsError) Error() string {
+	return fmt.Sprintf("cluster: item %q: quorums span %d replicas, more than the %d a quorum phase can track",
+		e.Item, e.Targets, MaxQuorumTargets)
+}
+
 // ConflictError reports a lock conflict that exhausted the retry budget.
 // It wraps ErrConflict, so errors.Is(err, ErrConflict) still matches;
 // errors.As exposes the detail.

@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/quorum"
+	"repro/internal/shard"
+	"repro/internal/sim"
 )
 
 // TestTypedErrors pins the error contract across the shed, expiry-at-
@@ -104,5 +110,59 @@ func TestTypedErrorsAs(t *testing.T) {
 	}
 	if oe.Attempts != 4 || len(oe.Shed) != 2 || !oe.Expired || !oe.BudgetDenied {
 		t.Errorf("extracted detail = %+v", oe)
+	}
+}
+
+// TestRefusesMoreThan64Targets: a quorum phase keeps its books in 64-bit
+// masks over an item's replicas, so Open, Reconfigure and MigrateItem refuse
+// any configuration whose read or write quorums span more, with a typed
+// error and before a single request is sent.
+func TestRefusesMoreThan64Targets(t *testing.T) {
+	dms := make([]string, MaxQuorumTargets+1)
+	for i := range dms {
+		dms[i] = fmt.Sprintf("dm%02d", i)
+	}
+	wide := quorum.ReadOneWriteAll(dms) // 65 read quorums of one, one write quorum of all
+	refused := func(what string, err error) {
+		t.Helper()
+		var tm *TooManyTargetsError
+		if !errors.As(err, &tm) || tm.Item != "x" || tm.Targets != len(dms) {
+			t.Fatalf("%s: %v, want a TooManyTargetsError for x spanning %d", what, err, len(dms))
+		}
+	}
+	net := sim.NewNetwork(sim.Config{Seed: 1})
+	defer net.Close()
+
+	_, err := Open(net, []ItemSpec{{Name: "x", DMs: dms, Config: wide}})
+	refused("Open", err)
+
+	// 64 targets is the limit, not past it.
+	at := quorum.ReadOneWriteAll(dms[:MaxQuorumTargets])
+	if err := checkTargets("x", newKnownCfg(at)); err != nil {
+		t.Fatalf("%d targets refused: %v", MaxQuorumTargets, err)
+	}
+
+	// An item may have more replicas than that while its quorums span fewer;
+	// a move to a group past the limit is refused like a reconfiguration.
+	others := make([]string, len(dms))
+	for i := range others {
+		others[i] = fmt.Sprintf("e%02d", i)
+	}
+	ring, err := shard.New(1, 64, []shard.Group{{Name: "g0", DMs: dms}, {Name: "g1", DMs: others}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := Open(net, []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms[:3])}},
+		WithSeed(1), WithRing(ring))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := context.Background()
+	sent := net.Stats().Sent
+	refused("Reconfigure", store.Reconfigure(ctx, "x", wide))
+	refused("MigrateItem", store.MigrateItem(ctx, "x", "g1", CommitCrashOptions{}))
+	if n := net.Stats().Sent; n != sent {
+		t.Errorf("the refusals sent %d messages, want none", n-sent)
 	}
 }

@@ -3,7 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
-	"slices"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -11,69 +11,72 @@ import (
 	"repro/internal/transport"
 )
 
-// memberResp pairs a replica's answer with its name, so the read phase can
-// fold versions and learn generations afterwards.
-type memberResp struct {
-	dm   string
-	resp ReadResp
+// member is one target's row in a phase's books: the request copies sent
+// to it, the copies it answered and the copies that came back as a failed
+// call, and its first grant's payload.
+type member struct {
+	issued, replied, failed int
+	resp                    ReadResp
 }
 
 // collector is the pure state machine of one quorum phase's fan-out: it
 // tracks which replicas were asked, which answered how, and whether the
-// responses received so far cover any quorum. It has no concurrency of its
-// own — runPhase drives it from a single goroutine — which keeps it
-// directly unit-testable.
+// responses received so far cover any quorum. Its books are flat and indexed
+// by target position: m holds one row per target, and each set of targets is
+// a bitmask with bit i for targets[i], so the quorum test is one AND per
+// quorum. It has no concurrency of its own — runPhase drives it from a
+// single goroutine — which keeps it directly unit-testable.
 type collector struct {
-	quorums []quorum.Set
+	targets []string // sorted
+	masks   []uint64 // the quorums, over targets
 
-	issued  map[string]int // request copies sent, per DM
-	replied map[string]int // responses received, per DM (any kind)
-	granted map[string]bool
-	held    map[string]bool // grant reported a pre-existing lock
-	busy    map[string]bool // DM refused for a lock conflict at least once
-	shed    map[string]bool // DM rejected at admission (overloaded)
-	resps   map[string]memberResp
-	wrong   map[string]WrongShardResp // DM answered "item moved" redirect
-	quar    map[string]bool           // DM answered quarantined (serving nothing)
-	dups    int                       // responses beyond the first, per DM, summed
-	expired bool                      // at least one shed was expired-on-arrival
-	orphans []TxnID                   // expired-lease holders the Busy refusals named
+	m       []member
+	granted uint64
+	held    uint64                 // grant reported a pre-existing lock
+	busy    uint64                 // refused for a lock conflict at least once
+	shed    uint64                 // rejected at admission (overloaded)
+	quar    uint64                 // answered quarantined (serving nothing)
+	wrong   map[int]WrongShardResp // answered "item moved", by target
+	dups    int                    // responses beyond the first, per target, summed
+	expired bool                   // at least one shed was expired-on-arrival
+	orphans []TxnID                // expired-lease holders the Busy refusals named
 }
 
-func newCollector(quorums []quorum.Set) *collector {
-	return &collector{
-		quorums: quorums,
-		issued:  map[string]int{},
-		replied: map[string]int{},
-		granted: map[string]bool{},
-		held:    map[string]bool{},
-		busy:    map[string]bool{},
-		shed:    map[string]bool{},
-		resps:   map[string]memberResp{},
-	}
+func newCollector(targets []string, masks []uint64) *collector {
+	return &collector{targets: targets, masks: masks, m: make([]member, len(targets))}
 }
 
-// issue records that one request copy was sent to dm.
-func (c *collector) issue(dm string) { c.issued[dm]++ }
+// issue records that one request copy was sent to targets[i].
+func (c *collector) issue(i int) { c.m[i].issued++ }
 
-// reply folds one response in. Responses past the first per DM are counted
-// as duplicates, but a grant always registers even if an earlier copy was
-// refused: the DM holds a lock for us now, and forgetting that would leak
-// it. The first grant's payload wins — its Held bit is the one that
-// reflects the lock's true provenance.
-func (c *collector) reply(dm string, granted, busy, held bool, m memberResp) {
-	c.replied[dm]++
-	if c.replied[dm] > 1 {
+// fail records that a copy to targets[i] came back as a failed call.
+func (c *collector) fail(i int) { c.m[i].failed++ }
+
+// answer counts one response from targets[i], and it as a duplicate past
+// the first.
+func (c *collector) answer(i int) {
+	if c.m[i].replied++; c.m[i].replied > 1 {
 		c.dups++
 	}
+}
+
+// reply folds one response in. A grant always registers even if an earlier
+// copy was refused: the DM holds a lock for us now, and forgetting that
+// would leak it. The first grant's payload wins — its Held bit is the one
+// that reflects the lock's true provenance.
+func (c *collector) reply(i int, granted, busy, held bool, resp ReadResp) {
+	c.answer(i)
+	bit := uint64(1) << i
 	if busy {
-		c.busy[dm] = true
-		c.orphans = append(c.orphans, m.resp.Orphans...)
+		c.busy |= bit
+		c.orphans = append(c.orphans, resp.Orphans...)
 	}
-	if granted && !c.granted[dm] {
-		c.granted[dm] = true
-		c.held[dm] = held
-		c.resps[dm] = m
+	if granted && c.granted&bit == 0 {
+		c.granted |= bit
+		if held {
+			c.held |= bit
+		}
+		c.m[i].resp = resp
 	}
 }
 
@@ -83,36 +86,35 @@ func (c *collector) done() bool {
 	return ok
 }
 
-// winner returns the smallest quorum fully covered by grants, if any. A
-// quorum larger than the grant count cannot be covered, so a phase's early
-// answers cost no set walk.
-func (c *collector) winner() (quorum.Set, bool) {
-	var best quorum.Set
-	for _, q := range c.quorums {
-		if len(q) > len(c.granted) || best != nil && len(q) >= len(best) {
-			continue
-		}
-		if q.SubsetOf(c.granted) {
+// winner returns the smallest quorum fully covered by grants, the first of
+// equally small ones, if any.
+func (c *collector) winner() (uint64, bool) {
+	var best uint64
+	for _, q := range c.masks {
+		if q&c.granted == q && (best == 0 || bits.OnesCount64(q) < bits.OnesCount64(best)) {
 			best = q
 		}
 	}
-	return best, best != nil
+	return best, best != 0
 }
 
-// outstanding reports whether dm has request copies in flight (or lost):
-// more issued than answered.
-func (c *collector) outstanding(dm string) bool {
-	return c.issued[dm] > c.replied[dm]
-}
+// outstanding reports whether targets[i] has request copies in flight (or
+// lost): more issued than answered.
+func (c *collector) outstanding(i int) bool { return c.m[i].issued > c.m[i].replied }
 
-// hedgeTargets returns the DMs worth re-asking: no response yet and fewer
-// than max copies issued. Busy or refusing DMs have answered — re-sending
-// within the phase would just spin on the conflict.
-func (c *collector) hedgeTargets(targets []string, max int) []string {
-	var out []string
-	for _, dm := range targets {
-		if c.replied[dm] == 0 && c.issued[dm] < max {
-			out = append(out, dm)
+// inflight is how many copies to targets[i] have come back neither as an
+// answer nor as a failed call.
+func (c *collector) inflight(i int) int { return c.m[i].issued - c.m[i].replied - c.m[i].failed }
+
+// hedgeable returns the targets of among worth re-asking: no response yet
+// and fewer than max copies issued. Busy or refusing DMs have answered —
+// re-sending within the phase would just spin on the conflict.
+func (c *collector) hedgeable(among uint64, max int) uint64 {
+	var out uint64
+	for m := among; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if c.m[i].replied == 0 && c.m[i].issued < max {
+			out |= 1 << i
 		}
 	}
 	return out
@@ -121,15 +123,10 @@ func (c *collector) hedgeTargets(targets []string, max int) []string {
 // noteShed folds in an explicit admission rejection. The DM answered — it
 // is alive, just refusing load — so it counts as replied: hedging it would
 // only add to the overload, and it is not "missing" for error reporting.
-func (c *collector) noteShed(dm string, expired bool) {
-	c.replied[dm]++
-	if c.replied[dm] > 1 {
-		c.dups++
-	}
-	c.shed[dm] = true
-	if expired {
-		c.expired = true
-	}
+func (c *collector) noteShed(i int, expired bool) {
+	c.answer(i)
+	c.shed |= 1 << i
+	c.expired = c.expired || expired
 }
 
 // noteQuarantined folds in a storage-fault refusal. Like a shed, the DM
@@ -137,118 +134,77 @@ func (c *collector) noteShed(dm string, expired bool) {
 // until a peer rebuild. Counting it as replied keeps hedges off it (every
 // copy would get the same refusal) and the phase fails over to quorums
 // that avoid it.
-func (c *collector) noteQuarantined(dm string) {
-	c.replied[dm]++
-	if c.replied[dm] > 1 {
-		c.dups++
-	}
-	if c.quar == nil {
-		c.quar = map[string]bool{}
-	}
-	c.quar[dm] = true
+func (c *collector) noteQuarantined(i int) {
+	c.answer(i)
+	c.quar |= 1 << i
 }
 
 // noteWrongShard folds in a migration redirect. Like a shed, the DM
 // answered — it just no longer hosts the item — so it counts as replied
 // and is never hedged or reported missing.
-func (c *collector) noteWrongShard(dm string, w WrongShardResp) {
-	c.replied[dm]++
-	if c.replied[dm] > 1 {
-		c.dups++
-	}
+func (c *collector) noteWrongShard(i int, w WrongShardResp) {
+	c.answer(i)
 	if c.wrong == nil {
-		c.wrong = map[string]WrongShardResp{}
+		c.wrong = map[int]WrongShardResp{}
 	}
-	if _, dup := c.wrong[dm]; !dup {
-		c.wrong[dm] = w
+	if _, dup := c.wrong[i]; !dup {
+		c.wrong[i] = w
 	}
 }
 
-// sawWrongShard returns one redirect from the phase, lowest DM id first so
-// the pick is deterministic under seeded replay.
+// sawWrongShard returns one redirect from the phase, the lowest target's
+// (targets are sorted, so the lowest DM id's) so the pick is deterministic
+// under seeded replay.
 func (c *collector) sawWrongShard() (WrongShardResp, bool) {
-	if len(c.wrong) == 0 {
-		return WrongShardResp{}, false
+	low := -1
+	for i := range c.wrong {
+		if low < 0 || i < low {
+			low = i
+		}
 	}
-	dms := make([]string, 0, len(c.wrong))
-	for dm := range c.wrong {
-		dms = append(dms, dm)
-	}
-	sort.Strings(dms)
-	return c.wrong[dms[0]], true
+	return c.wrong[low], low >= 0
 }
 
 // sawBusy reports whether any DM refused for a lock conflict.
-func (c *collector) sawBusy() bool { return len(c.busy) > 0 }
+func (c *collector) sawBusy() bool { return c.busy != 0 }
 
 // sawShed reports whether any DM rejected the phase at admission.
-func (c *collector) sawShed() bool { return len(c.shed) > 0 }
+func (c *collector) sawShed() bool { return c.shed != 0 }
+
+// names returns the targets for which keep holds, sorted.
+func (c *collector) names(keep func(i int) bool) []string {
+	var out []string
+	for i, dm := range c.targets {
+		if keep(i) {
+			out = append(out, dm)
+		}
+	}
+	return out
+}
 
 // shedDMs returns every DM that rejected at admission, sorted.
 func (c *collector) shedDMs() []string {
-	out := make([]string, 0, len(c.shed))
-	for dm := range c.shed {
-		out = append(out, dm)
-	}
-	sort.Strings(out)
-	return out
+	return c.names(func(i int) bool { return c.shed&(1<<i) != 0 })
 }
 
 // respondedDMs returns every DM that answered at least once, sorted.
 func (c *collector) respondedDMs() []string {
-	out := make([]string, 0, len(c.replied))
-	for dm := range c.replied {
-		out = append(out, dm)
-	}
-	sort.Strings(out)
-	return out
+	return c.names(func(i int) bool { return c.m[i].replied > 0 })
 }
 
 // missingDMs returns the targets that never answered, sorted.
-func (c *collector) missingDMs(targets []string) []string {
-	var out []string
-	for _, dm := range targets {
-		if c.replied[dm] == 0 {
-			out = append(out, dm)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// grantedResps returns the payloads of all granting DMs, sorted by name.
-func (c *collector) grantedResps() []memberResp {
-	out := make([]memberResp, 0, len(c.resps))
-	for _, m := range c.resps {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].dm < out[j].dm })
-	return out
-}
-
-// winnerResps returns the payloads of the winning quorum's members only.
-// Folding versions over just the winner is sufficient: the winner is a
-// read-quorum, and quorum intersection guarantees it contains the highest
-// committed version any configuration write-quorum installed.
-func (c *collector) winnerResps(win quorum.Set) []memberResp {
-	out := make([]memberResp, 0, len(win))
-	for dm := range win {
-		if m, ok := c.resps[dm]; ok {
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].dm < out[j].dm })
-	return out
+func (c *collector) missingDMs() []string {
+	return c.names(func(i int) bool { return c.m[i].replied == 0 })
 }
 
 // phaseSpec describes one quorum phase to fan out.
 type phaseSpec struct {
 	item    string
-	targets []string     // every replica the phase may ask
-	quorums []quorum.Set // the quorums any of which completes the phase
-	req     any          // the request, Seq already stamped
-	seq     int          // the phase's sequence number
-	isWrite bool         // write phases never release extra locks (intents need them)
+	targets []string // every replica the phase may ask, sorted
+	masks   []uint64 // the quorums any of which completes the phase, over targets
+	req     any      // the request, Seq already stamped
+	seq     int      // the phase's sequence number
+	isWrite bool     // write phases never release extra locks (intents need them)
 	// lockless phases (ReadReq with lockNone) leave nothing at any replica,
 	// late copies included: there is nothing to touch or release.
 	lockless bool
@@ -267,7 +223,7 @@ func parseGrant(raw any) (granted, busy, held bool, resp ReadResp) {
 }
 
 // runPhase asks one quorum first and returns as soon as the grants cover
-// any of spec.quorums ("first to quorum wins"), every copy sent has been
+// any quorum of spec.masks ("first to quorum wins"), every copy sent has been
 // answered without covering one, or the phase times out. The board's plan
 // picks the first quorum — the one with no suspect member that adds the
 // fewest replicas to those the transaction's tree already holds — and any
@@ -286,7 +242,7 @@ func parseGrant(raw any) (granted, busy, held bool, resp ReadResp) {
 // their replicas; settlePhase squares that with the DMs.
 func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	st := t.store.opts
-	col := newCollector(spec.quorums)
+	col := newCollector(spec.targets, spec.masks)
 	// Deadline arithmetic: the phase budget is the call timeout clamped to
 	// the caller's remaining deadline minus the hop allowance, so hedged
 	// copies — which all derive from pctx — can never run on a fresh full
@@ -301,43 +257,39 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	defer cancel()
 
 	board := t.store.health
-	plan := board.plan(spec.targets, spec.quorums, t.held(spec.targets))
+	plan := board.plan(spec.targets, spec.masks, t.held(spec.targets))
 	if plan.skipped > 0 {
 		t.store.Stats.SuspectSkips.Add(int64(plan.skipped))
 	}
-	if len(plan.probes) > 0 {
-		t.store.Stats.ProbeTrials.Add(int64(len(plan.probes)))
+	if plan.probes != 0 {
+		t.store.Stats.ProbeTrials.Add(int64(bits.OnesCount64(plan.probes)))
 	}
 
 	results := make(chan transport.Reply, len(spec.targets)*hedgeMax)
-	copies := make([]int, len(spec.targets)) // in flight, per target
 	inflight := 0
-	issue := func(dm string) {
-		i := slices.Index(spec.targets, dm)
-		col.issue(dm)
-		copies[i]++
-		inflight++
-		transport.Go(t.store.client, pctx, dm, spec.req, i, results)
-	}
-	for _, dm := range plan.send {
-		if plan.first == nil || plan.first[dm] || plan.probes[dm] {
-			issue(dm)
+	issue := func(among uint64) {
+		for m := among; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			col.issue(i)
+			inflight++
+			transport.Go(t.store.client, pctx, spec.targets[i], spec.req, i, results)
 		}
 	}
+	asked := plan.send
+	if plan.first != 0 {
+		asked &= plan.first | plan.probes
+	}
+	issue(asked)
 	// A phase with nobody left to ask — a plan that dialed everyone, or a
 	// one-quorum sequential plan — has nothing to widen to.
-	widened := inflight == len(plan.send)
+	widened := asked == plan.send
 	widen := func() {
 		if widened || pctx.Err() != nil {
 			return
 		}
 		widened = true
 		t.store.Stats.Widenings.Inc()
-		for _, dm := range plan.send {
-			if col.issued[dm] == 0 {
-				issue(dm)
-			}
-		}
+		issue(plan.send &^ asked)
 	}
 
 	// A sequential plan asks one quorum and moves on to the next when a
@@ -353,38 +305,41 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	for {
 		select {
 		case r := <-results:
-			dm := spec.targets[r.Tag]
-			copies[r.Tag]--
+			i := r.Tag
+			dm := spec.targets[i]
 			inflight--
 			if r.Err == nil {
 				board.observe(dm, true)
 				if o, ok := r.Resp.(OverloadedResp); ok {
-					col.noteShed(dm, o.Expired)
+					col.noteShed(i, o.Expired)
 					if o.Expired {
 						t.store.Stats.ExpiredOnArrival.Inc()
 					} else {
 						t.store.Stats.AdmissionSheds.Inc()
 					}
 				} else if w, ok := r.Resp.(WrongShardResp); ok {
-					col.noteWrongShard(dm, w)
+					col.noteWrongShard(i, w)
 				} else if _, ok := r.Resp.(QuarantinedResp); ok {
-					col.noteQuarantined(dm)
+					col.noteQuarantined(i)
 				} else {
 					granted, busy, held, resp := parseGrant(r.Resp)
 					if busy {
 						t.store.Stats.BusyRetries.Inc()
 					}
-					col.reply(dm, granted, busy, held, memberResp{dm: dm, resp: resp})
+					col.reply(i, granted, busy, held, resp)
 				}
-			} else if !errors.Is(pctx.Err(), context.Canceled) {
-				// A parent that gave up proves nothing about the replica; a
-				// timeout or a network-reported loss does.
-				board.observe(dm, false)
+			} else {
+				col.fail(i)
+				if !errors.Is(pctx.Err(), context.Canceled) {
+					// A parent that gave up proves nothing about the replica; a
+					// timeout or a network-reported loss does.
+					board.observe(dm, false)
+				}
 			}
 			if col.done() {
 				return col
 			}
-			if !col.granted[dm] {
+			if col.granted&(1<<i) == 0 {
 				widen() // a refusal or a failed call
 			}
 			if inflight == 0 {
@@ -396,9 +351,9 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 		case <-hedgeC:
 			if !ticked {
 				ticked = true
-				for dm := range plan.first {
-					if col.replied[dm] == 0 {
-						board.observe(dm, false)
+				for m := plan.first; m != 0; m &= m - 1 {
+					if i := bits.TrailingZeros64(m); col.m[i].replied == 0 {
+						board.observe(spec.targets[i], false)
 					}
 				}
 				if !widened {
@@ -406,19 +361,16 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 					continue
 				}
 			}
-			for _, dm := range col.hedgeTargets(plan.send, hedgeMax) {
-				if plan.probes[dm] {
-					continue // half-open probes get exactly one copy
-				}
-				t.store.Stats.Hedges.Inc()
-				issue(dm)
-			}
+			// Half-open probes get exactly one copy.
+			hedges := col.hedgeable(plan.send&^plan.probes, hedgeMax)
+			t.store.Stats.Hedges.Add(int64(bits.OnesCount64(hedges)))
+			issue(hedges)
 		case <-pctx.Done():
 			if errors.Is(pctx.Err(), context.DeadlineExceeded) {
 				// The budget ran out: each copy still silent is a timeout.
-				for i, n := range copies {
-					for ; n > 0; n-- {
-						board.observe(spec.targets[i], false)
+				for i, dm := range spec.targets {
+					for n := col.inflight(i); n > 0; n-- {
+						board.observe(dm, false)
 					}
 				}
 			}
@@ -442,23 +394,35 @@ func (t *Txn) settlePhase(spec phaseSpec, col *collector) {
 		return
 	}
 	win, won := col.winner()
-	for _, dm := range spec.targets {
-		switch {
-		case col.granted[dm]:
-			if spec.isWrite {
-				t.touchWrite(dm)
-			} else {
-				t.touch(dm)
-			}
-			if won && !spec.isWrite && !win.Contains(dm) && !col.held[dm] {
+	for i, dm := range spec.targets {
+		switch bit := uint64(1) << i; {
+		case col.granted&bit != 0 && spec.isWrite:
+			t.touch(dm, touchWritten)
+		case col.granted&bit != 0:
+			t.touch(dm, touchGranted)
+			if won && (win|col.held)&bit == 0 {
 				t.store.Stats.ExtraLockReleases.Inc()
 				t.store.client.Notify(dm, ReleaseReq{Txn: t.id, Item: spec.item, Seq: spec.seq})
 			}
-		case col.outstanding(dm):
-			t.touchTentative(dm)
+		case col.outstanding(i):
+			t.touch(dm, touchMaybe)
 			t.store.client.Notify(dm, ReleaseReq{Txn: t.id, Item: spec.item, Seq: spec.seq})
 		}
 	}
+}
+
+// masks returns each quorum of qs as a bitmask over targets (bit i for
+// targets[i]), which hold every member.
+func masks(qs []quorum.Set, targets []string) []uint64 {
+	out := make([]uint64, len(qs))
+	for i, q := range qs {
+		for j, dm := range targets {
+			if q[dm] {
+				out[i] |= 1 << j
+			}
+		}
+	}
+	return out
 }
 
 // union returns the sorted union of the quorums' members — the targets of

@@ -16,21 +16,23 @@ import (
 )
 
 // TestCollectorStateMachine drives the pure fan-out collector through the
-// scenarios the concurrent loop produces, table-driven.
+// scenarios the concurrent loop produces, table-driven. Targets a..e are
+// indexes 0..4.
 func TestCollectorStateMachine(t *testing.T) {
-	maj := quorum.Majority([]string{"a", "b", "c", "d", "e"})
-	grant := func(dm string) func(c *collector) {
-		return func(c *collector) { c.reply(dm, true, false, false, memberResp{dm: dm}) }
+	targets := []string{"a", "b", "c", "d", "e"}
+	maj := masks(quorum.Majority(targets).R, targets)
+	grant := func(i int) func(c *collector) {
+		return func(c *collector) { c.reply(i, true, false, false, ReadResp{}) }
 	}
-	busy := func(dm string) func(c *collector) {
-		return func(c *collector) { c.reply(dm, false, true, false, memberResp{dm: dm}) }
+	busy := func(i int) func(c *collector) {
+		return func(c *collector) { c.reply(i, false, true, false, ReadResp{}) }
 	}
-	refuse := func(dm string) func(c *collector) {
-		return func(c *collector) { c.reply(dm, false, false, false, memberResp{dm: dm}) }
+	refuse := func(i int) func(c *collector) {
+		return func(c *collector) { c.reply(i, false, false, false, ReadResp{}) }
 	}
 	cases := []struct {
 		name     string
-		quorums  []quorum.Set
+		quorums  []uint64
 		events   []func(c *collector)
 		wantDone bool
 		wantBusy bool
@@ -38,52 +40,52 @@ func TestCollectorStateMachine(t *testing.T) {
 	}{
 		{
 			name:     "quorum completes with minority stragglers silent",
-			quorums:  maj.R,
-			events:   []func(c *collector){grant("a"), grant("c"), grant("e")},
+			quorums:  maj,
+			events:   []func(c *collector){grant(0), grant(2), grant(4)},
 			wantDone: true,
 		},
 		{
 			name:     "two grants of five are not a majority",
-			quorums:  maj.R,
-			events:   []func(c *collector){grant("a"), grant("b")},
+			quorums:  maj,
+			events:   []func(c *collector){grant(0), grant(1)},
 			wantDone: false,
 		},
 		{
 			name:     "busy replies never form a quorum",
-			quorums:  maj.R,
-			events:   []func(c *collector){grant("a"), busy("b"), busy("c"), grant("d")},
+			quorums:  maj,
+			events:   []func(c *collector){grant(0), busy(1), busy(2), grant(3)},
 			wantDone: false,
 			wantBusy: true,
 		},
 		{
 			name:    "hedged duplicate responses are deduplicated",
-			quorums: maj.R,
+			quorums: maj,
 			events: []func(c *collector){
-				grant("a"), grant("a"), grant("b"), grant("b"), grant("c"),
+				grant(0), grant(0), grant(1), grant(1), grant(2),
 			},
 			wantDone: true,
 			wantDups: 2,
 		},
 		{
 			name:     "grant after busy upgrades the member",
-			quorums:  []quorum.Set{quorum.NewSet("a", "b")},
-			events:   []func(c *collector){busy("a"), grant("b"), grant("a")},
+			quorums:  []uint64{0b11},
+			events:   []func(c *collector){busy(0), grant(1), grant(0)},
 			wantDone: true,
 			wantBusy: true,
 			wantDups: 1,
 		},
 		{
 			name:     "outright refusals cover nothing",
-			quorums:  []quorum.Set{quorum.NewSet("a")},
-			events:   []func(c *collector){refuse("a")},
+			quorums:  []uint64{0b1},
+			events:   []func(c *collector){refuse(0)},
 			wantDone: false,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCollector(tc.quorums)
-			for _, dm := range union(tc.quorums) {
-				c.issue(dm)
+			c := newCollector(targets, tc.quorums)
+			for i := range targets {
+				c.issue(i)
 			}
 			for _, ev := range tc.events {
 				ev(c)
@@ -102,42 +104,158 @@ func TestCollectorStateMachine(t *testing.T) {
 }
 
 func TestCollectorWinnerIsSmallestCoveredQuorum(t *testing.T) {
-	small := quorum.NewSet("a", "b")
-	large := quorum.NewSet("a", "c", "d")
-	c := newCollector([]quorum.Set{large, small})
-	for _, dm := range []string{"a", "b", "c", "d"} {
-		c.issue(dm)
-		c.reply(dm, true, false, false, memberResp{dm: dm})
+	targets := []string{"a", "b", "c", "d"}
+	small := uint64(0b0011) // a, b
+	large := uint64(0b1101) // a, c, d
+	c := newCollector(targets, []uint64{large, small})
+	for i := range targets {
+		c.issue(i)
+		c.reply(i, true, false, false, ReadResp{})
 	}
-	win, ok := c.winner()
-	if !ok || len(win) != 2 || !win.Contains("a") || !win.Contains("b") {
-		t.Errorf("winner = %v, want the 2-member quorum", win)
+	if win, ok := c.winner(); !ok || win != small {
+		t.Errorf("winner = %b, want the 2-member quorum %b", win, small)
 	}
 }
 
 func TestCollectorHedgeTargets(t *testing.T) {
-	c := newCollector([]quorum.Set{quorum.NewSet("a", "b", "c")})
 	targets := []string{"a", "b", "c"}
-	for _, dm := range targets {
-		c.issue(dm)
+	c := newCollector(targets, []uint64{0b111})
+	for i := range targets {
+		c.issue(i)
 	}
-	c.reply("a", true, false, false, memberResp{dm: "a"})
-	c.reply("b", false, true, false, memberResp{dm: "b"})
+	c.reply(0, true, false, false, ReadResp{})
+	c.reply(1, false, true, false, ReadResp{})
 	// Only the silent DM is worth hedging; a and b answered.
-	if got := c.hedgeTargets(targets, 3); len(got) != 1 || got[0] != "c" {
-		t.Errorf("hedgeTargets = %v, want [c]", got)
+	if got := c.hedgeable(0b111, 3); got != 0b100 {
+		t.Errorf("hedgeable = %b, want c alone (100)", got)
 	}
 	// The per-replica copy cap stops further hedges.
-	c.issue("c")
-	c.issue("c")
-	if got := c.hedgeTargets(targets, 3); len(got) != 0 {
-		t.Errorf("hedgeTargets past cap = %v, want none", got)
+	c.issue(2)
+	c.issue(2)
+	if got := c.hedgeable(0b111, 3); got != 0 {
+		t.Errorf("hedgeable past cap = %b, want none", got)
 	}
-	if !c.outstanding("c") {
+	if !c.outstanding(2) {
 		t.Error("c has unanswered copies and must be outstanding")
 	}
-	if c.outstanding("a") {
+	if c.outstanding(0) {
 		t.Error("a answered its only copy and must not be outstanding")
+	}
+}
+
+// TestMasksMatchSetOracle holds the mask books to the map-based rules they
+// replaced, on every strategy the store offers. For each kind of quorum: for
+// every subset of grants, winner picks the smallest covered quorum, the
+// first of equally small ones; for every pair of held and suspect replicas,
+// in order, firstQuorum picks the same quorum and moves the turn the same way.
+func TestMasksMatchSetOracle(t *testing.T) {
+	must := func(cfg quorum.Config, err error) quorum.Config {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	names := func(n int) []string {
+		dms := make([]string, n)
+		for i := range dms {
+			dms[i] = fmt.Sprintf("dm%d", i)
+		}
+		return dms
+	}
+	votes := map[string]int{"dm0": 3, "dm1": 1, "dm2": 1, "dm3": 1, "dm4": 1}
+	configs := []struct {
+		name string
+		cfg  quorum.Config
+	}{
+		{"majority3", quorum.Majority(names(3))},
+		{"majority5", quorum.Majority(names(5))},
+		{"voting", must(quorum.Voting(votes, 4, 4))},
+		{"grid3x3", must(quorum.Grid(names(9), 3, 3))},
+		{"tree", must(quorum.TreeQuorum(names(7), 2))},
+		{"rowa", quorum.ReadAllWriteOne(names(3))},
+	}
+	// The rules as they read over sets.
+	setOf := func(targets []string, m uint64) map[string]bool {
+		s := map[string]bool{}
+		for i, dm := range targets {
+			if m&(1<<i) != 0 {
+				s[dm] = true
+			}
+		}
+		return s
+	}
+	oracleWinner := func(qs []quorum.Set, granted map[string]bool) quorum.Set {
+		var best quorum.Set
+		for _, q := range qs {
+			if (best == nil || len(q) < len(best)) && q.SubsetOf(granted) {
+				best = q
+			}
+		}
+		return best
+	}
+	oracleFirst := func(turn *int, qs []quorum.Set, held, suspects map[string]bool) quorum.Set {
+		var best quorum.Set
+		least, tied := 0, false
+	next:
+		for i := range qs {
+			q := qs[(*turn+1+i)%len(qs)]
+			c := len(q)
+			for dm := range q {
+				if suspects[dm] {
+					continue next
+				}
+				if held[dm] {
+					c--
+				}
+			}
+			switch {
+			case best == nil || c < least:
+				best, least, tied = q, c, false
+			case c == least:
+				tied = true
+			}
+		}
+		if tied {
+			*turn++
+		}
+		return best
+	}
+	for _, row := range configs {
+		for _, kind := range []struct {
+			name string
+			qs   []quorum.Set
+		}{{"read", row.cfg.R}, {"write", row.cfg.W}} {
+			t.Run(row.name+"/"+kind.name, func(t *testing.T) {
+				targets := union(kind.qs)
+				ms := masks(kind.qs, targets)
+				maskOf := func(q quorum.Set) uint64 {
+					if q == nil {
+						return 0
+					}
+					return masks([]quorum.Set{q}, targets)[0]
+				}
+				all := uint64(1)<<len(targets) - 1
+				for granted := uint64(0); granted <= all; granted++ {
+					c := newCollector(targets, ms)
+					c.granted = granted
+					want := maskOf(oracleWinner(kind.qs, setOf(targets, granted)))
+					if got, ok := c.winner(); got != want || ok != (want != 0) {
+						t.Fatalf("grants %b: winner %b (%v), oracle %b", granted, got, ok, want)
+					}
+				}
+				b, turn := newHealthBoard(nil), 0
+				for held := uint64(0); held <= all; held++ {
+					heldSet := setOf(targets, held)
+					for suspects := uint64(0); suspects <= all; suspects++ {
+						want := maskOf(oracleFirst(&turn, kind.qs, heldSet, setOf(targets, suspects)))
+						if got := b.firstQuorum(ms, held, suspects); got != want || b.turn != turn {
+							t.Fatalf("held %b, suspects %b: first %b at turn %d, oracle %b at turn %d",
+								held, suspects, got, b.turn, want, turn)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -466,12 +584,12 @@ func TestFirstQuorumRotationSpreadsTransactions(t *testing.T) {
 func TestHeldSuspectIsLeft(t *testing.T) {
 	b := newHealthBoard(nil)
 	targets := []string{"dm0", "dm1", "dm2"}
-	quorums := []quorum.Set{quorum.NewSet("dm0", "dm1"), quorum.NewSet("dm0", "dm2"), quorum.NewSet("dm1", "dm2")}
-	const held = 0b011 // dm0 and dm1
+	quorums := []uint64{0b011, 0b101, 0b110} // {dm0,dm1}, {dm0,dm2}, {dm1,dm2}
+	const held = 0b011                       // dm0 and dm1
 	turn := b.turn
 	for pass := 0; pass < 3; pass++ {
-		if p := b.plan(targets, quorums, held); p.first.String() != "{dm0,dm1}" {
-			t.Fatalf("pass %d: first quorum %v, want the held {dm0,dm1}", pass, p.first)
+		if p := b.plan(targets, quorums, held); p.first != 0b011 {
+			t.Fatalf("pass %d: first quorum %b, want the held {dm0,dm1} (11)", pass, p.first)
 		}
 	}
 	if b.turn != turn {
@@ -480,8 +598,8 @@ func TestHeldSuspectIsLeft(t *testing.T) {
 	for i := 0; i < defaultFailThreshold; i++ {
 		b.observe("dm1", false)
 	}
-	if p := b.plan(targets, quorums, held); p.first.String() != "{dm0,dm2}" {
-		t.Fatalf("first quorum %v with held dm1 suspect, want {dm0,dm2}", p.first)
+	if p := b.plan(targets, quorums, held); p.first != 0b101 {
+		t.Fatalf("first quorum %b with held dm1 suspect, want {dm0,dm2} (101)", p.first)
 	}
 
 	store, f := footprintCluster(t, 54, 3)

@@ -104,92 +104,72 @@ func (b *healthBoard) suspect(dm string) bool {
 	return n != nil && n.open
 }
 
-// phasePlan is whom one quorum phase dials. send lists every target the
-// phase may ask: suspects are left out, except one due for its half-open
-// trial, which probes names. first is the quorum asked at once, together
-// with the probes; the rest of send is asked only when the phase widens.
-// A nil first asks all of send at once.
+// phasePlan is whom one quorum phase dials, as bitmasks over the phase's
+// targets (bit i for targets[i]). send holds every target the phase may
+// ask: suspects are left out, except one due for its half-open trial, which
+// probes names. first is the quorum asked at once, together with the probes;
+// the rest of send is asked only when the phase widens. A zero first asks
+// all of send at once.
 type phasePlan struct {
-	send    []string
-	first   quorum.Set
-	probes  map[string]bool
-	skipped int // suspects left out entirely
+	send, first, probes uint64
+	skipped             int // suspects left out entirely
 }
 
 // plan decides whom a phase dials. The first quorum is the quorum with no
 // suspect member that adds the fewest replicas to the transaction's tree
-// (firstQuorum; held has bit i set when the tree already holds a grant at
-// targets[i]). When no quorum is free of suspects, everyone is dialed at
-// once (availability first — a degraded cluster cannot afford to skip
-// anyone). Otherwise the suspects are left out, except that one due for its
-// half-open trial gets exactly one probe copy alongside the first quorum.
-func (b *healthBoard) plan(targets []string, quorums []quorum.Set, held uint64) phasePlan {
+// (firstQuorum; quorums and held are masks over targets, held with bit i set
+// when the tree already holds a grant at targets[i]). When no quorum is free
+// of suspects, everyone is dialed at once (availability first — a degraded
+// cluster cannot afford to skip anyone). Otherwise the suspects are left
+// out, except that one due for its half-open trial gets exactly one probe
+// copy alongside the first quorum.
+func (b *healthBoard) plan(targets []string, quorums []uint64, held uint64) phasePlan {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var suspects map[string]bool
-	for _, dm := range targets {
+	var suspects uint64
+	for i, dm := range targets {
 		if n := b.nodes[dm]; n != nil && n.open {
-			if suspects == nil {
-				suspects = map[string]bool{}
-			}
-			suspects[dm] = true
+			suspects |= 1 << i
 		}
 	}
-	p := phasePlan{send: targets, first: b.firstQuorum(quorums, targets, held, suspects)}
-	if suspects == nil || p.first == nil {
+	p := phasePlan{send: 1<<len(targets) - 1, first: b.firstQuorum(quorums, held, suspects)}
+	if p.first == 0 {
 		return p
 	}
-	p.send = make([]string, 0, len(targets))
-	for _, dm := range targets {
-		if !suspects[dm] {
-			p.send = append(p.send, dm)
-			continue
-		}
-		n := b.nodes[dm]
-		n.sincePlan++
-		if n.sincePlan < b.probeEvery {
+	for m := suspects; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		n := b.nodes[targets[i]]
+		if n.sincePlan++; n.sincePlan < b.probeEvery {
 			p.skipped++
+			p.send &^= 1 << i
 			continue
 		}
 		n.sincePlan = 0
-		if p.probes == nil {
-			p.probes = map[string]bool{}
-		}
-		p.probes[dm] = true
-		p.send = append(p.send, dm)
+		p.probes |= 1 << i
 	}
 	return p
 }
 
 // firstQuorum returns the quorum of qs with no member in suspects that adds
-// the fewest replicas the transaction does not already hold, or nil when
-// every quorum has a suspect. A quorum's cost is its size less its held
-// members (held has bit i set for a held targets[i]), so a tree that holds
-// nothing takes the smallest quorum, and each later phase lands on replicas
-// its earlier phases locked, which keeps the commit's participants to one
-// quorum. Equally cheap quorums take turns: the first of them from one past
-// the turn wins, and the turn moves on only when there was such a tie to
-// break, so a transaction moves the rotation once, not once per phase, and
-// every quorum gets its turn as some transaction's first.
-func (b *healthBoard) firstQuorum(qs []quorum.Set, targets []string, held uint64, suspects map[string]bool) quorum.Set {
-	var best quorum.Set
+// the fewest replicas the transaction does not already hold, or 0 when every
+// quorum has a suspect. A quorum's cost is its members not in held, so a
+// tree that holds nothing takes the smallest quorum, and each later phase
+// lands on replicas its earlier phases locked, which keeps the commit's
+// participants to one quorum. Equally cheap quorums take turns: the first of
+// them from one past the turn wins, and the turn moves on only when there
+// was such a tie to break, so a transaction moves the rotation once, not
+// once per phase, and every quorum gets its turn as some transaction's
+// first.
+func (b *healthBoard) firstQuorum(qs []uint64, held, suspects uint64) uint64 {
+	var best uint64
 	least, tied := 0, false
-next:
 	for i := range qs {
 		q := qs[(b.turn+1+i)%len(qs)]
-		for dm := range suspects {
-			if q[dm] {
-				continue next
-			}
+		if q&suspects != 0 {
+			continue
 		}
-		c := len(q)
-		for m := held; m != 0; m &= m - 1 {
-			if q[targets[bits.TrailingZeros64(m)]] {
-				c--
-			}
-		}
-		switch {
-		case best == nil || c < least:
+		switch c := bits.OnesCount64(q &^ held); {
+		case best == 0 || c < least:
 			best, least, tied = q, c, false
 		case c == least:
 			tied = true

@@ -56,6 +56,10 @@ func (s *Store) MigrateItem(ctx context.Context, item, toGroup string, cut Commi
 	if sameStrings(it.DMs, newDMs) {
 		return nil // already placed there
 	}
+	if len(newDMs) > MaxQuorumTargets {
+		// Refused before the majority quorums, which grow exponentially, are built.
+		return &TooManyTargetsError{Item: item, Targets: len(newDMs)}
+	}
 	newCfg := quorum.Majority(newDMs)
 
 	// Adopt round: every new-group DM must host a (zero-version)

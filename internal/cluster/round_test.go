@@ -90,10 +90,10 @@ func scriptStore(t *testing.T, dms []string, script func(dm string, n int) any, 
 // scriptTxn is a top-level transaction of store holding grants at held, so
 // a phase's first quorum is the one made of them.
 func scriptTxn(store *Store, held ...string) *Txn {
-	tx := &Txn{store: store, id: "script.t1", touched: map[string]touchLevel{}, leaseStamp: store.now()}
+	tx := &Txn{store: store, id: "script.t1", leaseStamp: store.now()}
 	tx.root = tx
 	for _, dm := range held {
-		tx.touch(dm)
+		tx.touch(dm, touchGranted)
 	}
 	return tx
 }
@@ -120,7 +120,7 @@ func TestPhaseBudgetChargesSilentCopies(t *testing.T) {
 	grant, busy := ReadResp{OK: true}, ReadResp{Busy: true}
 	read := func(store *Store, tx *Txn) *collector {
 		cfg := store.config("x").cfg
-		return tx.runPhase(context.Background(), phaseSpec{item: "x", targets: cfg.readTargets, quorums: cfg.R,
+		return tx.runPhase(context.Background(), phaseSpec{item: "x", targets: cfg.readTargets, masks: cfg.readMasks,
 			req: ReadReq{Txn: tx.id, Item: "x", Lock: LockRead, Seq: 1}, seq: 1})
 	}
 
@@ -129,9 +129,9 @@ func TestPhaseBudgetChargesSilentCopies(t *testing.T) {
 		store, _ := scriptStore(t, []string{"dm0", "dm1", "dm2"}, byName(map[string]any{"dm0": grant, "dm1": busy}),
 			WithCallTimeout(30*time.Millisecond))
 		col := read(store, scriptTxn(store, "dm0", "dm1"))
-		if col.done() || store.Stats.Widenings.Value() != 1 || col.issued["dm2"] != 1 {
+		if col.done() || store.Stats.Widenings.Value() != 1 || col.m[2].issued != 1 {
 			t.Fatalf("phase won %v after %d widenings and %d copies to dm2, want a widened copy and no quorum",
-				col.done(), store.Stats.Widenings.Value(), col.issued["dm2"])
+				col.done(), store.Stats.Widenings.Value(), col.m[2].issued)
 		}
 		for dm, want := range map[string]int64{"dm0": 0, "dm1": 0, "dm2": 1} {
 			if got := store.health.failuresOf(dm); got != want {
@@ -147,8 +147,8 @@ func TestPhaseBudgetChargesSilentCopies(t *testing.T) {
 			byName(map[string]any{"dm0": busy, "dm1": grant, "dm2": grant, "dm3": grant}),
 			WithCallTimeout(30*time.Millisecond))
 		col := read(store, scriptTxn(store, "dm0", "dm1", "dm2"))
-		if !col.done() || col.issued["dm4"] != 1 || !col.outstanding("dm4") {
-			t.Fatalf("phase won %v with %d copies to dm4, want a win with dm4's copy out", col.done(), col.issued["dm4"])
+		if !col.done() || col.m[4].issued != 1 || !col.outstanding(4) {
+			t.Fatalf("phase won %v with %d copies to dm4, want a win with dm4's copy out", col.done(), col.m[4].issued)
 		}
 		time.Sleep(50 * time.Millisecond) // past the budget the copy was sent under
 		if got := store.health.failuresOf("dm4"); got != 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -193,24 +194,23 @@ func TestHealthBoardTransitions(t *testing.T) {
 func TestHealthBoardPlan(t *testing.T) {
 	b := newHealthBoard(nil)
 	targets := []string{"dm0", "dm1", "dm2"}
-	quorums := []quorum.Set{
-		quorum.NewSet("dm0", "dm1"), quorum.NewSet("dm0", "dm2"), quorum.NewSet("dm1", "dm2"),
-		quorum.NewSet("dm0", "dm1", "dm2"),
-	}
+	quorums := []uint64{0b011, 0b101, 0b110, 0b111} // the pairs, then all three
 	// All healthy: every target may be dialed, and one pair is asked first —
 	// each pair in turn, never the larger quorum.
-	firsts := map[string]int{}
+	firsts := map[uint64]int{}
 	for pass := 0; pass < 2*len(quorums); pass++ {
 		p := b.plan(targets, quorums, 0)
-		if len(p.send) != 3 || p.probes != nil || p.skipped != 0 || len(p.first) != 2 {
+		if p.send != 0b111 || p.probes != 0 || p.skipped != 0 || bits.OnesCount64(p.first) != 2 {
 			t.Fatalf("healthy plan: %+v", p)
 		}
-		firsts[p.first.String()]++
+		firsts[p.first]++
 	}
 	if len(firsts) != 3 {
 		t.Fatalf("first quorums did not rotate over the three pairs: %v", firsts)
 	}
-	asksFirst := func(p phasePlan, dm string) bool { return p.first == nil || p.first[dm] || p.probes[dm] }
+	// Target i is asked at once when the plan has no first quorum or i is
+	// in it or probed.
+	asksFirst := func(p phasePlan, i int) bool { return p.first == 0 || (p.first|p.probes)&(1<<i) != 0 }
 	for i := 0; i < defaultFailThreshold; i++ {
 		b.observe("dm2", false)
 	}
@@ -219,15 +219,15 @@ func TestHealthBoardPlan(t *testing.T) {
 	probed := 0
 	for pass := 1; pass <= defaultProbeEvery; pass++ {
 		p := b.plan(targets, quorums, 0)
-		if p.first.String() != "{dm0,dm1}" {
-			t.Fatalf("pass %d: first quorum %v holds the suspect", pass, p.first)
+		if p.first != 0b011 {
+			t.Fatalf("pass %d: first quorum %b holds the suspect", pass, p.first)
 		}
-		if len(p.probes) > 0 {
+		if p.probes != 0 {
 			probed++
-			if !p.probes["dm2"] || len(p.send) != 3 || p.skipped != 0 || !asksFirst(p, "dm2") {
+			if p.probes != 0b100 || p.send != 0b111 || p.skipped != 0 || !asksFirst(p, 2) {
 				t.Fatalf("pass %d: probe plan %+v", pass, p)
 			}
-		} else if len(p.send) != 2 || p.skipped != 1 || asksFirst(p, "dm2") {
+		} else if p.send != 0b011 || p.skipped != 1 || asksFirst(p, 2) {
 			t.Fatalf("pass %d: skip plan %+v", pass, p)
 		}
 	}
@@ -239,11 +239,11 @@ func TestHealthBoardPlan(t *testing.T) {
 		b.observe("dm1", false)
 	}
 	p := b.plan(targets, quorums, 0)
-	if len(p.send) != 3 || p.probes != nil || p.skipped != 0 || p.first != nil {
+	if p.send != 0b111 || p.probes != 0 || p.skipped != 0 || p.first != 0 {
 		t.Fatalf("uncovered plan must dial everyone: %+v", p)
 	}
-	for _, dm := range targets {
-		if !asksFirst(p, dm) {
+	for i, dm := range targets {
+		if !asksFirst(p, i) {
 			t.Fatalf("uncovered plan holds %s back", dm)
 		}
 	}

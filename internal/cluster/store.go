@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -212,14 +215,27 @@ type genCfg struct {
 
 // knownCfg is a configuration as the client plans phases with it: the
 // quorums and, computed once when the client adopts the configuration, the
-// sorted union of each kind's members — every replica a phase may ask.
+// sorted union of each kind's members — every replica a phase may ask — and
+// each kind's quorums as bitmasks over it (bit i for targets[i]).
 type knownCfg struct {
 	quorum.Config
 	readTargets, writeTargets []string
+	readMasks, writeMasks     []uint64
 }
 
 func newKnownCfg(cfg quorum.Config) knownCfg {
-	return knownCfg{Config: cfg, readTargets: union(cfg.R), writeTargets: union(cfg.W)}
+	k := knownCfg{Config: cfg, readTargets: union(cfg.R), writeTargets: union(cfg.W)}
+	k.readMasks, k.writeMasks = masks(cfg.R, k.readTargets), masks(cfg.W, k.writeTargets)
+	return k
+}
+
+// checkTargets refuses k, a configuration of item, when either kind of its
+// quorums spans more than MaxQuorumTargets replicas.
+func checkTargets(item string, k knownCfg) error {
+	if n := max(len(k.readTargets), len(k.writeTargets)); n > MaxQuorumTargets {
+		return &TooManyTargetsError{Item: item, Targets: n}
+	}
+	return nil
 }
 
 // Open spawns one DM server per replica and a client endpoint on the
@@ -264,11 +280,15 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		if err := it.Config.Validate(it.DMs); err != nil {
 			return nil, fmt.Errorf("cluster: item %q: %w", it.Name, err)
 		}
+		k := newKnownCfg(it.Config)
+		if err := checkTargets(it.Name, k); err != nil {
+			return nil, err
+		}
 		if _, dup := s.items[it.Name]; dup {
 			return nil, fmt.Errorf("cluster: duplicate item %q", it.Name)
 		}
 		s.items[it.Name] = it
-		s.believed[it.Name] = genCfg{gen: 0, cfg: newKnownCfg(it.Config)}
+		s.believed[it.Name] = genCfg{gen: 0, cfg: k}
 	}
 	// From here on every failure must close the hosts already started, or
 	// their endpoints and open logs outlive the failed Open.
@@ -562,45 +582,43 @@ func (s *Store) observeConfig(item string, gen int, cfg quorum.Config) genCfg {
 	return s.believed[item]
 }
 
-// phasePlans lists, in order, the quorum sets one attempt of a phase offers
-// runPhase. By default that is one plan offering every quorum: runPhase asks
-// one of them first and widens to the others' members when it has to. WithSequentialPhases offers one quorum per plan
+// phaseQuorums is what one plan of a phase offers: the replicas it may ask,
+// sorted, and its quorums as bitmasks over them.
+type phaseQuorums struct {
+	targets []string
+	masks   []uint64
+}
+
+// phasePlans lists, in order, the plans one attempt of a phase offers
+// runPhase. By default that is one plan offering every quorum of qs — over
+// targets, as masks, both computed when the client adopted the
+// configuration: runPhase asks one of them first and widens to the others'
+// members when it has to. WithSequentialPhases offers one quorum per plan
 // instead — a single-quorum plan waits for every member, is never hedged
 // (runPhase) and never has a surplus grant to release, so which replicas a
 // phase asks does not depend on which of them answers first, which exact
 // chaos replay needs. Small enough to inline, so the one-plan slice stays on
 // the caller's stack.
-func (s *Store) phasePlans(qs []quorum.Set) [][]quorum.Set {
+func (s *Store) phasePlans(qs []quorum.Set, targets []string, masks []uint64) []phaseQuorums {
 	if s.opts.sequential {
 		return s.sequentialPlans(qs)
 	}
-	return [][]quorum.Set{qs}
-}
-
-// planTargets lists every replica the plan offering quorums may ask: all —
-// the configuration's union, computed when the client adopted it — when
-// that plan is the only one and so offers every quorum, else the union of
-// quorums alone.
-func planTargets(plans [][]quorum.Set, quorums []quorum.Set, all []string) []string {
-	if len(plans) == 1 {
-		return all
-	}
-	return union(quorums)
+	return []phaseQuorums{{targets, masks}}
 }
 
 // sequentialPlans orders the quorums randomly, smallest first among equal
 // random keys so cheap quorums are preferred and fewest suspect members
-// first, and offers them one by one.
-func (s *Store) sequentialPlans(qs []quorum.Set) [][]quorum.Set {
+// first, and offers them one by one, each over its own members.
+func (s *Store) sequentialPlans(qs []quorum.Set) []phaseQuorums {
 	order := append([]quorum.Set(nil), qs...)
 	s.mu.Lock()
 	s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	s.mu.Unlock()
 	sort.SliceStable(order, func(i, j int) bool { return len(order[i]) < len(order[j]) })
 	order = s.health.orderQuorums(order)
-	plans := make([][]quorum.Set, len(order))
-	for i := range order {
-		plans[i] = order[i : i+1]
+	plans := make([]phaseQuorums, len(order))
+	for i, q := range order {
+		plans[i] = phaseQuorums{q.Names(), []uint64{1<<len(q) - 1}}
 	}
 	return plans
 }
@@ -659,7 +677,7 @@ type Txn struct {
 	unchecked atomic.Pointer[firstRead]
 
 	mu       sync.Mutex
-	touched  map[string]touchLevel
+	touched  []touchedDM // few: at most the replicas of the items the tree accessed
 	childSeq int
 	phaseSeq int
 	done     bool
@@ -688,41 +706,41 @@ type Txn struct {
 // ID returns the transaction's hierarchical identifier.
 func (t *Txn) ID() TxnID { return t.id }
 
-func (t *Txn) touch(dm string) {
+// touchedDM is a replica the transaction may hold state at, and how sure
+// the client is of it.
+type touchedDM struct {
+	dm    string
+	level touchLevel
+}
+
+// touch raises what t records of dm to at least lvl: a buffered intention
+// outranks a confirmed grant, which outranks an abandoned in-flight copy.
+func (t *Txn) touch(dm string, lvl touchLevel) {
 	t.mu.Lock()
-	if t.touched[dm] < touchGranted {
-		t.touched[dm] = touchGranted
+	t.raise(dm, lvl)
+	t.mu.Unlock()
+}
+
+// raise is touch with t.mu held.
+func (t *Txn) raise(dm string, lvl touchLevel) {
+	for i := range t.touched {
+		if t.touched[i].dm == dm {
+			t.touched[i].level = max(t.touched[i].level, lvl)
+			return
+		}
 	}
-	t.mu.Unlock()
+	t.touched = append(t.touched, touchedDM{dm, lvl})
 }
 
-// touchWrite records a DM that granted a write phase and now buffers an
-// intention for the transaction.
-func (t *Txn) touchWrite(dm string) {
-	t.mu.Lock()
-	t.touched[dm] = touchWritten
-	t.mu.Unlock()
-}
-
-// touchTentative records a DM an abandoned in-flight request copy may have
-// granted at. A confirmed grant always outranks it.
-func (t *Txn) touchTentative(dm string) {
-	t.mu.Lock()
-	if t.touched[dm] < touchMaybe {
-		t.touched[dm] = touchMaybe
-	}
-	t.mu.Unlock()
-}
-
-// held reports which of targets t's tree already holds a grant at: bit i is
-// set when t or an ancestor touched targets[i] at touchGranted or above. A
-// target past the 64th never counts as held.
+// held reports which of targets, sorted, t's tree already holds a grant at:
+// bit i is set when t or an ancestor touched targets[i] at touchGranted or
+// above.
 func (t *Txn) held(targets []string) uint64 {
 	var mask uint64
 	for a := t; a != nil; a = a.parent {
 		a.mu.Lock()
-		for i, dm := range targets {
-			if a.touched[dm] >= touchGranted {
+		for _, e := range a.touched {
+			if i, ok := slices.BinarySearch(targets, e.dm); ok && e.level >= touchGranted {
 				mask |= 1 << i
 			}
 		}
@@ -734,11 +752,11 @@ func (t *Txn) held(targets []string) uint64 {
 func (t *Txn) touchedDMs() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.touched))
-	for dm := range t.touched {
-		out = append(out, dm)
+	out := make([]string, len(t.touched))
+	for i, e := range t.touched {
+		out[i] = e.dm
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -749,19 +767,19 @@ func (t *Txn) touchedDMs() []string {
 func (t *Txn) controlSets() (written, granted, tentative []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for dm, lvl := range t.touched {
+	for _, e := range t.touched {
 		switch {
-		case lvl >= touchWritten:
-			written = append(written, dm)
-		case lvl >= touchGranted:
-			granted = append(granted, dm)
+		case e.level >= touchWritten:
+			written = append(written, e.dm)
+		case e.level >= touchGranted:
+			granted = append(granted, e.dm)
 		default:
-			tentative = append(tentative, dm)
+			tentative = append(tentative, e.dm)
 		}
 	}
-	sort.Strings(written)
-	sort.Strings(granted)
-	sort.Strings(tentative)
+	slices.Sort(written)
+	slices.Sort(granted)
+	slices.Sort(tentative)
 	return written, granted, tentative
 }
 
@@ -826,7 +844,6 @@ type phaseTally struct {
 	sawBusy      bool
 	budgetDenied bool
 	col          *collector // the last plan's outcome
-	targets      []string   // and the replicas it asked
 	orphans      []TxnID    // expired-lease holders the refusals named, not yet resolved
 }
 
@@ -856,7 +873,7 @@ func (p *phaseTally) fail(ctx context.Context, t *Txn, item, phase string) error
 	}
 	col := p.col
 	if col == nil {
-		col = newCollector(nil)
+		col = newCollector(nil, nil)
 	}
 	if p.sawBusy {
 		return &ConflictError{
@@ -874,7 +891,7 @@ func (p *phaseTally) fail(ctx context.Context, t *Txn, item, phase string) error
 	return &UnavailableError{
 		Item: item, Txn: t.id, Phase: phase,
 		Attempts: p.attempts, Responded: col.respondedDMs(),
-		Missing: col.missingDMs(p.targets),
+		Missing: col.missingDMs(),
 	}
 }
 
@@ -886,7 +903,7 @@ func (t *Txn) runPlan(ctx context.Context, tally *phaseTally, spec phaseSpec, la
 	col := t.runPhase(ctx, spec)
 	lat.ObserveSince(start)
 	t.settlePhase(spec, col)
-	tally.col, tally.targets = col, spec.targets
+	tally.col = col
 	if col.sawBusy() {
 		tally.sawBusy = true
 	}
@@ -977,13 +994,12 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 			lock = lockNone
 		}
 		progressed := false
-		plans := t.store.phasePlans(believed.cfg.R)
-		for _, quorums := range plans {
+		for _, p := range t.store.phasePlans(believed.cfg.R, believed.cfg.readTargets, believed.cfg.readMasks) {
 			seq := t.nextSeq()
 			col := t.runPlan(ctx, &tally, phaseSpec{
 				item:     item,
-				targets:  planTargets(plans, quorums, believed.cfg.readTargets),
-				quorums:  quorums,
+				targets:  p.targets,
+				masks:    p.masks,
 				req:      ReadReq{Txn: t.id, Item: item, Lock: lock, Seq: seq, Gen: res.gen, Inherit: t.inherited()},
 				seq:      seq,
 				lockless: lockless,
@@ -991,20 +1007,22 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 			// Generation discovery may use every grant, winner or not: a newer
 			// generation only redirects the next attempt, which assembles a
 			// proper quorum of the newer configuration on its own.
-			for _, m := range col.grantedResps() {
-				if m.resp.Gen > res.gen {
-					now := t.store.observeConfig(item, m.resp.Gen, m.resp.Cfg)
+			// Targets are sorted: both folds walk the replicas by name.
+			for m := col.granted; m != 0; m &= m - 1 {
+				if r := &col.m[bits.TrailingZeros64(m)].resp; r.Gen > res.gen {
+					now := t.store.observeConfig(item, r.Gen, r.Cfg)
 					res.gen, res.cfg = now.gen, now.cfg
 				}
 			}
 			win, won := col.winner()
 			if won && res.gen <= believed.gen {
-				for _, m := range col.winnerResps(win) {
-					if m.resp.VN > res.vn {
-						res.vn, res.val = m.resp.VN, m.resp.Val
+				for m := win; m != 0; m &= m - 1 {
+					r := &col.m[bits.TrailingZeros64(m)].resp
+					if r.VN > res.vn {
+						res.vn, res.val = r.VN, r.Val
 					}
-					if m.resp.VN == res.vn && m.resp.Val != nil {
-						res.val = m.resp.Val
+					if r.VN == res.vn && r.Val != nil {
+						res.val = r.Val
 					}
 				}
 				if lockless {
@@ -1110,13 +1128,12 @@ func (t *Txn) writeQuorum(ctx context.Context, item, phase string, cfg knownCfg,
 		if !tally.admit(t.store, attempt) {
 			break
 		}
-		plans := t.store.phasePlans(cfg.W)
-		for _, quorums := range plans {
+		for _, p := range t.store.phasePlans(cfg.W, cfg.writeTargets, cfg.writeMasks) {
 			seq := t.nextSeq()
 			col := t.runPlan(ctx, &tally, phaseSpec{
 				item:    item,
-				targets: planTargets(plans, quorums, cfg.writeTargets),
-				quorums: quorums,
+				targets: p.targets,
+				masks:   p.masks,
 				req:     mk(seq),
 				seq:     seq,
 				isWrite: true,
@@ -1272,8 +1289,8 @@ func (t *Txn) adopt(child *Txn, committed bool) {
 	defer child.mu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for dm, lvl := range child.touched {
-		t.touched[dm] = max(t.touched[dm], lvl)
+	for _, e := range child.touched {
+		t.raise(e.dm, e.level)
 	}
 	if len(child.wroteItems) > 0 && t.wroteItems == nil {
 		t.wroteItems = map[string]bool{}
@@ -1304,11 +1321,10 @@ func (t *Txn) Sub(ctx context.Context, fn func(*Txn) error) error {
 	t.mu.Lock()
 	t.childSeq++
 	child := &Txn{
-		store:   t.store,
-		id:      TxnID(fmt.Sprintf("%s/%d", t.id, t.childSeq)),
-		parent:  t,
-		root:    t.root,
-		touched: map[string]touchLevel{},
+		store:  t.store,
+		id:     t.id + "/" + TxnID(strconv.Itoa(t.childSeq)),
+		parent: t,
+		root:   t.root,
 	}
 	t.mu.Unlock()
 	if err := fn(child); err != nil {
@@ -1318,7 +1334,9 @@ func (t *Txn) Sub(ctx context.Context, fn func(*Txn) error) error {
 	}
 	child.done = true
 	t.adopt(child, true)
-	t.store.traceEvent(string(child.id), "sub-commit", "inherited by %s", t.id)
+	if t.store.opts.trace != nil { // guarded: boxing the arguments allocates
+		t.store.traceEvent(string(child.id), "sub-commit", "inherited by %s", t.id)
+	}
 	return nil
 }
 
@@ -1344,7 +1362,9 @@ func (t *Txn) abort(ctx context.Context) {
 	sort.Strings(required)
 	_ = t.control(ctx, required, nil, tentative, AbortReq{Txn: t.id})
 	t.store.Stats.Aborts.Inc()
-	t.store.traceEvent(string(t.id), "abort", "discarded at %v", t.touchedDMs())
+	if t.store.opts.trace != nil { // guarded: touchedDMs allocates and sorts
+		t.store.traceEvent(string(t.id), "abort", "discarded at %v", t.touchedDMs())
+	}
 }
 
 // Run executes fn as a top-level transaction, restarting it (with a fresh
@@ -1406,7 +1426,6 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 	t := &Txn{
 		store:      s,
 		id:         TxnID(fmt.Sprintf("%s.t%d", s.clientID, s.txnSeq.Add(1))),
-		touched:    map[string]touchLevel{},
 		leaseStamp: s.now(),
 	}
 	t.root = t
@@ -1538,7 +1557,9 @@ func (s *Store) commitAttempt(ctx context.Context, body func(*Txn) error, cut Co
 			ID: string(t.id), Start: rep.Start, End: rep.End, Ops: t.ops,
 		})
 	}
-	s.traceEvent(string(t.id), "commit", "applied at %v", t.touchedDMs())
+	if s.opts.trace != nil { // guarded: touchedDMs allocates and sorts
+		s.traceEvent(string(t.id), "commit", "applied at %v", t.touchedDMs())
+	}
 	return rep, nil
 }
 
@@ -1596,6 +1617,9 @@ func (s *Store) Reconfigure(ctx context.Context, item string, newCfg quorum.Conf
 		return fmt.Errorf("cluster: unknown item %q", item)
 	}
 	if err := newCfg.Validate(it.DMs); err != nil {
+		return err
+	}
+	if err := checkTargets(item, newKnownCfg(newCfg)); err != nil {
 		return err
 	}
 	return s.Run(ctx, func(t *Txn) error {

@@ -153,7 +153,7 @@ type Network struct {
 	crashed     map[string]bool
 	cut         map[string]bool // "a|b" with a<b: link severed
 	nodeLat     map[string]latencyRange
-	lanes       map[string]*lane
+	lanes       map[[2]string]*lane // by {from, to}: no key string per send
 	dropProb    float64
 	dupProb     float64
 	reorderProb float64
@@ -190,7 +190,7 @@ func NewNetwork(cfg Config) *Network {
 		crashed:     map[string]bool{},
 		cut:         map[string]bool{},
 		nodeLat:     map[string]latencyRange{},
-		lanes:       map[string]*lane{},
+		lanes:       map[[2]string]*lane{},
 		dropProb:    cfg.DropProb,
 		dupProb:     cfg.DupProb,
 		reorderProb: cfg.ReorderProb,
@@ -237,7 +237,7 @@ func mix64(seed, k int64) int64 {
 // that name nodes differently (e.g. fresh per-process client counters)
 // still draw identical fate streams. Caller holds n.mu.
 func (n *Network) lane(from, to string) *lane {
-	key := from + ">" + to
+	key := [2]string{from, to}
 	if l, ok := n.lanes[key]; ok {
 		return l
 	}

@@ -175,6 +175,9 @@ type (
 	// transaction's lock lease lapsed (matches both ErrLeaseExpired and
 	// ErrConflict, so Run retries it).
 	LeaseExpiredError = cluster.LeaseExpiredError
+	// TooManyTargetsError refuses a configuration whose read or write
+	// quorums span more than 64 replicas (Open, Reconfigure, MigrateItem).
+	TooManyTargetsError = cluster.TooManyTargetsError
 )
 
 // Cluster sentinel errors (match with errors.Is).
