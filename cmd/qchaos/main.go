@@ -113,8 +113,8 @@ func main() {
 				res.ResolutionQueries, res.Wedged,
 				res.Bursts, res.Shed, res.ExpiredOnArrival, res.Injected)
 			if res.Migrations > 0 || res.MigrationsAbandoned > 0 {
-				fmt.Printf("campaign %d migrations: clean=%d abandoned=%d redirects=%d\n",
-					i, res.Migrations, res.MigrationsAbandoned, res.WrongShardRedirects)
+				fmt.Printf("campaign %d migrations: clean=%d abandoned=%d\n",
+					i, res.Migrations, res.MigrationsAbandoned)
 			}
 			if res.StaleCopies > 0 {
 				fmt.Printf("campaign %d stalecopy: injected=%d written=%d\n",
@@ -162,7 +162,6 @@ func main() {
 		agg.ExpiredOnArrival += res.ExpiredOnArrival
 		agg.Migrations += res.Migrations
 		agg.MigrationsAbandoned += res.MigrationsAbandoned
-		agg.WrongShardRedirects += res.WrongShardRedirects
 		agg.CoordCrashes += res.CoordCrashes
 		agg.CoordCrashCommitted += res.CoordCrashCommitted
 		agg.CoordCrashAborted += res.CoordCrashAborted
@@ -180,14 +179,14 @@ func main() {
 		agg.Net.Duplicated += res.Net.Duplicated
 		agg.Net.Reordered += res.Net.Reordered
 	}
-	fmt.Printf("%d campaigns verified in %v: committed=%d failed=%d tolerated=%d ops=%d finalround=%d recoveries=%d replayed=%d | orphans=%d reaps=%d aborted / %d committed, queries=%d wedged=%d | bursts=%d shed=%d expired=%d | stalecopies=%d written=%d | migrations=%d abandoned=%d redirects=%d | commit(%s) paxoscommits=%d coordcrashes=%d crashresolved=%d/%d, via acceptors=%d commit / %d abort | disk faults=%d quarantines=%d rebuilds=%d rebuilt_items=%d | net sent=%d delivered=%d dropped=%d dup=%d reordered=%d\n",
+	fmt.Printf("%d campaigns verified in %v: committed=%d failed=%d tolerated=%d ops=%d finalround=%d recoveries=%d replayed=%d | orphans=%d reaps=%d aborted / %d committed, queries=%d wedged=%d | bursts=%d shed=%d expired=%d | stalecopies=%d written=%d | migrations=%d abandoned=%d | commit(%s) paxoscommits=%d coordcrashes=%d crashresolved=%d/%d, via acceptors=%d commit / %d abort | disk faults=%d quarantines=%d rebuilds=%d rebuilt_items=%d | net sent=%d delivered=%d dropped=%d dup=%d reordered=%d\n",
 		ran, time.Since(start).Round(time.Millisecond),
 		agg.Committed, agg.Failed, agg.Tolerated, agg.Ops, agg.FinalRoundCommitted,
 		agg.Recoveries, agg.ReplayedRecords,
 		agg.Orphans, agg.ReapsAborted, agg.ReapsCommitted, agg.ResolutionQueries, agg.Wedged,
 		agg.Bursts, agg.Shed, agg.ExpiredOnArrival,
 		agg.StaleCopies, agg.StaleCopyWrites,
-		agg.Migrations, agg.MigrationsAbandoned, agg.WrongShardRedirects,
+		agg.Migrations, agg.MigrationsAbandoned,
 		proto, agg.PaxosCommits, agg.CoordCrashes, agg.CoordCrashCommitted, agg.CoordCrashAborted,
 		agg.AcceptorResolvesCommitted, agg.AcceptorResolvesAborted,
 		agg.DiskFaults, agg.DiskQuarantines, agg.DiskRebuilds, agg.DiskRebuiltItems,

@@ -10,9 +10,9 @@ package main
 // With -shards (e.g. -shards g0=dm0:dm1:dm2,g1=dm3:dm4:dm5) the layout is
 // sharded instead: -keys data items placed on the replica groups by the
 // deterministic consistent-hash ring, every process deriving the same ring
-// from the same -shards/-keys/-ringseed flags. Clients route per key and
-// chase WrongShard redirects; `client -inspect placement` prints the ring
-// epoch and each item's group with per-replica version numbers.
+// from the same -shards/-keys/-ringseed flags. A client finds an item that
+// migrated by the generation chase of its reads; `client -inspect
+// placement` prints each item's group with per-replica version numbers.
 
 import (
 	"context"
@@ -321,13 +321,12 @@ func printTxn(ctx context.Context, store *cluster.Store, txn cluster.TxnID) {
 	}
 }
 
-// printPlacement renders the sharded deployment's layout: the client's
-// ring epoch, then each item's owning group with the committed version
-// number at every replica of that group (an unreachable replica prints
-// "?" rather than failing the whole table).
+// printPlacement renders the sharded deployment's layout: the groups, then
+// each item's owning group with the committed version number at every
+// replica of that group (an unreachable replica prints "?" rather than
+// failing the whole table).
 func printPlacement(ctx context.Context, store *cluster.Store, ring *shard.Ring, keys []string) error {
-	fmt.Printf("ring epoch %d, %d groups (%s)\n",
-		store.RingEpoch(), len(ring.GroupNames()), shard.FormatSpec(groupsOf(ring)))
+	fmt.Printf("%d groups (%s)\n", len(ring.GroupNames()), shard.FormatSpec(groupsOf(ring)))
 	for _, k := range keys {
 		g, ok := ring.GroupOf(k)
 		if !ok {

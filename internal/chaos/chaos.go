@@ -290,11 +290,9 @@ type Result struct {
 	// Migrations counts live migrations the scheduler completed cleanly;
 	// MigrationsAbandoned the ones whose coordinator it killed (before
 	// commit or mid-broadcast — both left for whoever they block to resolve).
-	// WrongShardRedirects is the store's count of redirects absorbed from
-	// retired replicas. All zero when FaultMigrate is not in play.
+	// Both zero when FaultMigrate is not in play.
 	Migrations          int
 	MigrationsAbandoned int
-	WrongShardRedirects int64
 	// CoordCrashes counts commit coordinators killed at the commit point;
 	// CoordCrashCommitted and CoordCrashAborted how the cluster resolved
 	// them (every crash resolves exactly one way — the settle pass fails the
@@ -599,7 +597,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	res.ExpiredOnArrival = sched.expired
 	res.Migrations = sched.migrations
 	res.MigrationsAbandoned = sched.abandoned
-	res.WrongShardRedirects = store.Stats.WrongShardRedirects.Value()
 	res.ReapsAborted = store.Stats.OrphanReapsAborted.Value()
 	res.ReapsCommitted = store.Stats.OrphanReapsCommitted.Value()
 	res.ResolutionQueries = store.Stats.ResolutionQueries.Value()

@@ -222,7 +222,7 @@ func RunShardScaleArm(ctx context.Context, cfg ShardScaleConfig, n int) (ShardSc
 	workers := cfg.Workers
 	wres, werr := workload.Run(ctx, store, workload.Profile{
 		ReadFraction: cfg.ReadFraction,
-		OpsPerTxn:    1, // single-key txns: the scaling measurement; cross-shard txns are the router tests' job
+		OpsPerTxn:    1, // single-key txns: the scaling measurement; cross-shard txns are TestCrossShardRun's job
 		Items:        keys,
 		Distribution: workload.DistZipfian,
 		Theta:        cfg.Theta,

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/commit"
 	"repro/internal/quorum"
-	"repro/internal/shard"
 	"repro/internal/transport"
 )
 
@@ -66,12 +65,6 @@ type resolution struct {
 type dmState struct {
 	Replicas map[string]*replica
 
-	// Moved marks items this DM retired after a live migration, keyed by
-	// item name, each carrying the redirect to answer with. Installed
-	// through apply (WAL-logged, replayed), because a recovered replica
-	// serving a retired item's stale bytes would be a split brain.
-	Moved map[string]WrongShardResp
-
 	// Resolved remembers finished top-level transactions (committed or
 	// aborted) so CommitTopReq is idempotent under client retries, so late
 	// request copies from cancelled fan-outs cannot grant locks for a
@@ -112,11 +105,6 @@ type dmServer struct {
 	// transaction resolves.
 	touched map[TxnID]map[string]struct{}
 
-	// ring is this replica's view of the placement ring, nil when the
-	// deployment is unsharded. Soft state (gossip for routers): never
-	// logged, never replayed, rebuilt from serve flags after amnesia.
-	ring *shard.Ring
-
 	// Resolved-record retention (DESIGN.md §12). resolvedLog remembers
 	// resolution order; once it exceeds resolvedCap, the oldest records are
 	// compacted to outcome tombstones — the committed/aborted verdict stays
@@ -141,7 +129,7 @@ func emptyState() dmState { return dmState{}.allocated() }
 // allocated returns st with each nil table replaced by an empty map: the
 // codec decodes an empty table as nil.
 func (st dmState) allocated() dmState {
-	st.Replicas, st.Moved, st.Resolved = grow(st.Replicas), grow(st.Moved), grow(st.Resolved)
+	st.Replicas, st.Resolved = grow(st.Replicas), grow(st.Resolved)
 	st.Aborted, st.Acceptors = grow(st.Aborted), grow(st.Acceptors)
 	return st
 }
@@ -162,19 +150,14 @@ func newDMState(id string, items []ItemSpec) *dmServer {
 }
 
 // configure arms the state machine for service from the host's settings:
-// the clock its lock leases expire against, the resolved-record
-// retention cap, and the initial placement-ring view (a deep copy). It runs
-// after recovery replay and before the endpoint exists, so replay sees none
-// of it: replayed resolutions are never compacted (the replayed state can
-// only carry MORE information than the pre-crash one, which is safe), and
-// the ring a rebuilt replica gossips is the one from its serve flags — ring
-// state is never logged at all.
+// the clock its lock leases expire against and the resolved-record
+// retention cap. It runs after recovery replay and before the endpoint
+// exists, so replay sees none of it: replayed resolutions are never
+// compacted (the replayed state can only carry MORE information than the
+// pre-crash one, which is safe).
 func (s *dmServer) configure(st settings, stats *Stats) {
 	s.clock, s.stats = st.clock, stats
 	s.resolvedCap = defaultResolvedRetention
-	if st.ring != nil {
-		s.ring = st.ring.Clone()
-	}
 }
 
 // touch records that t's tree now has state on item's replica.
@@ -279,21 +262,18 @@ func (s *dmServer) abortSub(t TxnID) (Ack, bool) {
 	return Ack{OK: true}, true
 }
 
-// acquire is the grant prelude every access shares: the moved marker, the
-// hosted replica, the refusals (a resolved transaction, one with an aborted
-// ancestor, or a phase already released here, is granted nothing), then
-// Moss's rule with the requester's inherit list. On a grant it records the
-// lock and its phase, indexes the item under the transaction and stamps its
-// lease, and returns the replica with whether the transaction already held
-// a lock there. Otherwise r is nil and refusal is the answer: the redirect,
-// or refuse(busy, orphans) — the caller's reply type, Busy after a lock
-// conflict, naming the holders whose lease lapsed. A lockNone access passes
+// acquire is the grant prelude every access shares: the hosted replica, the
+// refusals (a resolved transaction, one with an aborted ancestor, or a phase
+// already released here, is granted nothing), then Moss's rule with the
+// requester's inherit list. On a grant it records the lock and its phase,
+// indexes the item under the transaction and stamps its lease, and returns
+// the replica with whether the transaction already held a lock there.
+// Otherwise r is nil and refusal is the answer, refuse(busy, orphans) — the
+// caller's reply type, Busy after a lock conflict, naming the holders whose
+// lease lapsed. A lockNone access passes
 // every refusal a read lock would and then records nothing: no lock, index
 // entry or lease.
 func (s *dmServer) acquire(t TxnID, inherit []TxnID, item string, m LockMode, seq int, refuse func(busy bool, orphans []TxnID) any) (r *replica, held bool, refusal any) {
-	if w, ok := s.Moved[item]; ok {
-		return nil, false, w
-	}
 	r, top := s.Replicas[item], t.Top()
 	// Only subtransactions are remembered: a top-level requester skips the
 	// lookup.
@@ -558,36 +538,15 @@ func (s *dmServer) apply(req any) (resp any, mutated bool) {
 	case AdoptItemReq:
 		if _, hosts := s.Replicas[q.Item]; hosts {
 			// Idempotent: a retried adopt round must not regress a replica
-			// that may already hold copied state or live locks.
+			// that may already hold copied state or live locks — nor the
+			// copy an item that migrates back finds here, which the
+			// migration's copy phase overwrites at a write quorum.
 			return Ack{OK: true}, false
 		}
-		// Adoption supersedes any old moved marker: the item is coming back
-		// to this DM (migrations can round-trip). The replica starts at
-		// version 0 with an empty config — it becomes a read target only
-		// through the migration's copy + committed cutover config record.
-		delete(s.Moved, q.Item)
+		// The replica starts at version 0 with an empty config — it becomes
+		// a read target only through the migration's copy + committed
+		// cutover config record.
 		s.Replicas[q.Item] = &replica{Val: q.Initial}
-		return Ack{OK: true}, true
-	case RetireItemReq:
-		r := s.Replicas[q.Item]
-		if r == nil {
-			// Already retired (or never hosted): idempotent only when the
-			// marker is present, refused otherwise so a misdirected retire
-			// is visible.
-			_, ok := s.Moved[q.Item]
-			return Ack{OK: ok}, false
-		}
-		if len(r.Locks) > 0 || len(r.Intents) > 0 {
-			// In-flight transactions finish against the old generation; the
-			// coordinator retries retirement later (or leaves the replica —
-			// the gen-chase redirects readers regardless).
-			return Ack{OK: false}, false
-		}
-		delete(s.Replicas, q.Item)
-		s.Moved[q.Item] = WrongShardResp{
-			DM: s.id, Item: q.Item, Epoch: q.Epoch, Group: q.Group,
-			DMs: slices.Clone(q.DMs), Gen: q.Gen, Cfg: q.Cfg.Clone(),
-		}
 		return Ack{OK: true}, true
 	case PaxosAcceptReq:
 		// Phase 2a: accept the proposed outcome unless a higher ballot was

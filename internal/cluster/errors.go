@@ -161,36 +161,6 @@ func (e *OverloadedError) Error() string {
 
 func (e *OverloadedError) Unwrap() error { return ErrOverloaded }
 
-// WrongShardError reports that an operation reached replicas that retired
-// the item after a live migration moved it to a different replica group.
-// By the time it surfaces the store has already adopted the redirect — the
-// item's replica set, believed config, and ring override all point at the
-// new group — so it wraps ErrConflict: a Run retry (or the router's
-// retry-once) re-executes against the new placement, exactly like a
-// restart after a conflict-driven abort.
-type WrongShardError struct {
-	// Item is the migrated data item.
-	Item string
-	// Txn is the transaction that hit the redirect.
-	Txn TxnID
-	// Phase names the quorum phase ("read", "write", ...).
-	Phase string
-	// Group, Epoch and DMs are the redirect's payload: the replica group
-	// now owning the item, the ring epoch at cutover, and the new replica
-	// set.
-	Group string
-	Epoch int
-	DMs   []string
-}
-
-func (e *WrongShardError) Error() string {
-	return fmt.Sprintf(
-		"cluster: %s phase of %s on item %q hit retired replicas — item now lives on group %q (ring epoch %d, DMs %s); placement adopted, retry the transaction",
-		e.Phase, e.Txn, e.Item, e.Group, e.Epoch, dmList(e.DMs))
-}
-
-func (e *WrongShardError) Unwrap() error { return ErrConflict }
-
 func dmList(dms []string) string {
 	if len(dms) == 0 {
 		return "none"

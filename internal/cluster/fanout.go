@@ -32,14 +32,13 @@ type collector struct {
 
 	m       []member
 	granted uint64
-	held    uint64                 // grant reported a pre-existing lock
-	busy    uint64                 // refused for a lock conflict at least once
-	shed    uint64                 // rejected at admission (overloaded)
-	quar    uint64                 // answered quarantined (serving nothing)
-	wrong   map[int]WrongShardResp // answered "item moved", by target
-	dups    int                    // responses beyond the first, per target, summed
-	expired bool                   // at least one shed was expired-on-arrival
-	orphans []TxnID                // expired-lease holders the Busy refusals named
+	held    uint64  // grant reported a pre-existing lock
+	busy    uint64  // refused for a lock conflict at least once
+	shed    uint64  // rejected at admission (overloaded)
+	quar    uint64  // answered quarantined (serving nothing)
+	dups    int     // responses beyond the first, per target, summed
+	expired bool    // at least one shed was expired-on-arrival
+	orphans []TxnID // expired-lease holders the Busy refusals named
 }
 
 func newCollector(targets []string, masks []uint64) *collector {
@@ -139,32 +138,6 @@ func (c *collector) noteQuarantined(i int) {
 	c.quar |= 1 << i
 }
 
-// noteWrongShard folds in a migration redirect. Like a shed, the DM
-// answered — it just no longer hosts the item — so it counts as replied
-// and is never hedged or reported missing.
-func (c *collector) noteWrongShard(i int, w WrongShardResp) {
-	c.answer(i)
-	if c.wrong == nil {
-		c.wrong = map[int]WrongShardResp{}
-	}
-	if _, dup := c.wrong[i]; !dup {
-		c.wrong[i] = w
-	}
-}
-
-// sawWrongShard returns one redirect from the phase, the lowest target's
-// (targets are sorted, so the lowest DM id's) so the pick is deterministic
-// under seeded replay.
-func (c *collector) sawWrongShard() (WrongShardResp, bool) {
-	low := -1
-	for i := range c.wrong {
-		if low < 0 || i < low {
-			low = i
-		}
-	}
-	return c.wrong[low], low >= 0
-}
-
 // sawBusy reports whether any DM refused for a lock conflict.
 func (c *collector) sawBusy() bool { return c.busy != 0 }
 
@@ -229,7 +202,7 @@ func parseGrant(raw any) (granted, busy, held bool, resp ReadResp) {
 // fewest replicas to those the transaction's tree already holds — and any
 // half-open probe due. The phase widens to every other target the plan may
 // dial, once, the moment an asked member answers with anything but a grant
-// (Busy, a shed, quarantined, a redirect), a call fails, or the hedge timer
+// (Busy, a shed, quarantined, no replica), a call fails, or the hedge timer
 // first fires. That first tick also charges each first-quorum member still
 // silent one failure, so a steady straggler turns suspect and leaves the
 // first quorums. Later ticks hedge: they re-issue the request to targets
@@ -317,8 +290,6 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 					} else {
 						t.store.Stats.AdmissionSheds.Inc()
 					}
-				} else if w, ok := r.Resp.(WrongShardResp); ok {
-					col.noteWrongShard(i, w)
 				} else if _, ok := r.Resp.(QuarantinedResp); ok {
 					col.noteQuarantined(i)
 				} else {

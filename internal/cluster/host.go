@@ -166,7 +166,7 @@ func (h *DMHost) handle(_ string, req any, reply func(any)) {
 		return
 	}
 	// Coordination (renewals, probes, the refusal of a presumed abort, rebuild
-	// pulls, ring gossip) is soft state and never logged.
+	// pulls) is soft state and never logged.
 	if resp, handled := h.srv.coordinate(req); handled {
 		reply(resp)
 		return

@@ -98,10 +98,10 @@ func (s *dmServer) expiredHolders(r *replica, requester TxnID) []TxnID {
 
 // coordinate answers the requests that never reach the replicated state
 // machine: lease renewals, a resolver's probe, the refusal of a presumed
-// abort, rebuild pulls and ring gossip. It reports
-// handled=false for everything else. Kept out of apply so what the
-// WAL/replay path decides never depends on a clock read — a DecisionReq
-// that passes here IS applied, logged and replayed like any request.
+// abort and rebuild pulls. It reports handled=false for everything else.
+// Kept out of apply so what the WAL/replay path decides never depends on a
+// clock read — a DecisionReq that passes here IS applied, logged and
+// replayed like any request.
 func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 	switch q := req.(type) {
 	case RenewLeaseReq:
@@ -142,31 +142,7 @@ func (s *dmServer) coordinate(req any) (resp any, handled bool) {
 		return nil, false
 	}
 	// Rebuild pulls are read-only state exports — nothing to log.
-	if resp, handled := s.coordinateRebuild(req); handled {
-		return resp, handled
-	}
-	// Ring gossip last: also soft state (dm.go ring field).
-	return s.coordinateRing(req)
-}
-
-// coordinateRing serves the placement-ring gossip protocol. Ring state at
-// a replica is advisory — the data path's generation chase and WrongShard
-// redirects are the authority — so none of this is logged or replayed.
-func (s *dmServer) coordinateRing(req any) (resp any, handled bool) {
-	switch q := req.(type) {
-	case RingReq:
-		if s.ring == nil {
-			return RingResp{}, true
-		}
-		return RingResp{OK: true, Ring: *s.ring.Clone()}, true
-	case RingUpdateReq:
-		if s.ring != nil {
-			r := q.Ring
-			s.ring.Adopt(&r)
-		}
-		return Ack{OK: true}, true
-	}
-	return nil, false
+	return s.coordinateRebuild(req)
 }
 
 // --- client side ---
@@ -314,8 +290,9 @@ func (s *Store) resolveAll(ctx context.Context, orphans []TxnID) {
 // lapsed lease — are in this client's way. Orphans are resolved by whoever
 // they block, with the coordinator's own rounds, every step a call; one
 // resolution per transaction is in flight per store, and a second caller
-// waits for it. It asks every DM the store's items name how the transaction
-// stands (ResolutionProbeReq), then does exactly one of, in this order:
+// waits for it. It asks every member DM (Store.DMs, fixed at Open) how the
+// transaction stands (ResolutionProbeReq), then does exactly one of, in
+// this order:
 //
 //   - a DM holds a resolution record: the outcome exists; re-serve it to
 //     every DM (the record's Subs make a straggler apply the same commit).

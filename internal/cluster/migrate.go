@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/quorum"
@@ -27,11 +27,10 @@ import (
 // atomically per DM; until then every read still assembles at the old
 // group, so reads never block during the copy.
 //
-// After commit the old group's surplus replicas are retired best-effort:
-// each drops its copy and keeps a durable moved-marker answering later
-// requests with a WrongShardResp redirect. A failed retire is safe — the
-// replica then still holds the gen+1 config record and redirects via the
-// ordinary generation chase.
+// Nothing else happens after commit: the old group's replicas keep their
+// copies and the gen+1 record, so the generation chase is the one redirect
+// a stale client needs. No read returns an old copy: a read folds versions
+// only over a quorum of the newest configuration it found.
 //
 // cut injects a coordinator crash into the commit tail (chaos harness use;
 // the zero value migrates cleanly): the migration returns
@@ -39,11 +38,10 @@ import (
 // and the cluster must converge on the item wholly at the old group or
 // wholly at the new one.
 func (s *Store) MigrateItem(ctx context.Context, item, toGroup string, cut CommitCrashOptions) error {
-	ring := s.Ring()
-	if ring == nil {
+	if s.ring == nil {
 		return fmt.Errorf("cluster: migrate %q: store is not sharded", item)
 	}
-	g, ok := ring.Group(toGroup)
+	g, ok := s.ring.Group(toGroup)
 	if !ok {
 		return fmt.Errorf("cluster: migrate %q: unknown group %q", item, toGroup)
 	}
@@ -83,41 +81,32 @@ func (s *Store) MigrateItem(ctx context.Context, item, toGroup string, cut Commi
 		return err
 	}
 
-	// Cutover is decided; fold it into this client's own placement state,
-	// retire the old group's surplus replicas, and gossip the new ring.
-	s.relocateItem(item, newDMs, res.gen+1, newCfg, toGroup, 0)
-	ringAfter := s.Ring()
-	retire := RetireItemReq{
-		Item: item, Epoch: ringAfter.Epoch, Group: toGroup,
-		DMs: newDMs, Gen: res.gen + 1, Cfg: newCfg,
-	}
-	// Best-effort with a short retry: a DM refuses while any transaction
-	// still holds locks there (our own commit stragglers), and a refusal is
-	// safe — the replica keeps the gen+1 config record and redirects via the
-	// ordinary generation chase instead.
-	old := slices.DeleteFunc(slices.Clone(it.DMs), func(dm string) bool { return slices.Contains(newDMs, dm) })
-	retired, _ := s.call(ctx, round{dms: old, req: retire, retries: 2, until: isAck})
-	for i, raw := range retired {
-		if !isAck(raw) {
-			s.traceEvent("store", "migrate", "retire of %q at %s not acknowledged (safe: gen chase covers it)", item, old[i])
-		}
-	}
-	s.gossipRing(ringAfter)
+	// Cutover is decided; fold it into this client's own placement state.
+	s.relocateItem(item, newDMs, res.gen+1, newCfg)
 	s.Stats.Migrations.Inc()
-	s.traceEvent(string(rep.Txn), "migrate",
-		"%s -> group %q (gen %d -> %d, epoch %d)", item, toGroup, res.gen, res.gen+1, ringAfter.Epoch)
+	s.traceEvent(string(rep.Txn), "migrate", "%s -> group %q (gen %d -> %d)", item, toGroup, res.gen, res.gen+1)
 	return nil
 }
 
-// gossipRing pushes the client's ring (with its fresh override and epoch)
-// to every DM it knows, best-effort. Ring state at DMs is soft — a routing
-// cache for RingReq clients — so a missed update only costs a later
-// redirect, never correctness.
-func (s *Store) gossipRing(r *shard.Ring) {
+// ShardItems builds the ItemSpec slice a sharded deployment opens with:
+// each key is placed by the ring and replicated across its group's DMs
+// under a majority quorum. Deployments wanting non-majority per-group
+// configs can post-process the result.
+func ShardItems(r *shard.Ring, keys []string, initial any) ([]ItemSpec, error) {
 	if r == nil {
-		return
+		return nil, errors.New("cluster: ShardItems: nil ring")
 	}
-	for _, dm := range s.DMs() {
-		s.client.Notify(dm, RingUpdateReq{Ring: *r.Clone()})
+	items := make([]ItemSpec, 0, len(keys))
+	for _, key := range keys {
+		name := r.Lookup(key)
+		g, ok := r.Group(name)
+		if !ok {
+			return nil, fmt.Errorf("cluster: ShardItems: key %q maps to unknown group %q", key, name)
+		}
+		dms := append([]string(nil), g.DMs...)
+		items = append(items, ItemSpec{
+			Name: key, Initial: initial, DMs: dms, Config: quorum.Majority(dms),
+		})
 	}
+	return items, nil
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"repro/internal/commit"
 	"repro/internal/quorum"
-	"repro/internal/shard"
 )
 
 // LockMode is the lock an access must hold at a DM.
@@ -230,60 +229,6 @@ type AdoptItemReq struct {
 	Initial any
 }
 
-// RetireItemReq tells an old-group DM to stop hosting an item after a
-// migration cutover. The DM refuses while any transaction still holds
-// locks or intentions on its replica — in-flight transactions finish
-// against the old generation — and otherwise drops the replica and
-// installs a durable moved marker carrying the new placement. From then on
-// reads and writes for the item answer WrongShardResp instead of serving
-// stale state. Hard state, like adoption: a recovered replica must still
-// know it retired.
-type RetireItemReq struct {
-	Item  string
-	Epoch int
-	Group string
-	DMs   []string
-	Gen   int
-	Cfg   quorum.Config
-}
-
-// WrongShardResp is a retired replica's answer to read/write traffic for
-// an item it no longer hosts: the redirect. It carries the placement the
-// marker recorded at retirement — the owning group, its replica set, and
-// the post-cutover generation and config — so a stale client can relocate
-// and retry without any directory service. Epoch is the ring epoch at
-// cutover; clients use it to invalidate placement-derived caches.
-type WrongShardResp struct {
-	DM    string
-	Item  string
-	Epoch int
-	Group string
-	DMs   []string
-	Gen   int
-	Cfg   quorum.Config
-}
-
-// RingReq asks a DM for its current view of the placement ring. Ring
-// state at replicas is soft — never logged, never replayed, rebuilt from
-// the serve flags after amnesia — so the answer is a gossip convenience
-// for routers, not an authority: item placement is always re-proven by
-// the generation chase and WrongShard redirects of the data path.
-type RingReq struct{}
-
-// RingResp carries a DM's ring view. OK false means the DM is not
-// ring-aware (unsharded deployment).
-type RingResp struct {
-	OK   bool
-	Ring shard.Ring
-}
-
-// RingUpdateReq gossips a newer ring to a DM after a migration cutover.
-// The replica adopts it only if strictly newer (higher epoch); stale or
-// duplicate updates are ignored. Soft state, like RingReq.
-type RingUpdateReq struct {
-	Ring shard.Ring
-}
-
 // PaxosAcceptReq is Phase-2a of Paxos Commit: accept this transaction's
 // outcome at Ballot. The coordinator that ran the transaction owns ballot 0
 // and skips Phase 1 (no other proposer ever uses 0); a recovering client
@@ -416,32 +361,29 @@ type QuarantinedResp struct {
 }
 
 // RebuildPullReq asks one replica for everything it holds that a
-// quarantined peer (For) needs to rebuild from scratch: committed state
-// for the listed items, moved markers, resolution records, and the Paxos
-// acceptor hard state of every instance whose cohort names For. Served
-// from the actor goroutine (consistent without locks) and never logged —
-// the pull mutates nothing at the answering replica.
+// quarantined peer (For) needs to rebuild from scratch: the committed state
+// of every item it hosts, resolution records, and the Paxos acceptor hard
+// state of every instance whose cohort names For. Served from the actor
+// goroutine (consistent without locks) and never logged — the pull mutates
+// nothing at the answering replica.
 type RebuildPullReq struct {
-	For   string
-	Items []string
+	For string
 }
 
 // RebuildPullResp is one replica's complete answer to a RebuildPullReq, in
-// the state machine's own types. Replicas holds the requested items this
-// replica hosts, committed state only: locks, tombstones and intentions of
+// the state machine's own types. Replicas holds every item this replica
+// hosts, committed state only: locks, tombstones and intentions of
 // in-flight transactions died with the corrupt log, and the lease fence
-// turns their loss into clean aborts instead of broken promises. Moved
-// carries the redirect markers among the requested items; Resolved (Subs nil
-// for aborts and for commit records the retention cap already compacted to
-// outcome tombstones) and Acceptors carry the transaction outcome state the
-// rebuilding replica must re-adopt before it may serve again. OK false (or a
-// QuarantinedResp instead) means this replica cannot contribute and the
-// rebuild must not count it as a witness.
+// turns their loss into clean aborts instead of broken promises. Resolved
+// (Subs nil for aborts and for commit records the retention cap already
+// compacted to outcome tombstones) and Acceptors carry the transaction
+// outcome state the rebuilding replica must re-adopt before it may serve
+// again. OK false (or a QuarantinedResp instead) means this replica cannot
+// contribute and the rebuild must not count it as a witness.
 type RebuildPullResp struct {
 	OK        bool
 	From      string
 	Replicas  map[string]replica
-	Moved     map[string]WrongShardResp
 	Resolved  map[TxnID]resolution
 	Acceptors map[TxnID]commit.Acceptor
 }

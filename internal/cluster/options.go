@@ -265,10 +265,11 @@ func WithHopAllowance(d time.Duration) Option {
 }
 
 // WithRing arms sharded placement with an explicit consistent-hash ring:
-// the store (and every DM it spawns) adopts a deep copy as its placement
-// view. The ring decides which replica group
-// owns which item; the item specs passed to Open must agree with it
-// (ShardItems derives them). nil leaves the store unsharded.
+// the store keeps a deep copy as its group directory, which MigrateItem
+// looks target groups up in, and counts the ring's DMs among its members.
+// The item specs passed to Open place the items (ShardItems derives them
+// from the ring); after Open an item's placement is its configuration,
+// found by the generation chase. nil leaves the store unsharded.
 func WithRing(r *shard.Ring) Option {
 	return func(s *settings) {
 		if r != nil {

@@ -15,8 +15,9 @@ import (
 // Peer rebuild (DESIGN.md §12): the recovery path for a replica whose log
 // is corrupt — or whose disk is simply gone. The quarantined replica's
 // durable state is reconstructed from its peers' committed state: item
-// values and configurations certified by a read quorum, migration
-// retirement markers, resolution records, and Paxos acceptor hard state.
+// values and configurations certified by a read quorum — the items it
+// started with and every item since migrated onto it — resolution records,
+// and Paxos acceptor hard state.
 // The merged state is written through a fresh write-ahead log as one
 // synthetic snapshot, and the replica rejoins under the same id.
 //
@@ -33,10 +34,8 @@ import (
 // RebuildStats reports what one peer rebuild restored.
 type RebuildStats struct {
 	// Items is the number of hosted items restored with a quorum-certified
-	// value and configuration; Moved counts items restored as migration
-	// retirement markers instead.
+	// value and configuration.
 	Items int
-	Moved int
 	// Resolved and Acceptors count restored resolution records and Paxos
 	// acceptor instances.
 	Resolved  int
@@ -49,12 +48,15 @@ type RebuildStats struct {
 // coordinateRebuild answers a quarantined peer's state pull. Read-only —
 // nothing is logged — and served like the other coordination traffic, off
 // the replicated state machine. The answer is this replica's own state minus
-// what is in flight: for the requested items the committed value and
-// configuration (or the retirement marker), plus ALL resolution records and
-// the acceptor state of every Paxos instance whose cohort includes the
-// rebuilding DM — and no lock, tombstone or intention. Configurations, subs
-// lists, cohorts and accepted values are replaced, never mutated in place,
-// so the answer shares them with the live state.
+// what is in flight: the committed value and configuration of every item it
+// hosts, plus ALL resolution records and the acceptor state of every Paxos
+// instance whose cohort includes the rebuilding DM — and no lock, tombstone
+// or intention. Every item, not just the ones the rebuilding DM started
+// with: an item migrated onto it since is restored too, and a copy that
+// missed the migration's writes (a bare placeholder) still counts toward
+// that item's read quorum. Configurations, subs lists, cohorts and accepted
+// values are replaced, never mutated in place, so the answer shares them
+// with the live state.
 func (s *dmServer) coordinateRebuild(req any) (resp any, handled bool) {
 	q, ok := req.(RebuildPullReq)
 	if !ok {
@@ -62,17 +64,12 @@ func (s *dmServer) coordinateRebuild(req any) (resp any, handled bool) {
 	}
 	out := RebuildPullResp{
 		OK: true, From: s.id,
-		Replicas:  map[string]replica{},
-		Moved:     map[string]WrongShardResp{},
+		Replicas:  make(map[string]replica, len(s.Replicas)),
 		Resolved:  make(map[TxnID]resolution, len(s.Resolved)),
 		Acceptors: map[TxnID]commit.Acceptor{},
 	}
-	for _, item := range q.Items {
-		if w, moved := s.Moved[item]; moved {
-			out.Moved[item] = w
-		} else if r := s.Replicas[item]; r != nil {
-			out.Replicas[item] = replica{VN: r.VN, Val: r.Val, Gen: r.Gen, Cfg: r.Cfg}
-		}
+	for item, r := range s.Replicas {
+		out.Replicas[item] = replica{VN: r.VN, Val: r.Val, Gen: r.Gen, Cfg: r.Cfg}
 	}
 	for t, res := range s.Resolved {
 		out.Resolved[t] = *res
@@ -100,17 +97,11 @@ func (s *dmServer) coordinateRebuild(req any) (resp any, handled bool) {
 // replicas refuse each other's pulls rather than trade unrebuilt state.
 func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmServer, RebuildStats, error) {
 	var rst RebuildStats
-	names := make([]string, 0, len(h.items))
-	for _, it := range h.items {
-		names = append(names, it.Name)
-	}
-	sort.Strings(names)
-
 	peers := h.peers // sorted
 	answers := make(map[string]RebuildPullResp, len(peers))
 	for _, p := range peers {
 		cctx, cancel := context.WithTimeout(ctx, h.st.callTimeout)
-		raw, err := client.Call(cctx, p, RebuildPullReq{For: h.id, Items: names})
+		raw, err := client.Call(cctx, p, RebuildPullReq{For: h.id})
 		cancel()
 		if err != nil {
 			return nil, rst, fmt.Errorf("cluster: rebuild %s: pull from %s: %w", h.id, p, err)
@@ -131,28 +122,27 @@ func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmSe
 	srv := newDMState(h.id, h.items)
 	rst.Peers = len(peers)
 
-	// Per-item merge: a retirement marker anywhere wins (the item migrated
-	// away; re-hosting its stale bytes would be a split brain). Otherwise
-	// the answers holding the item must cover a read quorum of the highest
-	// configuration generation seen — then the maximum version among them
-	// is at least the newest committed version, by quorum intersection.
+	// Per-item merge: the answers holding the item must cover a read quorum
+	// of the highest configuration generation seen — then the maximum
+	// version among them is at least the newest committed version, by
+	// quorum intersection. The items are the ones this DM started with and
+	// every other one whose newest configuration names it: migrated here
+	// since, so its copy here may be one a read quorum needs.
+	started := map[string]bool{} // every item to merge: whether this DM started with it
+	for _, p := range peers {
+		for item := range answers[p].Replicas {
+			started[item] = false
+		}
+	}
+	for _, it := range h.items {
+		started[it.Name] = true
+	}
+	names := make([]string, 0, len(started))
+	for item := range started {
+		names = append(names, item)
+	}
+	sort.Strings(names)
 	for _, item := range names {
-		var marker *WrongShardResp
-		for _, p := range peers {
-			if w, ok := answers[p].Moved[item]; ok {
-				if marker == nil || w.Gen > marker.Gen {
-					cp := w
-					marker = &cp
-				}
-			}
-		}
-		if marker != nil {
-			marker.DM = h.id // the redirect must name ITS server, not the peer's
-			delete(srv.Replicas, item)
-			srv.Moved[item] = *marker
-			rst.Moved++
-			continue
-		}
 		var best *replica
 		have := map[string]bool{}
 		for _, p := range peers {
@@ -174,6 +164,9 @@ func (h *DMHost) pullMerged(ctx context.Context, client transport.Client) (*dmSe
 		}
 		if best == nil {
 			return nil, rst, fmt.Errorf("cluster: rebuild %s: no peer holds a copy of %q (single-replica items cannot be rebuilt)", h.id, item)
+		}
+		if !started[item] && !slices.Contains(best.Cfg.Members(), h.id) {
+			continue // not this DM's item
 		}
 		if !best.Cfg.HasReadQuorum(have) {
 			return nil, rst, fmt.Errorf("cluster: rebuild %s: peers holding %q do not cover a read quorum of gen %d", h.id, item, best.Gen)

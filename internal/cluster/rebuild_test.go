@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/quorum"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/wal"
 )
@@ -452,25 +454,66 @@ func TestServeDMAutoRebuild(t *testing.T) {
 	}
 }
 
-// TestCoordinateRebuildServesMovedMarkers: a peer's answer to a rebuild
-// pull carries retirement markers for migrated items, and the rebuild merge
-// re-homes the marker under the rebuilding DM's id.
-func TestCoordinateRebuildServesMovedMarkers(t *testing.T) {
-	srv := newDMState("dm1", []ItemSpec{{Name: "x", DMs: []string{"dm1"}, Config: quorum.Majority([]string{"dm1"})}})
-	srv.Moved["y"] = WrongShardResp{DM: "dm1", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm7"}, Gen: 3}
+// TestRebuildRestoresMigratedItem: a replica rebuilt from its peers gets
+// back every item it hosted, not only the ones it started with — an item
+// migrated onto it comes back at its newest committed state, so the group
+// keeps its read quorum when another member goes down.
+func TestRebuildRestoresMigratedItem(t *testing.T) {
+	keys := shard.Keys("k", 12)
+	store, _, _, ring := shardedCluster(t, 507, keys,
+		WithDurability(t.TempDir()), WithWALOptions(wal.WithFsync(false), wal.WithSegmentBytes(256)))
+	ctx := context.Background()
+	key := keyOn(t, ring, keys, "g0")
+	if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	for i := 1; i <= 8; i++ {
+		if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, i) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hosted := 0
+	for _, it := range store.Items() {
+		if slices.Contains(it.DMs, "b0") {
+			hosted++
+		}
+	}
 
-	raw, handled := srv.coordinateRebuild(RebuildPullReq{For: "dm0", Items: []string{"x", "y"}})
-	if !handled {
-		t.Fatal("RebuildPullReq not handled")
+	dir := walPathOf(t, store, "b0")
+	if err := store.StopDM("b0"); err != nil {
+		t.Fatal(err)
 	}
-	resp := raw.(RebuildPullResp)
-	if !resp.OK || resp.From != "dm1" {
-		t.Fatalf("resp = %+v", resp)
+	if _, _, ok, err := wal.NewFaultFS(7).CorruptSegmentFrame(dir); err != nil || !ok {
+		t.Fatalf("CorruptSegmentFrame: ok=%v err=%v", ok, err)
 	}
-	if _, ok := resp.Replicas["x"]; !ok || len(resp.Replicas) != 1 {
-		t.Fatalf("replicas = %+v, want x only", resp.Replicas)
+	if _, err := store.RestartDM("b0"); err != nil {
+		t.Fatal(err)
 	}
-	if w, ok := resp.Moved["y"]; !ok || w.Gen != 3 {
-		t.Fatalf("moved = %+v, want y@gen3", resp.Moved)
+	rst, err := store.RebuildReplica(ctx, "b0")
+	if err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	if rst.Items != hosted {
+		t.Fatalf("rebuild restored %d items, b0 hosts %d", rst.Items, hosted)
+	}
+	insp, err := store.Inspect(ctx, "b0", key)
+	if err != nil {
+		t.Fatalf("the rebuilt replica lost the migrated item: %v", err)
+	}
+	if insp.Val != 8 || insp.Gen != 1 {
+		t.Fatalf("rebuilt copy holds %v at gen %d, want 8 at gen 1", insp.Val, insp.Gen)
+	}
+	// With b1 down, b0 and b2 are the read quorum.
+	if err := store.StopDM("b1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Run(ctx, func(tx *Txn) error {
+		v, err := tx.Read(ctx, key)
+		if err == nil && v != 8 {
+			t.Errorf("read %v with b1 down, want 8", v)
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("read with b1 down: %v", err)
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // streamedState drives the first steps requests of the shared
-// resolutionStream into a fresh state machine that also holds a retirement
-// marker and two undecided Paxos instances (one whose cohort leaves dm1
+// resolutionStream into a fresh state machine that also holds an adopted
+// placeholder and two undecided Paxos instances (one whose cohort leaves dm1
 // out), so every table of the hard state is populated.
 func streamedState(t *testing.T, seed int64, steps int) *dmServer {
 	t.Helper()
@@ -21,7 +21,6 @@ func streamedState(t *testing.T, seed int64, steps int) *dmServer {
 	s.clock = transport.NewManualClock(time.Unix(1700000000, 0))
 	for _, req := range []any{
 		AdoptItemReq{Item: "gone", Initial: 0},
-		RetireItemReq{Item: "gone", Epoch: 2, Group: "g1", DMs: []string{"dm7", "dm8"}, Gen: 3, Cfg: specs[0].Config},
 		PaxosAcceptReq{Txn: "c9.t1", Commit: true, Subs: []TxnID{"c9.t1/0"}, Cohort: []string{"dm0", "dm1", "dm2"}},
 		PaxosPrepareReq{Txn: "c9.t2", Ballot: 3, Cohort: []string{"dm0", "dm2"}},
 	} {
@@ -76,9 +75,9 @@ func TestSnapshotIsTheStateFixedPoint(t *testing.T) {
 				live := streamedState(t, seed, steps)
 				p, r, i := inFlight(live)
 				phased, tombstones, intents = phased+p, tombstones+r, intents+i
-				if len(live.Moved) != 1 || len(live.Acceptors) != 2 || len(live.Resolved) == 0 {
-					t.Fatalf("the streamed state leaves a table empty: %d moved, %d acceptors, %d resolved",
-						len(live.Moved), len(live.Acceptors), len(live.Resolved))
+				if len(live.Acceptors) != 2 || len(live.Resolved) == 0 {
+					t.Fatalf("the streamed state leaves a table empty: %d acceptors, %d resolved",
+						len(live.Acceptors), len(live.Resolved))
 				}
 
 				first := roundTrip(t, live)
@@ -120,19 +119,15 @@ func TestSnapshotIsTheStateFixedPoint(t *testing.T) {
 }
 
 // TestPullAnswerIsTheStateMinusWhatIsInFlight: the answer to a rebuild pull
-// is built from the same state, in the same types — committed values,
-// retirement markers, every resolution record, the acceptors whose cohort
+// is built from the same state, in the same types — the committed value of
+// every hosted item, every resolution record, the acceptors whose cohort
 // names the rebuilding DM — and carries no lock, tombstone or intention.
 func TestPullAnswerIsTheStateMinusWhatIsInFlight(t *testing.T) {
 	s := streamedState(t, 1, 40)
 	if p, r, i := inFlight(s); p == 0 || r == 0 || i == 0 {
 		t.Fatalf("nothing in flight to leave out: %d phased locks, %d tombstones, %d intentions", p, r, i)
 	}
-	items := []string{"gone", "nowhere"}
-	for name := range s.Replicas {
-		items = append(items, name)
-	}
-	raw, handled := s.coordinate(RebuildPullReq{For: "dm1", Items: items})
+	raw, handled := s.coordinate(RebuildPullReq{For: "dm1"})
 	ans, ok := raw.(RebuildPullResp)
 	if !handled || !ok || !ans.OK || ans.From != "dm0" {
 		t.Fatalf("pull answered %#v (handled %v)", raw, handled)
@@ -145,9 +140,6 @@ func TestPullAnswerIsTheStateMinusWhatIsInFlight(t *testing.T) {
 		if got := ans.Replicas[name]; !reflect.DeepEqual(got, want) {
 			t.Errorf("replica %s travels as %#v, want the committed state alone %#v", name, got, want)
 		}
-	}
-	if !reflect.DeepEqual(ans.Moved, s.Moved) {
-		t.Errorf("moved markers: %#v, want %#v", ans.Moved, s.Moved)
 	}
 	if len(ans.Resolved) != len(s.Resolved) {
 		t.Fatalf("answer carries %d resolutions, the state holds %d", len(ans.Resolved), len(s.Resolved))

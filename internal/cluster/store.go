@@ -99,11 +99,9 @@ type Stats struct {
 	RetryBudgetDenied metrics.Counter
 	InflightLimit     metrics.Gauge
 	QueueDepth        metrics.IntHistogram
-	// Sharded placement (DESIGN.md §10). WrongShardRedirects counts
-	// redirects absorbed from retired replicas after a live migration;
-	// Migrations counts MigrateItem cutovers this client completed.
-	WrongShardRedirects metrics.Counter
-	Migrations          metrics.Counter
+	// Sharded placement (DESIGN.md §10). Migrations counts MigrateItem
+	// cutovers this client completed.
+	Migrations metrics.Counter
 	// Paxos Commit (DESIGN.md §11). PaxosAccepts counts durable ballot-0
 	// acceptances coordinators collected; PaxosCommits counts commit
 	// decisions reached through an acceptor majority on the clean path.
@@ -138,13 +136,18 @@ type Store struct {
 	items map[string]ItemSpec
 	dms   map[string]*DMHost // the replicas this store spawned, by DM id
 
+	// members is every DM the opened item specs and the ring name, sorted
+	// and fixed at Open: an item that migrates away never takes its old
+	// group out of the set a resolver asks and re-serves outcomes to.
+	members []string
+
 	mu       sync.Mutex
 	rng      *rand.Rand
 	believed map[string]genCfg
 
-	// ring is this client's view of the consistent-hash placement, nil for
-	// unsharded stores. Guarded by mu. Migration cutovers and WrongShard
-	// redirects advance it.
+	// ring is the group directory of a sharded store, nil for unsharded
+	// ones: MigrateItem looks its target group up here. Fixed at Open —
+	// where an item lives is its configuration, not the ring.
 	ring *shard.Ring
 
 	// jitter feeds backoff sleeps and nothing else. It is separate from
@@ -290,6 +293,13 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		s.items[it.Name] = it
 		s.believed[it.Name] = genCfg{gen: 0, cfg: k}
 	}
+	ids, hosted := sitesOf(items)
+	s.members = ids
+	if s.ring != nil {
+		s.members = append(slices.Clone(ids), s.ring.DMs()...)
+		slices.Sort(s.members)
+		s.members = slices.Compact(s.members)
+	}
 	// From here on every failure must close the hosts already started, or
 	// their endpoints and open logs outlive the failed Open.
 	abandon := func() {
@@ -300,7 +310,6 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 	if spawnServers {
 		// One host per replica site: a DM hosts every item whose spec names
 		// it, and knows every other DM as a peer to rebuild from.
-		ids, hosted := sitesOf(items)
 		for _, id := range ids {
 			h, err := start(tr, id, hosted[id], peersOf(id, ids), st, &s.Stats)
 			if err != nil {
@@ -449,11 +458,9 @@ func (s *Store) Items() []ItemSpec {
 	return out
 }
 
-// DMs lists every DM the store's current item specs name, sorted.
-func (s *Store) DMs() []string {
-	dms, _ := sitesOf(s.Items())
-	return dms
-}
+// DMs lists every DM the store was opened with — each one an item spec or
+// the ring names — sorted. Migrations never shrink it.
+func (s *Store) DMs() []string { return slices.Clone(s.members) }
 
 // traceEvent records an event when tracing is enabled.
 func (s *Store) traceEvent(actor, kind, format string, args ...any) {
@@ -479,66 +486,19 @@ func (s *Store) itemSpec(item string) (ItemSpec, bool) {
 	return it, ok
 }
 
-// Ring returns a copy of the store's current placement view, or nil for
-// unsharded stores.
-func (s *Store) Ring() *shard.Ring {
+// relocateItem moves the client's own view of item to the replica set dms
+// at generation gen under cfg, the configuration a migration it coordinated
+// committed. Generation numbers only go forward, so it cannot regress a
+// newer placement the client already chased to.
+func (s *Store) relocateItem(item string, dms []string, gen int, cfg quorum.Config) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ring == nil {
-		return nil
+	if it, ok := s.items[item]; ok && gen >= s.believed[item].gen {
+		it.DMs = slices.Clone(dms)
+		it.Config = cfg.Clone()
+		s.items[item] = it
+		s.believed[item] = genCfg{gen: gen, cfg: newKnownCfg(cfg.Clone())}
 	}
-	return s.ring.Clone()
-}
-
-// RingEpoch returns the store's current placement epoch (0 unsharded) —
-// cheaper than Ring() when only staleness is being checked.
-func (s *Store) RingEpoch() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ring == nil {
-		return 0
-	}
-	return s.ring.Epoch
-}
-
-// relocateItem rewrites the client's view of where item lives: its replica
-// set, believed generation/config, and (when the store is sharded) the
-// ring override pinning it to the new group. Generation numbers only go
-// forward, so a stale redirect (or a racing pair of them) cannot regress a
-// newer placement.
-func (s *Store) relocateItem(item string, dms []string, gen int, cfg quorum.Config, group string, epoch int) {
-	s.mu.Lock()
-	if it, ok := s.items[item]; ok {
-		if cur := s.believed[item]; gen >= cur.gen {
-			it.DMs = append([]string(nil), dms...)
-			it.Config = cfg.Clone()
-			s.items[item] = it
-			s.believed[item] = genCfg{gen: gen, cfg: newKnownCfg(cfg.Clone())}
-		}
-	}
-	if s.ring != nil && group != "" {
-		if _, ok := s.ring.Group(group); ok && s.ring.Lookup(item) != group {
-			_ = s.ring.MoveKey(item, group)
-		}
-		if epoch > s.ring.Epoch {
-			s.ring.Epoch = epoch
-		}
-	}
-	s.mu.Unlock()
-}
-
-// adoptRedirect folds a WrongShard redirect into the client's placement
-// view and reports whether it taught the client anything new — a fresh
-// generation, or a different replica set at the believed one (an older
-// generation's is not adopted). A redirect that changes nothing means the
-// client already believes the placement the marker names, so retrying under
-// it cannot make progress.
-func (s *Store) adoptRedirect(w WrongShardResp) bool {
-	it, _ := s.itemSpec(w.Item)
-	cur := s.config(w.Item)
-	changed := w.Gen > cur.gen || (w.Gen == cur.gen && !sameStrings(it.DMs, w.DMs))
-	s.relocateItem(w.Item, w.DMs, w.Gen, w.Cfg, w.Group, w.Epoch)
-	return changed
 }
 
 // sameStrings reports order-insensitive set equality of two DM lists.
@@ -920,16 +880,6 @@ func (p *phaseTally) retry(ctx context.Context, s *Store, attempt int) {
 	s.backoff(ctx, attempt)
 }
 
-// wrongShardErr is the typed error for a phase that cannot carry on past a
-// migration redirect: a read whose redirect taught it nothing, a write
-// always.
-func (t *Txn) wrongShardErr(item, phase string, w WrongShardResp) error {
-	return &WrongShardError{
-		Item: item, Txn: t.id, Phase: phase,
-		Group: w.Group, Epoch: w.Epoch, DMs: append([]string(nil), w.DMs...),
-	}
-}
-
 // firstRead is a root's lockless first read: the item and the version it
 // returned, which the tree's next access re-reads under a lock.
 type firstRead struct {
@@ -961,9 +911,9 @@ type firstRead struct {
 // attempt to a locking read. A read-only body that stops there has nothing
 // to resolve; any further access validates the read first (validateFirst).
 //
-// Progress — a newer generation or placement learned — re-reads at once and
-// is no retry: it spends neither an attempt nor a retry-budget token, and
-// neither does the switch. Each such step strictly advances the client's
+// Progress — a newer generation learned — re-reads at once and is no retry:
+// it spends neither an attempt nor a retry-budget token, and neither does
+// the switch. Each such step strictly advances the client's
 // view, so there are finitely many.
 func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readResult, error) {
 	if t.root.unchecked.Load() != nil {
@@ -1034,23 +984,6 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 				// A newer configuration was installed: re-read under it
 				// immediately — that is progress, not a conflict.
 				believed = genCfg{gen: res.gen, cfg: res.cfg}
-				progressed = true
-				break
-			}
-			if w, ok := col.sawWrongShard(); ok {
-				// The replicas we asked retired this item after a migration. The
-				// redirect carries the new placement; adopting it and re-reading
-				// is progress exactly like the generation chase above. A redirect
-				// that teaches us nothing new (we already believe that placement)
-				// means the marker is circular — surface it instead of looping.
-				t.store.Stats.WrongShardRedirects.Inc()
-				if !t.store.adoptRedirect(w) {
-					return readResult{}, t.wrongShardErr(item, "read", w)
-				}
-				believed = t.store.config(item)
-				if believed.gen > res.gen {
-					res.gen, res.cfg = believed.gen, believed.cfg
-				}
 				progressed = true
 				break
 			}
@@ -1141,15 +1074,6 @@ func (t *Txn) writeQuorum(ctx context.Context, item, phase string, cfg knownCfg,
 			if col.done() {
 				t.noteWrittenItem(item)
 				return nil
-			}
-			if w, ok := col.sawWrongShard(); ok {
-				// A write cannot chase a redirect mid-phase: its version number
-				// was derived from a read under the old placement. Adopt the new
-				// placement and fail conflict-style so the whole transaction
-				// restarts against it.
-				t.store.Stats.WrongShardRedirects.Inc()
-				t.store.adoptRedirect(w)
-				return t.wrongShardErr(item, phase, w)
 			}
 		}
 		tally.retry(ctx, t.store, attempt)

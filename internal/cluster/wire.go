@@ -33,7 +33,7 @@ import (
 // and shedding one stalls it exactly like a shed renewal would.
 // Write-intent traffic outranks fresh reads because writers usually hold
 // locks elsewhere already. Everything else (reads, pings, inspections,
-// migration and ring upkeep) is the bulk that admission exists to bound.
+// a migration's adopt round) is the bulk that admission exists to bound.
 var wireTypes = []struct {
 	tag   uint16
 	proto any
@@ -60,9 +60,9 @@ var wireTypes = []struct {
 	// grant and fence requests; the lane is gone, DESIGN.md §9).
 	// 17 is retired (it was ReapReq, which DecisionReq absorbed).
 	{18, AdoptItemReq{}, transport.PrioRead},
-	{19, RetireItemReq{}, transport.PrioRead},
-	{20, RingReq{}, transport.PrioRead},
-	{21, RingUpdateReq{}, transport.PrioRead},
+	// 19–21 are retired (they were RetireItemReq, RingReq and RingUpdateReq:
+	// a migration no longer retires the old group's copies or gossips the
+	// ring; the generation chase is the one redirect, DESIGN.md §10).
 	{22, PaxosAcceptReq{}, transport.PrioControl},
 	{23, PaxosPrepareReq{}, transport.PrioControl},
 	{24, DecisionReq{}, transport.PrioControl},
@@ -78,8 +78,8 @@ var wireTypes = []struct {
 	{34, OverloadedResp{}, notRequest},
 	{35, InspectResp{}, notRequest},
 	// 36 is retired (it was the freshness-hint lane's refusal of a read).
-	{37, WrongShardResp{}, notRequest},
-	{38, RingResp{}, notRequest},
+	// 37 and 38 are retired (they were WrongShardResp and RingResp, the
+	// answers of a retired replica and of ring gossip).
 	{39, PaxosAcceptResp{}, notRequest},
 	{40, ResolutionProbeResp{}, notRequest},
 	{41, QuarantinedResp{}, notRequest},

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/commit"
 	"repro/internal/quorum"
-	"repro/internal/shard"
 	"repro/internal/transport/tcp"
 )
 
@@ -37,13 +36,6 @@ func TestWireRoundTrip(t *testing.T) {
 		R: []quorum.Set{quorum.NewSet("dm0", "dm1")},
 		W: []quorum.Set{quorum.NewSet("dm1", "dm2")},
 	}
-	ring, err := shard.New(7, 4, []shard.Group{{Name: "g0", DMs: []string{"dm0", "dm1"}}, {Name: "g1", DMs: []string{"dm2"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring.MoveKey("x", "g1")
-	ring.Lookup("x") // builds the unexported derived points, which must not travel
-	bare := *ring.Clone()
 	acc := commit.Acceptor{
 		Promised: 1, PromisedTo: "c2", AccBal: 1,
 		AccVal: commit.Decision{Commit: true, Subs: []string{"t2/0"}},
@@ -72,9 +64,12 @@ func TestWireRoundTrip(t *testing.T) {
 		DecisionReq{Txn: "t8", Commit: true},
 		PaxosAcceptReq{Txn: "t8", Cohort: []string{"dm0", "dm1", "dm2"}},
 		AdoptItemReq{Item: "x", Initial: "seed"},
-		RetireItemReq{Item: "x", Epoch: 2, Group: "g1", DMs: []string{"dm3", "dm4"}, Gen: 3, Cfg: cfg},
-		RingReq{},
-		RingUpdateReq{Ring: *ring},
+		// Retired tags 19–21's slots: an adoption with no initial value, a
+		// configuration record with an empty configuration, and a release
+		// with no phase.
+		AdoptItemReq{Item: "y"},
+		ConfigWriteReq{Txn: "t2", Item: "y", Gen: 1},
+		ReleaseReq{Txn: "t3", Item: "y"},
 		PaxosAcceptReq{Txn: "t10", Ballot: 1, Commit: true, Subs: []TxnID{"t10/0"}, Cohort: []string{"dm0", "dm1"}},
 		PaxosPrepareReq{Txn: "t10", Ballot: 2, Cohort: []string{"dm0", "dm1"}, Proposer: "c2"},
 		DecisionReq{Txn: "t10", Commit: true, Subs: []TxnID{"t10/0"}},
@@ -85,7 +80,7 @@ func TestWireRoundTrip(t *testing.T) {
 		PaxosPrepareResp{Decided: true, DecCommit: true, DecSubs: []TxnID{"t10/1"}},
 		WriteResp{Busy: true, Orphans: []TxnID{"t6"}},
 		ResolutionProbeReq{Txn: "t11"},
-		RebuildPullReq{For: "dm1", Items: []string{"x", "y"}},
+		RebuildPullReq{For: "dm1"},
 		// Responses.
 		ReadResp{OK: true, Held: true, VN: 6, Val: 13, Gen: 1, Cfg: cfg},
 		WriteResp{OK: true, Held: true},
@@ -93,8 +88,10 @@ func TestWireRoundTrip(t *testing.T) {
 		OverloadedResp{DM: "dm2", Expired: true},
 		InspectResp{OK: true, VN: 4, Val: 8, Gen: 1, Cfg: cfg, Locks: 2, Intents: 1, Orphans: []TxnID{"t6"}},
 		ReadResp{OK: true, VN: 6, Val: 13, Gen: 1}, // retired tag 36's slot: a read with no configuration news
-		WrongShardResp{DM: "dm0", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm3"}, Gen: 3, Cfg: cfg},
-		RingResp{OK: true, Ring: *ring},
+		// Retired tags 37 and 38's slots: an inspection of an item not
+		// hosted, and a refused rebuild pull.
+		InspectResp{},
+		RebuildPullResp{From: "dm2"},
 		PaxosAcceptResp{OK: true, Promised: 3, Decided: true, DecCommit: true, DecSubs: []TxnID{"t10/0"}},
 		ResolutionProbeResp{
 			Known: true, Committed: true, Subs: []TxnID{"t11/0"}, Holds: true, Active: true,
@@ -104,7 +101,6 @@ func TestWireRoundTrip(t *testing.T) {
 		RebuildPullResp{
 			OK: true, From: "dm0",
 			Replicas:  map[string]replica{"x": {VN: 5, Val: 9, Gen: 1, Cfg: cfg}},
-			Moved:     map[string]WrongShardResp{"y": {DM: "dm0", Item: "y", Epoch: 2, Group: "g1", DMs: []string{"dm3"}, Gen: 3, Cfg: cfg}},
 			Resolved:  map[TxnID]resolution{"t1": {Committed: true, Subs: []TxnID{"t1/0"}}},
 			Acceptors: map[TxnID]commit.Acceptor{"t2": acc, "t1": {Promised: 0, AccBal: -1}},
 		},
@@ -128,19 +124,6 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Errorf("registered type %T (tag %d) has no sample in this test", wt.proto, wt.tag)
 		}
 	}
-	// want is what must come back: the message itself, except that a ring's
-	// unexported derived points do not travel (both codecs skip them).
-	want := func(m any) any {
-		switch v := m.(type) {
-		case RingUpdateReq:
-			v.Ring = bare
-			return v
-		case RingResp:
-			v.Ring = bare
-			return v
-		}
-		return m
-	}
 	type envelope struct{ Msg any }
 	for i, m := range msgs {
 		t.Run(fmt.Sprintf("%d-%T", i, m), func(t *testing.T) {
@@ -152,10 +135,10 @@ func TestWireRoundTrip(t *testing.T) {
 			if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 				t.Fatalf("gob decode: %v", err)
 			}
-			if !reflect.DeepEqual(out.Msg, want(m)) {
+			if !reflect.DeepEqual(out.Msg, m) {
 				t.Fatalf("gob round trip changed the value:\n sent %#v\n got  %#v", m, out.Msg)
 			}
-			if got := frameRoundTrip(t, m); !reflect.DeepEqual(got, want(m)) {
+			if got := frameRoundTrip(t, m); !reflect.DeepEqual(got, m) {
 				t.Fatalf("frame round trip changed the value:\n sent %#v\n got  %#v", m, got)
 			}
 		})

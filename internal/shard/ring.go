@@ -1,23 +1,22 @@
 // Package shard places item keys onto replica groups with a deterministic
 // consistent-hash ring. The ring is pure state: it knows nothing about
-// transactions, quorums, or transports — internal/cluster layers the
-// shard-aware router and live migration on top of it.
+// transactions, quorums, or transports — internal/cluster derives each
+// item's initial replica set from it (ShardItems) and looks migration
+// target groups up in it.
 //
 // Determinism is the contract. Placement is a function of (Seed, VNodes,
 // group names, overrides) alone: the same ring state produces the same
-// placement in every process, on every run, after any gob round-trip.
-// That is what lets a chaos campaign replay a sharded cluster bit-for-bit
-// from one int64 seed, and lets separate OS processes agree on placement
-// from nothing but the serve flags.
+// placement in every process, on every run. That is what lets a chaos
+// campaign replay a sharded cluster bit-for-bit from one int64 seed, and
+// lets separate OS processes agree on placement from nothing but the serve
+// flags. No ring travels between processes: after startup, where an item
+// lives is its configuration, which replicas carry and clients chase.
 //
-// A Ring is not synchronized. Every holder (the store under its mutex,
-// the router under its own, a replica inside its actor loop) guards its
-// own copy; Clone makes handing copies out cheap and safe.
+// A Ring is not synchronized. Every holder guards its own copy; Clone makes
+// handing copies out cheap and safe.
 package shard
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -49,10 +48,8 @@ type point struct {
 	group string
 }
 
-// Ring is the placement state. Exported fields are the marshaled identity
-// (gob round-trips them); the sorted vnode points are derived and rebuilt
-// lazily after mutation or decode, so a decoded ring places identically
-// to the ring that was encoded.
+// Ring is the placement state. The sorted vnode points are derived from
+// the exported fields and rebuilt lazily after a mutation or a Clone.
 type Ring struct {
 	// Seed perturbs every vnode hash, so independent rings (test
 	// fixtures, disjoint clusters) get independent placements.
@@ -60,16 +57,14 @@ type Ring struct {
 	// VNodes is the number of virtual nodes per group. More vnodes
 	// smooth the key distribution; 64 is plenty for a handful of groups.
 	VNodes int
-	// Epoch counts placement changes. Every mutation (add/remove group,
-	// migrate a key) bumps it; routers cache it, and a ring is adopted only
-	// over one with an older epoch.
+	// Epoch counts placement changes: every mutation (add/remove group,
+	// pin a key) bumps it.
 	Epoch int
 	// Groups are the replica groups, in insertion order. Placement
 	// depends only on the set of names, not the order.
 	Groups []Group
 	// Overrides pins individual keys to a named group regardless of the
-	// hash placement. Live migration records its cutover here: the ring
-	// stays the authority for where every key lives.
+	// hash placement.
 	Overrides map[string]string
 
 	points []point // derived from (Seed, VNodes, Groups); nil = rebuild
@@ -147,7 +142,7 @@ func (r *Ring) rebuild() {
 	})
 }
 
-// ensure rebuilds the derived points when they are missing (fresh decode)
+// ensure rebuilds the derived points when they are missing (fresh clone)
 // or stale (group set changed size). Mutating methods also nil the slice
 // explicitly, so a same-size rename cannot leave stale points behind.
 func (r *Ring) ensure() {
@@ -261,8 +256,7 @@ func (r *Ring) RemoveGroup(name string) error {
 	return nil
 }
 
-// MoveKey pins key to the named group and bumps the epoch. This is the
-// ring-side record of a live migration cutover.
+// MoveKey pins key to the named group and bumps the epoch.
 func (r *Ring) MoveKey(key, group string) error {
 	if _, ok := r.Group(group); !ok {
 		return fmt.Errorf("shard: no group %q", group)
@@ -273,17 +267,6 @@ func (r *Ring) MoveKey(key, group string) error {
 	r.Overrides[key] = group
 	r.Epoch++
 	return nil
-}
-
-// Adopt replaces this ring's state with other's when other is strictly
-// newer (higher epoch). Routers and replicas use it to absorb ring
-// updates without ever going backwards. Reports whether it adopted.
-func (r *Ring) Adopt(other *Ring) bool {
-	if other == nil || other.Epoch <= r.Epoch {
-		return false
-	}
-	*r = *other.Clone()
-	return true
 }
 
 // Clone returns a deep copy sharing no mutable state with the original.
@@ -312,30 +295,6 @@ func (r *Ring) Spread(keys []string) map[string]int {
 		out[r.Lookup(k)]++
 	}
 	return out
-}
-
-// Marshal encodes the ring's identity (seed, vnodes, epoch, groups,
-// overrides — not the derived points) with gob.
-func (r *Ring) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("shard: encode ring: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal decodes a ring previously encoded with Marshal. The derived
-// points rebuild on first lookup, so placement is identical to the
-// encoded ring's.
-func Unmarshal(data []byte) (*Ring, error) {
-	var r Ring
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&r); err != nil {
-		return nil, fmt.Errorf("shard: decode ring: %w", err)
-	}
-	if r.VNodes <= 0 {
-		return nil, fmt.Errorf("shard: decoded ring has vnodes %d", r.VNodes)
-	}
-	return &r, nil
 }
 
 // Keys generates n keys "prefix0" … "prefix<n-1>" — the fixed keyspaces

@@ -119,48 +119,31 @@ func TestRingRebalanceBound(t *testing.T) {
 	}
 }
 
-// Gob round-trip preserves placement exactly: the derived points rebuild
-// from the marshaled identity.
-func TestRingGobRoundTrip(t *testing.T) {
+// A clone places exactly as its source (its derived points rebuild from the
+// exported fields) and shares no state with it.
+func TestRingClonePlacesIdentically(t *testing.T) {
 	keys := Keys("k", 256)
 	r := mustRing(t, 11, 64, 4)
 	if err := r.MoveKey("k3", "g2"); err != nil {
 		t.Fatalf("MoveKey: %v", err)
 	}
-	data, err := r.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
+	got := r.Clone()
 	if got.Epoch != r.Epoch || got.Seed != r.Seed || got.VNodes != r.VNodes {
 		t.Fatalf("identity changed: got %+v want %+v", got, r)
 	}
 	for _, k := range keys {
 		if a, b := r.Lookup(k), got.Lookup(k); a != b {
-			t.Fatalf("key %q: decoded ring places at %q, original at %q", k, b, a)
+			t.Fatalf("key %q: clone places at %q, original at %q", k, b, a)
 		}
 	}
-	// Second round-trip is byte-stable (no derived state leaks into the
-	// encoding).
-	data2, err := got.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal twice: %v", err)
-	}
-	r2, err := Unmarshal(data2)
-	if err != nil {
-		t.Fatalf("Unmarshal twice: %v", err)
-	}
-	for _, k := range keys {
-		if a, b := r.Lookup(k), r2.Lookup(k); a != b {
-			t.Fatalf("key %q: second round-trip diverged", k)
-		}
+	r.Overrides["k3"] = "g0"
+	r.Groups[0].DMs[0] = "changed"
+	if got.Lookup("k3") != "g2" || got.Groups[0].DMs[0] == "changed" {
+		t.Fatalf("clone shares state with its source")
 	}
 }
 
-func TestRingMoveKeyAndAdopt(t *testing.T) {
+func TestRingMoveKey(t *testing.T) {
 	r := mustRing(t, 3, 64, 3)
 	key := "k0"
 	home := r.Lookup(key)
@@ -183,22 +166,6 @@ func TestRingMoveKeyAndAdopt(t *testing.T) {
 	}
 	if err := r.MoveKey(key, "nope"); err == nil {
 		t.Fatalf("MoveKey to unknown group succeeded")
-	}
-
-	stale := mustRing(t, 3, 64, 3)
-	if !stale.Adopt(r) {
-		t.Fatalf("Adopt refused a newer ring")
-	}
-	if got := stale.Lookup(key); got != target {
-		t.Fatalf("adopted ring places %q at %q, want %q", key, got, target)
-	}
-	if stale.Adopt(r) {
-		t.Fatalf("Adopt accepted an equal-epoch ring")
-	}
-	// Adopted state is a deep copy.
-	r.Overrides[key] = home
-	if got := stale.Lookup(key); got != target {
-		t.Fatalf("adopting shared state with the source")
 	}
 }
 
