@@ -66,15 +66,21 @@ proc-smoke:
 # E28). Read repair and the anti-entropy sweeper went in one step: 23 → 21
 # options, 4330 → 4205 lines (E32); a quorum phase's books as bitmasks
 # over its targets, 4205 → 4168 (E33); the retire round, moved markers,
-# ring gossip and the Router, 4168 → 3727 (E34). And a replica only
+# ring gossip and the Router, 4168 → 3727 (E34); one timer per quorum
+# round, 3727 → 3724 (E35). And a replica only
 # answers: no line of the package may hand the state machine a sender or
 # send from a served endpoint (notifyPeer(, setSender(, server.Notify), so a
-# replica that originates traffic cannot grow back unnoticed either.
+# replica that originates traffic cannot grow back unnoticed either. Nor may
+# a per-call timer: a quorum phase and a call round carry a deadline and run
+# on one timer, so the package's context.WithTimeout(, context.WithDeadline(
+# and time.NewTicker( sites are the three off the hot path — callDM, the
+# rebuild's peer pull and the lease renewer's ticker (6 → 3, E35).
 CLUSTER_MAX_OPTIONS = 21
-CLUSTER_MAX_LINES = 3727
+CLUSTER_MAX_LINES = 3724
 CLUSTER_MAX_SERVE_SITES = 1
 CLUSTER_MAX_CANLOCK_SITES = 1
 CLUSTER_MAX_REPLICA_SENDS = 0
+CLUSTER_MAX_TIMER_SITES = 3
 budget:
 	@opts=$$(grep -c '^func With' internal/cluster/options.go); \
 	src=$$(ls internal/cluster/*.go | grep -v '_test\.go$$'); \
@@ -82,8 +88,9 @@ budget:
 	serves=$$(cat $$src | grep -v '^[[:space:]]*//' | grep -c '\.Serve('); \
 	canlocks=$$(cat $$src | grep -v '^[[:space:]]*//' | grep -c '\.canLock('); \
 	sends=$$(cat $$src | grep -v '^[[:space:]]*//' | grep -c -e 'notifyPeer(' -e 'setSender(' -e 'server\.Notify'); \
-	echo "budget: internal/cluster has $$opts options (ceiling $(CLUSTER_MAX_OPTIONS)), $$lines code lines (ceiling $(CLUSTER_MAX_LINES)), $$serves .Serve( call sites (ceiling $(CLUSTER_MAX_SERVE_SITES)), $$canlocks .canLock( call sites (ceiling $(CLUSTER_MAX_CANLOCK_SITES)) and $$sends replica-originated sends (ceiling $(CLUSTER_MAX_REPLICA_SENDS))"; \
-	[ $$opts -le $(CLUSTER_MAX_OPTIONS) ] && [ $$lines -le $(CLUSTER_MAX_LINES) ] && [ $$serves -le $(CLUSTER_MAX_SERVE_SITES) ] && [ $$canlocks -le $(CLUSTER_MAX_CANLOCK_SITES) ] && [ $$sends -le $(CLUSTER_MAX_REPLICA_SENDS) ]
+	timers=$$(cat $$src | grep -v '^[[:space:]]*//' | grep -c -e 'context\.WithTimeout(' -e 'context\.WithDeadline(' -e 'time\.NewTicker('); \
+	echo "budget: internal/cluster has $$opts options (ceiling $(CLUSTER_MAX_OPTIONS)), $$lines code lines (ceiling $(CLUSTER_MAX_LINES)), $$serves .Serve( call sites (ceiling $(CLUSTER_MAX_SERVE_SITES)), $$canlocks .canLock( call sites (ceiling $(CLUSTER_MAX_CANLOCK_SITES)), $$sends replica-originated sends (ceiling $(CLUSTER_MAX_REPLICA_SENDS)) and $$timers per-call timer sites (ceiling $(CLUSTER_MAX_TIMER_SITES))"; \
+	[ $$opts -le $(CLUSTER_MAX_OPTIONS) ] && [ $$lines -le $(CLUSTER_MAX_LINES) ] && [ $$serves -le $(CLUSTER_MAX_SERVE_SITES) ] && [ $$canlocks -le $(CLUSTER_MAX_CANLOCK_SITES) ] && [ $$sends -le $(CLUSTER_MAX_REPLICA_SENDS) ] && [ $$timers -le $(CLUSTER_MAX_TIMER_SITES) ]
 
 # Exact seeded replay: each deterministic chaos campaign runs its seed twice
 # and requires identical results, network counters by message kind included;
@@ -118,10 +125,10 @@ replay:
 # Timings are not held here; they go through the ten-pair protocol.
 COUNTS_frames = tcp.frame_allocs.readreq=6.4 tcp.frame_allocs.readresp=5.3 \
 	tcp.frame_allocs.writereq1k=8.5 tcp.frame_allocs.committop=12.7
-COUNTS_tcp_read95 = process.allocs_per_txn=57 cluster.rpcs_per_txn=2.32 \
+COUNTS_tcp_read95 = process.allocs_per_txn=44 cluster.rpcs_per_txn=2.32 \
 	cluster.notifies_per_txn=0.01 cluster.messages_per_txn=2.32 \
 	tcp.wire_bytes_per_txn=192 $(COUNTS_frames)
-COUNTS_sim_nested_n5 = process.allocs_per_txn=222 cluster.rpcs_per_txn=13.1 \
+COUNTS_sim_nested_n5 = process.allocs_per_txn=168 cluster.rpcs_per_txn=13.1 \
 	cluster.notifies_per_txn=0.83 cluster.messages_per_txn=13.9 \
 	tcp.wire_bytes_per_txn=0 $(COUNTS_frames)
 COUNTS_tcp_durable_write = cluster.rpcs_per_txn=9.4 cluster.notifies_per_txn=0.05 \
@@ -150,7 +157,8 @@ counts:
 # over the chaos campaigns (they stress every cross-goroutine path the
 # self-healing machinery added), the race pass, twenty race passes of the
 # asynchronous-call contract both backends are held to (every Go delivers
-# exactly one reply and leaves no pending entry behind), short fuzz smokes (quorum
+# exactly one reply and leaves no pending entry behind) and of the pending-
+# call table's one deadline timer, short fuzz smokes (quorum
 # invariants, WAL records, TCP wire envelope and payload codec), the qcstore durable-mode
 # end-to-end demo (open, write, close, reopen from the WALs, read back),
 # the multi-process kill -9 recovery smoke (real qcstore server processes
@@ -180,7 +188,7 @@ counts:
 # rebuilding from its peers over TCP).
 verify: build vet staticcheck budget counts test replay race
 	$(GO) test -race ./internal/chaos/...
-	$(GO) test -race -count=20 -run TestAsyncContract ./internal/transport/
+	$(GO) test -race -count=20 -run 'TestAsyncContract|TestCallsDeadlines' ./internal/transport/
 	$(GO) test ./internal/quorum/ -fuzz FuzzConfig -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzSegment -fuzztime 5s

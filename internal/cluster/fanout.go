@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"math/bits"
 	"sort"
 	"time"
@@ -197,37 +196,40 @@ func parseGrant(raw any) (granted, busy, held bool, resp ReadResp) {
 
 // runPhase asks one quorum first and returns as soon as the grants cover
 // any quorum of spec.masks ("first to quorum wins"), every copy sent has been
-// answered without covering one, or the phase times out. The board's plan
-// picks the first quorum — the one with no suspect member that adds the
-// fewest replicas to those the transaction's tree already holds — and any
-// half-open probe due. The phase widens to every other target the plan may
-// dial, once, the moment an asked member answers with anything but a grant
-// (Busy, a shed, quarantined, no replica), a call fails, or the hedge timer
-// first fires. That first tick also charges each first-quorum member still
-// silent one failure, so a steady straggler turns suspect and leaves the
-// first quorums. Later ticks hedge: they re-issue the request to targets
-// that have not answered at all, up to hedgeMax copies each, so one slow
-// replica cannot stall the phase. Every copy leaves through transport.Go and
-// answers on one channel this goroutine reads, which also feeds the failure
-// detector: an answer is a success, a failed call a failure, and so is each
-// copy still silent when the phase budget runs out. Returning cancels the
-// phase context, abandoning in-flight copies, which proves nothing about
-// their replicas; settlePhase squares that with the DMs.
+// answered without covering one, the phase deadline passes or the caller's
+// context ends. The board's plan picks the first quorum — the one with no
+// suspect member that adds the fewest replicas to those the transaction's
+// tree already holds — and any half-open probe due. The phase widens to
+// every other target the plan may dial, once, the moment an asked member
+// answers with anything but a grant (Busy, a shed, quarantined, no replica),
+// a call fails, or the hedge timer first fires. That first tick also charges
+// each first-quorum member still silent one failure, so a steady straggler
+// turns suspect and leaves the first quorums. Later ticks hedge: they
+// re-issue the request to targets that have not answered at all, up to
+// hedgeMax copies each, so one slow replica cannot stall the phase. One
+// timer fires at each hedge tick and, last, at the phase deadline. Every
+// copy leaves through transport.Go under that deadline and answers on one
+// channel this goroutine reads, which also feeds the failure detector: an
+// answer is a success, a failed call a failure, and so is each copy still
+// silent when the deadline passes. A copy the phase abandons is not
+// cancelled: it stays pending until its answer, its loss or its deadline,
+// and whatever comes back lands unread in the channel, sized for every copy.
+// An abandoned copy proves nothing about its replica; settlePhase squares
+// it with the DMs.
 func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	st := t.store.opts
 	col := newCollector(spec.targets, spec.masks)
 	// Deadline arithmetic: the phase budget is the call timeout clamped to
 	// the caller's remaining deadline minus the hop allowance, so hedged
-	// copies — which all derive from pctx — can never run on a fresh full
-	// call timeout after the caller's own deadline has nearly elapsed. A
-	// caller without budget left gets an empty collector without a single
-	// send.
+	// copies — which all carry the phase deadline — can never run on a
+	// fresh full call timeout after the caller's own deadline has nearly
+	// elapsed. A caller without budget left, or whose context is done, gets
+	// an empty collector without a single send.
 	budget, err := t.store.callBudget(ctx)
 	if err != nil {
 		return col
 	}
-	pctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
+	deadline := time.Now().Add(budget)
 
 	board := t.store.health
 	plan := board.plan(spec.targets, spec.masks, t.held(spec.targets))
@@ -245,7 +247,7 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 			i := bits.TrailingZeros64(m)
 			col.issue(i)
 			inflight++
-			transport.Go(t.store.client, pctx, spec.targets[i], spec.req, i, results)
+			transport.Go(t.store.client, deadline, spec.targets[i], spec.req, i, results)
 		}
 	}
 	asked := plan.send
@@ -257,7 +259,7 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	// one-quorum sequential plan — has nothing to widen to.
 	widened := asked == plan.send
 	widen := func() {
-		if widened || pctx.Err() != nil {
+		if widened || ctx.Err() != nil || !time.Now().Before(deadline) {
 			return
 		}
 		widened = true
@@ -266,13 +268,14 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 	}
 
 	// A sequential plan asks one quorum and moves on to the next when a
-	// member stays silent; re-asking within the plan is fan-out's remedy.
-	var hedgeC <-chan time.Time
+	// member stays silent; re-asking within the plan is fan-out's remedy,
+	// so only a fan-out phase's timer ticks before the deadline.
+	hedge := budget
 	if st.hedgeDelay > 0 && !st.sequential {
-		tick := time.NewTicker(st.hedgeDelay)
-		defer tick.Stop()
-		hedgeC = tick.C
+		hedge = st.hedgeDelay
 	}
+	timer := time.NewTimer(min(hedge, budget))
+	defer timer.Stop()
 
 	ticked := false
 	for {
@@ -301,7 +304,7 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 				}
 			} else {
 				col.fail(i)
-				if !errors.Is(pctx.Err(), context.Canceled) {
+				if ctx.Err() == nil {
 					// A parent that gave up proves nothing about the replica; a
 					// timeout or a network-reported loss does.
 					board.observe(dm, false)
@@ -319,7 +322,18 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 				// and those have no copies left in flight to answer.
 				return col
 			}
-		case <-hedgeC:
+		case <-timer.C:
+			left := time.Until(deadline)
+			if left <= 0 {
+				// The budget ran out: each copy still silent is a timeout.
+				for i, dm := range spec.targets {
+					for n := col.inflight(i); n > 0; n-- {
+						board.observe(dm, false)
+					}
+				}
+				return col
+			}
+			timer.Reset(min(hedge, left))
 			if !ticked {
 				ticked = true
 				for m := plan.first; m != 0; m &= m - 1 {
@@ -336,15 +350,7 @@ func (t *Txn) runPhase(ctx context.Context, spec phaseSpec) *collector {
 			hedges := col.hedgeable(plan.send&^plan.probes, hedgeMax)
 			t.store.Stats.Hedges.Add(int64(bits.OnesCount64(hedges)))
 			issue(hedges)
-		case <-pctx.Done():
-			if errors.Is(pctx.Err(), context.DeadlineExceeded) {
-				// The budget ran out: each copy still silent is a timeout.
-				for i, dm := range spec.targets {
-					for n := col.inflight(i); n > 0; n-- {
-						board.observe(dm, false)
-					}
-				}
-			}
+		case <-ctx.Done():
 			return col
 		}
 	}

@@ -918,13 +918,13 @@ func (c tapClient) Call(ctx context.Context, to string, req any) (any, error) {
 // Go applies the tap as Call does and issues the call through the inner
 // client's Go: the path the store takes on both backends. A lost reply is
 // the one case that needs a goroutine, to turn the answer into ErrLost.
-func (c tapClient) Go(ctx context.Context, to string, req any, tag int, done chan<- transport.Reply) {
+func (c tapClient) Go(deadline time.Time, to string, req any, tag int, done chan<- transport.Reply) {
 	if c.tap.onCall == nil || !c.tap.onCall(to, req) {
-		transport.Go(c.Client, ctx, to, req, tag, done)
+		transport.Go(c.Client, deadline, to, req, tag, done)
 		return
 	}
 	answer := make(chan transport.Reply, 1)
-	transport.Go(c.Client, ctx, to, req, tag, answer)
+	transport.Go(c.Client, deadline, to, req, tag, answer)
 	go func() {
 		r := <-answer
 		if r.Err == nil {

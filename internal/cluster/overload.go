@@ -15,11 +15,15 @@ import (
 // budget minus the per-hop allowance. When the remaining budget cannot
 // even cover the allowance the call is refused before it is sent — a
 // request that cannot finish in time must be dropped at the earliest
-// possible hop, not forwarded to die in a replica queue. This is also the
-// hedge clamp: every hedged copy of a phase derives from the phase context
-// this budget bounds, so a hedge can never outlive the caller's deadline
-// on the strength of a fresh full call timeout.
+// possible hop, not forwarded to die in a replica queue; so is a call whose
+// caller's context is already done, with the timeout its Call would give.
+// This is also the hedge clamp: every hedged copy of a phase carries the
+// phase deadline this budget bounds, so a hedge can never outlive the
+// caller's deadline on the strength of a fresh full call timeout.
 func (s *Store) callBudget(ctx context.Context) (time.Duration, error) {
+	if ctx.Err() != nil {
+		return 0, transport.ErrTimeout
+	}
 	d := s.opts.callTimeout
 	if dl, ok := ctx.Deadline(); ok {
 		rem := time.Until(dl) - s.opts.hopAllowance
@@ -76,7 +80,7 @@ func isAck(raw any) bool {
 	return ok && ack.OK
 }
 
-// call sends r.req to every one of r.dms at once, under one round context,
+// call sends r.req to every one of r.dms at once, under one round deadline,
 // and collects the answers on this goroutine from one channel. A DM whose
 // answer does not end its round gets its own attempt-scaled, jittered
 // backoff and is asked again, under a call budget of its own, up to
@@ -84,7 +88,8 @@ func isAck(raw any) bool {
 // none came, and the number of DMs a copy may have reached: a call refused
 // before it left this process (no deadline budget) reached nobody. Every
 // outcome feeds the failure detector as callDM's does. A dead context ends
-// the round at once.
+// the round at once; the copies still out stay pending until their answer,
+// loss or deadline, and land unread in the round's channel.
 func (s *Store) call(ctx context.Context, r round) (answers []any, sent int) {
 	answers = make([]any, len(r.dms))
 	attempts := make([]int, len(r.dms))
@@ -92,23 +97,16 @@ func (s *Store) call(ctx context.Context, r round) (answers []any, sent int) {
 	// channel ever holds more than one entry for each.
 	replies := make(chan transport.Reply, len(r.dms))
 	again := make(chan int, len(r.dms))
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
-	// issue asks r.dms[from:to] under one context bounded by callBudget, and
+	// issue asks r.dms[from:to] under one deadline bounded by callBudget, and
 	// returns how many it asked: none once the caller's context is dead.
 	issue := func(from, to int) int {
 		budget, err := s.callBudget(ctx)
-		if err != nil || ctx.Err() != nil {
+		if err != nil {
 			return 0
 		}
-		actx, cancel := context.WithTimeout(ctx, budget)
-		cancels = append(cancels, cancel)
+		deadline := time.Now().Add(budget)
 		for i := from; i < to; i++ {
-			transport.Go(s.client, actx, r.dms[i], r.req, i, replies)
+			transport.Go(s.client, deadline, r.dms[i], r.req, i, replies)
 		}
 		return to - from
 	}

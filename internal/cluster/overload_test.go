@@ -126,7 +126,8 @@ func TestAIMDLimiter(t *testing.T) {
 // timeout, the phase (hedges included) must give up by the caller's
 // deadline, and no request copies may be issued after the operation
 // returns — a hedge must never outlive the transaction on a fresh full
-// call timeout.
+// call timeout. The copies the phase abandons carry that clamped deadline
+// too, so none is still pending once the caller's deadline has passed.
 func TestHedgeClampToCallerDeadline(t *testing.T) {
 	dms := []string{"dm0", "dm1", "dm2"}
 	net := sim.NewNetwork(sim.Config{Seed: 11})
@@ -161,12 +162,15 @@ func TestHedgeClampToCallerDeadline(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("operation took %v; the 2s call timeout leaked past the 50ms caller deadline", elapsed)
 	}
-	// No stray traffic after return: the phase context is cancelled, so
-	// neither the hedge ticker nor abandoned copies may issue new sends.
+	// No stray traffic after return: the phase's timer stops with it, and
+	// an abandoned copy is never sent again.
 	sent := net.Stats().Sent
 	time.Sleep(50 * time.Millisecond)
 	if after := net.Stats().Sent; after != sent {
 		t.Errorf("%d sends issued after the operation returned", after-sent)
+	}
+	if n := store.client.(*sim.Node).Pending(); n != 0 {
+		t.Errorf("%d copies still pending past the caller's deadline", n)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // scriptClient is an AsyncClient whose replicas answer from a script: the
 // n-th call to dm gets script(dm, n) at once, or nothing when that is nil —
 // a silent replica, whose call ends, as the contract says, with ErrTimeout
-// once its context is done. It counts the calls each replica got and the
+// once its deadline passes. It counts the calls each replica got and the
 // notifies sent.
 type scriptClient struct {
 	script func(dm string, n int) any
@@ -32,12 +32,17 @@ func (c *scriptClient) Close()     {}
 
 func (c *scriptClient) Call(ctx context.Context, to string, req any) (any, error) {
 	done := make(chan transport.Reply, 1)
-	c.Go(ctx, to, req, 0, done)
-	r := <-done
-	return r.Resp, r.Err
+	deadline, _ := ctx.Deadline()
+	c.Go(deadline, to, req, 0, done)
+	select {
+	case r := <-done:
+		return r.Resp, r.Err
+	case <-ctx.Done():
+		return nil, transport.ErrTimeout
+	}
 }
 
-func (c *scriptClient) Go(ctx context.Context, to string, _ any, tag int, done chan<- transport.Reply) {
+func (c *scriptClient) Go(deadline time.Time, to string, _ any, tag int, done chan<- transport.Reply) {
 	c.mu.Lock()
 	n := c.calls[to]
 	c.calls[to]++
@@ -46,7 +51,9 @@ func (c *scriptClient) Go(ctx context.Context, to string, _ any, tag int, done c
 		done <- transport.Reply{Tag: tag, Resp: answer}
 		return
 	}
-	context.AfterFunc(ctx, func() { done <- transport.Reply{Tag: tag, Err: transport.ErrTimeout} })
+	if !deadline.IsZero() {
+		time.AfterFunc(time.Until(deadline), func() { done <- transport.Reply{Tag: tag, Err: transport.ErrTimeout} })
+	}
 }
 
 func (c *scriptClient) Notify(string, any) {
@@ -115,7 +122,9 @@ func byName(by map[string]any) func(dm string, n int) any {
 // TestPhaseBudgetChargesSilentCopies pins the failure detector's rule for
 // copies a phase leaves behind: one still silent when the phase budget runs
 // out is a timeout and is charged one failure, while one abandoned because
-// the phase already won proves nothing and is not charged.
+// the phase already won, or because its caller gave up, proves nothing and
+// is not charged. An abandoned copy is not cancelled: it stays pending until
+// its answer or its deadline, and nothing blocks on what comes back.
 func TestPhaseBudgetChargesSilentCopies(t *testing.T) {
 	grant, busy := ReadResp{OK: true}, ReadResp{Busy: true}
 	read := func(store *Store, tx *Txn) *collector {
@@ -153,6 +162,87 @@ func TestPhaseBudgetChargesSilentCopies(t *testing.T) {
 		time.Sleep(50 * time.Millisecond) // past the budget the copy was sent under
 		if got := store.health.failuresOf("dm4"); got != 0 {
 			t.Errorf("abandoned dm4 charged %d failures, want none", got)
+		}
+	})
+
+	// On the sim, the transaction holds dm0, dm1 and the straggler dm4, so
+	// the first quorum is theirs; the first hedge tick widens to dm2 and dm3,
+	// and the phase wins without dm4, whose copy it abandons.
+	simRead := func(ctx context.Context, store *Store) (*collector, time.Duration) {
+		tx := scriptTxn(store, "dm0", "dm1", "dm4")
+		cfg := store.config("x").cfg
+		start := time.Now()
+		col := tx.runPhase(ctx, phaseSpec{item: "x", targets: cfg.readTargets, masks: cfg.readMasks,
+			req: ReadReq{Txn: tx.id, Item: "x", Seq: 1}, seq: 1, lockless: true})
+		return col, time.Since(start)
+	}
+	for _, tc := range []struct {
+		name            string
+		latency, budget time.Duration
+	}{
+		{"straggler answers after the phase", 20 * time.Millisecond, 300 * time.Millisecond},
+		{"straggler silent past the deadline", 150 * time.Millisecond, 60 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, net, _ := stragglerCluster(t, 43, WithCallTimeout(tc.budget))
+			defer func() { store.Close(); net.Close() }()
+			net.SetNodeLatency("dm4", tc.latency, tc.latency)
+			client := store.client.(*sim.Node)
+			col, took := simRead(context.Background(), store)
+			if !col.done() || !col.outstanding(4) || took >= tc.latency {
+				t.Fatalf("phase won %v in %v with dm4's copy out %v: want a win without waiting for dm4",
+					col.done(), took, col.outstanding(4))
+			}
+			if n := client.Pending(); n == 0 {
+				t.Fatal("no copy pending right after the phase: dm4's was cancelled")
+			}
+			// dm4's copy leaves the table by its answer or by the phase
+			// deadline, whichever comes first.
+			by := time.Now().Add(min(2*tc.latency, tc.budget) + 50*time.Millisecond)
+			for client.Pending() != 0 {
+				if time.Now().After(by) {
+					t.Fatalf("%d copies still pending past the phase deadline", client.Pending())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// The late answer, if any, lands in the phase's unread channel;
+			// nothing blocks on it, and the client goes on serving.
+			net.Quiesce()
+			if col, _ := simRead(context.Background(), store); !col.done() {
+				t.Fatal("the next phase found no quorum")
+			}
+			// The first tick charged the silent dm4 once; the abandoned copy,
+			// answered or expired, adds nothing.
+			if got := store.health.failuresOf("dm4"); got != 2 {
+				t.Errorf("dm4 charged %d failures over two phases, want one per first tick", got)
+			}
+		})
+	}
+
+	t.Run("parent cancelled mid-phase", func(t *testing.T) {
+		// Every replica is slow and the hedge timer is off: the phase is
+		// waiting on its first quorum when its caller gives up.
+		store, net, dms := stragglerCluster(t, 47, WithHedgeDelay(0), WithCallTimeout(time.Second))
+		defer func() { store.Close(); net.Close() }()
+		for _, dm := range dms {
+			net.SetNodeLatency(dm, 40*time.Millisecond, 40*time.Millisecond)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(10*time.Millisecond, cancel)
+		col, took := simRead(ctx, store)
+		if col.done() || took >= 40*time.Millisecond {
+			t.Fatalf("cancelled phase won %v after %v, want it to return at the cancel", col.done(), took)
+		}
+		client := store.client.(*sim.Node)
+		for by := time.Now().Add(time.Second); client.Pending() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(by) {
+				t.Fatalf("%d abandoned copies still pending after their answers were due", client.Pending())
+			}
+		}
+		for _, dm := range dms {
+			if got := store.health.failuresOf(dm); got != 0 {
+				t.Errorf("%s charged %d failures for a phase its caller gave up", dm, got)
+			}
 		}
 	})
 }
@@ -227,11 +317,11 @@ func (c *goCounter) Call(ctx context.Context, to string, req any) (any, error) {
 	return c.Client.Call(ctx, to, req)
 }
 
-func (c *goCounter) Go(ctx context.Context, to string, req any, tag int, done chan<- transport.Reply) {
+func (c *goCounter) Go(deadline time.Time, to string, req any, tag int, done chan<- transport.Reply) {
 	c.mu.Lock()
 	c.viaGo[fmt.Sprintf("%T", req)]++
 	c.mu.Unlock()
-	transport.Go(c.Client, ctx, to, req, tag, done)
+	transport.Go(c.Client, deadline, to, req, tag, done)
 }
 
 type goCounterTransport struct {

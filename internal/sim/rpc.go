@@ -26,7 +26,7 @@ var ErrCallLost = transport.ErrLost
 var errNodeShutDown = errors.New("node shut down")
 
 // envelope is an RPC request on the wire. Deadline, when non-zero, is the
-// caller's absolute give-up time, stamped by Call from its context — the
+// caller's absolute give-up time, Go's deadline or a Call context's — the
 // transport-level deadline propagation that lets an overload-protected
 // receiver discard a request whose caller already gave up instead of
 // serving it.
@@ -250,30 +250,34 @@ func (n *Node) serve(from string, p envelope) {
 }
 
 // Go sends req to the node named to and returns at once; the reply, the
-// lost fate (under Config.FateFeedback) or ErrRPCTimeout once ctx is done
-// arrives on done under tag (transport.AsyncClient).
-func (n *Node) Go(ctx context.Context, to string, req any, tag int, done chan<- transport.Reply) {
-	id := n.calls.Add(ctx, tag, done, nil)
-	if id == 0 {
-		return
+// lost fate (under Config.FateFeedback) or ErrRPCTimeout once deadline
+// passes arrives on done under tag (transport.AsyncClient).
+func (n *Node) Go(deadline time.Time, to string, req any, tag int, done chan<- transport.Reply) {
+	n.send(deadline, to, req, tag, done)
+}
+
+// send registers one call and sends its envelope, returning the call's ID:
+// 0 when nothing was sent. The envelope carries the deadline, so an
+// admission queue can discard the request at dequeue once its caller gave
+// up instead of doing work nobody will read.
+func (n *Node) send(deadline time.Time, to string, req any, tag int, done chan<- transport.Reply) uint64 {
+	id := n.calls.Add(deadline, tag, done, nil)
+	if id != 0 {
+		n.net.Send(n.id, to, envelope{ID: id, Req: req, Deadline: deadline})
 	}
-	env := envelope{ID: id, Req: req}
-	if dl, ok := ctx.Deadline(); ok {
-		// Deadline propagation: the receiver learns when this caller gives
-		// up, so an admission queue can discard the request at dequeue
-		// instead of doing work nobody will read.
-		env.Deadline = dl
-	}
-	n.net.Send(n.id, to, env)
+	return id
 }
 
 // Call sends req to the node named to and waits for its reply or ctx
-// expiry. Lost messages surface as ErrRPCTimeout via the context.
+// expiry. Lost messages surface as ErrRPCTimeout via the context. A context
+// already done sends nothing.
 func (n *Node) Call(ctx context.Context, to string, req any) (any, error) {
+	if ctx.Err() != nil {
+		return nil, ErrRPCTimeout
+	}
+	deadline, _ := ctx.Deadline()
 	done := make(chan transport.Reply, 1)
-	n.Go(ctx, to, req, 0, done)
-	r := <-done
-	return r.Resp, r.Err
+	return n.calls.Wait(ctx, n.send(deadline, to, req, 0, done), done)
 }
 
 // Pending is the number of this node's calls still awaiting a reply.

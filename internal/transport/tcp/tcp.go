@@ -7,9 +7,10 @@
 //
 //   - Deadlines propagate on the wire (Frame.Deadline), so an
 //     overload-protected replica discards requests whose caller gave up.
-//   - No-answer failures are the shared typed sentinels: context expiry is
-//     transport.ErrTimeout; a refused dial, an unknown peer, or a severed
-//     connection is transport.ErrLost. Raw net errors never escape.
+//   - No-answer failures are the shared typed sentinels: a passed deadline
+//     or an ended Call context is transport.ErrTimeout; a refused dial, an
+//     unknown peer, or a severed connection is transport.ErrLost. Raw net
+//     errors never escape.
 //   - Connection loss is the fate feedback this backend supports: every
 //     call pending on a broken connection fails with ErrLost the moment the
 //     reader sees the break, instead of burning its timeout.
@@ -463,33 +464,30 @@ func (c *caller) readLoop(to string, cc *clientConn) {
 	}
 }
 
-// goCall implements Go for Client (and would for any other caller role).
-func (c *caller) goCall(ctx context.Context, to string, req any, tag int, done chan<- transport.Reply) {
+// goCall implements Go for Client (and would for any other caller role),
+// returning the call's ID: 0 when nothing was sent.
+func (c *caller) goCall(deadline time.Time, to string, req any, tag int, done chan<- transport.Reply) uint64 {
 	cc, err := c.get(to)
 	if err != nil {
 		done <- transport.Reply{Tag: tag, Err: err}
-		return
+		return 0
 	}
-	c.callOn(ctx, to, cc, req, tag, done)
+	return c.callOn(deadline, to, cc, req, tag, done)
 }
 
 // callOn sends one call frame on cc; its reply, or its failure, arrives on
-// done under tag.
-func (c *caller) callOn(ctx context.Context, to string, cc *clientConn, req any, tag int, done chan<- transport.Reply) {
-	id := c.calls.Add(ctx, tag, done, cc)
+// done under tag. The frame carries the deadline, so the receiver's
+// admission queue can discard the request at dequeue once this caller gave
+// up instead of doing work nobody will read.
+func (c *caller) callOn(deadline time.Time, to string, cc *clientConn, req any, tag int, done chan<- transport.Reply) uint64 {
+	id := c.calls.Add(deadline, tag, done, cc)
 	if id == 0 {
-		return
+		return 0
 	}
-	f := Frame{Kind: kindCall, ID: id, From: c.id, Req: req}
-	if dl, ok := ctx.Deadline(); ok {
-		// Deadline propagation: the receiver learns when this caller gives
-		// up, so its admission queue can discard the request at dequeue
-		// instead of doing work nobody will read.
-		f.Deadline = dl
-	}
-	if err := c.send(to, cc, f); err != nil {
+	if err := c.send(to, cc, Frame{Kind: kindCall, ID: id, From: c.id, Req: req, Deadline: deadline}); err != nil {
 		c.calls.Finish(id, nil, err)
 	}
+	return id
 }
 
 // send queues one frame on the link, mapping a broken link to the lost fate
@@ -534,11 +532,10 @@ func (c *caller) barrier() {
 		conns[to] = cc
 	}
 	c.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
-	defer cancel()
+	deadline := time.Now().Add(closeGrace)
 	done := make(chan transport.Reply, len(conns))
 	for to, cc := range conns {
-		c.callOn(ctx, to, cc, nil, 0, done)
+		c.callOn(deadline, to, cc, nil, 0, done)
 	}
 	for range conns {
 		<-done // any failure ends the wait just as well
@@ -581,16 +578,19 @@ func (c *Client) ID() string { return c.caller.id }
 
 // Go sends req to the named server and returns at once; the reply or the
 // call's failure arrives on done under tag (transport.AsyncClient).
-func (c *Client) Go(ctx context.Context, to string, req any, tag int, done chan<- transport.Reply) {
-	c.caller.goCall(ctx, to, req, tag, done)
+func (c *Client) Go(deadline time.Time, to string, req any, tag int, done chan<- transport.Reply) {
+	c.caller.goCall(deadline, to, req, tag, done)
 }
 
 // Call sends req to the named server and waits for its reply or ctx expiry.
+// A context already done sends nothing.
 func (c *Client) Call(ctx context.Context, to string, req any) (any, error) {
+	if ctx.Err() != nil {
+		return nil, transport.ErrTimeout
+	}
+	deadline, _ := ctx.Deadline()
 	done := make(chan transport.Reply, 1)
-	c.caller.goCall(ctx, to, req, 0, done)
-	r := <-done
-	return r.Resp, r.Err
+	return c.caller.calls.Wait(ctx, c.caller.goCall(deadline, to, req, 0, done), done)
 }
 
 // Pending is the number of this endpoint's calls still awaiting a reply.

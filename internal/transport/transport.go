@@ -7,12 +7,12 @@
 //
 //   - Request/reply matching: a Call is answered by exactly one reply (or
 //     an error); Notify is fire-and-forget and never answered.
-//   - Deadline propagation: a Call stamps its context deadline onto the
-//     wire so an overload-protected receiver can discard requests whose
-//     caller already gave up (expired-on-arrival).
-//   - Typed errors: a Call that gets no answer fails with ErrTimeout (the
-//     context expired — the caller cannot tell a lost request from a slow
-//     peer) or ErrLost (the backend knows no answer is coming: a severed
+//   - Deadline propagation: a call stamps its deadline (Go's own, a Call's
+//     context's) onto the wire so an overload-protected receiver can
+//     discard requests whose caller already gave up (expired-on-arrival).
+//   - Typed errors: a call that gets no answer fails with ErrTimeout (the
+//     deadline passed or the Call's context ended — the caller cannot tell
+//     a lost request from a slow peer) or ErrLost (the backend knows no answer is coming: a severed
 //     connection, a crashed peer, a sampled drop under fate feedback).
 //     Raw backend errors (net.OpError and friends) never escape.
 //   - Fate feedback where supported: a backend that learns a message's
@@ -27,8 +27,8 @@ import (
 	"time"
 )
 
-// ErrTimeout is returned by Call when the context expires before a reply
-// arrives — lost request, lost reply, crashed server, or slow link; the
+// ErrTimeout is returned by Call when the context ends before a reply
+// arrives, and delivered by Go once its deadline passes first — lost request, lost reply, crashed server, or slow link; the
 // caller cannot tell, exactly as in a real network.
 var ErrTimeout = errors.New("rpc timeout")
 
