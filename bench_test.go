@@ -476,14 +476,15 @@ func BenchmarkE12_WAL_GroupCommit(b *testing.B) {
 	benchWAL(b, true)
 }
 
-// E14: overload robustness. Each benchmark runs one arm of the three-arm
-// overload experiment (finite service capacity, per-transaction deadlines)
-// and reports the goodput / shed / expired-on-arrival series: a healthy
+// E14: overload robustness. Each benchmark runs one arm of the overload
+// experiment (finite service capacity, per-transaction deadlines) and
+// reports the goodput / shed / expired-on-arrival series: a healthy
 // cluster at capacity, the full protection stack (bounded admission,
-// deadline propagation, retry budget, AIMD concurrency limit) under 2x
-// load, and 2x load with every protection ablated — unbounded queues that
-// serve expired work. Compare goodput-txn/s across the three: the
-// protected 2x arm holds near capacity, the ablation collapses.
+// deadline propagation with its expired-work discard, AIMD concurrency
+// limit) under 2x load, and 2x load with every protection ablated —
+// unbounded queues that serve expired work. Compare goodput-txn/s across
+// the three: the protected 2x arm holds near capacity, the ablation
+// collapses. The leave-one-out arms (E36) run through qchaos -overload.
 
 func benchOverloadArm(b *testing.B, arm string) {
 	ctx := context.Background()

@@ -4,10 +4,12 @@
 // replay instructions; with the same flags and seed, the campaign — down
 // to the network's fate counters — reproduces bit-for-bit.
 //
-// With -overload it instead runs the three-arm overload experiment (E14):
-// a cluster at capacity, the same protections under 2x load, and 2x load
-// with every protection ablated — and gates on goodput: the protected arm
-// must stay within 20% of capacity while the ablation collapses.
+// With -overload it instead runs the overload experiment (E14, E36): a
+// cluster at capacity, the same protections under 2x load, 2x load with
+// each protection left out in turn, and 2x load with every protection
+// ablated — and gates on goodput: the protected arm must stay within 20% of
+// capacity while the ablation collapses, and each protection must show
+// what it buys against the protected arm.
 //
 // With -shardscale it runs the shard scale-out experiment (E16): the same
 // 95/5 zipfian workload against 1, 2, 4 and 8 consistent-hash shards of
@@ -50,7 +52,7 @@ func main() {
 		rounds     = flag.Int("rounds", 4, "workload rounds per campaign (faults advance between rounds)")
 		txns       = flag.Int("txns", 8, "top-level transactions per round")
 		live       = flag.Bool("live", false, "live mode: fan-out, hedging, concurrent workers (forfeits exact replay)")
-		overload   = flag.Bool("overload", false, "run the three-arm overload goodput experiment instead of campaigns")
+		overload   = flag.Bool("overload", false, "run the overload goodput experiment, leave-one-out arms included, instead of campaigns")
 		shardscale = flag.Bool("shardscale", false, "run the shard scale-out throughput experiment instead of campaigns")
 		proc       = flag.Bool("proc", false, "run the process-level kill -9 recovery check against real qcstore processes over TCP")
 		procBin    = flag.String("bin", "", "qcstore binary for -proc (empty builds it with `go build`)")
@@ -193,8 +195,8 @@ func main() {
 		agg.Net.Sent, agg.Net.Delivered, agg.Net.Dropped, agg.Net.Duplicated, agg.Net.Reordered)
 }
 
-// runOverloadGate runs the three-arm overload experiment and applies the
-// E14 gate. Goodput is a wall-clock measurement, so a failed gate gets one
+// runOverloadGate runs the overload experiment, prints one line per arm and
+// applies the E14 gate with E36's leave-one-out margins. Goodput is a wall-clock measurement, so a failed gate gets one
 // retry on a fresh seed before it is declared real.
 func runOverloadGate(ctx context.Context, seed int64) int {
 	for attempt := 0; ; attempt++ {
@@ -203,15 +205,17 @@ func runOverloadGate(ctx context.Context, seed int64) int {
 			fmt.Fprintf(os.Stderr, "overload experiment: %v\n", err)
 			return 1
 		}
-		for _, a := range []chaos.OverloadArm{res.Capacity, res.Overload, res.Ablation} {
-			fmt.Printf("arm=%-8s workers=%2d offered=%d committed=%d overloaded=%d expired=%d shed=%d expired_on_arrival=%d served_expired=%d p50=%v p99=%v goodput=%.0f txn/s\n",
+		for _, a := range res.Arms() {
+			fmt.Printf("arm=%-14s workers=%2d offered=%d committed=%d overloaded=%d expired=%d shed=%d expired_on_arrival=%d served_expired=%d peak_queue=%d limit=%d p50=%v p99=%v goodput=%.0f txn/s\n",
 				a.Name, a.Workers, a.Offered, a.Committed, a.Overloaded, a.Expired,
-				a.Shed, a.ExpiredOnArrival, a.ServedExpired, a.P50, a.P99, a.Goodput)
+				a.Shed, a.ExpiredOnArrival, a.ServedExpired, a.PeakQueue, a.Limit, a.P50, a.P99, a.Goodput)
 		}
 		gerr := res.Check()
 		if gerr == nil {
-			fmt.Printf("overload gate PASS: 2x-load goodput %.0f txn/s >= 80%% of capacity %.0f txn/s; ablation collapsed to %.0f txn/s\n",
-				res.Overload.Goodput, res.Capacity.Goodput, res.Ablation.Goodput)
+			fmt.Printf("overload gate PASS: 2x-load goodput %.0f txn/s >= 80%% of capacity %.0f txn/s; ablation collapsed to %.0f txn/s; "+
+				"without the limiter %.0f txn/s, with expired work served %d served, without the queue bound p50 %v against %v\n",
+				res.Overload.Goodput, res.Capacity.Goodput, res.Ablation.Goodput,
+				res.NoLimiter.Goodput, res.ServeExpired.ServedExpired, res.NoQueueBound.P50, res.Overload.P50)
 			return 0
 		}
 		if attempt == 0 {

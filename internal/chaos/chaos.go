@@ -408,11 +408,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 	if overloadOn {
 		// Overload needs something to overload: run every DM behind a
-		// bounded admission queue. The client-side retry budget stays off —
-		// under the campaign's loss faults it would (by design) deny the
-		// very retries that ride out transient drops, starving the workload;
-		// the budget is exercised by the overload experiment instead, where
-		// load, not loss, is the failure mode.
+		// bounded admission queue.
 		opts = append(opts, cluster.WithAdmissionCapacity(overloadAdmitCap))
 	}
 	var ffs *wal.FaultFS

@@ -347,37 +347,67 @@ func TestOverloadCampaign(t *testing.T) {
 	}
 }
 
-// TestOverloadExperimentMechanics runs a scaled-down three-arm overload
-// experiment and checks its structural invariants — the ones that do not
-// depend on wall-clock throughput, which the qchaos -overload gate (and
-// E14) measures on top: protected arms never serve expired work, admission
-// engages under 2x load, and the ablation demonstrably serves dead work.
+// TestOverloadExperimentMechanics runs a scaled-down overload experiment
+// and checks its structural invariants — the ones that do not depend on
+// wall-clock throughput, which the qchaos -overload gate (and E14, E36)
+// measures on top: protected arms never serve expired work and keep their
+// queues at the bound, admission engages under 2x load, the ablation
+// demonstrably serves dead work, and each leave-one-out arm runs with
+// exactly its one protection off, as its mechanism's counter shows.
 func TestOverloadExperimentMechanics(t *testing.T) {
 	ctx := testCtx(t)
-	res, err := RunOverload(ctx, OverloadConfig{Seed: 1, TxnsPerWorker: 30})
+	cfg := OverloadConfig{Seed: 1, TxnsPerWorker: 30}
+	res, err := RunOverload(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []OverloadArm{res.Capacity, res.Overload, res.Ablation} {
+	bound := int64(cfg.withDefaults().AdmitCapacity)
+	for _, a := range res.Arms() {
 		if a.Offered != a.Workers*30 {
 			t.Errorf("%s: offered %d, want %d", a.Name, a.Offered, a.Workers*30)
 		}
 		if a.Committed == 0 {
 			t.Errorf("%s: committed nothing", a.Name)
 		}
+		if a.PeakQueue == 0 {
+			t.Errorf("%s: no queue depth observed", a.Name)
+		}
 	}
-	if res.Capacity.ServedExpired != 0 || res.Overload.ServedExpired != 0 {
-		t.Errorf("protected arms served expired work: %d/%d",
-			res.Capacity.ServedExpired, res.Overload.ServedExpired)
+	for _, a := range []*OverloadArm{&res.Capacity, &res.Overload, &res.ServeExpired, &res.NoLimiter} {
+		if a.PeakQueue > bound {
+			t.Errorf("%s: peak queue %d over the bound %d", a.Name, a.PeakQueue, bound)
+		}
+	}
+	for _, a := range []*OverloadArm{&res.Capacity, &res.Overload, &res.NoQueueBound, &res.NoLimiter} {
+		if a.ServedExpired != 0 {
+			t.Errorf("%s: served %d expired requests with the discard on", a.Name, a.ServedExpired)
+		}
+	}
+	for _, a := range []*OverloadArm{&res.Capacity, &res.Overload, &res.NoQueueBound, &res.ServeExpired} {
+		if a.Limit == 0 {
+			t.Errorf("%s: no limiter ceiling with the limiter on", a.Name)
+		}
 	}
 	if res.Overload.Shed == 0 {
 		t.Error("2x load never shed — admission did not engage")
 	}
-	if res.Ablation.Shed != 0 {
-		t.Errorf("ablation shed %d despite an unbounded queue", res.Ablation.Shed)
+	for _, a := range []*OverloadArm{&res.NoQueueBound, &res.Ablation} {
+		if a.Shed != 0 {
+			t.Errorf("%s: shed %d despite an unbounded queue", a.Name, a.Shed)
+		}
+		if a.PeakQueue <= bound {
+			t.Errorf("%s: peak queue %d never passed the bound %d the arm leaves out", a.Name, a.PeakQueue, bound)
+		}
 	}
-	if res.Ablation.ServedExpired == 0 {
-		t.Error("ablation served no expired work — the ablated discard had no effect")
+	for _, a := range []*OverloadArm{&res.ServeExpired, &res.Ablation} {
+		if a.ServedExpired == 0 {
+			t.Errorf("%s: served no expired work — the ablated discard had no effect", a.Name)
+		}
+	}
+	for _, a := range []*OverloadArm{&res.NoLimiter, &res.Ablation} {
+		if a.Limit != 0 {
+			t.Errorf("%s: limiter ceiling %d with the limiter off", a.Name, a.Limit)
+		}
 	}
 }
 

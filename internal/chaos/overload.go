@@ -14,8 +14,10 @@ import (
 	"repro/internal/sim"
 )
 
-// OverloadConfig parameterizes the three-arm overload experiment (E14).
-// Zero values take the defaults noted on each field.
+// OverloadConfig parameterizes the overload experiment (E14, E36): a
+// capacity arm, the protected arm under 2x load, one leave-one-out arm per
+// protection and the ablation. Zero values take the defaults noted on each
+// field.
 type OverloadConfig struct {
 	// Seed drives workload content (item choice per worker). The experiment
 	// measures wall-clock goodput, so unlike a campaign it is reproducible
@@ -24,12 +26,11 @@ type OverloadConfig struct {
 	// Items (default 2) and Replicas (default 3) shape the cluster.
 	Items    int
 	Replicas int
-	// Workers is the capacity arm's concurrency (default 12); the overload
-	// and ablation arms run 2x. A read asks one quorum, two of the three
-	// replicas, and leaves no copy behind to be served after its caller
-	// gave up, so it takes twelve workers to hold the replicas at capacity;
-	// at six, twice the load never makes the ablated queues outlast a
-	// deadline.
+	// Workers is the capacity arm's concurrency (default 12); every other
+	// arm runs 2x. A read asks one quorum, two of the three replicas, and
+	// leaves no copy behind to be served after its caller gave up, so it
+	// takes twelve workers to hold the replicas at capacity; at six, twice
+	// the load never makes the ablated queues outlast a deadline.
 	Workers int
 	// TxnsPerWorker is how many transactions each worker attempts
 	// (default 60).
@@ -42,8 +43,9 @@ type OverloadConfig struct {
 	// Deadline is each transaction's end-to-end budget (default 25ms),
 	// propagated through every hop.
 	Deadline time.Duration
-	// AdmitCapacity is the replica admission queue bound on the protected
-	// arms (default 2). The ablation arm runs effectively unbounded.
+	// AdmitCapacity is the replica admission queue bound wherever the
+	// queue bound is on (default 2); where it is off the queue is
+	// effectively unbounded.
 	AdmitCapacity int
 }
 
@@ -87,11 +89,16 @@ type OverloadArm struct {
 	Other      int
 	// Replica-side admission verdicts, summed over all DMs: requests shed
 	// at a full queue, admitted requests discarded at dequeue because their
-	// deadline had lapsed, and — ablation only — expired requests served
-	// anyway (dead work burning real service capacity).
+	// deadline had lapsed, and — where the discard is off — expired
+	// requests served anyway (dead work burning real service capacity).
 	Shed             int64
 	ExpiredOnArrival int64
 	ServedExpired    int64
+	// PeakQueue is the deepest any DM's admission queue got
+	// (Stats.QueueDepth's maximum); Limit is the AIMD limiter's in-flight
+	// ceiling at the end of the arm, 0 where no limiter runs.
+	PeakQueue int64
+	Limit     int64
 	// P50/P99 are latency quantiles of committed transactions only: the
 	// experience of admitted work.
 	P50, P99 time.Duration
@@ -100,53 +107,81 @@ type OverloadArm struct {
 	Goodput float64
 }
 
-// OverloadResult is the three-arm comparison: a healthy cluster at
-// capacity, the same protections under 2x load, and 2x load with every
-// protection ablated (unbounded queues, expired work served, no retry
-// budget, no concurrency limiter).
+// The protections an arm can run with, each on or off: the bounded
+// admission queue, the discard of expired work at dequeue, and the AIMD
+// in-flight limiter (DESIGN.md §7).
+type protections struct{ queueBound, expiredDiscard, limiter bool }
+
+var allProtections = protections{true, true, true}
+
+// overloadArms names every arm in the order RunOverload runs them, with its
+// load (a multiple of Workers) and the protections it keeps. Each
+// leave-one-out arm is the protected 2x arm with exactly one protection
+// off; the ablation turns all of them off.
+var overloadArms = []struct {
+	name string
+	load int
+	on   protections
+}{
+	{"capacity", 1, allProtections},
+	{"overload", 2, allProtections},
+	{"no-queue-bound", 2, protections{false, true, true}},
+	{"serve-expired", 2, protections{true, false, true}},
+	{"no-limiter", 2, protections{true, true, false}},
+	{"ablation", 2, protections{}},
+}
+
+// OverloadResult is the comparison of every arm: a healthy cluster at
+// capacity, the protections under 2x load, the three leave-one-out arms,
+// and 2x load with every protection ablated.
 type OverloadResult struct {
 	Capacity OverloadArm
 	Overload OverloadArm
-	Ablation OverloadArm
+	// NoQueueBound, ServeExpired and NoLimiter are the leave-one-out arms:
+	// what each protection buys shows against Overload on its own signal.
+	NoQueueBound OverloadArm
+	ServeExpired OverloadArm
+	NoLimiter    OverloadArm
+	Ablation     OverloadArm
 }
 
-// RunOverload runs the three arms back to back, each on a fresh cluster.
+// Arms lists r's arms in the order RunOverload runs them.
+func (r *OverloadResult) Arms() []*OverloadArm {
+	return []*OverloadArm{&r.Capacity, &r.Overload, &r.NoQueueBound, &r.ServeExpired, &r.NoLimiter, &r.Ablation}
+}
+
+// RunOverload runs every arm back to back, each on a fresh cluster.
 func RunOverload(ctx context.Context, cfg OverloadConfig) (OverloadResult, error) {
-	cfg = cfg.withDefaults()
 	var res OverloadResult
-	var err error
-	if res.Capacity, err = runOverloadArm(ctx, cfg, "capacity", cfg.Workers, true); err != nil {
-		return res, err
-	}
-	if res.Overload, err = runOverloadArm(ctx, cfg, "overload", 2*cfg.Workers, true); err != nil {
-		return res, err
-	}
-	if res.Ablation, err = runOverloadArm(ctx, cfg, "ablation", 2*cfg.Workers, false); err != nil {
-		return res, err
+	for i, arm := range res.Arms() {
+		var err error
+		if *arm, err = RunOverloadArm(ctx, cfg, overloadArms[i].name); err != nil {
+			return res, err
+		}
 	}
 	return res, nil
 }
 
-// RunOverloadArm runs one named arm — "capacity", "overload" or
-// "ablation" — in isolation, for benchmarks that want per-arm series;
-// RunOverload composes all three and Check gates on the comparison.
+// RunOverloadArm runs one named arm in isolation, for benchmarks that want
+// per-arm series; RunOverload composes all of them and Check gates on the
+// comparison.
 func RunOverloadArm(ctx context.Context, cfg OverloadConfig, arm string) (OverloadArm, error) {
 	cfg = cfg.withDefaults()
-	switch arm {
-	case "capacity":
-		return runOverloadArm(ctx, cfg, arm, cfg.Workers, true)
-	case "overload":
-		return runOverloadArm(ctx, cfg, arm, 2*cfg.Workers, true)
-	case "ablation":
-		return runOverloadArm(ctx, cfg, arm, 2*cfg.Workers, false)
+	for _, a := range overloadArms {
+		if a.name == arm {
+			return runOverloadArm(ctx, cfg, arm, a.load*cfg.Workers, a.on)
+		}
 	}
 	return OverloadArm{}, fmt.Errorf("chaos: unknown overload arm %q", arm)
 }
 
-// Check is the E14 gate: under 2x load the protections must hold goodput
-// within 20% of single-load capacity without ever serving expired work,
-// admitted work's p99 must not blow up, and the ablation must demonstrate
-// the meltdown the protections exist to prevent.
+// Check is the E14 gate with E36's leave-one-out margins: under 2x load
+// the protections must hold goodput within 20% of single-load capacity
+// without ever serving expired work, admitted work's p99 must not blow up,
+// the ablation must demonstrate the meltdown the protections exist to
+// prevent, and each protection must show what it buys on its own signal —
+// the limiter on goodput, the expired discard on expired work served, the
+// queue bound on the p50 of admitted work.
 func (r OverloadResult) Check() error {
 	c, o, a := r.Capacity, r.Overload, r.Ablation
 	if c.Committed == 0 {
@@ -173,10 +208,21 @@ func (r OverloadResult) Check() error {
 		return fmt.Errorf("overload: ablation goodput %.0f txn/s did not collapse below protected %.0f txn/s",
 			a.Goodput, o.Goodput)
 	}
+	if n := r.NoLimiter; n.Goodput >= 0.8*o.Goodput {
+		return fmt.Errorf("overload: goodput without the limiter %.0f txn/s not below 80%% of protected %.0f txn/s — the limiter bought nothing",
+			n.Goodput, o.Goodput)
+	}
+	if r.ServeExpired.ServedExpired == 0 {
+		return fmt.Errorf("overload: with expired work served no expired work was served — the discard bought nothing")
+	}
+	if u := r.NoQueueBound; 2*u.P50 < 3*o.P50 {
+		return fmt.Errorf("overload: p50 of admitted work with an unbounded queue %v not 1.5x protected %v — the queue bound bought nothing",
+			u.P50, o.P50)
+	}
 	return nil
 }
 
-func runOverloadArm(ctx context.Context, cfg OverloadConfig, name string, workers int, protected bool) (OverloadArm, error) {
+func runOverloadArm(ctx context.Context, cfg OverloadConfig, name string, workers int, on protections) (OverloadArm, error) {
 	net := sim.NewNetwork(sim.Config{Seed: cfg.Seed})
 	defer net.Close()
 	items := make([]cluster.ItemSpec, cfg.Items)
@@ -190,34 +236,26 @@ func runOverloadArm(ctx context.Context, cfg OverloadConfig, name string, worker
 		items[i] = cluster.ItemSpec{Name: n, Initial: 0, DMs: dms, Config: quorum.Majority(dms)}
 		names[i] = n
 	}
-	opts := []cluster.Option{
+	// A queue too deep to ever shed stands for the queue bound's absence.
+	capacity := 1 << 20
+	if on.queueBound {
+		capacity = cfg.AdmitCapacity
+	}
+	limit := 0
+	if on.limiter {
+		limit = workers
+	}
+	store, err := cluster.Open(net, items,
 		cluster.WithSeed(cfg.Seed),
 		cluster.WithCallTimeout(time.Second), // backstop; the deadline clamps it
 		cluster.WithHedgeDelay(0),            // phases widen only on a refusal: timed widening would amplify offered load
 		cluster.WithServiceTime(cfg.ServiceTime),
 		cluster.WithLockRetries(2),
 		cluster.WithTxnRetries(0),
-	}
-	if protected {
-		opts = append(opts,
-			cluster.WithAdmissionCapacity(cfg.AdmitCapacity),
-			cluster.WithRetryBudget(0.5),
-			cluster.WithInflightLimit(workers),
-			// A generous hop allowance makes deadline propagation bite early:
-			// a phase with under 3ms of budget left fails at the caller
-			// instead of burning scarce service on work it cannot finish,
-			// and in-queue requests expire (and are discarded) 3ms sooner.
-			cluster.WithHopAllowance(3*time.Millisecond),
-		)
-	} else {
-		// Every protection ablated: a queue too deep to ever shed, expired
-		// work served as if fresh, unlimited retries and concurrency.
-		opts = append(opts,
-			cluster.WithAdmissionCapacity(1<<20),
-			cluster.WithExpiredService(true),
-		)
-	}
-	store, err := cluster.Open(net, items, opts...)
+		cluster.WithAdmissionCapacity(capacity),
+		cluster.WithExpiredService(!on.expiredDiscard),
+		cluster.WithInflightLimit(limit),
+	)
 	if err != nil {
 		return OverloadArm{}, err
 	}
@@ -272,6 +310,8 @@ func runOverloadArm(ctx context.Context, cfg OverloadConfig, name string, worker
 	arm.Shed = totals.Shed
 	arm.ExpiredOnArrival = totals.ExpiredDropped
 	arm.ServedExpired = totals.ServedExpired
+	arm.PeakQueue = store.Stats.QueueDepth.Snapshot().Max
+	arm.Limit = store.Stats.InflightLimit.Value()
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	if len(lat) > 0 {
 		arm.P50 = lat[len(lat)/2]

@@ -123,9 +123,8 @@ func (e *UnavailableError) Error() string {
 func (e *UnavailableError) Unwrap() error { return ErrUnavailable }
 
 // OverloadedError reports that a quorum phase failed because replicas shed
-// the request at admission or discarded it expired-on-arrival, and the
-// retry budget (when one denied a retry) refused to add more load. It
-// wraps ErrOverloaded.
+// the request at admission or discarded it expired-on-arrival. It wraps
+// ErrOverloaded.
 type OverloadedError struct {
 	// Item is the data item being accessed.
 	Item string
@@ -140,9 +139,6 @@ type OverloadedError struct {
 	// Expired reports that the rejection was expired-on-arrival: the
 	// request outlived its propagated deadline in a replica queue.
 	Expired bool
-	// BudgetDenied reports that the per-store retry budget refused a
-	// retry that plain retry policy would have allowed.
-	BudgetDenied bool
 }
 
 func (e *OverloadedError) Error() string {
@@ -150,13 +146,9 @@ func (e *OverloadedError) Error() string {
 	if e.Expired {
 		cause = "the request expired in a replica queue before service"
 	}
-	suffix := "retry with backoff once load drops"
-	if e.BudgetDenied {
-		suffix = "the retry budget refused further attempts — shed load upstream"
-	}
 	return fmt.Sprintf(
-		"cluster: %s phase of %s on item %q overloaded after %d attempt(s): %s (shedding DMs: %s); %s",
-		e.Phase, e.Txn, e.Item, e.Attempts, cause, dmList(e.Shed), suffix)
+		"cluster: %s phase of %s on item %q overloaded after %d attempt(s): %s (shedding DMs: %s); retry with backoff once load drops",
+		e.Phase, e.Txn, e.Item, e.Attempts, cause, dmList(e.Shed))
 }
 
 func (e *OverloadedError) Unwrap() error { return ErrOverloaded }

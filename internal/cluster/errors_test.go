@@ -65,12 +65,6 @@ func TestTypedErrors(t *testing.T) {
 			is:      []error{ErrOverloaded},
 			mention: "expired in a replica queue",
 		},
-		{
-			name:    "retry budget denied",
-			err:     &OverloadedError{Item: "x", Txn: "c1.t1", Phase: "write", Attempts: 2, Shed: []string{"A"}, BudgetDenied: true},
-			is:      []error{ErrOverloaded},
-			mention: "retry budget",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,13 +96,13 @@ func TestTypedErrors(t *testing.T) {
 func TestTypedErrorsAs(t *testing.T) {
 	var wrapped error = &OverloadedError{
 		Item: "x", Txn: "c1.t1", Phase: "read",
-		Attempts: 4, Shed: []string{"B", "A"}, Expired: true, BudgetDenied: true,
+		Attempts: 4, Shed: []string{"B", "A"}, Expired: true,
 	}
 	var oe *OverloadedError
 	if !errors.As(wrapped, &oe) {
 		t.Fatal("errors.As failed for OverloadedError")
 	}
-	if oe.Attempts != 4 || len(oe.Shed) != 2 || !oe.Expired || !oe.BudgetDenied {
+	if oe.Attempts != 4 || len(oe.Shed) != 2 || !oe.Expired {
 		t.Errorf("extracted detail = %+v", oe)
 	}
 }

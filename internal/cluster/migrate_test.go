@@ -99,13 +99,17 @@ var dataPath = []string{
 	"cluster.CommitTopReq", "cluster.AbortReq", "cluster.ReadResp", "cluster.WriteResp", "cluster.Ack",
 }
 
+// paxosPath is what a Paxos Commit transaction adds to the data path on its
+// clean path: the accept round before the commit point.
+var paxosPath = []string{"cluster.PaxosAcceptReq", "cluster.PaxosAcceptResp"}
+
 // offDataPath returns the message kinds net carried since before (a
-// Stats.ByType snapshot) that are not on the data path.
-func offDataPath(net *sim.Network, before map[string]int64) []string {
+// Stats.ByType snapshot) that are neither on the data path nor among own.
+func offDataPath(net *sim.Network, before map[string]int64, own ...string) []string {
 	var out []string
 	for kind, n := range net.Stats().ByType {
 		_, inner, _ := strings.Cut(kind, "/")
-		if n > before[kind] && !slices.Contains(dataPath, inner) {
+		if n > before[kind] && !slices.Contains(dataPath, inner) && !slices.Contains(own, inner) {
 			out = append(out, kind)
 		}
 	}
@@ -177,16 +181,16 @@ func TestMigrateItemMovesValue(t *testing.T) {
 
 // staleClient attaches a second client to store's cluster that believes
 // the ring's initial placement and has read key under it once.
-func staleClient(t *testing.T, store *Store, net *sim.Network, ring *shard.Ring, keys []string, key string) *Store {
+func staleClient(t *testing.T, store *Store, net *sim.Network, ring *shard.Ring, keys []string, key string, extra ...Option) *Store {
 	t.Helper()
 	items, err := ShardItems(ring, keys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := OpenClient(net, items,
-		WithSeed(1502), WithCallTimeout(25*time.Millisecond),
-		WithRetryBackoff(2*time.Millisecond),
-		WithRing(ring))
+	stale, err := OpenClient(net, items, append([]Option{
+		WithSeed(1502), WithCallTimeout(25 * time.Millisecond),
+		WithRetryBackoff(2 * time.Millisecond),
+		WithRing(ring)}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,49 +224,64 @@ func readIs(t *testing.T, s *Store, key string, want any) {
 // replicas, which keep their copies and the gen+1 configuration record: its
 // read quorum meets that record, and the generation chase alone takes it to
 // the new group. It sends nothing but its transactions' own messages — no
-// placement lookup, no retry of a refused phase.
+// placement lookup, no retry of a refused phase — under either commit
+// protocol, the store and the stale client both running it.
 func TestMigrateStaleClientRedirect(t *testing.T) {
-	keys := shard.Keys("k", 12)
-	store, net, _, ring := shardedCluster(t, 502, keys)
-	ctx := context.Background()
-	key := keyOn(t, ring, keys, "g0")
+	for _, tc := range []struct {
+		name     string
+		protocol commit.Protocol
+		own      []string
+	}{
+		{"2pc", commit.TwoPhase, nil},
+		{"paxos", commit.PaxosCommit, paxosPath},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			keys := shard.Keys("k", 12)
+			store, net, _, ring := shardedCluster(t, 502, keys, WithCommitProtocol(tc.protocol))
+			ctx := context.Background()
+			key := keyOn(t, ring, keys, "g0")
 
-	if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 41) }); err != nil {
-		t.Fatal(err)
-	}
-	stale := staleClient(t, store, net, ring, keys, key)
-	if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	net.Quiesce()
-	// The old group kept its copies, and a write quorum of it the record.
-	recorded := 0
-	for _, dm := range []string{"a0", "a1", "a2"} {
-		insp, err := store.Inspect(ctx, dm, key)
-		if err != nil {
-			t.Fatalf("old replica %s: %v", dm, err)
-		}
-		if insp.Gen == 1 && onGroup(insp.Cfg.Members(), 'b') {
-			recorded++
-		}
-	}
-	if recorded < 2 {
-		t.Fatalf("%d old-group replicas hold the gen-1 record, want a write quorum", recorded)
-	}
+			if err := store.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 41) }); err != nil {
+				t.Fatal(err)
+			}
+			stale := staleClient(t, store, net, ring, keys, key, WithCommitProtocol(tc.protocol))
+			if err := store.MigrateItem(ctx, key, "g1", CommitCrashOptions{}); err != nil {
+				t.Fatalf("migrate: %v", err)
+			}
+			net.Quiesce()
+			// The old group kept its copies, and a write quorum of it the record.
+			recorded := 0
+			for _, dm := range []string{"a0", "a1", "a2"} {
+				insp, err := store.Inspect(ctx, dm, key)
+				if err != nil {
+					t.Fatalf("old replica %s: %v", dm, err)
+				}
+				if insp.Gen == 1 && onGroup(insp.Cfg.Members(), 'b') {
+					recorded++
+				}
+			}
+			if recorded < 2 {
+				t.Fatalf("%d old-group replicas hold the gen-1 record, want a write quorum", recorded)
+			}
 
-	before := net.Stats().ByType
-	readIs(t, stale, key, 41)
-	if got := stale.config(key); got.gen != 1 || !onGroup(got.cfg.Members(), 'b') {
-		t.Fatalf("stale client believes gen %d over %v after its read, want gen 1 on the new group", got.gen, got.cfg.Members())
+			before := net.Stats().ByType
+			readIs(t, stale, key, 41)
+			if got := stale.config(key); got.gen != 1 || !onGroup(got.cfg.Members(), 'b') {
+				t.Fatalf("stale client believes gen %d over %v after its read, want gen 1 on the new group", got.gen, got.cfg.Members())
+			}
+			if err := stale.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 42) }); err != nil {
+				t.Fatalf("stale write after migrate: %v", err)
+			}
+			if paxos := stale.Stats.PaxosCommits.Value(); (paxos == 1) != (tc.protocol == commit.PaxosCommit) {
+				t.Fatalf("the stale write decided %d times through acceptors under %s", paxos, tc.name)
+			}
+			net.Quiesce()
+			if off := offDataPath(net, before, tc.own...); len(off) > 0 {
+				t.Fatalf("the stale client sent %v beside its transactions", off)
+			}
+			readIs(t, store, key, 42)
+		})
 	}
-	if err := stale.Run(ctx, func(tx *Txn) error { return tx.Write(ctx, key, 42) }); err != nil {
-		t.Fatalf("stale write after migrate: %v", err)
-	}
-	net.Quiesce()
-	if off := offDataPath(net, before); len(off) > 0 {
-		t.Fatalf("the stale client sent %v beside its transactions", off)
-	}
-	readIs(t, store, key, 42)
 }
 
 // TestMigrateTwoHopsStale: a client that missed two migrations (g0 → g1 →

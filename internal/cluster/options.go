@@ -34,9 +34,7 @@ type settings struct {
 	admitCap          int           // bounded DM admission queue; 0 = unbounded (off)
 	serviceTime       time.Duration // modeled per-request service cost at DMs
 	admitServeExpired bool          // ablation: serve expired-on-arrival work anyway
-	retryRatio        float64       // retry budget deposit per first attempt; 0 = off
 	inflightMax       int           // AIMD in-flight top-level txn ceiling; 0 = off
-	hopAllowance      time.Duration // deadline budget reserved per fan-out hop
 
 	// Sharded placement (see DESIGN.md §10). nil = unsharded.
 	ring *shard.Ring
@@ -53,7 +51,6 @@ func defaultSettings() settings {
 		retryBackoff: time.Millisecond,
 		txnRetries:   8,
 		clock:        transport.Wall,
-		hopAllowance: time.Millisecond,
 	}
 }
 
@@ -219,23 +216,6 @@ func WithExpiredService(on bool) Option {
 	return func(s *settings) { s.admitServeExpired = on }
 }
 
-// WithRetryBudget enables the SRE-style per-store retry budget: every
-// first attempt of a quorum phase deposits ratio tokens into a bucket and
-// every conflict/overload/lease retry withdraws one, so retry traffic can
-// never exceed the given fraction of first-attempt traffic. When the
-// bucket is empty the retry is refused and the operation fails with the
-// underlying error (marked BudgetDenied on overloads) instead of adding
-// load to an overloaded cluster. Ratio at or below zero (the default)
-// disables the budget.
-func WithRetryBudget(ratio float64) Option {
-	return func(s *settings) {
-		if ratio < 0 {
-			ratio = 0
-		}
-		s.retryRatio = ratio
-	}
-}
-
 // WithInflightLimit caps concurrently running top-level transactions
 // (Run callers) with an AIMD limiter: the ceiling starts at n, shrinks
 // multiplicatively when transactions fail on overload or quorum timeouts,
@@ -247,20 +227,6 @@ func WithInflightLimit(n int) Option {
 			n = 0
 		}
 		s.inflightMax = n
-	}
-}
-
-// WithHopAllowance reserves d of the caller's remaining context budget at
-// every fan-out hop: a phase call's timeout is min(WithCallTimeout,
-// remaining-deadline − d), and when the remainder is not positive the call
-// fails fast instead of being sent — work that cannot finish in time is
-// refused at the earliest possible hop. Default 1ms.
-func WithHopAllowance(d time.Duration) Option {
-	return func(s *settings) {
-		if d < 0 {
-			d = 0
-		}
-		s.hopAllowance = d
 	}
 }
 

@@ -10,10 +10,15 @@ import (
 	"repro/internal/transport"
 )
 
+// hopAllowance is the deadline budget every outbound call or fan-out phase
+// reserves for the hop itself: callBudget refuses a call the caller's
+// remaining deadline cannot cover by this much.
+const hopAllowance = time.Millisecond
+
 // callBudget computes the timeout for one outbound call or fan-out phase:
 // the configured call timeout, clamped to the caller's remaining context
-// budget minus the per-hop allowance. When the remaining budget cannot
-// even cover the allowance the call is refused before it is sent — a
+// budget minus hopAllowance. When the remaining budget cannot even cover
+// the allowance the call is refused before it is sent — a
 // request that cannot finish in time must be dropped at the earliest
 // possible hop, not forwarded to die in a replica queue; so is a call whose
 // caller's context is already done, with the timeout its Call would give.
@@ -26,7 +31,7 @@ func (s *Store) callBudget(ctx context.Context) (time.Duration, error) {
 	}
 	d := s.opts.callTimeout
 	if dl, ok := ctx.Deadline(); ok {
-		rem := time.Until(dl) - s.opts.hopAllowance
+		rem := time.Until(dl) - hopAllowance
 		if rem <= 0 {
 			return 0, errNoBudget
 		}
@@ -137,61 +142,6 @@ func (s *Store) call(ctx context.Context, r round) (answers []any, sent int) {
 		}
 	}
 	return answers, sent
-}
-
-// retryBudget is the SRE-style token bucket that bounds retry traffic to a
-// fraction of first-attempt traffic. Every first attempt of a quorum phase
-// deposits ratio tokens; every retry withdraws one. Under healthy load the
-// bucket sits full and retries are free; under sustained overload the
-// bucket drains and the sustainable retry rate converges to ratio times
-// the first-attempt rate — retries can amplify load only by that factor,
-// never into a retry storm. A nil *retryBudget (budget disabled) admits
-// every retry.
-type retryBudget struct {
-	mu     sync.Mutex
-	ratio  float64
-	tokens float64
-	max    float64
-}
-
-// retryBudgetMax caps the bucket so a long quiet period cannot bank an
-// unbounded burst of retries.
-const retryBudgetMax = 16
-
-func newRetryBudget(ratio float64) *retryBudget {
-	if ratio <= 0 {
-		return nil
-	}
-	// Start full: the budget exists to stop sustained retry storms, not to
-	// make a cold store fail its first conflict.
-	return &retryBudget{ratio: ratio, tokens: retryBudgetMax, max: retryBudgetMax}
-}
-
-// deposit credits one first attempt.
-func (b *retryBudget) deposit() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-	b.mu.Unlock()
-}
-
-// allow withdraws one retry token, reporting whether the retry may run.
-func (b *retryBudget) allow() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
 }
 
 // aimdLimiter bounds in-flight top-level transactions with an

@@ -16,7 +16,7 @@ import (
 )
 
 func TestCallBudgetArithmetic(t *testing.T) {
-	s := &Store{opts: settings{callTimeout: 100 * time.Millisecond, hopAllowance: time.Millisecond}}
+	s := &Store{opts: settings{callTimeout: 100 * time.Millisecond}}
 
 	if d, err := s.callBudget(context.Background()); err != nil || d != 100*time.Millisecond {
 		t.Errorf("no deadline: budget = %v, %v; want full call timeout", d, err)
@@ -45,33 +45,6 @@ func TestCallBudgetArithmetic(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	if _, err := s.callBudget(spent); err == nil {
 		t.Error("exhausted deadline: want fail-fast error, got a budget")
-	}
-}
-
-func TestRetryBudgetTokens(t *testing.T) {
-	b := newRetryBudget(0.5)
-	for i := 0; i < retryBudgetMax; i++ {
-		if !b.allow() {
-			t.Fatalf("retry %d denied with a full bucket", i)
-		}
-	}
-	if b.allow() {
-		t.Fatal("retry allowed from an empty bucket")
-	}
-	// Two first attempts redeposit one retry's worth at ratio 0.5.
-	b.deposit()
-	b.deposit()
-	if !b.allow() {
-		t.Fatal("retry denied after deposits refilled a token")
-	}
-	if b.allow() {
-		t.Fatal("second retry allowed; deposits only funded one")
-	}
-
-	var nilBudget *retryBudget
-	nilBudget.deposit()
-	if !nilBudget.allow() {
-		t.Fatal("disabled budget must allow every retry")
 	}
 }
 
@@ -175,7 +148,7 @@ func TestHedgeClampToCallerDeadline(t *testing.T) {
 }
 
 // TestLeaseFenceHonorsCallerDeadline extends the deadline rule to the commit
-// tail: a Run whose context cannot cover the hop allowance must fail the
+// tail: a Run whose context cannot cover the 1ms hop allowance must fail the
 // lease fence before a single renewal is sent — a renewal that cannot finish
 // in time is dropped at the client, not forwarded to die in a replica queue.
 func TestLeaseFenceHonorsCallerDeadline(t *testing.T) {
@@ -191,15 +164,14 @@ func TestLeaseFenceHonorsCallerDeadline(t *testing.T) {
 	}}
 	clk := sim.NewManualClock(time.Unix(0, 0))
 	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
-	store, err := Open(tap, items, WithSeed(13), WithClock(clk),
-		WithHopAllowance(time.Hour), WithTxnRetries(0))
+	store, err := Open(tap, items, WithSeed(13), WithClock(clk), WithTxnRetries(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 
 	bg := context.Background()
-	ctx, cancel := context.WithTimeout(bg, time.Minute) // never fits an hour's allowance
+	ctx, cancel := context.WithTimeout(bg, hopAllowance/2) // never fits the allowance
 	defer cancel()
 	err = store.Run(ctx, func(tx *Txn) error {
 		// The body spends its own budget; the tail runs on Run's.
@@ -322,52 +294,6 @@ func TestBurstReport(t *testing.T) {
 
 	if rep := (&Store{opts: settings{}, dms: map[string]*DMHost{}}).Burst("nope", 5, 0); rep != (BurstReport{}) {
 		t.Errorf("burst at unknown DM = %+v, want zero", rep)
-	}
-}
-
-// TestRetryBudgetBoundsAttempts pins that a dry retry budget stops a
-// phase's conflict/unavailability retries long before WithLockRetries
-// would, so retry traffic cannot storm an unavailable cluster.
-func TestRetryBudgetBoundsAttempts(t *testing.T) {
-	dms := []string{"dm0", "dm1", "dm2"}
-	net := sim.NewNetwork(sim.Config{Seed: 15})
-	defer net.Close()
-	items := []ItemSpec{{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)}}
-	store, err := Open(net, items,
-		WithSeed(15),
-		WithCallTimeout(10*time.Millisecond),
-		WithHedgeDelay(0),
-		WithLockRetries(40),
-		WithTxnRetries(0),
-		WithRetryBudget(0.1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	for _, dm := range dms {
-		net.Crash(dm)
-	}
-
-	rerr := store.Run(context.Background(), func(tx *Txn) error {
-		_, err := tx.Read(context.Background(), "x")
-		return err
-	})
-	if rerr == nil {
-		t.Fatal("read of a crashed cluster succeeded")
-	}
-	var ue *UnavailableError
-	if !errors.As(rerr, &ue) {
-		t.Fatalf("error = %v, want UnavailableError", rerr)
-	}
-	// The bucket starts at retryBudgetMax tokens; 40 configured retries
-	// must have been cut off when it drained.
-	if ue.Attempts > retryBudgetMax+2 {
-		t.Errorf("attempts = %d, want the budget to stop well under the %d configured",
-			ue.Attempts, 41)
-	}
-	if store.Stats.RetryBudgetDenied.Value() == 0 {
-		t.Error("RetryBudgetDenied never incremented")
 	}
 }
 

@@ -280,10 +280,9 @@ func TestRoundRetries(t *testing.T) {
 	})
 
 	t.Run("no budget", func(t *testing.T) {
-		store, c := scriptStore(t, []string{"dm0", "dm1", "dm2"}, byName(map[string]any{"dm0": Ack{OK: true}, "dm1": Ack{OK: true}}),
-			WithHopAllowance(50*time.Millisecond))
+		store, c := scriptStore(t, []string{"dm0", "dm1", "dm2"}, byName(map[string]any{"dm0": Ack{OK: true}, "dm1": Ack{OK: true}}))
 		tx := scriptTxn(store)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		ctx, cancel := context.WithTimeout(context.Background(), hopAllowance/2)
 		defer cancel()
 		missing := tx.control(ctx, []string{"dm0", "dm1"}, []string{"dm2"}, nil, commit(tx))
 		answers, sent := store.call(ctx, round{dms: []string{"dm0"}, req: commit(tx)})

@@ -92,13 +92,10 @@ type Stats struct {
 	// dequeue because its propagated deadline had passed.
 	AdmissionSheds   metrics.Counter
 	ExpiredOnArrival metrics.Counter
-	// RetryBudgetDenied counts retries the token-bucket retry budget
-	// refused. InflightLimit gauges the AIMD limiter's current in-flight
-	// ceiling; QueueDepth histograms the admission queue depths observed at
-	// DMs.
-	RetryBudgetDenied metrics.Counter
-	InflightLimit     metrics.Gauge
-	QueueDepth        metrics.IntHistogram
+	// InflightLimit gauges the AIMD limiter's current in-flight ceiling;
+	// QueueDepth histograms the admission queue depths observed at DMs.
+	InflightLimit metrics.Gauge
+	QueueDepth    metrics.IntHistogram
 	// Sharded placement (DESIGN.md §10). Migrations counts MigrateItem
 	// cutovers this client completed.
 	Migrations metrics.Counter
@@ -168,9 +165,8 @@ type Store struct {
 	// phase's first quorum.
 	health *healthBoard
 
-	// Overload protection (both nil/off unless the matching option armed
-	// them): the retry token bucket and the AIMD in-flight limiter.
-	budget  *retryBudget
+	// limiter is the AIMD in-flight limiter, nil unless WithInflightLimit
+	// armed it (overload protection).
 	limiter *aimdLimiter
 
 	// closeOnce makes Close idempotent and safe to race; stopBg and bg
@@ -270,7 +266,6 @@ func newStore(tr transport.Transport, items []ItemSpec, st settings, spawnServer
 		believed: map[string]genCfg{},
 	}
 	s.health = newHealthBoard(&s.Stats)
-	s.budget = newRetryBudget(st.retryRatio)
 	s.limiter = newAIMDLimiter(st.inflightMax)
 	if s.limiter != nil {
 		s.Stats.InflightLimit.Set(int64(s.limiter.ceiling()))
@@ -800,29 +795,10 @@ type readResult struct {
 // phaseTally accumulates what a phase's attempts saw, for the typed error
 // the phase returns if none of them assembles a quorum.
 type phaseTally struct {
-	attempts     int
-	sawBusy      bool
-	budgetDenied bool
-	col          *collector // the last plan's outcome
-	orphans      []TxnID    // expired-lease holders the refusals named, not yet resolved
-}
-
-// admit opens one attempt of a phase. The first deposits into the retry
-// budget; every later one must withdraw from it — when the budget is dry,
-// retry traffic already runs at its allowed fraction of first-attempt
-// traffic, and piling on more would amplify the very overload causing the
-// retries.
-func (p *phaseTally) admit(s *Store, attempt int) bool {
-	if attempt == 0 {
-		s.budget.deposit()
-		return true
-	}
-	if s.budget.allow() {
-		return true
-	}
-	s.Stats.RetryBudgetDenied.Inc()
-	p.budgetDenied = true
-	return false
+	attempts int
+	sawBusy  bool
+	col      *collector // the last plan's outcome
+	orphans  []TxnID    // expired-lease holders the refusals named, not yet resolved
 }
 
 // fail is the phase's error epilogue: the caller's own cancellation first,
@@ -845,7 +821,7 @@ func (p *phaseTally) fail(ctx context.Context, t *Txn, item, phase string) error
 		return &OverloadedError{
 			Item: item, Txn: t.id, Phase: phase,
 			Attempts: p.attempts, Shed: col.shedDMs(),
-			Expired: col.expired, BudgetDenied: p.budgetDenied,
+			Expired: col.expired,
 		}
 	}
 	return &UnavailableError{
@@ -912,9 +888,8 @@ type firstRead struct {
 // to resolve; any further access validates the read first (validateFirst).
 //
 // Progress — a newer generation learned — re-reads at once and is no retry:
-// it spends neither an attempt nor a retry-budget token, and neither does
-// the switch. Each such step strictly advances the client's
-// view, so there are finitely many.
+// it spends no attempt, and neither does the switch. Each such step
+// strictly advances the client's view, so there are finitely many.
 func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readResult, error) {
 	if t.root.unchecked.Load() != nil {
 		if first := t.root.unchecked.Swap(nil); first != nil {
@@ -934,7 +909,6 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 		t.mu.Unlock()
 	}
 	var tally phaseTally
-	tally.admit(t.store, 0)
 	for attempt := 0; ; {
 		if err := ctx.Err(); err != nil {
 			return readResult{}, err
@@ -994,7 +968,7 @@ func (t *Txn) readPhase(ctx context.Context, item string, mode LockMode) (readRe
 			lockless = false
 		default:
 			tally.retry(ctx, t.store, attempt)
-			if attempt++; attempt > t.store.opts.lockRetries || !tally.admit(t.store, attempt) {
+			if attempt++; attempt > t.store.opts.lockRetries {
 				return readResult{}, tally.fail(ctx, t, item, "read")
 			}
 		}
@@ -1057,9 +1031,6 @@ func (t *Txn) writeQuorum(ctx context.Context, item, phase string, cfg knownCfg,
 	for attempt := 0; attempt <= t.store.opts.lockRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		if !tally.admit(t.store, attempt) {
-			break
 		}
 		for _, p := range t.store.phasePlans(cfg.W, cfg.writeTargets, cfg.writeMasks) {
 			seq := t.nextSeq()
@@ -1316,13 +1287,6 @@ func (s *Store) Run(ctx context.Context, fn func(*Txn) error) error {
 		// the overload, so the AIMD limiter hears the signal instead and
 		// shrinks the in-flight ceiling.
 		if !errors.Is(err, ErrConflict) || ctx.Err() != nil {
-			break
-		}
-		if !s.budget.allow() {
-			// Conflict restarts draw from the same retry budget as phase
-			// retries: under overload-driven conflict storms the budget is
-			// what stops goodput from collapsing into retry traffic.
-			s.Stats.RetryBudgetDenied.Inc()
 			break
 		}
 		s.Stats.Restarts.Inc()

@@ -252,8 +252,8 @@ func TestTransportParityReconfigure(t *testing.T) {
 
 // TestStaleClientChasesWithNoRetries: the generation chase is progress, not
 // a retry. A stale client allowed no lock retries at all still reads after
-// a reconfiguration — the chase spends neither its one attempt nor a
-// retry-budget token — and then writes under the configuration it learned.
+// a reconfiguration — the chase does not spend its one attempt — and then
+// writes under the configuration it learned.
 func TestStaleClientChasesWithNoRetries(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, tr transport.Transport) {
 		store, dms := openTestStore(t, tr)
@@ -266,7 +266,7 @@ func TestStaleClientChasesWithNoRetries(t *testing.T) {
 		}
 		stale, err := OpenClient(tr, []ItemSpec{
 			{Name: "x", Initial: 0, DMs: dms, Config: quorum.Majority(dms)},
-		}, WithCallTimeout(500*time.Millisecond), WithSeed(12), WithLockRetries(0), WithRetryBudget(0.1))
+		}, WithCallTimeout(500*time.Millisecond), WithSeed(12), WithLockRetries(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,10 +285,6 @@ func TestStaleClientChasesWithNoRetries(t *testing.T) {
 		}
 		if got := stale.config("x").gen; got != 1 {
 			t.Errorf("stale client believes gen %d, want 1", got)
-		}
-		// The bucket starts full and first attempts only top it up.
-		if b := stale.budget; b.tokens != b.max {
-			t.Errorf("retry budget at %.1f of %.1f tokens: the chase withdrew", b.tokens, b.max)
 		}
 	})
 }

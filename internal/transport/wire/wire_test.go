@@ -236,7 +236,15 @@ func TestPointerKind(t *testing.T) {
 
 // TestFingerprintNamesTheLayouts: the fingerprint is a function of the
 // registered layouts — stable while they stand, moved by a registration.
+// The registration it makes is undone when it ends, so a second run (-count)
+// starts from the same layouts and registers anew.
 func TestFingerprintNamesTheLayouts(t *testing.T) {
+	saved := reg.Load()
+	t.Cleanup(func() {
+		regMu.Lock()
+		reg.Store(saved)
+		regMu.Unlock()
+	})
 	before := Fingerprint()
 	if before == 0 || Fingerprint() != before {
 		t.Fatalf("fingerprint %x is not a stable identity", before)
